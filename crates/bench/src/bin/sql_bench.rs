@@ -3,14 +3,9 @@
 //! Three phases, one artifact:
 //!
 //! 1. **Microbenches** on a synthetic 100k+ row catalog: the scan / filter /
-//!    join / aggregate hot paths, each measured three times — with the
-//!    tree-walking interpreter (`set_expression_compilation(false)`), with
-//!    compiled programs evaluated row-at-a-time
-//!    (`set_vectorized_execution(false)`), and in the default vectorized
-//!    batch mode — so both the compiled-vs-interpreted and the
-//!    vectorized-vs-row ratios are recorded and tracked over time.  Each
-//!    microbench also records the scan counters of the vectorized run
-//!    (`segments_pruned`, `batches_processed`, `bytes_scanned`).
+//!    join / aggregate hot paths, each recording its median wall time and
+//!    the scan counters of the run (`segments_pruned`, `batches_processed`,
+//!    `bytes_scanned`).
 //! 2. **The documented query suite**: every data-mining query from
 //!    `docs/QUERIES.md` runs end to end on a tiny SkyServer; per-query wall
 //!    time, row count, estimated cardinality, plan class and raw scan
@@ -35,42 +30,41 @@
 
 use skyserver_bench::{build_server, Scale};
 use skyserver_queries::{run_all, twenty_queries, QueryReport};
-use skyserver_sql::{FunctionRegistry, QueryLimits, SqlEngine};
+use skyserver_sql::{FunctionRegistry, QueryLimits, SqlEngine, StatementOutcome};
 use skyserver_storage::{ColumnDef, DataType, Database, TableSchema, Value};
 use std::time::Instant;
 
-/// One microbench: a name, the SQL, and how many rows it must return in
-/// both modes (a result divergence is a correctness bug, not a perf number).
+/// One microbench: a name and the SQL.
 struct Micro {
     name: &'static str,
     sql: String,
 }
 
-/// Median wall-clock milliseconds over `runs` executions.
-fn measure(engine: &mut SqlEngine, sql: &str, runs: usize) -> (f64, usize) {
+/// Median wall-clock milliseconds over `runs` executions, plus the outcome
+/// (rows and scan counters) of the warm-up run.
+fn measure(engine: &mut SqlEngine, sql: &str, runs: usize) -> (f64, StatementOutcome) {
     // One warm-up execution so allocator and cache effects settle.
     let warm = engine
         .execute(sql, QueryLimits::UNLIMITED)
-        .unwrap_or_else(|e| panic!("microbench query failed: {e}\n  sql: {sql}"));
-    let rows = warm.result.len();
+        .unwrap_or_else(|e| panic!("bench query failed: {e}\n  sql: {sql}"));
     let mut samples = Vec::with_capacity(runs);
     for _ in 0..runs {
         let started = Instant::now();
         let out = engine
             .execute(sql, QueryLimits::UNLIMITED)
-            .expect("microbench query failed on a timed run");
-        assert_eq!(out.result.len(), rows, "non-deterministic microbench");
+            .expect("bench query failed on a timed run");
+        assert_eq!(out.result.len(), warm.result.len(), "non-deterministic");
         samples.push(started.elapsed().as_secs_f64() * 1e3);
     }
     samples.sort_by(|a, b| a.total_cmp(b));
-    (samples[samples.len() / 2], rows)
+    (samples[samples.len() / 2], warm)
 }
 
 /// A deterministic unindexed catalog for the scan/join microbenches, using
 /// the reproduction's real ~54-column `PhotoObj` schema (the paper's table
-/// has ~400 attributes — per-row name resolution cost grows with width, so
-/// a narrow toy table would understate what compilation buys).  Every value
-/// is a formula of the row number, so runs are exactly reproducible.
+/// has ~400 attributes, and what a scan saves by touching only the columns a
+/// query names grows with width).  Every value is a formula of the row
+/// number, so runs are exactly reproducible.
 fn micro_engine(rows: usize) -> SqlEngine {
     let mut db = Database::new("sql_bench");
     let schema = skyserver_schema::photo_obj_schema();
@@ -139,8 +133,7 @@ fn micro_engine(rows: usize) -> SqlEngine {
 fn microbenches() -> Vec<Micro> {
     vec![
         Micro {
-            // The acceptance-criteria bench: a full-table filter over 100k+
-            // rows; compiled ordinal resolution vs per-row name lookup.
+            // A full-table three-conjunct filter over 100k+ rows.
             name: "scan_filter",
             sql: "select objID, modelMag_r from photo \
                   where modelMag_r between 16 and 18 and type = 3 and (flags & 64) = 0"
@@ -186,9 +179,8 @@ fn microbenches() -> Vec<Micro> {
     ]
 }
 
-fn run_query_suite(compiled: bool) -> (f64, Vec<QueryReport>) {
+fn run_query_suite() -> (f64, Vec<QueryReport>) {
     let mut server = build_server(Scale::Tiny);
-    server.engine_mut().set_expression_compilation(compiled);
     let queries = twenty_queries();
     let started = Instant::now();
     let reports = run_all(&mut server, &queries).unwrap_or_else(|e| {
@@ -253,8 +245,10 @@ fn join_ordering_phase(runs: usize) -> String {
             .unwrap_or_else(|| panic!("join-ordering query {id} missing from the suite"));
         let sql = q.sql.trim();
         let summary = on.plan_summary(sql).expect("plan the cost-based query");
-        let (on_ms, on_stats) = measure_read(on.engine_mut(), sql, runs);
-        let (off_ms, off_stats) = measure_read(off.engine_mut(), sql, runs);
+        let counters = |o: &StatementOutcome| (o.stats.stats.predicates_evaluated, o.result.len());
+        let (on_ms, on_outcome) = measure(on.engine_mut(), sql, runs);
+        let (off_ms, off_outcome) = measure(off.engine_mut(), sql, runs);
+        let (on_stats, off_stats) = (counters(&on_outcome), counters(&off_outcome));
         let est = summary.est_rows.unwrap_or(0);
         let qe = q_error(est, on_stats.1 as u64);
         max_q = max_q.max(qe);
@@ -276,25 +270,6 @@ fn join_ordering_phase(runs: usize) -> String {
         "{{\n    \"queries\": [\n{}\n    ],\n    \"max_q_error\": {max_q:.3}\n  }}",
         entries.join(",\n")
     )
-}
-
-/// Median wall ms plus (predicates_evaluated, rows) through the read path.
-fn measure_read(engine: &mut SqlEngine, sql: &str, runs: usize) -> (f64, (u64, usize)) {
-    let warm = engine
-        .execute(sql, QueryLimits::UNLIMITED)
-        .unwrap_or_else(|e| panic!("join-ordering query failed: {e}\n  sql: {sql}"));
-    let stats = (warm.stats.stats.predicates_evaluated, warm.result.len());
-    let mut samples = Vec::with_capacity(runs);
-    for _ in 0..runs {
-        let started = Instant::now();
-        let out = engine
-            .execute(sql, QueryLimits::UNLIMITED)
-            .expect("join-ordering query failed on a timed run");
-        assert_eq!(out.result.len(), stats.1, "non-deterministic query");
-        samples.push(started.elapsed().as_secs_f64() * 1e3);
-    }
-    samples.sort_by(|a, b| a.total_cmp(b));
-    (samples[samples.len() / 2], stats)
 }
 
 fn main() {
@@ -327,60 +302,25 @@ fn main() {
     let runs = if quick { 3 } else { 5 };
 
     // ----------------------------------------------------------------------
-    // Phase 1: interpreted-vs-compiled microbenches.
+    // Phase 1: microbenches.
     // ----------------------------------------------------------------------
     eprintln!("building {rows}-row microbench catalog...");
     let mut engine = micro_engine(rows);
     let mut micro_json = Vec::new();
     for m in microbenches() {
-        engine.set_expression_compilation(false);
-        let (interpreted_ms, rows_a) = measure(&mut engine, &m.sql, runs);
-        engine.set_expression_compilation(true);
-        engine.set_vectorized_execution(false);
-        let (row_ms, rows_b) = measure(&mut engine, &m.sql, runs);
-        engine.set_vectorized_execution(true);
-        let (compiled_ms, rows_c) = measure(&mut engine, &m.sql, runs);
-        assert_eq!(
-            rows_a, rows_b,
-            "{}: interpreted and row-compiled modes disagree on the result",
-            m.name
-        );
-        assert_eq!(
-            rows_b, rows_c,
-            "{}: row-compiled and vectorized modes disagree on the result",
-            m.name
-        );
-        let stats = engine
-            .execute(&m.sql, QueryLimits::UNLIMITED)
-            .expect("stats run failed after successful timed runs")
-            .stats
-            .stats;
-        let speedup = interpreted_ms / compiled_ms.max(1e-9);
-        let vector_speedup = row_ms / compiled_ms.max(1e-9);
+        let (wall_ms, outcome) = measure(&mut engine, &m.sql, runs);
+        let (result_rows, stats) = (outcome.result.len(), outcome.stats.stats);
         eprintln!(
-            "  {:<20} interpreted {:>9.2} ms   row {:>9.2} ms   vectorized {:>9.2} ms   \
-             {:>5.2}x total {:>5.2}x vector  ({} rows, {} pruned)",
-            m.name,
-            interpreted_ms,
-            row_ms,
-            compiled_ms,
-            speedup,
-            vector_speedup,
-            rows_a,
-            stats.segments_pruned
+            "  {:<20} {:>9.2} ms  ({} rows, {} pruned)",
+            m.name, wall_ms, result_rows, stats.segments_pruned
         );
         micro_json.push(format!(
-            "    \"{}\": {{\"interpreted_ms\": {:.3}, \"row_ms\": {:.3}, \
-             \"compiled_ms\": {:.3}, \"speedup\": {:.2}, \"vector_speedup\": {:.2}, \
+            "    \"{}\": {{\"wall_ms\": {:.3}, \
              \"rows\": {}, \"segments_pruned\": {}, \"batches_processed\": {}, \
              \"bytes_scanned\": {}}}",
             m.name,
-            interpreted_ms,
-            row_ms,
-            compiled_ms,
-            speedup,
-            vector_speedup,
-            rows_a,
+            wall_ms,
+            result_rows,
             stats.segments_pruned,
             stats.batches_processed,
             stats.bytes_scanned
@@ -392,12 +332,10 @@ fn main() {
     drop(engine);
 
     // ----------------------------------------------------------------------
-    // Phase 2: the documented query suite, both modes.
+    // Phase 2: the documented query suite.
     // ----------------------------------------------------------------------
-    eprintln!("running the documented query suite (interpreted)...");
-    let (interpreted_wall, _) = run_query_suite(false);
-    eprintln!("running the documented query suite (compiled)...");
-    let (compiled_wall, reports) = run_query_suite(true);
+    eprintln!("running the documented query suite...");
+    let (suite_wall, reports) = run_query_suite();
     let mut failed = false;
     for r in &reports {
         if !r.violations.is_empty() {
@@ -423,17 +361,14 @@ fn main() {
         "{{\n  \"bench\": \"sql_exec\",\n  \"mode\": \"{}\",\n  \"microbench_rows\": {},\n  \
          \"runs_per_measurement\": {},\n  \"microbenches\": {{\n{}\n  }},\n  \
          \"query_suite\": {{\n    \"scale\": \"tiny\",\n    \"count\": {},\n    \
-         \"interpreted_wall_s\": {:.3},\n    \"compiled_wall_s\": {:.3},\n    \
-         \"speedup\": {:.2},\n    \"queries\": [\n{}\n    ]\n  }},\n  \
+         \"wall_s\": {:.3},\n    \"queries\": [\n{}\n    ]\n  }},\n  \
          \"join_ordering\": {}\n}}",
         if quick { "quick" } else { "full" },
         rows,
         runs,
         micro_json.join(",\n"),
         reports.len(),
-        interpreted_wall,
-        compiled_wall,
-        interpreted_wall / compiled_wall.max(1e-9),
+        suite_wall,
         queries_json.join(",\n"),
         join_ordering_json,
     );
@@ -464,15 +399,13 @@ fn main() {
         "distinct_pairs",
         "top_n_early_stop",
     ] {
-        for key in ["speedup", "vector_speedup"] {
-            let value = parsed
-                .get("microbenches")
-                .and_then(|m| m.get(bench))
-                .and_then(|b| b.get(key))
-                .and_then(|s| s.as_f64());
-            if value.is_none() {
-                problems.push(format!("microbench {bench:?} has no {key}"));
-            }
+        let wall = parsed
+            .get("microbenches")
+            .and_then(|m| m.get(bench))
+            .and_then(|b| b.get("wall_ms"))
+            .and_then(|s| s.as_f64());
+        if wall.is_none() {
+            problems.push(format!("microbench {bench:?} has no wall_ms"));
         }
     }
     // Zone maps must actually fire somewhere: at the microbench scale the

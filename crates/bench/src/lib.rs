@@ -6,9 +6,8 @@
 //!   paper's evaluation (Table 1, Figures 5, 10, 11, 12, 13, 15 and the §12
 //!   micro-measurements) against the synthetic catalog and prints
 //!   paper-value vs measured-value side by side;
-//! * the Criterion benches (`cargo bench`) measure the hot paths of each
-//!   substrate (HTM lookups and covers, storage scans and seeks, SQL
-//!   execution, the load pipeline, traffic simulation).
+//! * the `http_bench` and `sql_bench` binaries record the tracked serving
+//!   and SQL-executor suites (`BENCH.json`, `BENCH_SQL.json`).
 
 #![forbid(unsafe_code)]
 

@@ -56,22 +56,8 @@ pub struct SqlEngine {
     /// snapshot them through `&self`; the `&mut` path goes through
     /// `get_mut` and never contends.
     variables: RwLock<HashMap<String, Value>>,
-    /// When true, every SELECT outcome carries its rendered plan.
-    capture_plans: bool,
     /// Row-count threshold the optimizer's parallel-scan rule uses.
     parallel_scan_threshold: usize,
-    /// Compile expressions into ordinal-resolved programs at plan time
-    /// (default).  Off = interpret every expression per row; kept as the
-    /// measurable baseline for `sql_bench`.
-    compile_expressions: bool,
-    /// Run compiled heap scans through the vectorized batch pipeline
-    /// (default).  Off = row-at-a-time compiled evaluation; the middle rung
-    /// of the interpreted / compiled / vectorized equivalence ladder.
-    vectorized: bool,
-    /// Run the static plan verifier after every planner finalization and
-    /// fail the statement on violations.  Debug builds always verify; this
-    /// flag opts release builds in ([`SqlEngine::set_plan_verification`]).
-    verify_plans: bool,
     /// Let the optimizer reorder joins and re-cost access paths from table
     /// statistics (default).  Off = syntactic join order; the baseline the
     /// join-ordering bench phase and the equivalence proptest compare
@@ -125,11 +111,7 @@ impl SqlEngine {
             simulator: IoSimulator::skyserver_production(),
             paper_scale_factor: None,
             variables: RwLock::new(HashMap::new()),
-            capture_plans: false,
             parallel_scan_threshold: crate::planner::PARALLEL_SCAN_THRESHOLD,
-            compile_expressions: true,
-            vectorized: true,
-            verify_plans: false,
             cost_based_ordering: true,
             counters: EngineCounters::default(),
         }
@@ -141,9 +123,6 @@ impl SqlEngine {
     fn planner_on<'a>(&'a self, db: &'a Database, release: Option<&str>) -> Planner<'a> {
         Planner::new(db, &self.functions)
             .with_parallel_scan_threshold(self.parallel_scan_threshold)
-            .with_expression_compilation(self.compile_expressions)
-            .with_vectorized(self.vectorized)
-            .with_verification(self.verify_plans || cfg!(debug_assertions))
             .with_cost_based_ordering(self.cost_based_ordering)
             .with_release(release.map(str::to_string))
             .with_known_releases(self.releases.names())
@@ -213,11 +192,7 @@ impl SqlEngine {
                     .unwrap_or_else(std::sync::PoisonError::into_inner)
                     .clone(),
             ),
-            capture_plans: self.capture_plans,
             parallel_scan_threshold: self.parallel_scan_threshold,
-            compile_expressions: self.compile_expressions,
-            vectorized: self.vectorized,
-            verify_plans: self.verify_plans,
             cost_based_ordering: self.cost_based_ordering,
             counters: EngineCounters {
                 selects: AtomicU64::new(self.counters.selects.load(Ordering::Relaxed)),
@@ -237,35 +212,10 @@ impl SqlEngine {
         self.cost_based_ordering = enabled;
     }
 
-    /// Enable or disable compiled expression programs (on by default).
-    /// Disabling drops the executor back to per-row interpretation — the
-    /// baseline `sql_bench` records its compiled-vs-interpreted comparison
-    /// against.
-    pub fn set_expression_compilation(&mut self, compile: bool) {
-        self.compile_expressions = compile;
-    }
-
-    /// Enable or disable the vectorized batch pipeline for compiled heap
-    /// scans (on by default).  Disabling keeps compiled programs but
-    /// evaluates them row-at-a-time — used by the three-way equivalence
-    /// tests and benchmarks.
-    pub fn set_vectorized_execution(&mut self, vectorized: bool) {
-        self.vectorized = vectorized;
-    }
-
     /// Override the table size at which heap scans go parallel (tests and
     /// benchmarks; the default mirrors the paper's large-table behaviour).
     pub fn set_parallel_scan_threshold(&mut self, threshold: usize) {
         self.parallel_scan_threshold = threshold;
-    }
-
-    /// Enable or disable the static plan verifier
-    /// ([`crate::verify::verify_plan`]) on every planned statement.  Debug
-    /// builds always verify (`debug_assertions`); this opts release builds
-    /// in.  A verification failure aborts the statement with
-    /// [`SqlError::Plan`].
-    pub fn set_plan_verification(&mut self, verify: bool) {
-        self.verify_plans = verify;
     }
 
     /// Read-only access to the database.
@@ -297,11 +247,6 @@ impl SqlEngine {
     /// projections.
     pub fn set_paper_scale_factor(&mut self, factor: Option<f64>) {
         self.paper_scale_factor = factor;
-    }
-
-    /// Capture rendered plans on every SELECT outcome.
-    pub fn set_capture_plans(&mut self, capture: bool) {
-        self.capture_plans = capture;
     }
 
     /// Current value of a session variable.
@@ -728,11 +673,6 @@ impl SqlEngine {
         let release = select.as_of.as_deref().or(ambient_release);
         let db = self.db_for(release)?;
         let plan = self.planner_on(db, release).plan_select(select)?;
-        let rendered = if self.capture_plans {
-            Some(plan.render())
-        } else {
-            None
-        };
         let executor = Executor::new(db, &self.functions, variables, limits).with_monitor(monitor);
         let executed = executor.execute_select(&plan)?;
         let wall = started.elapsed();
@@ -753,7 +693,6 @@ impl SqlEngine {
                 result: executed.result,
                 rows_affected: 0,
                 stats,
-                plan: rendered,
             },
             into,
         ))
@@ -1484,18 +1423,39 @@ mod tests {
     }
 
     #[test]
+    fn unknown_names_fail_at_plan_time_however_many_rows_qualify() {
+        let e = engine();
+        // Over empty and non-empty inputs alike: binding needs no first row.
+        for (select, tail) in [
+            ("noSuchColumn", ""),
+            ("dbo.fMissing(1)", ""),
+            ("objID", " order by noSuch"),
+            ("type, count(*)", " group by type having max(noSuch) > 1"),
+        ] {
+            for filter in ["objID = -1", "1 = 0", "objID < 50"] {
+                let sql = format!("select {select} from photoObj where {filter}{tail}");
+                let err = e.explain(&sql).expect_err(&sql);
+                if select.contains("fMissing") {
+                    assert!(matches!(err, SqlError::UnknownFunction(_)), "{sql}: {err}");
+                } else {
+                    assert!(matches!(err, SqlError::Plan(_)), "{sql}: {err}");
+                }
+                assert_eq!(e.query(&sql).unwrap_err(), err, "{sql}");
+            }
+        }
+    }
+
+    #[test]
     fn limit_hint_stops_the_scan_early() {
         let mut e = engine();
-        e.set_capture_plans(true);
-        let outcome = e
-            .execute("select top 5 objID from photoObj", QueryLimits::UNLIMITED)
-            .unwrap();
+        let sql = "select top 5 objID from photoObj";
+        let outcome = e.execute(sql, QueryLimits::UNLIMITED).unwrap();
         assert_eq!(outcome.result.len(), 5);
         // An objID-only query is answered from the covering pk index, and
         // the hint stops that scan after 5 entries instead of all 200.
         assert_eq!(outcome.stats.stats.rows_from_index, 5);
         assert_eq!(outcome.stats.stats.rows_scanned, 0);
-        assert!(outcome.plan.unwrap().contains("limit 5"));
+        assert!(e.explain(sql).unwrap().contains("limit 5"));
     }
 
     #[test]

@@ -20,8 +20,8 @@
 //!
 //! Evaluation semantics are *identical* to the interpreter (three-valued
 //! logic, NULL propagation, coercions, evaluation order, error sites) — a
-//! property test in `lib.rs` pins compiled ≡ interpreted on randomized
-//! expression trees and rows.
+//! property test in `tests/compiled_equivalence.rs` pins compiled ≡
+//! interpreted on randomized expression trees and rows.
 
 use crate::ast::{is_aggregate_name, BinaryOp, Expr, UnaryOp};
 use crate::error::SqlError;
@@ -541,10 +541,9 @@ impl CompiledExpr {
 
 /// Compile an expression against a row schema.
 ///
-/// Errors mirror what the interpreter would raise on the first row (unknown
-/// or ambiguous column, unknown function, stray `*`); callers that tolerate
-/// late binding keep the interpreter as a fallback instead of failing the
-/// plan.
+/// Errors are what the interpreter would raise on the first row (unknown or
+/// ambiguous column, unknown function, stray `*`); the planner finalizer
+/// reports them as plan-time errors, however many rows qualify.
 pub fn compile(
     expr: &Expr,
     schema: &RowSchema,
@@ -832,14 +831,13 @@ pub struct CompiledAggregate {
     pub arg: Option<CompiledExpr>,
 }
 
-/// Every program the executor needs, compiled once at plan finalization and
+/// Every program the executor runs, compiled once at plan finalization and
 /// carried on the physical plan next to the original `Expr`s (EXPLAIN keeps
 /// rendering the expressions; execution runs the programs).
 ///
-/// Each slot is `Option`: `None` means "interpret that expression instead"
-/// (unknown column bound late, compilation disabled for the benchmark
-/// baseline).  Mixed execution is safe because programs and interpreter
-/// share one semantics.
+/// The set is **complete**: an expression that does not compile fails the
+/// plan.  An `Option` slot is `None` only when the plan has no such
+/// expression (no pushed predicate, a join without a residual, no HAVING).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CompiledPrograms {
     /// Pushed-down scan predicate per source (parallel to `plan.sources`).
@@ -854,21 +852,20 @@ pub struct CompiledPrograms {
     /// Post-join residual filter.
     pub residual: Option<CompiledExpr>,
     /// Output projections (aggregate calls appear as [`CompiledExpr::Agg`]).
-    pub projections: Option<Vec<CompiledExpr>>,
+    pub projections: Vec<CompiledExpr>,
     /// GROUP BY key programs.
-    pub group_by: Option<Vec<CompiledExpr>>,
+    pub group_by: Vec<CompiledExpr>,
     /// HAVING predicate (aggregates pre-keyed).
     pub having: Option<CompiledExpr>,
-    /// The aggregate calls collected from projections and HAVING, in the
-    /// interpreter's collection order.
-    pub aggregates: Option<Vec<CompiledAggregate>>,
+    /// The aggregate calls collected from projections and HAVING, in
+    /// [`collect_aggregates`] order.
+    pub aggregates: Vec<CompiledAggregate>,
     /// ORDER BY keys with output aliases resolved to positions.
-    pub order_by: Option<Vec<SortKey>>,
+    pub order_by: Vec<SortKey>,
 }
 
 /// Collect every distinct aggregate call expression in `expr`, in evaluation
-/// order (the executor and the program compiler must agree on this order and
-/// on the dedup rule, since both key the per-group value map with it).
+/// order.
 pub fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) {
     match expr {
         Expr::Function { name, args } => {

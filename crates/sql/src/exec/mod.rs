@@ -1,11 +1,13 @@
-//! Execution-time machinery that sits between the planner and the
-//! interpreter: compiled expression programs (see [`compile`]).
+//! What the executor runs: compiled expression programs ([`compile`]) and
+//! the batch kernels heap scans drive them through ([`vector`]).
 //!
-//! The plan finalizer compiles every hot predicate, join key and projection
-//! into a [`compile::CompiledExpr`] program; the executor runs those
-//! programs per row and only falls back to the tree-walking interpreter in
-//! [`crate::expr`] when a program could not be built (unknown column,
-//! compilation disabled for benchmarking).
+//! The plan finalizer compiles every predicate, join key, projection, group
+//! key, aggregate argument and sort key into a [`compile::CompiledExpr`]; an
+//! expression that does not compile fails the plan.  The executor evaluates
+//! nothing else per row.  The tree-walking interpreter in [`crate::expr`]
+//! stays as the reference `compiled_equivalence.rs` tests programs against,
+//! and evaluates the once-per-statement expressions (TVF arguments, seek
+//! bounds) and DML row predicates.
 
 pub mod compile;
 pub mod vector;

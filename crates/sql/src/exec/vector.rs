@@ -11,8 +11,9 @@
 //! # Semantics
 //!
 //! The result must be *indistinguishable* from evaluating the compiled
-//! program row-at-a-time (`filter.eval(row)?.is_truthy()`), which for a
-//! conjunction means SQL three-valued logic:
+//! program row-at-a-time (`filter.eval(row)?.is_truthy()` — the proptest at
+//! the end of this file holds every kernel to that), which for a conjunction
+//! means SQL three-valued logic:
 //!
 //! * a conjunct evaluating to a falsy value removes the row from the
 //!   selection immediately (short-circuit — later conjuncts never see it);
@@ -862,11 +863,16 @@ fn build_flags<'a>(
     if column_types.get(col) != Some(&DataType::Int) {
         return None;
     }
-    if mask_v.is_null() || konst.is_null() {
-        // NULL anywhere makes the whole comparison NULL for every row.
+    if mask_v.is_null() {
+        // A NULL mask makes the whole comparison NULL for every row.
         return Some(Conjunct::AlwaysNull);
     }
+    // A non-integer mask is an error for every non-NULL row, even under a
+    // NULL comparand: leave it to the scalar arm.
     let mask = mask_v.as_i64()?;
+    if konst.is_null() {
+        return Some(Conjunct::AlwaysNull);
+    }
     Some(Conjunct::FlagsCmp {
         col,
         mask,
@@ -874,4 +880,123 @@ fn build_flags<'a>(
         op,
         konst,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::compile::compile;
+    use crate::expr::RowSchema;
+    use crate::functions::FunctionRegistry;
+    use crate::parser::parse_select;
+    use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
+    use skyserver_storage::DataType::{Bool, Float, Int, Str};
+    use skyserver_storage::{ColumnDef, Table, TableSchema};
+
+    const NAMES: [&str; 6] = ["id", "a", "f", "s", "flags", "b"];
+    const TYPES: [DataType; 6] = [Int, Int, Float, Str, Int, Bool];
+
+    /// One random conjunct: every kernel shape over every column type, plus
+    /// shapes that take the scalar arm (arithmetic with a mod-by-zero error
+    /// path, column-column comparison, disjunction, negation).
+    fn atom(rng: &mut ChaCha8Rng) -> String {
+        let mut pick = |of: &[&str]| of[rng.gen_range(0..of.len())].to_string();
+        let (c, c2) = (pick(&NAMES), pick(&NAMES));
+        let consts = ["null", "0", "3", "12", "-2.5", "7.0", "'a'", "'ab'", "''"];
+        let (k, k2) = (pick(&consts), pick(&consts));
+        let op = pick(&["=", "<>", "<", "<=", ">", ">="]);
+        let not = pick(&["", "", "not "]);
+        let (like, bit) = (pick(&["a%", "%b", "_", "%", "%1%"]), pick(&["&", "|"]));
+        match rng.gen_range(0..11usize) {
+            0 => format!("{c} {op} {k}"),
+            1 => format!("{k} {op} {c}"),
+            2 => format!("{c} {not}between {k} and {k2}"),
+            3 => format!("{c} {not}in ({k}, {k2}, null)"),
+            4 => format!("{c} is {not}null"),
+            5 => format!("{c} {not}like '{like}'"),
+            6 => format!("({c} {bit} {k}) {op} {k2}"),
+            7 => format!("{c} % {k} {op} {k2}"),
+            8 => format!("{c} {op} {c2}"),
+            9 => format!("({} or {})", atom(rng), atom(rng)),
+            _ => format!("not ({})", atom(rng)),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Chunk by chunk, `BatchProgram` keeps and projects exactly the rows
+        /// `CompiledExpr::eval` accepts one at a time — or both fail.
+        #[test]
+        fn batch_program_agrees_with_row_at_a_time_eval(seed in any::<u64>(), size in 0usize..8) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            // Sizes around the batch and segment boundaries.
+            let n_rows = [1, 700, 1023, 1024, 1025, 2048, 4096, 4200][size];
+            let columns = NAMES.iter().zip(TYPES).map(|(n, ty)| ColumnDef::new(*n, ty).nullable());
+            let mut table = Table::new("t", TableSchema::new(columns.collect()));
+            for i in 0..n_rows {
+                let mut row = vec![
+                    Value::Int(i as i64),
+                    Value::Int(rng.gen_range(-5i64..50)),
+                    Value::Float(rng.gen_range(-10.0f64..10.0)),
+                    Value::str(["", "a", "ab", "b1", "N_"][rng.gen_range(0..5usize)]),
+                    Value::Int(rng.gen_range(0i64..16)),
+                    Value::Bool(rng.gen_range(0..2usize) == 0),
+                ];
+                for cell in row.iter_mut().skip(1).filter(|_| rng.gen_range(0..6usize) == 0) {
+                    *cell = Value::Null;
+                }
+                table.insert(row, 0).unwrap();
+            }
+            for id in (0..n_rows).filter(|_| rng.gen_range(0..9usize) == 0) {
+                table.delete(id);
+            }
+            let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
+            let schema = RowSchema::for_table(None, &NAMES);
+            let program_of = |expr: &str| {
+                let stmt = parse_select(&format!("select * from t where {expr}")).unwrap();
+                compile(&stmt.selection.unwrap(), &schema, &functions).unwrap()
+            };
+            let sql: Vec<String> = (0..rng.gen_range(0..4usize)).map(|_| atom(&mut rng)).collect();
+            let sql = sql.join(" and ");
+            let filter = (!sql.is_empty()).then(|| program_of(&sql));
+            let project = (rng.gen_range(0..2usize) == 0)
+                .then(|| vec![CompiledExpr::Col(3), program_of("a + 1"), CompiledExpr::Col(0)]);
+            let ctx = EvalContext { schema: &schema, variables: &variables, functions: &functions, aggregates: None };
+            let program = BatchProgram::build(filter.as_ref(), project.as_deref(), TYPES.to_vec());
+            let mut scratch = BatchScratch::default();
+            for seg in table.segments() {
+                for base in (0..seg.slot_count()).step_by(BATCH_ROWS) {
+                    let end = (base + BATCH_ROWS).min(seg.slot_count());
+                    let mut batch = Vec::new();
+                    let live = program.begin_chunk(seg, base, end, &mut scratch);
+                    prop_assert_eq!(live as usize, (base..end).filter(|&off| seg.is_live(off)).count());
+                    let batch = program
+                        .filter_chunk(seg, &mut scratch, &ctx)
+                        .and_then(|()| program.emit_chunk(seg, &mut scratch, &ctx, &mut batch))
+                        .map(|()| batch);
+                    let one_by_one = (|| {
+                        let mut rows = Vec::new();
+                        for off in (base..end).filter(|&off| seg.is_live(off)) {
+                            let row: Vec<Value> = (0..TYPES.len()).map(|c| seg.value(off, c)).collect();
+                            if match &filter { Some(f) => f.eval(&row, &ctx)?.is_truthy(), None => true } {
+                                rows.push(match &project {
+                                    Some(ps) => ps.iter().map(|p| p.eval(&row, &ctx)).collect::<Result<_, _>>()?,
+                                    None => row,
+                                });
+                            }
+                        }
+                        Ok::<Vec<Vec<Value>>, SqlError>(rows)
+                    })();
+                    match (batch, one_by_one) {
+                        (Ok(b), Ok(r)) => prop_assert_eq!(format!("{b:?}"), format!("{r:?}"), "{}", &sql),
+                        (Err(_), Err(_)) => {}
+                        (b, r) => prop_assert!(false, "{:?} vs {:?} for {}", b.err(), r.err(), &sql),
+                    }
+                }
+            }
+        }
+    }
 }

@@ -10,25 +10,23 @@
 //! [`QueryMonitor`] is attached, every scan and join loop reports progress
 //! and honours cancellation/pacing at [`MONITOR_BATCH`]-row granularity.
 //!
-//! Execution is **compiled first**: the planner finalizer attaches
-//! [`CompiledPrograms`] (ordinal-resolved, constant-folded expression
-//! programs — see [`crate::exec::compile`]) to the plan, and every hot loop
-//! here runs the program for its predicate / join key / projection.  The
-//! tree-walking interpreter in [`crate::expr`] remains the fallback for any
-//! slot that could not be compiled (late-bound columns, compilation
-//! disabled for benchmarking) — both paths share one semantics, so they mix
-//! freely.  Scans practice **late materialization**: rows stream borrowed
-//! from storage, the filter runs *before* any copy, and single-table plans
-//! without joins/sort/aggregation project straight into the output row, so
-//! a rejected row is never cloned at all.
+//! Every per-row expression is a compiled program: the planner finalizer
+//! attaches a complete [`CompiledPrograms`] (ordinal-resolved,
+//! constant-folded — see [`crate::exec::compile`]) to the plan, heap scans
+//! run their filter and projection through the batch kernels of
+//! [`crate::exec::vector`], and every other loop here (index paths, joins,
+//! residuals, aggregates, sort keys) calls [`CompiledExpr::eval`].  The AST
+//! interpreter evaluates only the once-per-statement expressions: table
+//! function arguments and index seek bounds.  Scans practice **late
+//! materialization**: the filter runs on the column arrays *before* any
+//! copy, and single-table plans without joins/sort/aggregation project
+//! straight into the output row, so a rejected row is never cloned at all.
 
-use crate::ast::{Expr, JoinKind};
+use crate::ast::JoinKind;
 use crate::error::SqlError;
-use crate::exec::compile::{
-    collect_aggregates, CompiledAggregate, CompiledExpr, CompiledPrograms, SortKey,
-};
+use crate::exec::compile::{CompiledExpr, CompiledPrograms, SortKey};
 use crate::exec::vector::{BatchProgram, BatchScratch, BATCH_ROWS};
-use crate::expr::{aggregate_key, eval, EvalContext, RowSchema};
+use crate::expr::{eval as eval_constant, EvalContext, RowSchema};
 use crate::functions::FunctionRegistry;
 use crate::monitor::{QueryMonitor, MONITOR_BATCH};
 use crate::plan::{AccessPath, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
@@ -92,76 +90,27 @@ fn rows_charge(rows: &[Vec<Value>]) -> u64 {
     rows.iter().map(|r| row_charge(r)).sum()
 }
 
-/// A per-row predicate: the compiled program when one was built, the
-/// interpreter otherwise, or nothing.
-enum RowFilter<'a> {
-    None,
-    Compiled(&'a CompiledExpr),
-    Interpreted(&'a Expr),
-}
-
-impl<'a> RowFilter<'a> {
-    fn new(compiled: Option<&'a CompiledExpr>, expr: Option<&'a Expr>) -> Self {
-        match (compiled, expr) {
-            (Some(c), _) => RowFilter::Compiled(c),
-            (None, Some(e)) => RowFilter::Interpreted(e),
-            (None, None) => RowFilter::None,
-        }
+/// Evaluate every program of `keys` over `row` into `out`.
+#[inline]
+fn eval_into(
+    keys: &[CompiledExpr],
+    row: &[Value],
+    ctx: &EvalContext<'_>,
+    out: &mut Vec<Value>,
+) -> Result<(), SqlError> {
+    for k in keys {
+        out.push(k.eval(row, ctx)?);
     }
-
-    fn is_some(&self) -> bool {
-        !matches!(self, RowFilter::None)
-    }
-
-    #[inline]
-    fn accepts(&self, row: &[Value], ctx: &EvalContext<'_>) -> Result<bool, SqlError> {
-        match self {
-            RowFilter::None => Ok(true),
-            RowFilter::Compiled(p) => Ok(p.eval(row, ctx)?.is_truthy()),
-            RowFilter::Interpreted(e) => Ok(eval(e, row, ctx)?.is_truthy()),
-        }
-    }
-}
-
-/// A per-row value producer: compiled program or interpreted expression.
-enum RowExpr<'a> {
-    Compiled(&'a CompiledExpr),
-    Interpreted(&'a Expr),
-}
-
-impl<'a> RowExpr<'a> {
-    #[inline]
-    fn eval(&self, row: &[Value], ctx: &EvalContext<'_>) -> Result<Value, SqlError> {
-        match self {
-            RowExpr::Compiled(p) => p.eval(row, ctx),
-            RowExpr::Interpreted(e) => eval(e, row, ctx),
-        }
-    }
-}
-
-/// Pair every expression of a list with its compiled program when the whole
-/// list compiled (programs are all-or-nothing per list).
-fn zip_exprs<'a>(
-    compiled: Option<&'a [CompiledExpr]>,
-    exprs: impl ExactSizeIterator<Item = &'a Expr>,
-) -> Vec<RowExpr<'a>> {
-    match compiled {
-        Some(c) if c.len() == exprs.len() => c.iter().map(RowExpr::Compiled).collect(),
-        _ => exprs.map(RowExpr::Interpreted).collect(),
-    }
+    Ok(())
 }
 
 /// Programs a scan applies while streaming borrowed rows: the pushed filter
 /// and, on the late-materialization fast path, the output projection that
 /// replaces whole-row cloning.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct ScanPrograms<'a> {
     filter: Option<&'a CompiledExpr>,
     project: Option<&'a [CompiledExpr]>,
-    /// Run heap scans in vectorized batches (plan-level switch).  Only
-    /// honoured when the pushed filter (if any) compiled — the batch
-    /// kernels execute compiled programs, not interpreter trees.
-    vectorized: bool,
     /// Stop accumulating output rows at this count (merged with the
     /// planner's `limit_hint`).  Set from `max_rows + 1` for plans with no
     /// downstream row-reducing or row-reordering operators, so the row
@@ -171,14 +120,12 @@ struct ScanPrograms<'a> {
 }
 
 /// Programs of one join step.
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy)]
 struct JoinPrograms<'a> {
     inner_filter: Option<&'a CompiledExpr>,
     outer_key: Option<&'a CompiledExpr>,
     hash_keys: Option<&'a (Vec<CompiledExpr>, Vec<CompiledExpr>)>,
     residual: Option<&'a CompiledExpr>,
-    /// Propagates [`ScanPrograms::vectorized`] to inner-side scans.
-    vectorized: bool,
 }
 
 /// The full heap schema of a base table, qualified by its alias — what
@@ -263,25 +210,23 @@ fn gathered_bytes(row: &[Value], scan_columns: Option<&[usize]>) -> u64 {
     }
 }
 
-fn source_program(programs: Option<&CompiledPrograms>, index: usize) -> Option<&CompiledExpr> {
-    programs.and_then(|p| p.source_predicates.get(index).and_then(Option::as_ref))
+fn source_program(p: &CompiledPrograms, index: usize) -> Option<&CompiledExpr> {
+    p.source_predicates.get(index).and_then(Option::as_ref)
 }
 
-fn join_programs<'a>(
-    programs: Option<&'a CompiledPrograms>,
-    index: usize,
-    vectorized: bool,
-) -> JoinPrograms<'a> {
-    let Some(p) = programs else {
-        return JoinPrograms::default();
-    };
+fn join_programs(p: &CompiledPrograms, index: usize) -> JoinPrograms<'_> {
     JoinPrograms {
-        inner_filter: p.source_predicates.get(index + 1).and_then(Option::as_ref),
+        inner_filter: source_program(p, index + 1),
         outer_key: p.join_outer_keys.get(index).and_then(Option::as_ref),
         hash_keys: p.join_hash_keys.get(index).and_then(Option::as_ref),
         residual: p.join_residuals.get(index).and_then(Option::as_ref),
-        vectorized,
     }
+}
+
+/// The error for a plan whose strategy needs a program the finalizer did
+/// not attach — the plan verifier rejects such plans before execution.
+fn missing_program(what: &str) -> SqlError {
+    SqlError::Plan(format!("plan carries no compiled {what}"))
 }
 
 /// Executes SELECT plans.
@@ -490,9 +435,7 @@ impl<'a> Executor<'a> {
         match project {
             Some(programs) => {
                 let mut out = Vec::with_capacity(programs.len());
-                for p in programs {
-                    out.push(p.eval(row, ctx)?);
-                }
+                eval_into(programs, row, ctx, &mut out)?;
                 Ok(out)
             }
             None => Ok(row.to_vec()),
@@ -521,36 +464,30 @@ impl<'a> Executor<'a> {
     /// Execute a SELECT plan to completion.
     pub fn execute_select(&self, plan: &SelectPlan) -> Result<ExecutedSelect, SqlError> {
         let mut stats = ScanStats::default();
-        let programs = plan.programs.as_ref();
+        let programs = &plan.programs;
         // ------------------------------------------------------------------
         // Late-materialization fast path: a single base-table source with no
-        // joins, residual, aggregation or sort.  The compiled filter runs on
-        // the borrowed storage row and survivors are projected directly into
+        // joins, residual, aggregation or sort.  The filter runs on the
+        // borrowed storage row and survivors are projected directly into
         // the output — rejected rows are never copied, and TOP-n stops the
         // scan without materialising anything extra.
         // ------------------------------------------------------------------
-        if let Some(p) = programs {
-            let streamable = plan.joins.is_empty()
-                && plan.residual.is_none()
-                && !plan.has_aggregates
-                && plan.group_by.is_empty()
-                && plan.order_by.is_empty()
-                && plan.sources.len() == 1
-                && matches!(plan.sources[0].kind, SourceKind::Table { .. });
-            if streamable {
-                if let Some(proj) = p.projections.as_deref() {
-                    let scan = ScanPrograms {
-                        filter: source_program(programs, 0),
-                        project: Some(proj),
-                        vectorized: plan.vectorized,
-                        row_cap: self.accumulation_cap(plan),
-                    };
-                    let (rows, _schema) =
-                        self.execute_source(&plan.sources[0], scan, &mut stats)?;
-                    self.check_time()?;
-                    return Ok(self.finish(plan, rows, stats));
-                }
-            }
+        let streamable = plan.joins.is_empty()
+            && plan.residual.is_none()
+            && !plan.has_aggregates
+            && plan.group_by.is_empty()
+            && plan.order_by.is_empty()
+            && plan.sources.len() == 1
+            && matches!(plan.sources[0].kind, SourceKind::Table { .. });
+        if streamable {
+            let scan = ScanPrograms {
+                filter: source_program(programs, 0),
+                project: Some(&programs.projections),
+                row_cap: self.accumulation_cap(plan),
+            };
+            let (rows, _schema) = self.execute_source(&plan.sources[0], scan, &mut stats)?;
+            self.check_time()?;
+            return Ok(self.finish(plan, rows, stats));
         }
         // ------------------------------------------------------------------
         // FROM pipeline.
@@ -561,7 +498,6 @@ impl<'a> Executor<'a> {
             let scan = ScanPrograms {
                 filter: source_program(programs, 0),
                 project: None,
-                vectorized: plan.vectorized,
                 row_cap: self.accumulation_cap(plan),
             };
             self.execute_source(&plan.sources[0], scan, &mut stats)?
@@ -574,7 +510,7 @@ impl<'a> Executor<'a> {
                 &schema,
                 inner,
                 step,
-                join_programs(programs, i, plan.vectorized),
+                join_programs(programs, i),
                 &mut stats,
             )?;
             rows = joined_rows;
@@ -583,11 +519,7 @@ impl<'a> Executor<'a> {
         // ------------------------------------------------------------------
         // Residual filter.
         // ------------------------------------------------------------------
-        if plan.residual.is_some() {
-            let filter = RowFilter::new(
-                programs.and_then(|p| p.residual.as_ref()),
-                plan.residual.as_ref(),
-            );
+        if let Some(filter) = &programs.residual {
             let ctx = self.ctx(&schema);
             let mut kept = Vec::with_capacity(rows.len());
             let mut pending = 0u64;
@@ -596,7 +528,7 @@ impl<'a> Executor<'a> {
                 // joins that produced them; only check cancel/time/pace.
                 self.tick_quiet(&mut pending)?;
                 stats.predicates_evaluated += 1;
-                if filter.accepts(&row, &ctx)? {
+                if filter.eval(&row, &ctx)?.is_truthy() {
                     kept.push(row);
                 }
             }
@@ -608,19 +540,13 @@ impl<'a> Executor<'a> {
         // ------------------------------------------------------------------
         let mut projected: Vec<(Vec<Value>, Vec<Value>)> =
             if plan.has_aggregates || !plan.group_by.is_empty() {
-                self.aggregate(plan, &schema, rows, programs)?
+                self.aggregate(plan, &schema, rows)?
             } else {
                 let ctx = self.ctx(&schema);
-                let projections = zip_exprs(
-                    programs.and_then(|p| p.projections.as_deref()),
-                    plan.projections.iter().map(|(e, _)| e),
-                );
                 let mut out = Vec::with_capacity(rows.len());
                 for row in rows {
-                    let mut proj = Vec::with_capacity(projections.len());
-                    for p in &projections {
-                        proj.push(p.eval(&row, &ctx)?);
-                    }
+                    let mut proj = Vec::with_capacity(programs.projections.len());
+                    eval_into(&programs.projections, &row, &ctx, &mut proj)?;
                     // The projected row doubles the materialized state
                     // while both copies are alive.
                     self.charge_mem(row_charge(&proj))?;
@@ -633,44 +559,16 @@ impl<'a> Executor<'a> {
         // ------------------------------------------------------------------
         if !plan.order_by.is_empty() {
             let ctx = self.ctx(&schema);
-            let sort_programs = programs.and_then(|p| p.order_by.as_deref());
-            let output_names: Vec<&str> =
-                plan.projections.iter().map(|(_, n)| n.as_str()).collect();
             // (sort keys, (input row, projected row))
             type KeyedRow = (Vec<Value>, (Vec<Value>, Vec<Value>));
             let mut keyed: Vec<KeyedRow> = Vec::with_capacity(projected.len());
             for (row, proj) in projected {
-                let mut keys = Vec::with_capacity(plan.order_by.len());
-                match sort_programs {
-                    Some(sort_keys) => {
-                        for sk in sort_keys {
-                            keys.push(match sk {
-                                SortKey::Output(idx) => proj[*idx].clone(),
-                                SortKey::Input(program) => program.eval(&row, &ctx)?,
-                            });
-                        }
-                    }
-                    None => {
-                        for item in &plan.order_by {
-                            // ORDER BY can name an output alias or any input
-                            // column.
-                            let key = match &item.expr {
-                                Expr::Column {
-                                    qualifier: None,
-                                    name,
-                                } if output_names.iter().any(|n| n.eq_ignore_ascii_case(name)) => {
-                                    let idx = output_names
-                                        .iter()
-                                        .position(|n| n.eq_ignore_ascii_case(name))
-                                        // skylint: allow(no-expect) the match guard just proved the name is present
-                                        .expect("checked above");
-                                    proj[idx].clone()
-                                }
-                                e => eval(e, &row, &ctx)?,
-                            };
-                            keys.push(key);
-                        }
-                    }
+                let mut keys = Vec::with_capacity(programs.order_by.len());
+                for sk in &programs.order_by {
+                    keys.push(match sk {
+                        SortKey::Output(idx) => proj[*idx].clone(),
+                        SortKey::Input(program) => program.eval(&row, &ctx)?,
+                    });
                 }
                 // Sort keys are the sort buffer's own footprint.
                 self.charge_mem(row_charge(&keys))?;
@@ -755,23 +653,11 @@ impl<'a> Executor<'a> {
                 let ctx = self.ctx(&empty_schema);
                 let arg_values: Vec<Value> = args
                     .iter()
-                    .map(|a| eval(a, &[], &ctx))
+                    .map(|a| eval_constant(a, &[], &ctx))
                     .collect::<Result<_, _>>()?;
                 let result = (tf.func)(self.db, &arg_values)?;
-                let mut rows = result.rows;
                 // Apply any pushed predicate over the TVF output.
-                if source.pushed_predicate.is_some() {
-                    let filter = RowFilter::new(scan.filter, source.pushed_predicate.as_ref());
-                    let ctx = self.ctx(&source.schema);
-                    rows = rows
-                        .into_iter()
-                        .filter_map(|r| match filter.accepts(&r, &ctx) {
-                            Ok(true) => Some(Ok(r)),
-                            Ok(false) => None,
-                            Err(e) => Some(Err(e)),
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
+                let rows = self.filter_rows(result.rows, scan.filter, &source.schema)?;
                 self.charge_mem(rows_charge(&rows))?;
                 stats.rows_returned += rows.len() as u64;
                 Ok((rows, source.schema.clone()))
@@ -779,22 +665,31 @@ impl<'a> Executor<'a> {
             SourceKind::Derived { plan } => {
                 let executed = self.execute_select(plan)?;
                 stats.merge(&executed.stats);
-                let mut rows = executed.result.rows;
-                if source.pushed_predicate.is_some() {
-                    let filter = RowFilter::new(scan.filter, source.pushed_predicate.as_ref());
-                    let ctx = self.ctx(&source.schema);
-                    rows = rows
-                        .into_iter()
-                        .filter_map(|r| match filter.accepts(&r, &ctx) {
-                            Ok(true) => Some(Ok(r)),
-                            Ok(false) => None,
-                            Err(e) => Some(Err(e)),
-                        })
-                        .collect::<Result<_, _>>()?;
-                }
+                let rows = self.filter_rows(executed.result.rows, scan.filter, &source.schema)?;
                 Ok((rows, source.schema.clone()))
             }
         }
+    }
+
+    /// Keep the materialized rows of a table function or derived table
+    /// that pass the predicate pushed onto it.
+    fn filter_rows(
+        &self,
+        rows: Vec<Vec<Value>>,
+        filter: Option<&CompiledExpr>,
+        schema: &RowSchema,
+    ) -> Result<Vec<Vec<Value>>, SqlError> {
+        let Some(filter) = filter else {
+            return Ok(rows);
+        };
+        let ctx = self.ctx(schema);
+        let mut kept = Vec::with_capacity(rows.len());
+        for row in rows {
+            if filter.eval(&row, &ctx)?.is_truthy() {
+                kept.push(row);
+            }
+        }
+        Ok(kept)
     }
 
     fn scan_table(
@@ -849,19 +744,19 @@ impl<'a> Executor<'a> {
                 let entries = if let Some(eq) = &bounds.equals {
                     // A prefix seek handles both single-column and composite
                     // indexes whose leading column carries the equality.
-                    let key = eval(eq, &[], &ctx)?;
+                    let key = eval_constant(eq, &[], &ctx)?;
                     idx.seek_prefix(&key)
                         .into_iter()
                         .map(|(_, e)| e.row_id)
                         .collect::<Vec<_>>()
                 } else {
                     let lo = match &bounds.lower {
-                        Some((e, _)) => Some(IndexKey(vec![eval(e, &[], &ctx)?])),
+                        Some((e, _)) => Some(IndexKey(vec![eval_constant(e, &[], &ctx)?])),
                         None => None,
                     };
                     let hi = match &bounds.upper {
                         Some((e, _)) => Some(IndexKey(vec![
-                            eval(e, &[], &ctx)?,
+                            eval_constant(e, &[], &ctx)?,
                             Value::str("\u{10FFFF}"),
                         ])),
                         None => None,
@@ -880,8 +775,6 @@ impl<'a> Executor<'a> {
                 } else {
                     1
                 };
-                let filter = RowFilter::new(scan.filter, source.pushed_predicate.as_ref());
-                let has_filter = filter.is_some();
                 let ctx = self.ctx(&full_schema);
                 let mut out = Vec::new();
                 let mut pending = 0u64;
@@ -898,9 +791,9 @@ impl<'a> Executor<'a> {
                     stats.rows_from_index += 1;
                     stats.bytes_from_index += entry_bytes;
                     stats.bytes_scanned += gathered_bytes(&row, source.scan_columns.as_deref());
-                    if has_filter {
+                    if let Some(filter) = scan.filter {
                         stats.predicates_evaluated += 1;
-                        if !filter.accepts(&row, &ctx)? {
+                        if !filter.eval(&row, &ctx)?.is_truthy() {
                             continue;
                         }
                     }
@@ -920,8 +813,6 @@ impl<'a> Executor<'a> {
                     .index(table, index)
                     .ok_or_else(|| SqlError::Plan(format!("index {index} disappeared")))?;
                 let schema = scan_schema(self.db, &source.alias, table, path)?;
-                let filter = RowFilter::new(scan.filter, source.pushed_predicate.as_ref());
-                let has_filter = filter.is_some();
                 let ctx = self.ctx(&schema);
                 let entry_bytes = if !idx.is_empty() {
                     (idx.bytes() / idx.len() as u64).max(1)
@@ -941,9 +832,9 @@ impl<'a> Executor<'a> {
                     scratch.clear();
                     scratch.extend(key.0.iter().cloned());
                     scratch.extend(entry.included.iter().cloned());
-                    if has_filter {
+                    if let Some(filter) = scan.filter {
                         stats.predicates_evaluated += 1;
-                        if !filter.accepts(&scratch, &ctx)? {
+                        if !filter.eval(&scratch, &ctx)?.is_truthy() {
                             continue;
                         }
                     }
@@ -1024,12 +915,9 @@ impl<'a> Executor<'a> {
     ///    the segment's min/max cannot satisfy the pushed predicate, the
     ///    whole segment is skipped without touching its rows.
     /// 2. **Chunking** — surviving segments are processed in chunks of
-    ///    [`BATCH_ROWS`] slots.  With a vectorized plan and a compiled (or
-    ///    absent) filter, each chunk runs through the [`BatchProgram`]
-    ///    kernels; otherwise rows are materialized and filtered one at a
-    ///    time.  Either way progress, limit hints and byte accounting are
-    ///    checked at chunk boundaries, so both modes report identical
-    ///    counters.
+    ///    [`BATCH_ROWS`] slots, each run through the [`BatchProgram`]
+    ///    kernels.  Progress, limit hints and byte accounting are checked at
+    ///    chunk boundaries.
     #[allow(clippy::too_many_arguments)]
     fn scan_heap_segments(
         &self,
@@ -1041,25 +929,11 @@ impl<'a> Executor<'a> {
         schema: &RowSchema,
         limit_hint: Option<u64>,
     ) -> Result<HeapScanOutcome, SqlError> {
-        let filter = RowFilter::new(scan.filter, source.pushed_predicate.as_ref());
-        let has_filter = filter.is_some();
-        let ctx = EvalContext {
-            schema,
-            variables: self.variables,
-            functions: self.functions,
-            aggregates: None,
-        };
-        // The batch kernels only run compiled programs: an interpreted
-        // pushed predicate (compilation failed or disabled) forces the
-        // row-at-a-time loop.
-        let use_vector =
-            scan.vectorized && (scan.filter.is_some() || source.pushed_predicate.is_none());
+        let ctx = self.ctx(schema);
         let column_types: Vec<DataType> = t.schema().columns().iter().map(|c| c.ty).collect();
         let ncols = column_types.len();
-        let program =
-            use_vector.then(|| BatchProgram::build(scan.filter, scan.project, column_types));
+        let program = BatchProgram::build(scan.filter, scan.project, column_types);
         let mut scratch = BatchScratch::default();
-        let mut row_scratch: Vec<Value> = Vec::with_capacity(ncols);
         let mut outcome = HeapScanOutcome::default();
         let mut pending = 0u64;
         let segments = t.segments();
@@ -1101,37 +975,12 @@ impl<'a> Executor<'a> {
             while base < slots {
                 let end = (base + BATCH_ROWS).min(slots);
                 let chunk_start = outcome.rows.len();
-                let visited = match &program {
-                    Some(program) => {
-                        let visited = program.begin_chunk(seg, base, end, &mut scratch);
-                        program.filter_chunk(seg, &mut scratch, &ctx)?;
-                        program.emit_chunk(seg, &mut scratch, &ctx, &mut outcome.rows)?;
-                        visited
-                    }
-                    None => {
-                        let mut visited = 0u64;
-                        for off in base..end {
-                            if !seg.is_live(off) {
-                                continue;
-                            }
-                            visited += 1;
-                            row_scratch.clear();
-                            for c in 0..ncols {
-                                row_scratch.push(seg.value(off, c));
-                            }
-                            if has_filter && !filter.accepts(&row_scratch, &ctx)? {
-                                continue;
-                            }
-                            outcome
-                                .rows
-                                .push(self.emit(&row_scratch, scan.project, &ctx)?);
-                        }
-                        visited
-                    }
-                };
+                let visited = program.begin_chunk(seg, base, end, &mut scratch);
+                program.filter_chunk(seg, &mut scratch, &ctx)?;
+                program.emit_chunk(seg, &mut scratch, &ctx, &mut outcome.rows)?;
                 outcome.scanned += visited;
                 outcome.batches += 1;
-                if has_filter {
+                if scan.filter.is_some() {
                     outcome.evaluated += visited;
                 }
                 outcome.bytes += visited.saturating_mul(bytes_per_row);
@@ -1171,8 +1020,8 @@ impl<'a> Executor<'a> {
         match &step.strategy {
             JoinStrategy::IndexLookup {
                 index,
-                outer_key,
                 inner_column,
+                ..
             } => {
                 let SourceKind::Table { table, .. } = &inner.kind else {
                     return Err(SqlError::Plan(
@@ -1194,15 +1043,9 @@ impl<'a> Executor<'a> {
                 let outer_ctx = self.ctx(outer_schema);
                 let inner_ctx = self.ctx(&inner_full_schema);
                 let combined_ctx = self.ctx(&combined_schema);
-                let key_program = match join.outer_key {
-                    Some(p) => RowExpr::Compiled(p),
-                    None => RowExpr::Interpreted(outer_key),
-                };
-                let inner_filter =
-                    RowFilter::new(join.inner_filter, inner.pushed_predicate.as_ref());
-                let has_inner_filter = inner_filter.is_some();
-                let residual = RowFilter::new(join.residual, step.residual.as_ref());
-                let has_residual = residual.is_some();
+                let key_program = join
+                    .outer_key
+                    .ok_or_else(|| missing_program("index-lookup outer key"))?;
                 let entry_bytes = if !idx.is_empty() {
                     (idx.bytes() / idx.len() as u64).max(1)
                 } else {
@@ -1246,9 +1089,9 @@ impl<'a> Executor<'a> {
                         stats.bytes_from_index += entry_bytes;
                         stats.bytes_scanned +=
                             gathered_bytes(&inner_row, inner.scan_columns.as_deref());
-                        if has_inner_filter {
+                        if let Some(filter) = join.inner_filter {
                             stats.predicates_evaluated += 1;
-                            if !inner_filter.accepts(&inner_row, &inner_ctx)? {
+                            if !filter.eval(&inner_row, &inner_ctx)?.is_truthy() {
                                 continue;
                             }
                         }
@@ -1259,9 +1102,9 @@ impl<'a> Executor<'a> {
                         }
                         scratch.truncate(outer_len);
                         scratch.extend(inner_row);
-                        if has_residual {
+                        if let Some(residual) = join.residual {
                             stats.predicates_evaluated += 1;
-                            if !residual.accepts(&scratch, &combined_ctx)? {
+                            if !residual.eval(&scratch, &combined_ctx)?.is_truthy() {
                                 continue;
                             }
                         }
@@ -1281,34 +1124,25 @@ impl<'a> Executor<'a> {
                 // schema (all columns).
                 Ok((out, combined_schema))
             }
-            JoinStrategy::Hash {
-                outer_keys,
-                inner_keys,
-            } => {
+            JoinStrategy::Hash { .. } => {
                 let inner_scan = ScanPrograms {
                     filter: join.inner_filter,
                     project: None,
-                    vectorized: join.vectorized,
                     row_cap: None,
                 };
                 let (inner_rows, inner_schema) = self.execute_source(inner, inner_scan, stats)?;
                 let inner_ctx = self.ctx(&inner_schema);
-                let (outer_programs, inner_programs) = match join.hash_keys {
-                    Some((o, i)) => (Some(o.as_slice()), Some(i.as_slice())),
-                    None => (None, None),
-                };
-                let build_keys = zip_exprs(inner_programs, inner_keys.iter());
-                let probe_keys = zip_exprs(outer_programs, outer_keys.iter());
+                let (probe_keys, build_keys) = join
+                    .hash_keys
+                    .ok_or_else(|| missing_program("hash-join keys"))?;
                 // Hashed build side: equal keys hash equally across numeric
                 // types (see the `Hash` impl on `Value`), floats key on
                 // their total-order bits.
                 let mut hash: HashMap<Vec<Value>, Vec<usize>> =
                     HashMap::with_capacity(inner_rows.len());
                 for (i, row) in inner_rows.iter().enumerate() {
-                    let key: Vec<Value> = build_keys
-                        .iter()
-                        .map(|k| k.eval(row, &inner_ctx))
-                        .collect::<Result<_, _>>()?;
+                    let mut key = Vec::with_capacity(build_keys.len());
+                    eval_into(build_keys, row, &inner_ctx, &mut key)?;
                     if key.iter().any(Value::is_null) {
                         continue;
                     }
@@ -1321,8 +1155,6 @@ impl<'a> Executor<'a> {
                 let combined_schema = outer_schema.join(&inner_schema);
                 let outer_ctx = self.ctx(outer_schema);
                 let combined_ctx = self.ctx(&combined_schema);
-                let residual = RowFilter::new(join.residual, step.residual.as_ref());
-                let has_residual = residual.is_some();
                 let mut pending = 0u64;
                 // The probe key is built in a scratch buffer reused across
                 // outer rows: lookups borrow it as a slice, so the per-probe
@@ -1338,9 +1170,7 @@ impl<'a> Executor<'a> {
                     // One tick per probe, matches or not (see above).
                     self.tick(&mut pending)?;
                     probe_key.clear();
-                    for k in &probe_keys {
-                        probe_key.push(k.eval(outer_row, &outer_ctx)?);
-                    }
+                    eval_into(probe_keys, outer_row, &outer_ctx, &mut probe_key)?;
                     let mut matched = false;
                     if !probe_key.iter().any(Value::is_null) {
                         if let Some(bucket) = hash.get(probe_key.as_slice()) {
@@ -1351,9 +1181,9 @@ impl<'a> Executor<'a> {
                                 stats.join_probes += 1;
                                 scratch.truncate(outer_len);
                                 scratch.extend(inner_rows[i].iter().cloned());
-                                if has_residual {
+                                if let Some(residual) = join.residual {
                                     stats.predicates_evaluated += 1;
-                                    if !residual.accepts(&scratch, &combined_ctx)? {
+                                    if !residual.eval(&scratch, &combined_ctx)?.is_truthy() {
                                         continue;
                                     }
                                 }
@@ -1377,14 +1207,11 @@ impl<'a> Executor<'a> {
                 let inner_scan = ScanPrograms {
                     filter: join.inner_filter,
                     project: None,
-                    vectorized: join.vectorized,
                     row_cap: None,
                 };
                 let (inner_rows, inner_schema) = self.execute_source(inner, inner_scan, stats)?;
                 let combined_schema = outer_schema.join(&inner_schema);
                 let ctx = self.ctx(&combined_schema);
-                let residual = RowFilter::new(join.residual, step.residual.as_ref());
-                let has_residual = residual.is_some();
                 let mut pending = 0u64;
                 // The cross product dominates this strategy (the spatial
                 // rewrite feeds it quadratically many candidate pairs), so
@@ -1406,9 +1233,9 @@ impl<'a> Executor<'a> {
                         stats.join_probes += 1;
                         scratch.truncate(outer_len);
                         scratch.extend(inner_row.iter().cloned());
-                        if has_residual {
+                        if let Some(residual) = join.residual {
                             stats.predicates_evaluated += 1;
-                            if !residual.accepts(&scratch, &ctx)? {
+                            if !residual.eval(&scratch, &ctx)?.is_truthy() {
                                 continue;
                             }
                         }
@@ -1433,61 +1260,29 @@ impl<'a> Executor<'a> {
     // Aggregation
     // ----------------------------------------------------------------------
 
-    /// Group rows and evaluate aggregates.  Dispatches to the compiled
-    /// variant when the finalizer produced programs for every piece, and to
-    /// the interpreter otherwise; both produce groups in ascending key
-    /// order.
+    /// Hash-grouped aggregation: the group key, each aggregate argument,
+    /// HAVING and the projections run as programs without any name
+    /// resolution or per-row key formatting.  Groups come out in ascending
+    /// key order.
     #[allow(clippy::type_complexity)]
     fn aggregate(
         &self,
         plan: &SelectPlan,
         schema: &RowSchema,
         rows: Vec<Vec<Value>>,
-        programs: Option<&CompiledPrograms>,
     ) -> Result<Vec<(Vec<Value>, Vec<Value>)>, SqlError> {
-        if let Some(p) = programs {
-            if let (Some(group_by), Some(aggregates), Some(projections)) = (
-                p.group_by.as_ref(),
-                p.aggregates.as_ref(),
-                p.projections.as_ref(),
-            ) {
-                if plan.having.is_none() || p.having.is_some() {
-                    return self.aggregate_compiled(
-                        plan,
-                        schema,
-                        rows,
-                        group_by,
-                        aggregates,
-                        projections,
-                        p.having.as_ref(),
-                    );
-                }
-            }
-        }
-        self.aggregate_interpreted(plan, schema, rows)
-    }
-
-    /// Hash-grouped aggregation over compiled programs: the group key, each
-    /// aggregate argument, HAVING and the projections run without any name
-    /// resolution or per-row key formatting.
-    #[allow(clippy::too_many_arguments, clippy::type_complexity)]
-    fn aggregate_compiled(
-        &self,
-        plan: &SelectPlan,
-        schema: &RowSchema,
-        rows: Vec<Vec<Value>>,
-        group_by: &[CompiledExpr],
-        aggregates: &[CompiledAggregate],
-        projections: &[CompiledExpr],
-        having: Option<&CompiledExpr>,
-    ) -> Result<Vec<(Vec<Value>, Vec<Value>)>, SqlError> {
+        let CompiledPrograms {
+            group_by,
+            aggregates,
+            projections,
+            having,
+            ..
+        } = &plan.programs;
         let ctx = self.ctx(schema);
         let mut groups: HashMap<Vec<Value>, Vec<Vec<Value>>> = HashMap::new();
         for row in rows {
-            let key: Vec<Value> = group_by
-                .iter()
-                .map(|g| g.eval(&row, &ctx))
-                .collect::<Result<_, _>>()?;
+            let mut key = Vec::with_capacity(group_by.len());
+            eval_into(group_by, &row, &ctx, &mut key)?;
             // Rows move into the table (already charged); the keys are new.
             self.charge_mem(row_charge(&key))?;
             groups.entry(key).or_default().push(row);
@@ -1496,8 +1291,6 @@ impl<'a> Executor<'a> {
         if groups.is_empty() && plan.group_by.is_empty() {
             groups.insert(Vec::new(), Vec::new());
         }
-        // Ascending key order, exactly like the ordered map the interpreter
-        // used to group with.
         let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = groups.into_iter().collect();
         groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
         let mut out = Vec::with_capacity(groups.len());
@@ -1539,111 +1332,16 @@ impl<'a> Executor<'a> {
                 }
             }
             let mut proj = Vec::with_capacity(projections.len());
-            for p in projections {
-                proj.push(p.eval(&representative, &agg_ctx)?);
-            }
+            eval_into(projections, &representative, &agg_ctx, &mut proj)?;
             self.charge_mem(row_charge(&representative) + row_charge(&proj))?;
             out.push((representative, proj));
         }
         Ok(out)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn aggregate_interpreted(
-        &self,
-        plan: &SelectPlan,
-        schema: &RowSchema,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<Vec<(Vec<Value>, Vec<Value>)>, SqlError> {
-        // Collect aggregate call expressions from projections and HAVING.
-        let mut agg_exprs: Vec<Expr> = Vec::new();
-        for (expr, _) in &plan.projections {
-            collect_aggregates(expr, &mut agg_exprs);
-        }
-        if let Some(h) = &plan.having {
-            collect_aggregates(h, &mut agg_exprs);
-        }
-        let ctx = self.ctx(schema);
-        // Group rows (ascending key order via a final sort).
-        let mut groups: HashMap<Vec<Value>, Vec<Vec<Value>>> = HashMap::new();
-        for row in rows {
-            let key: Vec<Value> = plan
-                .group_by
-                .iter()
-                .map(|g| eval(g, &row, &ctx))
-                .collect::<Result<_, _>>()?;
-            // Rows move into the table (already charged); the keys are new.
-            self.charge_mem(row_charge(&key))?;
-            groups.entry(key).or_default().push(row);
-        }
-        // A grand aggregate over zero rows still produces one group.
-        if groups.is_empty() && plan.group_by.is_empty() {
-            groups.insert(Vec::new(), Vec::new());
-        }
-        let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = groups.into_iter().collect();
-        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut out = Vec::with_capacity(groups.len());
-        for (_key, group_rows) in groups {
-            let mut agg_values: HashMap<String, Value> = HashMap::new();
-            for agg in &agg_exprs {
-                let Expr::Function { name, args } = agg else {
-                    continue;
-                };
-                let value = self.eval_aggregate(name, args, &group_rows, &ctx)?;
-                agg_values.insert(aggregate_key(agg), value);
-            }
-            let representative = group_rows
-                .first()
-                .cloned()
-                .unwrap_or_else(|| vec![Value::Null; schema.len()]);
-            let agg_ctx = EvalContext {
-                schema,
-                variables: self.variables,
-                functions: self.functions,
-                aggregates: Some(&agg_values),
-            };
-            if let Some(h) = &plan.having {
-                if !eval(h, &representative, &agg_ctx)?.is_truthy() {
-                    continue;
-                }
-            }
-            let mut proj = Vec::with_capacity(plan.projections.len());
-            for (expr, _) in &plan.projections {
-                proj.push(eval(expr, &representative, &agg_ctx)?);
-            }
-            self.charge_mem(row_charge(&representative) + row_charge(&proj))?;
-            out.push((representative, proj));
-        }
-        Ok(out)
-    }
-
-    fn eval_aggregate(
-        &self,
-        name: &str,
-        args: &[Expr],
-        group_rows: &[Vec<Value>],
-        ctx: &EvalContext<'_>,
-    ) -> Result<Value, SqlError> {
-        let lower = name.to_ascii_lowercase();
-        if lower == "count" && matches!(args.first(), Some(Expr::Star) | None) {
-            return Ok(Value::Int(group_rows.len() as i64));
-        }
-        let arg = args
-            .first()
-            .ok_or_else(|| SqlError::Execution(format!("{name}() needs an argument")))?;
-        let mut values = Vec::with_capacity(group_rows.len());
-        for row in group_rows {
-            let v = eval(arg, row, ctx)?;
-            if !v.is_null() {
-                values.push(v);
-            }
-        }
-        combine_aggregate(name, &lower, values)
     }
 }
 
 /// Combine the non-NULL argument values of one group into the aggregate's
-/// result.  Shared by the interpreted and compiled aggregation paths.
+/// result.
 fn combine_aggregate(name: &str, lower: &str, values: Vec<Value>) -> Result<Value, SqlError> {
     match lower {
         "count" => Ok(Value::Int(values.len() as i64)),

@@ -137,8 +137,7 @@ pub struct SourcePlan {
     /// after producing this many (post-predicate) rows.
     pub limit_hint: Option<u64>,
     /// Column intervals implied by `pushed_predicate`, used by heap scans
-    /// to skip segments via zone maps.  Always computed (both the compiled
-    /// and interpreted executors prune identically).
+    /// to skip segments via zone maps.
     pub zone_constraints: Vec<ZoneConstraint>,
     /// Storage ordinals of the columns the query actually references on
     /// this source (scan, predicate, joins, projections...).  Byte
@@ -248,16 +247,9 @@ pub struct SelectPlan {
     /// Optimizer rules that fired while producing this plan, in pipeline
     /// order; `EXPLAIN` reports them.
     pub rules_fired: Vec<&'static str>,
-    /// Expression programs compiled at plan finalization (ordinal-resolved
-    /// predicates, join keys, projections...).  `None` runs the interpreter
-    /// instead — EXPLAIN output is identical either way, since it renders
-    /// the `Expr`s.
-    pub programs: Option<CompiledPrograms>,
-    /// Run heap scans through the vectorized batch pipeline (selection
-    /// vectors over ~1024-row chunks) instead of row-at-a-time compiled
-    /// evaluation.  Only effective when `programs` is present; counters and
-    /// results are identical either way.
-    pub vectorized: bool,
+    /// The programs the executor runs, one per expression above, compiled
+    /// at plan finalization (EXPLAIN renders the `Expr`s).
+    pub programs: CompiledPrograms,
     /// Estimated rows of the whole plan (after joins and the residual
     /// filter, before aggregation/TOP), from the selectivity model.
     pub est_rows: Option<u64>,
@@ -666,8 +658,7 @@ mod tests {
             into: None,
             input_schema,
             rules_fired: Vec::new(),
-            programs: None,
-            vectorized: false,
+            programs: CompiledPrograms::default(),
             est_rows: None,
             release: None,
         }

@@ -1,10 +1,7 @@
 //! Post-finalization plan annotation: zone-map constraints and scan-column
 //! sets.
 //!
-//! Runs unconditionally after `super::finalize` — before (and independent
-//! of) expression-program compilation — so the interpreted and compiled
-//! executors prune segments and account bytes *identically* and the
-//! stats-equivalence tests stay meaningful.
+//! Runs after `super::finalize` on every plan.
 //!
 //! Two annotations are produced per base-table source:
 //!
@@ -29,7 +26,7 @@
 //! * a NULL column value makes the conjunct NULL, and a NULL conjunct makes
 //!   the whole AND non-TRUE — rejected as well;
 //! * totality guarantees no conjunct can error, so skipping rows cannot
-//!   suppress an error the row-at-a-time path would have reported.
+//!   suppress an error evaluating those rows would have reported.
 //!
 //! The interval comparison uses [`Value::total_cmp`] — the same ordering
 //! `=`, `<`, `BETWEEN` etc. are defined with — so "outside the interval"

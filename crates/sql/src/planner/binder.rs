@@ -416,7 +416,7 @@ fn naive_view_plan(
             )
         })
         .collect();
-    Ok(SelectPlan {
+    let mut plan = SelectPlan {
         sources: vec![SourcePlan {
             alias: merged.base.clone(),
             kind: SourceKind::Table {
@@ -443,11 +443,12 @@ fn naive_view_plan(
         into: None,
         input_schema: schema,
         rules_fired: Vec::new(),
-        programs: None,
-        vectorized: false,
+        programs: Default::default(),
         est_rows: None,
         release: None,
-    })
+    };
+    plan.programs = super::build_programs(&plan, ctx)?;
+    Ok(plan)
 }
 
 /// Which aliases does an expression reference?  Errors on unknown aliases,

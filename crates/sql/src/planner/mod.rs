@@ -14,8 +14,11 @@
 //!    join-strategy choice, the Figure 11 parallel-scan fallback and TOP-n
 //!    limit pushdown — and records whether it fired.
 //! 3. **Finalize** (this module): expand projections against the final
-//!    source order, assemble residual filters and emit the physical
-//!    [`SelectPlan`] with the list of fired rules, which `EXPLAIN` reports.
+//!    source order, assemble residual filters, compile every expression
+//!    into the programs the executor runs (an unknown column or function
+//!    anywhere in the statement is an error here, not at the first row) and
+//!    emit the physical [`SelectPlan`] with the list of fired rules, which
+//!    `EXPLAIN` reports.
 
 pub mod annotate;
 pub mod binder;
@@ -44,8 +47,6 @@ pub struct Planner<'a> {
     /// Registered scalar and table-valued functions.
     pub functions: &'a FunctionRegistry,
     parallel_scan_threshold: usize,
-    compile_expressions: bool,
-    vectorized: bool,
     verify: bool,
     cost_based_ordering: bool,
     release: Option<String>,
@@ -59,8 +60,6 @@ impl<'a> Planner<'a> {
             db,
             functions,
             parallel_scan_threshold: PARALLEL_SCAN_THRESHOLD,
-            compile_expressions: true,
-            vectorized: true,
             verify: cfg!(debug_assertions),
             cost_based_ordering: true,
             release: None,
@@ -74,27 +73,11 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Enable or disable expression-program compilation at finalization.
-    /// Disabling it makes the executor fall back to the tree-walking
-    /// interpreter everywhere — the recorded baseline `sql_bench` compares
-    /// against.
-    pub fn with_expression_compilation(mut self, compile: bool) -> Self {
-        self.compile_expressions = compile;
-        self
-    }
-
-    /// Enable or disable the vectorized batch pipeline for heap scans.
-    /// Disabled, compiled plans evaluate row-at-a-time — the intermediate
-    /// rung of the interpreted / compiled / vectorized equivalence tests.
-    pub fn with_vectorized(mut self, vectorized: bool) -> Self {
-        self.vectorized = vectorized;
-        self
-    }
-
     /// Enable or disable the post-finalization plan verifier
-    /// ([`crate::verify::verify_plan`]).  On by default in debug builds
-    /// (every test-planned statement is verified); release builds opt in
-    /// via [`crate::SqlEngine::set_plan_verification`].
+    /// ([`crate::verify::verify_plan`]).  On in debug builds (every
+    /// test-planned statement is verified), off in release builds;
+    /// `EXPLAIN VERIFY` plans with it off to report a broken plan instead
+    /// of failing on it.
     pub fn with_verification(mut self, verify: bool) -> Self {
         self.verify = verify;
         self
@@ -151,19 +134,12 @@ impl<'a> Planner<'a> {
         let mut logical = binder::bind(stmt, &ctx, &|nested| self.plan_select(nested))?;
         let pipeline = rules::default_pipeline();
         rules::run_pipeline(&mut logical, &ctx, &pipeline)?;
-        let mut plan = finalize(logical)?;
+        let mut plan = finalize(logical, &ctx)?;
         plan.release = release;
-        // Zone constraints and scan columns are computed regardless of the
-        // execution mode so all three executors (interpreted, compiled,
-        // vectorized) prune and count identically.
         annotate::annotate(&mut plan, self.db);
         // Estimated cardinalities are annotated unconditionally: EXPLAIN
         // shows est_rows even when cost-based ordering is off.
         stats::annotate_estimates(&mut plan, self.db);
-        if self.compile_expressions {
-            plan.programs = build_programs(&plan, &ctx);
-            plan.vectorized = self.vectorized;
-        }
         if self.verify {
             let report = crate::verify::verify_plan_with_releases(
                 &plan,
@@ -182,7 +158,7 @@ impl<'a> Planner<'a> {
 }
 
 /// Turn the rewritten logical plan into the physical [`SelectPlan`].
-fn finalize(logical: LogicalPlan) -> Result<SelectPlan, SqlError> {
+fn finalize(logical: LogicalPlan, ctx: &PlanContext<'_>) -> Result<SelectPlan, SqlError> {
     let LogicalPlan {
         sources,
         conjuncts,
@@ -250,7 +226,7 @@ fn finalize(logical: LogicalPlan) -> Result<SelectPlan, SqlError> {
         })
         .collect();
 
-    Ok(SelectPlan {
+    let mut plan = SelectPlan {
         sources: physical_sources,
         joins,
         residual: Expr::from_conjuncts(residual_conjuncts),
@@ -265,11 +241,12 @@ fn finalize(logical: LogicalPlan) -> Result<SelectPlan, SqlError> {
         into,
         input_schema,
         rules_fired,
-        programs: None,
-        vectorized: false,
+        programs: CompiledPrograms::default(),
         est_rows: None,
         release: None,
-    })
+    };
+    plan.programs = build_programs(&plan, ctx)?;
+    Ok(plan)
 }
 
 /// The schema [`crate::executor::Executor::execute_source`] materializes a
@@ -278,117 +255,99 @@ fn finalize(logical: LogicalPlan) -> Result<SelectPlan, SqlError> {
 /// schema.  Program compilation resolves ordinals through the executor's own
 /// schema-derivation helpers ([`crate::executor::scan_schema`]), so the two
 /// sides cannot drift apart.
-pub(crate) fn exec_source_schema(source: &SourcePlan, db: &Database) -> Option<RowSchema> {
+pub(crate) fn exec_source_schema(
+    source: &SourcePlan,
+    db: &Database,
+) -> Result<RowSchema, SqlError> {
     match &source.kind {
         SourceKind::Table { table, path } => {
-            crate::executor::scan_schema(db, &source.alias, table, path).ok()
+            crate::executor::scan_schema(db, &source.alias, table, path)
         }
-        _ => Some(source.schema.clone()),
+        _ => Ok(source.schema.clone()),
     }
 }
 
 /// The full heap schema of a base-table source — what the executor uses for
 /// the inner side of an index-lookup join (it fetches whole heap rows by
 /// RowId there, regardless of the source's chosen access path).
-pub(crate) fn full_table_schema(source: &SourcePlan, db: &Database) -> Option<RowSchema> {
+pub(crate) fn full_table_schema(source: &SourcePlan, db: &Database) -> Result<RowSchema, SqlError> {
     match &source.kind {
-        SourceKind::Table { table, .. } => {
-            crate::executor::heap_schema(db, &source.alias, table).ok()
-        }
-        _ => None,
+        SourceKind::Table { table, .. } => crate::executor::heap_schema(db, &source.alias, table),
+        _ => Err(SqlError::Plan(
+            "index-lookup join requires a base table inner side".into(),
+        )),
     }
 }
 
-/// Compile every hot expression of a finalized plan into ordinal-resolved
-/// programs (the tentpole of the compiled execution path).  Any slot whose
-/// compilation fails — e.g. a projection naming an unknown column, which
-/// only errors at execution time — stays `None` and the executor interprets
-/// that expression instead, so compilation can never change results.
-fn build_programs(plan: &SelectPlan, ctx: &PlanContext<'_>) -> Option<CompiledPrograms> {
+/// Compile every expression of a finalized plan into the ordinal-resolved
+/// programs the executor runs.  Compilation is total: an unknown column or
+/// function in the select list, GROUP BY, HAVING, ORDER BY or an aggregate
+/// argument fails the plan here.
+pub(crate) fn build_programs(
+    plan: &SelectPlan,
+    ctx: &PlanContext<'_>,
+) -> Result<CompiledPrograms, SqlError> {
     let db = ctx.db;
     let funcs = ctx.functions;
+    let compile_opt =
+        |e: Option<&Expr>, schema: &RowSchema| e.map(|e| compile(e, schema, funcs)).transpose();
+    let compile_all = |exprs: &[Expr], schema: &RowSchema| {
+        exprs
+            .iter()
+            .map(|e| compile(e, schema, funcs))
+            .collect::<Result<Vec<CompiledExpr>, SqlError>>()
+    };
     let mut programs = CompiledPrograms::default();
 
     // Reconstruct the executor's runtime schemas: per-source predicate
     // schemas, the accumulated (combined) schema before/after each join.
-    let mut pred_schemas: Vec<RowSchema> = Vec::with_capacity(plan.sources.len());
-    let mut combined = if plan.sources.is_empty() {
-        RowSchema::default()
-    } else {
-        let s = exec_source_schema(&plan.sources[0], db)?;
-        pred_schemas.push(s.clone());
-        s
-    };
-    let mut outer_schemas: Vec<RowSchema> = Vec::with_capacity(plan.joins.len());
-    let mut combined_after: Vec<RowSchema> = Vec::with_capacity(plan.joins.len());
+    let mut combined = RowSchema::default();
+    if let Some(first) = plan.sources.first() {
+        combined = exec_source_schema(first, db)?;
+        programs
+            .source_predicates
+            .push(compile_opt(first.pushed_predicate.as_ref(), &combined)?);
+    }
     for (i, step) in plan.joins.iter().enumerate() {
         let inner = &plan.sources[i + 1];
-        outer_schemas.push(combined.clone());
+        let outer_schema = combined;
         let inner_schema = match &step.strategy {
             // Index-lookup joins fetch whole heap rows from the inner table.
             JoinStrategy::IndexLookup { .. } => full_table_schema(inner, db)?,
             _ => exec_source_schema(inner, db)?,
         };
-        pred_schemas.push(inner_schema.clone());
-        combined = combined.join(&inner_schema);
-        combined_after.push(combined.clone());
-    }
-
-    for (i, source) in plan.sources.iter().enumerate() {
-        programs.source_predicates.push(
-            source
-                .pushed_predicate
-                .as_ref()
-                .and_then(|p| compile(p, &pred_schemas[i], funcs).ok()),
-        );
-    }
-    for (i, step) in plan.joins.iter().enumerate() {
+        combined = outer_schema.join(&inner_schema);
         let (outer_key, hash_keys) = match &step.strategy {
             JoinStrategy::IndexLookup { outer_key, .. } => {
-                (compile(outer_key, &outer_schemas[i], funcs).ok(), None)
+                (Some(compile(outer_key, &outer_schema, funcs)?), None)
             }
             JoinStrategy::Hash {
                 outer_keys,
                 inner_keys,
-            } => {
-                let outer: Option<Vec<CompiledExpr>> = outer_keys
-                    .iter()
-                    .map(|k| compile(k, &outer_schemas[i], funcs).ok())
-                    .collect();
-                let inner: Option<Vec<CompiledExpr>> = inner_keys
-                    .iter()
-                    .map(|k| compile(k, &pred_schemas[i + 1], funcs).ok())
-                    .collect();
-                (None, outer.zip(inner))
-            }
+            } => (
+                None,
+                Some((
+                    compile_all(outer_keys, &outer_schema)?,
+                    compile_all(inner_keys, &inner_schema)?,
+                )),
+            ),
             JoinStrategy::NestedLoop => (None, None),
         };
         programs.join_outer_keys.push(outer_key);
         programs.join_hash_keys.push(hash_keys);
-        programs.join_residuals.push(
-            step.residual
-                .as_ref()
-                .and_then(|r| compile(r, &combined_after[i], funcs).ok()),
-        );
+        programs
+            .join_residuals
+            .push(compile_opt(step.residual.as_ref(), &combined)?);
+        programs
+            .source_predicates
+            .push(compile_opt(inner.pushed_predicate.as_ref(), &inner_schema)?);
     }
-    programs.residual = plan
-        .residual
-        .as_ref()
-        .and_then(|r| compile(r, &combined, funcs).ok());
-    programs.projections = plan
-        .projections
-        .iter()
-        .map(|(e, _)| compile(e, &combined, funcs).ok())
-        .collect();
-    programs.group_by = plan
-        .group_by
-        .iter()
-        .map(|g| compile(g, &combined, funcs).ok())
-        .collect();
-    programs.having = plan
-        .having
-        .as_ref()
-        .and_then(|h| compile(h, &combined, funcs).ok());
+    programs.residual = compile_opt(plan.residual.as_ref(), &combined)?;
+    for (expr, _) in &plan.projections {
+        programs.projections.push(compile(expr, &combined, funcs)?);
+    }
+    programs.group_by = compile_all(&plan.group_by, &combined)?;
+    programs.having = compile_opt(plan.having.as_ref(), &combined)?;
 
     if plan.has_aggregates || !plan.group_by.is_empty() {
         let mut agg_exprs: Vec<Expr> = Vec::new();
@@ -398,53 +357,49 @@ fn build_programs(plan: &SelectPlan, ctx: &PlanContext<'_>) -> Option<CompiledPr
         if let Some(h) = &plan.having {
             collect_aggregates(h, &mut agg_exprs);
         }
-        programs.aggregates = agg_exprs
-            .iter()
-            .map(|agg| {
-                let Expr::Function { name, args } = agg else {
-                    return None;
-                };
-                let lower = name.to_ascii_lowercase();
-                let count_star =
-                    lower == "count" && matches!(args.first(), Some(Expr::Star) | None);
-                let arg = if count_star {
-                    None
-                } else {
-                    Some(compile(args.first()?, &combined, funcs).ok()?)
-                };
-                Some(CompiledAggregate {
-                    key: crate::expr::aggregate_key(agg),
-                    name: name.clone(),
-                    lower,
-                    count_star,
-                    arg,
-                })
-            })
-            .collect();
+        for agg in &agg_exprs {
+            let Expr::Function { name, args } = agg else {
+                continue;
+            };
+            let lower = name.to_ascii_lowercase();
+            let count_star = lower == "count" && matches!(args.first(), Some(Expr::Star) | None);
+            let arg = if count_star {
+                None
+            } else {
+                let arg = args
+                    .first()
+                    .ok_or_else(|| SqlError::Execution(format!("{name}() needs an argument")))?;
+                Some(compile(arg, &combined, funcs)?)
+            };
+            programs.aggregates.push(CompiledAggregate {
+                key: crate::expr::aggregate_key(agg),
+                name: name.clone(),
+                lower,
+                count_star,
+                arg,
+            });
+        }
     }
 
-    if !plan.order_by.is_empty() {
-        let output_names: Vec<&str> = plan.projections.iter().map(|(_, n)| n.as_str()).collect();
-        programs.order_by = plan
-            .order_by
-            .iter()
-            .map(|item| match &item.expr {
-                Expr::Column {
-                    qualifier: None,
-                    name,
-                } if output_names.iter().any(|n| n.eq_ignore_ascii_case(name)) => {
-                    let idx = output_names
-                        .iter()
-                        .position(|n| n.eq_ignore_ascii_case(name))
-                        .expect("checked above");
-                    Some(SortKey::Output(idx))
-                }
-                e => compile(e, &combined, funcs).ok().map(SortKey::Input),
-            })
-            .collect();
+    for item in &plan.order_by {
+        // ORDER BY can name an output alias or any input column.
+        let output = match &item.expr {
+            Expr::Column {
+                qualifier: None,
+                name,
+            } => plan
+                .projections
+                .iter()
+                .position(|(_, n)| n.eq_ignore_ascii_case(name)),
+            _ => None,
+        };
+        programs.order_by.push(match output {
+            Some(idx) => SortKey::Output(idx),
+            None => SortKey::Input(compile(&item.expr, &combined, funcs)?),
+        });
     }
 
-    Some(programs)
+    Ok(programs)
 }
 
 /// Expand the select list against the combined input schema.
@@ -688,8 +643,8 @@ mod tests {
         assert!(
             planner
                 .plan_select(&parse_select("select noSuchColumn from photoObj").unwrap())
-                .is_ok(),
-            "projection binding happens at execution"
+                .is_err(),
+            "projections bind at plan time"
         );
         assert!(planner
             .plan_select(&parse_select("select * from photoObj where noSuchColumn = 1").unwrap())

@@ -107,8 +107,6 @@ pub struct StatementOutcome {
     pub rows_affected: usize,
     /// Execution statistics (rows/bytes touched, wall time, simulated time).
     pub stats: ExecutionStats,
-    /// Rendered plan (populated by EXPLAIN or when plan capture is enabled).
-    pub plan: Option<String>,
 }
 
 #[cfg(test)]

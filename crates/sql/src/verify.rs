@@ -2,8 +2,8 @@
 //! verifier.
 //!
 //! [`verify_plan`] walks a finalized [`SelectPlan`] and structurally checks
-//! every invariant the compiled/vectorized executors rely on but never
-//! re-validate at runtime:
+//! every invariant the executor relies on but never re-validates at
+//! runtime:
 //!
 //! * **Ordinal bounds** — every [`CompiledExpr`] program references only
 //!   columns that exist in the exact runtime row layout it will be evaluated
@@ -23,9 +23,9 @@
 //!   shape (e.g. a `limit_hint` appears only on base-table scans and only
 //!   when `limit_pushdown` fired).
 //!
-//! The pass runs automatically after planner finalization in debug builds,
-//! on demand via [`crate::SqlEngine::set_plan_verification`], and is exposed
-//! to users as `EXPLAIN VERIFY <select>`.
+//! The pass runs automatically after planner finalization in debug builds
+//! and is exposed to users as `EXPLAIN VERIFY <select>` (and
+//! [`crate::SqlEngine::verify`]) in every build.
 
 use crate::exec::compile::{CompiledExpr, SortKey};
 use crate::expr::RowSchema;
@@ -45,7 +45,8 @@ pub enum ViolationKind {
     /// source schemas.
     SchemaWidthMismatch,
     /// A compiled-program vector's length disagrees with the plan structure
-    /// it parallels, or a program exists for a slot the plan does not have.
+    /// it parallels, or a program slot is filled where the plan has no such
+    /// expression (or empty where it has one).
     ProgramArityMismatch,
     /// A declared zone constraint could prune a segment that contains
     /// satisfying rows (bad ordinal/type, non-total predicate, or an
@@ -188,6 +189,17 @@ impl Verifier<'_> {
         if !ok {
             self.violation(kind, site.to_string(), detail());
         }
+    }
+
+    /// A program slot must be filled exactly when the plan has the
+    /// expression it compiles.
+    fn check_slot(&mut self, site: String, compiled: bool, planned: bool) {
+        self.check(
+            compiled == planned,
+            ViolationKind::ProgramArityMismatch,
+            &site,
+            || format!("program present: {compiled}, plan expression present: {planned}"),
+        );
     }
 
     fn verify(&mut self, plan: &SelectPlan, prefix: &str) {
@@ -505,19 +517,12 @@ impl Verifier<'_> {
     /// the executor's runtime row layouts exactly as program compilation did
     /// and bound every compiled ordinal against them.
     fn check_programs(&mut self, plan: &SelectPlan, prefix: &str) {
-        self.check(
-            !plan.vectorized || plan.programs.is_some(),
-            ViolationKind::PlanShapeInconsistent,
-            &format!("{prefix}vectorized"),
-            || "vectorized execution requested without compiled programs".to_string(),
-        );
-        let Some(programs) = &plan.programs else {
-            return;
-        };
+        use crate::plan::JoinStrategy;
+        let programs = &plan.programs;
         let site = |s: &str| format!("{prefix}programs.{s}");
 
         // Arity: program vectors parallel the plan structure.
-        let arity: [(&str, usize, usize); 4] = [
+        let arity: [(&str, usize, usize); 7] = [
             (
                 "source_predicates",
                 programs.source_predicates.len(),
@@ -538,6 +543,13 @@ impl Verifier<'_> {
                 programs.join_residuals.len(),
                 plan.joins.len(),
             ),
+            (
+                "projections",
+                programs.projections.len(),
+                plan.projections.len(),
+            ),
+            ("group_by", programs.group_by.len(), plan.group_by.len()),
+            ("order_by", programs.order_by.len(), plan.order_by.len()),
         ];
         for (name, got, want) in arity {
             self.check(
@@ -547,45 +559,47 @@ impl Verifier<'_> {
                 || format!("{got} programs for {want} plan slots"),
             );
         }
-        if let Some(p) = &programs.projections {
-            let (got, want) = (p.len(), plan.projections.len());
-            self.check(
-                got == want,
-                ViolationKind::ProgramArityMismatch,
-                &site("projections"),
-                || format!("{got} programs for {want} projections"),
-            );
-        }
-        if let Some(g) = &programs.group_by {
-            let (got, want) = (g.len(), plan.group_by.len());
-            self.check(
-                got == want,
-                ViolationKind::ProgramArityMismatch,
-                &site("group_by"),
-                || format!("{got} programs for {want} group-by keys"),
-            );
-        }
-        if let Some(o) = &programs.order_by {
-            let (got, want) = (o.len(), plan.order_by.len());
-            self.check(
-                got == want,
-                ViolationKind::ProgramArityMismatch,
-                &site("order_by"),
-                || format!("{got} sort keys for {want} order-by items"),
-            );
-        }
-        self.check(
-            programs.having.is_none() || plan.having.is_some(),
-            ViolationKind::ProgramArityMismatch,
-            &site("having"),
-            || "compiled HAVING program but the plan has no HAVING".to_string(),
+        // Completeness: a slot holds a program exactly when the plan has the
+        // expression — the executor runs nothing but programs.
+        self.check_slot(
+            site("having"),
+            programs.having.is_some(),
+            plan.having.is_some(),
         );
-        self.check(
-            programs.residual.is_none() || plan.residual.is_some(),
-            ViolationKind::ProgramArityMismatch,
-            &site("residual"),
-            || "compiled residual program but the plan has no residual".to_string(),
+        self.check_slot(
+            site("residual"),
+            programs.residual.is_some(),
+            plan.residual.is_some(),
         );
+        for (i, (p, source)) in programs
+            .source_predicates
+            .iter()
+            .zip(&plan.sources)
+            .enumerate()
+        {
+            self.check_slot(
+                site(&format!("source_predicates[{i}]")),
+                p.is_some(),
+                source.pushed_predicate.is_some(),
+            );
+        }
+        for (i, step) in plan.joins.iter().enumerate() {
+            self.check_slot(
+                site(&format!("join_outer_keys[{i}]")),
+                matches!(programs.join_outer_keys.get(i), Some(Some(_))),
+                matches!(step.strategy, JoinStrategy::IndexLookup { .. }),
+            );
+            self.check_slot(
+                site(&format!("join_hash_keys[{i}]")),
+                matches!(programs.join_hash_keys.get(i), Some(Some(_))),
+                matches!(step.strategy, JoinStrategy::Hash { .. }),
+            );
+            self.check_slot(
+                site(&format!("join_residuals[{i}]")),
+                matches!(programs.join_residuals.get(i), Some(Some(_))),
+                step.residual.is_some(),
+            );
+        }
 
         // Reconstruct the runtime row layouts the executor will hand each
         // program — per-source predicate schemas and the accumulated
@@ -603,7 +617,7 @@ impl Verifier<'_> {
             } else {
                 crate::planner::exec_source_schema(source, self.db)
             };
-            let Some(runtime) = runtime else {
+            let Ok(runtime) = runtime else {
                 self.violation(
                     ViolationKind::PlanShapeInconsistent,
                     format!("{prefix}sources[{i}]"),
@@ -646,31 +660,16 @@ impl Verifier<'_> {
 
         for (i, p) in programs.source_predicates.iter().enumerate() {
             if let Some(p) = p {
-                self.check(
-                    plan.sources
-                        .get(i)
-                        .is_some_and(|s| s.pushed_predicate.is_some()),
-                    ViolationKind::ProgramArityMismatch,
-                    &site(&format!("source_predicates[{i}]")),
-                    || "compiled predicate for a source with none pushed".to_string(),
-                );
                 self.check_expr_source(p, i, &ctx, &site(&format!("source_predicates[{i}]")));
             }
         }
         for (i, step) in plan.joins.iter().enumerate() {
-            use crate::plan::JoinStrategy;
             let outer_width = ctx
                 .offsets
                 .get(i + 1)
                 .copied()
                 .unwrap_or(ctx.combined.len());
             if let Some(Some(k)) = programs.join_outer_keys.get(i) {
-                self.check(
-                    matches!(step.strategy, JoinStrategy::IndexLookup { .. }),
-                    ViolationKind::ProgramArityMismatch,
-                    &site(&format!("join_outer_keys[{i}]")),
-                    || "outer-key program on a non-index-lookup join".to_string(),
-                );
                 self.check_expr_combined(
                     k,
                     outer_width,
@@ -679,31 +678,25 @@ impl Verifier<'_> {
                 );
             }
             if let Some(Some((outer, inner))) = programs.join_hash_keys.get(i) {
-                match &step.strategy {
-                    JoinStrategy::Hash {
-                        outer_keys,
-                        inner_keys,
-                    } => {
-                        self.check(
-                            outer.len() == outer_keys.len() && inner.len() == inner_keys.len(),
-                            ViolationKind::ProgramArityMismatch,
-                            &site(&format!("join_hash_keys[{i}]")),
-                            || {
-                                format!(
-                                    "{}/{} compiled keys for {}/{} plan keys",
-                                    outer.len(),
-                                    inner.len(),
-                                    outer_keys.len(),
-                                    inner_keys.len()
-                                )
-                            },
-                        );
-                    }
-                    _ => self.violation(
+                if let JoinStrategy::Hash {
+                    outer_keys,
+                    inner_keys,
+                } = &step.strategy
+                {
+                    self.check(
+                        outer.len() == outer_keys.len() && inner.len() == inner_keys.len(),
                         ViolationKind::ProgramArityMismatch,
-                        site(&format!("join_hash_keys[{i}]")),
-                        "hash-key programs on a non-hash join".to_string(),
-                    ),
+                        &site(&format!("join_hash_keys[{i}]")),
+                        || {
+                            format!(
+                                "{}/{} compiled keys for {}/{} plan keys",
+                                outer.len(),
+                                inner.len(),
+                                outer_keys.len(),
+                                inner_keys.len()
+                            )
+                        },
+                    );
                 }
                 for (k, key) in outer.iter().enumerate() {
                     self.check_expr_combined(
@@ -735,55 +728,47 @@ impl Verifier<'_> {
         if let Some(r) = &programs.residual {
             self.check_expr_combined(r, full, &ctx, &site("residual"));
         }
-        if let Some(projs) = &programs.projections {
-            for (i, p) in projs.iter().enumerate() {
-                self.check_expr_combined(p, full, &ctx, &site(&format!("projections[{i}]")));
-            }
+        for (i, p) in programs.projections.iter().enumerate() {
+            self.check_expr_combined(p, full, &ctx, &site(&format!("projections[{i}]")));
         }
-        if let Some(groups) = &programs.group_by {
-            for (i, g) in groups.iter().enumerate() {
-                self.check_expr_combined(g, full, &ctx, &site(&format!("group_by[{i}]")));
-            }
+        for (i, g) in programs.group_by.iter().enumerate() {
+            self.check_expr_combined(g, full, &ctx, &site(&format!("group_by[{i}]")));
         }
         if let Some(h) = &programs.having {
             self.check_expr_combined(h, full, &ctx, &site("having"));
         }
-        if let Some(aggs) = &programs.aggregates {
-            for (i, agg) in aggs.iter().enumerate() {
-                self.report.checks_run += 1;
-                if agg.count_star != agg.arg.is_none() {
-                    self.violation(
-                        ViolationKind::ProgramArityMismatch,
-                        site(&format!("aggregates[{i}]")),
-                        format!(
-                            "{} must have an argument program exactly when it is \
-                             not count(*)",
-                            agg.name
-                        ),
-                    );
-                }
-                if let Some(arg) = &agg.arg {
-                    self.check_expr_combined(arg, full, &ctx, &site(&format!("aggregates[{i}]")));
-                }
+        for (i, agg) in programs.aggregates.iter().enumerate() {
+            self.report.checks_run += 1;
+            if agg.count_star != agg.arg.is_none() {
+                self.violation(
+                    ViolationKind::ProgramArityMismatch,
+                    site(&format!("aggregates[{i}]")),
+                    format!(
+                        "{} must have an argument program exactly when it is \
+                         not count(*)",
+                        agg.name
+                    ),
+                );
+            }
+            if let Some(arg) = &agg.arg {
+                self.check_expr_combined(arg, full, &ctx, &site(&format!("aggregates[{i}]")));
             }
         }
-        if let Some(keys) = &programs.order_by {
-            for (i, key) in keys.iter().enumerate() {
-                match key {
-                    SortKey::Output(idx) => self.check(
-                        *idx < plan.projections.len(),
-                        ViolationKind::OrdinalOutOfRange,
-                        &site(&format!("order_by[{i}]")),
-                        || {
-                            format!(
-                                "sort key targets output column {idx} of {}",
-                                plan.projections.len()
-                            )
-                        },
-                    ),
-                    SortKey::Input(e) => {
-                        self.check_expr_combined(e, full, &ctx, &site(&format!("order_by[{i}]")));
-                    }
+        for (i, key) in programs.order_by.iter().enumerate() {
+            match key {
+                SortKey::Output(idx) => self.check(
+                    *idx < plan.projections.len(),
+                    ViolationKind::OrdinalOutOfRange,
+                    &site(&format!("order_by[{i}]")),
+                    || {
+                        format!(
+                            "sort key targets output column {idx} of {}",
+                            plan.projections.len()
+                        )
+                    },
+                ),
+                SortKey::Input(e) => {
+                    self.check_expr_combined(e, full, &ctx, &site(&format!("order_by[{i}]")));
                 }
             }
         }

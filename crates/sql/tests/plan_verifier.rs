@@ -153,8 +153,7 @@ fn tightened_zone_bound_is_rejected() {
 #[test]
 fn program_arity_mismatch_is_rejected() {
     let (mut plan, db) = planned("select id, v from t where v < 10.0");
-    let programs = plan.programs.as_mut().expect("plans compile by default");
-    programs.source_predicates.push(None);
+    plan.programs.source_predicates.push(None);
     let found = kinds(&plan, &db);
     assert!(
         found.contains(&ViolationKind::ProgramArityMismatch),

@@ -1,13 +1,13 @@
 //! Accounting regression: `ScanStats` counters and EXPLAIN output for a
 //! fixed, deterministic catalog must not drift when the executor changes.
 //!
-//! The vectorized / row-at-a-time / interpreted executors all promise that
-//! `rows_scanned`, `predicates_evaluated`, `bytes_scanned` (and friends) are
-//! *identical*.  Every expected string below pins the columnar accounting:
-//! heap `bytes_scanned` charges only the columns a plan touches, index paths
+//! Every expected string below pins the columnar accounting: heap
+//! `bytes_scanned` charges only the columns a plan touches, index paths
 //! charge real entry bytes plus the gathered heap columns, and heap scans
-//! report `pruned` segments and `batches` processed.  All three executors
-//! must reproduce these lines byte for byte.
+//! report `pruned` segments and `batches` processed.  The rows of the same
+//! statements are checked against the brute-force reference in `common/`.
+
+mod common;
 
 use skyserver_sql::{FunctionRegistry, QueryLimits, SqlEngine};
 use skyserver_storage::{ColumnDef, DataType, Database, IndexDef, TableSchema, Value};
@@ -169,10 +169,8 @@ fn scan_stats_accounting_is_stable_on_the_fixed_catalog() {
 }
 
 #[test]
-fn compiled_and_interpreted_executors_agree_on_rows_and_stats() {
-    let mut compiled = fixed_engine();
-    let mut interpreted = fixed_engine();
-    interpreted.set_expression_compilation(false);
+fn engine_rows_agree_with_the_reference_evaluator() {
+    let mut engine = fixed_engine();
     let extra = [
         "select name, magr from photo where name like '%1_' order by magr desc, objID",
         "select type, avg(magr) as m, count(*) as n from photo group by type having count(*) > 1",
@@ -185,10 +183,7 @@ fn compiled_and_interpreted_executors_agree_on_rows_and_stats() {
          from photo group by case when type = 3 then 'galaxy' else 'star' end order by kind",
     ];
     for sql in CASES.iter().map(|c| c.sql).chain(extra) {
-        let a = compiled.execute(sql, QueryLimits::UNLIMITED).unwrap();
-        let b = interpreted.execute(sql, QueryLimits::UNLIMITED).unwrap();
-        assert_eq!(a.result.rows, b.result.rows, "row divergence for {sql}");
-        assert_eq!(a.stats.stats, b.stats.stats, "stats divergence for {sql}");
+        common::check(&mut engine, sql).unwrap();
     }
 }
 

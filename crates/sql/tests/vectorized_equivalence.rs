@@ -1,16 +1,17 @@
-//! Property test: the vectorized batch executor is observationally
-//! equivalent to the row-at-a-time compiled executor and to the
-//! tree-walking interpreter, at the whole-query level.
+//! Property test: whole single-table queries through the engine (batch
+//! kernels, zone pruning, TOP early stop) return what the brute-force
+//! reference evaluator in `common/` computes from the same rows.
 //!
-//! Random single-table queries (sargable and non-sargable predicates,
-//! NULL-laden columns, LIKE, bitmask tests, IN lists, mod-by-zero error
-//! paths, TOP limits that land exactly on batch boundaries) run over a
-//! randomly sized table — sometimes smaller than one 1,024-row batch,
-//! sometimes spanning several 4,096-row segments, sometimes with deleted
-//! rows punched into it.  All three execution modes must return the same
-//! rows *and* the same `ScanStats` counters, or all must fail.  Error
-//! ordering inside a conjunction may differ (the batch executor evaluates
-//! conjunct-major), so errors are compared by presence, not message.
+//! Random queries (sargable and non-sargable predicates, NULL-laden
+//! columns, LIKE, bitmask tests, IN lists, mod-by-zero error paths, TOP
+//! limits that land exactly on batch boundaries) run over a randomly sized
+//! table — sometimes smaller than one 1,024-row batch, sometimes spanning
+//! several 4,096-row segments, sometimes with deleted rows punched into it.
+//! Rows must agree as multisets (any `n` of them under an unordered TOP), or
+//! both sides must fail.  The batch executor evaluates conjunct-major, so
+//! errors are compared by presence, not message.
+
+mod common;
 
 use proptest::prelude::*;
 use rand::Rng;
@@ -139,60 +140,26 @@ fn query(rng: &mut ChaCha8Rng) -> String {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Vectorized ≡ row-at-a-time compiled ≡ interpreted: rows and stats.
+    /// Engine ≡ reference evaluator on rows, or both fail.
     #[test]
-    fn all_three_execution_modes_agree(seed in any::<u64>(),
-                                       n_rows in 1usize..5_200,
-                                       n_queries in 4usize..9) {
+    fn engine_rows_agree_with_the_reference(seed in any::<u64>(),
+                                            n_rows in 1usize..5_200,
+                                            n_queries in 4usize..9) {
         use rand::SeedableRng;
-        // Three engines built from clones of the same RNG hold identical
-        // data; a fourth RNG stream drives the query generator.
-        let data_rng = ChaCha8Rng::seed_from_u64(seed);
-        let mut vectorized = build_engine(&mut data_rng.clone(), n_rows);
-        let mut row_compiled = build_engine(&mut data_rng.clone(), n_rows);
-        let mut interpreted = build_engine(&mut data_rng.clone(), n_rows);
-        row_compiled.set_vectorized_execution(false);
-        interpreted.set_expression_compilation(false);
+        let mut engine = build_engine(&mut ChaCha8Rng::seed_from_u64(seed), n_rows);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
 
-        // Punch deleted rows into all three engines identically so the
-        // selection vector has holes to skip.
+        // Punch deleted rows into the table so the selection vector has
+        // holes to skip (a delete whose predicate errors deletes nothing).
         for _ in 0..rng.gen_range(0..3usize) {
             let delete = format!("delete from obj where {}", atom(&mut rng));
-            let d1 = vectorized.execute(&delete, QueryLimits::UNLIMITED);
-            let d2 = row_compiled.execute(&delete, QueryLimits::UNLIMITED);
-            let d3 = interpreted.execute(&delete, QueryLimits::UNLIMITED);
-            prop_assert_eq!(d1.is_ok(), d2.is_ok(), "delete divergence: {}", &delete);
-            prop_assert_eq!(d1.is_ok(), d3.is_ok(), "delete divergence: {}", &delete);
+            let _ = engine.execute(&delete, QueryLimits::UNLIMITED);
         }
 
         for _ in 0..n_queries {
             let sql = query(&mut rng);
-            let v = vectorized.execute(&sql, QueryLimits::UNLIMITED);
-            let r = row_compiled.execute(&sql, QueryLimits::UNLIMITED);
-            let i = interpreted.execute(&sql, QueryLimits::UNLIMITED);
-            match (&v, &r, &i) {
-                (Ok(v), Ok(r), Ok(i)) => {
-                    // Debug formatting keeps float comparisons bitwise.
-                    let vr = format!("{:?}", v.result.rows);
-                    prop_assert_eq!(&vr, &format!("{:?}", r.result.rows),
-                                    "vectorized vs row rows for {}", &sql);
-                    prop_assert_eq!(&vr, &format!("{:?}", i.result.rows),
-                                    "vectorized vs interpreted rows for {}", &sql);
-                    prop_assert_eq!(v.stats.stats, r.stats.stats,
-                                    "vectorized vs row stats for {}", &sql);
-                    prop_assert_eq!(v.stats.stats, i.stats.stats,
-                                    "vectorized vs interpreted stats for {}", &sql);
-                }
-                (Err(_), Err(_), Err(_)) => {}
-                _ => prop_assert!(
-                    false,
-                    "mode divergence for {}: vectorized={:?} row={:?} interpreted={:?}",
-                    &sql,
-                    v.as_ref().err(),
-                    r.as_ref().err(),
-                    i.as_ref().err()
-                ),
+            if let Err(divergence) = common::check(&mut engine, &sql) {
+                prop_assert!(false, "{}", divergence);
             }
         }
     }

@@ -201,6 +201,17 @@ fn query_status_codes_and_error_envelopes() {
     assert_eq!(r.status, 422);
     assert_eq!(error_code(&r), "sql_plan_error");
 
+    // Unknown columns and functions are plan errors even when no row qualifies.
+    let unknown = [
+        ("noSuchColumn", "sql_plan_error"),
+        ("dbo.fMissing(1)", "sql_unknown_function"),
+    ];
+    for (select, code) in unknown {
+        let sql = format!("select+{select}+from+PhotoObj+where+1+=+0");
+        let r = get(&site, &format!("/api/v1/query?sql={sql}"));
+        assert_eq!((r.status, error_code(&r).as_str()), (422, code), "{sql}");
+    }
+
     // Writes: 403 read_only (and the table survives).
     let r = get(&site, "/api/v1/query?sql=drop+table+PhotoObj");
     assert_eq!(r.status, 403);
