@@ -21,7 +21,9 @@
 //! statements that would write (DML, DDL, `INTO`) are rejected with
 //! [`SqlError::ReadOnly`].
 
-use crate::ast::{Expr, InsertSource, Statement};
+use crate::ast::{
+    Expr, FromItem, InsertSource, SelectItem, SelectStatement, Statement, TableSource,
+};
 use crate::error::SqlError;
 use crate::executor::{Executor, QueryLimits};
 use crate::expr::{eval, EvalContext, RowSchema};
@@ -33,7 +35,7 @@ use crate::planner::Planner;
 use crate::result::{ResultSet, StatementOutcome};
 use skyserver_storage::{
     ColumnDef, Database, ExecutionStats, IndexDef, IoSimulator, ReleaseCatalog, ReleaseDiff,
-    ReleaseInfo, TableSchema, Value,
+    ReleaseInfo, RowId, ScanStats, TableSchema, Value,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -535,18 +537,12 @@ impl SqlEngine {
                 })
             }
             Statement::Update(update) => {
-                let rows_affected = self.execute_update(update)?;
-                Ok(StatementOutcome {
-                    rows_affected,
-                    ..Default::default()
-                })
+                let (rows_affected, scan) = self.execute_update(update)?;
+                Ok(self.dml_outcome(rows_affected, scan, started))
             }
             Statement::Delete(delete) => {
-                let rows_affected = self.execute_delete(delete)?;
-                Ok(StatementOutcome {
-                    rows_affected,
-                    ..Default::default()
-                })
+                let (rows_affected, scan) = self.execute_delete(delete)?;
+                Ok(self.dml_outcome(rows_affected, scan, started))
             }
             Statement::CreateTable(ct) => {
                 let mut cols = Vec::with_capacity(ct.columns.len());
@@ -796,7 +792,63 @@ impl SqlEngine {
         Ok(count)
     }
 
-    fn execute_update(&mut self, update: &crate::ast::UpdateStatement) -> Result<usize, SqlError> {
+    /// The rows of `table` an UPDATE or DELETE with this WHERE affects, as
+    /// ascending RowIds, plus the counters of the search.  The WHERE is
+    /// planned like a SELECT's — pk/index seek when it has a sargable
+    /// conjunct, a filter-only kernel scan otherwise — so finding one row by
+    /// key costs one seek, not a materialization of the table.
+    fn dml_victims(
+        &self,
+        table: &str,
+        selection: Option<&Expr>,
+        variables: &HashMap<String, Value>,
+    ) -> Result<(Vec<RowId>, ScanStats), SqlError> {
+        // DML targets base tables; a view of the same name must not bind.
+        self.db.table(table)?;
+        let search = SelectStatement {
+            projections: vec![SelectItem::Expr {
+                expr: Expr::int(1),
+                alias: None,
+            }],
+            from: vec![FromItem {
+                source: TableSource::Named(table.to_string()),
+                alias: None,
+                join: None,
+                on: None,
+            }],
+            selection: selection.cloned(),
+            ..Default::default()
+        };
+        let plan = self.planner_on(&self.db, None).plan_select(&search)?;
+        Executor::new(&self.db, &self.functions, variables, QueryLimits::UNLIMITED)
+            .matching_row_ids(&plan)
+    }
+
+    /// The outcome of an UPDATE/DELETE: rows affected plus the victim
+    /// search's access counters.
+    fn dml_outcome(
+        &self,
+        rows_affected: usize,
+        scan: ScanStats,
+        started: Instant,
+    ) -> StatementOutcome {
+        StatementOutcome {
+            rows_affected,
+            stats: ExecutionStats::from_scan(
+                scan,
+                started.elapsed(),
+                &self.simulator,
+                false,
+                self.paper_scale_factor,
+            ),
+            ..Default::default()
+        }
+    }
+
+    fn execute_update(
+        &mut self,
+        update: &crate::ast::UpdateStatement,
+    ) -> Result<(usize, ScanStats), SqlError> {
         let table = self.db.table(&update.table)?;
         let names = table.schema().column_names();
         let schema = RowSchema::for_table(None, &names);
@@ -815,6 +867,8 @@ impl SqlEngine {
             .variables
             .read()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let (victims, scan) =
+            self.dml_victims(&update.table, update.selection.as_ref(), &variables)?;
         let ctx = EvalContext {
             schema: &schema,
             variables: &variables,
@@ -822,59 +876,44 @@ impl SqlEngine {
             aggregates: None,
         };
         // Collect new rows first (borrow rules), then apply.
-        let mut changes: Vec<(usize, Vec<Value>)> = Vec::new();
-        for (row_id, row) in table.iter() {
-            let keep = match &update.selection {
-                Some(pred) => eval(pred, &row, &ctx)?.is_truthy(),
-                None => true,
-            };
-            if !keep {
+        let mut changes: Vec<(RowId, Vec<Value>)> = Vec::with_capacity(victims.len());
+        for row_id in victims {
+            // skylint: allow(full-row-gather) an UPDATE rewrites whole rows: the victims' full rows are its write set
+            let Some(row) = table.get(row_id) else {
                 continue;
-            }
+            };
             let mut new_row = row.clone();
             for (pos, expr) in &assignment_positions {
                 new_row[*pos] = eval(expr, &row, &ctx)?;
             }
             changes.push((row_id, new_row));
         }
+        drop(variables);
         let count = changes.len();
         for (row_id, new_row) in changes {
             // Delete + insert keeps secondary indices consistent.
             self.db.delete(&update.table, row_id)?;
             self.db.insert(&update.table, new_row)?;
         }
-        Ok(count)
+        Ok((count, scan))
     }
 
-    fn execute_delete(&mut self, delete: &crate::ast::DeleteStatement) -> Result<usize, SqlError> {
-        let table = self.db.table(&delete.table)?;
-        let names = table.schema().column_names();
-        let schema = RowSchema::for_table(None, &names);
-        let variables = self
-            .variables
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let ctx = EvalContext {
-            schema: &schema,
-            variables: &variables,
-            functions: &self.functions,
-            aggregates: None,
+    fn execute_delete(
+        &mut self,
+        delete: &crate::ast::DeleteStatement,
+    ) -> Result<(usize, ScanStats), SqlError> {
+        let (victims, scan) = {
+            let variables = self
+                .variables
+                .read()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            self.dml_victims(&delete.table, delete.selection.as_ref(), &variables)?
         };
-        let mut victims = Vec::new();
-        for (row_id, row) in table.iter() {
-            let hit = match &delete.selection {
-                Some(pred) => eval(pred, &row, &ctx)?.is_truthy(),
-                None => true,
-            };
-            if hit {
-                victims.push(row_id);
-            }
-        }
         let count = victims.len();
         for row_id in victims {
             self.db.delete(&delete.table, row_id)?;
         }
-        Ok(count)
+        Ok((count, scan))
     }
 }
 

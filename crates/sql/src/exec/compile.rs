@@ -816,6 +816,41 @@ pub enum SortKey {
     Input(CompiledExpr),
 }
 
+/// The aggregate functions, resolved from the call's name at plan time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggregateKind {
+    /// `count(*)` / `count(x)`.
+    Count,
+    /// `min(x)`.
+    Min,
+    /// `max(x)`.
+    Max,
+    /// `sum(x)`.
+    Sum,
+    /// `avg(x)`.
+    Avg,
+    /// `stdev(x)` (sample standard deviation).
+    Stdev,
+    /// `var(x)` (sample variance).
+    Var,
+}
+
+impl AggregateKind {
+    /// Resolve a (case-insensitive) aggregate function name.
+    pub fn parse(name: &str) -> Option<AggregateKind> {
+        Some(match name.to_ascii_lowercase().as_str() {
+            "count" => AggregateKind::Count,
+            "min" => AggregateKind::Min,
+            "max" => AggregateKind::Max,
+            "sum" => AggregateKind::Sum,
+            "avg" => AggregateKind::Avg,
+            "stdev" => AggregateKind::Stdev,
+            "var" => AggregateKind::Var,
+            _ => return None,
+        })
+    }
+}
+
 /// One aggregate call, pre-keyed and with its argument compiled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledAggregate {
@@ -823,8 +858,8 @@ pub struct CompiledAggregate {
     pub key: String,
     /// The function name as written (error messages).
     pub name: String,
-    /// Lowercased name (dispatch).
-    pub lower: String,
+    /// Which aggregate it is (dispatch).
+    pub kind: AggregateKind,
     /// `count(*)` / bare `count()`: counts rows, no argument evaluation.
     pub count_star: bool,
     /// The first argument's program (`None` only for `count_star`).

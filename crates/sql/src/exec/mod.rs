@@ -1,5 +1,7 @@
-//! What the executor runs: compiled expression programs ([`compile`]) and
-//! the batch kernels heap scans drive them through ([`vector`]).
+//! What the executor runs: compiled expression programs ([`compile`]), the
+//! batch kernels heap scans drive them through ([`vector`]) and the sinks
+//! its scans and joins push their rows into (`sink`: the streaming
+//! aggregator, the ORDER BY / Top-N buffer, plain row buffers).
 //!
 //! The plan finalizer compiles every predicate, join key, projection, group
 //! key, aggregate argument and sort key into a [`compile::CompiledExpr`]; an
@@ -10,4 +12,5 @@
 //! bounds) and DML row predicates.
 
 pub mod compile;
+pub(crate) mod sink;
 pub mod vector;

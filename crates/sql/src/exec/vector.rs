@@ -1,12 +1,20 @@
 //! Vectorized batch execution for heap scans.
 //!
-//! A `BatchProgram` is built once per scan from the compiled filter and
-//! projection.  The executor then drives it one *chunk* (≤ [`BATCH_ROWS`]
-//! slots of one storage segment) at a time: the chunk's live slots form a
-//! selection vector, each filter conjunct runs as a tight loop over the
-//! selection directly against the typed column arrays — no row
-//! materialization, no `Value` construction on the common Int/Float paths —
-//! and only the surviving offsets are gathered into output rows.
+//! A `BatchProgram` is built once per scan from the compiled filter, the
+//! source's row layout and (on the single-table fast path) the projection.
+//! The executor then drives it one *chunk* (≤ [`BATCH_ROWS`] slots of one
+//! storage segment) at a time: the chunk's live slots form a selection
+//! vector, each filter conjunct runs as a tight loop over the selection
+//! directly against the typed column arrays — no row materialization, no
+//! `Value` construction on the common Int/Float paths — and only the
+//! surviving offsets are gathered, and only the layout's columns of them.
+//!
+//! Two ordinal spaces meet here.  The **filter** addresses segment columns,
+//! so it is compiled against the table's full storage schema.  The
+//! **layout** maps row ordinals to storage ordinals (`layout[i]` is the
+//! storage column of row cell `i` — the source's scan columns); a
+//! **projection** is compiled against the row, like every program that
+//! runs downstream of the scan.
 //!
 //! # Semantics
 //!
@@ -48,9 +56,9 @@ pub const BATCH_ROWS: usize = 1024;
 
 /// How one output column of the gather stage is produced.
 enum Gather<'a> {
-    /// Direct column fetch — no scratch row needed.
+    /// Direct fetch of a storage column — no scratch row needed.
     Col(usize),
-    /// General program over the materialized scratch row.
+    /// General program over the scratch layout row.
     Eval(&'a CompiledExpr),
 }
 
@@ -162,23 +170,38 @@ pub(crate) struct BatchScratch {
     dict: Vec<Tri>,
 }
 
+impl BatchScratch {
+    /// Segment offsets of the current chunk's accepted rows, ascending —
+    /// parallel to the rows [`BatchProgram::emit_chunk`] appends.
+    pub fn selected(&self) -> &[u32] {
+        &self.sel
+    }
+}
+
 /// A compiled filter + projection specialised for batch execution over one
 /// table's segments.
 pub(crate) struct BatchProgram<'a> {
     conjuncts: Vec<Conjunct<'a>>,
-    gather: Option<Vec<Gather<'a>>>,
-    /// Sorted, deduped ordinals read by the [`Gather::Eval`] projections —
-    /// the only columns the gather stage loads into the scratch row.
+    gather: Vec<Gather<'a>>,
+    /// Row ordinal → storage ordinal.
+    layout: &'a [usize],
+    /// Sorted, deduped **row** ordinals read by the [`Gather::Eval`]
+    /// projections — the only cells the gather stage loads into the
+    /// scratch row.
     eval_cols: Vec<usize>,
     column_types: Vec<DataType>,
 }
 
 impl<'a> BatchProgram<'a> {
-    /// Specialise `filter`/`project` against a table with the given column
-    /// types.  Never fails: shapes without a kernel become scalar-fallback
-    /// conjuncts with identical semantics.
+    /// Specialise `filter` (storage ordinals) and `project` (row ordinals
+    /// over `layout`) against a table with the given column types; with no
+    /// projection the scan emits the layout row itself.  Never fails:
+    /// shapes without a kernel become scalar-fallback conjuncts with
+    /// identical semantics.  Every `layout` entry must be a valid storage
+    /// ordinal (the executor checks before building).
     pub fn build(
         filter: Option<&'a CompiledExpr>,
+        layout: &'a [usize],
         project: Option<&'a [CompiledExpr]>,
         column_types: Vec<DataType>,
     ) -> BatchProgram<'a> {
@@ -192,27 +215,29 @@ impl<'a> BatchProgram<'a> {
                 conjuncts.push(build_conjunct(item, &column_types));
             }
         }
-        let gather: Option<Vec<Gather<'a>>> = project.map(|programs| {
-            programs
+        let gather: Vec<Gather<'a>> = match project {
+            None => layout.iter().map(|&c| Gather::Col(c)).collect(),
+            Some(programs) => programs
                 .iter()
                 .map(|p| match p {
-                    CompiledExpr::Col(i) if *i < column_types.len() => Gather::Col(*i),
+                    CompiledExpr::Col(i) if *i < layout.len() => Gather::Col(layout[*i]),
                     other => Gather::Eval(other),
                 })
-                .collect()
-        });
+                .collect(),
+        };
         let mut eval_cols = Vec::new();
-        for g in gather.iter().flatten() {
+        for g in &gather {
             if let Gather::Eval(p) = g {
                 p.collect_columns(&mut eval_cols);
             }
         }
         eval_cols.sort_unstable();
         eval_cols.dedup();
-        eval_cols.retain(|&c| c < column_types.len());
+        eval_cols.retain(|&c| c < layout.len());
         BatchProgram {
             conjuncts,
             gather,
+            layout,
             eval_cols,
             column_types,
         }
@@ -278,43 +303,25 @@ impl<'a> BatchProgram<'a> {
         ctx: &EvalContext<'_>,
         out: &mut Vec<Vec<Value>>,
     ) -> Result<(), SqlError> {
-        let ncols = self.column_types.len();
-        match &self.gather {
-            None => {
-                for &off in &scratch.sel {
-                    let off = off as usize;
-                    let mut row = Vec::with_capacity(ncols);
-                    for c in 0..ncols {
-                        row.push(seg.value(off, c));
-                    }
-                    out.push(row);
-                }
+        if !self.eval_cols.is_empty() {
+            // Layout-wide (projections address row ordinals) but only the
+            // cells the Eval projections read are loaded per row.
+            scratch.row.clear();
+            scratch.row.resize(self.layout.len(), Value::Null);
+        }
+        for &off in &scratch.sel {
+            let off = off as usize;
+            for &i in &self.eval_cols {
+                scratch.row[i] = seg.value(off, self.layout[i]);
             }
-            Some(gather) => {
-                let needs_scratch = gather.iter().any(|g| matches!(g, Gather::Eval(_)));
-                if needs_scratch {
-                    // Full-width (programs address by ordinal) but only the
-                    // ordinals the Eval projections read are loaded per row.
-                    scratch.row.clear();
-                    scratch.row.resize(ncols, Value::Null);
-                }
-                for &off in &scratch.sel {
-                    let off = off as usize;
-                    if needs_scratch {
-                        for &c in &self.eval_cols {
-                            scratch.row[c] = seg.value(off, c);
-                        }
-                    }
-                    let mut row = Vec::with_capacity(gather.len());
-                    for g in gather {
-                        row.push(match g {
-                            Gather::Col(c) => seg.value(off, *c),
-                            Gather::Eval(p) => p.eval(&scratch.row, ctx)?,
-                        });
-                    }
-                    out.push(row);
-                }
+            let mut row = Vec::with_capacity(self.gather.len());
+            for g in &self.gather {
+                row.push(match g {
+                    Gather::Col(c) => seg.value(off, *c),
+                    Gather::Eval(p) => p.eval(&scratch.row, ctx)?,
+                });
             }
+            out.push(row);
         }
         Ok(())
     }
@@ -955,17 +962,24 @@ mod tests {
             }
             let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
             let schema = RowSchema::for_table(None, &NAMES);
-            let program_of = |expr: &str| {
+            let program_of = |expr: &str, schema: &RowSchema| {
                 let stmt = parse_select(&format!("select * from t where {expr}")).unwrap();
-                compile(&stmt.selection.unwrap(), &schema, &functions).unwrap()
+                compile(&stmt.selection.unwrap(), schema, &functions).unwrap()
             };
             let sql: Vec<String> = (0..rng.gen_range(0..4usize)).map(|_| atom(&mut rng)).collect();
             let sql = sql.join(" and ");
-            let filter = (!sql.is_empty()).then(|| program_of(&sql));
-            let project = (rng.gen_range(0..2usize) == 0)
-                .then(|| vec![CompiledExpr::Col(3), program_of("a + 1"), CompiledExpr::Col(0)]);
+            // The filter addresses storage columns; the row layout is a
+            // subset of them in any order, and the projection addresses it.
+            let filter = (!sql.is_empty()).then(|| program_of(&sql, &schema));
+            let layout: Vec<usize> = [vec![], vec![3], vec![0, 1, 3], vec![5, 3, 1, 0], (0..6).collect()]
+                [rng.gen_range(0..5usize)].clone();
+            let names: Vec<&str> = layout.iter().map(|&c| NAMES[c]).collect();
+            let row_schema = RowSchema::for_table(None, &names);
+            let project = (layout.len() >= 3 && rng.gen_range(0..2usize) == 0).then(|| {
+                vec![CompiledExpr::Col(2), program_of("a + 1", &row_schema), CompiledExpr::Col(0)]
+            });
             let ctx = EvalContext { schema: &schema, variables: &variables, functions: &functions, aggregates: None };
-            let program = BatchProgram::build(filter.as_ref(), project.as_deref(), TYPES.to_vec());
+            let program = BatchProgram::build(filter.as_ref(), &layout, project.as_deref(), TYPES.to_vec());
             let mut scratch = BatchScratch::default();
             for seg in table.segments() {
                 for base in (0..seg.slot_count()).step_by(BATCH_ROWS) {
@@ -982,6 +996,7 @@ mod tests {
                         for off in (base..end).filter(|&off| seg.is_live(off)) {
                             let row: Vec<Value> = (0..TYPES.len()).map(|c| seg.value(off, c)).collect();
                             if match &filter { Some(f) => f.eval(&row, &ctx)?.is_truthy(), None => true } {
+                                let row: Vec<Value> = layout.iter().map(|&c| row[c].clone()).collect();
                                 rows.push(match &project {
                                     Some(ps) => ps.iter().map(|p| p.eval(&row, &ctx)).collect::<Result<_, _>>()?,
                                     None => row,

@@ -1,37 +1,64 @@
 //! Plan execution.
 //!
-//! A Volcano-style pipeline specialised to the left-deep plans the planner
-//! produces: materialise the driving source, fold in each join step
-//! (index-lookup / hash / nested-loop), apply the residual filter, then
-//! aggregate / sort / dedupe / limit and project.  Scans the optimizer's
+//! A push pipeline specialised to the left-deep plans the planner produces:
+//! the driving source feeds each join step (index-lookup / hash /
+//! nested-loop) in turn, and the **last** FROM step pushes its rows — one at
+//! a time, through the residual filter — into the statement's sink
+//! ([`crate::exec`]'s `sink` module): the streaming hash aggregator, the
+//! ORDER BY buffer (a bounded heap when TOP or the row budget bounds it) or
+//! the plain projection.  Only what a later step reads again is buffered:
+//! the outer side of the next join and the build side of a hash or
+//! nested-loop join.  Scans the optimizer's
 //! parallel-scan rule marked [`AccessPath::ParallelHeapScan`] fan out over
-//! scoped worker threads, mirroring the paper's parallel sequential scans;
-//! scans granted a limit hint stop reading early.  When a
-//! [`QueryMonitor`] is attached, every scan and join loop reports progress
-//! and honours cancellation/pacing at [`MONITOR_BATCH`]-row granularity.
+//! scoped worker threads, mirroring the paper's parallel sequential scans
+//! (aggregating plans keep a partial aggregator per worker and merge them);
+//! scans granted a limit hint stop reading early.  When a [`QueryMonitor`]
+//! is attached, every scan and join loop reports progress and honours
+//! cancellation/pacing at [`MONITOR_BATCH`]-row granularity.
 //!
-//! Every per-row expression is a compiled program: the planner finalizer
-//! attaches a complete [`CompiledPrograms`] (ordinal-resolved,
-//! constant-folded — see [`crate::exec::compile`]) to the plan, heap scans
-//! run their filter and projection through the batch kernels of
-//! [`crate::exec::vector`], and every other loop here (index paths, joins,
-//! residuals, aggregates, sort keys) calls [`CompiledExpr::eval`].  The AST
-//! interpreter evaluates only the once-per-statement expressions: table
-//! function arguments and index seek bounds.  Scans practice **late
-//! materialization**: the filter runs on the column arrays *before* any
-//! copy, and single-table plans without joins/sort/aggregation project
-//! straight into the output row, so a rejected row is never cloned at all.
+//! # One runtime row layout
+//!
+//! A base-table source materializes exactly its
+//! [`SourcePlan::scan_columns`] — the columns the statement references on
+//! that alias — on every access path: heap scans gather those columns of
+//! the surviving slots, index seeks and index-lookup probes gather them by
+//! row id ([`skyserver_storage::Table::gather_into`]), covering scans pick
+//! them out of the index entry.  A join output is the concatenation of its
+//! sides' layouts.  `select count(*)` therefore moves zero-width rows and
+//! a three-way join over the 54-column catalog moves the handful of cells
+//! it names.  The planner compiles every program that runs on a
+//! materialized row against the same layouts
+//! ([`crate::planner::source_layout`]); only the pushed predicate of a
+//! heap-scanned source lives in storage-ordinal space, because the batch
+//! kernels of [`crate::exec::vector`] evaluate it over segment columns
+//! before any cell is copied.
+//!
+//! Every per-row expression is a compiled program ([`CompiledExpr::eval`]);
+//! the AST interpreter evaluates only the once-per-statement expressions:
+//! table function arguments and index seek bounds.  Single-table plans
+//! without joins/sort/aggregation evaluate their projection inside the scan,
+//! straight into the output row.
+//!
+//! The memory budget is charged for what is *retained* — buffered join
+//! inputs, hash tables, group states, sort entries, output rows — and
+//! credited back when a buffer is dropped, so [`QueryMonitor::peak_bytes`]
+//! is the statement's real high-water mark.
 
 use crate::ast::JoinKind;
 use crate::error::SqlError;
-use crate::exec::compile::{CompiledExpr, CompiledPrograms, SortKey};
+use crate::exec::compile::{CompiledExpr, CompiledPrograms};
+use crate::exec::sink::{
+    cells_bytes, eval_into, row_charge, rows_charge, tighter, Aggregator, Output, Sink, Stage,
+};
 use crate::exec::vector::{BatchProgram, BatchScratch, BATCH_ROWS};
 use crate::expr::{eval as eval_constant, EvalContext, RowSchema};
 use crate::functions::FunctionRegistry;
 use crate::monitor::{QueryMonitor, MONITOR_BATCH};
-use crate::plan::{AccessPath, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
+use crate::plan::{AccessPath, JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
 use crate::result::ResultSet;
-use skyserver_storage::{DataType, Database, IndexKey, ScanStats, Value, SEGMENT_ROWS};
+use skyserver_storage::{
+    BTreeIndex, DataType, Database, IndexKey, RowId, ScanStats, Table, Value, SEGMENT_ROWS,
+};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
@@ -45,9 +72,9 @@ pub struct QueryLimits {
     pub max_rows: Option<usize>,
     /// Wall-clock computation budget in seconds.
     pub max_seconds: Option<f64>,
-    /// Memory budget in bytes over every materialization point (scan
-    /// output, hash-join builds and outputs, GROUP BY/DISTINCT tables,
-    /// sort keys, projections).  Crossing it raises
+    /// Memory budget in bytes over everything the statement retains at
+    /// once (buffered join inputs, hash-join builds, group states, sort
+    /// entries, output rows).  Crossing it raises
     /// [`SqlError::ResourceExhausted`].
     pub max_bytes: Option<u64>,
 }
@@ -68,52 +95,30 @@ impl QueryLimits {
     };
 }
 
-/// Fixed per-row overhead charged against the memory budget on top of the
-/// cell payloads: the `Vec` header plus allocator slack.
-const ROW_MEM_OVERHEAD: u64 = 32;
-
-/// Per-cell overhead: the `Value` enum discriminant + inline storage that
-/// exists regardless of payload size.
-const VALUE_MEM_OVERHEAD: u64 = 16;
-
-/// Approximate heap footprint of one materialized row.
-fn row_charge(row: &[Value]) -> u64 {
-    ROW_MEM_OVERHEAD
-        + row
-            .iter()
-            .map(|v| v.byte_size() as u64 + VALUE_MEM_OVERHEAD)
-            .sum::<u64>()
+/// What a base-table scan hands its sink per surviving row.
+#[derive(Clone, Copy)]
+enum Emit<'a> {
+    /// The source's layout row (its scan columns).
+    Row,
+    /// The layout row plus one trailing cell holding the row's [`RowId`] —
+    /// the DML victim search.  No program addresses the extra cell.
+    RowAndId,
+    /// The statement's projection, evaluated inside the scan: the
+    /// single-table fast path, where a rejected row is never copied and a
+    /// surviving one is copied once, into its output shape.
+    Project(&'a [CompiledExpr]),
 }
 
-/// [`row_charge`] over a slice of rows.
-fn rows_charge(rows: &[Vec<Value>]) -> u64 {
-    rows.iter().map(|r| row_charge(r)).sum()
-}
-
-/// Evaluate every program of `keys` over `row` into `out`.
-#[inline]
-fn eval_into(
-    keys: &[CompiledExpr],
-    row: &[Value],
-    ctx: &EvalContext<'_>,
-    out: &mut Vec<Value>,
-) -> Result<(), SqlError> {
-    for k in keys {
-        out.push(k.eval(row, ctx)?);
-    }
-    Ok(())
-}
-
-/// Programs a scan applies while streaming borrowed rows: the pushed filter
-/// and, on the late-materialization fast path, the output projection that
-/// replaces whole-row cloning.
+/// Programs a scan applies to one source.
 #[derive(Clone, Copy)]
 struct ScanPrograms<'a> {
+    /// The pushed predicate: in storage ordinals for the heap-scan kernels,
+    /// in row ordinals on every other path (see
+    /// [`SourcePlan::filters_on_segments`]).
     filter: Option<&'a CompiledExpr>,
-    project: Option<&'a [CompiledExpr]>,
-    /// Stop accumulating output rows at this count (merged with the
-    /// planner's `limit_hint`).  Set from `max_rows + 1` for plans with no
-    /// downstream row-reducing or row-reordering operators, so the row
+    emit: Emit<'a>,
+    /// Stop after producing this many rows (merged with the planner's
+    /// `limit_hint`).  Set from `max_rows + 1` on the fast path, so the row
     /// budget bounds memory during the scan instead of trimming a fully
     /// materialized result; the extra row keeps `truncated` detectable.
     row_cap: Option<u64>,
@@ -126,88 +131,6 @@ struct JoinPrograms<'a> {
     outer_key: Option<&'a CompiledExpr>,
     hash_keys: Option<&'a (Vec<CompiledExpr>, Vec<CompiledExpr>)>,
     residual: Option<&'a CompiledExpr>,
-}
-
-/// The full heap schema of a base table, qualified by its alias — what
-/// heap/parallel/seek scans materialize rows with, and what the inner side
-/// of an index-lookup join uses (it fetches whole heap rows by RowId
-/// regardless of the source's planned access path).
-///
-/// This is THE definition of the runtime row layout: the planner's program
-/// compiler resolves ordinals through these same functions, so the executor
-/// and the compiled programs cannot drift apart.
-pub(crate) fn heap_schema(db: &Database, alias: &str, table: &str) -> Result<RowSchema, SqlError> {
-    let t = db.table(table)?;
-    Ok(RowSchema::for_table(
-        Some(alias),
-        &t.schema().column_names(),
-    ))
-}
-
-/// The schema a table scan materializes rows with for a given access path:
-/// covering scans produce the covered column subset, everything else the
-/// full heap schema.  Shared with the planner's program compiler (see
-/// [`heap_schema`]).
-pub(crate) fn scan_schema(
-    db: &Database,
-    alias: &str,
-    table: &str,
-    path: &AccessPath,
-) -> Result<RowSchema, SqlError> {
-    match path {
-        AccessPath::CoveringIndexScan { index } => {
-            let idx = db
-                .index(table, index)
-                .ok_or_else(|| SqlError::Plan(format!("index {index} disappeared")))?;
-            let covered: Vec<&str> = idx.def().covered_columns();
-            Ok(RowSchema::for_table(Some(alias), &covered))
-        }
-        _ => heap_schema(db, alias, table),
-    }
-}
-
-/// What one heap scan (or one parallel-scan partition) produced: the
-/// surviving rows plus the counters to fold into the query's [`ScanStats`].
-#[derive(Default)]
-struct HeapScanOutcome {
-    rows: Vec<Vec<Value>>,
-    /// Live rows visited in non-pruned segments.
-    scanned: u64,
-    /// Rows the pushed predicate was evaluated over.
-    evaluated: u64,
-    /// Segments skipped entirely by zone-map pruning.
-    pruned: u64,
-    /// Row chunks processed (each ≤ [`BATCH_ROWS`] slots).
-    batches: u64,
-    /// Bytes of the visited rows' scanned columns.
-    bytes: u64,
-    /// Full-row-equivalent bytes of the visited rows (all columns), for
-    /// the row-store simulation.
-    logical_bytes: u64,
-}
-
-impl HeapScanOutcome {
-    fn merge_into(&self, stats: &mut ScanStats) {
-        stats.rows_scanned += self.scanned;
-        stats.predicates_evaluated += self.evaluated;
-        stats.segments_pruned += self.pruned;
-        stats.batches_processed += self.batches;
-        stats.bytes_scanned += self.bytes;
-        stats.logical_bytes_scanned += self.logical_bytes;
-    }
-}
-
-/// Bytes of the columns a row-id gather actually touched: the planner's
-/// scan-column set when known, the whole row otherwise.
-fn gathered_bytes(row: &[Value], scan_columns: Option<&[usize]>) -> u64 {
-    match scan_columns {
-        Some(cols) => cols
-            .iter()
-            .filter_map(|&c| row.get(c))
-            .map(|v| v.byte_size() as u64)
-            .sum(),
-        None => row.iter().map(|v| v.byte_size() as u64).sum(),
-    }
 }
 
 fn source_program(p: &CompiledPrograms, index: usize) -> Option<&CompiledExpr> {
@@ -223,10 +146,40 @@ fn join_programs(p: &CompiledPrograms, index: usize) -> JoinPrograms<'_> {
     }
 }
 
-/// The error for a plan whose strategy needs a program the finalizer did
-/// not attach — the plan verifier rejects such plans before execution.
+/// The error for a plan whose strategy needs a program or annotation the
+/// finalizer did not attach — the plan verifier rejects such plans before
+/// execution.
 fn missing_program(what: &str) -> SqlError {
     SqlError::Plan(format!("plan carries no compiled {what}"))
+}
+
+fn index_of<'d>(db: &'d Database, table: &str, index: &str) -> Result<&'d BTreeIndex, SqlError> {
+    db.index(table, index)
+        .ok_or_else(|| SqlError::Plan(format!("index {index} disappeared")))
+}
+
+/// Index traffic is charged per entry at the index's own average entry
+/// size; the gathered heap cells are charged to `bytes_scanned` at their
+/// actual widths.
+fn entry_bytes(idx: &BTreeIndex) -> u64 {
+    if idx.is_empty() {
+        1
+    } else {
+        (idx.bytes() / idx.len() as u64).max(1)
+    }
+}
+
+/// Start the next combined row of a join in `scratch`: keep the outer
+/// prefix when it is still there, re-clone it when the sink took the buffer
+/// (or this is the outer row's first match).  Callers clear `scratch` when
+/// they move to a new outer row.
+fn outer_prefix(scratch: &mut Vec<Value>, outer_row: &[Value]) {
+    if scratch.len() < outer_row.len() {
+        scratch.clear();
+        scratch.extend(outer_row.iter().cloned());
+    } else {
+        scratch.truncate(outer_row.len());
+    }
 }
 
 /// Executes SELECT plans.
@@ -244,10 +197,13 @@ pub struct Executor<'a> {
     /// [`MONITOR_BATCH`] rows or probes.  `None` costs nothing on the hot
     /// path beyond a local counter increment.
     monitor: Option<&'a QueryMonitor>,
-    /// Bytes of materialized state charged so far — shared atomically
-    /// across parallel-scan workers and derived-plan recursion so the
-    /// `max_bytes` budget covers the whole statement.
+    /// Bytes of retained state charged and not yet credited back — shared
+    /// atomically across parallel-scan workers and derived-plan recursion
+    /// so the `max_bytes` budget covers the whole statement.
     mem_used: AtomicU64,
+    /// What [`EvalContext::schema`] points at: programs carry ordinals, so
+    /// no runtime schema is ever consulted.
+    no_schema: RowSchema,
 }
 
 impl Drop for Executor<'_> {
@@ -285,14 +241,15 @@ impl<'a> Executor<'a> {
             started: Instant::now(),
             monitor: None,
             mem_used: AtomicU64::new(0),
+            no_schema: RowSchema::default(),
         }
     }
 
-    /// Charge `bytes` of newly materialized state against the memory
-    /// budget.  Reports to the attached monitor's gauge and raises
+    /// Charge `bytes` of newly retained state against the memory budget.
+    /// Reports to the attached monitor's gauge and raises
     /// [`SqlError::ResourceExhausted`] once `max_bytes` is crossed — the
     /// governor's alternative to an OOM kill.
-    fn charge_mem(&self, bytes: u64) -> Result<(), SqlError> {
+    pub(crate) fn charge_mem(&self, bytes: u64) -> Result<(), SqlError> {
         if bytes == 0 {
             return Ok(());
         }
@@ -308,6 +265,23 @@ impl<'a> Executor<'a> {
             }
         }
         Ok(())
+    }
+
+    /// Credit back `bytes` charged for state that has just been dropped (a
+    /// consumed join input, an evicted Top-N entry).
+    pub(crate) fn release_mem(&self, bytes: u64) {
+        if bytes == 0 {
+            return;
+        }
+        // Saturating, like the monitor's gauge.
+        let _ = self
+            .mem_used
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| {
+                Some(v.saturating_sub(bytes))
+            });
+        if let Some(monitor) = self.monitor {
+            monitor.release_bytes(bytes);
+        }
     }
 
     /// Attach a [`QueryMonitor`]: the executor reports progress to it and
@@ -346,7 +320,7 @@ impl<'a> Executor<'a> {
     /// checks the time budget and the monitor's cancellation/pacing at
     /// batch granularity without inflating the progress counter.
     #[inline]
-    fn tick_quiet(&self, pending: &mut u64) -> Result<(), SqlError> {
+    pub(crate) fn tick_quiet(&self, pending: &mut u64) -> Result<(), SqlError> {
         *pending += 1;
         if *pending >= MONITOR_BATCH {
             *pending = 0;
@@ -413,181 +387,142 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    fn ctx<'b>(&'b self, schema: &'b RowSchema) -> EvalContext<'b> {
+    pub(crate) fn ctx(&self) -> EvalContext<'_> {
         EvalContext {
-            schema,
+            schema: &self.no_schema,
             variables: self.variables,
             functions: self.functions,
             aggregates: None,
         }
     }
 
-    /// Produce one output row from a borrowed storage row: either evaluate
-    /// the compiled projection straight into the output (fast path) or
-    /// materialise the row as-is.
-    #[inline]
-    fn emit(
-        &self,
-        row: &[Value],
-        project: Option<&[CompiledExpr]>,
-        ctx: &EvalContext<'_>,
-    ) -> Result<Vec<Value>, SqlError> {
-        match project {
-            Some(programs) => {
-                let mut out = Vec::with_capacity(programs.len());
-                eval_into(programs, row, ctx, &mut out)?;
-                Ok(out)
-            }
-            None => Ok(row.to_vec()),
-        }
-    }
-
-    /// The row count at which this plan's driving scan may stop
-    /// accumulating: `max_rows + 1` when no downstream operator (join,
-    /// residual, aggregate, ORDER BY, DISTINCT) can reduce or reorder
-    /// rows, `None` otherwise.  The extra row is what lets [`Self::finish`]
-    /// still detect and flag truncation.
-    fn accumulation_cap(&self, plan: &SelectPlan) -> Option<u64> {
-        let eligible = plan.joins.is_empty()
-            && plan.residual.is_none()
-            && !plan.has_aggregates
-            && plan.group_by.is_empty()
-            && plan.order_by.is_empty()
-            && !plan.distinct
-            && plan.sources.len() == 1;
-        if !eligible {
-            return None;
-        }
-        self.limits.max_rows.map(|m| m as u64 + 1)
-    }
-
     /// Execute a SELECT plan to completion.
     pub fn execute_select(&self, plan: &SelectPlan) -> Result<ExecutedSelect, SqlError> {
         let mut stats = ScanStats::default();
         let programs = &plan.programs;
+        let aggregating = plan.has_aggregates || !plan.group_by.is_empty();
         // ------------------------------------------------------------------
-        // Late-materialization fast path: a single base-table source with no
-        // joins, residual, aggregation or sort.  The filter runs on the
-        // borrowed storage row and survivors are projected directly into
-        // the output — rejected rows are never copied, and TOP-n stops the
-        // scan without materialising anything extra.
+        // Fast path: a single base-table source with no joins, residual,
+        // aggregation or sort projects inside the scan, straight into the
+        // output row, and the row budget stops the scan (`max_rows + 1`, so
+        // truncation stays detectable) unless DISTINCT dedupes afterwards.
         // ------------------------------------------------------------------
-        let streamable = plan.joins.is_empty()
+        let direct = plan.joins.is_empty()
             && plan.residual.is_none()
-            && !plan.has_aggregates
-            && plan.group_by.is_empty()
+            && !aggregating
             && plan.order_by.is_empty()
             && plan.sources.len() == 1
             && matches!(plan.sources[0].kind, SourceKind::Table { .. });
-        if streamable {
-            let scan = ScanPrograms {
-                filter: source_program(programs, 0),
-                project: Some(&programs.projections),
-                row_cap: self.accumulation_cap(plan),
-            };
-            let (rows, _schema) = self.execute_source(&plan.sources[0], scan, &mut stats)?;
-            self.check_time()?;
-            return Ok(self.finish(plan, rows, stats));
-        }
-        // ------------------------------------------------------------------
-        // FROM pipeline.
-        // ------------------------------------------------------------------
-        let (mut rows, mut schema) = if plan.sources.is_empty() {
-            (vec![Vec::new()], RowSchema::default())
+        let (emit, row_cap, stage) = if direct {
+            let cap = self.limits.max_rows.filter(|_| !plan.distinct);
+            (
+                Emit::Project(&programs.projections),
+                cap.map(|m| m as u64 + 1),
+                Stage::rows(),
+            )
+        } else if aggregating {
+            (Emit::Row, None, Stage::Groups(Aggregator::new(programs)))
         } else {
-            let scan = ScanPrograms {
-                filter: source_program(programs, 0),
-                project: None,
-                row_cap: self.accumulation_cap(plan),
-            };
-            self.execute_source(&plan.sources[0], scan, &mut stats)?
+            (
+                Emit::Row,
+                None,
+                Stage::Output(Output::new(plan, &self.limits)),
+            )
         };
-        for (i, step) in plan.joins.iter().enumerate() {
+        let mut sink = Sink::new(programs.residual.as_ref(), stage);
+        let scan = ScanPrograms {
+            filter: source_program(programs, 0),
+            emit,
+            row_cap,
+        };
+        self.run_from(plan, scan, &mut sink, &mut stats)?;
+        self.check_time()?;
+        stats.predicates_evaluated += sink.residual_evals;
+        let rows = match sink.stage {
+            Stage::Rows { rows, .. } => rows,
+            Stage::Output(output) => output.finish(),
+            Stage::Groups(aggregator) => {
+                let width = plan.sources.iter().map(SourcePlan::runtime_width).sum();
+                let mut output = Output::new(plan, &self.limits);
+                aggregator.finish(self, width, &mut output)?;
+                output.finish()
+            }
+        };
+        Ok(self.finish(plan, rows, stats))
+    }
+
+    /// The RowIds, ascending, of the rows of `plan`'s single base-table
+    /// source that pass its WHERE — the victim search of UPDATE and DELETE.
+    /// Runs the planned access path and the residual, nothing above them.
+    pub fn matching_row_ids(&self, plan: &SelectPlan) -> Result<(Vec<RowId>, ScanStats), SqlError> {
+        let single_table = plan.joins.is_empty()
+            && matches!(plan.sources.as_slice(), [s] if matches!(s.kind, SourceKind::Table { .. }));
+        if !single_table {
+            return Err(SqlError::Plan(
+                "row-id search needs a single base-table source".into(),
+            ));
+        }
+        let mut stats = ScanStats::default();
+        let mut sink = Sink::new(plan.programs.residual.as_ref(), Stage::rows());
+        let scan = ScanPrograms {
+            filter: source_program(&plan.programs, 0),
+            emit: Emit::RowAndId,
+            row_cap: None,
+        };
+        self.run_from(plan, scan, &mut sink, &mut stats)?;
+        stats.predicates_evaluated += sink.residual_evals;
+        let mut ids: Vec<RowId> = sink
+            .buffered()
+            .iter()
+            .filter_map(|row| row.last().and_then(Value::as_i64))
+            .map(|id| id as RowId)
+            .collect();
+        ids.sort_unstable();
+        Ok((ids, stats))
+    }
+
+    /// The FROM pipeline: the driving source, then each join step; the last
+    /// step pushes into `sink`, every earlier one into the buffer the next
+    /// join reads (and drops).
+    fn run_from<'p>(
+        &self,
+        plan: &'p SelectPlan,
+        scan: ScanPrograms<'_>,
+        sink: &mut Sink<'p>,
+        stats: &mut ScanStats,
+    ) -> Result<(), SqlError> {
+        let Some(driver) = plan.sources.first() else {
+            // A FROM-less select evaluates over one empty row.
+            return sink.push(self, &mut Vec::new());
+        };
+        let last = plan.joins.len();
+        let mut outer = Sink::rows();
+        let target = if last == 0 { &mut *sink } else { &mut outer };
+        self.execute_source(driver, scan, target, stats)?;
+        let mut outer_width = driver.runtime_width();
+        for (i, (step, inner)) in plan.joins.iter().zip(&plan.sources[1..]).enumerate() {
             self.check_time()?;
-            let inner = &plan.sources[i + 1];
-            let (joined_rows, joined_schema) = self.execute_join(
-                rows,
-                &schema,
+            let mut joined = Sink::rows();
+            let target = if i + 1 == last {
+                &mut *sink
+            } else {
+                &mut joined
+            };
+            let join = join_programs(&plan.programs, i);
+            self.execute_join(
+                outer.buffered(),
+                outer_width,
                 inner,
                 step,
-                join_programs(programs, i),
-                &mut stats,
+                join,
+                target,
+                stats,
             )?;
-            rows = joined_rows;
-            schema = joined_schema;
+            outer.release(self);
+            outer = joined;
+            outer_width += inner.runtime_width();
         }
-        // ------------------------------------------------------------------
-        // Residual filter.
-        // ------------------------------------------------------------------
-        if let Some(filter) = &programs.residual {
-            let ctx = self.ctx(&schema);
-            let mut kept = Vec::with_capacity(rows.len());
-            let mut pending = 0u64;
-            for row in rows {
-                // Quiet: these rows were already counted by the scans and
-                // joins that produced them; only check cancel/time/pace.
-                self.tick_quiet(&mut pending)?;
-                stats.predicates_evaluated += 1;
-                if filter.eval(&row, &ctx)?.is_truthy() {
-                    kept.push(row);
-                }
-            }
-            rows = kept;
-        }
-        self.check_time()?;
-        // ------------------------------------------------------------------
-        // Aggregation or plain projection.
-        // ------------------------------------------------------------------
-        let mut projected: Vec<(Vec<Value>, Vec<Value>)> =
-            if plan.has_aggregates || !plan.group_by.is_empty() {
-                self.aggregate(plan, &schema, rows)?
-            } else {
-                let ctx = self.ctx(&schema);
-                let mut out = Vec::with_capacity(rows.len());
-                for row in rows {
-                    let mut proj = Vec::with_capacity(programs.projections.len());
-                    eval_into(&programs.projections, &row, &ctx, &mut proj)?;
-                    // The projected row doubles the materialized state
-                    // while both copies are alive.
-                    self.charge_mem(row_charge(&proj))?;
-                    out.push((row, proj));
-                }
-                out
-            };
-        // ------------------------------------------------------------------
-        // ORDER BY.
-        // ------------------------------------------------------------------
-        if !plan.order_by.is_empty() {
-            let ctx = self.ctx(&schema);
-            // (sort keys, (input row, projected row))
-            type KeyedRow = (Vec<Value>, (Vec<Value>, Vec<Value>));
-            let mut keyed: Vec<KeyedRow> = Vec::with_capacity(projected.len());
-            for (row, proj) in projected {
-                let mut keys = Vec::with_capacity(programs.order_by.len());
-                for sk in &programs.order_by {
-                    keys.push(match sk {
-                        SortKey::Output(idx) => proj[*idx].clone(),
-                        SortKey::Input(program) => program.eval(&row, &ctx)?,
-                    });
-                }
-                // Sort keys are the sort buffer's own footprint.
-                self.charge_mem(row_charge(&keys))?;
-                keyed.push((keys, (row, proj)));
-            }
-            keyed.sort_by(|a, b| {
-                for (i, item) in plan.order_by.iter().enumerate() {
-                    let ord = a.0[i].total_cmp(&b.0[i]);
-                    let ord = if item.ascending { ord } else { ord.reverse() };
-                    if ord != std::cmp::Ordering::Equal {
-                        return ord;
-                    }
-                }
-                std::cmp::Ordering::Equal
-            });
-            projected = keyed.into_iter().map(|(_, rp)| rp).collect();
-        }
-        let final_rows: Vec<Vec<Value>> = projected.into_iter().map(|(_, p)| p).collect();
-        Ok(self.finish(plan, final_rows, stats))
+        Ok(())
     }
 
     /// The shared tail of every SELECT: DISTINCT, TOP, the row-budget
@@ -640,56 +575,83 @@ impl<'a> Executor<'a> {
         &self,
         source: &SourcePlan,
         scan: ScanPrograms<'_>,
+        sink: &mut Sink<'_>,
         stats: &mut ScanStats,
-    ) -> Result<(Vec<Vec<Value>>, RowSchema), SqlError> {
+    ) -> Result<(), SqlError> {
         match &source.kind {
-            SourceKind::Table { table, path } => self.scan_table(table, path, source, scan, stats),
+            SourceKind::Table { table, path } => {
+                self.scan_table(table, path, source, scan, sink, stats)
+            }
             SourceKind::TableFunction { name, args } => {
                 let tf = self
                     .functions
                     .table(name)
                     .ok_or_else(|| SqlError::UnknownFunction(name.clone()))?;
-                let empty_schema = RowSchema::default();
-                let ctx = self.ctx(&empty_schema);
+                let ctx = self.ctx();
                 let arg_values: Vec<Value> = args
                     .iter()
                     .map(|a| eval_constant(a, &[], &ctx))
                     .collect::<Result<_, _>>()?;
                 let result = (tf.func)(self.db, &arg_values)?;
-                // Apply any pushed predicate over the TVF output.
-                let rows = self.filter_rows(result.rows, scan.filter, &source.schema)?;
-                self.charge_mem(rows_charge(&rows))?;
-                stats.rows_returned += rows.len() as u64;
-                Ok((rows, source.schema.clone()))
+                // The function's result set must fit the budget as it
+                // arrives (and shows in the peak); from here on its rows
+                // belong to the pipeline, which charges the ones it keeps.
+                let held = rows_charge(&result.rows);
+                self.charge_mem(held)?;
+                self.release_mem(held);
+                stats.rows_returned += self.push_filtered(result.rows, scan.filter, sink)?;
+                Ok(())
             }
             SourceKind::Derived { plan } => {
                 let executed = self.execute_select(plan)?;
                 stats.merge(&executed.stats);
-                let rows = self.filter_rows(executed.result.rows, scan.filter, &source.schema)?;
-                Ok((rows, source.schema.clone()))
+                self.push_filtered(executed.result.rows, scan.filter, sink)?;
+                Ok(())
             }
         }
     }
 
-    /// Keep the materialized rows of a table function or derived table
-    /// that pass the predicate pushed onto it.
-    fn filter_rows(
+    /// Push the materialized rows of a table function or derived table that
+    /// pass the predicate pushed onto it; returns how many did.
+    fn push_filtered(
         &self,
         rows: Vec<Vec<Value>>,
         filter: Option<&CompiledExpr>,
-        schema: &RowSchema,
-    ) -> Result<Vec<Vec<Value>>, SqlError> {
-        let Some(filter) = filter else {
-            return Ok(rows);
-        };
-        let ctx = self.ctx(schema);
-        let mut kept = Vec::with_capacity(rows.len());
-        for row in rows {
-            if filter.eval(&row, &ctx)?.is_truthy() {
-                kept.push(row);
+        sink: &mut Sink<'_>,
+    ) -> Result<u64, SqlError> {
+        let ctx = self.ctx();
+        let mut passed = 0;
+        for mut row in rows {
+            if let Some(filter) = filter {
+                if !filter.eval(&row, &ctx)?.is_truthy() {
+                    continue;
+                }
+            }
+            passed += 1;
+            sink.push(self, &mut row)?;
+        }
+        Ok(passed)
+    }
+
+    /// Hand one surviving row of a row-at-a-time access path (`row` holds
+    /// the source's layout) to the sink in the shape `emit` asks for.
+    fn emit(
+        &self,
+        row: &mut Vec<Value>,
+        row_id: RowId,
+        emit: Emit<'_>,
+        sink: &mut Sink<'_>,
+    ) -> Result<(), SqlError> {
+        match emit {
+            Emit::Row => {}
+            Emit::RowAndId => row.push(Value::Int(row_id as i64)),
+            Emit::Project(programs) => {
+                let mut out = Vec::with_capacity(programs.len());
+                eval_into(programs, row, &self.ctx(), &mut out)?;
+                return sink.push(self, &mut out);
             }
         }
-        Ok(kept)
+        sink.push(self, row)
     }
 
     fn scan_table(
@@ -698,57 +660,32 @@ impl<'a> Executor<'a> {
         path: &AccessPath,
         source: &SourcePlan,
         scan: ScanPrograms<'_>,
+        sink: &mut Sink<'_>,
         stats: &mut ScanStats,
-    ) -> Result<(Vec<Vec<Value>>, RowSchema), SqlError> {
+    ) -> Result<(), SqlError> {
         let t = self.db.table(table)?;
-        let full_schema = heap_schema(self.db, &source.alias, table)?;
-        // The planner's TOP-derived hint and the governor's accumulation
-        // cap both bound the scan; the tighter one wins.
-        let limit_hint = match (source.limit_hint, scan.row_cap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
+        let layout = self.layout_of(source, t)?;
+        // The planner's TOP-derived hint and the governor's row cap both
+        // bound the scan; the tighter one wins.
+        let limit_hint = tighter(source.limit_hint, scan.row_cap);
+        let ctx = self.ctx();
         match path {
             AccessPath::HeapScan => {
-                let outcome = self.scan_heap_segments(
-                    t,
-                    0,
-                    t.segments().len(),
-                    source,
-                    scan,
-                    &full_schema,
-                    limit_hint,
-                )?;
-                outcome.merge_into(stats);
-                Ok((outcome.rows, full_schema))
+                let segments = t.segments().len();
+                self.scan_heap_segments(
+                    t, 0, segments, source, layout, scan, limit_hint, sink, stats,
+                )
             }
             AccessPath::ParallelHeapScan { workers } => {
-                let rows = self.parallel_heap_scan(
-                    t,
-                    &full_schema,
-                    source,
-                    scan,
-                    *workers,
-                    limit_hint,
-                    stats,
-                )?;
-                Ok((rows, full_schema))
+                self.parallel_heap_scan(t, source, layout, scan, *workers, limit_hint, sink, stats)
             }
             AccessPath::IndexSeek { index, bounds } => {
-                let idx = self
-                    .db
-                    .index(table, index)
-                    .ok_or_else(|| SqlError::Plan(format!("index {index} disappeared")))?;
-                let empty = RowSchema::default();
-                let ctx = self.ctx(&empty);
+                let idx = index_of(self.db, table, index)?;
                 let entries = if let Some(eq) = &bounds.equals {
                     // A prefix seek handles both single-column and composite
                     // indexes whose leading column carries the equality.
                     let key = eval_constant(eq, &[], &ctx)?;
                     idx.seek_prefix(&key)
-                        .into_iter()
-                        .map(|(_, e)| e.row_id)
-                        .collect::<Vec<_>>()
                 } else {
                     let lo = match &bounds.lower {
                         Some((e, _)) => Some(IndexKey(vec![eval_constant(e, &[], &ctx)?])),
@@ -762,109 +699,122 @@ impl<'a> Executor<'a> {
                         None => None,
                     };
                     idx.seek_range(lo.as_ref(), hi.as_ref())
-                        .into_iter()
-                        .map(|(_, e)| e.row_id)
-                        .collect::<Vec<_>>()
                 };
                 stats.index_seeks += 1;
-                // Index traffic is charged per entry at the index's own
-                // entry size; the gathered heap columns are charged to
-                // `bytes_scanned` at their actual widths.
-                let entry_bytes = if !idx.is_empty() {
-                    (idx.bytes() / idx.len() as u64).max(1)
-                } else {
-                    1
-                };
-                let ctx = self.ctx(&full_schema);
-                let mut out = Vec::new();
+                let entry_bytes = entry_bytes(idx);
+                let mut row: Vec<Value> = Vec::with_capacity(layout.len() + 1);
+                let mut produced = 0u64;
                 let mut pending = 0u64;
-                for row_id in entries {
+                for (_, entry) in entries {
                     self.tick(&mut pending)?;
-                    // Gather only the referenced columns (see the join-side
-                    // comment on `get_sparse`): unreferenced cells stay NULL
-                    // and are never read downstream.
-                    let fetched = match source.scan_columns.as_deref() {
-                        Some(cols) => t.get_sparse(row_id, cols),
-                        None => t.get(row_id),
-                    };
-                    let Some(row) = fetched else { continue };
+                    // Late materialization by row id: only the layout's
+                    // cells leave the heap.
+                    row.clear();
+                    if !t.gather_into(entry.row_id, layout, &mut row) {
+                        continue;
+                    }
                     stats.rows_from_index += 1;
                     stats.bytes_from_index += entry_bytes;
-                    stats.bytes_scanned += gathered_bytes(&row, source.scan_columns.as_deref());
+                    stats.bytes_scanned += cells_bytes(&row);
                     if let Some(filter) = scan.filter {
                         stats.predicates_evaluated += 1;
                         if !filter.eval(&row, &ctx)?.is_truthy() {
                             continue;
                         }
                     }
-                    let produced = self.emit(&row, scan.project, &ctx)?;
-                    self.charge_mem(row_charge(&produced))?;
-                    out.push(produced);
-                    if limit_hint.is_some_and(|l| out.len() as u64 >= l) {
+                    self.emit(&mut row, entry.row_id, scan.emit, sink)?;
+                    produced += 1;
+                    if limit_hint.is_some_and(|l| produced >= l) {
                         break;
                     }
                 }
-                self.flush_progress(&mut pending)?;
-                Ok((out, full_schema))
+                self.flush_progress(&mut pending)
             }
             AccessPath::CoveringIndexScan { index } => {
-                let idx = self
-                    .db
-                    .index(table, index)
-                    .ok_or_else(|| SqlError::Plan(format!("index {index} disappeared")))?;
-                let schema = scan_schema(self.db, &source.alias, table, path)?;
-                let ctx = self.ctx(&schema);
-                let entry_bytes = if !idx.is_empty() {
-                    (idx.bytes() / idx.len() as u64).max(1)
-                } else {
-                    1
-                };
-                let mut out = Vec::new();
+                let idx = index_of(self.db, table, index)?;
+                // Where each layout cell sits in an index entry (key columns
+                // first, then the included ones).
+                let covered = idx.def().covered_columns();
+                let columns = t.schema().columns();
+                let positions: Vec<usize> = layout
+                    .iter()
+                    .map(|&c| {
+                        covered
+                            .iter()
+                            .position(|name| name.eq_ignore_ascii_case(&columns[c].name))
+                            .ok_or_else(|| {
+                                SqlError::Plan(format!(
+                                    "index {index} does not cover {}",
+                                    columns[c].name
+                                ))
+                            })
+                    })
+                    .collect::<Result<_, _>>()?;
+                let entry_bytes = entry_bytes(idx);
+                let mut row: Vec<Value> = Vec::with_capacity(layout.len() + 1);
+                let mut produced = 0u64;
                 let mut pending = 0u64;
-                // The covering entry is assembled into a scratch row once
-                // per entry; the filter runs on the scratch before any
-                // further copy is made.
-                let mut scratch: Vec<Value> = Vec::new();
                 for (key, entry) in idx.scan() {
                     self.tick(&mut pending)?;
                     stats.rows_from_index += 1;
                     stats.bytes_from_index += entry_bytes;
-                    scratch.clear();
-                    scratch.extend(key.0.iter().cloned());
-                    scratch.extend(entry.included.iter().cloned());
+                    // The filter runs on the scratch row; only a survivor
+                    // is handed on.
+                    row.clear();
+                    for &p in &positions {
+                        let cell = match p.checked_sub(key.0.len()) {
+                            None => key.0.get(p),
+                            Some(included) => entry.included.get(included),
+                        };
+                        row.push(cell.cloned().unwrap_or(Value::Null));
+                    }
                     if let Some(filter) = scan.filter {
                         stats.predicates_evaluated += 1;
-                        if !filter.eval(&scratch, &ctx)?.is_truthy() {
+                        if !filter.eval(&row, &ctx)?.is_truthy() {
                             continue;
                         }
                     }
-                    let produced = match scan.project {
-                        Some(_) => self.emit(&scratch, scan.project, &ctx)?,
-                        None => std::mem::take(&mut scratch),
-                    };
-                    self.charge_mem(row_charge(&produced))?;
-                    out.push(produced);
-                    if limit_hint.is_some_and(|l| out.len() as u64 >= l) {
+                    self.emit(&mut row, entry.row_id, scan.emit, sink)?;
+                    produced += 1;
+                    if limit_hint.is_some_and(|l| produced >= l) {
                         break;
                     }
                 }
-                self.flush_progress(&mut pending)?;
-                Ok((out, schema))
+                self.flush_progress(&mut pending)
             }
+        }
+    }
+
+    /// The runtime row layout of a base-table source — its scan columns —
+    /// checked against the table's width once, so the gathers below cannot
+    /// address a column that is not there.
+    fn layout_of<'s>(&self, source: &'s SourcePlan, t: &Table) -> Result<&'s [usize], SqlError> {
+        let layout = source
+            .scan_columns
+            .as_deref()
+            .ok_or_else(|| missing_program("scan-column layout"))?;
+        let width = t.schema().columns().len();
+        match layout.iter().find(|&&c| c >= width) {
+            Some(c) => Err(SqlError::Plan(format!(
+                "scan column {c} out of range for {} ({width} columns)",
+                t.name()
+            ))),
+            None => Ok(layout),
         }
     }
 
     #[allow(clippy::too_many_arguments)]
     fn parallel_heap_scan(
         &self,
-        t: &skyserver_storage::Table,
-        schema: &RowSchema,
+        t: &Table,
         source: &SourcePlan,
+        layout: &[usize],
         scan: ScanPrograms<'_>,
         workers: usize,
         limit_hint: Option<u64>,
+        sink: &mut Sink<'_>,
         stats: &mut ScanStats,
-    ) -> Result<Vec<Vec<Value>>, SqlError> {
+    ) -> Result<(), SqlError> {
         let workers = workers
             .min(
                 std::thread::available_parallelism()
@@ -873,12 +823,18 @@ impl<'a> Executor<'a> {
             )
             .max(1);
         // Partitions are segment-aligned, so each worker owns a whole
-        // range of segments and prunes/scans them independently.
+        // range of segments and prunes/scans them independently, feeding
+        // its own partial sink.
         let partitions = t.partition_row_ids(workers);
-        let results: Vec<Result<HeapScanOutcome, SqlError>> = std::thread::scope(|scope| {
+        let mut parts: Vec<_> = partitions
+            .iter()
+            .map(|_| (sink.partial(), ScanStats::default()))
+            .collect();
+        let results: Vec<Result<(), SqlError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = partitions
                 .iter()
-                .map(|&(lo, hi)| {
+                .zip(parts.iter_mut())
+                .map(|(&(lo, hi), (part, counters))| {
                     scope.spawn(move || {
                         let seg_lo = lo / SEGMENT_ROWS;
                         let seg_hi = hi.div_ceil(SEGMENT_ROWS);
@@ -886,7 +842,9 @@ impl<'a> Executor<'a> {
                         // by) the same shared monitor.  Each may stop at the
                         // limit: the merged result still has at least
                         // `limit` rows whenever the table does.
-                        self.scan_heap_segments(t, seg_lo, seg_hi, source, scan, schema, limit_hint)
+                        self.scan_heap_segments(
+                            t, seg_lo, seg_hi, source, layout, scan, limit_hint, part, counters,
+                        )
                     })
                 })
                 .collect();
@@ -896,17 +854,17 @@ impl<'a> Executor<'a> {
                 .map(|h| h.join().expect("scan worker panicked"))
                 .collect()
         });
-        let mut rows = Vec::new();
-        for r in results {
-            let outcome = r?;
-            outcome.merge_into(stats);
-            rows.extend(outcome.rows);
+        for (result, (part, counters)) in results.into_iter().zip(parts) {
+            result?;
+            stats.merge(&counters);
+            sink.merge(self, part)?;
         }
-        Ok(rows)
+        Ok(())
     }
 
     /// Scan the live rows of segments `seg_lo..seg_hi`, applying the pushed
-    /// filter and (on the fast path) the output projection.
+    /// filter and handing the survivors' layout rows (or, on the fast path,
+    /// their projections) to `sink`.
     ///
     /// This is the engine's one heap-scan loop, shared by the serial and
     /// parallel access paths.  Work proceeds segment by segment:
@@ -916,29 +874,37 @@ impl<'a> Executor<'a> {
     ///    whole segment is skipped without touching its rows.
     /// 2. **Chunking** — surviving segments are processed in chunks of
     ///    [`BATCH_ROWS`] slots, each run through the [`BatchProgram`]
-    ///    kernels.  Progress, limit hints and byte accounting are checked at
-    ///    chunk boundaries.
+    ///    kernels and drained into the sink.  Progress, limit hints and byte
+    ///    accounting are checked at chunk boundaries.
     #[allow(clippy::too_many_arguments)]
     fn scan_heap_segments(
         &self,
-        t: &skyserver_storage::Table,
+        t: &Table,
         seg_lo: usize,
         seg_hi: usize,
         source: &SourcePlan,
+        layout: &[usize],
         scan: ScanPrograms<'_>,
-        schema: &RowSchema,
         limit_hint: Option<u64>,
-    ) -> Result<HeapScanOutcome, SqlError> {
-        let ctx = self.ctx(schema);
+        sink: &mut Sink<'_>,
+        stats: &mut ScanStats,
+    ) -> Result<(), SqlError> {
+        let ctx = self.ctx();
         let column_types: Vec<DataType> = t.schema().columns().iter().map(|c| c.ty).collect();
         let ncols = column_types.len();
-        let program = BatchProgram::build(scan.filter, scan.project, column_types);
+        let project = match scan.emit {
+            Emit::Project(programs) => Some(programs),
+            Emit::Row | Emit::RowAndId => None,
+        };
+        let program = BatchProgram::build(scan.filter, layout, project, column_types);
         let mut scratch = BatchScratch::default();
-        let mut outcome = HeapScanOutcome::default();
+        let mut chunk: Vec<Vec<Value>> = Vec::new();
+        let mut produced = 0u64;
         let mut pending = 0u64;
         let segments = t.segments();
         let seg_hi = seg_hi.min(segments.len());
-        'segments: for seg in &segments[seg_lo.min(seg_hi)..seg_hi] {
+        let seg_lo = seg_lo.min(seg_hi);
+        'segments: for (seg_index, seg) in segments.iter().enumerate().take(seg_hi).skip(seg_lo) {
             // Chaos hook: a failed segment read surfaces as a structured
             // storage error, never a lost worker.
             skyserver_storage::failpoints::check("storage.segment_read")
@@ -949,7 +915,7 @@ impl<'a> Executor<'a> {
                     !zc.zone_overlaps(col.zone_min(), col.zone_max())
                 })
             {
-                outcome.pruned += 1;
+                stats.segments_pruned += 1;
                 continue;
             }
             // Charge scanned bytes at this segment's actual per-column
@@ -957,10 +923,7 @@ impl<'a> Executor<'a> {
             // full-row rate feeds the row-store simulation.
             let live = seg.live_rows() as u64;
             let full_bytes: u64 = (0..ncols).map(|c| seg.column(c).bytes()).sum();
-            let col_bytes: u64 = match source.scan_columns.as_deref() {
-                Some(cols) => cols.iter().map(|&c| seg.column(c).bytes()).sum(),
-                None => full_bytes,
-            };
+            let col_bytes: u64 = layout.iter().map(|&c| seg.column(c).bytes()).sum();
             let per_row = |total: u64| {
                 if total > 0 {
                     (total / live.max(1)).max(1)
@@ -974,50 +937,71 @@ impl<'a> Executor<'a> {
             let mut base = 0usize;
             while base < slots {
                 let end = (base + BATCH_ROWS).min(slots);
-                let chunk_start = outcome.rows.len();
                 let visited = program.begin_chunk(seg, base, end, &mut scratch);
                 program.filter_chunk(seg, &mut scratch, &ctx)?;
-                program.emit_chunk(seg, &mut scratch, &ctx, &mut outcome.rows)?;
-                outcome.scanned += visited;
-                outcome.batches += 1;
-                if scan.filter.is_some() {
-                    outcome.evaluated += visited;
-                }
-                outcome.bytes += visited.saturating_mul(bytes_per_row);
-                outcome.logical_bytes += visited.saturating_mul(logical_per_row);
-                // Charge the chunk's surviving rows against the memory
-                // budget (chunk granularity keeps the atomics off the
-                // per-row path).
-                self.charge_mem(rows_charge(&outcome.rows[chunk_start..]))?;
-                self.tick_rows(&mut pending, visited)?;
-                if let Some(l) = limit_hint {
-                    if outcome.rows.len() as u64 >= l {
-                        outcome.rows.truncate(l as usize);
-                        break 'segments;
+                program.emit_chunk(seg, &mut scratch, &ctx, &mut chunk)?;
+                if let Emit::RowAndId = scan.emit {
+                    for (row, &off) in chunk.iter_mut().zip(scratch.selected()) {
+                        row.push(Value::Int((seg_index * SEGMENT_ROWS + off as usize) as i64));
                     }
+                }
+                stats.rows_scanned += visited;
+                stats.batches_processed += 1;
+                if scan.filter.is_some() {
+                    stats.predicates_evaluated += visited;
+                }
+                stats.bytes_scanned += visited.saturating_mul(bytes_per_row);
+                stats.logical_bytes_scanned += visited.saturating_mul(logical_per_row);
+                if let Some(l) = limit_hint {
+                    chunk.truncate(l.saturating_sub(produced) as usize);
+                }
+                produced += chunk.len() as u64;
+                sink.absorb(self, &mut chunk)?;
+                self.tick_rows(&mut pending, visited)?;
+                if limit_hint.is_some_and(|l| produced >= l) {
+                    break 'segments;
                 }
                 base = end;
             }
         }
-        self.flush_progress(&mut pending)?;
-        Ok(outcome)
+        self.flush_progress(&mut pending)
     }
 
     // ----------------------------------------------------------------------
     // Joins
     // ----------------------------------------------------------------------
 
+    /// Join `outer_rows` (each `outer_width` cells — the accumulated layout)
+    /// with `inner`, pushing every combined row into `sink`.  Combined rows
+    /// are assembled in one scratch buffer: the outer prefix is cloned once
+    /// per matching outer row (again only when the sink kept the previous
+    /// row) and a row the residual rejects costs no allocation.
+    #[allow(clippy::too_many_arguments)]
     fn execute_join(
         &self,
-        outer_rows: Vec<Vec<Value>>,
-        outer_schema: &RowSchema,
+        outer_rows: &[Vec<Value>],
+        outer_width: usize,
         inner: &SourcePlan,
-        step: &crate::plan::JoinStep,
+        step: &JoinStep,
         join: JoinPrograms<'_>,
+        sink: &mut Sink<'_>,
         stats: &mut ScanStats,
-    ) -> Result<(Vec<Vec<Value>>, RowSchema), SqlError> {
-        let mut out = Vec::new();
-        match &step.strategy {
+    ) -> Result<(), SqlError> {
+        let ctx = self.ctx();
+        let inner_width = inner.runtime_width();
+        // Hash and nested-loop joins read the inner source once, up front.
+        let mut inner_sink = Sink::rows();
+        if !matches!(step.strategy, JoinStrategy::IndexLookup { .. }) {
+            let inner_scan = ScanPrograms {
+                filter: join.inner_filter,
+                emit: Emit::Row,
+                row_cap: None,
+            };
+            self.execute_source(inner, inner_scan, &mut inner_sink, stats)?;
+        }
+        let inner_rows = inner_sink.buffered();
+        let mut build_bytes = 0u64;
+        let probe = match &step.strategy {
             JoinStrategy::IndexLookup {
                 index,
                 inner_column,
@@ -1029,359 +1013,170 @@ impl<'a> Executor<'a> {
                     ));
                 };
                 let t = self.db.table(table)?;
-                let idx = self
-                    .db
-                    .index(table, index)
-                    .ok_or_else(|| SqlError::Plan(format!("index {index} disappeared")))?;
+                let idx = index_of(self.db, table, index)?;
                 if !idx.def().key_columns[0].eq_ignore_ascii_case(inner_column) {
                     return Err(SqlError::Plan(format!(
                         "index {index} does not lead with {inner_column}"
                     )));
                 }
-                let inner_full_schema = heap_schema(self.db, &inner.alias, table)?;
-                let combined_schema = outer_schema.join(&inner_full_schema);
-                let outer_ctx = self.ctx(outer_schema);
-                let inner_ctx = self.ctx(&inner_full_schema);
-                let combined_ctx = self.ctx(&combined_schema);
-                let key_program = join
-                    .outer_key
-                    .ok_or_else(|| missing_program("index-lookup outer key"))?;
-                let entry_bytes = if !idx.is_empty() {
-                    (idx.bytes() / idx.len() as u64).max(1)
-                } else {
-                    1
-                };
-                let mut pending = 0u64;
-                // Combined rows are assembled in a scratch buffer: the outer
-                // prefix is written once per probe and only surviving rows
-                // are cloned out, so rejected matches cost no allocation.
-                let outer_len = outer_schema.len();
-                let mut scratch: Vec<Value> = Vec::with_capacity(combined_schema.len());
-                for outer_row in &outer_rows {
-                    self.check_time()?;
-                    // One tick per probe, even when it finds no matches —
-                    // otherwise a join full of misses would never observe
-                    // cancellation or pacing.
-                    self.tick(&mut pending)?;
-                    let key = key_program.eval(outer_row, &outer_ctx)?;
-                    stats.index_seeks += 1;
-                    // Prefix seek: composite indexes (run, camcol, field)
-                    // still serve equality probes on their leading column.
-                    let matches = idx.seek_prefix(&key);
-                    let mut matched = false;
-                    let mut primed = false;
-                    for (_, entry) in matches {
-                        self.tick(&mut pending)?;
-                        // Late materialization on the probe side: only the
-                        // columns the statement references on this alias are
-                        // gathered; the rest stay NULL and are provably
-                        // never read (`scan_columns` is the statement-wide
-                        // union for the alias).  `gathered_bytes` charges
-                        // the same referenced cells either way.
-                        let fetched = match inner.scan_columns.as_deref() {
-                            Some(cols) => t.get_sparse(entry.row_id, cols),
-                            None => t.get(entry.row_id),
-                        };
-                        let Some(inner_row) = fetched else {
-                            continue;
-                        };
-                        stats.rows_from_index += 1;
-                        stats.bytes_from_index += entry_bytes;
-                        stats.bytes_scanned +=
-                            gathered_bytes(&inner_row, inner.scan_columns.as_deref());
-                        if let Some(filter) = join.inner_filter {
-                            stats.predicates_evaluated += 1;
-                            if !filter.eval(&inner_row, &inner_ctx)?.is_truthy() {
-                                continue;
-                            }
-                        }
-                        if !primed {
-                            scratch.clear();
-                            scratch.extend(outer_row.iter().cloned());
-                            primed = true;
-                        }
-                        scratch.truncate(outer_len);
-                        scratch.extend(inner_row);
-                        if let Some(residual) = join.residual {
-                            stats.predicates_evaluated += 1;
-                            if !residual.eval(&scratch, &combined_ctx)?.is_truthy() {
-                                continue;
-                            }
-                        }
-                        matched = true;
-                        self.charge_mem(row_charge(&scratch))?;
-                        out.push(scratch.clone());
-                    }
-                    if !matched && step.kind == JoinKind::Left {
-                        let mut combined = outer_row.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, inner_full_schema.len()));
-                        self.charge_mem(row_charge(&combined))?;
-                        out.push(combined);
-                    }
+                Probe::Index {
+                    t,
+                    layout: self.layout_of(inner, t)?,
+                    idx,
+                    entry_bytes: entry_bytes(idx),
+                    key: join
+                        .outer_key
+                        .ok_or_else(|| missing_program("index-lookup outer key"))?,
                 }
-                self.flush_progress(&mut pending)?;
-                // The inner side of an index-lookup join keeps its full heap
-                // schema (all columns).
-                Ok((out, combined_schema))
             }
             JoinStrategy::Hash { .. } => {
-                let inner_scan = ScanPrograms {
-                    filter: join.inner_filter,
-                    project: None,
-                    row_cap: None,
-                };
-                let (inner_rows, inner_schema) = self.execute_source(inner, inner_scan, stats)?;
-                let inner_ctx = self.ctx(&inner_schema);
                 let (probe_keys, build_keys) = join
                     .hash_keys
                     .ok_or_else(|| missing_program("hash-join keys"))?;
                 // Hashed build side: equal keys hash equally across numeric
                 // types (see the `Hash` impl on `Value`), floats key on
                 // their total-order bits.
-                let mut hash: HashMap<Vec<Value>, Vec<usize>> =
+                let mut buckets: HashMap<Vec<Value>, Vec<usize>> =
                     HashMap::with_capacity(inner_rows.len());
                 for (i, row) in inner_rows.iter().enumerate() {
                     let mut key = Vec::with_capacity(build_keys.len());
-                    eval_into(build_keys, row, &inner_ctx, &mut key)?;
+                    eval_into(build_keys, row, &ctx, &mut key)?;
                     if key.iter().any(Value::is_null) {
                         continue;
                     }
-                    // The build table's keys are new memory (the rows
-                    // themselves were charged when the inner scan
-                    // materialized them).
+                    // The build table's keys are new memory (the rows were
+                    // charged when the inner scan buffered them).
                     self.charge_mem(row_charge(&key))?;
-                    hash.entry(key).or_default().push(i);
+                    build_bytes += row_charge(&key);
+                    buckets.entry(key).or_default().push(i);
                 }
-                let combined_schema = outer_schema.join(&inner_schema);
-                let outer_ctx = self.ctx(outer_schema);
-                let combined_ctx = self.ctx(&combined_schema);
-                let mut pending = 0u64;
-                // The probe key is built in a scratch buffer reused across
-                // outer rows: lookups borrow it as a slice, so the per-probe
-                // `Vec` allocation of the naive loop disappears.  Combined
-                // rows use the same trick: the outer prefix is cloned once
-                // per matching probe and residual-rejected rows never leave
-                // the scratch buffer.
-                let mut probe_key: Vec<Value> = Vec::with_capacity(probe_keys.len());
-                let outer_len = outer_schema.len();
-                let mut scratch: Vec<Value> = Vec::with_capacity(combined_schema.len());
-                for outer_row in &outer_rows {
-                    self.check_time()?;
-                    // One tick per probe, matches or not (see above).
-                    self.tick(&mut pending)?;
-                    probe_key.clear();
-                    eval_into(probe_keys, outer_row, &outer_ctx, &mut probe_key)?;
-                    let mut matched = false;
-                    if !probe_key.iter().any(Value::is_null) {
-                        if let Some(bucket) = hash.get(probe_key.as_slice()) {
-                            scratch.clear();
-                            scratch.extend(outer_row.iter().cloned());
-                            for &i in bucket {
-                                self.tick(&mut pending)?;
-                                stats.join_probes += 1;
-                                scratch.truncate(outer_len);
-                                scratch.extend(inner_rows[i].iter().cloned());
-                                if let Some(residual) = join.residual {
-                                    stats.predicates_evaluated += 1;
-                                    if !residual.eval(&scratch, &combined_ctx)?.is_truthy() {
-                                        continue;
-                                    }
-                                }
-                                matched = true;
-                                self.charge_mem(row_charge(&scratch))?;
-                                out.push(scratch.clone());
-                            }
-                        }
-                    }
-                    if !matched && step.kind == JoinKind::Left {
-                        let mut combined = outer_row.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, inner_schema.len()));
-                        self.charge_mem(row_charge(&combined))?;
-                        out.push(combined);
-                    }
+                Probe::Hash {
+                    buckets,
+                    probe_keys,
                 }
-                self.flush_progress(&mut pending)?;
-                Ok((out, combined_schema))
             }
-            JoinStrategy::NestedLoop => {
-                let inner_scan = ScanPrograms {
-                    filter: join.inner_filter,
-                    project: None,
-                    row_cap: None,
-                };
-                let (inner_rows, inner_schema) = self.execute_source(inner, inner_scan, stats)?;
-                let combined_schema = outer_schema.join(&inner_schema);
-                let ctx = self.ctx(&combined_schema);
-                let mut pending = 0u64;
-                // The cross product dominates this strategy (the spatial
-                // rewrite feeds it quadratically many candidate pairs), so
-                // pair rows are assembled in a reused scratch buffer: the
-                // outer prefix is cloned once per outer row and only pairs
-                // that survive the residual are cloned into the output.
-                let outer_len = outer_schema.len();
-                let mut scratch: Vec<Value> = Vec::with_capacity(combined_schema.len());
-                for outer_row in &outer_rows {
-                    self.check_time()?;
-                    // One tick per outer row so an empty inner side still
-                    // observes cancellation and pacing.
-                    self.tick(&mut pending)?;
-                    let mut matched = false;
-                    scratch.clear();
-                    scratch.extend(outer_row.iter().cloned());
-                    for inner_row in &inner_rows {
+            JoinStrategy::NestedLoop => Probe::All,
+        };
+        // Reused across outer rows: the combined row, the hash probe key
+        // (lookups borrow it as a slice) and the gathered inner cells.
+        let mut scratch: Vec<Value> = Vec::with_capacity(outer_width + inner_width);
+        let mut probe_key: Vec<Value> = Vec::new();
+        let mut inner_row: Vec<Value> = Vec::with_capacity(inner_width);
+        let mut pending = 0u64;
+        for outer_row in outer_rows {
+            self.check_time()?;
+            // One tick per outer row, matches or not — otherwise a join
+            // full of misses (or an empty inner side) would never observe
+            // cancellation or pacing.
+            self.tick(&mut pending)?;
+            scratch.clear();
+            let mut matched = false;
+            // Residual-check the combined row in `scratch` and push it.
+            let mut emit = |scratch: &mut Vec<Value>, stats: &mut ScanStats| {
+                if let Some(residual) = join.residual {
+                    stats.predicates_evaluated += 1;
+                    if !residual.eval(scratch, &ctx)?.is_truthy() {
+                        return Ok::<bool, SqlError>(false);
+                    }
+                }
+                sink.push(self, scratch).map(|()| true)
+            };
+            match &probe {
+                Probe::Index {
+                    t,
+                    layout,
+                    idx,
+                    entry_bytes,
+                    key,
+                } => {
+                    let key = key.eval(outer_row, &ctx)?;
+                    stats.index_seeks += 1;
+                    // Prefix seek: composite indexes (run, camcol, field)
+                    // still serve equality probes on their leading column.
+                    for (_, entry) in idx.seek_prefix(&key) {
                         self.tick(&mut pending)?;
-                        stats.join_probes += 1;
-                        scratch.truncate(outer_len);
-                        scratch.extend(inner_row.iter().cloned());
-                        if let Some(residual) = join.residual {
+                        // Late materialization on the probe side: only the
+                        // inner layout's cells are gathered, whatever access
+                        // path the inner source was planned with.
+                        inner_row.clear();
+                        if !t.gather_into(entry.row_id, layout, &mut inner_row) {
+                            continue;
+                        }
+                        stats.rows_from_index += 1;
+                        stats.bytes_from_index += entry_bytes;
+                        stats.bytes_scanned += cells_bytes(&inner_row);
+                        if let Some(filter) = join.inner_filter {
                             stats.predicates_evaluated += 1;
-                            if !residual.eval(&scratch, &ctx)?.is_truthy() {
+                            if !filter.eval(&inner_row, &ctx)?.is_truthy() {
                                 continue;
                             }
                         }
-                        matched = true;
-                        self.charge_mem(row_charge(&scratch))?;
-                        out.push(scratch.clone());
-                    }
-                    if !matched && step.kind == JoinKind::Left {
-                        let mut combined = outer_row.clone();
-                        combined.extend(std::iter::repeat_n(Value::Null, inner_schema.len()));
-                        self.charge_mem(row_charge(&combined))?;
-                        out.push(combined);
+                        outer_prefix(&mut scratch, outer_row);
+                        scratch.append(&mut inner_row);
+                        matched |= emit(&mut scratch, stats)?;
                     }
                 }
-                self.flush_progress(&mut pending)?;
-                Ok((out, combined_schema))
-            }
-        }
-    }
-
-    // ----------------------------------------------------------------------
-    // Aggregation
-    // ----------------------------------------------------------------------
-
-    /// Hash-grouped aggregation: the group key, each aggregate argument,
-    /// HAVING and the projections run as programs without any name
-    /// resolution or per-row key formatting.  Groups come out in ascending
-    /// key order.
-    #[allow(clippy::type_complexity)]
-    fn aggregate(
-        &self,
-        plan: &SelectPlan,
-        schema: &RowSchema,
-        rows: Vec<Vec<Value>>,
-    ) -> Result<Vec<(Vec<Value>, Vec<Value>)>, SqlError> {
-        let CompiledPrograms {
-            group_by,
-            aggregates,
-            projections,
-            having,
-            ..
-        } = &plan.programs;
-        let ctx = self.ctx(schema);
-        let mut groups: HashMap<Vec<Value>, Vec<Vec<Value>>> = HashMap::new();
-        for row in rows {
-            let mut key = Vec::with_capacity(group_by.len());
-            eval_into(group_by, &row, &ctx, &mut key)?;
-            // Rows move into the table (already charged); the keys are new.
-            self.charge_mem(row_charge(&key))?;
-            groups.entry(key).or_default().push(row);
-        }
-        // A grand aggregate over zero rows still produces one group.
-        if groups.is_empty() && plan.group_by.is_empty() {
-            groups.insert(Vec::new(), Vec::new());
-        }
-        let mut groups: Vec<(Vec<Value>, Vec<Vec<Value>>)> = groups.into_iter().collect();
-        groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-        let mut out = Vec::with_capacity(groups.len());
-        for (_key, group_rows) in groups {
-            let mut agg_values: HashMap<String, Value> = HashMap::new();
-            for agg in aggregates {
-                let value = if agg.count_star {
-                    Value::Int(group_rows.len() as i64)
-                } else {
-                    let arg = agg
-                        .arg
-                        .as_ref()
-                        // skylint: allow(no-expect) invariant enforced by the plan verifier (count_star XOR arg)
-                        .expect("non-count aggregates always compile with an argument");
-                    let mut values = Vec::with_capacity(group_rows.len());
-                    for row in &group_rows {
-                        let v = arg.eval(row, &ctx)?;
-                        if !v.is_null() {
-                            values.push(v);
-                        }
+                Probe::Hash {
+                    buckets,
+                    probe_keys,
+                } => {
+                    probe_key.clear();
+                    eval_into(probe_keys, outer_row, &ctx, &mut probe_key)?;
+                    let bucket = match probe_key.iter().any(Value::is_null) {
+                        true => None,
+                        false => buckets.get(probe_key.as_slice()),
+                    };
+                    for &i in bucket.into_iter().flatten() {
+                        self.tick(&mut pending)?;
+                        stats.join_probes += 1;
+                        outer_prefix(&mut scratch, outer_row);
+                        scratch.extend(inner_rows.get(i).into_iter().flatten().cloned());
+                        matched |= emit(&mut scratch, stats)?;
                     }
-                    combine_aggregate(&agg.name, &agg.lower, values)?
-                };
-                agg_values.insert(agg.key.clone(), value);
-            }
-            let representative = group_rows
-                .first()
-                .cloned()
-                .unwrap_or_else(|| vec![Value::Null; schema.len()]);
-            let agg_ctx = EvalContext {
-                schema,
-                variables: self.variables,
-                functions: self.functions,
-                aggregates: Some(&agg_values),
-            };
-            if let Some(h) = having {
-                if !h.eval(&representative, &agg_ctx)?.is_truthy() {
-                    continue;
+                }
+                // The cross product dominates this strategy (the spatial
+                // rewrite feeds it quadratically many candidate pairs).
+                Probe::All => {
+                    for inner in inner_rows {
+                        self.tick(&mut pending)?;
+                        stats.join_probes += 1;
+                        outer_prefix(&mut scratch, outer_row);
+                        scratch.extend(inner.iter().cloned());
+                        matched |= emit(&mut scratch, stats)?;
+                    }
                 }
             }
-            let mut proj = Vec::with_capacity(projections.len());
-            eval_into(projections, &representative, &agg_ctx, &mut proj)?;
-            self.charge_mem(row_charge(&representative) + row_charge(&proj))?;
-            out.push((representative, proj));
+            if !matched && step.kind == JoinKind::Left {
+                // NULL-extend the unmatched outer row (no residual: it
+                // already failed for every candidate).
+                outer_prefix(&mut scratch, outer_row);
+                scratch.extend(std::iter::repeat_n(Value::Null, inner_width));
+                sink.push(self, &mut scratch)?;
+            }
         }
-        Ok(out)
+        // The inner buffer and the hash table over it end with the join.
+        self.release_mem(build_bytes);
+        inner_sink.release(self);
+        self.flush_progress(&mut pending)
     }
 }
 
-/// Combine the non-NULL argument values of one group into the aggregate's
-/// result.
-fn combine_aggregate(name: &str, lower: &str, values: Vec<Value>) -> Result<Value, SqlError> {
-    match lower {
-        "count" => Ok(Value::Int(values.len() as i64)),
-        "min" => Ok(values
-            .iter()
-            .cloned()
-            .min_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
-        "max" => Ok(values
-            .iter()
-            .cloned()
-            .max_by(|a, b| a.total_cmp(b))
-            .unwrap_or(Value::Null)),
-        "sum" | "avg" | "stdev" | "var" => {
-            if values.is_empty() {
-                return Ok(Value::Null);
-            }
-            let nums: Vec<f64> = values.iter().filter_map(Value::as_f64).collect();
-            if nums.len() != values.len() {
-                return Err(SqlError::Execution(format!(
-                    "{name}() over non-numeric values"
-                )));
-            }
-            let sum: f64 = nums.iter().sum();
-            let n = nums.len() as f64;
-            match lower {
-                "sum" => Ok(Value::Float(sum)),
-                "avg" => Ok(Value::Float(sum / n)),
-                _ => {
-                    let mean = sum / n;
-                    let var =
-                        nums.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1.0).max(1.0);
-                    if lower == "var" {
-                        Ok(Value::Float(var))
-                    } else {
-                        Ok(Value::Float(var.sqrt()))
-                    }
-                }
-            }
-        }
-        other => Err(SqlError::Execution(format!("unknown aggregate {other}"))),
-    }
+/// How a join step finds the inner rows matching one outer row.
+enum Probe<'x> {
+    /// Probe a B-tree index on the inner table, gathering matches by row id.
+    Index {
+        t: &'x Table,
+        layout: &'x [usize],
+        idx: &'x BTreeIndex,
+        entry_bytes: u64,
+        key: &'x CompiledExpr,
+    },
+    /// Look the outer key up in a hash table over the buffered inner rows
+    /// (values are positions in that buffer).
+    Hash {
+        buckets: HashMap<Vec<Value>, Vec<usize>>,
+        probe_keys: &'x [CompiledExpr],
+    },
+    /// Nested loop: every buffered inner row is a candidate.
+    All,
 }

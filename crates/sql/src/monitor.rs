@@ -53,7 +53,9 @@ pub struct QueryMonitor {
     pace_micros: AtomicU64,
     bytes_in_use: AtomicU64,
     peak_bytes: AtomicU64,
-    /// Micros from `created` to the deadline; 0 = no deadline set.
+    /// 0 = no deadline set; otherwise 1 + the micros from `created` to the
+    /// deadline, so a deadline at the creation instant itself is still
+    /// "set" and already due.
     deadline_at_micros: AtomicU64,
     created: Instant,
 }
@@ -119,15 +121,24 @@ impl QueryMonitor {
     /// error ([`crate::SqlError::LimitExceeded`]) once it passes.  A zero
     /// budget expires immediately; calling again moves the deadline.
     pub fn set_deadline(&self, budget: Duration) {
-        // Store micros-from-created; saturate at 1 so "deadline at the
-        // creation instant" is still distinguishable from "none".
         let at = self
             .created
             .elapsed()
             .saturating_add(budget)
             .as_micros()
-            .min(u64::MAX as u128) as u64;
-        self.deadline_at_micros.store(at.max(1), Ordering::Relaxed);
+            .min((u64::MAX - 1) as u128) as u64;
+        self.deadline_at_micros.store(at + 1, Ordering::Relaxed);
+    }
+
+    /// Micros from `created` to the deadline, if one is set.
+    fn deadline_micros(&self) -> Option<u64> {
+        self.deadline_at_micros
+            .load(Ordering::Relaxed)
+            .checked_sub(1)
+    }
+
+    fn elapsed_micros(&self) -> u64 {
+        self.created.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
 
     /// Remove the deadline (queries then run on [`crate::QueryLimits`]'
@@ -138,19 +149,15 @@ impl QueryMonitor {
 
     /// Has a deadline been set and already passed?
     pub fn deadline_expired(&self) -> bool {
-        let at = self.deadline_at_micros.load(Ordering::Relaxed);
-        at != 0 && self.created.elapsed().as_micros() as u64 >= at
+        self.deadline_micros()
+            .is_some_and(|at| self.elapsed_micros() >= at)
     }
 
     /// Time remaining until the deadline (`None` when no deadline is set;
     /// zero once expired).
     pub fn deadline_remaining(&self) -> Option<Duration> {
-        let at = self.deadline_at_micros.load(Ordering::Relaxed);
-        if at == 0 {
-            return None;
-        }
-        let elapsed = self.created.elapsed().as_micros() as u64;
-        Some(Duration::from_micros(at.saturating_sub(elapsed)))
+        self.deadline_micros()
+            .map(|at| Duration::from_micros(at.saturating_sub(self.elapsed_micros())))
     }
 
     /// Charge `n` bytes to the query's memory gauge (called by the
@@ -235,6 +242,18 @@ mod tests {
         assert_eq!(m.deadline_remaining(), Some(Duration::ZERO));
         m.clear_deadline();
         assert!(!m.deadline_expired());
+    }
+
+    #[test]
+    fn a_zero_deadline_is_due_the_moment_it_is_set() {
+        // Fresh monitors: many of these land in the monitor's first
+        // microsecond, where "unset" and "due now" used to collide.
+        for _ in 0..2000 {
+            let m = QueryMonitor::new();
+            m.set_deadline(Duration::ZERO);
+            assert!(m.deadline_expired());
+            assert_eq!(m.deadline_remaining(), Some(Duration::ZERO));
+        }
     }
 
     #[test]

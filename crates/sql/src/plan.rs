@@ -139,15 +139,43 @@ pub struct SourcePlan {
     /// Column intervals implied by `pushed_predicate`, used by heap scans
     /// to skip segments via zone maps.
     pub zone_constraints: Vec<ZoneConstraint>,
-    /// Storage ordinals of the columns the query actually references on
-    /// this source (scan, predicate, joins, projections...).  Byte
-    /// accounting charges only these columns; `None` means the planner
-    /// could not prove a subset and the whole row is charged.
+    /// Storage ordinals of the columns the statement references on this
+    /// source (scan, predicate, joins, projections...), ascending.  For a
+    /// base table this list **is** the runtime row layout on every access
+    /// path — cell `i` of a materialized row holds storage column
+    /// `scan_columns[i]` — and what byte accounting charges.  `None` on
+    /// table functions and derived tables, whose rows are their `schema`.
     pub scan_columns: Option<Vec<usize>>,
     /// Estimated rows this source produces after its pushed predicate,
     /// from the table statistics + selectivity model.  `EXPLAIN` prints it
     /// and the cardinality-accuracy harness pins its q-error.
     pub est_rows: Option<u64>,
+}
+
+impl SourcePlan {
+    /// Cells in one runtime row of this source.
+    pub fn runtime_width(&self) -> usize {
+        match (&self.kind, &self.scan_columns) {
+            (SourceKind::Table { .. }, Some(cols)) => cols.len(),
+            _ => self.schema.len(),
+        }
+    }
+
+    /// Does the pushed predicate run in the scan kernels, addressing
+    /// segment columns by **storage** ordinal?  True for a heap-scanned
+    /// table the executor scans itself; the inner side of an index-lookup
+    /// join (`joined_by`) is probed by row id whatever its planned path, so
+    /// its predicate — like that of every index path, table function and
+    /// derived table — runs on the materialized row, in **row** ordinals.
+    pub fn filters_on_segments(&self, joined_by: Option<&JoinStrategy>) -> bool {
+        matches!(
+            &self.kind,
+            SourceKind::Table {
+                path: AccessPath::HeapScan | AccessPath::ParallelHeapScan { .. },
+                ..
+            }
+        ) && !matches!(joined_by, Some(JoinStrategy::IndexLookup { .. }))
+    }
 }
 
 /// The kinds of plan sources.

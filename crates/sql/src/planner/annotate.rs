@@ -1,7 +1,9 @@
 //! Post-finalization plan annotation: zone-map constraints and scan-column
 //! sets.
 //!
-//! Runs after `super::finalize` on every plan.
+//! Runs inside `super::finalize` on every plan, before its programs are
+//! compiled: the scan-column sets are the runtime row layouts the programs
+//! resolve their ordinals against (`super::source_layout`).
 //!
 //! Two annotations are produced per base-table source:
 //!
@@ -10,8 +12,9 @@
 //!   against the per-segment min/max zone maps the columnar storage layer
 //!   maintains and skip whole segments without touching a row.
 //! * **Scan columns**: the set of storage ordinals the query references on
-//!   the source anywhere in the plan.  Byte accounting charges only those
-//!   columns — the honest counterpart of late materialization.
+//!   the source anywhere in the plan (restricted to the covered columns on
+//!   a covering-index scan).  They are the only cells a materialized row of
+//!   the source carries, and the only bytes accounting charges.
 //!
 //! # Soundness of zone pruning
 //!
@@ -35,7 +38,7 @@
 //! engine's LIKE is case-insensitive while string zones order byte-wise.
 
 use crate::ast::{BinaryOp, Expr};
-use crate::plan::{SelectPlan, SourceKind, ZoneConstraint};
+use crate::plan::{AccessPath, SelectPlan, SourceKind, ZoneConstraint};
 use skyserver_storage::{DataType, Database, TableSchema, Value};
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
@@ -50,12 +53,24 @@ pub fn annotate(plan: &mut SelectPlan, db: &Database) {
     collect_plan_columns(plan, &mut refs);
 
     for source in &mut plan.sources {
-        let SourceKind::Table { table, .. } = &source.kind else {
+        let SourceKind::Table { table, path } = &source.kind else {
             continue;
         };
         let Ok(t) = db.table(table) else { continue };
         let schema = t.schema().clone();
-        source.scan_columns = Some(scan_columns(&refs, &source.alias, &schema));
+        let mut columns = scan_columns(&refs, &source.alias, &schema);
+        if let AccessPath::CoveringIndexScan { index } = path {
+            // An index entry holds nothing but the covered columns.
+            if let Some(idx) = db.index(table, index) {
+                let covered = idx.def().covered_columns();
+                columns.retain(|&c| {
+                    covered
+                        .iter()
+                        .any(|name| name.eq_ignore_ascii_case(&schema.columns()[c].name))
+                });
+            }
+        }
+        source.scan_columns = Some(columns);
         if let Some(pred) = &source.pushed_predicate {
             source.zone_constraints = zone_constraints(pred, &source.alias, &schema);
         }

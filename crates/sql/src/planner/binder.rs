@@ -427,7 +427,8 @@ fn naive_view_plan(
             schema: schema.clone(),
             limit_hint: None,
             zone_constraints: Vec::new(),
-            scan_columns: None,
+            // `select *`: the row layout is the whole table.
+            scan_columns: Some((0..cols.len()).collect()),
             est_rows: None,
         }],
         joins: Vec::new(),

@@ -28,7 +28,8 @@ pub mod stats;
 use crate::ast::{Expr, JoinKind, SelectItem, SelectStatement};
 use crate::error::SqlError;
 use crate::exec::compile::{
-    collect_aggregates, compile, CompiledAggregate, CompiledExpr, CompiledPrograms, SortKey,
+    collect_aggregates, compile, AggregateKind, CompiledAggregate, CompiledExpr, CompiledPrograms,
+    SortKey,
 };
 use crate::expr::RowSchema;
 use crate::functions::FunctionRegistry;
@@ -136,7 +137,6 @@ impl<'a> Planner<'a> {
         rules::run_pipeline(&mut logical, &ctx, &pipeline)?;
         let mut plan = finalize(logical, &ctx)?;
         plan.release = release;
-        annotate::annotate(&mut plan, self.db);
         // Estimated cardinalities are annotated unconditionally: EXPLAIN
         // shows est_rows even when cost-based ordering is off.
         stats::annotate_estimates(&mut plan, self.db);
@@ -245,37 +245,49 @@ fn finalize(logical: LogicalPlan, ctx: &PlanContext<'_>) -> Result<SelectPlan, S
         est_rows: None,
         release: None,
     };
+    // The scan columns are the row layouts the programs compile against.
+    annotate::annotate(&mut plan, ctx.db);
     plan.programs = build_programs(&plan, ctx)?;
     Ok(plan)
 }
 
-/// The schema [`crate::executor::Executor::execute_source`] materializes a
-/// source with: heap/parallel/seek scans produce all table columns, covering
-/// scans the covered subset, table functions and derived tables their bound
-/// schema.  Program compilation resolves ordinals through the executor's own
-/// schema-derivation helpers ([`crate::executor::scan_schema`]), so the two
-/// sides cannot drift apart.
-pub(crate) fn exec_source_schema(
+/// THE runtime row layout of a source, as an alias-qualified schema: a base
+/// table materializes exactly its [`SourcePlan::scan_columns`] — on heap
+/// scans, index seeks, covering scans and index-lookup probes alike — and a
+/// table function or derived table its bound schema.  Every program that
+/// runs on a materialized row resolves its ordinals against (joins of) these
+/// schemas, and the executor gathers the same `scan_columns`, so the two
+/// sides cannot drift apart; the verifier re-derives both from here.
+pub fn source_layout(source: &SourcePlan, db: &Database) -> Result<RowSchema, SqlError> {
+    let SourceKind::Table { table, .. } = &source.kind else {
+        return Ok(source.schema.clone());
+    };
+    let columns = source.scan_columns.as_deref().ok_or_else(|| {
+        SqlError::Plan(format!("source {} carries no scan columns", source.alias))
+    })?;
+    let all = db.table(table)?.schema().columns();
+    let names = columns
+        .iter()
+        .map(|&c| all.get(c).map(|def| def.name.as_str()))
+        .collect::<Option<Vec<&str>>>()
+        .ok_or_else(|| SqlError::Plan(format!("scan column out of range for {table}")))?;
+    Ok(RowSchema::for_table(Some(&source.alias), &names))
+}
+
+/// The schema a source's pushed predicate is compiled against: the table's
+/// full storage schema when the scan kernels evaluate it over segment
+/// columns ([`SourcePlan::filters_on_segments`]), the row layout otherwise.
+pub(crate) fn predicate_schema(
     source: &SourcePlan,
+    joined_by: Option<&JoinStrategy>,
     db: &Database,
 ) -> Result<RowSchema, SqlError> {
     match &source.kind {
-        SourceKind::Table { table, path } => {
-            crate::executor::scan_schema(db, &source.alias, table, path)
+        SourceKind::Table { table, .. } if source.filters_on_segments(joined_by) => {
+            let names = db.table(table)?.schema().column_names();
+            Ok(RowSchema::for_table(Some(&source.alias), &names))
         }
-        _ => Ok(source.schema.clone()),
-    }
-}
-
-/// The full heap schema of a base-table source — what the executor uses for
-/// the inner side of an index-lookup join (it fetches whole heap rows by
-/// RowId there, regardless of the source's chosen access path).
-pub(crate) fn full_table_schema(source: &SourcePlan, db: &Database) -> Result<RowSchema, SqlError> {
-    match &source.kind {
-        SourceKind::Table { table, .. } => crate::executor::heap_schema(db, &source.alias, table),
-        _ => Err(SqlError::Plan(
-            "index-lookup join requires a base table inner side".into(),
-        )),
+        _ => source_layout(source, db),
     }
 }
 
@@ -299,23 +311,20 @@ pub(crate) fn build_programs(
     };
     let mut programs = CompiledPrograms::default();
 
-    // Reconstruct the executor's runtime schemas: per-source predicate
-    // schemas, the accumulated (combined) schema before/after each join.
+    // The executor's runtime layouts: the accumulated (combined) row before
+    // and after each join, and the schema each pushed predicate runs in.
     let mut combined = RowSchema::default();
     if let Some(first) = plan.sources.first() {
-        combined = exec_source_schema(first, db)?;
-        programs
-            .source_predicates
-            .push(compile_opt(first.pushed_predicate.as_ref(), &combined)?);
+        combined = source_layout(first, db)?;
+        programs.source_predicates.push(compile_opt(
+            first.pushed_predicate.as_ref(),
+            &predicate_schema(first, None, db)?,
+        )?);
     }
     for (i, step) in plan.joins.iter().enumerate() {
         let inner = &plan.sources[i + 1];
         let outer_schema = combined;
-        let inner_schema = match &step.strategy {
-            // Index-lookup joins fetch whole heap rows from the inner table.
-            JoinStrategy::IndexLookup { .. } => full_table_schema(inner, db)?,
-            _ => exec_source_schema(inner, db)?,
-        };
+        let inner_schema = source_layout(inner, db)?;
         combined = outer_schema.join(&inner_schema);
         let (outer_key, hash_keys) = match &step.strategy {
             JoinStrategy::IndexLookup { outer_key, .. } => {
@@ -338,9 +347,10 @@ pub(crate) fn build_programs(
         programs
             .join_residuals
             .push(compile_opt(step.residual.as_ref(), &combined)?);
-        programs
-            .source_predicates
-            .push(compile_opt(inner.pushed_predicate.as_ref(), &inner_schema)?);
+        programs.source_predicates.push(compile_opt(
+            inner.pushed_predicate.as_ref(),
+            &predicate_schema(inner, Some(&step.strategy), db)?,
+        )?);
     }
     programs.residual = compile_opt(plan.residual.as_ref(), &combined)?;
     for (expr, _) in &plan.projections {
@@ -361,8 +371,10 @@ pub(crate) fn build_programs(
             let Expr::Function { name, args } = agg else {
                 continue;
             };
-            let lower = name.to_ascii_lowercase();
-            let count_star = lower == "count" && matches!(args.first(), Some(Expr::Star) | None);
+            let kind = AggregateKind::parse(name)
+                .ok_or_else(|| SqlError::Execution(format!("unknown aggregate {name}")))?;
+            let count_star =
+                kind == AggregateKind::Count && matches!(args.first(), Some(Expr::Star) | None);
             let arg = if count_star {
                 None
             } else {
@@ -374,7 +386,7 @@ pub(crate) fn build_programs(
             programs.aggregates.push(CompiledAggregate {
                 key: crate::expr::aggregate_key(agg),
                 name: name.clone(),
-                lower,
+                kind,
                 count_star,
                 arg,
             });

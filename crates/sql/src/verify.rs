@@ -7,8 +7,9 @@
 //!
 //! * **Ordinal bounds** — every [`CompiledExpr`] program references only
 //!   columns that exist in the exact runtime row layout it will be evaluated
-//!   against, including the index-lookup-join corner where the inner side
-//!   keeps its *full heap schema* regardless of its planned access path.
+//!   against: [`crate::planner::source_layout`] (a base table's scan
+//!   columns) and its joins for everything that runs on a materialized row,
+//!   the table's storage schema for a predicate the scan kernels evaluate.
 //! * **Schema arithmetic** — the combined `input_schema` equals the join of
 //!   the planned source schemas, accumulated step by step.
 //! * **Zone-constraint soundness** — declared [`ZoneConstraint`]s name real
@@ -17,8 +18,8 @@
 //!   yields (a stricter interval could skip segments holding matching rows).
 //! * **Scan-column coverage** — the columns compiled programs actually read
 //!   from a base-table source are a subset of the annotated per-alias
-//!   scan-column union that byte accounting and `BatchProgram` construction
-//!   consume.
+//!   scan-column list that is the source's row layout and what byte
+//!   accounting charges.
 //! * **Plan-shape consistency** — `rules_fired` agrees with the physical
 //!   shape (e.g. a `limit_hint` appears only on base-table scans and only
 //!   when `limit_pushdown` fired).
@@ -602,33 +603,33 @@ impl Verifier<'_> {
         }
 
         // Reconstruct the runtime row layouts the executor will hand each
-        // program — per-source predicate schemas and the accumulated
-        // combined schema before/after each join (index-lookup joins fetch
-        // whole heap rows on the inner side).
+        // program — each source's layout, the accumulated (combined) layout
+        // before/after each join, and the schema each pushed predicate runs
+        // in — through the functions program compilation used.
+        let mut layouts: Vec<RowSchema> = Vec::with_capacity(plan.sources.len());
         let mut pred_schemas: Vec<RowSchema> = Vec::with_capacity(plan.sources.len());
-        let mut combined = RowSchema::default();
         for (i, source) in plan.sources.iter().enumerate() {
-            let runtime = if i > 0
-                && matches!(
-                    plan.joins.get(i - 1).map(|j| &j.strategy),
-                    Some(crate::plan::JoinStrategy::IndexLookup { .. })
-                ) {
-                crate::planner::full_table_schema(source, self.db)
-            } else {
-                crate::planner::exec_source_schema(source, self.db)
-            };
-            let Ok(runtime) = runtime else {
+            let joined_by = i.checked_sub(1).and_then(|j| plan.joins.get(j));
+            let schemas = crate::planner::source_layout(source, self.db).and_then(|layout| {
+                let pred = crate::planner::predicate_schema(
+                    source,
+                    joined_by.map(|j| &j.strategy),
+                    self.db,
+                )?;
+                Ok((layout, pred))
+            });
+            let Ok((layout, pred)) = schemas else {
                 self.violation(
                     ViolationKind::PlanShapeInconsistent,
                     format!("{prefix}sources[{i}]"),
-                    "runtime schema of the source cannot be derived".to_string(),
+                    "runtime row layout of the source cannot be derived".to_string(),
                 );
                 return;
             };
-            combined = combined.join(&runtime);
-            pred_schemas.push(runtime);
+            layouts.push(layout);
+            pred_schemas.push(pred);
         }
-        let offsets: Vec<usize> = pred_schemas
+        let offsets: Vec<usize> = layouts
             .iter()
             .scan(0usize, |acc, s| {
                 let start = *acc;
@@ -636,8 +637,9 @@ impl Verifier<'_> {
                 Some(start)
             })
             .collect();
+        let width = layouts.iter().map(RowSchema::len).sum();
 
-        // Scan-column unions, translated to storage ordinals per source.
+        // Scan-column lists (storage ordinals) per base-table source.
         let scan_unions: Vec<Option<(TableSchema, Vec<usize>)>> = plan
             .sources
             .iter()
@@ -652,23 +654,25 @@ impl Verifier<'_> {
             .collect();
 
         let ctx = ProgramContext {
-            pred_schemas,
-            combined,
+            layouts,
+            width,
             offsets,
             scan_unions,
         };
 
-        for (i, p) in programs.source_predicates.iter().enumerate() {
+        for (i, (p, schema)) in programs
+            .source_predicates
+            .iter()
+            .zip(&pred_schemas)
+            .enumerate()
+        {
             if let Some(p) = p {
-                self.check_expr_source(p, i, &ctx, &site(&format!("source_predicates[{i}]")));
+                let site = site(&format!("source_predicates[{i}]"));
+                self.check_expr_source(p, i, schema, &ctx, &site);
             }
         }
         for (i, step) in plan.joins.iter().enumerate() {
-            let outer_width = ctx
-                .offsets
-                .get(i + 1)
-                .copied()
-                .unwrap_or(ctx.combined.len());
+            let outer_width = ctx.offsets.get(i + 1).copied().unwrap_or(ctx.width);
             if let Some(Some(k)) = programs.join_outer_keys.get(i) {
                 self.check_expr_combined(
                     k,
@@ -707,24 +711,18 @@ impl Verifier<'_> {
                     );
                 }
                 for (k, key) in inner.iter().enumerate() {
-                    self.check_expr_source(
-                        key,
-                        i + 1,
-                        &ctx,
-                        &site(&format!("join_hash_keys[{i}].inner[{k}]")),
-                    );
+                    let site = site(&format!("join_hash_keys[{i}].inner[{k}]"));
+                    if let Some(layout) = ctx.layouts.get(i + 1) {
+                        self.check_expr_source(key, i + 1, layout, &ctx, &site);
+                    }
                 }
             }
             if let Some(Some(r)) = programs.join_residuals.get(i) {
-                let width = ctx
-                    .offsets
-                    .get(i + 2)
-                    .copied()
-                    .unwrap_or(ctx.combined.len());
+                let width = ctx.offsets.get(i + 2).copied().unwrap_or(ctx.width);
                 self.check_expr_combined(r, width, &ctx, &site(&format!("join_residuals[{i}]")));
             }
         }
-        let full = ctx.combined.len();
+        let full = ctx.width;
         if let Some(r) = &programs.residual {
             self.check_expr_combined(r, full, &ctx, &site("residual"));
         }
@@ -774,29 +772,33 @@ impl Verifier<'_> {
         }
     }
 
-    /// Bound-check a program over one source's runtime schema and verify
+    /// Bound-check a program over `schema` — source `i`'s row layout, or its
+    /// storage schema for a kernel-evaluated predicate — and verify
     /// scan-column coverage for that source.
-    fn check_expr_source(&mut self, e: &CompiledExpr, i: usize, ctx: &ProgramContext, site: &str) {
+    fn check_expr_source(
+        &mut self,
+        e: &CompiledExpr,
+        i: usize,
+        schema: &RowSchema,
+        ctx: &ProgramContext,
+        site: &str,
+    ) {
         self.report.programs_checked += 1;
         let mut cols = Vec::new();
         e.collect_columns(&mut cols);
-        let Some(schema) = ctx.pred_schemas.get(i) else {
-            return;
-        };
         for ordinal in cols {
             self.report.checks_run += 1;
-            if ordinal >= schema.len() {
-                self.violation(
+            match schema.columns().get(ordinal) {
+                Some((_, name)) => self.check_coverage(i, name, ctx, site),
+                None => self.violation(
                     ViolationKind::OrdinalOutOfRange,
                     site.to_string(),
                     format!(
                         "program reads column {ordinal} of a {}-column source row",
                         schema.len()
                     ),
-                );
-                continue;
+                ),
             }
-            self.check_coverage(i, ordinal, ctx, site);
         }
     }
 
@@ -827,22 +829,21 @@ impl Verifier<'_> {
                 Ok(i) => i,
                 Err(i) => i.saturating_sub(1),
             };
-            self.check_coverage(src, ordinal - ctx.offsets[src], ctx, site);
+            let name = ctx
+                .layouts
+                .get(src)
+                .and_then(|l| l.columns().get(ordinal - ctx.offsets[src]));
+            if let Some((_, name)) = name {
+                self.check_coverage(src, name, ctx, site);
+            }
         }
     }
 
     /// Check (d): the base-table column a program reads must be inside the
-    /// annotated scan-column union byte accounting and `BatchProgram`
-    /// construction rely on.
-    fn check_coverage(&mut self, source: usize, local: usize, ctx: &ProgramContext, site: &str) {
+    /// annotated scan-column list — the cells the executor materializes and
+    /// byte accounting charges.
+    fn check_coverage(&mut self, source: usize, name: &str, ctx: &ProgramContext, site: &str) {
         let Some(Some((table_schema, union))) = ctx.scan_unions.get(source) else {
-            return;
-        };
-        let Some((_, name)) = ctx
-            .pred_schemas
-            .get(source)
-            .and_then(|s| s.columns().get(local))
-        else {
             return;
         };
         let Some(storage_ordinal) = table_schema.column_index(name) else {
@@ -855,7 +856,7 @@ impl Verifier<'_> {
             || {
                 format!(
                     "program reads column {name} (storage ordinal {storage_ordinal}) \
-                     outside the annotated scan-column union {union:?}"
+                     outside the annotated scan columns {union:?}"
                 )
             },
         );
@@ -864,8 +865,11 @@ impl Verifier<'_> {
 
 /// Runtime layout context shared by the per-program checks.
 struct ProgramContext {
-    pred_schemas: Vec<RowSchema>,
-    combined: RowSchema,
+    /// Row layout per source.
+    layouts: Vec<RowSchema>,
+    /// Width of the fully joined row.
+    width: usize,
+    /// Where each source's cells start in the joined row.
     offsets: Vec<usize>,
     scan_unions: Vec<Option<(TableSchema, Vec<usize>)>>,
 }

@@ -161,14 +161,24 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
     for (i, item) in stmt.projections.iter().enumerate() {
         let (expr, alias) = match item {
             SelectItem::Expr { expr, alias } => (expr, alias),
-            SelectItem::QualifiedWildcard(a) => {
-                return Err(SqlError::Plan(format!("reference: no {a}.*")));
-            }
-            SelectItem::Wildcard => {
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                let of = match item {
+                    SelectItem::QualifiedWildcard(alias) => Some(alias),
+                    _ => None,
+                };
+                let before = items.len();
                 for (q, name) in schema.columns() {
-                    let (qualifier, output) = (q.clone(), name.clone());
-                    let name = name.clone();
-                    items.push((Expr::Column { qualifier, name }, output));
+                    let ours = |a: &String| q.as_ref().is_some_and(|q| q.eq_ignore_ascii_case(a));
+                    if of.is_none_or(ours) {
+                        let (qualifier, output) = (q.clone(), name.clone());
+                        let name = name.clone();
+                        items.push((Expr::Column { qualifier, name }, output));
+                    }
+                }
+                if let (Some(alias), true) = (of, items.len() == before) {
+                    return Err(SqlError::Plan(format!(
+                        "unknown alias {alias} in {alias}.*"
+                    )));
                 }
                 continue;
             }

@@ -3,6 +3,7 @@
 //! mutations are rejected with the right structured [`ViolationKind`].
 
 use proptest::prelude::*;
+use skyserver_sql::exec::compile::CompiledExpr;
 use skyserver_sql::plan::ZoneConstraint;
 use skyserver_sql::{
     parse_select, verify_plan, FunctionRegistry, Planner, SelectPlan, SqlEngine, ViolationKind,
@@ -65,6 +66,8 @@ fn well_formed_plans_verify_clean() {
         "select top 5 v from t where v < 10.0 order by v desc",
         "select name, count(*) as n from t group by name having count(*) > 0",
         "select a.id, b.v from t as a join t as b on a.id = b.id where a.v < 3.0",
+        "select a.*, b.name from t as a left join t as b on a.id = b.id and b.v > 1.0",
+        "select a.name, count(*) from t as a, t as b where a.v < b.v group by a.name",
     ] {
         let (plan, db) = planned(sql);
         let report = verify_plan(&plan, &db);
@@ -85,6 +88,48 @@ fn out_of_range_scan_column_is_rejected() {
     assert!(
         found.contains(&ViolationKind::OrdinalOutOfRange),
         "expected ordinal_out_of_range, got {found:?}"
+    );
+}
+
+#[test]
+fn ordinal_past_the_narrow_row_layout_is_rejected() {
+    // The row carries (id, v) — t's scan columns here — so ordinal 2, a
+    // fine storage ordinal (name), is past the end of the runtime row.
+    let (mut plan, db) = planned("select id, v from t where v < 10.0 order by v");
+    assert_eq!(plan.sources[0].scan_columns, Some(vec![0, 1]));
+    assert!(kinds(&plan, &db).is_empty());
+    plan.programs.projections[0] = CompiledExpr::Col(2);
+    let found = kinds(&plan, &db);
+    assert!(
+        found.contains(&ViolationKind::OrdinalOutOfRange),
+        "expected ordinal_out_of_range, got {found:?}"
+    );
+    // The pushed predicate runs in the scan kernels, over storage ordinals:
+    // there 2 is in range, and caught as a column the layout does not carry.
+    let (mut plan, db) = planned("select id, v from t where v < 10.0 order by v");
+    plan.programs.source_predicates[0] = Some(CompiledExpr::Col(2));
+    let found = kinds(&plan, &db);
+    assert_eq!(found, vec![ViolationKind::ScanColumnNotCovered]);
+}
+
+#[test]
+fn scan_columns_missing_a_referenced_column_are_rejected() {
+    // Without v the row is (id): the kernel predicate reads a column the
+    // scan no longer accounts for, and the projection reads past the row.
+    let (mut plan, db) = planned("select id, v from t where v < 10.0");
+    plan.sources[0].scan_columns = Some(vec![0]);
+    let found = kinds(&plan, &db);
+    assert!(
+        found.contains(&ViolationKind::ScanColumnNotCovered)
+            && found.contains(&ViolationKind::OrdinalOutOfRange),
+        "expected scan_column_not_covered and ordinal_out_of_range, got {found:?}"
+    );
+    // A base table without a layout at all cannot be executed.
+    plan.sources[0].scan_columns = None;
+    let found = kinds(&plan, &db);
+    assert!(
+        found.contains(&ViolationKind::PlanShapeInconsistent),
+        "expected plan_shape_inconsistent, got {found:?}"
     );
 }
 

@@ -10,6 +10,7 @@
 //! | `no-slice-index` | web request paths | `x[i]` indexing that can panic on malformed input |
 //! | `lock-unwrap` | whole workspace | `.lock()/.read()/.write()` + `.unwrap()` — poisons cascade across requests |
 //! | `value-clone-in-kernel` | vectorized kernels | `.clone()` inside the batch kernels (per-value clones defeat the point) |
+//! | `full-row-gather` | sql executor + engine DML | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
 //! | `ci-drift` | .github/workflows/ci.yml | `-p <package>` / `--bin <name>` that the workspace no longer has |
@@ -57,6 +58,8 @@ struct Scope {
     slice_index: bool,
     /// `value-clone-in-kernel`.
     kernel: bool,
+    /// `full-row-gather`.
+    row_gather: bool,
 }
 
 fn scope_for(rel: &Path) -> Scope {
@@ -75,6 +78,9 @@ fn scope_for(rel: &Path) -> Scope {
         hot_path: web || executor || failpoints || releases,
         slice_index: web,
         kernel: p == "crates/sql/src/exec/vector.rs",
+        // The engine file holds the DML paths, the other place rows are
+        // fetched for a statement.
+        row_gather: executor || p == "crates/sql/src/engine.rs",
     }
 }
 
@@ -131,17 +137,12 @@ fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
 
 fn lint_rust_file(root: &Path, file: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
     let rel = file.strip_prefix(root).unwrap_or(file).to_path_buf();
-    let scope = scope_for(&rel);
     let src = std::fs::read_to_string(file)?;
     let lexed = lex(&src);
-    let tokens = strip_cfg_test(lexed.tokens);
     let mut allows: Vec<(AllowDirective, bool)> =
         lexed.allows.into_iter().map(|d| (d, false)).collect();
 
-    let mut raw: Vec<(usize, &'static str, String)> = Vec::new();
-    scan_tokens(&tokens, &scope, &mut raw);
-
-    for (line, lint, message) in raw {
+    for (line, lint, message) in scan_file_tokens(&rel, lexed.tokens) {
         let allowed = allows.iter_mut().any(|(d, used)| {
             let hit = d.lint == lint && (d.line == line || d.line + 1 == line);
             if hit && !d.reason.is_empty() {
@@ -178,6 +179,15 @@ fn lint_rust_file(root: &Path, file: &Path, findings: &mut Vec<Finding>) -> std:
     Ok(())
 }
 
+/// The raw `(line, lint, message)` findings of the token-stream rules that
+/// apply to the file at repo-relative path `rel` (test code stripped,
+/// escapes not yet applied).
+pub fn scan_file_tokens(rel: &Path, tokens: Vec<Tok>) -> Vec<(usize, &'static str, String)> {
+    let mut raw = Vec::new();
+    scan_tokens(&strip_cfg_test(tokens), &scope_for(rel), &mut raw);
+    raw
+}
+
 /// All token-stream rules in one pass.
 fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str, String)>) {
     let text = |i: usize| tokens.get(i).map(|t| t.text.as_str());
@@ -205,12 +215,32 @@ fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str
             ));
             continue;
         }
-        if !scope.hot_path && !scope.kernel {
+        if !scope.hot_path && !scope.kernel && !scope.row_gather {
             continue;
         }
         let method_call = |name: &str, j: usize| {
             tokens[j].text == "." && text(j + 1) == Some(name) && text(j + 2) == Some("(")
         };
+        if scope.row_gather && i > 0 {
+            // Receivers are recognised by this codebase's naming: a `Table`
+            // is bound as `t` or `table`, a row as `row` / `*_row`.
+            let receiver = tokens[i - 1].text.as_str();
+            let whole_table_rows = matches!(receiver, "t" | "table")
+                && ["get", "iter", "iter_range"]
+                    .iter()
+                    .any(|m| method_call(m, i));
+            if whole_table_rows || (receiver.ends_with("row") && method_call("to_vec", i)) {
+                out.push((
+                    t.line,
+                    "full-row-gather",
+                    format!(
+                        "{receiver}.{}() copies every column of the row; gather the \
+                         source's scan columns instead",
+                        text(i + 1).unwrap_or_default()
+                    ),
+                ));
+            }
+        }
         if scope.hot_path {
             // Skip the `.unwrap()` that belongs to a lock-unwrap match at
             // i-4 — already reported above.

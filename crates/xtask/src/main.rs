@@ -111,6 +111,26 @@ mod tests {
     }
 
     #[test]
+    fn full_row_gathers_are_flagged_in_the_executor_only() {
+        let src = "fn f(t: &Table, m: &Map, row: &[Value]) {\n\
+                   let a = t.get(id);\n\
+                   let b = m.get(key);\n\
+                   let c = row.to_vec();\n\
+                   for r in table.iter() {}\n\
+                   t.gather_into(id, cols, &mut out);\n}\n";
+        let lines = |path: &str| -> Vec<usize> {
+            crate::lints::scan_file_tokens(std::path::Path::new(path), lex(src).tokens)
+                .into_iter()
+                .filter(|(_, lint, _)| *lint == "full-row-gather")
+                .map(|(line, _, _)| line)
+                .collect()
+        };
+        assert_eq!(lines("crates/sql/src/executor.rs"), vec![2, 4, 5]);
+        assert_eq!(lines("crates/sql/src/engine.rs"), vec![2, 4, 5]);
+        assert!(lines("crates/sql/src/planner/mod.rs").is_empty());
+    }
+
+    #[test]
     fn the_workspace_is_lint_clean() {
         let findings = crate::lints::run(&crate::workspace_root()).unwrap();
         let rendered: Vec<String> = findings.iter().map(ToString::to_string).collect();
