@@ -14,7 +14,7 @@
 use skyserver_htm::{angular_distance_arcmin, cover, Convex};
 use skyserver_skygen::{photo_flag_value, photo_type_value, spec_class_value};
 use skyserver_sql::{FunctionRegistry, ResultSet, SqlError};
-use skyserver_storage::{Database, IndexKey, Value};
+use skyserver_storage::{Database, Value};
 
 /// Base URL of the object explorer (the paper's `fGetUrlExpId` returns the
 /// drill-down URL of an object).
@@ -194,59 +194,53 @@ fn nearby_objects(
     Ok(rs)
 }
 
-/// Pull candidate objects for a region through the `htmID` B-tree (or a full
-/// scan when the index is missing, e.g. before the load finishes).
+/// Pull candidate objects for a region through the `htmID` index (or a full
+/// scan when the index is missing, e.g. before the load finishes).  Either
+/// way only the seven columns a [`Candidate`] holds leave the heap.
 fn spatial_candidates(db: &Database, region: &Convex) -> Result<Vec<Candidate>, SqlError> {
     let table = db.table("PhotoObj")?;
     let schema = table.schema();
-    let col = |name: &str| {
-        schema
-            .column_index(name)
-            .ok_or_else(|| SqlError::Plan(format!("PhotoObj lacks column {name}")))
-    };
-    let (i_obj, i_run, i_camcol, i_field, i_type, i_ra, i_dec) = (
-        col("objID")?,
-        col("run")?,
-        col("camcol")?,
-        col("field")?,
-        col("type")?,
-        col("ra")?,
-        col("dec")?,
-    );
-    let make = |row: &[Value]| Candidate {
-        obj_id: row[i_obj].as_i64().unwrap_or(0),
-        run: row[i_run].as_i64().unwrap_or(0),
-        camcol: row[i_camcol].as_i64().unwrap_or(0),
-        field: row[i_field].as_i64().unwrap_or(0),
-        obj_type: row[i_type].as_i64().unwrap_or(0),
-        ra: row[i_ra].as_f64().unwrap_or(0.0),
-        dec: row[i_dec].as_f64().unwrap_or(0.0),
+    let columns = ["objID", "run", "camcol", "field", "type", "ra", "dec"]
+        .iter()
+        .map(|name| {
+            schema
+                .column_index(name)
+                .ok_or_else(|| SqlError::Plan(format!("PhotoObj lacks column {name}")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    let mut out = Vec::new();
+    let mut cells = Vec::with_capacity(columns.len());
+    let mut gather = |row_id| {
+        cells.clear();
+        if table.gather_into(row_id, &columns, &mut cells) {
+            let int = |c: usize| cells[c].as_i64().unwrap_or(0);
+            out.push(Candidate {
+                obj_id: int(0),
+                run: int(1),
+                camcol: int(2),
+                field: int(3),
+                obj_type: int(4),
+                ra: cells[5].as_f64().unwrap_or(0.0),
+                dec: cells[6].as_f64().unwrap_or(0.0),
+            });
+        }
     };
     let htm_index = db
         .indexes_for("PhotoObj")
         .iter()
-        .find(|ix| ix.def().key_columns[0].eq_ignore_ascii_case("htmID"));
-    let mut out = Vec::new();
+        .find(|ix| ix.def().leading_column().eq_ignore_ascii_case("htmID"));
     match htm_index {
         Some(index) => {
-            let ranges = cover(region);
-            for r in ranges.ranges() {
-                let lo = IndexKey(vec![Value::Int(r.lo as i64)]);
-                // seek_range bounds are inclusive; the cover's hi is
-                // exclusive, so subtract one trixel.
-                let hi = IndexKey(vec![Value::Int((r.hi - 1) as i64)]);
-                for (_, entry) in index.seek_range(Some(&lo), Some(&hi)) {
-                    if let Some(row) = table.get(entry.row_id) {
-                        out.push(make(&row));
-                    }
-                }
+            for r in cover(region).ranges() {
+                // Range bounds are inclusive; the cover's hi is exclusive,
+                // so subtract one trixel.
+                let (lo, hi) = (Value::Int(r.lo as i64), Value::Int((r.hi - 1) as i64));
+                index
+                    .range(&[lo], &[hi])
+                    .for_each(|entry| gather(entry.row_id()));
             }
         }
-        None => {
-            for (_, row) in table.iter() {
-                out.push(make(&row));
-            }
-        }
+        None => table.row_ids().for_each(gather),
     }
     Ok(out)
 }

@@ -44,7 +44,7 @@
 //! credited back when a buffer is dropped, so [`QueryMonitor::peak_bytes`]
 //! is the statement's real high-water mark.
 
-use crate::ast::JoinKind;
+use crate::ast::{Expr, JoinKind};
 use crate::error::SqlError;
 use crate::exec::compile::{CompiledExpr, CompiledPrograms};
 use crate::exec::sink::{
@@ -57,7 +57,7 @@ use crate::monitor::{QueryMonitor, MONITOR_BATCH};
 use crate::plan::{AccessPath, JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
 use crate::result::ResultSet;
 use skyserver_storage::{
-    BTreeIndex, DataType, Database, IndexKey, RowId, ScanStats, Table, Value, SEGMENT_ROWS,
+    BTreeIndex, DataType, Database, IndexEntry, RowId, ScanStats, Table, Value, SEGMENT_ROWS,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -166,6 +166,53 @@ fn entry_bytes(idx: &BTreeIndex) -> u64 {
         1
     } else {
         (idx.bytes() / idx.len() as u64).max(1)
+    }
+}
+
+/// How the index paths (seek, covering scan, index-lookup join) turn an
+/// index entry into the source's layout row.
+struct IndexRows<'x> {
+    t: &'x Table,
+    layout: &'x [usize],
+    idx: &'x BTreeIndex,
+    entry_bytes: u64,
+    /// On a covering scan, where each layout cell sits in an entry (key
+    /// columns first, then the included ones).  Otherwise the cells are
+    /// gathered from the heap by row id: late materialization, only the
+    /// layout's cells leave the heap.
+    covered: Option<Vec<usize>>,
+    filter: Option<&'x CompiledExpr>,
+}
+
+impl IndexRows<'_> {
+    /// Fill `row` for `entry` and run the pushed filter on it; false when
+    /// the row is dead or rejected.
+    fn row(
+        &self,
+        entry: IndexEntry<'_>,
+        row: &mut Vec<Value>,
+        ctx: &EvalContext<'_>,
+        stats: &mut ScanStats,
+    ) -> Result<bool, SqlError> {
+        row.clear();
+        match &self.covered {
+            Some(positions) => row.extend(positions.iter().map(|&p| entry.cell(p))),
+            None => {
+                if !self.t.gather_into(entry.row_id(), self.layout, row) {
+                    return Ok(false);
+                }
+                stats.bytes_scanned += cells_bytes(row);
+            }
+        }
+        stats.rows_from_index += 1;
+        stats.bytes_from_index += self.entry_bytes;
+        match self.filter {
+            Some(filter) => {
+                stats.predicates_evaluated += 1;
+                Ok(filter.eval(row, ctx)?.is_truthy())
+            }
+            None => Ok(true),
+        }
     }
 }
 
@@ -679,102 +726,64 @@ impl<'a> Executor<'a> {
             AccessPath::ParallelHeapScan { workers } => {
                 self.parallel_heap_scan(t, source, layout, scan, *workers, limit_hint, sink, stats)
             }
-            AccessPath::IndexSeek { index, bounds } => {
+            AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index } => {
                 let idx = index_of(self.db, table, index)?;
-                let entries = if let Some(eq) = &bounds.equals {
-                    // A prefix seek handles both single-column and composite
-                    // indexes whose leading column carries the equality.
-                    let key = eval_constant(eq, &[], &ctx)?;
-                    idx.seek_prefix(&key)
-                } else {
-                    let lo = match &bounds.lower {
-                        Some((e, _)) => Some(IndexKey(vec![eval_constant(e, &[], &ctx)?])),
-                        None => None,
-                    };
-                    let hi = match &bounds.upper {
-                        Some((e, _)) => Some(IndexKey(vec![
-                            eval_constant(e, &[], &ctx)?,
-                            Value::str("\u{10FFFF}"),
-                        ])),
-                        None => None,
-                    };
-                    idx.seek_range(lo.as_ref(), hi.as_ref())
+                let (entries, covered) = match path {
+                    AccessPath::IndexSeek { bounds, .. } => {
+                        let bound =
+                            |e: Option<&Expr>| e.map(|e| eval_constant(e, &[], &ctx)).transpose();
+                        // Bounds are prefixes of the key, so an equality on
+                        // the leading column of a composite index is the
+                        // range from that value to itself.  A strict bound
+                        // seeks inclusively: the pushed filter drops its end.
+                        let (lo, hi) = match &bounds.equals {
+                            Some(eq) => {
+                                let key = bound(Some(eq))?;
+                                (key.clone(), key)
+                            }
+                            None => (
+                                bound(bounds.lower.as_ref().map(|(e, _)| e))?,
+                                bound(bounds.upper.as_ref().map(|(e, _)| e))?,
+                            ),
+                        };
+                        stats.index_seeks += 1;
+                        (idx.range(lo.as_slice(), hi.as_slice()), None)
+                    }
+                    _ => {
+                        let covered = idx.def().covered_columns();
+                        let columns = t.schema().columns();
+                        let position = |&c: &usize| {
+                            let name = &columns[c].name;
+                            covered
+                                .iter()
+                                .position(|covered| covered.eq_ignore_ascii_case(name))
+                                .ok_or_else(|| {
+                                    SqlError::Plan(format!("index {index} does not cover {name}"))
+                                })
+                        };
+                        let positions = layout.iter().map(position).collect::<Result<_, _>>()?;
+                        (idx.range(&[], &[]), Some(positions))
+                    }
                 };
-                stats.index_seeks += 1;
-                let entry_bytes = entry_bytes(idx);
+                let rows = IndexRows {
+                    t,
+                    layout,
+                    idx,
+                    entry_bytes: entry_bytes(idx),
+                    covered,
+                    filter: scan.filter,
+                };
+                // The filter runs on the scratch row; only a survivor is
+                // handed on.
                 let mut row: Vec<Value> = Vec::with_capacity(layout.len() + 1);
                 let mut produced = 0u64;
                 let mut pending = 0u64;
-                for (_, entry) in entries {
+                for entry in entries {
                     self.tick(&mut pending)?;
-                    // Late materialization by row id: only the layout's
-                    // cells leave the heap.
-                    row.clear();
-                    if !t.gather_into(entry.row_id, layout, &mut row) {
+                    if !rows.row(entry, &mut row, &ctx, stats)? {
                         continue;
                     }
-                    stats.rows_from_index += 1;
-                    stats.bytes_from_index += entry_bytes;
-                    stats.bytes_scanned += cells_bytes(&row);
-                    if let Some(filter) = scan.filter {
-                        stats.predicates_evaluated += 1;
-                        if !filter.eval(&row, &ctx)?.is_truthy() {
-                            continue;
-                        }
-                    }
-                    self.emit(&mut row, entry.row_id, scan.emit, sink)?;
-                    produced += 1;
-                    if limit_hint.is_some_and(|l| produced >= l) {
-                        break;
-                    }
-                }
-                self.flush_progress(&mut pending)
-            }
-            AccessPath::CoveringIndexScan { index } => {
-                let idx = index_of(self.db, table, index)?;
-                // Where each layout cell sits in an index entry (key columns
-                // first, then the included ones).
-                let covered = idx.def().covered_columns();
-                let columns = t.schema().columns();
-                let positions: Vec<usize> = layout
-                    .iter()
-                    .map(|&c| {
-                        covered
-                            .iter()
-                            .position(|name| name.eq_ignore_ascii_case(&columns[c].name))
-                            .ok_or_else(|| {
-                                SqlError::Plan(format!(
-                                    "index {index} does not cover {}",
-                                    columns[c].name
-                                ))
-                            })
-                    })
-                    .collect::<Result<_, _>>()?;
-                let entry_bytes = entry_bytes(idx);
-                let mut row: Vec<Value> = Vec::with_capacity(layout.len() + 1);
-                let mut produced = 0u64;
-                let mut pending = 0u64;
-                for (key, entry) in idx.scan() {
-                    self.tick(&mut pending)?;
-                    stats.rows_from_index += 1;
-                    stats.bytes_from_index += entry_bytes;
-                    // The filter runs on the scratch row; only a survivor
-                    // is handed on.
-                    row.clear();
-                    for &p in &positions {
-                        let cell = match p.checked_sub(key.0.len()) {
-                            None => key.0.get(p),
-                            Some(included) => entry.included.get(included),
-                        };
-                        row.push(cell.cloned().unwrap_or(Value::Null));
-                    }
-                    if let Some(filter) = scan.filter {
-                        stats.predicates_evaluated += 1;
-                        if !filter.eval(&row, &ctx)?.is_truthy() {
-                            continue;
-                        }
-                    }
-                    self.emit(&mut row, entry.row_id, scan.emit, sink)?;
+                    self.emit(&mut row, entry.row_id(), scan.emit, sink)?;
                     produced += 1;
                     if limit_hint.is_some_and(|l| produced >= l) {
                         break;
@@ -1019,15 +1028,18 @@ impl<'a> Executor<'a> {
                         "index {index} does not lead with {inner_column}"
                     )));
                 }
-                Probe::Index {
+                let key = join
+                    .outer_key
+                    .ok_or_else(|| missing_program("index-lookup outer key"))?;
+                let rows = IndexRows {
                     t,
                     layout: self.layout_of(inner, t)?,
                     idx,
                     entry_bytes: entry_bytes(idx),
-                    key: join
-                        .outer_key
-                        .ok_or_else(|| missing_program("index-lookup outer key"))?,
-                }
+                    covered: None,
+                    filter: join.inner_filter,
+                };
+                Probe::Index { rows, key }
             }
             JoinStrategy::Hash { .. } => {
                 let (probe_keys, build_keys) = join
@@ -1082,34 +1094,15 @@ impl<'a> Executor<'a> {
                 sink.push(self, scratch).map(|()| true)
             };
             match &probe {
-                Probe::Index {
-                    t,
-                    layout,
-                    idx,
-                    entry_bytes,
-                    key,
-                } => {
-                    let key = key.eval(outer_row, &ctx)?;
+                Probe::Index { rows, key } => {
+                    let key = [key.eval(outer_row, &ctx)?];
                     stats.index_seeks += 1;
                     // Prefix seek: composite indexes (run, camcol, field)
                     // still serve equality probes on their leading column.
-                    for (_, entry) in idx.seek_prefix(&key) {
+                    for entry in rows.idx.range(&key, &key) {
                         self.tick(&mut pending)?;
-                        // Late materialization on the probe side: only the
-                        // inner layout's cells are gathered, whatever access
-                        // path the inner source was planned with.
-                        inner_row.clear();
-                        if !t.gather_into(entry.row_id, layout, &mut inner_row) {
+                        if !rows.row(entry, &mut inner_row, &ctx, stats)? {
                             continue;
-                        }
-                        stats.rows_from_index += 1;
-                        stats.bytes_from_index += entry_bytes;
-                        stats.bytes_scanned += cells_bytes(&inner_row);
-                        if let Some(filter) = join.inner_filter {
-                            stats.predicates_evaluated += 1;
-                            if !filter.eval(&inner_row, &ctx)?.is_truthy() {
-                                continue;
-                            }
                         }
                         outer_prefix(&mut scratch, outer_row);
                         scratch.append(&mut inner_row);
@@ -1163,12 +1156,9 @@ impl<'a> Executor<'a> {
 
 /// How a join step finds the inner rows matching one outer row.
 enum Probe<'x> {
-    /// Probe a B-tree index on the inner table, gathering matches by row id.
+    /// Probe an index on the inner table, gathering matches by row id.
     Index {
-        t: &'x Table,
-        layout: &'x [usize],
-        idx: &'x BTreeIndex,
-        entry_bytes: u64,
+        rows: IndexRows<'x>,
         key: &'x CompiledExpr,
     },
     /// Look the outer key up in a hash table over the buffered inner rows

@@ -7,7 +7,7 @@
 //! tables and indices; the query layer decides how to use them.
 
 use crate::error::StorageError;
-use crate::index::{BTreeIndex, IndexDef, IndexKey};
+use crate::index::{BTreeIndex, IndexDef};
 use crate::schema::TableSchema;
 use crate::table::{RowId, Table, Timestamp};
 use crate::table_stats::{self, TableStats};
@@ -69,10 +69,10 @@ pub struct TableSummary {
 /// load bookkeeping and UNDO.
 ///
 /// `Database` is `Clone`, and the clone is a copy-on-write snapshot: table
-/// segments and index trees sit behind [`Arc`]s, so cloning copies only
+/// segments and index runs sit behind [`Arc`]s, so cloning copies only
 /// catalog metadata while sharing all bulk data.  Mutating either copy
-/// afterwards detaches just the segments/indexes it touches.  This is the
-/// primitive the release catalog ([`crate::release`]) builds on.
+/// afterwards detaches just the segments and index runs it touches.  This
+/// is the primitive the release catalog ([`crate::release`]) builds on.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
     name: String,
@@ -304,12 +304,19 @@ impl Database {
             .tables
             .get_mut(&key)
             .ok_or_else(|| StorageError::UnknownTable(table.into()))?;
-        let row_id = t.insert(row, ts)?;
-        let stored = t.get(row_id).expect("row just inserted");
-        if let Some(idxs) = self.indexes.get_mut(&key) {
-            for idx in idxs.iter_mut() {
-                Arc::make_mut(idx).insert_row(row_id, &stored)?;
-            }
+        let row = t.schema().validate_row(row)?;
+        // Every check comes before the first write: a rejected row leaves
+        // the table and all of its indexes as they were.
+        let idxs = self
+            .indexes
+            .get_mut(&key)
+            .map_or(&mut [][..], Vec::as_mut_slice);
+        for idx in idxs.iter() {
+            idx.check_unique(&row)?;
+        }
+        let row_id = t.append(&row, ts);
+        for idx in idxs {
+            Arc::make_mut(idx).insert_row(row_id, &row)?;
         }
         Ok(row_id)
     }
@@ -457,10 +464,7 @@ impl Database {
                     .zip(&fk.ref_columns)
                     .all(|(a, b)| a.eq_ignore_ascii_case(b))
             {
-                if keys.len() == fk.ref_columns.len() {
-                    return Ok(!idx.seek_exact(&IndexKey(values.to_vec())).is_empty());
-                }
-                return Ok(!idx.seek_prefix(&values[0]).is_empty());
+                return Ok(idx.range(values, values).next().is_some());
             }
         }
         // Fall back to a scan.
@@ -625,7 +629,33 @@ mod tests {
             .unwrap();
         let idx = d.index("plate", "pk_plate").unwrap();
         assert_eq!(idx.len(), 2);
-        assert_eq!(idx.seek_exact(&IndexKey(vec![Value::Int(2)])).len(), 1);
+        assert_eq!(idx.range(&[Value::Int(2)], &[Value::Int(2)]).count(), 1);
+    }
+
+    #[test]
+    fn a_rejected_insert_changes_nothing() {
+        // A non-unique index ahead of the primary key, so a duplicate key
+        // is only found after an earlier index could have been written.
+        let mut d = Database::new("skyserver_test");
+        d.create_table("plate", plate_schema()).unwrap();
+        d.create_index(IndexDef::new("ix_plate_ra", "plate", &["ra"]))
+            .unwrap();
+        d.create_index(IndexDef::new("pk_plate", "plate", &["plateID"]).unique())
+            .unwrap();
+        d.insert("plate", vec![Value::Int(1), Value::Float(180.0)])
+            .unwrap();
+        let counts = |d: &Database| {
+            let t = d.table("plate").unwrap();
+            let lens: Vec<usize> = d.indexes_for("plate").iter().map(|i| i.len()).collect();
+            (t.row_count(), t.iter().count(), t.data_bytes(), lens)
+        };
+        let before = counts(&d);
+        let err = d
+            .insert("plate", vec![Value::Int(1), Value::Float(190.0)])
+            .unwrap_err();
+        assert!(matches!(err, StorageError::Index(_)), "{err}");
+        assert_eq!(counts(&d), before);
+        assert_eq!(before, (1, 1, 16, vec![1, 1]));
     }
 
     #[test]

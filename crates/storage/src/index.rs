@@ -1,39 +1,40 @@
-//! Secondary B-tree indices with composite keys and included ("covering")
-//! columns.
+//! Secondary indices as sorted columnar runs, with composite keys and
+//! included ("covering") columns.
 //!
 //! Section 9.1.3 of the paper argues that indices replace the hand-built
 //! "tag tables" of the ObjectivityDB design: *"An index on fields A, B, and
 //! C gives an automatically managed tag table on those 3 attributes plus the
 //! primary key -- and the SQL query optimizer automatically uses that index
-//! if the query is covered by those fields."*  This module provides exactly
-//! that: an ordered map from a composite key (the indexed columns) to row
-//! ids, optionally storing extra included column values so covered queries
-//! never touch the heap.
+//! if the query is covered by those fields."*  This module stores exactly
+//! that: a narrow vertical partition of the table — the key columns, the
+//! included columns and a [`RowId`] column — sorted by (key columns under
+//! [`Value::total_cmp`], then `RowId`).
+//!
+//! The partition is cut into [`Run`]s of at most [`RUN_ENTRIES`] entries.
+//! A run holds its columns as the same typed arrays ([`Column`]) a table
+//! segment does and sits behind an [`Arc`]; the index is a vector of those
+//! pointers, and the first entry of each run is its fence.  A seek is a
+//! binary search over the fences and then within one run.  A write clones
+//! the pointer vector (`Arc::make_mut` on the index after a snapshot) and
+//! the one run it lands in; every other run stays shared with the
+//! snapshots, releases and in-flight readers that hold it.  A full run
+//! splits in two, an empty one is dropped.
+//!
+//! `RowId`s only grow (an `UPDATE` is delete + insert), so entries with equal
+//! keys sit in insertion order.
 
-use crate::table::{RowId, Table};
-use crate::value::Value;
-use std::collections::BTreeMap;
-use std::ops::Bound;
+use crate::table::{Column, RowId, Table, SEGMENT_ROWS};
+use crate::value::{DataType, Value};
+use std::cmp::Ordering;
+use std::sync::Arc;
+
+/// Most entries a [`Run`] holds: what one write to an index copies.  A
+/// power of two, so arrays grown by doubling end up with no slack.
+pub const RUN_ENTRIES: usize = 1024;
 
 /// A composite index key: the values of the indexed columns in order.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct IndexKey(pub Vec<Value>);
-
-impl IndexKey {
-    /// Smallest possible key (used as an open lower bound).
-    pub fn min() -> IndexKey {
-        IndexKey(vec![])
-    }
-}
-
-/// One index entry: the row it points at plus any included column values.
-#[derive(Debug, Clone, PartialEq)]
-pub struct IndexEntry {
-    /// The row this entry points at.
-    pub row_id: RowId,
-    /// Values of the included (covering) columns, in declaration order.
-    pub included: Vec<Value>,
-}
 
 /// Definition of an index: which columns are keys and which are included.
 #[derive(Debug, Clone, PartialEq)]
@@ -99,21 +100,6 @@ impl IndexDef {
     }
 }
 
-/// A B-tree secondary index over one table.
-#[derive(Debug, Clone)]
-pub struct BTreeIndex {
-    def: IndexDef,
-    /// Column positions of the key columns in the base table.
-    key_positions: Vec<usize>,
-    /// Column positions of the included columns in the base table.
-    included_positions: Vec<usize>,
-    tree: BTreeMap<IndexKey, Vec<IndexEntry>>,
-    entries: usize,
-    /// Approximate index size in bytes (key + entry overhead), for the
-    /// "indices approximately double the space" accounting of Table 1.
-    bytes: u64,
-}
-
 /// Errors raised while building or maintaining an index.
 #[derive(Debug, Clone, PartialEq)]
 pub enum IndexError {
@@ -139,40 +125,180 @@ impl std::fmt::Display for IndexError {
 
 impl std::error::Error for IndexError {}
 
+fn unique_violation(key: &[Value]) -> IndexError {
+    let cells: Vec<String> = key.iter().map(Value::to_string).collect();
+    IndexError::UniqueViolation {
+        key: format!("({})", cells.join(", ")),
+    }
+}
+
+/// One sorted slice of an index: the covered columns (key columns first,
+/// then the included ones) and the row ids, as parallel arrays.
+#[derive(Debug, Clone)]
+pub struct Run {
+    columns: Vec<Column>,
+    row_ids: Vec<RowId>,
+}
+
+impl Run {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.row_ids.len()
+    }
+
+    /// True when the run holds no entry (never true of a run in an index).
+    pub fn is_empty(&self) -> bool {
+        self.row_ids.is_empty()
+    }
+
+    fn empty(types: impl Iterator<Item = DataType>) -> Run {
+        Run {
+            columns: types.map(Column::new).collect(),
+            row_ids: Vec::new(),
+        }
+    }
+
+    /// A new run holding the entries `range` of this one, with zone maps
+    /// and dictionaries of its own.
+    fn slice(&self, range: std::ops::Range<usize>) -> Run {
+        let mut run = Run::empty(self.columns.iter().map(Column::data_type));
+        run.row_ids.extend(&self.row_ids[range.clone()]);
+        for (column, from) in run.columns.iter_mut().zip(&self.columns) {
+            range.clone().for_each(|off| column.push(&from.value(off)));
+        }
+        run
+    }
+
+    /// Order entry `off`'s leading key cells against `prefix`.
+    fn cmp_prefix(&self, off: usize, prefix: &[Value]) -> Ordering {
+        self.columns
+            .iter()
+            .zip(prefix)
+            .map(|(column, v)| column.cmp_value(off, v))
+            .find(|o| o.is_ne())
+            .unwrap_or(Ordering::Equal)
+    }
+}
+
+/// One entry of an index, borrowed from its run.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexEntry<'a> {
+    run: &'a Run,
+    off: usize,
+}
+
+impl IndexEntry<'_> {
+    /// The row this entry points at.
+    pub fn row_id(&self) -> RowId {
+        self.run.row_ids[self.off]
+    }
+
+    /// Covered cell `c` of the entry: the key columns first, then the
+    /// included ones ([`IndexDef::covered_columns`] order).
+    pub fn cell(&self, c: usize) -> Value {
+        self.run.columns[c].value(self.off)
+    }
+}
+
+/// A position in an index: a run and an offset into it.  The offset may
+/// equal the run's length, meaning the start of the next run.
+type Position = (usize, usize);
+
+/// A forward cursor over a contiguous range of an index's entries, in
+/// (key, `RowId`) order.  It reads the runs in place and does only as much
+/// work as the consumer asks for.
+#[derive(Debug, Clone)]
+pub struct IndexCursor<'a> {
+    runs: &'a [Arc<Run>],
+    at: Position,
+    end: Position,
+}
+
+impl<'a> Iterator for IndexCursor<'a> {
+    type Item = IndexEntry<'a>;
+
+    fn next(&mut self) -> Option<IndexEntry<'a>> {
+        while self.at < self.end {
+            let (run, off) = (&self.runs[self.at.0], self.at.1);
+            if off < run.len() {
+                self.at.1 += 1;
+                return Some(IndexEntry { run, off });
+            }
+            self.at = (self.at.0 + 1, 0);
+        }
+        None
+    }
+}
+
+/// A secondary index over one table (see the module docs for the layout).
+/// The name is historical: it answers what a B-tree would.
+#[derive(Debug, Clone)]
+pub struct BTreeIndex {
+    def: IndexDef,
+    /// Base-table position and type of each covered column: keys, then
+    /// included.
+    covered: Vec<(usize, DataType)>,
+    /// Non-empty runs in index order.
+    runs: Vec<Arc<Run>>,
+    entries: usize,
+    /// Index size in bytes (covered cells + 16 per entry), for the "indices
+    /// approximately double the space" accounting of Table 1.
+    bytes: u64,
+}
+
 impl BTreeIndex {
-    /// Build an index over the current contents of `table`.
+    /// Build an index over the current contents of `table`: read the key
+    /// columns, sort a permutation of the live rows, cut it into runs.
     pub fn build(def: IndexDef, table: &Table) -> Result<Self, IndexError> {
         let schema = table.schema();
-        let key_positions = def
-            .key_columns
-            .iter()
-            .map(|c| {
-                schema
-                    .column_index(c)
-                    .ok_or_else(|| IndexError::UnknownColumn(c.clone()))
+        let covered = def
+            .covered_columns()
+            .into_iter()
+            .map(|c| match schema.column_index(c) {
+                Some(p) => Ok((p, schema.columns()[p].ty)),
+                None => Err(IndexError::UnknownColumn(c.to_string())),
             })
             .collect::<Result<Vec<_>, _>>()?;
-        let included_positions = def
-            .included_columns
+        let segments = table.segments();
+        let row_ids: Vec<RowId> = table.row_ids().collect();
+        let cell = |id: RowId, p: usize| segments[id / SEGMENT_ROWS].value(id % SEGMENT_ROWS, p);
+        let keys: Vec<Vec<Value>> = covered[..def.key_columns.len()]
             .iter()
-            .map(|c| {
-                schema
-                    .column_index(c)
-                    .ok_or_else(|| IndexError::UnknownColumn(c.clone()))
-            })
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut index = BTreeIndex {
-            def,
-            key_positions,
-            included_positions,
-            tree: BTreeMap::new(),
-            entries: 0,
-            bytes: 0,
+            .map(|&(p, _)| row_ids.iter().map(|&id| cell(id, p)).collect())
+            .collect();
+        let cmp_keys = |a: usize, b: usize| {
+            keys.iter()
+                .map(|k| k[a].total_cmp(&k[b]))
+                .find(|o| o.is_ne())
+                .unwrap_or(Ordering::Equal)
         };
-        for (row_id, row) in table.iter() {
-            index.insert_row(row_id, &row)?;
+        // Stable: rows with equal keys stay in `RowId` order.
+        let mut order: Vec<usize> = (0..row_ids.len()).collect();
+        order.sort_by(|&a, &b| cmp_keys(a, b));
+        if def.unique {
+            if let Some(w) = order.windows(2).find(|w| cmp_keys(w[0], w[1]).is_eq()) {
+                let key: Vec<Value> = keys.iter().map(|k| k[w[0]].clone()).collect();
+                return Err(unique_violation(&key));
+            }
         }
-        Ok(index)
+        let mut runs = Vec::with_capacity(order.len().div_ceil(RUN_ENTRIES));
+        let mut bytes = 16 * order.len() as u64;
+        for chunk in order.chunks(RUN_ENTRIES) {
+            let mut run = Run::empty(covered.iter().map(|c| c.1));
+            run.row_ids.extend(chunk.iter().map(|&i| row_ids[i]));
+            for (column, &(p, _)) in run.columns.iter_mut().zip(&covered) {
+                run.row_ids.iter().for_each(|&id| column.push(&cell(id, p)));
+                bytes += column.bytes();
+            }
+            runs.push(Arc::new(run));
+        }
+        Ok(BTreeIndex {
+            def,
+            covered,
+            runs,
+            entries: order.len(),
+            bytes,
+        })
     }
 
     /// The index definition.
@@ -195,119 +321,160 @@ impl BTreeIndex {
         self.bytes
     }
 
+    /// The index's runs, in index order.  Runs are shared copy-on-write
+    /// between cloned indexes; compare with `Arc::as_ptr` to test run
+    /// identity across snapshots.
+    pub fn runs(&self) -> &[Arc<Run>] {
+        &self.runs
+    }
+
     /// Extract the key for a row.
     pub fn key_of(&self, row: &[Value]) -> IndexKey {
-        IndexKey(self.key_positions.iter().map(|&p| row[p].clone()).collect())
+        let keys = &self.covered[..self.def.key_columns.len()];
+        IndexKey(keys.iter().map(|&(p, _)| row[p].clone()).collect())
+    }
+
+    /// The position of the first entry `before` does not hold for.  `before`
+    /// must hold for a leading part of the index and for nothing after it.
+    fn partition(&self, before: impl Fn(&Run, usize) -> bool) -> Position {
+        // The boundary lies in the last run whose fence is still `before`.
+        let Some(r) = self
+            .runs
+            .partition_point(|run| before(run, 0))
+            .checked_sub(1)
+        else {
+            return (0, 0);
+        };
+        let run = &self.runs[r];
+        let (mut lo, mut hi) = (1, run.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if before(run, mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        (r, lo)
+    }
+
+    /// The position of the first entry not ordered before (`key`, `row_id`).
+    fn lower_bound(&self, key: &IndexKey, row_id: RowId) -> Position {
+        self.partition(|run, off| {
+            run.cmp_prefix(off, &key.0)
+                .then_with(|| run.row_ids[off].cmp(&row_id))
+                .is_lt()
+        })
+    }
+
+    /// `at` moved onto the entry it denotes; `None` past the last entry.
+    fn settle(&self, (r, off): Position) -> Option<Position> {
+        let on_boundary = self.runs.get(r).is_some_and(|run| off == run.len());
+        let at = if on_boundary { (r + 1, 0) } else { (r, off) };
+        (at.0 < self.runs.len()).then_some(at)
+    }
+
+    /// Would adding `row` put a second entry under one key of a unique
+    /// index?  [`crate::Database`] asks before it touches the table, so a
+    /// rejected insert changes nothing.
+    pub fn check_unique(&self, row: &[Value]) -> Result<(), IndexError> {
+        if !self.def.unique {
+            return Ok(());
+        }
+        let key = self.key_of(row);
+        match self.settle(self.lower_bound(&key, 0)) {
+            Some((r, off)) if self.runs[r].cmp_prefix(off, &key.0).is_eq() => {
+                Err(unique_violation(&key.0))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Add a row to the index (called on insert).
     pub fn insert_row(&mut self, row_id: RowId, row: &[Value]) -> Result<(), IndexError> {
-        let key = self.key_of(row);
-        let included = self
-            .included_positions
-            .iter()
-            .map(|&p| row[p].clone())
-            .collect::<Vec<_>>();
-        let key_bytes: u64 = key.0.iter().map(|v| v.byte_size() as u64).sum();
-        let inc_bytes: u64 = included.iter().map(|v| v.byte_size() as u64).sum();
-        let bucket = self.tree.entry(key).or_default();
-        if self.def.unique && !bucket.is_empty() {
-            return Err(IndexError::UniqueViolation {
-                key: format!(
-                    "({})",
-                    self.key_positions
-                        .iter()
-                        .map(|&p| row[p].to_string())
-                        .collect::<Vec<_>>()
-                        .join(", ")
-                ),
-            });
+        self.check_unique(row)?;
+        let (mut r, mut off) = self.lower_bound(&self.key_of(row), row_id);
+        match self.runs.get(r).map(|run| run.len()) {
+            None => {
+                let types = self.covered.iter().map(|c| c.1);
+                self.runs.push(Arc::new(Run::empty(types)));
+            }
+            Some(len) if len >= RUN_ENTRIES => {
+                let mid = len / 2;
+                let halves = [self.runs[r].slice(0..mid), self.runs[r].slice(mid..len)];
+                self.runs.splice(r..=r, halves.map(Arc::new));
+                if off > mid {
+                    (r, off) = (r + 1, off - mid);
+                }
+            }
+            Some(_) => {}
         }
-        bucket.push(IndexEntry { row_id, included });
+        let run = Arc::make_mut(&mut self.runs[r]);
+        run.row_ids.insert(off, row_id);
+        for (column, &(p, _)) in run.columns.iter_mut().zip(&self.covered) {
+            column.insert(off, &row[p]);
+            self.bytes += row[p].byte_size() as u64;
+        }
         self.entries += 1;
-        self.bytes += key_bytes + inc_bytes + 16;
+        self.bytes += 16;
         Ok(())
     }
 
     /// Remove a row from the index (called on delete).
     pub fn remove_row(&mut self, row_id: RowId, row: &[Value]) {
         let key = self.key_of(row);
-        if let Some(bucket) = self.tree.get_mut(&key) {
-            let before = bucket.len();
-            bucket.retain(|e| e.row_id != row_id);
-            let removed = before - bucket.len();
-            self.entries -= removed;
-            if bucket.is_empty() {
-                self.tree.remove(&key);
-            }
-        }
-    }
-
-    /// Exact-match lookup on the full key.
-    pub fn seek_exact(&self, key: &IndexKey) -> Vec<&IndexEntry> {
-        self.tree
-            .get(key)
-            .map(|b| b.iter().collect())
-            .unwrap_or_default()
-    }
-
-    /// Range scan over `[lo, hi]` of full or prefix keys (inclusive bounds;
-    /// pass `None` for an open bound).  Entries are returned in key order.
-    pub fn seek_range(
-        &self,
-        lo: Option<&IndexKey>,
-        hi: Option<&IndexKey>,
-    ) -> Vec<(&IndexKey, &IndexEntry)> {
-        let lower: Bound<&IndexKey> = match lo {
-            Some(k) => Bound::Included(k),
-            None => Bound::Unbounded,
+        let Some((r, off)) = self.settle(self.lower_bound(&key, row_id)) else {
+            return;
         };
-        let upper: Bound<&IndexKey> = match hi {
-            Some(k) => Bound::Included(k),
-            None => Bound::Unbounded,
-        };
-        let mut out = Vec::new();
-        for (k, bucket) in self.tree.range((lower, upper)) {
-            for e in bucket {
-                out.push((k, e));
-            }
+        if self.runs[r].row_ids[off] != row_id || self.runs[r].cmp_prefix(off, &key.0).is_ne() {
+            return;
         }
-        out
+        let run = Arc::make_mut(&mut self.runs[r]);
+        run.row_ids.remove(off);
+        for column in &mut run.columns {
+            self.bytes -= column.remove(off);
+        }
+        if run.is_empty() {
+            self.runs.remove(r);
+        }
+        self.entries -= 1;
+        self.bytes -= 16;
     }
 
-    /// Prefix scan: all entries whose first key column equals `first`.
-    ///
-    /// This is what an equality predicate on the leading column of a
-    /// composite index compiles to (e.g. `run = 1000` against the
-    /// `(run, camcol, field)` index).  It starts the B-tree cursor at the
-    /// first key with that leading value and stops as soon as the leading
-    /// value changes, so the cost is proportional to the number of matches.
-    pub fn seek_prefix(&self, first: &Value) -> Vec<(&IndexKey, &IndexEntry)> {
-        let start = IndexKey(vec![first.clone()]);
-        let mut out = Vec::new();
-        for (k, bucket) in self
-            .tree
-            .range(start..)
-            .take_while(|(k, _)| k.0.first() == Some(first))
-        {
-            for e in bucket {
-                out.push((k, e));
-            }
+    /// The entries whose leading key cells lie in `[lo, hi]`, in (key,
+    /// `RowId`) order.  A bound is a *prefix* of the key (one value per
+    /// leading key column), inclusive; the empty prefix leaves that side
+    /// open.  So `range(&[run], &[run])` on a `(run, camcol, field)` index
+    /// is every entry of that run, and `range(&[], &[])` is an index scan:
+    /// the 10-100x smaller column-subset scan the paper describes.
+    pub fn range(&self, lo: &[Value], hi: &[Value]) -> IndexCursor<'_> {
+        let keys = self.def.key_columns.len();
+        let (lo, hi) = (&lo[..lo.len().min(keys)], &hi[..hi.len().min(keys)]);
+        IndexCursor {
+            runs: &self.runs,
+            at: self.partition(|run, off| run.cmp_prefix(off, lo).is_lt()),
+            end: self.partition(|run, off| run.cmp_prefix(off, hi).is_le()),
         }
-        out
     }
 
-    /// Iterate all entries in key order (an "index scan": the 10-100x
-    /// smaller column-subset scan the paper describes).
-    pub fn scan(&self) -> impl Iterator<Item = (&IndexKey, &IndexEntry)> {
-        self.tree
-            .iter()
-            .flat_map(|(k, bucket)| bucket.iter().map(move |e| (k, e)))
+    /// The entries under exactly `key` (or, given fewer values than the
+    /// index has key columns, under that key prefix).
+    pub fn seek_exact(&self, key: &IndexKey) -> IndexCursor<'_> {
+        self.range(&key.0, &key.0)
     }
 
     /// Number of distinct keys.
     pub fn distinct_keys(&self) -> usize {
-        self.tree.len()
+        let keys = self.def.key_columns.len();
+        let mut last: Vec<Value> = Vec::new();
+        let mut distinct = 0;
+        for e in self.range(&[], &[]) {
+            if distinct == 0 || e.run.cmp_prefix(e.off, &last).is_ne() {
+                distinct += 1;
+                last = (0..keys).map(|c| e.cell(c)).collect();
+            }
+        }
+        distinct
     }
 }
 
@@ -315,7 +482,6 @@ impl BTreeIndex {
 mod tests {
     use super::*;
     use crate::schema::{ColumnDef, TableSchema};
-    use crate::value::DataType;
 
     fn table_with_rows() -> Table {
         let schema = TableSchema::new(vec![
@@ -354,7 +520,7 @@ mod tests {
         let idx = BTreeIndex::build(IndexDef::new("ix_htm", "photoObj", &["htmID"]), &t).unwrap();
         assert_eq!(idx.len(), 5);
         let hits = idx.seek_exact(&IndexKey(vec![Value::Int(500)]));
-        assert_eq!(hits.len(), 2);
+        assert_eq!(hits.count(), 2);
         assert_eq!(idx.distinct_keys(), 4);
     }
 
@@ -362,11 +528,9 @@ mod tests {
     fn range_scan_is_ordered_and_bounded() {
         let t = table_with_rows();
         let idx = BTreeIndex::build(IndexDef::new("ix_htm", "photoObj", &["htmID"]), &t).unwrap();
-        let lo = IndexKey(vec![Value::Int(400)]);
-        let hi = IndexKey(vec![Value::Int(500)]);
-        let hits = idx.seek_range(Some(&lo), Some(&hi));
-        assert_eq!(hits.len(), 4);
-        let keys: Vec<i64> = hits.iter().map(|(k, _)| k.0[0].as_i64().unwrap()).collect();
+        let hits = idx.range(&[Value::Int(400)], &[Value::Int(500)]);
+        let keys: Vec<i64> = hits.map(|e| e.cell(0).as_i64().unwrap()).collect();
+        assert_eq!(keys.len(), 4);
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
@@ -382,10 +546,11 @@ mod tests {
         )
         .unwrap();
         let hits = idx.seek_exact(&IndexKey(vec![Value::str("galaxy")]));
-        assert_eq!(hits.len(), 3);
+        assert_eq!(hits.clone().count(), 3);
         for e in hits {
-            assert_eq!(e.included.len(), 2);
-            assert!(e.included[0].as_f64().is_some());
+            assert_eq!(e.cell(0), Value::str("galaxy"));
+            assert!(matches!(e.cell(1), Value::Float(_)));
+            assert_eq!(e.cell(2), Value::Int(e.row_id() as i64 + 1));
         }
         assert!(idx.def().covers(&["type", "ra", "objid"]));
         assert!(!idx.def().covers(&["type", "htmID"]));
@@ -427,12 +592,17 @@ mod tests {
             )
             .unwrap();
         idx.insert_row(rid, &t.get(rid).unwrap()).unwrap();
-        assert_eq!(idx.seek_exact(&IndexKey(vec![Value::Int(450)])).len(), 2);
-        let row = t.get(rid).unwrap();
+        assert_eq!(idx.seek_exact(&IndexKey(vec![Value::Int(450)])).count(), 2);
+        let (row, bytes) = (t.get(rid).unwrap(), idx.bytes());
         t.delete(rid);
         idx.remove_row(rid, &row);
-        assert_eq!(idx.seek_exact(&IndexKey(vec![Value::Int(450)])).len(), 1);
+        assert_eq!(idx.seek_exact(&IndexKey(vec![Value::Int(450)])).count(), 1);
         assert_eq!(idx.len(), 5);
+        assert_eq!(
+            idx.bytes(),
+            bytes - (8 + 16),
+            "a removed entry gives its bytes back"
+        );
     }
 
     #[test]
@@ -443,18 +613,18 @@ mod tests {
             &t,
         )
         .unwrap();
-        let hits = idx.seek_prefix(&Value::str("galaxy"));
-        assert_eq!(hits.len(), 3);
-        let hits = idx.seek_prefix(&Value::str("star"));
-        assert_eq!(hits.len(), 2);
-        assert!(idx.seek_prefix(&Value::str("quasar")).is_empty());
+        let under = |ty: &str| idx.seek_exact(&IndexKey(vec![Value::str(ty)])).count();
+        assert_eq!(under("galaxy"), 3);
+        assert_eq!(under("star"), 2);
+        assert_eq!(under("quasar"), 0);
     }
 
     #[test]
     fn scan_visits_everything_in_key_order() {
         let t = table_with_rows();
         let idx = BTreeIndex::build(IndexDef::new("ix_ra", "photoObj", &["ra"]), &t).unwrap();
-        let ras: Vec<f64> = idx.scan().map(|(k, _)| k.0[0].as_f64().unwrap()).collect();
+        let scan = idx.range(&[], &[]);
+        let ras: Vec<f64> = scan.map(|e| e.cell(0).as_f64().unwrap()).collect();
         let mut sorted = ras.clone();
         sorted.sort_by(f64::total_cmp);
         assert_eq!(ras, sorted);

@@ -39,7 +39,7 @@ pub mod value;
 pub use database::{Database, ForeignKey, TableSummary, ViewDef};
 pub use error::StorageError;
 pub use failpoints::FailAction;
-pub use index::{BTreeIndex, IndexDef, IndexEntry, IndexKey};
+pub use index::{BTreeIndex, IndexCursor, IndexDef, IndexEntry, IndexKey, Run, RUN_ENTRIES};
 pub use iosim::{CpuCost, DiskConfig, HardwareProfile, IoSimulator, SimTiming};
 pub use release::{DiffStatus, ReleaseCatalog, ReleaseDiff, ReleaseInfo, TableDiff};
 pub use schema::{ColumnDef, SchemaError, TableSchema};
@@ -127,9 +127,7 @@ mod proptests {
                 db.insert("t", vec![Value::Int(i as i64), Value::Int(*v)]).unwrap();
             }
             let idx = db.index("t", "ix_v").unwrap();
-            let from_index = idx
-                .seek_range(Some(&IndexKey(vec![Value::Int(lo)])), Some(&IndexKey(vec![Value::Int(hi)])))
-                .len();
+            let from_index = idx.range(&[Value::Int(lo)], &[Value::Int(hi)]).count();
             let from_scan = values.iter().filter(|&&v| v >= lo && v <= hi).count();
             prop_assert_eq!(from_index, from_scan);
         }

@@ -5,8 +5,8 @@
 //! serving public traffic.  This module reproduces that lifecycle on top of
 //! the storage layer's copy-on-write primitives:
 //!
-//! * a [`Database`] clone shares every columnar [`Segment`] and B-tree
-//!   index behind `Arc`s, so snapshotting the current state for a release
+//! * a [`Database`] clone shares every columnar [`Segment`] and index run
+//!   behind `Arc`s, so snapshotting the current state for a release
 //!   copies only catalog metadata (names, schemas, views, stats);
 //! * [`ReleaseCatalog::publish`] pins such a snapshot under a release name
 //!   (`dr1`, `dr2`, ...).  Published snapshots are immutable: readers pin

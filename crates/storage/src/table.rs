@@ -27,6 +27,7 @@
 
 use crate::schema::{SchemaError, TableSchema};
 use crate::value::{DataType, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -108,7 +109,8 @@ pub struct Column {
 }
 
 impl Column {
-    fn new(ty: DataType) -> Column {
+    /// An empty column of type `ty`.
+    pub(crate) fn new(ty: DataType) -> Column {
         Column {
             data: ColumnData::new(ty),
             validity: Vec::new(),
@@ -159,27 +161,33 @@ impl Column {
             return;
         }
         match &self.zone_min {
-            Some(m) if v.total_cmp(m) != std::cmp::Ordering::Less => {}
+            Some(m) if v.total_cmp(m) != Ordering::Less => {}
             _ => self.zone_min = Some(v.clone()),
         }
         match &self.zone_max {
-            Some(m) if v.total_cmp(m) != std::cmp::Ordering::Greater => {}
+            Some(m) if v.total_cmp(m) != Ordering::Greater => {}
             _ => self.zone_max = Some(v.clone()),
         }
     }
 
     /// Append a validated value (matching the column's declared type, or
     /// NULL) to the end of the array.
-    fn push(&mut self, v: &Value) {
-        let valid = !v.is_null();
-        self.validity.push(valid);
+    pub(crate) fn push(&mut self, v: &Value) {
+        self.insert(self.validity.len(), v);
+    }
+
+    /// Insert a validated value at slot `off`, moving the slots from `off`
+    /// on up by one (index runs keep their entries sorted; segments only
+    /// ever append).
+    pub(crate) fn insert(&mut self, off: usize, v: &Value) {
+        self.validity.insert(off, !v.is_null());
         self.widen_zone(v);
         self.bytes += v.byte_size() as u64;
         match (&mut self.data, v) {
-            (ColumnData::Int(arr), Value::Int(i)) => arr.push(*i),
-            (ColumnData::Int(arr), Value::Null) => arr.push(0),
-            (ColumnData::Float(arr), Value::Float(f)) => arr.push(*f),
-            (ColumnData::Float(arr), Value::Null) => arr.push(0.0),
+            (ColumnData::Int(arr), Value::Int(i)) => arr.insert(off, *i),
+            (ColumnData::Int(arr), Value::Null) => arr.insert(off, 0),
+            (ColumnData::Float(arr), Value::Float(f)) => arr.insert(off, *f),
+            (ColumnData::Float(arr), Value::Null) => arr.insert(off, 0.0),
             (ColumnData::Str { dict, codes }, Value::Str(s)) => {
                 let code = match self.dict_lookup.get(s) {
                     Some(&c) => c,
@@ -190,15 +198,32 @@ impl Column {
                         c
                     }
                 };
-                codes.push(code);
+                codes.insert(off, code);
             }
-            (ColumnData::Str { codes, .. }, Value::Null) => codes.push(u32::MAX),
-            (ColumnData::Bytes(arr), Value::Bytes(b)) => arr.push(Arc::clone(b)),
-            (ColumnData::Bytes(arr), Value::Null) => arr.push(Arc::from(&[][..])),
-            (ColumnData::Bool(arr), Value::Bool(b)) => arr.push(*b),
-            (ColumnData::Bool(arr), Value::Null) => arr.push(false),
+            (ColumnData::Str { codes, .. }, Value::Null) => codes.insert(off, u32::MAX),
+            (ColumnData::Bytes(arr), Value::Bytes(b)) => arr.insert(off, Arc::clone(b)),
+            (ColumnData::Bytes(arr), Value::Null) => arr.insert(off, Arc::from(&[][..])),
+            (ColumnData::Bool(arr), Value::Bool(b)) => arr.insert(off, *b),
+            (ColumnData::Bool(arr), Value::Null) => arr.insert(off, false),
             (data, v) => unreachable!("schema validation let {v:?} into a {data:?} column"),
         }
+    }
+
+    /// Remove slot `off`, moving the later slots down by one; returns the
+    /// bytes its value accounted for.  The zone map and a string dictionary
+    /// keep what they held (conservative, like a segment's after a delete).
+    pub(crate) fn remove(&mut self, off: usize) -> u64 {
+        let bytes = self.value_bytes(off);
+        self.bytes -= bytes;
+        self.validity.remove(off);
+        match &mut self.data {
+            ColumnData::Int(arr) => drop(arr.remove(off)),
+            ColumnData::Float(arr) => drop(arr.remove(off)),
+            ColumnData::Str { codes, .. } => drop(codes.remove(off)),
+            ColumnData::Bytes(arr) => drop(arr.remove(off)),
+            ColumnData::Bool(arr) => drop(arr.remove(off)),
+        }
+        bytes
     }
 
     /// Overwrite the value at `off` (update path).  Zone maps only widen.
@@ -244,6 +269,33 @@ impl Column {
             ColumnData::Str { dict, codes } => Value::Str(Arc::clone(&dict[codes[off] as usize])),
             ColumnData::Bytes(arr) => Value::Bytes(Arc::clone(&arr[off])),
             ColumnData::Bool(arr) => Value::Bool(arr[off]),
+        }
+    }
+
+    /// Order the value at `off` against `v` as [`Value::total_cmp`] would,
+    /// without materializing it (no `Arc` traffic for strings).
+    pub fn cmp_value(&self, off: usize, v: &Value) -> Ordering {
+        if !self.validity[off] {
+            return Value::Null.total_cmp(v);
+        }
+        match (&self.data, v) {
+            (ColumnData::Int(arr), Value::Int(b)) => arr[off].cmp(b),
+            (ColumnData::Float(arr), Value::Float(b)) => arr[off].total_cmp(b),
+            (ColumnData::Str { dict, codes }, Value::Str(b)) => {
+                dict[codes[off] as usize].as_ref().cmp(b.as_ref())
+            }
+            _ => self.value(off).total_cmp(v),
+        }
+    }
+
+    /// The column's declared type.
+    pub fn data_type(&self) -> DataType {
+        match &self.data {
+            ColumnData::Int(_) => DataType::Int,
+            ColumnData::Float(_) => DataType::Float,
+            ColumnData::Str { .. } => DataType::Str,
+            ColumnData::Bytes(_) => DataType::Bytes,
+            ColumnData::Bool(_) => DataType::Bool,
         }
     }
 
@@ -425,6 +477,11 @@ impl Table {
     /// RowId.
     pub fn insert(&mut self, row: Vec<Value>, ts: Timestamp) -> Result<RowId, SchemaError> {
         let row = self.schema.validate_row(row)?;
+        Ok(self.append(&row, ts))
+    }
+
+    /// Append a row [`TableSchema::validate_row`] has already passed.
+    pub(crate) fn append(&mut self, row: &[Value], ts: Timestamp) -> RowId {
         let bytes: u64 = row.iter().map(|v| v.byte_size() as u64).sum();
         if self
             .segments
@@ -444,7 +501,7 @@ impl Table {
         self.slots += 1;
         self.live_rows += 1;
         self.data_bytes += bytes;
-        Ok(id)
+        id
     }
 
     /// Fetch a live row by id, materialized from the column arrays.

@@ -10,7 +10,7 @@
 //! | `no-slice-index` | web request paths | `x[i]` indexing that can panic on malformed input |
 //! | `lock-unwrap` | whole workspace | `.lock()/.read()/.write()` + `.unwrap()` — poisons cascade across requests |
 //! | `value-clone-in-kernel` | vectorized kernels | `.clone()` inside the batch kernels (per-value clones defeat the point) |
-//! | `full-row-gather` | sql executor + engine DML | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
+//! | `full-row-gather` | sql executor + engine DML + schema table functions | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
 //! | `ci-drift` | .github/workflows/ci.yml | `-p <package>` / `--bin <name>` that the workspace no longer has |
@@ -78,9 +78,12 @@ fn scope_for(rel: &Path) -> Scope {
         hot_path: web || executor || failpoints || releases,
         slice_index: web,
         kernel: p == "crates/sql/src/exec/vector.rs",
-        // The engine file holds the DML paths, the other place rows are
-        // fetched for a statement.
-        row_gather: executor || p == "crates/sql/src/engine.rs",
+        // The engine file holds the DML paths and the schema's table
+        // functions the cone searches: the other places rows are fetched
+        // for a statement.
+        row_gather: executor
+            || p == "crates/sql/src/engine.rs"
+            || p == "crates/schema/src/functions.rs",
     }
 }
 

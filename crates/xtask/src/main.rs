@@ -111,7 +111,7 @@ mod tests {
     }
 
     #[test]
-    fn full_row_gathers_are_flagged_in_the_executor_only() {
+    fn full_row_gathers_are_flagged_where_statements_fetch_rows() {
         let src = "fn f(t: &Table, m: &Map, row: &[Value]) {\n\
                    let a = t.get(id);\n\
                    let b = m.get(key);\n\
@@ -127,6 +127,7 @@ mod tests {
         };
         assert_eq!(lines("crates/sql/src/executor.rs"), vec![2, 4, 5]);
         assert_eq!(lines("crates/sql/src/engine.rs"), vec![2, 4, 5]);
+        assert_eq!(lines("crates/schema/src/functions.rs"), vec![2, 4, 5]);
         assert!(lines("crates/sql/src/planner/mod.rs").is_empty());
     }
 
