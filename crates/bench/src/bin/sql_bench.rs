@@ -150,7 +150,7 @@ fn microbenches() -> Vec<Micro> {
             sql: "select count(*) from obj_name where name like '%obj-0001%'".into(),
         },
         Micro {
-            // htmID is monotonic in the row number, so every 4,096-row
+            // htmID is monotonic in the row number, so every 1,024-row
             // segment covers a disjoint range and this range predicate lets
             // zone maps skip almost the whole table.
             name: "zone_pruned_range",

@@ -200,6 +200,26 @@ mod tests {
     }
 
     #[test]
+    fn neighbors_recompute_on_the_loaded_catalog() {
+        let (mut engine, report, _) = loaded_engine();
+        let db = engine.db_mut();
+        // Mid-load the caller runs with foreign-key checks off; the step
+        // must hand the flag back as it found it.
+        db.set_enforce_foreign_keys(false);
+        let ts = db.next_timestamp();
+        let again = compute_neighbors(db, NEIGHBOR_RADIUS_ARCMIN, ts).unwrap();
+        assert!(!db.enforces_foreign_keys());
+        assert_eq!(again, report.neighbors);
+        let rows = db.table("Neighbors").unwrap().row_count();
+        assert_eq!(rows, again.pairs);
+        let indexes = db.indexes_for("Neighbors");
+        assert!(!indexes.is_empty());
+        for index in indexes {
+            assert_eq!(index.len(), rows, "{} is stale", index.def().name);
+        }
+    }
+
+    #[test]
     fn primary_fraction_survives_the_load() {
         let (engine, _, survey) = loaded_engine();
         let total = engine

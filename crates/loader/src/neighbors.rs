@@ -96,13 +96,14 @@ pub fn compute_neighbors(
         }
     }
     let pairs = rows.len();
-    // Neighbors has a composite primary key; clear any previous computation
-    // before inserting (recomputation is idempotent).
-    db.table_mut("Neighbors")?.truncate();
-    let was_enforcing = true;
+    // Neighbors has a composite primary key; clear any previous computation,
+    // heap and indexes, before inserting (recomputation is idempotent).
+    db.truncate_table("Neighbors")?;
+    let was_enforcing = db.enforces_foreign_keys();
     db.set_enforce_foreign_keys(false);
-    db.insert_many("Neighbors", rows, timestamp)?;
+    let inserted = db.insert_many("Neighbors", rows, timestamp);
     db.set_enforce_foreign_keys(was_enforcing);
+    inserted?;
     Ok(NeighborsReport {
         pairs,
         objects: positions.len(),

@@ -35,7 +35,7 @@ use crate::planner::Planner;
 use crate::result::{ResultSet, StatementOutcome};
 use skyserver_storage::{
     ColumnDef, Database, ExecutionStats, IndexDef, IoSimulator, ReleaseCatalog, ReleaseDiff,
-    ReleaseInfo, RowId, ScanStats, TableSchema, Value,
+    ReleaseInfo, RowId, ScanStats, TableSchema, Timestamp, Value,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -148,6 +148,7 @@ impl SqlEngine {
     /// publish copies only catalog metadata.  Fails on a duplicate name
     /// (releases are immutable once published).
     pub fn publish_release(&mut self, name: &str) -> Result<(), SqlError> {
+        self.db.shrink_unshared();
         self.releases.publish(name, Arc::new(self.db.clone()))?;
         Ok(())
     }
@@ -876,24 +877,28 @@ impl SqlEngine {
             aggregates: None,
         };
         // Collect new rows first (borrow rules), then apply.
-        let mut changes: Vec<(RowId, Vec<Value>)> = Vec::with_capacity(victims.len());
+        let mut changes: Vec<(RowId, Timestamp, Vec<Value>)> = Vec::with_capacity(victims.len());
         for row_id in victims {
             // skylint: allow(full-row-gather) an UPDATE rewrites whole rows: the victims' full rows are its write set
-            let Some(row) = table.get(row_id) else {
+            let (Some(row), Some(ts)) = (table.get(row_id), table.insert_timestamp(row_id)) else {
                 continue;
             };
             let mut new_row = row.clone();
             for (pos, expr) in &assignment_positions {
                 new_row[*pos] = eval(expr, &row, &ctx)?;
             }
-            changes.push((row_id, new_row));
+            changes.push((row_id, ts, new_row));
         }
         drop(variables);
         let count = changes.len();
-        for (row_id, new_row) in changes {
+        // The statement is one tick of the logical clock, like any write,
+        // but no row carries it: each new row keeps its load timestamp so
+        // that UNDO of the load step (§9.4) still removes it.
+        self.db.next_timestamp();
+        for (row_id, ts, new_row) in changes {
             // Delete + insert keeps secondary indices consistent.
             self.db.delete(&update.table, row_id)?;
-            self.db.insert(&update.table, new_row)?;
+            self.db.insert_with_timestamp(&update.table, new_row, ts)?;
         }
         Ok((count, scan))
     }
@@ -1292,6 +1297,41 @@ mod tests {
         assert_eq!(o.rows_affected, 1);
         let r = e.query("select count(*) from notes").unwrap();
         assert_eq!(r.scalar(), Some(&Value::Int(1)));
+    }
+
+    #[test]
+    fn an_updated_row_keeps_its_load_timestamp_for_undo() {
+        let mut e = engine();
+        e.execute(
+            "create table notes (id bigint not null, txt varchar, primary key (id))",
+            QueryLimits::UNLIMITED,
+        )
+        .unwrap();
+        let db = e.db_mut();
+        let ts = db.next_timestamp();
+        let batch = (0..3)
+            .map(|i| vec![Value::Int(i), Value::str("loaded")])
+            .collect();
+        db.insert_many("notes", batch, ts).unwrap();
+        let o = e
+            .execute(
+                "update notes set txt = 'edited' where id = 0",
+                QueryLimits::UNLIMITED,
+            )
+            .unwrap();
+        assert_eq!(o.rows_affected, 1);
+        // The statement still ticks the clock: a caller that undoes "the
+        // stamp of the last write" must not get the batch's.
+        assert_eq!(e.db().current_timestamp(), ts + 1);
+        assert_eq!(
+            e.db_mut()
+                .delete_by_timestamp_range("notes", ts, ts)
+                .unwrap(),
+            3,
+            "the load step's UNDO removes the updated row too"
+        );
+        let r = e.query("select count(*) from notes").unwrap();
+        assert_eq!(r.scalar(), Some(&Value::Int(0)));
     }
 
     #[test]

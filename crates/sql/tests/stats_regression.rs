@@ -187,7 +187,7 @@ fn engine_rows_agree_with_the_reference_evaluator() {
     }
 }
 
-/// A 10,000-row table spans three 4,096-row segments; `objID` is inserted in
+/// A 10,000-row table spans ten 1,024-row segments; `objID` is inserted in
 /// order, so each segment's zone map covers a disjoint range and a range
 /// predicate lets the scan skip whole segments without touching a row.
 #[test]
@@ -203,16 +203,16 @@ fn zone_map_pruning_skips_cold_segments() {
             .unwrap();
     }
     let mut engine = SqlEngine::new(db, FunctionRegistry::new());
-    // Only segment 0 (objID 0..=4095) can contain matches; segments 1 and 2
-    // are pruned by their zone maps, so the scan visits 4,096 rows in four
-    // 1,024-row batches and charges bytes for the objID column alone.
+    // Only segment 0 (objID 0..=1023) can contain matches; segments 1-9
+    // are pruned by their zone maps, so the scan visits 1,024 rows in one
+    // batch and charges bytes for the objID column alone.
     let line = stats_line(&mut engine, "select count(*) from sweep where objID < 1000");
     assert_eq!(
         line,
-        "scanned=4096 bytes=32768 idx_rows=0 idx_bytes=0 seeks=0 probes=0 \
-         preds=4096 returned=1 pruned=2 batches=4"
+        "scanned=1024 bytes=8192 idx_rows=0 idx_bytes=0 seeks=0 probes=0 \
+         preds=1024 returned=1 pruned=9 batches=1"
     );
-    // A predicate outside every zone prunes all three segments.
+    // A predicate outside every zone prunes all ten segments.
     let none = stats_line(
         &mut engine,
         "select count(*) from sweep where objID > 50000",
@@ -220,7 +220,7 @@ fn zone_map_pruning_skips_cold_segments() {
     assert_eq!(
         none,
         "scanned=0 bytes=0 idx_rows=0 idx_bytes=0 seeks=0 probes=0 \
-         preds=0 returned=1 pruned=3 batches=0"
+         preds=0 returned=1 pruned=10 batches=0"
     );
 }
 

@@ -6,7 +6,7 @@
 //! columns, LIKE, bitmask tests, IN lists, mod-by-zero error paths, TOP
 //! limits that land exactly on batch boundaries) run over a randomly sized
 //! table — sometimes smaller than one 1,024-row batch, sometimes spanning
-//! several 4,096-row segments, sometimes with deleted rows punched into it.
+//! several 1,024-row segments, sometimes with deleted rows punched into it.
 //! Rows must agree as multisets (any `n` of them under an unordered TOP), or
 //! both sides must fail.  The batch executor evaluates conjunct-major, so
 //! errors are compared by presence, not message.

@@ -84,7 +84,8 @@ pub struct Database {
     foreign_keys: Vec<ForeignKey>,
     /// Optimizer statistics per lowercase table name, collected by
     /// [`Database::analyze_table`].  A snapshot: single-row DML leaves them
-    /// stale until the next analyze (batch ingest re-analyzes).
+    /// stale until the next analyze (batch ingest re-analyzes).  The
+    /// per-segment summaries they are merged from live in the segments.
     stats: BTreeMap<String, TableStats>,
     clock: Timestamp,
     /// When false, FK checks are skipped (bulk load fast path); violations
@@ -124,6 +125,12 @@ impl Database {
         self.enforce_foreign_keys = enforce;
     }
 
+    /// Is foreign-key enforcement on?  A step that turns it off restores
+    /// what it found.
+    pub fn enforces_foreign_keys(&self) -> bool {
+        self.enforce_foreign_keys
+    }
+
     // ------------------------------------------------------------------
     // DDL
     // ------------------------------------------------------------------
@@ -153,6 +160,36 @@ impl Database {
         self.indexes.remove(&key);
         self.stats.remove(&key);
         Ok(())
+    }
+
+    /// Remove every row of a table, empty its indexes and drop its
+    /// statistics (a recomputed table such as `Neighbors` starts over).
+    pub fn truncate_table(&mut self, name: &str) -> Result<(), StorageError> {
+        let key = name.to_ascii_lowercase();
+        let table = self
+            .tables
+            .get_mut(&key)
+            .ok_or_else(|| StorageError::UnknownTable(name.into()))?;
+        table.truncate();
+        for index in self.indexes.get_mut(&key).into_iter().flatten() {
+            *index = Arc::new(BTreeIndex::build(index.def().clone(), table)?);
+        }
+        self.stats.remove(&key);
+        Ok(())
+    }
+
+    /// Give back the spare capacity of the segments and index runs this
+    /// catalog holds alone — the ones written since it last shared them.
+    /// A write copies a segment or run at its exact length and then grows
+    /// it; publishing calls this before pinning the catalog, so a release
+    /// keeps what it holds and not the room its writes made.
+    pub fn shrink_unshared(&mut self) {
+        self.tables.values_mut().for_each(Table::shrink_unshared);
+        for index in self.indexes.values_mut().flatten() {
+            if let Some(index) = Arc::get_mut(index) {
+                index.shrink_unshared();
+            }
+        }
     }
 
     /// Does a table with this name exist?
@@ -323,7 +360,8 @@ impl Database {
 
     /// Bulk insert; returns the number of rows inserted.  Re-analyzes the
     /// table's optimizer statistics at the end of the batch (each batch is a
-    /// publish point, per the DR1 load pipeline).
+    /// publish point, per the DR1 load pipeline), which summarizes only the
+    /// segments the batch wrote.
     pub fn insert_many(
         &mut self,
         table: &str,
@@ -343,8 +381,9 @@ impl Database {
     // Optimizer statistics
     // ------------------------------------------------------------------
 
-    /// Collect optimizer statistics for one table (a segment sweep; see
-    /// [`crate::table_stats`]).
+    /// Collect fresh optimizer statistics for one table: merged from the
+    /// segments' cached summaries, recomputing those of segments written
+    /// since (see [`crate::table_stats`]).
     pub fn analyze_table(&mut self, table: &str) -> Result<(), StorageError> {
         let key = table.to_ascii_lowercase();
         let t = self
@@ -721,6 +760,114 @@ mod tests {
         assert_eq!(removed, 1);
         assert_eq!(d.table("plate").unwrap().row_count(), 2);
         assert_eq!(d.index("plate", "pk_plate").unwrap().len(), 2);
+    }
+
+    #[test]
+    fn undo_by_timestamp_window() {
+        let mut d = db();
+        for (id, ts) in [(1, 100), (2, 200), (3, 205), (4, 300)] {
+            d.insert_with_timestamp("plate", vec![Value::Int(id), Value::Float(1.0)], ts)
+                .unwrap();
+        }
+        assert_eq!(d.delete_by_timestamp_range("plate", 150, 250).unwrap(), 2);
+        let t = d.table("plate").unwrap();
+        assert_eq!(t.row_count(), 2);
+        let remaining: Vec<i64> = t.iter().map(|(_, r)| r[0].as_i64().unwrap()).collect();
+        assert_eq!(remaining, vec![1, 4]);
+    }
+
+    #[test]
+    fn undoing_the_newest_batch_trims_the_dead_tail() {
+        let mut d = db();
+        for id in 0..10 {
+            d.insert_with_timestamp("plate", vec![Value::Int(id), Value::Float(0.0)], 1)
+                .unwrap();
+        }
+        let slots = d.table("plate").unwrap().slot_count();
+        let rows: Vec<Vec<Value>> = (10..2500)
+            .map(|id| vec![Value::Int(id), Value::Float(0.0)])
+            .collect();
+        d.insert_many("plate", rows, 2).unwrap();
+        // An older row deleted in between stays a tombstone: it is not at
+        // the tail.
+        assert!(d.delete("plate", 3).unwrap());
+        assert_eq!(d.delete_by_timestamp_range("plate", 2, 2).unwrap(), 2490);
+        let t = d.table("plate").unwrap();
+        assert_eq!(t.slot_count(), slots);
+        assert_eq!(t.segments().len(), 1);
+        assert_eq!(t.row_count(), 9);
+        assert_eq!(
+            t.get(9).unwrap()[0],
+            Value::Int(9),
+            "live rows keep their ids"
+        );
+        // The next insert reuses the trimmed ids; the index agrees.
+        let id = d
+            .insert("plate", vec![Value::Int(77), Value::Float(0.0)])
+            .unwrap();
+        assert_eq!(id, slots);
+        let hits: Vec<usize> = d
+            .index("plate", "pk_plate")
+            .unwrap()
+            .range(&[Value::Int(77)], &[Value::Int(77)])
+            .map(|e| e.row_id())
+            .collect();
+        assert_eq!(hits, vec![slots]);
+        // Deleting every row leaves an empty table.
+        for id in d.table("plate").unwrap().row_ids().collect::<Vec<_>>() {
+            d.delete("plate", id).unwrap();
+        }
+        let t = d.table("plate").unwrap();
+        assert_eq!((t.slot_count(), t.segments().len()), (0, 0));
+    }
+
+    #[test]
+    fn shrink_unshared_leaves_contents_and_shared_segments_alone() {
+        let mut d = db();
+        let rows = (0..1500)
+            .map(|i| vec![Value::Int(i), Value::Float(i as f64)])
+            .collect();
+        d.insert_many("plate", rows, 1).unwrap();
+        let snapshot = d.clone();
+        d.insert("plate", vec![Value::Int(-1), Value::Float(0.5)])
+            .unwrap();
+        let rows = |d: &Database| -> Vec<Vec<Value>> {
+            d.table("plate").unwrap().iter().map(|(_, r)| r).collect()
+        };
+        let before = rows(&d);
+        d.shrink_unshared();
+        assert_eq!(rows(&d), before);
+        let (old, new) = (
+            snapshot.table("plate").unwrap().segments(),
+            d.table("plate").unwrap().segments(),
+        );
+        assert!(
+            Arc::ptr_eq(&old[0], &new[0]),
+            "a shared segment stays shared"
+        );
+        assert!(!Arc::ptr_eq(&old[1], &new[1]));
+        let pk = d.index("plate", "pk_plate").unwrap();
+        assert_eq!(pk.range(&[Value::Int(-1)], &[Value::Int(-1)]).count(), 1);
+        assert_eq!(pk.len(), 1501);
+    }
+
+    #[test]
+    fn truncate_table_empties_the_heap_indexes_and_statistics() {
+        let mut d = db();
+        let rows = (0..5)
+            .map(|i| vec![Value::Int(i), Value::Float(0.0)])
+            .collect();
+        d.insert_many("plate", rows, 1).unwrap();
+        d.truncate_table("PLATE").unwrap();
+        assert_eq!(d.table("plate").unwrap().row_count(), 0);
+        assert_eq!(d.index("plate", "pk_plate").unwrap().len(), 0);
+        assert!(d.table_stats("plate").is_none());
+        // The same keys go back in without a duplicate-key error.
+        let rows = (0..5)
+            .map(|i| vec![Value::Int(i), Value::Float(0.0)])
+            .collect();
+        assert_eq!(d.insert_many("plate", rows, 2).unwrap(), 5);
+        assert!(d.truncate_table("nope").is_err());
     }
 
     #[test]

@@ -301,6 +301,14 @@ impl BTreeIndex {
         })
     }
 
+    /// Give back the spare capacity of the runs no snapshot shares.
+    pub(crate) fn shrink_unshared(&mut self) {
+        for run in self.runs.iter_mut().filter_map(Arc::get_mut) {
+            run.row_ids.shrink_to_fit();
+            run.columns.iter_mut().for_each(Column::shrink_to_fit);
+        }
+    }
+
     /// The index definition.
     pub fn def(&self) -> &IndexDef {
         &self.def

@@ -45,7 +45,7 @@ pub use release::{DiffStatus, ReleaseCatalog, ReleaseDiff, ReleaseInfo, TableDif
 pub use schema::{ColumnDef, SchemaError, TableSchema};
 pub use stats::{ExecutionStats, ScanStats};
 pub use table::{Column, ColumnData, RowId, Segment, Table, Timestamp, SEGMENT_ROWS};
-pub use table_stats::{ColumnStats, Histogram, TableStats, HISTOGRAM_BINS, KMV_K};
+pub use table_stats::{ColumnStats, Histogram, SegmentSummary, TableStats, HISTOGRAM_BINS, KMV_K};
 pub use value::{csv_escape, hex_decode, hex_encode, DataType, Value};
 
 #[cfg(test)]

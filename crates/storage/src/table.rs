@@ -15,23 +15,35 @@
 //! Rows are addressed by a stable [`RowId`] (global slot index: segment
 //! number x [`SEGMENT_ROWS`] + offset).  Deletions flip a tombstone flag
 //! instead of moving rows, which keeps RowIds valid for secondary indices.
+//! The one exception is the table's **dead tail**: a delete of the last
+//! slot drops every trailing dead slot (whole segments, then the end of the
+//! last one), so a batch insert followed by its UNDO leaves the table as
+//! long as it was.  A live row's RowId never changes; a trimmed RowId is
+//! handed out again by the next insert, above every RowId still indexed.
 //! Every row carries a logical insert timestamp; this is what the loader's
 //! **UNDO** step uses (§9.4: "Undo consists of deleting all records of that
 //! table with an insert time between the bad load step start and stop
 //! times").
 //!
+//! Segments sit behind [`Arc`]s and are shared copy-on-write between a
+//! table and its snapshots; every write goes through one `segment_mut`,
+//! which detaches the segment and drops its cached statistics summary
+//! ([`Segment::cached_summary`], merged by [`crate::table_stats`]).
+//!
 //! Zone maps are maintained conservatively: inserts tighten them, updates
-//! only widen them, and deletes leave them untouched — a zone is always a
-//! superset of the live values, so pruning on it is sound (it can only be
-//! less effective than optimal, never wrong).
+//! only widen them, and deletes and tail trims leave them untouched — a
+//! zone is always a superset of the live values, so pruning on it is sound
+//! (it can only be less effective than optimal, never wrong).
 
 use crate::schema::{SchemaError, TableSchema};
+use crate::table_stats::{self, SegmentSummary};
 use crate::value::{DataType, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-/// Stable identifier of a row within a table (its global slot index).
+/// Identifier of a row within a table (its global slot index), stable for
+/// as long as the row is live.
 pub type RowId = usize;
 
 /// Logical timestamp type (monotonically increasing, supplied by the
@@ -39,9 +51,11 @@ pub type RowId = usize;
 pub type Timestamp = u64;
 
 /// Number of row slots per segment.  Fixed so `RowId -> (segment, offset)`
-/// is a shift/mask, and sized so a segment's hot columns fit in L2 while
-/// zone maps stay selective.
-pub const SEGMENT_ROWS: usize = 4096;
+/// is a shift/mask.  A segment is the unit a write copies (copy-on-write
+/// against every snapshot sharing it) and the unit zone maps prune, and it
+/// matches an index run (`RUN_ENTRIES`) and a kernel batch (`BATCH_ROWS`
+/// in the SQL executor): one chunk size everywhere.
+pub const SEGMENT_ROWS: usize = 1024;
 
 // ---------------------------------------------------------------------------
 // Column storage
@@ -226,6 +240,34 @@ impl Column {
         bytes
     }
 
+    /// Drop slots `len..`.  Only dead slots are dropped, and their bytes
+    /// were given back when they were deleted.
+    fn truncate(&mut self, len: usize) {
+        self.validity.truncate(len);
+        match &mut self.data {
+            ColumnData::Int(arr) => arr.truncate(len),
+            ColumnData::Float(arr) => arr.truncate(len),
+            ColumnData::Str { codes, .. } => codes.truncate(len),
+            ColumnData::Bytes(arr) => arr.truncate(len),
+            ColumnData::Bool(arr) => arr.truncate(len),
+        }
+    }
+
+    /// Give back the arrays' spare capacity.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.validity.shrink_to_fit();
+        match &mut self.data {
+            ColumnData::Int(arr) => arr.shrink_to_fit(),
+            ColumnData::Float(arr) => arr.shrink_to_fit(),
+            ColumnData::Str { dict, codes } => {
+                dict.shrink_to_fit();
+                codes.shrink_to_fit();
+            }
+            ColumnData::Bytes(arr) => arr.shrink_to_fit(),
+            ColumnData::Bool(arr) => arr.shrink_to_fit(),
+        }
+    }
+
     /// Overwrite the value at `off` (update path).  Zone maps only widen.
     fn set(&mut self, off: usize, v: &Value) {
         self.bytes = self.bytes.saturating_sub(self.value_bytes(off));
@@ -318,13 +360,30 @@ impl Column {
 // ---------------------------------------------------------------------------
 
 /// One fixed-size horizontal slice of a table: per-column typed arrays plus
-/// the per-slot insert timestamps and tombstones.
-#[derive(Debug, Clone)]
+/// the per-slot insert timestamps and tombstones, and the segment's
+/// statistics summary once one is computed.
+#[derive(Debug)]
 pub struct Segment {
     columns: Vec<Column>,
     insert_ts: Vec<Timestamp>,
     deleted: Vec<bool>,
     live: usize,
+    /// What this segment contributes to its table's statistics; computed
+    /// on first use, dropped by every write ([`Table`]'s `segment_mut`).
+    summary: OnceLock<SegmentSummary>,
+}
+
+impl Clone for Segment {
+    /// A copy starts without a summary: it is made to be written.
+    fn clone(&self) -> Segment {
+        Segment {
+            columns: self.columns.clone(),
+            insert_ts: self.insert_ts.clone(),
+            deleted: self.deleted.clone(),
+            live: self.live,
+            summary: OnceLock::new(),
+        }
+    }
 }
 
 impl Segment {
@@ -334,7 +393,37 @@ impl Segment {
             insert_ts: Vec::new(),
             deleted: Vec::new(),
             live: 0,
+            summary: OnceLock::new(),
         }
+    }
+
+    /// This segment's statistics summary, computed on first use and kept
+    /// until the segment is next written (see [`crate::table_stats`]).
+    pub(crate) fn summary(&self) -> &SegmentSummary {
+        self.summary
+            .get_or_init(|| table_stats::summarize(&self.columns, &self.deleted))
+    }
+
+    /// The summary if one is cached.  A segment shared between snapshots
+    /// shares its summary too; compare with `std::ptr::eq` to tell a
+    /// shared summary from a recomputed one.
+    pub fn cached_summary(&self) -> Option<&SegmentSummary> {
+        self.summary.get()
+    }
+
+    /// Give back the arrays' spare capacity (the summary stays: the
+    /// contents do not change).
+    fn shrink_to_fit(&mut self) {
+        self.columns.iter_mut().for_each(Column::shrink_to_fit);
+        self.insert_ts.shrink_to_fit();
+        self.deleted.shrink_to_fit();
+    }
+
+    /// Drop slots `len..` (all of them dead).
+    fn truncate(&mut self, len: usize) {
+        self.columns.iter_mut().for_each(|c| c.truncate(len));
+        self.insert_ts.truncate(len);
+        self.deleted.truncate(len);
     }
 
     /// Number of occupied slots (live + tombstoned).
@@ -465,6 +554,23 @@ impl Table {
         &self.segments
     }
 
+    /// Segment `s` for writing: detached from every snapshot that shares it
+    /// (`Arc::make_mut`), its statistics summary dropped.
+    fn segment_mut(&mut self, s: usize) -> &mut Segment {
+        let seg = Arc::make_mut(&mut self.segments[s]);
+        seg.summary.take();
+        seg
+    }
+
+    /// Give back the spare capacity of the segments no snapshot shares
+    /// (see [`crate::Database::shrink_unshared`]).
+    pub(crate) fn shrink_unshared(&mut self) {
+        self.segments
+            .iter_mut()
+            .filter_map(Arc::get_mut)
+            .for_each(Segment::shrink_to_fit);
+    }
+
     #[inline]
     fn locate(&self, id: RowId) -> Option<(usize, usize)> {
         if id >= self.slots {
@@ -490,7 +596,7 @@ impl Table {
         {
             self.segments.push(Arc::new(Segment::new(&self.schema)));
         }
-        let seg = Arc::make_mut(self.segments.last_mut().expect("segment just ensured"));
+        let seg = self.segment_mut(self.segments.len() - 1);
         for (c, v) in row.iter().enumerate() {
             seg.columns[c].push(v);
         }
@@ -563,7 +669,8 @@ impl Table {
     }
 
     /// Mark a row deleted; returns true if it was live.  Zone maps stay
-    /// untouched (conservative supersets of the live values).
+    /// untouched (conservative supersets of the live values).  Deleting
+    /// the table's last slot trims the dead tail (see `trim_dead_tail`).
     pub fn delete(&mut self, id: RowId) -> bool {
         let Some((s, off)) = self.locate(id) else {
             return false;
@@ -571,7 +678,7 @@ impl Table {
         if !self.segments[s].is_live(off) {
             return false;
         }
-        let seg = Arc::make_mut(&mut self.segments[s]);
+        let seg = self.segment_mut(s);
         let bytes: u64 = seg.columns.iter().map(|c| c.value_bytes(off)).sum();
         for c in seg.columns.iter_mut() {
             c.bytes = c.bytes.saturating_sub(c.value_bytes(off));
@@ -580,7 +687,37 @@ impl Table {
         seg.live -= 1;
         self.live_rows -= 1;
         self.data_bytes = self.data_bytes.saturating_sub(bytes);
+        // The last slot is always live (this keeps it so), so a delete of
+        // it is a delete of the last live row.
+        if id + 1 == self.slots {
+            self.trim_dead_tail();
+        }
         true
+    }
+
+    /// Drop the dead slots at the end of the table: whole segments with no
+    /// live row, then the dead tail of the last one.  A batch insert
+    /// followed by its UNDO leaves the table as long as it was, not a
+    /// batch of tombstones longer.  Only dead slots go, so every live row
+    /// keeps its `RowId`; the next insert reuses the trimmed ids.
+    fn trim_dead_tail(&mut self) {
+        while self.segments.last().is_some_and(|s| s.live == 0) {
+            self.segments.pop();
+        }
+        let Some(last) = self.segments.len().checked_sub(1) else {
+            self.slots = 0;
+            return;
+        };
+        let seg = &self.segments[last];
+        let keep = seg
+            .deleted
+            .iter()
+            .rposition(|&dead| !dead)
+            .map_or(0, |off| off + 1);
+        if keep < seg.slot_count() {
+            self.segment_mut(last).truncate(keep);
+        }
+        self.slots = last * SEGMENT_ROWS + keep;
     }
 
     /// Update a live row in place (validating the new values).  Zone maps
@@ -593,7 +730,7 @@ impl Table {
             return Ok(false);
         }
         let row = self.schema.validate_row(row)?;
-        let seg = Arc::make_mut(&mut self.segments[s]);
+        let seg = self.segment_mut(s);
         let old_bytes: u64 = seg.columns.iter().map(|c| c.value_bytes(off)).sum();
         let new_bytes: u64 = row.iter().map(|v| v.byte_size() as u64).sum();
         for (c, v) in row.iter().enumerate() {
@@ -601,24 +738,6 @@ impl Table {
         }
         self.data_bytes = self.data_bytes - old_bytes + new_bytes;
         Ok(true)
-    }
-
-    /// Delete every row whose insert timestamp falls in `[start, stop]`.
-    /// This is the loader's UNDO primitive.  Returns the number of rows
-    /// removed.
-    pub fn delete_by_timestamp_range(&mut self, start: Timestamp, stop: Timestamp) -> usize {
-        let mut removed = 0;
-        for id in 0..self.slots {
-            let (s, off) = (id / SEGMENT_ROWS, id % SEGMENT_ROWS);
-            if self.segments[s].is_live(off) {
-                let ts = self.segments[s].insert_ts[off];
-                if ts >= start && ts <= stop {
-                    self.delete(id);
-                    removed += 1;
-                }
-            }
-        }
-        removed
     }
 
     /// Iterate over live rows as `(RowId, row)`, materializing each row from
@@ -673,8 +792,9 @@ impl Table {
         })
     }
 
-    /// Remove all rows (used by reload steps and tests).
-    pub fn truncate(&mut self) {
+    /// Remove all rows.  [`crate::Database::truncate_table`] is the public
+    /// path: it empties the table's indexes and statistics too.
+    pub(crate) fn truncate(&mut self) {
         self.segments.clear();
         self.slots = 0;
         self.live_rows = 0;
@@ -759,20 +879,6 @@ mod tests {
         assert!(t.update(r0, row(1, 12.0, "brighter")).unwrap());
         assert_eq!(t.get_cell(r0, 1), Some(Value::Float(12.0)));
         assert!(!t.update(999, row(9, 9.0, "x")).unwrap());
-    }
-
-    #[test]
-    fn undo_by_timestamp_window() {
-        let mut t = table();
-        t.insert(row(1, 10.0, "keep"), 100).unwrap();
-        t.insert(row(2, 11.0, "bad"), 200).unwrap();
-        t.insert(row(3, 12.0, "bad"), 205).unwrap();
-        t.insert(row(4, 13.0, "keep"), 300).unwrap();
-        let removed = t.delete_by_timestamp_range(150, 250);
-        assert_eq!(removed, 2);
-        assert_eq!(t.row_count(), 2);
-        let remaining: Vec<i64> = t.iter().map(|(_, r)| r[0].as_i64().unwrap()).collect();
-        assert_eq!(remaining, vec![1, 4]);
     }
 
     #[test]

@@ -1,26 +1,45 @@
 //! Table and column statistics for the cost-based optimizer.
 //!
 //! The DR1 release process (Abazajian et al. 2003) treats each catalog load
-//! as a batch publish -- the natural point to scan the data once and
-//! summarize it.  This module collects, per table: the live row count, and
-//! per column the min/max (from the segment zone maps), the live NULL
-//! count, a distinct-value estimate (a KMV sketch over the typed segment
-//! arrays) and, for numeric columns, an equi-width histogram.
+//! as a batch publish -- the natural point to summarize the data.  This
+//! module collects, per table: the live row count, and per column the
+//! min/max (from the segment zone maps), the live NULL count, a
+//! distinct-value estimate (a KMV sketch over the typed segment arrays)
+//! and, for numeric columns, an equi-width histogram.
 //!
-//! Collection is a *segment sweep*: it walks the typed columnar arrays and
-//! validity/tombstone bitmaps directly and never materializes a row.  The
-//! planner's selectivity model (`skyserver-sql::planner::stats`) turns these
-//! summaries into cardinality estimates.
+//! Every one of those parts is mergeable, so [`analyze`] *merges
+//! per-segment summaries* instead of sweeping the table's rows:
+//!
+//! * live NULL and value counts add up;
+//! * a [`SegmentSummary`] keeps the [`KMV_K`] smallest distinct hashes of
+//!   its live values, and the `KMV_K` smallest of the union of those lists
+//!   are the table's `KMV_K` smallest — so the NDV estimate is the one a
+//!   sweep of every row gives, bit for bit;
+//! * histogram bins are counted per segment against the table-wide edges
+//!   (the zone-map min/max).  When the edges move (a batch widens a
+//!   column's range), that column of each segment is re-binned: a typed
+//!   pass with no hashing, whose counts are kept until the edges move
+//!   again.
+//!
+//! The result is equal, field by field, to what a sweep of the live rows
+//! computes (`crates/storage/tests/stats_merge.rs` checks it against an
+//! independent reference under random writes).
+//!
+//! A segment computes its summary the first time it is analyzed and
+//! drops it on every write, so a write pays to summarize only the segments
+//! it detached — the tail an insert appends to, the one segment an update
+//! or delete lands in — and a fork or a published release shares summaries
+//! exactly as it shares segments.  Merging touches no row.
 //!
 //! Statistics are a snapshot: single-row inserts, updates and deletes leave
 //! them stale until the next [`crate::Database::analyze_table`] call.  Batch
 //! ingest paths (`insert_many`, the CSV loader) re-analyze automatically.
 
-use crate::table::{ColumnData, Table, Timestamp};
+use crate::table::{Column, ColumnData, Segment, Table, Timestamp};
 use crate::value::{DataType, Value};
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeSet;
 use std::hash::{Hash, Hasher};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Number of buckets in a numeric column histogram.
 pub const HISTOGRAM_BINS: usize = 32;
@@ -43,29 +62,6 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    fn new(lo: f64, hi: f64) -> Histogram {
-        Histogram {
-            lo,
-            hi,
-            counts: vec![0; HISTOGRAM_BINS],
-            total: 0,
-        }
-    }
-
-    fn bin_of(&self, v: f64) -> usize {
-        if self.hi <= self.lo {
-            return 0;
-        }
-        let frac = (v - self.lo) / (self.hi - self.lo);
-        ((frac * HISTOGRAM_BINS as f64) as usize).min(HISTOGRAM_BINS - 1)
-    }
-
-    fn add(&mut self, v: f64) {
-        let bin = self.bin_of(v);
-        self.counts[bin] += 1;
-        self.total += 1;
-    }
-
     /// Estimated fraction of rows with value `< bound` (linear
     /// interpolation inside the straddled bucket).
     pub fn fraction_below(&self, bound: f64) -> f64 {
@@ -86,6 +82,15 @@ impl Histogram {
         below = below.min(self.total);
         ((below as f64 + partial) / self.total as f64).clamp(0.0, 1.0)
     }
+}
+
+/// The bucket `v` falls in on a histogram spanning `[lo, hi]`.
+fn bin_of(lo: f64, hi: f64, v: f64) -> usize {
+    if hi <= lo {
+        return 0;
+    }
+    let frac = (v - lo) / (hi - lo);
+    ((frac * HISTOGRAM_BINS as f64) as usize).min(HISTOGRAM_BINS - 1)
 }
 
 /// Statistics for one column of one table.
@@ -124,43 +129,32 @@ impl TableStats {
     }
 }
 
-/// A k-minimum-values sketch: keeps the [`KMV_K`] smallest distinct 64-bit
-/// hashes seen; the k-th smallest estimates the distinct count.
-struct KmvSketch {
-    smallest: BTreeSet<u64>,
+/// What one segment contributes to its table's statistics, per column.
+/// Cached inside the segment ([`Segment::cached_summary`]) until it is
+/// next written.
+#[derive(Debug)]
+pub struct SegmentSummary {
+    columns: Vec<ColumnSummary>,
 }
 
-impl KmvSketch {
-    fn new() -> KmvSketch {
-        KmvSketch {
-            smallest: BTreeSet::new(),
-        }
-    }
+#[derive(Debug)]
+struct ColumnSummary {
+    /// Live NULLs.
+    nulls: u64,
+    /// Live non-null values.
+    values: u64,
+    /// The [`KMV_K`] smallest distinct hashes of the live values, ascending.
+    hashes: Box<[u64]>,
+    /// Histogram counts of the live values and the edges they were binned
+    /// against; `None` until a numeric column is first merged.
+    bins: Mutex<Option<Bins>>,
+}
 
-    fn observe(&mut self, hash: u64) {
-        if self.smallest.len() < KMV_K {
-            self.smallest.insert(hash);
-            return;
-        }
-        if let Some(&current_max) = self.smallest.iter().next_back() {
-            if hash < current_max && self.smallest.insert(hash) {
-                self.smallest.remove(&current_max);
-            }
-        }
-    }
-
-    fn estimate(&self) -> u64 {
-        if self.smallest.len() < KMV_K {
-            return self.smallest.len() as u64;
-        }
-        match self.smallest.iter().next_back() {
-            // kth smallest of n uniform hashes in [0, M): n ≈ (k-1)·M/kth.
-            Some(&kth) if kth > 0 => {
-                ((KMV_K - 1) as f64 * (u64::MAX as f64) / kth as f64).round() as u64
-            }
-            _ => self.smallest.len() as u64,
-        }
-    }
+#[derive(Debug)]
+struct Bins {
+    lo: f64,
+    hi: f64,
+    counts: [u32; HISTOGRAM_BINS],
 }
 
 /// `DefaultHasher::new()` uses fixed keys, so these hashes (and therefore
@@ -171,134 +165,251 @@ fn hash_of(h: impl Hash) -> u64 {
     hasher.finish()
 }
 
-/// Per-column accumulator driven by the segment sweep.
-struct ColumnAccumulator {
-    nulls: u64,
-    live_values: u64,
-    sketch: KmvSketch,
-    histogram: Option<Histogram>,
+/// Summarize one segment from its columns and tombstones: per column, the
+/// live NULL and value counts and the [`KMV_K`] smallest distinct hashes of
+/// the live values.
+pub(crate) fn summarize(columns: &[Column], deleted: &[bool]) -> SegmentSummary {
+    SegmentSummary {
+        columns: columns
+            .iter()
+            .map(|column| summarize_column(column, deleted))
+            .collect(),
+    }
+}
+
+fn summarize_column(column: &Column, deleted: &[bool]) -> ColumnSummary {
+    let mut nulls = 0;
+    let mut offsets = Vec::with_capacity(deleted.len());
+    for (off, (&dead, &valid)) in deleted.iter().zip(column.validity()).enumerate() {
+        match (dead, valid) {
+            (true, _) => {}
+            (false, true) => offsets.push(off),
+            (false, false) => nulls += 1,
+        }
+    }
+    let mut hashes: Vec<u64> = match column.data() {
+        ColumnData::Int(arr) => offsets.iter().map(|&off| hash_of(arr[off])).collect(),
+        ColumnData::Float(arr) => offsets
+            .iter()
+            .map(|&off| hash_of(arr[off].to_bits()))
+            .collect(),
+        ColumnData::Str { dict, codes } => {
+            // One hash per dictionary entry, not per row.
+            let entries: Vec<u64> = dict.iter().map(|s| hash_of(s.as_bytes())).collect();
+            offsets
+                .iter()
+                .filter_map(|&off| entries.get(codes[off] as usize).copied())
+                .collect()
+        }
+        ColumnData::Bytes(arr) => offsets
+            .iter()
+            .map(|&off| hash_of(arr[off].as_ref()))
+            .collect(),
+        ColumnData::Bool(arr) => offsets.iter().map(|&off| hash_of(arr[off])).collect(),
+    };
+    hashes.sort_unstable();
+    hashes.dedup();
+    hashes.truncate(KMV_K);
+    ColumnSummary {
+        nulls,
+        values: offsets.len() as u64,
+        hashes: hashes.into_boxed_slice(),
+        bins: Mutex::new(None),
+    }
+}
+
+impl ColumnSummary {
+    /// Add this column's bin counts against the edges `[lo, hi]` to
+    /// `counts`, re-binning `column` first when its counts were taken
+    /// against other edges.
+    fn add_bins(
+        &self,
+        column: &Column,
+        deleted: &[bool],
+        (lo, hi): (f64, f64),
+        counts: &mut [u64],
+    ) {
+        // The one update is a single assignment of finished counts, so a
+        // guard recovered from a poisoned lock still holds valid ones.
+        let mut bins = self.bins.lock().unwrap_or_else(PoisonError::into_inner);
+        let current = bins
+            .as_ref()
+            .is_some_and(|b| b.lo.to_bits() == lo.to_bits() && b.hi.to_bits() == hi.to_bits());
+        if !current {
+            *bins = Some(bin_column(column, deleted, lo, hi));
+        }
+        if let Some(bins) = bins.as_ref() {
+            for (total, &n) in counts.iter_mut().zip(&bins.counts) {
+                *total += u64::from(n);
+            }
+        }
+    }
+}
+
+/// Count a numeric column's live values into the buckets of `[lo, hi]`.
+fn bin_column(column: &Column, deleted: &[bool], lo: f64, hi: f64) -> Bins {
+    let mut counts = [0u32; HISTOGRAM_BINS];
+    let live = deleted
+        .iter()
+        .zip(column.validity())
+        .map(|(&d, &v)| v && !d);
+    let mut count = |v: f64| counts[bin_of(lo, hi, v)] += 1;
+    match column.data() {
+        ColumnData::Int(arr) => arr
+            .iter()
+            .zip(live)
+            .filter(|(_, live)| *live)
+            .for_each(|(&v, _)| count(v as f64)),
+        ColumnData::Float(arr) => arr
+            .iter()
+            .zip(live)
+            .filter(|(_, live)| *live)
+            .for_each(|(&v, _)| count(v)),
+        _ => {}
+    }
+    Bins { lo, hi, counts }
+}
+
+/// Merge the ascending distinct list `hashes` into `smallest`, keeping the
+/// [`KMV_K`] smallest distinct values of the union (`scratch` is reused
+/// between calls).
+fn merge_smallest(smallest: &mut Vec<u64>, hashes: &[u64], scratch: &mut Vec<u64>) {
+    let hashes = match smallest.get(KMV_K - 1) {
+        Some(&kth) => &hashes[..hashes.partition_point(|&h| h < kth)],
+        None => hashes,
+    };
+    if hashes.is_empty() {
+        return;
+    }
+    scratch.clear();
+    let (mut a, mut b) = (smallest.iter().peekable(), hashes.iter().peekable());
+    while scratch.len() < KMV_K {
+        let next = match (a.peek(), b.peek()) {
+            (Some(&&x), Some(&&y)) => {
+                if x <= y {
+                    a.next();
+                }
+                if y <= x {
+                    b.next();
+                }
+                x.min(y)
+            }
+            (Some(&&x), None) => {
+                a.next();
+                x
+            }
+            (None, Some(&&y)) => {
+                b.next();
+                y
+            }
+            (None, None) => break,
+        };
+        scratch.push(next);
+    }
+    std::mem::swap(smallest, scratch);
+}
+
+/// The distinct-count estimate of a KMV sketch holding `smallest`.
+fn kmv_estimate(smallest: &[u64]) -> u64 {
+    match smallest.get(KMV_K - 1) {
+        // kth smallest of n uniform hashes in [0, M): n ≈ (k-1)·M/kth.
+        Some(&kth) if kth > 0 => {
+            ((KMV_K - 1) as f64 * (u64::MAX as f64) / kth as f64).round() as u64
+        }
+        _ => smallest.len() as u64,
+    }
+}
+
+/// The smallest zone-map minimum and the largest zone-map maximum of
+/// column `c` over `segments` (conservative: zones never shrink).
+fn zone_bounds(segments: &[Arc<Segment>], c: usize) -> Option<(Value, Value)> {
+    let mut bounds: Option<(&Value, &Value)> = None;
+    for seg in segments {
+        let column = seg.column(c);
+        if let (Some(lo), Some(hi)) = (column.zone_min(), column.zone_max()) {
+            bounds = Some(match bounds {
+                Some((min, max)) => (
+                    if lo.total_cmp(min).is_lt() { lo } else { min },
+                    if hi.total_cmp(max).is_gt() { hi } else { max },
+                ),
+                None => (lo, hi),
+            });
+        }
+    }
+    bounds.map(|(lo, hi)| (lo.clone(), hi.clone()))
 }
 
 /// Collect statistics for `table`, stamping them with `collected_at`.
 ///
-/// One pass over the segments: zone maps give min/max and the histogram
-/// bounds for free; the typed arrays are swept once (skipping tombstones)
-/// for NULL counts, NDV sketches and histogram buckets.
+/// Merges the segments' summaries (computing those not cached yet) with
+/// the zone maps' min/max; see the module docs.
 pub fn analyze(table: &Table, collected_at: Timestamp) -> TableStats {
-    let schema = table.schema();
-    let ncols = schema.columns().len();
-
-    // Zone-map pass: global min/max per column (conservative).
-    let mut minmax: Vec<Option<(Value, Value)>> = vec![None; ncols];
-    for seg in table.segments() {
-        for (c, slot) in minmax.iter_mut().enumerate() {
-            let col = seg.column(c);
-            if let (Some(lo), Some(hi)) = (col.zone_min(), col.zone_max()) {
-                match slot {
-                    Some((cur_lo, cur_hi)) => {
-                        if lo.total_cmp(cur_lo) == std::cmp::Ordering::Less {
-                            *cur_lo = lo.clone();
-                        }
-                        if hi.total_cmp(cur_hi) == std::cmp::Ordering::Greater {
-                            *cur_hi = hi.clone();
-                        }
-                    }
-                    None => *slot = Some((lo.clone(), hi.clone())),
-                }
-            }
-        }
-    }
-
-    let mut accs: Vec<ColumnAccumulator> = (0..ncols)
-        .map(|c| {
-            let numeric = matches!(schema.columns()[c].ty, DataType::Int | DataType::Float);
-            let histogram = match (&minmax[c], numeric) {
-                (Some((lo, hi)), true) => match (lo.as_f64(), hi.as_f64()) {
-                    (Some(lo), Some(hi)) => Some(Histogram::new(lo, hi)),
-                    _ => None,
-                },
-                _ => None,
-            };
-            ColumnAccumulator {
-                nulls: 0,
-                live_values: 0,
-                sketch: KmvSketch::new(),
-                histogram,
-            }
-        })
-        .collect();
-
-    // Value pass: sweep the typed arrays, skipping tombstoned slots.
-    for seg in table.segments() {
-        let slots = seg.slot_count();
-        for (c, acc) in accs.iter_mut().enumerate() {
-            let col = seg.column(c);
-            let validity = col.validity();
-            for off in 0..slots {
-                if !seg.is_live(off) {
-                    continue;
-                }
-                if !validity[off] {
-                    acc.nulls += 1;
-                    continue;
-                }
-                acc.live_values += 1;
-                match col.data() {
-                    ColumnData::Int(arr) => {
-                        acc.sketch.observe(hash_of(arr[off]));
-                        if let Some(h) = acc.histogram.as_mut() {
-                            h.add(arr[off] as f64);
-                        }
-                    }
-                    ColumnData::Float(arr) => {
-                        acc.sketch.observe(hash_of(arr[off].to_bits()));
-                        if let Some(h) = acc.histogram.as_mut() {
-                            h.add(arr[off]);
-                        }
-                    }
-                    ColumnData::Str { dict, codes } => {
-                        let code = codes[off];
-                        if let Some(s) = dict.get(code as usize) {
-                            acc.sketch.observe(hash_of(s.as_bytes()));
-                        }
-                    }
-                    ColumnData::Bytes(arr) => {
-                        acc.sketch.observe(hash_of(arr[off].as_ref()));
-                    }
-                    ColumnData::Bool(arr) => {
-                        acc.sketch.observe(hash_of(arr[off]));
-                    }
-                }
-            }
-        }
-    }
-
-    let columns = accs
-        .into_iter()
+    let segments = table.segments();
+    let summaries: Vec<&SegmentSummary> = segments.iter().map(|seg| seg.summary()).collect();
+    let columns = table
+        .schema()
+        .columns()
+        .iter()
         .enumerate()
-        .map(|(c, acc)| {
-            let (min, max) = match &minmax[c] {
-                Some((lo, hi)) => (lo.clone(), hi.clone()),
-                None => return None,
-            };
-            if acc.live_values == 0 && acc.nulls == 0 {
-                return None;
-            }
-            Some(ColumnStats {
-                min,
-                max,
-                null_count: acc.nulls,
-                ndv: acc.sketch.estimate().max(u64::from(acc.live_values > 0)),
-                histogram: acc.histogram.filter(|h| h.total > 0),
-            })
+        .map(|(c, def)| {
+            let numeric = matches!(def.ty, DataType::Int | DataType::Float);
+            merge_column(segments, &summaries, c, numeric)
         })
         .collect();
-
     TableStats {
         row_count: table.row_count() as u64,
         collected_at,
         columns,
     }
+}
+
+/// Column `c`'s statistics, merged from every segment's summary.
+fn merge_column(
+    segments: &[Arc<Segment>],
+    summaries: &[&SegmentSummary],
+    c: usize,
+    numeric: bool,
+) -> Option<ColumnStats> {
+    let (min, max) = zone_bounds(segments, c)?;
+    let parts: Vec<(&Segment, &ColumnSummary)> = segments
+        .iter()
+        .zip(summaries)
+        .filter_map(|(seg, summary)| Some((&**seg, summary.columns.get(c)?)))
+        .collect();
+    let (mut nulls, mut values) = (0, 0);
+    let (mut smallest, mut scratch) = (Vec::with_capacity(KMV_K), Vec::with_capacity(KMV_K));
+    for (_, part) in &parts {
+        nulls += part.nulls;
+        values += part.values;
+        merge_smallest(&mut smallest, &part.hashes, &mut scratch);
+    }
+    if values == 0 && nulls == 0 {
+        return None;
+    }
+    let histogram = match (numeric, min.as_f64(), max.as_f64()) {
+        (true, Some(lo), Some(hi)) if values > 0 => {
+            let mut counts = vec![0; HISTOGRAM_BINS];
+            for (seg, part) in &parts {
+                if part.values > 0 {
+                    part.add_bins(seg.column(c), seg.deleted(), (lo, hi), &mut counts);
+                }
+            }
+            Some(Histogram {
+                lo,
+                hi,
+                counts,
+                total: values,
+            })
+        }
+        _ => None,
+    };
+    Some(ColumnStats {
+        min,
+        max,
+        null_count: nulls,
+        ndv: kmv_estimate(&smallest).max(u64::from(values > 0)),
+        histogram,
+    })
 }
 
 #[cfg(test)]

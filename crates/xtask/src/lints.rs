@@ -4,7 +4,7 @@
 //!
 //! | lint | scope | what it catches |
 //! |------|-------|-----------------|
-//! | `no-unwrap` | web request paths + sql executor hot path + failpoints + release catalog | `.unwrap()` that turns a recoverable error into a worker panic |
+//! | `no-unwrap` | web request paths + sql executor hot path + failpoints + release catalog + table statistics | `.unwrap()` that turns a recoverable error into a worker panic |
 //! | `no-expect` | same | `.expect(...)` likewise |
 //! | `no-panic` | same | `panic!` / `unreachable!` / `todo!` / `unimplemented!` |
 //! | `no-slice-index` | web request paths | `x[i]` indexing that can panic on malformed input |
@@ -74,8 +74,11 @@ fn scope_for(rel: &Path) -> Scope {
     // pinned read: a panic there poisons the serving slot for all
     // requests, so it gets the same no-panic discipline.
     let releases = p == "crates/storage/src/release.rs";
+    // Statistics are merged inside every admin write, with the admin
+    // lock held: a panic there poisons the write path for every writer.
+    let stats = p == "crates/storage/src/table_stats.rs";
     Scope {
-        hot_path: web || executor || failpoints || releases,
+        hot_path: web || executor || failpoints || releases || stats,
         slice_index: web,
         kernel: p == "crates/sql/src/exec/vector.rs",
         // The engine file holds the DML paths and the schema's table

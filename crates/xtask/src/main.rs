@@ -132,6 +132,32 @@ mod tests {
     }
 
     #[test]
+    fn panics_are_flagged_on_the_hot_paths_only() {
+        let src = "fn f(x: Option<u8>) {\n\
+                   x.unwrap();\n\
+                   x.expect(\"y\");\n\
+                   panic!(\"z\");\n}\n";
+        let lints = |path: &str| -> Vec<&'static str> {
+            crate::lints::scan_file_tokens(std::path::Path::new(path), lex(src).tokens)
+                .into_iter()
+                .map(|(_, lint, _)| lint)
+                .collect()
+        };
+        let all = vec!["no-unwrap", "no-expect", "no-panic"];
+        for hot in [
+            "crates/web/src/site.rs",
+            "crates/sql/src/executor.rs",
+            "crates/sql/src/exec/vector.rs",
+            "crates/storage/src/failpoints.rs",
+            "crates/storage/src/release.rs",
+            "crates/storage/src/table_stats.rs",
+        ] {
+            assert_eq!(lints(hot), all, "{hot}");
+        }
+        assert!(lints("crates/storage/src/table.rs").is_empty());
+    }
+
+    #[test]
     fn the_workspace_is_lint_clean() {
         let findings = crate::lints::run(&crate::workspace_root()).unwrap();
         let rendered: Vec<String> = findings.iter().map(ToString::to_string).collect();

@@ -1,6 +1,8 @@
-//! Copy-on-write of index runs: a write on a fork copies the runs it lands
-//! in and shares the rest with its parent, and a release published before a
-//! batch insert + UNDO keeps answering from the runs it pinned.
+//! Copy-on-write of index runs and segment statistics: a write on a fork
+//! copies the runs it lands in and re-summarizes the segments it writes,
+//! sharing the rest with its parent, and a release published before (or
+//! between) a batch insert and its UNDO keeps answering from what it
+//! pinned while the head's table shrinks back to its old length.
 
 use skyserver::skygen::SurveyConfig;
 use skyserver::sql::ResultSet;
@@ -103,11 +105,53 @@ fn one_insert_on_a_fork_copies_at_most_two_runs_per_index() {
 }
 
 #[test]
+fn a_batch_on_a_fork_summarizes_only_the_segments_it_writes() {
+    let sky = server();
+    let mut fork = sky.fork();
+    let rows = generated_rows(&sky, 500);
+    let db = fork.engine_mut().db_mut();
+    let ts = db.next_timestamp();
+    assert_eq!(db.insert_many("PhotoObj", rows, ts).unwrap(), 500);
+
+    let parent = sky.engine().db().table("PhotoObj").unwrap().segments();
+    let child = fork.engine().db().table("PhotoObj").unwrap().segments();
+    assert!(parent.len() >= 5, "PhotoObj is too small to tell");
+    let summary = |seg: &skyserver::storage::Segment| {
+        seg.cached_summary()
+            .map(|s| s as *const _)
+            .expect("an analyzed table has every summary")
+    };
+    let parents: Vec<_> = parent.iter().map(|s| summary(s)).collect();
+    let recomputed = child
+        .iter()
+        .filter(|s| !parents.contains(&summary(s)))
+        .count();
+    assert!(recomputed <= 2, "{recomputed} summaries recomputed");
+    for (p, c) in parent.iter().zip(child) {
+        // A segment the batch did not write is the parent's, summary and all.
+        if Arc::ptr_eq(p, c) {
+            assert_eq!(summary(p), summary(c));
+        }
+    }
+    let shared = parent
+        .iter()
+        .zip(child)
+        .filter(|(p, c)| Arc::ptr_eq(p, c))
+        .count();
+    assert_eq!(shared + recomputed, child.len());
+}
+
+#[test]
 fn a_release_reads_the_same_through_a_batch_insert_and_its_undo() {
     let mut sky = server();
     sky.publish_release("dr2").unwrap();
     let pinned = index_reads(&sky, " as of dr2");
     let head = index_reads(&sky, "");
+    let slots = |sky: &SkyServer| {
+        let db = sky.engine().db();
+        db.table("PhotoObj").unwrap().slot_count()
+    };
+    let before = slots(&sky);
 
     let rows = generated_rows(&sky, 500);
     let db = sky.engine_mut().db_mut();
@@ -115,12 +159,17 @@ fn a_release_reads_the_same_through_a_batch_insert_and_its_undo() {
     assert_eq!(db.insert_many("PhotoObj", rows, ts).unwrap(), 500);
     assert_eq!(index_reads(&sky, " as of dr2"), pinned);
     assert_ne!(index_reads(&sky, "")[2], head[2], "the head gained rows");
+    // A release published between the batch and its UNDO.
+    sky.publish_release("dr3").unwrap();
+    let between = index_reads(&sky, " as of dr3");
 
     let db = sky.engine_mut().db_mut();
     assert_eq!(
         db.delete_by_timestamp_range("PhotoObj", ts, ts).unwrap(),
         500
     );
+    assert_eq!(slots(&sky), before, "the UNDO left a dead tail");
     assert_eq!(index_reads(&sky, " as of dr2"), pinned);
+    assert_eq!(index_reads(&sky, " as of dr3"), between);
     assert_eq!(index_reads(&sky, ""), head);
 }
