@@ -347,6 +347,52 @@ impl CompiledExpr {
         }
     }
 
+    /// Send every column ordinal through `f`: a pushed predicate compiled
+    /// against its source's row layout moves onto storage ordinals, where
+    /// the scan kernels run it, without a storage-wide schema to compile
+    /// against.
+    pub fn map_columns(&mut self, f: &impl Fn(usize) -> usize) {
+        match self {
+            CompiledExpr::Const(_) | CompiledExpr::Var { .. } | CompiledExpr::Agg { .. } => {}
+            CompiledExpr::Col(i) => *i = f(*i),
+            CompiledExpr::Unary { expr, .. }
+            | CompiledExpr::IsNull { expr, .. }
+            | CompiledExpr::LikePre { expr, .. }
+            | CompiledExpr::Cast { expr, .. } => expr.map_columns(f),
+            CompiledExpr::And(items)
+            | CompiledExpr::Or(items)
+            | CompiledExpr::Call { args: items, .. } => {
+                items.iter_mut().for_each(|e| e.map_columns(f));
+            }
+            CompiledExpr::Binary { left, right, .. }
+            | CompiledExpr::LikeDyn {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                left.map_columns(f);
+                right.map_columns(f);
+            }
+            CompiledExpr::Between {
+                expr, low, high, ..
+            } => [expr, low, high].into_iter().for_each(|e| e.map_columns(f)),
+            CompiledExpr::InList { expr, list, .. } => {
+                expr.map_columns(f);
+                list.iter_mut().for_each(|e| e.map_columns(f));
+            }
+            CompiledExpr::Case {
+                branches,
+                else_value,
+            } => {
+                for (condition, value) in branches {
+                    condition.map_columns(f);
+                    value.map_columns(f);
+                }
+                else_value.iter_mut().for_each(|e| e.map_columns(f));
+            }
+        }
+    }
+
     /// Evaluate an operand *by reference* where possible: columns borrow
     /// from the row and constants from the program, so the hot comparison
     /// shapes (`col < const`, `col BETWEEN a AND b`) move no `Value` at
@@ -877,6 +923,11 @@ pub struct CompiledAggregate {
 pub struct CompiledPrograms {
     /// Pushed-down scan predicate per source (parallel to `plan.sources`).
     pub source_predicates: Vec<Option<CompiledExpr>>,
+    /// Per source (parallel to `plan.sources`): for an index seek or
+    /// covering scan, the run ordinal of each storage column the index
+    /// covers, indexed by storage ordinal — the run ordinal space the scan
+    /// kernels read the index's runs in.  `None` on every other source.
+    pub source_runs: Vec<Option<Vec<Option<usize>>>>,
     /// Outer-key program per join step (index-lookup joins only).
     pub join_outer_keys: Vec<Option<CompiledExpr>>,
     /// `(outer keys, inner keys)` programs per join step (hash joins only).

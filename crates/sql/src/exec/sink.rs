@@ -346,6 +346,12 @@ pub(crate) struct Output<'p> {
     seq: u64,
     /// The key buffer of the last rejected row, reused for the next one.
     keys: Vec<SortCell>,
+    /// When every ORDER BY key is a plain input column: the first one's
+    /// input ordinal and direction — what a scan compares its chunk's
+    /// cells against once the Top-N heap is full ([`Sink::top_bound`]).
+    /// A key that could raise must see every row, so any other key shape
+    /// leaves this unset.
+    first_column: Option<(usize, bool)>,
 }
 
 impl<'p> Output<'p> {
@@ -361,11 +367,25 @@ impl<'p> Output<'p> {
             }
             _ => Kept::All(Vec::new()),
         };
+        let programs = &plan.programs;
+        let columns: Option<Vec<usize>> = (programs.order_by.iter())
+            .map(|key| match key {
+                SortKey::Input(program) => Some(program),
+                SortKey::Output(idx) => programs.projections.get(*idx),
+            })
+            .map(|p| match p {
+                Some(CompiledExpr::Col(i)) => Some(*i),
+                _ => None,
+            })
+            .collect();
+        let first = columns.and_then(|c| c.first().copied());
+        let first_column = first.zip(plan.order_by.first().map(|item| item.ascending));
         Output {
             plan,
             kept,
             seq: 0,
             keys: Vec::new(),
+            first_column,
         }
     }
 
@@ -528,11 +548,36 @@ impl<'p> Sink<'p> {
         }
     }
 
-    /// Take a heap-scan chunk's rows, leaving `chunk` empty.
+    /// The chunk-level form of a full Top-N heap's rejection test (see
+    /// [`Output`]'s `first_column`): `(input column, worst kept value,
+    /// ascending)` — an input row whose cell orders strictly after that
+    /// value is one [`Output::offer`] would reject.  `None` unless the rows
+    /// go straight into a full heap: a residual in front of it must still
+    /// count every row.
+    pub(crate) fn top_bound(&self) -> Option<(usize, Value, bool)> {
+        let (Stage::Output(output), None) = (&self.stage, self.residual) else {
+            return None;
+        };
+        let (column, ascending) = output.first_column?;
+        match &output.kept {
+            Kept::Top(heap, bound) if heap.len() >= *bound => {
+                let (SortCell::Asc(worst) | SortCell::Desc(Reverse(worst))) =
+                    heap.peek()?.keys.first()?;
+                Some((column, worst.clone(), ascending))
+            }
+            _ => None,
+        }
+    }
+
+    /// Take a scan chunk's rows, leaving `chunk` empty.  A row no stage
+    /// kept goes, cleared, to `spare` for the scan to fill again: an
+    /// aggregate or a Top-N over a scan allocates per group or kept row,
+    /// not per row scanned.
     pub(crate) fn absorb(
         &mut self,
         ex: &Executor<'_>,
         chunk: &mut Vec<Vec<Value>>,
+        spare: &mut Vec<Vec<Value>>,
     ) -> Result<(), SqlError> {
         if let (None, Stage::Rows { rows, charged }) = (self.residual, &mut self.stage) {
             // Chunk granularity keeps the atomics off the per-row path.
@@ -542,10 +587,13 @@ impl<'p> Sink<'p> {
             rows.append(chunk);
             return Ok(());
         }
-        for row in chunk.iter_mut() {
-            self.push(ex, row)?;
+        for mut row in chunk.drain(..) {
+            self.push(ex, &mut row)?;
+            if row.capacity() > 0 {
+                row.clear();
+                spare.push(row);
+            }
         }
-        chunk.clear();
         Ok(())
     }
 
@@ -571,7 +619,7 @@ impl<'p> Sink<'p> {
             }
             (_, Stage::Rows { mut rows, charged }) => {
                 ex.release_mem(charged);
-                self.absorb(ex, &mut rows)
+                self.absorb(ex, &mut rows, &mut Vec::new())
             }
             _ => Err(SqlError::Execution(
                 "parallel scan partition produced a mismatched sink".into(),

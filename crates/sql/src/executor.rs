@@ -20,18 +20,24 @@
 //!
 //! A base-table source materializes exactly its
 //! [`SourcePlan::scan_columns`] — the columns the statement references on
-//! that alias — on every access path: heap scans gather those columns of
-//! the surviving slots, index seeks and index-lookup probes gather them by
-//! row id ([`skyserver_storage::Table::gather_into`]), covering scans pick
-//! them out of the index entry.  A join output is the concatenation of its
-//! sides' layouts.  `select count(*)` therefore moves zero-width rows and
-//! a three-way join over the 54-column catalog moves the handful of cells
-//! it names.  The planner compiles every program that runs on a
-//! materialized row against the same layouts
-//! ([`crate::planner::source_layout`]); only the pushed predicate of a
-//! heap-scanned source lives in storage-ordinal space, because the batch
-//! kernels of [`crate::exec::vector`] evaluate it over segment columns
-//! before any cell is copied.
+//! that alias — on every access path.  Heap scans, index seeks and covering
+//! index scans are one chunk loop (`ChunkScan`) over the batch kernels of
+//! [`crate::exec::vector`]: a chunk is a heap segment or a slice of an index
+//! run (§9.1.3's "tag table", read in place of the base table), the pushed
+//! predicate runs over its columns in storage-ordinal space before any cell
+//! is copied, and a survivor takes its covered cells from the run and
+//! gathers only the others from the heap by row id.  Index-lookup probes
+//! gather the layout by row id ([`skyserver_storage::Table::gather_into`]).
+//! A join output is the concatenation of its sides' layouts.  `select
+//! count(*)` therefore moves zero-width rows and a three-way join over the
+//! 54-column catalog moves the handful of cells it names.  The planner
+//! compiles every program that runs on a materialized row against the same
+//! layouts ([`crate::planner::source_layout`]).
+//!
+//! When rows go straight into a full Top-N heap whose first ORDER BY key is
+//! a plain column, the chunk loop drops every row whose key orders strictly
+//! after the heap's worst before it is built (`Sink::top_bound`); ties
+//! still reach the heap, so tie and arrival order are the sort's.
 //!
 //! Every per-row expression is a compiled program ([`CompiledExpr::eval`]);
 //! the AST interpreter evaluates only the once-per-statement expressions:
@@ -50,7 +56,7 @@ use crate::exec::compile::{CompiledExpr, CompiledPrograms};
 use crate::exec::sink::{
     cells_bytes, eval_into, row_charge, rows_charge, tighter, Aggregator, Output, Sink, Stage,
 };
-use crate::exec::vector::{BatchProgram, BatchScratch, BATCH_ROWS};
+use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, BATCH_ROWS};
 use crate::expr::{eval as eval_constant, EvalContext, RowSchema};
 use crate::functions::FunctionRegistry;
 use crate::monitor::{QueryMonitor, MONITOR_BATCH};
@@ -112,10 +118,13 @@ enum Emit<'a> {
 /// Programs a scan applies to one source.
 #[derive(Clone, Copy)]
 struct ScanPrograms<'a> {
-    /// The pushed predicate: in storage ordinals for the heap-scan kernels,
-    /// in row ordinals on every other path (see
-    /// [`SourcePlan::filters_on_segments`]).
+    /// The pushed predicate: in storage ordinals for the scan kernels
+    /// (heap segments and index runs), in row ordinals on every other path
+    /// (see [`SourcePlan::filters_on_chunks`]).
     filter: Option<&'a CompiledExpr>,
+    /// On an index seek or covering scan, the run column of each storage
+    /// column the index covers (`CompiledPrograms::source_runs`).
+    runs: Option<&'a [Option<usize>]>,
     emit: Emit<'a>,
     /// Stop after producing this many rows (merged with the planner's
     /// `limit_hint`).  Set from `max_rows + 1` on the fast path, so the row
@@ -128,6 +137,7 @@ struct ScanPrograms<'a> {
 #[derive(Clone, Copy)]
 struct JoinPrograms<'a> {
     inner_filter: Option<&'a CompiledExpr>,
+    inner_runs: Option<&'a [Option<usize>]>,
     outer_key: Option<&'a CompiledExpr>,
     hash_keys: Option<&'a (Vec<CompiledExpr>, Vec<CompiledExpr>)>,
     residual: Option<&'a CompiledExpr>,
@@ -137,9 +147,14 @@ fn source_program(p: &CompiledPrograms, index: usize) -> Option<&CompiledExpr> {
     p.source_predicates.get(index).and_then(Option::as_ref)
 }
 
+fn source_runs(p: &CompiledPrograms, index: usize) -> Option<&[Option<usize>]> {
+    p.source_runs.get(index).and_then(Option::as_deref)
+}
+
 fn join_programs(p: &CompiledPrograms, index: usize) -> JoinPrograms<'_> {
     JoinPrograms {
         inner_filter: source_program(p, index + 1),
+        inner_runs: source_runs(p, index + 1),
         outer_key: p.join_outer_keys.get(index).and_then(Option::as_ref),
         hash_keys: p.join_hash_keys.get(index).and_then(Option::as_ref),
         residual: p.join_residuals.get(index).and_then(Option::as_ref),
@@ -169,18 +184,15 @@ fn entry_bytes(idx: &BTreeIndex) -> u64 {
     }
 }
 
-/// How the index paths (seek, covering scan, index-lookup join) turn an
-/// index entry into the source's layout row.
+/// How an index-lookup probe turns an index entry into the inner source's
+/// layout row: late materialization by row id, only the layout's cells
+/// leave the heap.  (Index seeks and covering scans read whole run slices
+/// through the batch kernels instead.)
 struct IndexRows<'x> {
     t: &'x Table,
     layout: &'x [usize],
     idx: &'x BTreeIndex,
     entry_bytes: u64,
-    /// On a covering scan, where each layout cell sits in an entry (key
-    /// columns first, then the included ones).  Otherwise the cells are
-    /// gathered from the heap by row id: late materialization, only the
-    /// layout's cells leave the heap.
-    covered: Option<Vec<usize>>,
     filter: Option<&'x CompiledExpr>,
 }
 
@@ -195,15 +207,10 @@ impl IndexRows<'_> {
         stats: &mut ScanStats,
     ) -> Result<bool, SqlError> {
         row.clear();
-        match &self.covered {
-            Some(positions) => row.extend(positions.iter().map(|&p| entry.cell(p))),
-            None => {
-                if !self.t.gather_into(entry.row_id(), self.layout, row) {
-                    return Ok(false);
-                }
-                stats.bytes_scanned += cells_bytes(row);
-            }
+        if !self.t.gather_into(entry.row_id(), self.layout, row) {
+            return Ok(false);
         }
+        stats.bytes_scanned += cells_bytes(row);
         stats.rows_from_index += 1;
         stats.bytes_from_index += self.entry_bytes;
         match self.filter {
@@ -213,6 +220,71 @@ impl IndexRows<'_> {
             }
             None => Ok(true),
         }
+    }
+}
+
+/// One scan's chunk loop: its [`BatchProgram`], the buffers the program
+/// reuses, and the rows produced so far against the limit.  Heap segments
+/// and index run slices go through the same [`ChunkScan::step`]; only
+/// their accounting differs.
+struct ChunkScan<'a> {
+    program: BatchProgram<'a>,
+    emit: Emit<'a>,
+    limit: Option<u64>,
+    scratch: BatchScratch,
+    rows: Vec<Vec<Value>>,
+    produced: u64,
+    pending: u64,
+}
+
+impl ChunkScan<'_> {
+    /// Has the scan produced all the rows its limit allows?
+    fn done(&self) -> bool {
+        self.limit.is_some_and(|l| self.produced >= l)
+    }
+
+    /// Filter offsets `base..end` of `chunk`, drop what a full Top-N heap
+    /// would reject, cut at the remaining limit, gather the survivors and
+    /// hand them to `sink`.  Returns the candidates visited — on a run
+    /// slice the limit cut stops the count at the last row kept, as an
+    /// entry-at-a-time scan would stop — and the payload bytes of the
+    /// heap cells gathered.
+    fn step(
+        &mut self,
+        ex: &Executor<'_>,
+        chunk: Chunk<'_>,
+        (base, end): (usize, usize),
+        sink: &mut Sink<'_>,
+    ) -> Result<(u64, u64), SqlError> {
+        let ctx = ex.ctx();
+        let mut visited = self
+            .program
+            .begin_chunk(chunk, base, end, &mut self.scratch);
+        self.program.filter_chunk(chunk, &mut self.scratch, &ctx)?;
+        if let Some((key, worst, ascending)) = sink.top_bound() {
+            self.program
+                .reject_after(chunk, &mut self.scratch, key, &worst, ascending);
+        }
+        if let Some(l) = self.limit {
+            let room = l.saturating_sub(self.produced) as usize;
+            if let Some(&last) = self.scratch.truncate(room) {
+                if let Chunk::Run(..) = chunk {
+                    visited = (last as usize + 1).saturating_sub(base) as u64;
+                }
+            }
+        }
+        let heap_bytes = self
+            .program
+            .emit_chunk(chunk, &mut self.scratch, &ctx, &mut self.rows)?;
+        if let Emit::RowAndId = self.emit {
+            for (row, &off) in self.rows.iter_mut().zip(self.scratch.selected()) {
+                row.push(Value::Int(chunk.row_id(off) as i64));
+            }
+        }
+        self.produced += self.rows.len() as u64;
+        sink.absorb(ex, &mut self.rows, self.scratch.spare_rows())?;
+        ex.tick_rows(&mut self.pending, visited)?;
+        Ok((visited, heap_bytes))
     }
 }
 
@@ -479,6 +551,7 @@ impl<'a> Executor<'a> {
         let mut sink = Sink::new(programs.residual.as_ref(), stage);
         let scan = ScanPrograms {
             filter: source_program(programs, 0),
+            runs: source_runs(programs, 0),
             emit,
             row_cap,
         };
@@ -513,6 +586,7 @@ impl<'a> Executor<'a> {
         let mut sink = Sink::new(plan.programs.residual.as_ref(), Stage::rows());
         let scan = ScanPrograms {
             filter: source_program(&plan.programs, 0),
+            runs: source_runs(&plan.programs, 0),
             emit: Emit::RowAndId,
             row_cap: None,
         };
@@ -680,27 +754,6 @@ impl<'a> Executor<'a> {
         Ok(passed)
     }
 
-    /// Hand one surviving row of a row-at-a-time access path (`row` holds
-    /// the source's layout) to the sink in the shape `emit` asks for.
-    fn emit(
-        &self,
-        row: &mut Vec<Value>,
-        row_id: RowId,
-        emit: Emit<'_>,
-        sink: &mut Sink<'_>,
-    ) -> Result<(), SqlError> {
-        match emit {
-            Emit::Row => {}
-            Emit::RowAndId => row.push(Value::Int(row_id as i64)),
-            Emit::Project(programs) => {
-                let mut out = Vec::with_capacity(programs.len());
-                eval_into(programs, row, &self.ctx(), &mut out)?;
-                return sink.push(self, &mut out);
-            }
-        }
-        sink.push(self, row)
-    }
-
     fn scan_table(
         &self,
         table: &str,
@@ -728,7 +781,19 @@ impl<'a> Executor<'a> {
             }
             AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index } => {
                 let idx = index_of(self.db, table, index)?;
-                let (entries, covered) = match path {
+                let runs = scan.runs.ok_or_else(|| missing_program("run-column map"))?;
+                // The map was resolved at plan time; it must still name
+                // the columns this index's runs hold.
+                let stale = runs
+                    .iter()
+                    .enumerate()
+                    .any(|(c, r)| r.is_some_and(|r| idx.covered_ordinals().nth(r) != Some(c)));
+                if stale {
+                    return Err(SqlError::Plan(format!(
+                        "run-column map does not match index {index}"
+                    )));
+                }
+                let entries = match path {
                     AccessPath::IndexSeek { bounds, .. } => {
                         let bound =
                             |e: Option<&Expr>| e.map(|e| eval_constant(e, &[], &ctx)).transpose();
@@ -747,50 +812,53 @@ impl<'a> Executor<'a> {
                             ),
                         };
                         stats.index_seeks += 1;
-                        (idx.range(lo.as_slice(), hi.as_slice()), None)
+                        idx.range(lo.as_slice(), hi.as_slice())
                     }
-                    _ => {
-                        let covered = idx.def().covered_columns();
-                        let columns = t.schema().columns();
-                        let position = |&c: &usize| {
-                            let name = &columns[c].name;
-                            covered
-                                .iter()
-                                .position(|covered| covered.eq_ignore_ascii_case(name))
-                                .ok_or_else(|| {
-                                    SqlError::Plan(format!("index {index} does not cover {name}"))
-                                })
-                        };
-                        let positions = layout.iter().map(position).collect::<Result<_, _>>()?;
-                        (idx.range(&[], &[]), Some(positions))
-                    }
+                    _ => idx.range(&[], &[]),
                 };
-                let rows = IndexRows {
-                    t,
-                    layout,
-                    idx,
-                    entry_bytes: entry_bytes(idx),
-                    covered,
-                    filter: scan.filter,
-                };
-                // The filter runs on the scratch row; only a survivor is
-                // handed on.
-                let mut row: Vec<Value> = Vec::with_capacity(layout.len() + 1);
-                let mut produced = 0u64;
-                let mut pending = 0u64;
-                for entry in entries {
-                    self.tick(&mut pending)?;
-                    if !rows.row(entry, &mut row, &ctx, stats)? {
-                        continue;
+                let entry_bytes = entry_bytes(idx);
+                let mut chunks = self.chunk_scan(t, layout, scan, limit_hint);
+                for (run, range) in entries.slices() {
+                    let chunk = Chunk::Run(run, t);
+                    let (visited, heap_bytes) =
+                        chunks.step(self, chunk, (range.start, range.end), sink)?;
+                    stats.rows_from_index += visited;
+                    stats.bytes_from_index += visited * entry_bytes;
+                    if scan.filter.is_some() {
+                        stats.predicates_evaluated += visited;
                     }
-                    self.emit(&mut row, entry.row_id(), scan.emit, sink)?;
-                    produced += 1;
-                    if limit_hint.is_some_and(|l| produced >= l) {
+                    stats.bytes_scanned += heap_bytes;
+                    if chunks.done() {
                         break;
                     }
                 }
-                self.flush_progress(&mut pending)
+                self.flush_progress(&mut chunks.pending)
             }
+        }
+    }
+
+    /// The chunk loop of one scan of `t` (see [`ChunkScan`]): over heap
+    /// segments, or over index run slices when `scan` carries a run map.
+    fn chunk_scan<'s>(
+        &self,
+        t: &Table,
+        layout: &'s [usize],
+        scan: ScanPrograms<'s>,
+        limit: Option<u64>,
+    ) -> ChunkScan<'s> {
+        let column_types: Vec<DataType> = t.schema().columns().iter().map(|c| c.ty).collect();
+        let project = match scan.emit {
+            Emit::Project(programs) => Some(programs),
+            Emit::Row | Emit::RowAndId => None,
+        };
+        ChunkScan {
+            program: BatchProgram::build(scan.filter, layout, project, column_types, scan.runs),
+            emit: scan.emit,
+            limit,
+            scratch: BatchScratch::default(),
+            rows: Vec::new(),
+            produced: 0,
+            pending: 0,
         }
     }
 
@@ -898,18 +966,8 @@ impl<'a> Executor<'a> {
         sink: &mut Sink<'_>,
         stats: &mut ScanStats,
     ) -> Result<(), SqlError> {
-        let ctx = self.ctx();
-        let column_types: Vec<DataType> = t.schema().columns().iter().map(|c| c.ty).collect();
-        let ncols = column_types.len();
-        let project = match scan.emit {
-            Emit::Project(programs) => Some(programs),
-            Emit::Row | Emit::RowAndId => None,
-        };
-        let program = BatchProgram::build(scan.filter, layout, project, column_types);
-        let mut scratch = BatchScratch::default();
-        let mut chunk: Vec<Vec<Value>> = Vec::new();
-        let mut produced = 0u64;
-        let mut pending = 0u64;
+        let ncols = t.schema().columns().len();
+        let mut chunks = self.chunk_scan(t, layout, scan, limit_hint);
         let segments = t.segments();
         let seg_hi = seg_hi.min(segments.len());
         let seg_lo = seg_lo.min(seg_hi);
@@ -942,18 +1000,11 @@ impl<'a> Executor<'a> {
             };
             let bytes_per_row = per_row(col_bytes);
             let logical_per_row = per_row(full_bytes);
+            let chunk = Chunk::Segment(seg, seg_index * SEGMENT_ROWS);
             let slots = seg.slot_count();
-            let mut base = 0usize;
-            while base < slots {
+            for base in (0..slots).step_by(BATCH_ROWS) {
                 let end = (base + BATCH_ROWS).min(slots);
-                let visited = program.begin_chunk(seg, base, end, &mut scratch);
-                program.filter_chunk(seg, &mut scratch, &ctx)?;
-                program.emit_chunk(seg, &mut scratch, &ctx, &mut chunk)?;
-                if let Emit::RowAndId = scan.emit {
-                    for (row, &off) in chunk.iter_mut().zip(scratch.selected()) {
-                        row.push(Value::Int((seg_index * SEGMENT_ROWS + off as usize) as i64));
-                    }
-                }
+                let (visited, _) = chunks.step(self, chunk, (base, end), sink)?;
                 stats.rows_scanned += visited;
                 stats.batches_processed += 1;
                 if scan.filter.is_some() {
@@ -961,19 +1012,12 @@ impl<'a> Executor<'a> {
                 }
                 stats.bytes_scanned += visited.saturating_mul(bytes_per_row);
                 stats.logical_bytes_scanned += visited.saturating_mul(logical_per_row);
-                if let Some(l) = limit_hint {
-                    chunk.truncate(l.saturating_sub(produced) as usize);
-                }
-                produced += chunk.len() as u64;
-                sink.absorb(self, &mut chunk)?;
-                self.tick_rows(&mut pending, visited)?;
-                if limit_hint.is_some_and(|l| produced >= l) {
+                if chunks.done() {
                     break 'segments;
                 }
-                base = end;
             }
         }
-        self.flush_progress(&mut pending)
+        self.flush_progress(&mut chunks.pending)
     }
 
     // ----------------------------------------------------------------------
@@ -1003,6 +1047,7 @@ impl<'a> Executor<'a> {
         if !matches!(step.strategy, JoinStrategy::IndexLookup { .. }) {
             let inner_scan = ScanPrograms {
                 filter: join.inner_filter,
+                runs: join.inner_runs,
                 emit: Emit::Row,
                 row_cap: None,
             };
@@ -1036,7 +1081,6 @@ impl<'a> Executor<'a> {
                     layout: self.layout_of(inner, t)?,
                     idx,
                     entry_bytes: entry_bytes(idx),
-                    covered: None,
                     filter: join.inner_filter,
                 };
                 Probe::Index { rows, key }

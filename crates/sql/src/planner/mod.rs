@@ -33,7 +33,7 @@ use crate::exec::compile::{
 };
 use crate::expr::RowSchema;
 use crate::functions::FunctionRegistry;
-use crate::plan::{JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
+use crate::plan::{AccessPath, JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
 use binder::{LogicalPlan, PlanContext};
 use skyserver_storage::Database;
 
@@ -274,21 +274,74 @@ pub fn source_layout(source: &SourcePlan, db: &Database) -> Result<RowSchema, Sq
     Ok(RowSchema::for_table(Some(&source.alias), &names))
 }
 
-/// The schema a source's pushed predicate is compiled against: the table's
-/// full storage schema when the scan kernels evaluate it over segment
-/// columns ([`SourcePlan::filters_on_segments`]), the row layout otherwise.
+/// The schema a source's pushed predicate runs in: the table's full storage
+/// schema when the scan kernels evaluate it over segment or run columns
+/// ([`SourcePlan::filters_on_chunks`]), the row layout otherwise.  Program
+/// compilation reaches the former through the layout ([`pushed_program`]);
+/// the verifier checks the result against this.
 pub(crate) fn predicate_schema(
     source: &SourcePlan,
     joined_by: Option<&JoinStrategy>,
     db: &Database,
 ) -> Result<RowSchema, SqlError> {
     match &source.kind {
-        SourceKind::Table { table, .. } if source.filters_on_segments(joined_by) => {
+        SourceKind::Table { table, .. } if source.filters_on_chunks(joined_by) => {
             let names = db.table(table)?.schema().column_names();
             Ok(RowSchema::for_table(Some(&source.alias), &names))
         }
         _ => source_layout(source, db),
     }
+}
+
+/// Compile `source`'s pushed predicate into the space it runs in (see
+/// [`predicate_schema`]): against the row `layout`, then — when the scan
+/// kernels run it — moved through the scan columns onto storage ordinals.
+fn pushed_program(
+    source: &SourcePlan,
+    joined_by: Option<&JoinStrategy>,
+    layout: &RowSchema,
+    functions: &FunctionRegistry,
+) -> Result<Option<CompiledExpr>, SqlError> {
+    let Some(predicate) = &source.pushed_predicate else {
+        return Ok(None);
+    };
+    let mut program = compile(predicate, layout, functions)?;
+    if let (true, Some(columns)) = (source.filters_on_chunks(joined_by), &source.scan_columns) {
+        program.map_columns(&|i| columns[i]);
+    }
+    Ok(Some(program))
+}
+
+/// The run ordinal space of a source the executor reads through an index
+/// (seek or covering scan, not an index-lookup probe): for each storage
+/// ordinal of the table, the run column holding it, when the index covers
+/// it.  Read off the index's own covered-column positions, so it costs no
+/// name matching; `None` for every other source.
+pub(crate) fn run_columns(
+    source: &SourcePlan,
+    joined_by: Option<&JoinStrategy>,
+    db: &Database,
+) -> Result<Option<Vec<Option<usize>>>, SqlError> {
+    let SourceKind::Table { table, path } = &source.kind else {
+        return Ok(None);
+    };
+    let (AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index }) = path
+    else {
+        return Ok(None);
+    };
+    if !source.filters_on_chunks(joined_by) {
+        return Ok(None);
+    }
+    let idx = db
+        .index(table, index)
+        .ok_or_else(|| SqlError::Plan(format!("unknown index {index} on {table}")))?;
+    let mut runs = vec![None; db.table(table)?.schema().columns().len()];
+    for (r, c) in idx.covered_ordinals().enumerate() {
+        if let Some(slot) = runs.get_mut(c) {
+            slot.get_or_insert(r);
+        }
+    }
+    Ok(Some(runs))
 }
 
 /// Compile every expression of a finalized plan into the ordinal-resolved
@@ -316,10 +369,10 @@ pub(crate) fn build_programs(
     let mut combined = RowSchema::default();
     if let Some(first) = plan.sources.first() {
         combined = source_layout(first, db)?;
-        programs.source_predicates.push(compile_opt(
-            first.pushed_predicate.as_ref(),
-            &predicate_schema(first, None, db)?,
-        )?);
+        programs
+            .source_predicates
+            .push(pushed_program(first, None, &combined, funcs)?);
+        programs.source_runs.push(run_columns(first, None, db)?);
     }
     for (i, step) in plan.joins.iter().enumerate() {
         let inner = &plan.sources[i + 1];
@@ -347,10 +400,15 @@ pub(crate) fn build_programs(
         programs
             .join_residuals
             .push(compile_opt(step.residual.as_ref(), &combined)?);
-        programs.source_predicates.push(compile_opt(
-            inner.pushed_predicate.as_ref(),
-            &predicate_schema(inner, Some(&step.strategy), db)?,
+        programs.source_predicates.push(pushed_program(
+            inner,
+            Some(&step.strategy),
+            &inner_schema,
+            funcs,
         )?);
+        programs
+            .source_runs
+            .push(run_columns(inner, Some(&step.strategy), db)?);
     }
     programs.residual = compile_opt(plan.residual.as_ref(), &combined)?;
     for (expr, _) in &plan.projections {

@@ -523,7 +523,7 @@ impl Verifier<'_> {
         let site = |s: &str| format!("{prefix}programs.{s}");
 
         // Arity: program vectors parallel the plan structure.
-        let arity: [(&str, usize, usize); 7] = [
+        let arity: [(&str, usize, usize); 8] = [
             (
                 "source_predicates",
                 programs.source_predicates.len(),
@@ -548,6 +548,11 @@ impl Verifier<'_> {
                 "projections",
                 programs.projections.len(),
                 plan.projections.len(),
+            ),
+            (
+                "source_runs",
+                programs.source_runs.len(),
+                plan.sources.len(),
             ),
             ("group_by", programs.group_by.len(), plan.group_by.len()),
             ("order_by", programs.order_by.len(), plan.order_by.len()),
@@ -583,6 +588,30 @@ impl Verifier<'_> {
                 p.is_some(),
                 source.pushed_predicate.is_some(),
             );
+        }
+        // Run maps: present exactly on the sources the executor reads through
+        // index runs, each entry the run column its storage column sits in.
+        for (i, source) in plan.sources.iter().enumerate() {
+            let at = site(&format!("source_runs[{i}]"));
+            let joined_by = i.checked_sub(1).and_then(|j| plan.joins.get(j));
+            let compiled = programs.source_runs.get(i).and_then(Option::as_ref);
+            let want = match crate::planner::run_columns(
+                source,
+                joined_by.map(|j| &j.strategy),
+                self.db,
+            ) {
+                Ok(want) => want,
+                Err(e) => {
+                    self.violation(ViolationKind::PlanShapeInconsistent, at, e.to_string());
+                    continue;
+                }
+            };
+            self.check_slot(at.clone(), compiled.is_some(), want.is_some());
+            if let (Some(got), Some(want)) = (compiled, want) {
+                self.check(*got == want, ViolationKind::OrdinalOutOfRange, &at, || {
+                    format!("run map {got:?} disagrees with the index's runs {want:?}")
+                });
+            }
         }
         for (i, step) in plan.joins.iter().enumerate() {
             self.check_slot(

@@ -113,6 +113,32 @@ fn ordinal_past_the_narrow_row_layout_is_rejected() {
 }
 
 #[test]
+fn a_run_map_that_misplaces_a_column_is_rejected() {
+    // An index seek on ix_id: its runs hold `id` (run column 0) and
+    // nothing else, so `v` is read from the heap.
+    let (plan, db) = planned("select id, v from t where id = 7");
+    assert_eq!(
+        plan.programs.source_runs,
+        vec![Some(vec![Some(0), None, None])]
+    );
+    assert!(kinds(&plan, &db).is_empty());
+    // Claiming the run holds `v` would feed the kernels `id` cells as `v`.
+    let mut wrong = plan.clone();
+    wrong.programs.source_runs[0] = Some(vec![Some(0), Some(0), None]);
+    assert_eq!(kinds(&wrong, &db), vec![ViolationKind::OrdinalOutOfRange]);
+    // A seek without its map cannot run; a heap scan with one is confused.
+    let mut missing = plan.clone();
+    missing.programs.source_runs[0] = None;
+    assert_eq!(
+        kinds(&missing, &db),
+        vec![ViolationKind::ProgramArityMismatch]
+    );
+    let (mut heap, db) = planned("select id, v from t where v < 10.0");
+    heap.programs.source_runs[0] = Some(vec![None, None, None]);
+    assert_eq!(kinds(&heap, &db), vec![ViolationKind::ProgramArityMismatch]);
+}
+
+#[test]
 fn scan_columns_missing_a_referenced_column_are_rejected() {
     // Without v the row is (id): the kernel predicate reads a column the
     // scan no longer accounts for, and the projection reads past the row.

@@ -2,9 +2,12 @@
 //! fixed, deterministic catalog must not drift when the executor changes.
 //!
 //! Every expected string below pins the columnar accounting: heap
-//! `bytes_scanned` charges only the columns a plan touches, index paths
-//! charge real entry bytes plus the gathered heap columns, and heap scans
-//! report `pruned` segments and `batches` processed.  The rows of the same
+//! `bytes_scanned` charges only the columns a plan touches, index seeks and
+//! covering scans charge real entry bytes plus the heap cells gathered for
+//! the columns the index does not cover (a survivor's `ra` after a `pk` or
+//! `htmID` seek; nothing when the index covers the statement), index-lookup
+//! probes the whole gathered layout, and heap scans report `pruned`
+//! segments and `batches` processed.  The rows of the same
 //! statements are checked against the brute-force reference in `common/`.
 
 mod common;
@@ -89,12 +92,12 @@ const CASES: &[Case] = &[
     Case {
         what: "point index seek on the primary key",
         sql: "select ra from photo where objID = 5",
-        expected: "scanned=0 bytes=16 idx_rows=1 idx_bytes=24 seeks=1 probes=0 preds=1 returned=1 pruned=0 batches=0",
+        expected: "scanned=0 bytes=8 idx_rows=1 idx_bytes=24 seeks=1 probes=0 preds=1 returned=1 pruned=0 batches=0",
     },
     Case {
         what: "range index seek on htmID",
         sql: "select ra from photo where htmID between 7010 and 7019",
-        expected: "scanned=0 bytes=640 idx_rows=40 idx_bytes=960 seeks=1 probes=0 preds=40 returned=40 pruned=0 batches=0",
+        expected: "scanned=0 bytes=320 idx_rows=40 idx_bytes=960 seeks=1 probes=0 preds=40 returned=40 pruned=0 batches=0",
     },
     Case {
         what: "covering index scan with a residual-style pushed predicate",
@@ -114,7 +117,7 @@ const CASES: &[Case] = &[
     Case {
         what: "merged view scan (Galaxy qualifiers pushed into the scan)",
         sql: "select count(*) from Galaxy where magr < 17",
-        expected: "scanned=0 bytes=8000 idx_rows=500 idx_bytes=20000 seeks=1 probes=0 preds=500 returned=1 pruned=0 batches=0",
+        expected: "scanned=0 bytes=0 idx_rows=500 idx_bytes=20000 seeks=1 probes=0 preds=500 returned=1 pruned=0 batches=0",
     },
     Case {
         what: "group by with aggregate over a heap scan",

@@ -14,7 +14,9 @@
 //! A run holds its columns as the same typed arrays ([`Column`]) a table
 //! segment does and sits behind an [`Arc`]; the index is a vector of those
 //! pointers, and the first entry of each run is its fence.  A seek is a
-//! binary search over the fences and then within one run.  A write clones
+//! binary search over the fences and then within one run; a range is read
+//! as run slices ([`IndexCursor::slices`]), which the SQL executor's scan
+//! kernels filter a whole column array at a time.  A write clones
 //! the pointer vector (`Arc::make_mut` on the index after a snapshot) and
 //! the one run it lands in; every other run stays shared with the
 //! snapshots, releases and in-flight readers that hold it.  A full run
@@ -151,6 +153,17 @@ impl Run {
         self.row_ids.is_empty()
     }
 
+    /// Covered column `c` ([`IndexDef::covered_columns`] order): the same
+    /// typed array a table segment holds, so the scan kernels read it alike.
+    pub fn column(&self, c: usize) -> &Column {
+        &self.columns[c]
+    }
+
+    /// The row each entry points at, parallel to the columns.
+    pub fn row_ids(&self) -> &[RowId] {
+        &self.row_ids
+    }
+
     fn empty(types: impl Iterator<Item = DataType>) -> Run {
         Run {
             columns: types.map(Column::new).collect(),
@@ -227,6 +240,25 @@ impl<'a> Iterator for IndexCursor<'a> {
             self.at = (self.at.0 + 1, 0);
         }
         None
+    }
+}
+
+impl<'a> IndexCursor<'a> {
+    /// The rest of the range as run slices, one per run it crosses, in
+    /// order and never empty: what the scan kernels read, a whole
+    /// column array at a time.
+    pub fn slices(self) -> impl Iterator<Item = (&'a Run, std::ops::Range<usize>)> {
+        let (at, end) = (self.at, self.end);
+        let runs = self.runs.get(at.0..self.runs.len().min(end.0 + 1));
+        runs.into_iter()
+            .flatten()
+            .zip(at.0..)
+            .map(move |(run, r)| {
+                let from = if r == at.0 { at.1 } else { 0 };
+                let to = if r == end.0 { end.1 } else { run.len() };
+                (&**run, from..to.min(run.len()))
+            })
+            .filter(|(_, range)| !range.is_empty())
     }
 }
 
@@ -334,6 +366,13 @@ impl BTreeIndex {
     /// identity across snapshots.
     pub fn runs(&self) -> &[Arc<Run>] {
         &self.runs
+    }
+
+    /// The table's storage ordinal of each run column, in run order: the
+    /// map from a run's ordinal space to the heap's, resolved when the
+    /// index was built.
+    pub fn covered_ordinals(&self) -> impl Iterator<Item = usize> + '_ {
+        self.covered.iter().map(|&(p, _)| p)
     }
 
     /// Extract the key for a row.

@@ -631,13 +631,9 @@ impl Table {
     /// two or three cells the statement reads.  An ordinal past the schema
     /// yields NULL, keeping the appended width equal to `columns.len()`.
     pub fn gather_into(&self, id: RowId, columns: &[usize], out: &mut Vec<Value>) -> bool {
-        let Some((s, off)) = self.locate(id) else {
+        let Some((seg, off)) = self.live_slot(id) else {
             return false;
         };
-        let seg = &self.segments[s];
-        if !seg.is_live(off) {
-            return false;
-        }
         // Through `Segment::value`, like every other single-cell read: a
         // direct `Column::value` call site here changed how that function
         // inlines into `Segment::row` and made `Table::iter` 2x slower.
@@ -649,6 +645,15 @@ impl Table {
             });
         }
         true
+    }
+
+    /// The segment and offset of live row `id`; `None` when it is deleted
+    /// or out of range.  An index scan reads the cells its runs do not
+    /// cover through this, one liveness check per row.
+    pub fn live_slot(&self, id: RowId) -> Option<(&Segment, usize)> {
+        let (s, off) = self.locate(id)?;
+        let seg = &self.segments[s];
+        seg.is_live(off).then_some((&**seg, off))
     }
 
     /// Fetch a single cell of a live row.

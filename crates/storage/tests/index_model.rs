@@ -91,10 +91,12 @@ impl Indexed {
     }
 
     fn check_range(&self, lo: &[Value], hi: &[Value]) {
+        let entries = self.entries(lo, hi);
+        assert_eq!(entries, self.expected(lo, hi), "range {lo:?} ..= {hi:?}");
         assert_eq!(
-            self.entries(lo, hi),
-            self.expected(lo, hi),
-            "range {lo:?} ..= {hi:?}"
+            sliced(&self.idx, lo, hi),
+            entries,
+            "slices of {lo:?} ..= {hi:?}"
         );
     }
 
@@ -117,6 +119,133 @@ impl Indexed {
             runs.iter().map(|r| r.len()).sum::<usize>(),
             self.model.len()
         );
+    }
+}
+
+/// `range(lo, hi).slices()` flattened, in the model's shape: what the scan
+/// kernels read must be exactly what the cursor yields.
+fn sliced(idx: &BTreeIndex, lo: &[Value], hi: &[Value]) -> Vec<(Vec<Value>, RowId, Vec<Value>)> {
+    let (k, n) = (
+        idx.def().key_columns.len(),
+        idx.def().covered_columns().len(),
+    );
+    let mut out = Vec::new();
+    for (run, range) in idx.range(lo, hi).slices() {
+        assert!(
+            !range.is_empty() && range.end <= run.len(),
+            "{range:?} of {}",
+            run.len()
+        );
+        for off in range {
+            let cells = |r: std::ops::Range<usize>| r.map(|c| run.column(c).value(off)).collect();
+            out.push((cells(0..k), run.row_ids()[off], cells(k..n)));
+        }
+    }
+    out
+}
+
+/// A table of `n` rows whose `b` is `0, 2, 4, ...`, and an index on `b`
+/// built over it: one full run per `RUN_ENTRIES` rows.
+fn even_keys(n: usize) -> (Table, Indexed) {
+    let schema = TableSchema::new(vec![
+        ColumnDef::new("a", DataType::Float).nullable(),
+        ColumnDef::new("b", DataType::Int).nullable(),
+        ColumnDef::new("s", DataType::Str).nullable(),
+    ]);
+    let mut table = Table::new("t", schema);
+    let mut model = Model::new();
+    for i in 0..n {
+        let row = vec![
+            Value::Float(i as f64),
+            Value::Int(2 * i as i64),
+            Value::str("x"),
+        ];
+        let id = table.insert(row.clone(), 0).unwrap();
+        model.insert((vec![row[1].clone()], id), vec![row[0].clone()]);
+    }
+    let mut ix = Indexed::new(
+        IndexDef::new("ix_b", "t", &["b"]).include(&["a"]),
+        &table,
+        &[1],
+        &[0],
+    );
+    ix.model = model;
+    (table, ix)
+}
+
+#[test]
+fn slices_cover_empty_ranges_and_ranges_ending_on_a_run_boundary() {
+    let (_, ix) = even_keys(2 * RUN_ENTRIES);
+    assert_eq!(ix.idx.runs().len(), 2);
+    let key = |i: usize| [Value::Int(2 * i as i64)];
+    let last = RUN_ENTRIES - 1;
+    let slices = |lo: &[Value], hi: &[Value]| -> Vec<(usize, std::ops::Range<usize>)> {
+        let runs = ix.idx.runs();
+        let run_of =
+            |run: &skyserver_storage::Run| runs.iter().position(|r| std::ptr::eq(&**r, run));
+        ix.idx
+            .range(lo, hi)
+            .slices()
+            .map(|(run, range)| (run_of(run).unwrap(), range))
+            .collect()
+    };
+    // Ends exactly on the boundary: one whole run, no empty second slice.
+    assert_eq!(slices(&key(0), &key(last)), vec![(0, 0..RUN_ENTRIES)]);
+    assert_eq!(slices(&key(RUN_ENTRIES), &[]), vec![(1, 0..RUN_ENTRIES)]);
+    // Straddles it: one entry of each run.
+    assert_eq!(
+        slices(&key(last), &key(RUN_ENTRIES)),
+        vec![(0, last..RUN_ENTRIES), (1, 0..1)]
+    );
+    // Empty: inverted, between two keys, past either end.
+    let odd = [Value::Int(7)];
+    for (lo, hi) in [
+        (&key(9)[..], &key(3)[..]),
+        (&odd, &odd),
+        (&[Value::Int(-5)], &[Value::Int(-1)]),
+        (&key(5000), &[]),
+    ] {
+        assert!(slices(lo, hi).is_empty(), "{lo:?} ..= {hi:?}");
+        ix.check_range(lo, hi);
+    }
+    for (lo, hi) in [
+        (&key(0)[..], &key(last)[..]),
+        (&key(last), &key(RUN_ENTRIES)),
+        (&[], &[]),
+    ] {
+        ix.check_range(lo, hi);
+    }
+}
+
+/// A full run splits in two; an insert at exactly its midpoint (and one
+/// either side of it) lands in the left half at or before the midpoint and
+/// in the right half after it, in order, with every half non-empty.
+#[test]
+fn an_insert_at_the_exact_midpoint_of_a_full_run_splits_it_in_order() {
+    let mid = RUN_ENTRIES / 2;
+    for off in [mid - 1, mid, mid + 1] {
+        let (mut table, mut ix) = even_keys(RUN_ENTRIES);
+        assert_eq!(ix.idx.runs().len(), 1);
+        // Between the keys at offsets off - 1 and off: it lands at `off`.
+        let row = vec![
+            Value::Float(-1.0),
+            Value::Int(2 * off as i64 - 1),
+            Value::str("x"),
+        ];
+        let id = table.insert(row.clone(), 0).unwrap();
+        ix.insert(id, &row);
+        let lengths: Vec<usize> = ix.idx.runs().iter().map(|r| r.len()).collect();
+        let left = if off <= mid { mid + 1 } else { mid };
+        assert_eq!(
+            lengths,
+            vec![left, RUN_ENTRIES + 1 - left],
+            "insert at {off}"
+        );
+        ix.check_accounting();
+        ix.check_range(&[], &[]);
+        let at = [Value::Int(2 * off as i64 - 1)];
+        ix.check_range(&at, &at);
+        assert_eq!(ix.entries(&at, &at).len(), 1);
     }
 }
 

@@ -8,6 +8,7 @@
 
 use skyserver_sql::ResultSet;
 use skyserver_storage::{csv_escape, Value};
+use std::fmt::Write as _;
 
 /// The outcome of `Accept`-header negotiation
 /// ([`OutputFormat::from_accept`]).
@@ -173,19 +174,90 @@ pub fn to_xml(result: &ResultSet) -> String {
     out
 }
 
-/// JSON: `{"columns": [...], "rows": [[...], ...]}`.
+/// JSON: `{"columns": [...], "rows": [[...], ...], "truncated": b}`,
+/// written straight into the body by the row writer below.
 pub fn to_json(result: &ResultSet) -> String {
-    let rows: Vec<Vec<serde_json::Value>> = result
-        .rows
-        .iter()
-        .map(|row| row.iter().map(value_to_json).collect())
-        .collect();
-    serde_json::json!({
-        "columns": result.columns,
-        "rows": rows,
-        "truncated": result.truncated,
-    })
-    .to_string()
+    let mut out = String::with_capacity(64 + 16 * result.rows.len() * result.columns.len());
+    out.push_str("{\"columns\":[");
+    for (i, column) in result.columns.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_str(&mut out, column);
+    }
+    out.push_str("],\"rows\":[");
+    for (i, row) in result.rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_row(&mut out, row);
+    }
+    out.push_str("],\"truncated\":");
+    out.push_str(if result.truncated { "true" } else { "false" });
+    out.push('}');
+    out
+}
+
+/// Append `row` to `out` as a JSON array.  The streaming row writer: a
+/// page or result renders its rows without building a `serde_json::Value`
+/// per row and a `String` per number, byte for byte what the tree of
+/// [`value_to_json`]s prints.
+pub(crate) fn push_json_row(out: &mut String, row: &[Value]) {
+    out.push('[');
+    for (i, v) in row.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        push_json_value(out, v);
+    }
+    out.push(']');
+}
+
+/// Append one storage value as JSON (what `value_to_json(v)` prints).
+pub(crate) fn push_json_value(out: &mut String, v: &Value) {
+    match v {
+        Value::Null => out.push_str("null"),
+        Value::Int(i) => push_json_int(out, *i),
+        Value::Float(f) => push_json_f64(out, *f),
+        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+        Value::Str(s) => push_json_str(out, s),
+        Value::Bytes(b) => push_json_str(out, &skyserver_storage::hex_encode(b)),
+    }
+}
+
+/// Append an integer as a JSON number.
+pub(crate) fn push_json_int(out: &mut String, i: i64) {
+    let _ = write!(out, "{i}");
+}
+
+/// Append a float through `serde_json::Number`'s `Display`, so integral
+/// values keep their `.0` and non-finite ones print `null`, as in the tree.
+pub(crate) fn push_json_f64(out: &mut String, f: f64) {
+    match serde_json::Number::from_f64(f) {
+        Some(n) => {
+            let _ = write!(out, "{n}");
+        }
+        None => out.push_str("null"),
+    }
+}
+
+/// Append a JSON string literal, escaped as the `serde_json` printer does.
+pub(crate) fn push_json_str(out: &mut String, s: &str) {
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out.push('"');
 }
 
 /// One storage value as a JSON value (shared with the API envelope).
@@ -265,7 +337,7 @@ pub(crate) fn escape_xml(s: &str) -> String {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
 
     fn rs() -> ResultSet {
@@ -280,6 +352,67 @@ mod tests {
                 ],
             ],
             truncated: false,
+        }
+    }
+
+    /// Cells the streaming writer must print exactly as the tree does:
+    /// ints at both ends, floats integral (`60.0`), fractional, huge and
+    /// non-finite (`null`), NULL, booleans, strings that need escaping and
+    /// bytes as hex.
+    pub(crate) fn awkward_cells() -> Vec<Value> {
+        vec![
+            Value::Int(0),
+            Value::Int(i64::MIN),
+            Value::Int(i64::MAX),
+            Value::Float(60.0),
+            Value::Float(-0.0),
+            Value::Float(0.1),
+            Value::Float(-2.5e-7),
+            Value::Float(1e15),
+            Value::Float(1.5e300),
+            Value::Float(f64::NAN),
+            Value::Float(f64::INFINITY),
+            Value::Float(f64::NEG_INFINITY),
+            Value::Null,
+            Value::Bool(true),
+            Value::Bool(false),
+            Value::str(""),
+            Value::str("quote \" backslash \\ slash /"),
+            Value::str("newline \n return \r tab \t bell \u{7} nul \u{0} esc \u{1b}"),
+            Value::str("unicode é ✓ \u{1F30C} \u{7f}"),
+            Value::Bytes(std::sync::Arc::from(&[0u8, 0xab, 0xff][..])),
+        ]
+    }
+
+    #[test]
+    fn the_json_writer_prints_what_the_value_tree_prints() {
+        let cells = awkward_cells();
+        let result = ResultSet {
+            columns: vec!["objID".into(), "a \"quoted\"\tname\\".into(), String::new()],
+            rows: cells
+                .chunks(3)
+                .map(|c| c.to_vec())
+                .chain([vec![], cells.clone()])
+                .collect(),
+            truncated: true,
+        };
+        for result in [result, rs(), ResultSet::default()] {
+            let rows: Vec<Vec<serde_json::Value>> = result
+                .rows
+                .iter()
+                .map(|row| row.iter().map(value_to_json).collect())
+                .collect();
+            let tree = serde_json::json!({
+                "columns": result.columns,
+                "rows": rows,
+                "truncated": result.truncated,
+            });
+            assert_eq!(to_json(&result), tree.to_string());
+        }
+        for cell in cells {
+            let mut out = String::new();
+            push_json_value(&mut out, &cell);
+            assert_eq!(out, value_to_json(&cell).to_string(), "{cell:?}");
         }
     }
 

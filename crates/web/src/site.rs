@@ -24,7 +24,7 @@ use crate::api::handlers::{
 };
 use crate::api::{ApiError, ApiRequest, Zoom};
 use crate::cache::{normalize_sql, CachedBody, ResultCache, RowCache};
-use crate::formats::OutputFormat;
+use crate::formats::{self, OutputFormat};
 use crate::governor::{Governor, GovernorConfig};
 use crate::http::{HttpServer, Request, Response};
 use crate::jobs::{JobQueue, JobQueueConfig, JobRunner};
@@ -412,30 +412,10 @@ impl SkyServerSite {
         // The visible radius shrinks as the user zooms in (4 levels, §5).
         let radius_arcmin = 60.0 / f64::from(1 << zoom);
         match cone_payload(self, ra, dec, radius_arcmin, None) {
-            Ok(result) => {
-                let objects: Vec<serde_json::Value> = result
-                    .rows
-                    .iter()
-                    .map(|r| {
-                        serde_json::json!({
-                            "objID": r.first().and_then(Value::as_i64),
-                            "type": r.get(1).and_then(Value::as_i64),
-                            "distance_arcmin": r.get(2).and_then(Value::as_f64),
-                        })
-                    })
-                    .collect();
-                Response::ok(
-                    "application/json; charset=utf-8",
-                    serde_json::json!({
-                        "ra": ra,
-                        "dec": dec,
-                        "zoom": zoom,
-                        "radius_arcmin": radius_arcmin,
-                        "objects": objects,
-                    })
-                    .to_string(),
-                )
-            }
+            Ok(result) => Response::ok(
+                "application/json; charset=utf-8",
+                navigator_json(ra, dec, zoom, radius_arcmin, &result.rows),
+            ),
             Err(e) => legacy_error(&e),
         }
     }
@@ -671,6 +651,45 @@ impl Drop for SkyServerSite {
 /// element-content escaper.
 use crate::formats::escape_xml as html_escape;
 
+/// The navigator's body, `{"dec", "objects": [{"distance_arcmin", "objID",
+/// "type"}, ...], "ra", "radius_arcmin", "zoom"}` (keys in the sorted order
+/// a `serde_json` map prints them), written straight into the body: a
+/// zoom-0 view holds thousands of objects, and a tree of maps for them is
+/// megabytes of garbage per view.  `rows` are the cone's `(objID, type,
+/// distance)` rows.
+fn navigator_json(ra: f64, dec: f64, zoom: u32, radius_arcmin: f64, rows: &[Vec<Value>]) -> String {
+    let mut out = String::with_capacity(96 + 64 * rows.len());
+    out.push_str("{\"dec\":");
+    formats::push_json_f64(&mut out, dec);
+    out.push_str(",\"objects\":[");
+    for (i, r) in rows.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"distance_arcmin\":");
+        match r.get(2).and_then(Value::as_f64) {
+            Some(d) => formats::push_json_f64(&mut out, d),
+            None => out.push_str("null"),
+        }
+        for (key, cell) in [(",\"objID\":", r.first()), (",\"type\":", r.get(1))] {
+            out.push_str(key);
+            match cell.and_then(Value::as_i64) {
+                Some(v) => formats::push_json_int(&mut out, v),
+                None => out.push_str("null"),
+            }
+        }
+        out.push('}');
+    }
+    out.push_str("],\"ra\":");
+    formats::push_json_f64(&mut out, ra);
+    out.push_str(",\"radius_arcmin\":");
+    formats::push_json_f64(&mut out, radius_arcmin);
+    out.push_str(",\"zoom\":");
+    formats::push_json_int(&mut out, i64::from(zoom));
+    out.push('}');
+    out
+}
+
 /// Render a structured [`ApiError`] in the legacy plain-text shape the
 /// `.asp`-era pages answer with.  The legacy status vocabulary is
 /// narrower than the API's: resources keep 404, quotas keep 429 and
@@ -832,6 +851,67 @@ mod tests {
         let r = get(&site, q);
         let fresh: serde_json::Value = serde_json::from_slice(&r.body).unwrap();
         assert_eq!(fresh["rows"][0][0], serde_json::json!(3));
+    }
+
+    /// The navigator body as the `serde_json` tree used to build it.
+    fn navigator_tree(ra: f64, dec: f64, zoom: u32, radius: f64, rows: &[Vec<Value>]) -> String {
+        let objects: Vec<serde_json::Value> = rows
+            .iter()
+            .map(|r| {
+                serde_json::json!({
+                    "objID": r.first().and_then(Value::as_i64),
+                    "type": r.get(1).and_then(Value::as_i64),
+                    "distance_arcmin": r.get(2).and_then(Value::as_f64),
+                })
+            })
+            .collect();
+        serde_json::json!({
+            "ra": ra,
+            "dec": dec,
+            "zoom": zoom,
+            "radius_arcmin": radius,
+            "objects": objects,
+        })
+        .to_string()
+    }
+
+    #[test]
+    fn the_navigator_writer_prints_what_the_value_tree_prints() {
+        let mut rows = vec![
+            vec![Value::Int(587722), Value::Int(3), Value::Float(0.25)],
+            vec![Value::Int(-1), Value::Int(6), Value::Float(60.0)],
+            vec![Value::Null, Value::Null, Value::Null],
+            vec![Value::Int(7), Value::Float(3.9), Value::Int(2)],
+            vec![Value::Int(8), Value::Int(0), Value::Float(f64::NAN)],
+            vec![Value::Int(9)],
+            vec![],
+        ];
+        rows.extend(
+            crate::formats::tests::awkward_cells()
+                .chunks(3)
+                .map(|c| c.to_vec()),
+        );
+        for (ra, dec, zoom) in [(181.0, -0.8, 0), (0.125, 89.99999, 3), (359.5, -90.0, 1)] {
+            let radius = 60.0 / f64::from(1 << zoom);
+            for rows in [&rows[..], &[]] {
+                assert_eq!(
+                    navigator_json(ra, dec, zoom, radius, rows),
+                    navigator_tree(ra, dec, zoom, radius, rows)
+                );
+            }
+        }
+        // And over the wire, on the real cone.
+        let site = site();
+        for zoom in 0..4 {
+            let r = get(
+                &site,
+                &format!("/en/tools/navi?ra=181&dec=-0.8&zoom={zoom}"),
+            );
+            let radius = 60.0 / f64::from(1 << zoom);
+            let cone = cone_payload(&site, 181.0, -0.8, radius, None).unwrap();
+            let body = String::from_utf8(r.body.clone()).unwrap();
+            assert_eq!(body, navigator_tree(181.0, -0.8, zoom, radius, &cone.rows));
+        }
     }
 
     #[test]

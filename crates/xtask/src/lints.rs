@@ -4,7 +4,7 @@
 //!
 //! | lint | scope | what it catches |
 //! |------|-------|-----------------|
-//! | `no-unwrap` | web request paths + sql executor hot path + failpoints + release catalog + table statistics | `.unwrap()` that turns a recoverable error into a worker panic |
+//! | `no-unwrap` | web request paths + sql executor hot path + failpoints + release catalog + table statistics + index runs | `.unwrap()` that turns a recoverable error into a worker panic |
 //! | `no-expect` | same | `.expect(...)` likewise |
 //! | `no-panic` | same | `panic!` / `unreachable!` / `todo!` / `unimplemented!` |
 //! | `no-slice-index` | web request paths | `x[i]` indexing that can panic on malformed input |
@@ -77,8 +77,11 @@ fn scope_for(rel: &Path) -> Scope {
     // Statistics are merged inside every admin write, with the admin
     // lock held: a panic there poisons the write path for every writer.
     let stats = p == "crates/storage/src/table_stats.rs";
+    // Every index read slices runs here, and every admin write copies
+    // them: a panic kills the scan worker or poisons the write path.
+    let index = p == "crates/storage/src/index.rs";
     Scope {
-        hot_path: web || executor || failpoints || releases || stats,
+        hot_path: web || executor || failpoints || releases || stats || index,
         slice_index: web,
         kernel: p == "crates/sql/src/exec/vector.rs",
         // The engine file holds the DML paths and the schema's table

@@ -151,6 +151,7 @@ mod tests {
             "crates/storage/src/failpoints.rs",
             "crates/storage/src/release.rs",
             "crates/storage/src/table_stats.rs",
+            "crates/storage/src/index.rs",
         ] {
             assert_eq!(lints(hot), all, "{hot}");
         }
