@@ -127,7 +127,7 @@ impl SqlEngine {
             .with_parallel_scan_threshold(self.parallel_scan_threshold)
             .with_cost_based_ordering(self.cost_based_ordering)
             .with_release(release.map(str::to_string))
-            .with_known_releases(self.releases.names())
+            .with_known_releases(&self.releases)
     }
 
     /// The database a statement pinned to `release` reads: the live head
@@ -229,11 +229,6 @@ impl SqlEngine {
     /// Mutable access to the database (used by the loader).
     pub fn db_mut(&mut self) -> &mut Database {
         &mut self.db
-    }
-
-    /// Mutable access to the function registry (used during schema setup).
-    pub fn functions_mut(&mut self) -> &mut FunctionRegistry {
-        &mut self.functions
     }
 
     /// Read-only access to the function registry.
@@ -1792,6 +1787,64 @@ mod tests {
         // Release names are case-insensitive on lookup.
         let pinned = e.query("select count(*) from photoObj as of DR1").unwrap();
         assert_eq!(pinned.scalar(), Some(&Value::Int(200)));
+    }
+
+    #[test]
+    fn catalog_changes_reach_the_planner_and_releases_keep_their_definitions() {
+        let mut e = engine();
+        e.db_mut()
+            .create_view("Later", "select * from Extra where id > 1", "")
+            .unwrap();
+        e.publish_release("dr1").unwrap();
+        let count = |e: &SqlEngine, sql: &str| e.query(sql).unwrap().scalar().cloned();
+        // Planning builds the catalog's view facts.
+        assert_eq!(
+            count(&e, "select count(*) from Galaxy"),
+            Some(Value::Int(100))
+        );
+        assert!(
+            e.query("select count(*) from Later").is_err(),
+            "Extra is missing"
+        );
+
+        // A view dropped and recreated with another body.
+        e.db_mut().drop_view("Galaxy").unwrap();
+        e.db_mut()
+            .create_view(
+                "Galaxy",
+                "select * from photoObj where type = 6 and objID < 20",
+                "",
+            )
+            .unwrap();
+        assert_eq!(
+            count(&e, "select count(*) from Galaxy"),
+            Some(Value::Int(10))
+        );
+        let explain = e.explain("select objID from Galaxy").unwrap();
+        assert!(explain.contains("view_merge"), "{explain}");
+        assert!(
+            explain.contains("20"),
+            "the new qualifier is merged: {explain}"
+        );
+
+        // A table created under an existing view makes that view bindable.
+        e.execute_unlimited("create table Extra (id bigint not null)")
+            .unwrap();
+        e.execute_unlimited("insert into Extra (id) values (1)")
+            .unwrap();
+        e.execute_unlimited("insert into Extra (id) values (2)")
+            .unwrap();
+        assert_eq!(count(&e, "select count(*) from Later"), Some(Value::Int(1)));
+        let explain = e.explain("select id from Later").unwrap();
+        assert!(
+            explain.contains("view_merge"),
+            "Later merges onto Extra: {explain}"
+        );
+
+        // A statement pinned to the release still sees its definitions.
+        let pinned = "select count(*) from Galaxy as of dr1";
+        assert_eq!(count(&e, pinned), Some(Value::Int(100)));
+        assert!(e.query("select count(*) from Later as of dr1").is_err());
     }
 
     #[test]

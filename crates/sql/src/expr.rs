@@ -10,70 +10,85 @@
 use crate::ast::{is_aggregate_name, BinaryOp, Expr, UnaryOp};
 use crate::error::SqlError;
 use crate::functions::{eval_builtin, FunctionRegistry};
-use skyserver_storage::{DataType, Value};
+use skyserver_storage::{ColumnNames, Value};
 use std::collections::HashMap;
+use std::sync::Arc;
 
-/// Describes the columns of a (possibly joined) row.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Describes the columns of a (possibly joined) row: a sequence of parts,
+/// each one source's columns under one qualifier.  A part shares its
+/// [`ColumnNames`] — a base table's are built once with its schema — so
+/// building, cloning and joining schemas copies no names, and resolving a
+/// name is one binary search per part.
+#[derive(Debug, Clone, Default)]
 pub struct RowSchema {
-    columns: Vec<(Option<String>, String)>,
+    parts: Vec<SchemaPart>,
+}
+
+#[derive(Debug, Clone)]
+struct SchemaPart {
+    qualifier: Option<String>,
+    names: Arc<ColumnNames>,
+    /// The ordinals of `names` the part carries, in row order (`None`: all).
+    subset: Option<Vec<usize>>,
+}
+
+impl SchemaPart {
+    fn len(&self) -> usize {
+        self.subset.as_ref().map_or(self.names.len(), Vec::len)
+    }
 }
 
 impl RowSchema {
-    /// Build a schema from `(qualifier, column_name)` pairs.
-    pub fn new(columns: Vec<(Option<String>, String)>) -> Self {
-        RowSchema { columns }
-    }
-
     /// Build a schema for a single table/alias.
     pub fn for_table(qualifier: Option<&str>, names: &[&str]) -> Self {
+        let names = ColumnNames::new(names.iter().map(|n| n.to_string()).collect());
+        RowSchema::shared(qualifier, &Arc::new(names), None)
+    }
+
+    /// A schema over shared column names (a base table's), carrying the
+    /// `subset` ordinals in that order, or every column for `None`.
+    pub fn shared(
+        qualifier: Option<&str>,
+        names: &Arc<ColumnNames>,
+        subset: Option<&[usize]>,
+    ) -> Self {
         RowSchema {
-            columns: names
-                .iter()
-                .map(|n| (qualifier.map(str::to_string), n.to_string()))
-                .collect(),
+            parts: vec![SchemaPart {
+                qualifier: qualifier.map(str::to_string),
+                names: Arc::clone(names),
+                subset: subset.map(<[usize]>::to_vec),
+            }],
         }
     }
 
     /// Number of columns.
     pub fn len(&self) -> usize {
-        self.columns.len()
+        self.parts.iter().map(SchemaPart::len).sum()
     }
 
     /// True when the schema has no columns.
     pub fn is_empty(&self) -> bool {
-        self.columns.is_empty()
+        self.len() == 0
     }
 
-    /// The `(qualifier, name)` pairs.
-    pub fn columns(&self) -> &[(Option<String>, String)] {
-        &self.columns
-    }
-
-    /// Unqualified output names (used for result-set headers).
-    pub fn names(&self) -> Vec<String> {
-        self.columns.iter().map(|(_, n)| n.clone()).collect()
+    /// The `(qualifier, name)` pairs, in row order.
+    pub fn columns(&self) -> impl Iterator<Item = (Option<&str>, &str)> + '_ {
+        self.parts.iter().flat_map(|p| {
+            (0..p.len()).map(move |i| {
+                let ordinal = p.subset.as_ref().map_or(i, |s| s[i]);
+                (
+                    p.qualifier.as_deref(),
+                    p.names.get(ordinal).unwrap_or_default(),
+                )
+            })
+        })
     }
 
     /// Concatenate two schemas (join).
     pub fn join(&self, other: &RowSchema) -> RowSchema {
-        let mut columns = self.columns.clone();
-        columns.extend(other.columns.iter().cloned());
-        RowSchema { columns }
-    }
-
-    /// Positions of the columns belonging to `qualifier`.
-    pub fn positions_of_qualifier(&self, qualifier: &str) -> Vec<usize> {
-        self.columns
-            .iter()
-            .enumerate()
-            .filter(|(_, (q, _))| {
-                q.as_deref()
-                    .map(|q| q.eq_ignore_ascii_case(qualifier))
-                    .unwrap_or(false)
-            })
-            .map(|(i, _)| i)
-            .collect()
+        let mut parts = self.parts.clone();
+        parts.extend(other.parts.iter().cloned());
+        RowSchema { parts }
     }
 
     /// Resolve a column reference to a position.
@@ -81,30 +96,44 @@ impl RowSchema {
     /// Unqualified names must be unambiguous; qualified names must match the
     /// qualifier (table alias) and the column name.
     pub fn resolve(&self, qualifier: Option<&str>, name: &str) -> Result<usize, SqlError> {
-        let mut matches = self.columns.iter().enumerate().filter(|(_, (q, n))| {
-            n.eq_ignore_ascii_case(name)
-                && match (qualifier, q) {
-                    (None, _) => true,
-                    (Some(want), Some(have)) => want.eq_ignore_ascii_case(have),
-                    (Some(_), None) => false,
+        let spelled = || {
+            format!(
+                "{}{name}",
+                qualifier.map(|q| format!("{q}.")).unwrap_or_default()
+            )
+        };
+        let (mut found, mut offset) = (None, 0);
+        for part in &self.parts {
+            let have = part.qualifier.as_deref();
+            let qualifies =
+                qualifier.is_none_or(|q| have.is_some_and(|h| q.eq_ignore_ascii_case(h)));
+            let subset = part.subset.as_deref();
+            for &ordinal in part.names.ordinals(name).iter().filter(|_| qualifies) {
+                // A subset may carry an ordinal twice: both are matches.
+                let positions = subset.map_or(ordinal..ordinal + 1, |s| 0..s.len());
+                for position in positions.filter(|&p| subset.is_none_or(|s| s[p] == ordinal)) {
+                    if found.replace(offset + position).is_some() {
+                        let message = format!("ambiguous column reference {}", spelled());
+                        return Err(SqlError::Plan(message));
+                    }
                 }
-        });
-        match (matches.next(), matches.next()) {
-            (Some((i, _)), None) => Ok(i),
-            (Some(_), Some(_)) => Err(SqlError::Plan(format!(
-                "ambiguous column reference {}{name}",
-                qualifier.map(|q| format!("{q}.")).unwrap_or_default()
-            ))),
-            (None, _) => Err(SqlError::Plan(format!(
-                "unknown column {}{name}",
-                qualifier.map(|q| format!("{q}.")).unwrap_or_default()
-            ))),
+            }
+            offset += part.len();
         }
+        found.ok_or_else(|| SqlError::Plan(format!("unknown column {}", spelled())))
     }
 
     /// Can the reference be resolved?
     pub fn can_resolve(&self, qualifier: Option<&str>, name: &str) -> bool {
         self.resolve(qualifier, name).is_ok()
+    }
+}
+
+/// Schemas are equal when they list the same `(qualifier, name)` pairs,
+/// however their parts are split.
+impl PartialEq for RowSchema {
+    fn eq(&self, other: &RowSchema) -> bool {
+        self.len() == other.len() && self.columns().eq(other.columns())
     }
 }
 
@@ -422,36 +451,6 @@ pub fn like_match(text: &str, pattern: &str) -> bool {
     crate::exec::compile::LikeMatcher::new(pattern).matches(text)
 }
 
-/// Infer the output type of an expression against a schema (best effort,
-/// used for `CREATE TABLE ... INTO` and result metadata).
-pub fn infer_type(expr: &Expr) -> DataType {
-    match expr {
-        Expr::Literal(v) => v.data_type().unwrap_or(DataType::Float),
-        Expr::Binary { op, .. } => match op {
-            BinaryOp::Eq
-            | BinaryOp::NotEq
-            | BinaryOp::Lt
-            | BinaryOp::LtEq
-            | BinaryOp::Gt
-            | BinaryOp::GtEq
-            | BinaryOp::And
-            | BinaryOp::Or => DataType::Bool,
-            BinaryOp::BitAnd | BinaryOp::BitOr => DataType::Int,
-            _ => DataType::Float,
-        },
-        Expr::Function { name, .. } => match name.to_ascii_lowercase().as_str() {
-            "count" => DataType::Int,
-            "str" | "upper" | "lower" | "substring" => DataType::Str,
-            _ => DataType::Float,
-        },
-        Expr::Between { .. } | Expr::InList { .. } | Expr::IsNull { .. } | Expr::Like { .. } => {
-            DataType::Bool
-        }
-        Expr::Cast { ty, .. } => *ty,
-        _ => DataType::Float,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -479,11 +478,9 @@ mod tests {
 
     #[test]
     fn column_resolution_qualified_and_not() {
-        let schema = RowSchema::new(vec![
-            (Some("r".into()), "run".into()),
-            (Some("g".into()), "run".into()),
-            (None, "objID".into()),
-        ]);
+        let schema = RowSchema::for_table(Some("r"), &["run"])
+            .join(&RowSchema::for_table(Some("g"), &["run"]))
+            .join(&RowSchema::for_table(None, &["objID"]));
         assert_eq!(schema.resolve(Some("g"), "run").unwrap(), 1);
         assert_eq!(schema.resolve(None, "objid").unwrap(), 2);
         assert!(schema.resolve(None, "run").is_err(), "ambiguous");
@@ -674,30 +671,5 @@ mod tests {
         if let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] {
             assert!(eval(expr, &row, &c).is_err());
         }
-    }
-
-    #[test]
-    fn type_inference() {
-        let stmt =
-            parse_select("select count(*), a > 1, a & 2, sqrt(a), cast(a as varchar) from t")
-                .unwrap();
-        let types: Vec<DataType> = stmt
-            .projections
-            .iter()
-            .map(|p| match p {
-                crate::ast::SelectItem::Expr { expr, .. } => infer_type(expr),
-                _ => panic!(),
-            })
-            .collect();
-        assert_eq!(
-            types,
-            vec![
-                DataType::Int,
-                DataType::Bool,
-                DataType::Int,
-                DataType::Float,
-                DataType::Str
-            ]
-        );
     }
 }

@@ -11,6 +11,7 @@ use crate::ast::{Expr, JoinKind, OrderByItem, SelectItem};
 use crate::exec::compile::CompiledPrograms;
 use crate::expr::RowSchema;
 use skyserver_storage::Value;
+use std::sync::Arc;
 
 /// How a base table is accessed.
 // Plan nodes are built a handful of times per statement; clarity beats the
@@ -194,8 +195,9 @@ pub enum SourceKind {
     },
     /// Materialised sub-select.
     Derived {
-        /// The sub-select's plan.
-        plan: Box<SelectPlan>,
+        /// The sub-select's plan (shared: a view's naive binding comes from
+        /// the catalog's facts).
+        plan: Arc<SelectPlan>,
     },
 }
 

@@ -57,22 +57,17 @@ pub fn annotate(plan: &mut SelectPlan, db: &Database) {
             continue;
         };
         let Ok(t) = db.table(table) else { continue };
-        let schema = t.schema().clone();
-        let mut columns = scan_columns(&refs, &source.alias, &schema);
+        let schema = t.schema();
+        let mut columns = scan_columns(&refs, &source.alias, schema);
         if let AccessPath::CoveringIndexScan { index } = path {
             // An index entry holds nothing but the covered columns.
             if let Some(idx) = db.index(table, index) {
-                let covered = idx.def().covered_columns();
-                columns.retain(|&c| {
-                    covered
-                        .iter()
-                        .any(|name| name.eq_ignore_ascii_case(&schema.columns()[c].name))
-                });
+                columns.retain(|&c| idx.covered_ordinals().any(|o| o == c));
             }
         }
         source.scan_columns = Some(columns);
         if let Some(pred) = &source.pushed_predicate {
-            source.zone_constraints = zone_constraints(pred, &source.alias, &schema);
+            source.zone_constraints = zone_constraints(pred, &source.alias, schema);
         }
     }
 }

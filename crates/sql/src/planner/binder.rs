@@ -12,10 +12,11 @@ use crate::ast::{Expr, FromItem, JoinKind, SelectItem, SelectStatement, TableSou
 use crate::error::SqlError;
 use crate::expr::RowSchema;
 use crate::functions::FunctionRegistry;
-use crate::parser::parse_select;
-use crate::plan::{AccessPath, JoinStep, SourceKind};
+use crate::plan::{AccessPath, JoinStep, SelectPlan, SourceKind};
+use crate::planner::catalog::{self, ViewFacts};
 use skyserver_storage::Database;
 use std::collections::HashSet;
+use std::sync::Arc;
 
 /// Everything the rules need to look at besides the plan itself.
 pub struct PlanContext<'a> {
@@ -148,14 +149,6 @@ pub struct LogicalPlan {
 }
 
 impl LogicalPlan {
-    /// Alias → schema pairs, for conjunct classification.
-    pub fn alias_schemas(&self) -> Vec<(String, RowSchema)> {
-        self.sources
-            .iter()
-            .map(|s| (s.alias.clone(), s.schema.clone()))
-            .collect()
-    }
-
     /// Aliases that can be NULL-extended (the inner side of an outer join).
     /// WHERE conjuncts touching these must run *after* the join, so the
     /// pushdown and join-strategy rules leave them in the global residual.
@@ -175,7 +168,7 @@ impl LogicalPlan {
 pub fn bind(
     stmt: &SelectStatement,
     ctx: &PlanContext<'_>,
-    plan_nested: &dyn Fn(&SelectStatement) -> Result<crate::plan::SelectPlan, SqlError>,
+    plan_nested: &dyn Fn(&SelectStatement) -> Result<SelectPlan, SqlError>,
 ) -> Result<LogicalPlan, SqlError> {
     if stmt.projections.is_empty() {
         return Err(SqlError::Plan("SELECT list is empty".into()));
@@ -207,10 +200,7 @@ pub fn bind(
     let fromless = sources.is_empty();
 
     // Classify WHERE + inner-ON conjuncts by the aliases they reference.
-    let alias_schemas: Vec<(String, RowSchema)> = sources
-        .iter()
-        .map(|s| (s.alias.clone(), s.schema.clone()))
-        .collect();
+    let alias_schemas = alias_schemas(&sources);
     let mut conjuncts = Vec::new();
     if !fromless {
         if let Some(w) = &stmt.selection {
@@ -257,199 +247,103 @@ pub fn bind(
 fn bind_source(
     item: &FromItem,
     ctx: &PlanContext<'_>,
-    plan_nested: &dyn Fn(&SelectStatement) -> Result<crate::plan::SelectPlan, SqlError>,
+    plan_nested: &dyn Fn(&SelectStatement) -> Result<SelectPlan, SqlError>,
 ) -> Result<LogicalSource, SqlError> {
-    match &item.source {
+    let named = |name: &String| item.alias.clone().unwrap_or_else(|| name.clone());
+    let (alias, kind, schema, origin) = match &item.source {
         TableSource::Named(name) => {
-            let alias = item.alias.clone().unwrap_or_else(|| name.clone());
-            if ctx.db.has_table(name) {
-                let table = ctx.db.table(name)?;
-                let cols = table.schema().column_names();
-                let schema = RowSchema::for_table(Some(&alias), &cols);
-                return Ok(LogicalSource {
-                    alias,
-                    kind: SourceKind::Table {
-                        table: name.clone(),
-                        path: AccessPath::HeapScan,
-                    },
-                    schema,
-                    origin: SourceOrigin::Table,
-                    join_kind: item.join,
-                    outer_on: Vec::new(),
-                    pushed: Vec::new(),
-                    limit_hint: None,
-                });
+            let alias = named(name);
+            if let Ok(table) = ctx.db.table(name) {
+                let schema = RowSchema::shared(Some(&alias), table.schema().names(), None);
+                let kind = SourceKind::Table {
+                    table: name.clone(),
+                    path: AccessPath::HeapScan,
+                };
+                (alias, kind, schema, SourceOrigin::Table)
+            } else {
+                let Some(ViewFacts {
+                    definition,
+                    merged,
+                    naive,
+                }) = catalog::view(ctx.db, name)?
+                else {
+                    return Err(SqlError::Plan(format!("unknown table or view {name}")));
+                };
+                let (kind, schema) = match (merged, naive) {
+                    // A simple `SELECT * FROM base [WHERE ...]` view
+                    // (possibly stacked) binds as its naive derived table —
+                    // one filtered scan, built once per catalog — which the
+                    // view-merge rule rewrites into a direct base-table
+                    // access.  The naive binding is a *correct* derived
+                    // table, so a pipeline prefix without the rule stays
+                    // valid.
+                    (Some(merged), Some(plan)) => {
+                        let names = ctx.db.table(&merged.base)?.schema().names();
+                        let schema = RowSchema::shared(Some(&alias), names, None);
+                        let plan = Arc::clone(plan);
+                        (SourceKind::Derived { plan }, schema)
+                    }
+                    // Too complex to merge, or qualifiers that call a
+                    // registered function: plan the body as a derived table.
+                    _ => derived(&alias, plan_nested(definition)?),
+                };
+                let origin = SourceOrigin::View {
+                    name: name.clone(),
+                    merged: merged.clone(),
+                };
+                (alias, kind, schema, origin)
             }
-            if let Some(view) = ctx.db.view(name) {
-                let definition = parse_select(&view.sql)?;
-                // A simple `SELECT * FROM base [WHERE ...]` view (possibly
-                // stacked) is analysed once here; the view-merge rule later
-                // rewrites the source into a direct base-table access.  The
-                // naive binding is still a *correct* derived table — built
-                // by hand (one filtered scan) instead of recursively running
-                // the whole planning pipeline on the view body, so a
-                // pipeline prefix without the rule stays valid.
-                if let Some(merged) =
-                    crate::planner::rules::view_merge::merge_chain(&definition, ctx.db)?
-                {
-                    let sub_plan = naive_view_plan(&merged, ctx)?;
-                    let names = sub_plan
-                        .projections
-                        .iter()
-                        .map(|(_, n)| n.as_str())
-                        .collect::<Vec<_>>();
-                    let schema = RowSchema::for_table(Some(&alias), &names);
-                    return Ok(LogicalSource {
-                        alias,
-                        kind: SourceKind::Derived {
-                            plan: Box::new(sub_plan),
-                        },
-                        schema,
-                        origin: SourceOrigin::View {
-                            name: name.clone(),
-                            merged: Some(merged),
-                        },
-                        join_kind: item.join,
-                        outer_on: Vec::new(),
-                        pushed: Vec::new(),
-                        limit_hint: None,
-                    });
-                }
-                // Too complex to merge: materialise as a derived table.
-                let sub_plan = plan_nested(&definition)?;
-                let names = sub_plan
-                    .projections
-                    .iter()
-                    .map(|(_, n)| n.as_str())
-                    .collect::<Vec<_>>();
-                let schema = RowSchema::for_table(Some(&alias), &names);
-                return Ok(LogicalSource {
-                    alias,
-                    kind: SourceKind::Derived {
-                        plan: Box::new(sub_plan),
-                    },
-                    schema,
-                    origin: SourceOrigin::View {
-                        name: name.clone(),
-                        merged: None,
-                    },
-                    join_kind: item.join,
-                    outer_on: Vec::new(),
-                    pushed: Vec::new(),
-                    limit_hint: None,
-                });
-            }
-            Err(SqlError::Plan(format!("unknown table or view {name}")))
         }
         TableSource::Function { name, args } => {
-            let alias = item.alias.clone().unwrap_or_else(|| name.clone());
+            let alias = named(name);
             let tf = ctx
                 .functions
                 .table(name)
                 .ok_or_else(|| SqlError::UnknownFunction(name.clone()))?;
             let cols: Vec<&str> = tf.columns.iter().map(String::as_str).collect();
             let schema = RowSchema::for_table(Some(&alias), &cols);
-            Ok(LogicalSource {
-                alias,
-                kind: SourceKind::TableFunction {
-                    name: name.clone(),
-                    args: args.clone(),
-                },
-                schema,
-                origin: SourceOrigin::Function,
-                join_kind: item.join,
-                outer_on: Vec::new(),
-                pushed: Vec::new(),
-                limit_hint: None,
-            })
+            let kind = SourceKind::TableFunction {
+                name: name.clone(),
+                args: args.clone(),
+            };
+            (alias, kind, schema, SourceOrigin::Function)
         }
         TableSource::Derived(select) => {
             let alias = item
                 .alias
                 .clone()
                 .ok_or_else(|| SqlError::Plan("derived tables need an alias".into()))?;
-            let sub_plan = plan_nested(select)?;
-            let names = sub_plan
-                .projections
-                .iter()
-                .map(|(_, n)| n.as_str())
-                .collect::<Vec<_>>();
-            let schema = RowSchema::for_table(Some(&alias), &names);
-            Ok(LogicalSource {
-                alias,
-                kind: SourceKind::Derived {
-                    plan: Box::new(sub_plan),
-                },
-                schema,
-                origin: SourceOrigin::Derived,
-                join_kind: item.join,
-                outer_on: Vec::new(),
-                pushed: Vec::new(),
-                limit_hint: None,
-            })
+            let (kind, schema) = derived(&alias, plan_nested(select)?);
+            (alias, kind, schema, SourceOrigin::Derived)
         }
-    }
+    };
+    Ok(LogicalSource {
+        alias,
+        kind,
+        schema,
+        origin,
+        join_kind: item.join,
+        outer_on: Vec::new(),
+        pushed: Vec::new(),
+        limit_hint: None,
+    })
 }
 
-/// The un-optimized but correct plan for a merged-view chain: one heap scan
-/// of the base table with the accumulated qualifiers applied during the
-/// scan, projecting every column.  Equivalent to planning the view body,
-/// minus the recursive pipeline run.
-fn naive_view_plan(
-    merged: &MergedView,
-    ctx: &PlanContext<'_>,
-) -> Result<crate::plan::SelectPlan, SqlError> {
-    use crate::plan::{SelectPlan, SourcePlan};
-    let table = ctx.db.table(&merged.base)?;
-    let cols = table.schema().column_names();
-    let schema = RowSchema::for_table(Some(&merged.base), &cols);
-    let projections: Vec<(Expr, String)> = schema
-        .columns()
+/// A planned sub-select bound as a derived table: its output names under
+/// `alias`.
+fn derived(alias: &str, plan: SelectPlan) -> (SourceKind, RowSchema) {
+    let names: Vec<&str> = plan.projections.iter().map(|(_, n)| n.as_str()).collect();
+    let schema = RowSchema::for_table(Some(alias), &names);
+    let plan = Arc::new(plan);
+    (SourceKind::Derived { plan }, schema)
+}
+
+/// Alias → schema pairs, for conjunct classification.
+pub fn alias_schemas(sources: &[LogicalSource]) -> Vec<(&str, &RowSchema)> {
+    sources
         .iter()
-        .map(|(q, name)| {
-            (
-                Expr::Column {
-                    qualifier: q.clone(),
-                    name: name.clone(),
-                },
-                name.clone(),
-            )
-        })
-        .collect();
-    let mut plan = SelectPlan {
-        sources: vec![SourcePlan {
-            alias: merged.base.clone(),
-            kind: SourceKind::Table {
-                table: merged.base.clone(),
-                path: AccessPath::HeapScan,
-            },
-            pushed_predicate: Expr::from_conjuncts(merged.predicates.clone()),
-            schema: schema.clone(),
-            limit_hint: None,
-            zone_constraints: Vec::new(),
-            // `select *`: the row layout is the whole table.
-            scan_columns: Some((0..cols.len()).collect()),
-            est_rows: None,
-        }],
-        joins: Vec::new(),
-        residual: None,
-        projections,
-        select_items: vec![SelectItem::Wildcard],
-        group_by: Vec::new(),
-        having: None,
-        has_aggregates: false,
-        order_by: Vec::new(),
-        top: None,
-        distinct: false,
-        into: None,
-        input_schema: schema,
-        rules_fired: Vec::new(),
-        programs: Default::default(),
-        est_rows: None,
-        release: None,
-    };
-    plan.programs = super::build_programs(&plan, ctx)?;
-    Ok(plan)
+        .map(|s| (s.alias.as_str(), &s.schema))
+        .collect()
 }
 
 /// Which aliases does an expression reference?  Errors on unknown aliases,
@@ -457,7 +351,7 @@ fn naive_view_plan(
 /// monolithic planner performed.
 pub fn aliases_of(
     expr: &Expr,
-    alias_schemas: &[(String, RowSchema)],
+    alias_schemas: &[(&str, &RowSchema)],
 ) -> Result<HashSet<String>, SqlError> {
     let mut cols = Vec::new();
     expr.collect_columns(&mut cols);
@@ -470,7 +364,7 @@ pub fn aliases_of(
                     .find(|(a, _)| a.eq_ignore_ascii_case(&q));
                 match found {
                     Some((a, _)) => {
-                        out.insert(a.clone());
+                        out.insert(a.to_string());
                     }
                     None => {
                         return Err(SqlError::Plan(format!("unknown table alias {q}")));
@@ -478,17 +372,17 @@ pub fn aliases_of(
                 }
             }
             None => {
-                let matches: Vec<&String> = alias_schemas
+                let matches: Vec<&str> = alias_schemas
                     .iter()
                     .filter(|(_, s)| s.can_resolve(None, &name))
-                    .map(|(a, _)| a)
+                    .map(|(a, _)| *a)
                     .collect();
                 match matches.len() {
                     0 => {
                         return Err(SqlError::Plan(format!("unknown column {name}")));
                     }
                     1 => {
-                        out.insert(matches[0].clone());
+                        out.insert(matches[0].to_string());
                     }
                     _ => {
                         return Err(SqlError::Plan(format!("ambiguous column {name}")));

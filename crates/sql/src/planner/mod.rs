@@ -22,6 +22,7 @@
 
 pub mod annotate;
 pub mod binder;
+pub(crate) mod catalog;
 pub mod rules;
 pub mod stats;
 
@@ -35,7 +36,7 @@ use crate::expr::RowSchema;
 use crate::functions::FunctionRegistry;
 use crate::plan::{AccessPath, JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
 use binder::{LogicalPlan, PlanContext};
-use skyserver_storage::Database;
+use skyserver_storage::{Database, ReleaseCatalog};
 
 /// Minimum table size before the parallel-scan rule fans a heap scan out
 /// over worker threads.
@@ -51,7 +52,7 @@ pub struct Planner<'a> {
     verify: bool,
     cost_based_ordering: bool,
     release: Option<String>,
-    known_releases: Option<Vec<String>>,
+    known_releases: Option<&'a ReleaseCatalog>,
 }
 
 impl<'a> Planner<'a> {
@@ -100,10 +101,11 @@ impl<'a> Planner<'a> {
         self
     }
 
-    /// Provide the catalog's published release names so the plan verifier
-    /// can check that a pinned release actually exists.  `None` (the
-    /// default) skips the check — standalone planner tests have no catalog.
-    pub fn with_known_releases(mut self, releases: Vec<String>) -> Self {
+    /// Provide the catalog's published releases so the plan verifier can
+    /// check that a pinned release actually exists.  Without it (the
+    /// default) the check is skipped — standalone planner tests have no
+    /// catalog.
+    pub fn with_known_releases(mut self, releases: &'a ReleaseCatalog) -> Self {
         self.known_releases = Some(releases);
         self
     }
@@ -141,11 +143,8 @@ impl<'a> Planner<'a> {
         // shows est_rows even when cost-based ordering is off.
         stats::annotate_estimates(&mut plan, self.db);
         if self.verify {
-            let report = crate::verify::verify_plan_with_releases(
-                &plan,
-                self.db,
-                self.known_releases.as_deref(),
-            );
+            let names = self.known_releases.map(ReleaseCatalog::names);
+            let report = crate::verify::verify_plan_with_releases(&plan, self.db, names.as_deref());
             if !report.is_clean() {
                 return Err(SqlError::Plan(format!(
                     "plan verification failed: {}",
@@ -265,13 +264,13 @@ pub fn source_layout(source: &SourcePlan, db: &Database) -> Result<RowSchema, Sq
     let columns = source.scan_columns.as_deref().ok_or_else(|| {
         SqlError::Plan(format!("source {} carries no scan columns", source.alias))
     })?;
-    let all = db.table(table)?.schema().columns();
-    let names = columns
-        .iter()
-        .map(|&c| all.get(c).map(|def| def.name.as_str()))
-        .collect::<Option<Vec<&str>>>()
-        .ok_or_else(|| SqlError::Plan(format!("scan column out of range for {table}")))?;
-    Ok(RowSchema::for_table(Some(&source.alias), &names))
+    let names = db.table(table)?.schema().names();
+    if columns.iter().any(|&c| c >= names.len()) {
+        return Err(SqlError::Plan(format!(
+            "scan column out of range for {table}"
+        )));
+    }
+    Ok(RowSchema::shared(Some(&source.alias), names, Some(columns)))
 }
 
 /// The schema a source's pushed predicate runs in: the table's full storage
@@ -286,8 +285,8 @@ pub(crate) fn predicate_schema(
 ) -> Result<RowSchema, SqlError> {
     match &source.kind {
         SourceKind::Table { table, .. } if source.filters_on_chunks(joined_by) => {
-            let names = db.table(table)?.schema().column_names();
-            Ok(RowSchema::for_table(Some(&source.alias), &names))
+            let names = db.table(table)?.schema().names();
+            Ok(RowSchema::shared(Some(&source.alias), names, None))
         }
         _ => source_layout(source, db),
     }
@@ -473,43 +472,30 @@ pub(crate) fn build_programs(
 }
 
 /// Expand the select list against the combined input schema.
-fn expand_projections(
+pub(crate) fn expand_projections(
     items: &[SelectItem],
     schema: &RowSchema,
 ) -> Result<Vec<(Expr, String)>, SqlError> {
     let mut out = Vec::new();
     for (i, item) in items.iter().enumerate() {
         match item {
-            SelectItem::Wildcard => {
-                for (q, name) in schema.columns() {
-                    out.push((
-                        Expr::Column {
-                            qualifier: q.clone(),
-                            name: name.clone(),
-                        },
-                        name.clone(),
-                    ));
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                let mut found = false;
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
+                let of = match item {
+                    SelectItem::QualifiedWildcard(q) => Some(q),
+                    _ => None,
+                };
+                let before = out.len();
                 for (cq, name) in schema.columns() {
-                    if cq
-                        .as_deref()
-                        .map(|c| c.eq_ignore_ascii_case(q))
-                        .unwrap_or(false)
-                    {
-                        found = true;
-                        out.push((
-                            Expr::Column {
-                                qualifier: cq.clone(),
-                                name: name.clone(),
-                            },
-                            name.clone(),
-                        ));
+                    if of.is_none_or(|q| cq.is_some_and(|c| c.eq_ignore_ascii_case(q))) {
+                        let qualifier = cq.map(str::to_string);
+                        let column = Expr::Column {
+                            qualifier,
+                            name: name.to_string(),
+                        };
+                        out.push((column, name.to_string()));
                     }
                 }
-                if !found {
+                if let (Some(q), true) = (of, out.len() == before) {
                     return Err(SqlError::Plan(format!("unknown alias {q} in {q}.*")));
                 }
             }

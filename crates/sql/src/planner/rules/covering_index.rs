@@ -22,6 +22,19 @@ impl RewriteRule for CoveringIndexSelection {
     }
 
     fn apply(&self, plan: &mut LogicalPlan, ctx: &PlanContext<'_>) -> Result<bool, SqlError> {
+        // Only a heap scan can become a covering scan.
+        let heap_scan = |kind: &SourceKind| {
+            matches!(
+                kind,
+                SourceKind::Table {
+                    path: AccessPath::HeapScan,
+                    ..
+                }
+            )
+        };
+        if !plan.sources.iter().any(|s| heap_scan(&s.kind)) {
+            return Ok(false);
+        }
         let needed = needed_columns(plan);
         let mut fired = false;
         for source in &mut plan.sources {
@@ -39,22 +52,18 @@ impl RewriteRule for CoveringIndexSelection {
             if needed_for_alias.is_empty() {
                 continue;
             }
-            let mut best: Option<(usize, String)> = None;
+            let mut best: Option<(usize, _)> = None;
             for idx in ctx.db.indexes_for(table) {
-                if idx.def().covers(&needed_for_alias) {
-                    let width = idx.def().covered_columns().len();
-                    if best.as_ref().map(|(w, _)| width < *w).unwrap_or(true) {
-                        best = Some((width, idx.def().name.clone()));
-                    }
+                let width = idx.def().covered_columns().len();
+                if idx.def().covers(&needed_for_alias) && best.is_none_or(|(w, _)| width < w) {
+                    best = Some((width, idx));
                 }
             }
-            if let Some((_, index)) = best {
-                let idx = ctx
-                    .db
-                    .index(table, &index)
-                    .expect("covering index chosen by the rule must exist");
-                let cols: Vec<&str> = idx.def().covered_columns();
-                source.schema = RowSchema::for_table(Some(&source.alias), &cols);
+            if let Some((_, idx)) = best {
+                let covered: Vec<usize> = idx.covered_ordinals().collect();
+                let names = ctx.db.table(table)?.schema().names();
+                source.schema = RowSchema::shared(Some(&source.alias), names, Some(&covered));
+                let index = idx.def().name.clone();
                 *path = AccessPath::CoveringIndexScan { index };
                 fired = true;
             }
@@ -68,24 +77,19 @@ impl RewriteRule for CoveringIndexSelection {
 /// `*` claims every column of every source, which correctly defeats
 /// covering-index selection.
 pub fn needed_columns(plan: &LogicalPlan) -> Vec<(String, String)> {
-    let alias_schemas = plan.alias_schemas();
+    let alias_schemas = crate::planner::binder::alias_schemas(&plan.sources);
     let mut refs: Vec<(Option<String>, String)> = Vec::new();
     for p in &plan.select_items {
         match p {
             SelectItem::Expr { expr, .. } => expr.collect_columns(&mut refs),
-            SelectItem::Wildcard => {
+            SelectItem::Wildcard | SelectItem::QualifiedWildcard(_) => {
                 for (alias, schema) in &alias_schemas {
-                    for (_, name) in schema.columns() {
-                        refs.push((Some(alias.clone()), name.clone()));
+                    if matches!(p, SelectItem::QualifiedWildcard(q) if !alias.eq_ignore_ascii_case(q))
+                    {
+                        continue;
                     }
-                }
-            }
-            SelectItem::QualifiedWildcard(q) => {
-                for (alias, schema) in &alias_schemas {
-                    if alias.eq_ignore_ascii_case(q) {
-                        for (_, name) in schema.columns() {
-                            refs.push((Some(alias.clone()), name.clone()));
-                        }
+                    for (_, name) in schema.columns() {
+                        refs.push((Some(alias.to_string()), name.to_string()));
                     }
                 }
             }
@@ -116,7 +120,7 @@ pub fn needed_columns(plan: &LogicalPlan) -> Vec<(String, String)> {
             None => {
                 for (alias, schema) in &alias_schemas {
                     if schema.can_resolve(None, &name) {
-                        out.push((alias.clone(), name.clone()));
+                        out.push((alias.to_string(), name.clone()));
                     }
                 }
             }

@@ -3,9 +3,10 @@
 //! `Galaxy` / `Star` / `PhotoPrimary` are defined as `SELECT * FROM photoObj
 //! WHERE <qualifiers>`; a query against such a view should "map down to the
 //! base photoObj table with the additional qualifiers", not materialise the
-//! view.  The binder analyses every view definition once (`merge_chain`)
-//! and stores the collapsed `base WHERE qualifiers` result on the source;
-//! this rule applies it — rewriting the materialised derived table into a
+//! view.  Every view definition is analysed once per catalog
+//! (`merge_chain`, via `planner::catalog`) and the binder stores the
+//! collapsed `base WHERE qualifiers` result on the source; this rule
+//! applies it — rewriting the materialised derived table into a
 //! direct base-table access with the requalified view qualifiers attached
 //! to the scan itself.
 //!
@@ -21,6 +22,7 @@ use crate::expr::RowSchema;
 use crate::plan::{AccessPath, SourceKind};
 use crate::planner::binder::{LogicalPlan, MergedView, PlanContext, SourceOrigin};
 use skyserver_storage::Database;
+use std::collections::HashMap;
 
 /// The `view_merge` rule: collapses simple view chains onto their base
 /// table, folding the views' qualifiers into the scan (§9.1.3).
@@ -45,9 +47,8 @@ impl RewriteRule for ViewMerge {
             for p in &mut predicates {
                 requalify(p, &source.alias);
             }
-            let table = ctx.db.table(&merged.base)?;
-            let cols = table.schema().column_names();
-            source.schema = RowSchema::for_table(Some(&source.alias), &cols);
+            let names = ctx.db.table(&merged.base)?.schema().names();
+            source.schema = RowSchema::shared(Some(&source.alias), names, None);
             source.kind = SourceKind::Table {
                 table: merged.base.clone(),
                 path: AccessPath::HeapScan,
@@ -63,11 +64,13 @@ impl RewriteRule for ViewMerge {
 /// (possibly via further such views) down to a base table, accumulating the
 /// predicates innermost-first.  Returns `None` when the definition is too
 /// complex to merge (the source then stays a materialised derived table).
-/// Called by the binder exactly once per view reference; the result rides
-/// on [`SourceOrigin::View`].
+/// `parsed` holds every view definition of the catalog.  Called once per
+/// view per catalog state ([`crate::planner::catalog`]); the binder puts the
+/// result on [`SourceOrigin::View`].
 pub(crate) fn merge_chain(
     view: &SelectStatement,
     db: &Database,
+    parsed: &HashMap<String, Result<SelectStatement, SqlError>>,
 ) -> Result<Option<MergedView>, SqlError> {
     let simple = view.from.len() == 1
         && view.projections.len() == 1
@@ -94,9 +97,9 @@ pub(crate) fn merge_chain(
             predicates,
         }));
     }
-    if let Some(inner_view) = db.view(base) {
-        let inner_select = crate::parser::parse_select(&inner_view.sql)?;
-        if let Some(mut inner) = merge_chain(&inner_select, db)? {
+    if let Some(inner_select) = parsed.get(&base.to_ascii_lowercase()) {
+        let inner_select = inner_select.as_ref().map_err(Clone::clone)?;
+        if let Some(mut inner) = merge_chain(inner_select, db, parsed)? {
             inner.predicates.extend(predicates);
             return Ok(Some(inner));
         }

@@ -46,12 +46,7 @@ const DERIVED_DEFAULT_ROWS: f64 = 256.0;
 /// Column statistics for `table.column`, if collected.
 fn column_stats<'a>(db: &'a Database, table: &str, column: &str) -> Option<&'a ColumnStats> {
     let stats = db.table_stats(table)?;
-    let t = db.table(table).ok()?;
-    let ordinal = t
-        .schema()
-        .column_names()
-        .iter()
-        .position(|c| c.eq_ignore_ascii_case(column))?;
+    let ordinal = db.table(table).ok()?.schema().column_index(column)?;
     stats.column(ordinal)
 }
 

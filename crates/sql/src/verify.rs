@@ -817,7 +817,7 @@ impl Verifier<'_> {
         e.collect_columns(&mut cols);
         for ordinal in cols {
             self.report.checks_run += 1;
-            match schema.columns().get(ordinal) {
+            match schema.columns().nth(ordinal) {
                 Some((_, name)) => self.check_coverage(i, name, ctx, site),
                 None => self.violation(
                     ViolationKind::OrdinalOutOfRange,
@@ -861,7 +861,7 @@ impl Verifier<'_> {
             let name = ctx
                 .layouts
                 .get(src)
-                .and_then(|l| l.columns().get(ordinal - ctx.offsets[src]));
+                .and_then(|l| l.columns().nth(ordinal - ctx.offsets[src]));
             if let Some((_, name)) = name {
                 self.check_coverage(src, name, ctx, site);
             }

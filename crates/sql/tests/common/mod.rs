@@ -170,8 +170,8 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
                 for (q, name) in schema.columns() {
                     let ours = |a: &String| q.as_ref().is_some_and(|q| q.eq_ignore_ascii_case(a));
                     if of.is_none_or(ours) {
-                        let (qualifier, output) = (q.clone(), name.clone());
-                        let name = name.clone();
+                        let (qualifier, output) = (q.map(str::to_string), name.to_string());
+                        let name = name.to_string();
                         items.push((Expr::Column { qualifier, name }, output));
                     }
                 }

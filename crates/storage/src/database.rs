@@ -12,8 +12,9 @@ use crate::schema::TableSchema;
 use crate::table::{RowId, Table, Timestamp};
 use crate::table_stats::{self, TableStats};
 use crate::value::Value;
+use std::any::Any;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A foreign-key constraint: `table(columns)` references
 /// `ref_table(ref_columns)`.
@@ -91,6 +92,22 @@ pub struct Database {
     /// When false, FK checks are skipped (bulk load fast path); violations
     /// are detected later by [`Database::validate_foreign_keys`].
     enforce_foreign_keys: bool,
+    /// What the query layer derives from the catalog alone
+    /// ([`Database::catalog_memo`]).
+    memo: CatalogMemo,
+}
+
+/// A slot for facts derived from the catalog alone, built at most once per
+/// catalog state.  Every DDL call gives the database a fresh slot; a clone
+/// (a release, a fork) shares the slot of the catalog it copied until it
+/// changes its own, so no state can read facts built for another.
+#[derive(Clone, Default)]
+struct CatalogMemo(Arc<OnceLock<Box<dyn Any + Send + Sync>>>);
+
+impl std::fmt::Debug for CatalogMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("CatalogMemo")
+    }
 }
 
 impl Database {
@@ -147,6 +164,7 @@ impl Database {
             return Err(StorageError::DuplicateName(name));
         }
         self.tables.insert(key, Table::new(name, schema));
+        self.memo = CatalogMemo::default();
         Ok(())
     }
 
@@ -159,6 +177,7 @@ impl Database {
         }
         self.indexes.remove(&key);
         self.stats.remove(&key);
+        self.memo = CatalogMemo::default();
         Ok(())
     }
 
@@ -235,6 +254,7 @@ impl Database {
         }
         let index = BTreeIndex::build(def, table)?;
         existing.push(Arc::new(index));
+        self.memo = CatalogMemo::default();
         Ok(())
     }
 
@@ -275,7 +295,30 @@ impl Database {
                 description: description.into(),
             },
         );
+        self.memo = CatalogMemo::default();
         Ok(())
+    }
+
+    /// Drop a view.
+    pub fn drop_view(&mut self, name: &str) -> Result<(), StorageError> {
+        if self.views.remove(&name.to_ascii_lowercase()).is_none() {
+            return Err(StorageError::UnknownTable(name.into()));
+        }
+        self.memo = CatalogMemo::default();
+        Ok(())
+    }
+
+    /// The query layer's facts about this catalog: `build` runs on first use
+    /// after any DDL, and the result is shared with every clone that has the
+    /// same catalog.  `None` when the slot holds a different type.
+    pub fn catalog_memo<T: Any + Send + Sync>(
+        &self,
+        build: impl FnOnce(&Database) -> T,
+    ) -> Option<&T> {
+        self.memo
+            .0
+            .get_or_init(|| Box::new(build(self)))
+            .downcast_ref()
     }
 
     /// Look up a view by name.

@@ -42,7 +42,7 @@ pub use failpoints::FailAction;
 pub use index::{BTreeIndex, IndexCursor, IndexDef, IndexEntry, IndexKey, Run, RUN_ENTRIES};
 pub use iosim::{CpuCost, DiskConfig, HardwareProfile, IoSimulator, SimTiming};
 pub use release::{DiffStatus, ReleaseCatalog, ReleaseDiff, ReleaseInfo, TableDiff};
-pub use schema::{ColumnDef, SchemaError, TableSchema};
+pub use schema::{ColumnDef, ColumnNames, SchemaError, TableSchema};
 pub use stats::{ExecutionStats, ScanStats};
 pub use table::{Column, ColumnData, RowId, Segment, Table, Timestamp, SEGMENT_ROWS};
 pub use table_stats::{ColumnStats, Histogram, SegmentSummary, TableStats, HISTOGRAM_BINS, KMV_K};

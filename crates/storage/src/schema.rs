@@ -6,7 +6,9 @@
 //! serves.
 
 use crate::value::{DataType, Value};
+use std::cmp::Ordering;
 use std::fmt;
+use std::sync::Arc;
 
 /// A column definition.
 #[derive(Debug, Clone, PartialEq)]
@@ -64,10 +66,64 @@ impl ColumnDef {
     }
 }
 
+/// Ordered column names with a case-insensitive name → ordinal lookup.
+/// A table builds its set once with its schema; the query layer shares it
+/// behind an [`Arc`] in every row schema that carries the table's columns.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct ColumnNames {
+    names: Vec<String>,
+    /// Ordinals sorted by name (see [`fold_cmp`]), then by ordinal.
+    by_name: Vec<usize>,
+}
+
+impl ColumnNames {
+    /// Index `names` (in column order).
+    pub fn new(names: Vec<String>) -> Self {
+        let mut by_name: Vec<usize> = (0..names.len()).collect();
+        by_name.sort_by(|&a, &b| fold_cmp(&names[a], &names[b]).then(a.cmp(&b)));
+        ColumnNames { names, by_name }
+    }
+
+    /// Number of columns.
+    pub fn len(&self) -> usize {
+        self.names.len()
+    }
+
+    /// True when there are no columns.
+    pub fn is_empty(&self) -> bool {
+        self.names.is_empty()
+    }
+
+    /// The name of column `ordinal`.
+    pub fn get(&self, ordinal: usize) -> Option<&str> {
+        self.names.get(ordinal).map(String::as_str)
+    }
+
+    /// Every ordinal whose name equals `name` case-insensitively, ascending.
+    pub fn ordinals(&self, name: &str) -> &[usize] {
+        let start = self
+            .by_name
+            .partition_point(|&i| fold_cmp(&self.names[i], name) == Ordering::Less);
+        let len = self.by_name[start..]
+            .partition_point(|&i| fold_cmp(&self.names[i], name) == Ordering::Equal);
+        &self.by_name[start..start + len]
+    }
+}
+
+/// Order two names by length, then with ASCII case folded: the lookup's
+/// order, where most comparisons end on the length.
+fn fold_cmp(a: &str, b: &str) -> Ordering {
+    let b_folded = b.bytes().map(|c| c.to_ascii_lowercase());
+    let folded = || a.bytes().map(|c| c.to_ascii_lowercase()).cmp(b_folded);
+    a.len().cmp(&b.len()).then_with(folded)
+}
+
 /// A table schema: ordered columns plus an optional primary key.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TableSchema {
     columns: Vec<ColumnDef>,
+    /// The columns' names, indexed for lookup.
+    names: Arc<ColumnNames>,
     /// Indices (into `columns`) of the primary-key columns, in key order.
     primary_key: Vec<usize>,
 }
@@ -75,8 +131,10 @@ pub struct TableSchema {
 impl TableSchema {
     /// Build a schema from columns.
     pub fn new(columns: Vec<ColumnDef>) -> Self {
+        let names = ColumnNames::new(columns.iter().map(|c| c.name.clone()).collect());
         TableSchema {
             columns,
+            names: Arc::new(names),
             primary_key: Vec::new(),
         }
     }
@@ -111,9 +169,12 @@ impl TableSchema {
 
     /// Position of a column by case-insensitive name.
     pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.columns
-            .iter()
-            .position(|c| c.name.eq_ignore_ascii_case(name))
+        self.names.ordinals(name).first().copied()
+    }
+
+    /// The column names, shared and indexed for lookup.
+    pub fn names(&self) -> &Arc<ColumnNames> {
+        &self.names
     }
 
     /// Column definition by case-insensitive name.
@@ -260,6 +321,20 @@ impl std::error::Error for SchemaError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn column_names_look_up_every_case_insensitive_match() {
+        let names = ["objID", "ra", "dec", "RA", "modelMag_r", "b"];
+        let names = ColumnNames::new(names.iter().map(|n| n.to_string()).collect());
+        assert_eq!(names.ordinals("OBJid"), &[0]);
+        assert_eq!(names.ordinals("ra"), &[1, 3], "duplicates, ascending");
+        assert_eq!(names.ordinals("MODELMAG_R"), &[4]);
+        assert_eq!(names.ordinals("b"), &[5]);
+        assert!(names.ordinals("r").is_empty());
+        assert!(names.ordinals("modelMag_g").is_empty());
+        assert_eq!(names.get(2), Some("dec"));
+        assert_eq!(schema().column_index("OBJID"), Some(0));
+    }
 
     fn schema() -> TableSchema {
         TableSchema::new(vec![

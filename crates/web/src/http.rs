@@ -13,10 +13,10 @@
 
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Read, Write};
-use std::net::{TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::{Shutdown, TcpListener, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// A parsed HTTP request.
@@ -331,11 +331,60 @@ impl Default for ServerConfig {
 }
 
 /// A running HTTP server: an accept thread plus a bounded worker pool.
+///
+/// The accept thread blocks in `accept`; [`HttpServer::stop`] wakes it by
+/// connecting to the server's own address.  Workers park in `read` on idle
+/// keep-alive connections, and `stop` ends those reads by shutting down the
+/// read side of every open connection.
 pub struct HttpServer {
     addr: std::net::SocketAddr,
     shutdown: Arc<AtomicBool>,
+    connections: Arc<Connections>,
     accept_handle: Option<std::thread::JoinHandle<()>>,
     workers: Vec<std::thread::JoinHandle<()>>,
+}
+
+/// The connections the workers are serving.  Shutting down a connection's
+/// read side makes a worker parked in `read` on it see end-of-stream at
+/// once instead of after [`ServerConfig::read_timeout`]; a request already
+/// read is still answered, with `Connection: close`.
+#[derive(Default)]
+struct Connections {
+    open: Mutex<HashMap<u64, TcpStream>>,
+    next_id: AtomicU64,
+}
+
+impl Connections {
+    fn lock(&self) -> MutexGuard<'_, HashMap<u64, TcpStream>> {
+        self.open.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Track `stream` until [`Connections::close`].  A connection that
+    /// arrives after shutdown began is closed for reading here: under the
+    /// lock, either `close_reads` already ran and set the flag first, or it
+    /// has yet to run and will find the entry.
+    fn open(&self, stream: &TcpStream, shutdown: &AtomicBool) -> Option<u64> {
+        let tracked = stream.try_clone().ok()?;
+        let mut open = self.lock();
+        if shutdown.load(Ordering::SeqCst) {
+            let _ = tracked.shutdown(Shutdown::Read);
+        }
+        let id = self.next_id.fetch_add(1, Ordering::Relaxed);
+        open.insert(id, tracked);
+        Some(id)
+    }
+
+    fn close(&self, id: Option<u64>) {
+        if let Some(id) = id {
+            self.lock().remove(&id);
+        }
+    }
+
+    fn close_reads(&self) {
+        for stream in self.lock().values() {
+            let _ = stream.shutdown(Shutdown::Read);
+        }
+    }
 }
 
 impl HttpServer {
@@ -355,8 +404,8 @@ impl HttpServer {
     {
         let listener = TcpListener::bind(("127.0.0.1", port))?;
         let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let shutdown = Arc::new(AtomicBool::new(false));
+        let connections = Arc::new(Connections::default());
         let handler = Arc::new(handler);
         let config = Arc::new(config);
         let (tx, rx): (SyncSender<TcpStream>, Receiver<TcpStream>) =
@@ -369,6 +418,7 @@ impl HttpServer {
             let handler = Arc::clone(&handler);
             let config = Arc::clone(&config);
             let shutdown = Arc::clone(&shutdown);
+            let connections = Arc::clone(&connections);
             workers.push(std::thread::spawn(move || loop {
                 // Holding the lock only while waiting: once a connection is
                 // received the lock drops and the next worker can wait.
@@ -384,18 +434,23 @@ impl HttpServer {
                 // A panicking handler must cost one connection, not a pool
                 // worker — with a bounded pool, `workers` leaked panics
                 // would otherwise brick the whole server.
+                let id = connections.open(&stream, &shutdown);
                 let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let _ = handle_connection(stream, handler.as_ref(), &config, &shutdown);
                 }));
+                connections.close(id);
             }));
         }
 
         let shutdown_flag = Arc::clone(&shutdown);
         let accept_handle = std::thread::spawn(move || {
             // `tx` is moved in here; dropping it on exit stops the workers.
-            while !shutdown_flag.load(Ordering::Relaxed) {
-                match listener.accept() {
-                    Ok((stream, _)) => match tx.try_send(stream) {
+            for stream in listener.incoming() {
+                if shutdown_flag.load(Ordering::SeqCst) {
+                    break;
+                }
+                match stream {
+                    Ok(stream) => match tx.try_send(stream) {
                         Ok(()) => {}
                         Err(TrySendError::Full(stream)) => {
                             // Bounded overload behaviour: shed the
@@ -409,9 +464,6 @@ impl HttpServer {
                         }
                         Err(TrySendError::Disconnected(_)) => break,
                     },
-                    Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
                     Err(_) => break,
                 }
             }
@@ -419,6 +471,7 @@ impl HttpServer {
         Ok(HttpServer {
             addr,
             shutdown,
+            connections,
             accept_handle: Some(accept_handle),
             workers,
         })
@@ -429,16 +482,26 @@ impl HttpServer {
         self.addr
     }
 
-    /// Stop accepting connections and join the accept thread and workers.
+    /// Stop accepting connections, close idle keep-alive connections and
+    /// join the accept thread and workers.  Requests already read are
+    /// answered first.
     pub fn stop(mut self) {
         self.shutdown_and_join();
     }
 
     fn shutdown_and_join(&mut self) {
-        self.shutdown.store(true, Ordering::Relaxed);
+        self.shutdown.store(true, Ordering::SeqCst);
         if let Some(h) = self.accept_handle.take() {
+            // One connection of our own wakes the blocked `accept` to see
+            // the flag.  If it cannot be made, the threads are left to
+            // finish on their own rather than joined forever.
+            if !h.is_finished() && TcpStream::connect(self.addr).is_err() {
+                self.workers.clear();
+                return;
+            }
             let _ = h.join();
         }
+        self.connections.close_reads();
         for h in self.workers.drain(..) {
             let _ = h.join();
         }
@@ -944,6 +1007,52 @@ mod tests {
         }
         drop(client);
         server.stop();
+    }
+
+    #[test]
+    fn rotating_every_connection_costs_no_accept_poll() {
+        let config = ServerConfig {
+            max_keep_alive_requests: 1,
+            ..ServerConfig::default()
+        };
+        let server = HttpServer::start_with(0, config, |req| {
+            Response::ok("text/plain", req.path.clone())
+        })
+        .unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        // Every response says `Connection: close`, so each request waits
+        // for the accept thread to take a new connection.
+        let started = std::time::Instant::now();
+        for i in 0..200 {
+            let (status, body) = client.get(&format!("/r{i}")).unwrap();
+            assert_eq!(status, 200, "request {i}");
+            assert_eq!(body, format!("/r{i}"));
+        }
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(250),
+            "200 rotated requests took {elapsed:?}"
+        );
+        drop(client);
+        server.stop();
+    }
+
+    #[test]
+    fn stop_closes_an_idle_keep_alive_connection() {
+        let server =
+            HttpServer::start(0, |req| Response::ok("text/plain", req.path.clone())).unwrap();
+        let mut client = HttpClient::connect(server.addr()).unwrap();
+        // A worker now waits in `read` for this client's next request.
+        assert_eq!(client.get("/idle").unwrap().0, 200);
+        let started = std::time::Instant::now();
+        server.stop();
+        let elapsed = started.elapsed();
+        assert!(
+            elapsed < Duration::from_millis(500),
+            "stop took {elapsed:?} with an idle client connected"
+        );
+        // The client sees the connection closed, not a hang.
+        assert!(client.get("/after").is_err());
     }
 
     #[test]

@@ -263,61 +263,76 @@ fn parse_allow(comment: &str, line: usize) -> Option<AllowDirective> {
 /// holding unit tests).  Findings inside tests are noise — `unwrap` in a
 /// test is idiomatic.
 pub fn strip_cfg_test(tokens: Vec<Tok>) -> Vec<Tok> {
+    let ranges = cfg_test_ranges(&tokens);
+    let mut ranges = ranges.iter().peekable();
     let mut out = Vec::with_capacity(tokens.len());
-    let mut i = 0;
-    while i < tokens.len() {
-        if is_cfg_test_attr(&tokens, i) {
-            // Skip the attribute itself: `#` `[` … matching `]`.
-            let mut depth = 0;
-            while i < tokens.len() {
-                match tokens[i].text.as_str() {
-                    "[" => depth += 1,
-                    "]" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-            // Skip the annotated item: up to a top-level `;` or the
-            // matching `}` of its first brace block.  `nest` tracks all
-            // bracket kinds so a `;` inside `[u8; 4]` or `(…)` does not end
-            // the item early.
-            let (mut braces, mut nest) = (0i32, 0i32);
-            while i < tokens.len() {
-                match tokens[i].text.as_str() {
-                    "{" => {
-                        braces += 1;
-                        nest += 1;
-                    }
-                    "(" | "[" => nest += 1,
-                    ")" | "]" => nest -= 1,
-                    "}" => {
-                        braces -= 1;
-                        nest -= 1;
-                        if braces == 0 {
-                            i += 1;
-                            break;
-                        }
-                    }
-                    ";" if nest == 0 => {
-                        i += 1;
-                        break;
-                    }
-                    _ => {}
-                }
-                i += 1;
-            }
-        } else {
-            out.push(tokens[i].clone());
-            i += 1;
+    for (i, tok) in tokens.into_iter().enumerate() {
+        while ranges.next_if(|r| r.end <= i).is_some() {}
+        if !ranges.peek().is_some_and(|r| r.contains(&i)) {
+            out.push(tok);
         }
     }
     out
+}
+
+/// The token index ranges of every `#[cfg(test)]` item, attribute included,
+/// in order.
+pub fn cfg_test_ranges(tokens: &[Tok]) -> Vec<std::ops::Range<usize>> {
+    let mut ranges = Vec::new();
+    let mut i = 0;
+    while i < tokens.len() {
+        if !is_cfg_test_attr(tokens, i) {
+            i += 1;
+            continue;
+        }
+        let start = i;
+        // Skip the attribute itself: `#` `[` … matching `]`.
+        let mut depth = 0;
+        while i < tokens.len() {
+            match tokens[i].text.as_str() {
+                "[" => depth += 1,
+                "]" => {
+                    depth -= 1;
+                    if depth == 0 {
+                        i += 1;
+                        break;
+                    }
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        // Skip the annotated item: up to a top-level `;` or the matching
+        // `}` of its first brace block.  `nest` tracks all bracket kinds so
+        // a `;` inside `[u8; 4]` or `(…)` does not end the item early.
+        let (mut braces, mut nest) = (0i32, 0i32);
+        while i < tokens.len() {
+            match tokens[i].text.as_str() {
+                "{" => {
+                    braces += 1;
+                    nest += 1;
+                }
+                "(" | "[" => nest += 1,
+                ")" | "]" => nest -= 1,
+                "}" => {
+                    braces -= 1;
+                    nest -= 1;
+                    if braces == 0 {
+                        i += 1;
+                        break;
+                    }
+                }
+                ";" if nest == 0 => {
+                    i += 1;
+                    break;
+                }
+                _ => {}
+            }
+            i += 1;
+        }
+        ranges.push(start..i);
+    }
+    ranges
 }
 
 /// Does `#` at `i` start a `#[cfg(test)]`-style attribute (any cfg whose

@@ -14,6 +14,7 @@
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
 //! | `ci-drift` | .github/workflows/ci.yml | `-p <package>` / `--bin <name>` that the workspace no longer has |
+//! | `loc-ceiling` | every workspace crate | more non-test lines than the ceiling committed in `loc.rs` (or no ceiling) |
 //!
 //! Escapes: `// skylint: allow(<lint>) <reason>` on the finding's line or
 //! the line above.  The reason is mandatory; unused escapes are themselves
@@ -106,13 +107,14 @@ pub fn run(root: &Path) -> std::io::Result<Vec<Finding>> {
     }
     check_doc_links(root, &mut findings)?;
     check_ci_drift(root, &mut findings)?;
+    check_loc_ceilings(root, &mut findings)?;
     findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
     Ok(findings)
 }
 
 /// The workspace's own crates (vendored stand-ins are third-party code and
 /// exempt).
-fn workspace_crates(root: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn workspace_crates(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     for entry in std::fs::read_dir(root.join("crates"))? {
         let path = entry?.path();
@@ -124,7 +126,7 @@ fn workspace_crates(root: &Path) -> std::io::Result<Vec<PathBuf>> {
     Ok(out)
 }
 
-fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
+pub(crate) fn rust_files(dir: &Path) -> std::io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     if !dir.exists() {
         return Ok(out);
@@ -411,6 +413,25 @@ fn check_doc_links(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<
                 }
             }
         }
+    }
+    Ok(())
+}
+
+/// `loc-ceiling`: every crate stays within its committed non-test line
+/// ceiling ([`crate::loc::CEILINGS`]), and every crate has one.
+fn check_loc_ceilings(root: &Path, findings: &mut Vec<Finding>) -> std::io::Result<()> {
+    for c in crate::loc::count(root)? {
+        let message = match c.ceiling {
+            Some(ceiling) if c.lines <= ceiling => continue,
+            Some(ceiling) => format!("{} non-test lines exceed the ceiling of {ceiling}", c.lines),
+            None => format!("{} non-test lines and no committed ceiling", c.lines),
+        };
+        findings.push(Finding {
+            file: PathBuf::from("crates").join(&c.name).join("src"),
+            line: 1,
+            lint: "loc-ceiling",
+            message,
+        });
     }
     Ok(())
 }

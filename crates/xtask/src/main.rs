@@ -1,13 +1,17 @@
-//! Workspace automation tasks (`cargo run -p xtask -- <task>`).
+//! Workspace automation tasks (`cargo xtask <task>`, an alias for
+//! `cargo run -p xtask -- <task>`).
 //!
-//! The only task today is `lint` — the **skylint** repo-specific lint pass
-//! described in ARCHITECTURE.md ("Static analysis & verification").  It is
-//! wired into CI as a named step and fails the build on any finding.
+//! * `lint` — the **skylint** repo-specific lint pass described in
+//!   ARCHITECTURE.md ("Static analysis & verification").  It is wired into
+//!   CI as a named step and fails the build on any finding.
+//! * `loc` — non-test lines per crate against the committed ceilings that
+//!   skylint's `loc-ceiling` rule enforces.
 
 #![forbid(unsafe_code)]
 
 mod lexer;
 mod lints;
+mod loc;
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -16,13 +20,14 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("lint") => run_lint(),
+        Some("loc") => run_loc(),
         Some(other) => {
             eprintln!("unknown task: {other}");
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo xtask lint|loc");
             ExitCode::FAILURE
         }
         None => {
-            eprintln!("usage: cargo run -p xtask -- lint");
+            eprintln!("usage: cargo xtask lint|loc");
             ExitCode::FAILURE
         }
     }
@@ -44,6 +49,23 @@ fn run_lint() -> ExitCode {
         }
         Err(e) => {
             eprintln!("skylint: io error: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn run_loc() -> ExitCode {
+    match loc::count(&workspace_root()) {
+        Ok(crates) => {
+            println!("{:<10} {:>7} {:>8}", "crate", "lines", "ceiling");
+            for c in &crates {
+                let ceiling = c.ceiling.map_or("-".to_string(), |n| n.to_string());
+                println!("{:<10} {:>7} {:>8}", c.name, c.lines, ceiling);
+            }
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("loc: io error: {e}");
             ExitCode::FAILURE
         }
     }
@@ -98,6 +120,19 @@ mod tests {
         assert!(!texts.contains(&"unwrap"));
         assert!(texts.contains(&"live"));
         assert!(texts.contains(&"also_live"));
+    }
+
+    #[test]
+    fn non_test_lines_leave_out_cfg_test_items() {
+        let src = "fn live() {}\n\
+                   #[cfg(test)]\n\
+                   mod tests {\n\
+                   fn t() {}\n\
+                   }\n\
+                   // a comment still counts\n\
+                   #[cfg(test)]\n\
+                   use x::y;\n";
+        assert_eq!(crate::loc::non_test_lines(src), 2);
     }
 
     #[test]
