@@ -6,12 +6,13 @@
 //! ```text
 //! reproduce [--scale tiny|personal|benchmark] [experiment ...]
 //!
-//! experiments: table1 fig5 fig10 fig11 fig12 fig13 fig15 micro load all
+//! experiments: load table1 fig5 fig10 fig11 fig12 fig13 fig15 micro all
 //! ```
 //!
 //! Every section prints the paper's reported values next to the values
-//! measured (or model-projected) on this machine, so EXPERIMENTS.md can be
-//! regenerated by piping the output to a file.
+//! measured (or model-projected) on this machine.  With no experiment names
+//! every experiment runs; an unknown name or scale exits 2 before anything
+//! is built.
 
 use skyserver::storage::{CpuCost, DiskConfig, HardwareProfile, IoSimulator};
 use skyserver::SkyServer;
@@ -19,49 +20,52 @@ use skyserver_bench::{build_server, human_bytes, human_rows, Scale};
 use skyserver_queries::{render_figure13, run_all, run_query, twenty_queries};
 use skyserver_web::{analyze_traffic, simulate_traffic, TrafficConfig};
 
+/// Every experiment, in the order `all` runs them.
+const EXPERIMENTS: [&str; 9] = [
+    "load", "table1", "fig5", "fig10", "fig11", "fig12", "fig13", "fig15", "micro",
+];
+
+/// Parse `[--scale S] [experiment ...]` (no names means all of them).
+/// Every name is checked here, so a typo fails before anything is built.
+fn parse_args(args: &[String]) -> Result<(Scale, Vec<&'static str>), String> {
+    let mut scale = Scale::Personal;
+    let mut experiments = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--scale" {
+            let name = args.next().map_or("", String::as_str);
+            scale = Scale::parse(name).ok_or("unknown scale; use tiny, personal or benchmark")?;
+        } else if arg.eq_ignore_ascii_case("all") {
+            experiments.extend(EXPERIMENTS);
+        } else {
+            let known = EXPERIMENTS
+                .into_iter()
+                .find(|e| e.eq_ignore_ascii_case(arg));
+            experiments.push(known.ok_or_else(|| format!("unknown experiment {arg}"))?);
+        }
+    }
+    if experiments.is_empty() {
+        experiments.extend(EXPERIMENTS);
+    }
+    Ok((scale, experiments))
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = Scale::Personal;
-    let mut experiments: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| Scale::parse(s))
-                    .unwrap_or_else(|| {
-                        eprintln!("unknown scale; use tiny, personal or benchmark");
-                        std::process::exit(2);
-                    });
-            }
-            "--help" | "-h" => {
-                println!("reproduce [--scale tiny|personal|benchmark] [table1 fig5 fig10 fig11 fig12 fig13 fig15 micro load all]");
-                return;
-            }
-            other => experiments.push(other.to_ascii_lowercase()),
-        }
-        i += 1;
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        let names = EXPERIMENTS.join(" ");
+        println!("reproduce [--scale tiny|personal|benchmark] [{names} all]");
+        return;
     }
-    if experiments.is_empty() || experiments.iter().any(|e| e == "all") {
-        experiments = vec![
-            "load".into(),
-            "table1".into(),
-            "fig5".into(),
-            "fig10".into(),
-            "fig11".into(),
-            "fig12".into(),
-            "fig13".into(),
-            "fig15".into(),
-            "micro".into(),
-        ];
-    }
+    let (scale, experiments) = parse_args(&args).unwrap_or_else(|message| {
+        eprintln!("{message}; see --help");
+        std::process::exit(2);
+    });
 
     // fig5 and fig15 don't need the loaded database.
-    let needs_db = experiments.iter().any(|e| e != "fig5" && e != "fig15");
+    let needs_db = experiments.iter().any(|e| *e != "fig5" && *e != "fig15");
     println!("== SkyServer reproduction harness (scale: {scale:?}) ==\n");
-    let mut server = if needs_db {
+    let mut server = needs_db.then(|| {
         let started = std::time::Instant::now();
         let server = build_server(scale);
         println!(
@@ -70,13 +74,11 @@ fn main() {
             human_rows(server.counts().spec_obj as u64),
             started.elapsed().as_secs_f64()
         );
-        Some(server)
-    } else {
-        None
-    };
+        server
+    });
 
-    for experiment in &experiments {
-        match experiment.as_str() {
+    for experiment in experiments {
+        match experiment {
             "load" => load_report(server.as_ref().expect("db built")),
             "table1" => table1(server.as_ref().expect("db built")),
             "fig5" => fig5(),
@@ -86,7 +88,7 @@ fn main() {
             "fig13" => fig13(server.as_mut().expect("db built")),
             "fig15" => fig15(),
             "micro" => micro(server.as_mut().expect("db built")),
-            other => eprintln!("unknown experiment {other}; skipping"),
+            other => unreachable!("parse_args yields only known experiments, not {other}"),
         }
         println!();
     }
@@ -322,4 +324,40 @@ fn micro(server: &mut SkyServer) {
         filtered_time,
         filtered_time / count_time.max(1e-9)
     );
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(Scale, Vec<&'static str>), String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn no_experiments_and_all_run_everything_in_order() {
+        let everything = EXPERIMENTS.to_vec();
+        assert_eq!(parse(&[]), Ok((Scale::Personal, everything.clone())));
+        assert_eq!(
+            parse(&["--scale", "tiny"]),
+            Ok((Scale::Tiny, everything.clone()))
+        );
+        assert_eq!(parse(&["ALL"]), Ok((Scale::Personal, everything)));
+    }
+
+    #[test]
+    fn named_experiments_keep_their_order_and_ignore_case() {
+        assert_eq!(
+            parse(&["Fig13", "--scale", "benchmark", "load"]),
+            Ok((Scale::Benchmark, vec!["fig13", "load"]))
+        );
+    }
+
+    #[test]
+    fn unknown_names_and_scales_are_errors() {
+        let err = parse(&["--scale", "tiny", "fig10", "fig99"]).unwrap_err();
+        assert_eq!(err, "unknown experiment fig99");
+        assert!(parse(&["--scale", "huge"]).unwrap_err().contains("scale"));
+        assert!(parse(&["--scale"]).unwrap_err().contains("scale"));
+    }
 }

@@ -1,13 +1,12 @@
 //! # skyserver-bench
 //!
-//! The benchmark harness of the reproduction.  Two entry points:
-//!
-//! * the `reproduce` binary regenerates every table and figure of the
-//!   paper's evaluation (Table 1, Figures 5, 10, 11, 12, 13, 15 and the §12
-//!   micro-measurements) against the synthetic catalog and prints
-//!   paper-value vs measured-value side by side;
-//! * the `http_bench` and `sql_bench` binaries record the tracked serving
-//!   and SQL-executor suites (`BENCH.json`, `BENCH_SQL.json`).
+//! The paper-reproduction harness.  The `reproduce` binary regenerates
+//! every table and figure of the paper's evaluation (Table 1, Figures 5, 10,
+//! 11, 12, 13, 15 and the §12 micro-measurements) against the synthetic
+//! catalog and prints paper-value vs measured-value side by side.  The
+//! library builds a catalog at a named [`Scale`] for the binary and for
+//! tests.  The tracked performance benchmark is skybench, under
+//! `benchmarks/`.
 
 #![forbid(unsafe_code)]
 

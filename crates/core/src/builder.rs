@@ -6,22 +6,18 @@ use skyserver_loader::{load_survey, LoadReport};
 use skyserver_schema::{create_engine, describe_schema, SchemaDescription};
 use skyserver_skygen::{Survey, SurveyConfig, SurveyCounts};
 use skyserver_sql::{PlanClass, QueryLimits, ResultSet, SqlEngine, StatementOutcome};
-use skyserver_storage::{DiskConfig, HardwareProfile, IoSimulator, TableSummary};
+use skyserver_storage::TableSummary;
 
 /// Builder for a [`SkyServer`].
 #[derive(Debug, Clone)]
 pub struct SkyServerBuilder {
     config: SurveyConfig,
-    hardware: IoSimulator,
-    database_name: String,
 }
 
 impl Default for SkyServerBuilder {
     fn default() -> Self {
         SkyServerBuilder {
             config: SurveyConfig::personal_skyserver(),
-            hardware: IoSimulator::skyserver_production(),
-            database_name: "SkyServer".to_string(),
         }
     }
 }
@@ -44,23 +40,10 @@ impl SkyServerBuilder {
         self
     }
 
-    /// Model a different hardware configuration for simulated timings.
-    pub fn with_hardware(mut self, profile: HardwareProfile, disks: DiskConfig) -> Self {
-        self.hardware = IoSimulator::new(profile, disks);
-        self
-    }
-
-    /// Name the database.
-    pub fn with_database_name(mut self, name: impl Into<String>) -> Self {
-        self.database_name = name.into();
-        self
-    }
-
     /// Generate the survey, install the schema and load everything.
     pub fn build(self) -> Result<SkyServer, SkyServerError> {
         let survey = Survey::generate(self.config.clone()).map_err(SkyServerError::Generation)?;
-        let mut engine = create_engine(&self.database_name)?;
-        engine.set_simulator(self.hardware);
+        let mut engine = create_engine("SkyServer")?;
         let load_report = load_survey(&mut engine, &survey)?;
         // The freshly loaded catalog is the first public data release.
         // Publishing is copy-on-write metadata only, so this is cheap.
@@ -87,11 +70,6 @@ pub struct SkyServer {
 }
 
 impl SkyServer {
-    /// Build with defaults (Personal-SkyServer scale).
-    pub fn build_default() -> Result<SkyServer, SkyServerError> {
-        SkyServerBuilder::new().build()
-    }
-
     /// The survey configuration the server was built from.
     pub fn config(&self) -> &SurveyConfig {
         &self.config

@@ -36,9 +36,9 @@ pub struct QueryReport {
     pub est_rows: Option<u64>,
     /// Violated invariants (empty = the query behaved as documented).
     pub violations: Vec<String>,
-    /// Heap rows read by full scans (raw counter; `BENCH_SQL.json` tracks
-    /// this so executor refactors cannot silently change the access
-    /// pattern).
+    /// Heap rows read by full scans (raw counter; `stats_regression` pins
+    /// the same counter so executor refactors cannot silently change the
+    /// access pattern).
     pub rows_scanned: u64,
     /// Rows read through indices (seeks and covering scans).
     pub rows_from_index: u64,

@@ -50,7 +50,6 @@ pub struct SqlEngine {
     /// segments and indexes with the head and with other releases.
     releases: ReleaseCatalog,
     functions: FunctionRegistry,
-    simulator: IoSimulator,
     /// Multiplier applied when projecting measured scans to the paper's data
     /// volume (e.g. 14 M photoObj rows / rows generated).
     paper_scale_factor: Option<f64>,
@@ -62,8 +61,8 @@ pub struct SqlEngine {
     parallel_scan_threshold: usize,
     /// Let the optimizer reorder joins and re-cost access paths from table
     /// statistics (default).  Off = syntactic join order; the baseline the
-    /// join-ordering bench phase and the equivalence proptest compare
-    /// against ([`SqlEngine::set_cost_based_ordering`]).
+    /// join-ordering tests and the equivalence proptest compare against
+    /// ([`SqlEngine::set_cost_based_ordering`]).
     cost_based_ordering: bool,
     /// Cumulative execution counters (atomics: bumped through `&self` by
     /// concurrent readers).
@@ -110,7 +109,6 @@ impl SqlEngine {
             db,
             releases: ReleaseCatalog::new(),
             functions,
-            simulator: IoSimulator::skyserver_production(),
             paper_scale_factor: None,
             variables: RwLock::new(HashMap::new()),
             parallel_scan_threshold: crate::planner::PARALLEL_SCAN_THRESHOLD,
@@ -187,7 +185,6 @@ impl SqlEngine {
             db: self.db.clone(),
             releases: self.releases.clone(),
             functions: self.functions.clone(),
-            simulator: self.simulator,
             paper_scale_factor: self.paper_scale_factor,
             variables: RwLock::new(
                 self.variables
@@ -209,8 +206,8 @@ impl SqlEngine {
 
     /// Enable or disable statistics-driven join ordering and access-path
     /// costing (on by default).  Disabling pins the syntactic join order —
-    /// the baseline for the join-ordering bench phase and the escape hatch
-    /// if an estimate misfires.
+    /// the baseline for the join-ordering tests and the escape hatch if an
+    /// estimate misfires.
     pub fn set_cost_based_ordering(&mut self, enabled: bool) {
         self.cost_based_ordering = enabled;
     }
@@ -234,11 +231,6 @@ impl SqlEngine {
     /// Read-only access to the function registry.
     pub fn functions(&self) -> &FunctionRegistry {
         &self.functions
-    }
-
-    /// Configure the hardware model used for simulated timings.
-    pub fn set_simulator(&mut self, sim: IoSimulator) {
-        self.simulator = sim;
     }
 
     /// Configure the data-volume scale factor used for paper-scale timing
@@ -671,7 +663,7 @@ impl SqlEngine {
         let stats = ExecutionStats::from_scan(
             executed.stats,
             wall,
-            &self.simulator,
+            &IoSimulator::skyserver_production(),
             plan_is_predicate_heavy(&plan),
             self.paper_scale_factor,
         );
@@ -833,7 +825,7 @@ impl SqlEngine {
             stats: ExecutionStats::from_scan(
                 scan,
                 started.elapsed(),
-                &self.simulator,
+                &IoSimulator::skyserver_production(),
                 false,
                 self.paper_scale_factor,
             ),

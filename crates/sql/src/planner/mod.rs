@@ -86,8 +86,8 @@ impl<'a> Planner<'a> {
     }
 
     /// Enable or disable the statistics-driven join-ordering rule.  Off,
-    /// joins keep their syntactic order — the baseline `sql_bench` measures
-    /// the optimizer against.
+    /// joins keep their syntactic order — the baseline the join-ordering
+    /// tests in `cardinality_accuracy` measure the optimizer against.
     pub fn with_cost_based_ordering(mut self, enabled: bool) -> Self {
         self.cost_based_ordering = enabled;
         self

@@ -9,6 +9,11 @@
 //! (the model got worse), and a estimate drifting past its bound is exactly
 //! the regression this harness exists to catch.  The catalog is seeded, so
 //! every number here is deterministic.
+//!
+//! The join-ordering tests run the `Neighbors`/`PhotoObj` self-join queries
+//! (Q14, Q17, Q18) with the cost-based ordering pass on and off and pin
+//! that the optimized plan never evaluates more predicates than the
+//! syntactic order — and, for Q14 and Q18, at least 2x fewer.
 
 use skyserver_bench::{build_server, Scale};
 use skyserver_queries::{run_all, twenty_queries};
@@ -123,4 +128,48 @@ fn estimates_never_exceed_the_base_cardinality_on_single_table_scans() {
         "estimate {est} exceeds PhotoObj's {photo_rows} rows"
     );
     assert!(est > 0, "a populated table's filtered scan estimates > 0");
+}
+
+/// Run `id` with cost-based join ordering on, then off (the syntactic
+/// order): both must return the same number of rows, and the cost-based
+/// plan must evaluate at most `1 / min_ratio` of the syntactic predicates.
+fn assert_join_ordering_wins(id: &str, min_ratio: u64) {
+    let mut server = build_server(Scale::Tiny);
+    let query = twenty_queries()
+        .into_iter()
+        .find(|q| q.id == id)
+        .unwrap_or_else(|| panic!("{id} missing from the documented suite"));
+    let sql = query.sql.trim();
+    let on = server.execute(sql).expect("the cost-based plan runs");
+    server.engine_mut().set_cost_based_ordering(false);
+    let off = server.execute(sql).expect("the syntactic plan runs");
+    assert_eq!(
+        on.result.len(),
+        off.result.len(),
+        "{id}: join orders disagree"
+    );
+    let (on, off) = (
+        on.stats.stats.predicates_evaluated,
+        off.stats.stats.predicates_evaluated,
+    );
+    assert!(
+        on.saturating_mul(min_ratio) <= off,
+        "{id}: cost-based plan evaluates {on} predicates, syntactic order {off} \
+         (needs at least {min_ratio}x fewer)"
+    );
+}
+
+#[test]
+fn join_ordering_cuts_q14_predicates_at_least_2x() {
+    assert_join_ordering_wins("Q14", 2);
+}
+
+#[test]
+fn join_ordering_never_adds_q17_predicates() {
+    assert_join_ordering_wins("Q17", 1);
+}
+
+#[test]
+fn join_ordering_cuts_q18_predicates_at_least_2x() {
+    assert_join_ordering_wins("Q18", 2);
 }

@@ -142,11 +142,6 @@ impl Response {
         Response::with_status(503, message)
     }
 
-    /// 429 Too Many Requests (a per-submitter job quota was hit).
-    pub fn too_many_requests(message: &str) -> Response {
-        Response::with_status(429, message)
-    }
-
     /// Attach an extra response header (builder style).
     pub fn with_header(mut self, name: &str, value: &str) -> Response {
         self.headers.push((name.to_string(), value.to_string()));

@@ -555,6 +555,7 @@ pub fn approx_result_bytes(result: &ResultSet) -> u64 {
 mod tests {
     use super::*;
     use skyserver_storage::Value;
+    use std::sync::atomic::AtomicUsize;
 
     /// A runner that needs no SkyServer: interprets the "sql" as a row
     /// count and fabricates that many rows, ticking the monitor per row
@@ -631,6 +632,37 @@ mod tests {
         assert!(status.run_seconds.is_some());
         let result = queue.result(id).unwrap();
         assert_eq!(result.len(), 5);
+        queue.shutdown();
+    }
+
+    #[test]
+    fn batch_jobs_run_one_at_a_time_under_the_configured_pace() {
+        // What keeps batched scans from competing with interactive
+        // traffic: the queue's workers bound how many jobs run at once,
+        // and every job's monitor carries the queue's duty-cycle brake.
+        let running = Arc::new(AtomicUsize::new(0));
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let runner: Arc<JobRunner> = {
+            let (running, seen) = (Arc::clone(&running), Arc::clone(&seen));
+            Arc::new(move |_: &str, _: QueryLimits, monitor: &QueryMonitor| {
+                let concurrent = running.fetch_add(1, Ordering::SeqCst) + 1;
+                seen.lock().unwrap().push((concurrent, monitor.pace()));
+                std::thread::sleep(Duration::from_millis(5));
+                running.fetch_sub(1, Ordering::SeqCst);
+                Ok(ResultSet::default())
+            })
+        };
+        let queue = JobQueue::start(quick_config(), runner);
+        let ids: Vec<u64> = ["alice", "bob", "carol"]
+            .iter()
+            .map(|who| queue.submit(who, "1").unwrap())
+            .collect();
+        wait_for("every job done", || {
+            ids.iter()
+                .all(|&id| queue.status(id).unwrap().state == JobState::Done)
+        });
+        let paced_solo = (1, quick_config().pace);
+        assert_eq!(*seen.lock().unwrap(), vec![paced_solo; 3]);
         queue.shutdown();
     }
 

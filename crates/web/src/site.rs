@@ -75,13 +75,7 @@ pub const LANGUAGES: [&str; 3] = ["en", "jp", "de"];
 impl SkyServerSite {
     /// Wrap a loaded SkyServer.
     pub fn new(sky: SkyServer) -> Arc<SkyServerSite> {
-        SkyServerSite::new_with_cache(sky, RESULT_CACHE_CAPACITY)
-    }
-
-    /// Wrap a loaded SkyServer with an explicit result-cache capacity
-    /// (0 disables the cache — used by the benchmark's no-cache baseline).
-    pub fn new_with_cache(sky: SkyServer, cache_capacity: usize) -> Arc<SkyServerSite> {
-        SkyServerSite::new_with(sky, cache_capacity, JobQueueConfig::default())
+        SkyServerSite::new_with(sky, RESULT_CACHE_CAPACITY, JobQueueConfig::default())
     }
 
     /// Wrap a loaded SkyServer with explicit cache and job-tier settings.
@@ -94,8 +88,8 @@ impl SkyServerSite {
     }
 
     /// Wrap a loaded SkyServer with explicit cache, job-tier and
-    /// admission-control settings (the overload benchmark and the chaos
-    /// suite shrink the in-flight cap and the deadline).
+    /// admission-control settings (the chaos and API-conformance suites
+    /// shrink the in-flight cap and the deadline).
     pub fn new_with_governor(
         sky: SkyServer,
         cache_capacity: usize,

@@ -11,16 +11,16 @@ use std::path::Path;
 /// The committed ceilings, by crate directory under `crates/`.  They only
 /// go down; a change that raises one says why in CHANGES.md.
 pub const CEILINGS: &[(&str, usize)] = &[
-    ("bench", 2070),
-    ("core", 572),
+    ("bench", 410),
+    ("core", 550),
     ("htm", 911),
     ("loader", 845),
     ("queries", 753),
     ("schema", 919),
     ("skygen", 1768),
-    ("sql", 12657),
+    ("sql", 12649),
     ("storage", 4130),
-    ("web", 5007),
+    ("web", 4996),
     ("xtask", 1053),
 ];
 
