@@ -25,8 +25,9 @@ use crate::ast::{
     Expr, FromItem, InsertSource, SelectItem, SelectStatement, Statement, TableSource,
 };
 use crate::error::SqlError;
+use crate::exec::compile::{compile, eval_constant, CompiledExpr};
 use crate::executor::{Executor, QueryLimits};
-use crate::expr::{eval, EvalContext, RowSchema};
+use crate::expr::{EvalContext, RowSchema};
 use crate::functions::FunctionRegistry;
 use crate::monitor::QueryMonitor;
 use crate::parser::parse_script;
@@ -734,9 +735,7 @@ impl SqlEngine {
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         let value_rows: Vec<Vec<Value>> = match &insert.source {
             InsertSource::Values(rows) => {
-                let schema = RowSchema::default();
                 let ctx = EvalContext {
-                    schema: &schema,
                     variables: &variables,
                     functions: &self.functions,
                     aggregates: None,
@@ -745,7 +744,7 @@ impl SqlEngine {
                     .map(|exprs| {
                         exprs
                             .iter()
-                            .map(|e| eval(e, &[], &ctx))
+                            .map(|e| eval_constant(e, &ctx))
                             .collect::<Result<Vec<_>, _>>()
                     })
                     .collect::<Result<_, _>>()?
@@ -840,17 +839,18 @@ impl SqlEngine {
         let table = self.db.table(&update.table)?;
         let names = table.schema().column_names();
         let schema = RowSchema::for_table(None, &names);
-        let assignment_positions: Vec<(usize, &Expr)> = update
+        // Compiled before the victim search, so an unknown name fails the
+        // statement however many rows match.
+        let assignments: Vec<(usize, CompiledExpr)> = update
             .assignments
             .iter()
             .map(|(col, e)| {
-                table
-                    .schema()
-                    .column_index(col)
-                    .map(|i| (i, e))
-                    .ok_or_else(|| SqlError::Plan(format!("unknown column {col}")))
+                let Some(position) = table.schema().column_index(col) else {
+                    return Err(SqlError::Plan(format!("unknown column {col}")));
+                };
+                Ok((position, compile(e, &schema, &self.functions)?))
             })
-            .collect::<Result<_, _>>()?;
+            .collect::<Result<_, SqlError>>()?;
         let variables = self
             .variables
             .read()
@@ -858,7 +858,6 @@ impl SqlEngine {
         let (victims, scan) =
             self.dml_victims(&update.table, update.selection.as_ref(), &variables)?;
         let ctx = EvalContext {
-            schema: &schema,
             variables: &variables,
             functions: &self.functions,
             aggregates: None,
@@ -871,8 +870,8 @@ impl SqlEngine {
                 continue;
             };
             let mut new_row = row.clone();
-            for (pos, expr) in &assignment_positions {
-                new_row[*pos] = eval(expr, &row, &ctx)?;
+            for (pos, program) in &assignments {
+                new_row[*pos] = program.eval(&row, &ctx)?;
             }
             changes.push((row_id, ts, new_row));
         }
@@ -915,14 +914,12 @@ fn eval_variable(
     variables: &HashMap<String, Value>,
     functions: &FunctionRegistry,
 ) -> Result<Value, SqlError> {
-    let schema = RowSchema::default();
     let ctx = EvalContext {
-        schema: &schema,
         variables,
         functions,
         aggregates: None,
     };
-    eval(expr, &[], &ctx)
+    eval_constant(expr, &ctx)
 }
 
 /// Human-readable statement kind for read-only-violation errors.
@@ -1509,6 +1506,49 @@ mod tests {
                 assert_eq!(e.query(&sql).unwrap_err(), err, "{sql}");
             }
         }
+        // UPDATE binds its assignments before it looks for victims.
+        let mut e = e;
+        for value in ["dbo.fNoSuch(1)", "noSuchColumn"] {
+            for filter in ["objID = -1", "1 = 0", "objID < 50"] {
+                let sql = format!("update photoObj set objID = {value} where {filter}");
+                let err = e.execute(&sql, QueryLimits::UNLIMITED).expect_err(&sql);
+                if value.contains("fNoSuch") {
+                    assert!(matches!(err, SqlError::UnknownFunction(_)), "{sql}: {err}");
+                } else {
+                    assert!(matches!(err, SqlError::Plan(_)), "{sql}: {err}");
+                }
+            }
+        }
+    }
+
+    /// An integer result outside 64 bits is T-SQL's error 8115, raised as
+    /// a statement error: neither a panic nor a wrapped value.
+    fn assert_overflow(sql: &str) {
+        let err = engine().query(sql).expect_err(sql);
+        assert!(
+            matches!(&err, SqlError::Execution(m) if m.contains("arithmetic overflow")),
+            "{sql}: {err}"
+        );
+    }
+
+    #[test]
+    fn modulo_of_the_smallest_bigint_by_minus_one_is_an_overflow_error() {
+        assert_overflow("select (-9223372036854775807 - 1) % -1");
+    }
+
+    #[test]
+    fn negating_the_smallest_bigint_is_an_overflow_error() {
+        assert_overflow("select -(-9223372036854775807 - 1)");
+    }
+
+    #[test]
+    fn adding_past_the_largest_bigint_is_an_overflow_error() {
+        assert_overflow("select 9223372036854775807 + 1");
+    }
+
+    #[test]
+    fn abs_of_the_smallest_bigint_is_an_overflow_error() {
+        assert_overflow("select abs(-9223372036854775807 - 1)");
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Expression compilation: from AST [`Expr`] trees to ordinal-resolved,
-//! constant-folded programs evaluated once per row without name lookups.
+//! constant-folded programs — the only way the engine evaluates an
+//! expression.
 //!
-//! The tree-walking interpreter in [`crate::expr`] resolves every column
-//! reference by scanning the [`RowSchema`] with case-insensitive string
-//! compares, lowercases variable names, normalizes function names and
-//! re-parses `LIKE` patterns — *per row*.  On the paper's scan-heavy
-//! workload (20 data-mining queries over multi-million-row tables, Figure
-//! 13) that bookkeeping dominates the scan loop.  A [`CompiledExpr`] does
-//! all of it once, at plan-finalization time:
+//! Resolving a column reference means scanning the [`RowSchema`] with
+//! case-insensitive string compares; a variable name is lowercased, a
+//! function name normalized and a `LIKE` pattern parsed.  On the paper's
+//! scan-heavy workload (20 data-mining queries over multi-million-row
+//! tables, Figure 13) doing that per row would dominate the scan loop.  A
+//! [`CompiledExpr`] does all of it once, at plan-finalization time:
 //!
 //! * column references become pre-resolved **ordinals** ([`CompiledExpr::Col`]),
 //! * literal and constant subtrees are **folded** (only when folding cannot
@@ -18,10 +18,11 @@
 //! * variable / function / aggregate names are pre-normalized so the per-row
 //!   lookups allocate nothing.
 //!
-//! Evaluation semantics are *identical* to the interpreter (three-valued
-//! logic, NULL propagation, coercions, evaluation order, error sites) — a
-//! property test in `tests/compiled_equivalence.rs` pins compiled ≡
-//! interpreted on randomized expression trees and rows.
+//! Expressions that read no row — INSERT VALUES, `SET @v`, table-function
+//! arguments, index seek bounds — compile against the empty schema and run
+//! once (`eval_constant`).  A property test in
+//! `tests/compiled_equivalence.rs` checks programs against an independent
+//! reference evaluator on randomized expression trees and rows.
 
 use crate::ast::{is_aggregate_name, BinaryOp, Expr, UnaryOp};
 use crate::error::SqlError;
@@ -91,8 +92,7 @@ impl LikeMatcher {
         }
     }
 
-    /// Does the text match?  Case-insensitive (ASCII), byte oriented —
-    /// exactly the semantics of [`crate::expr::like_match`].
+    /// Does the text match?  Case-insensitive (ASCII), byte oriented.
     pub fn matches(&self, text: &str) -> bool {
         let t = text.as_bytes();
         let segs = &self.segments;
@@ -151,8 +151,8 @@ impl LikeMatcher {
         true
     }
 
-    /// Match a [`Value`] the way the interpreter does: strings directly
-    /// (no allocation), everything else through its display form.
+    /// Match a [`Value`]: strings directly (no allocation), everything
+    /// else through its display form.
     pub fn matches_value(&self, v: &Value) -> bool {
         match v {
             Value::Str(s) => self.matches(s),
@@ -178,9 +178,8 @@ fn seg_match_at(seg: &[LikeAtom], t: &[u8], pos: usize) -> bool {
 /// An expression compiled against a fixed [`RowSchema`]: column references
 /// are ordinals, constants are folded, names are pre-normalized.
 ///
-/// Built by [`compile`]; evaluated with [`CompiledExpr::eval`] using the
-/// same [`EvalContext`] the interpreter takes (the schema field is unused —
-/// ordinals replaced it).
+/// Built by [`compile`]; evaluated with [`CompiledExpr::eval`] in an
+/// [`EvalContext`] (variables, functions, grouped aggregates).
 #[derive(Debug, Clone, PartialEq)]
 pub enum CompiledExpr {
     /// A literal or folded constant subtree.
@@ -413,8 +412,8 @@ impl CompiledExpr {
         }
     }
 
-    /// Evaluate the program against a row.  `ctx.schema` is ignored —
-    /// ordinals were resolved at compile time.
+    /// Evaluate the program against a row laid out as the schema it was
+    /// compiled against.
     pub fn eval(&self, row: &[Value], ctx: &EvalContext<'_>) -> Result<Value, SqlError> {
         match self {
             CompiledExpr::Const(v) => Ok(v.clone()),
@@ -587,9 +586,9 @@ impl CompiledExpr {
 
 /// Compile an expression against a row schema.
 ///
-/// Errors are what the interpreter would raise on the first row (unknown or
-/// ambiguous column, unknown function, stray `*`); the planner finalizer
-/// reports them as plan-time errors, however many rows qualify.
+/// Errors are the names that do not resolve (unknown or ambiguous column,
+/// unknown function) and a stray `*`; the planner finalizer reports them as
+/// plan-time errors, however many rows qualify.
 pub fn compile(
     expr: &Expr,
     schema: &RowSchema,
@@ -757,7 +756,7 @@ fn flatten_logical(
 /// * a *leading* absorbing constant (`FALSE AND ...`, `TRUE OR ...`) decides
 ///   the chain before anything else could run, so the whole chain folds —
 ///   a non-leading absorbing constant must stay, because the items before it
-///   still run (and may error) under interpreter semantics.
+///   still run (and may error) under short-circuit semantics.
 fn simplify_logical(op: BinaryOp, items: Vec<CompiledExpr>) -> CompiledExpr {
     let neutral = op == BinaryOp::And; // TRUE for AND, FALSE for OR
     let mut kept: Vec<CompiledExpr> = Vec::with_capacity(items.len());
@@ -786,6 +785,12 @@ fn simplify_logical(op: BinaryOp, items: Vec<CompiledExpr>) -> CompiledExpr {
     }
 }
 
+/// Evaluate an expression that reads no row: compile it against the empty
+/// schema and run the program once.
+pub(crate) fn eval_constant(expr: &Expr, ctx: &EvalContext<'_>) -> Result<Value, SqlError> {
+    compile(expr, &RowSchema::default(), ctx.functions)?.eval(&[], ctx)
+}
+
 /// Fold a node whose children are all constants by evaluating it once at
 /// compile time.  Nodes that could behave differently at runtime (variables,
 /// UDF calls, aggregates, column reads) are never folded, and a node whose
@@ -795,10 +800,8 @@ fn fold_constants(node: CompiledExpr, functions: &FunctionRegistry) -> CompiledE
     if !is_foldable(&node) {
         return node;
     }
-    let schema = RowSchema::default();
     let variables = HashMap::new();
     let ctx = EvalContext {
-        schema: &schema,
         variables: &variables,
         functions,
         aggregates: None,
@@ -1017,11 +1020,9 @@ mod tests {
     }
 
     fn eval_compiled(ce: &CompiledExpr, row: &[Value]) -> Value {
-        let schema = RowSchema::default();
         let vars = HashMap::new();
         let funcs = FunctionRegistry::new();
         let ctx = EvalContext {
-            schema: &schema,
             variables: &vars,
             functions: &funcs,
             aggregates: None,
@@ -1174,7 +1175,6 @@ mod tests {
         let pattern = "a%ab%ab%ab%ab%ab%ab%ab%b";
         let started = std::time::Instant::now();
         assert!(!LikeMatcher::new(pattern).matches(&text));
-        assert!(!crate::expr::like_match(&text, pattern));
         // Also a matching variant, to exercise the success path.
         let mut ok_text = "ab".repeat(900);
         ok_text.push('b');

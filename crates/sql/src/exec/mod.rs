@@ -6,10 +6,8 @@
 //! The plan finalizer compiles every predicate, join key, projection, group
 //! key, aggregate argument and sort key into a [`compile::CompiledExpr`]; an
 //! expression that does not compile fails the plan.  The executor evaluates
-//! nothing else per row.  The tree-walking interpreter in [`crate::expr`]
-//! stays as the reference `compiled_equivalence.rs` tests programs against,
-//! and evaluates the once-per-statement expressions (TVF arguments, seek
-//! bounds) and DML row predicates.
+//! nothing else: once-per-statement expressions (TVF arguments, seek
+//! bounds) and the DML statements' values compile too, when they run.
 
 pub mod compile;
 pub(crate) mod sink;

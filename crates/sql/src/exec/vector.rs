@@ -1247,8 +1247,7 @@ mod tests {
             let table = random_table(&mut rng, [1, 700, 1023, 1024, 1025, 2048, 4096, 4200][size]);
             let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
             let scan = random_scan(&mut rng, &functions);
-            let schema = RowSchema::for_table(None, &NAMES);
-            let ctx = EvalContext { schema: &schema, variables: &variables, functions: &functions, aggregates: None };
+            let ctx = EvalContext { variables: &variables, functions: &functions, aggregates: None };
             let program = BatchProgram::build(scan.filter.as_ref(), &scan.layout, scan.project.as_deref(), TYPES.to_vec(), None);
             for (s, seg) in table.segments().iter().enumerate() {
                 let chunk = Chunk::Segment(seg, s * BATCH_ROWS);
@@ -1279,8 +1278,7 @@ mod tests {
             index.covered_ordinals().enumerate().for_each(|(r, c)| runs[c] = Some(r));
             let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
             let scan = random_scan(&mut rng, &functions);
-            let schema = RowSchema::for_table(None, &NAMES);
-            let ctx = EvalContext { schema: &schema, variables: &variables, functions: &functions, aggregates: None };
+            let ctx = EvalContext { variables: &variables, functions: &functions, aggregates: None };
             let program = BatchProgram::build(scan.filter.as_ref(), &scan.layout, scan.project.as_deref(), TYPES.to_vec(), Some(&runs));
             let keys = ["", "a", "ab", "b1", "N_"];
             let bound = |rng: &mut ChaCha8Rng| match rng.gen_range(0..7usize) {

@@ -39,9 +39,10 @@
 //! after the heap's worst before it is built (`Sink::top_bound`); ties
 //! still reach the heap, so tie and arrival order are the sort's.
 //!
-//! Every per-row expression is a compiled program ([`CompiledExpr::eval`]);
-//! the AST interpreter evaluates only the once-per-statement expressions:
-//! table function arguments and index seek bounds.  Single-table plans
+//! Every expression is a compiled program ([`CompiledExpr::eval`]).  The
+//! once-per-statement ones — table function arguments and index seek
+//! bounds — compile against no columns when the source runs
+//! (`compile::eval_constant`).  Single-table plans
 //! without joins/sort/aggregation evaluate their projection inside the scan,
 //! straight into the output row.
 //!
@@ -52,12 +53,12 @@
 
 use crate::ast::{Expr, JoinKind};
 use crate::error::SqlError;
-use crate::exec::compile::{CompiledExpr, CompiledPrograms};
+use crate::exec::compile::{eval_constant, CompiledExpr, CompiledPrograms};
 use crate::exec::sink::{
     cells_bytes, eval_into, row_charge, rows_charge, tighter, Aggregator, Output, Sink, Stage,
 };
 use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, BATCH_ROWS};
-use crate::expr::{eval as eval_constant, EvalContext, RowSchema};
+use crate::expr::EvalContext;
 use crate::functions::FunctionRegistry;
 use crate::monitor::{QueryMonitor, MONITOR_BATCH};
 use crate::plan::{AccessPath, JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
@@ -320,9 +321,6 @@ pub struct Executor<'a> {
     /// atomically across parallel-scan workers and derived-plan recursion
     /// so the `max_bytes` budget covers the whole statement.
     mem_used: AtomicU64,
-    /// What [`EvalContext::schema`] points at: programs carry ordinals, so
-    /// no runtime schema is ever consulted.
-    no_schema: RowSchema,
 }
 
 impl Drop for Executor<'_> {
@@ -360,7 +358,6 @@ impl<'a> Executor<'a> {
             started: Instant::now(),
             monitor: None,
             mem_used: AtomicU64::new(0),
-            no_schema: RowSchema::default(),
         }
     }
 
@@ -508,7 +505,6 @@ impl<'a> Executor<'a> {
 
     pub(crate) fn ctx(&self) -> EvalContext<'_> {
         EvalContext {
-            schema: &self.no_schema,
             variables: self.variables,
             functions: self.functions,
             aggregates: None,
@@ -711,7 +707,7 @@ impl<'a> Executor<'a> {
                 let ctx = self.ctx();
                 let arg_values: Vec<Value> = args
                     .iter()
-                    .map(|a| eval_constant(a, &[], &ctx))
+                    .map(|a| eval_constant(a, &ctx))
                     .collect::<Result<_, _>>()?;
                 let result = (tf.func)(self.db, &arg_values)?;
                 // The function's result set must fit the budget as it
@@ -796,7 +792,7 @@ impl<'a> Executor<'a> {
                 let entries = match path {
                     AccessPath::IndexSeek { bounds, .. } => {
                         let bound =
-                            |e: Option<&Expr>| e.map(|e| eval_constant(e, &[], &ctx)).transpose();
+                            |e: Option<&Expr>| e.map(|e| eval_constant(e, &ctx)).transpose();
                         // Bounds are prefixes of the key, so an equality on
                         // the leading column of a composite index is the
                         // range from that value to itself.  A strict bound

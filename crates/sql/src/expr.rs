@@ -1,15 +1,18 @@
-//! Expression evaluation over rows.
+//! What every compiled expression program shares: the row description and
+//! the operators' semantics.
 //!
 //! The executor flattens each joined row into a single `&[Value]` slice and
 //! describes it with a [`RowSchema`] mapping `(qualifier, column)` pairs to
-//! positions.  Expressions are evaluated against that schema with SQL
-//! semantics: three-valued logic, NULL propagation through arithmetic, and
-//! the T-SQL operators the paper's queries use (bitwise `&` flag tests,
-//! `BETWEEN`, `LIKE`, `IN`, `CASE`).
+//! positions; [`crate::exec::compile`] resolves names against it once, at
+//! plan time.  The operators here are what its programs apply per row:
+//! three-valued logic, NULL propagation through arithmetic, checked integer
+//! arithmetic, and the T-SQL operators the paper's queries use (bitwise `&`
+//! flag tests, `BETWEEN`).  `docs/QUERIES.md` ("Expression semantics")
+//! states the rules and where they deviate from T-SQL.
 
-use crate::ast::{is_aggregate_name, BinaryOp, Expr, UnaryOp};
+use crate::ast::{BinaryOp, Expr, UnaryOp};
 use crate::error::SqlError;
-use crate::functions::{eval_builtin, FunctionRegistry};
+use crate::functions::FunctionRegistry;
 use skyserver_storage::{ColumnNames, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -137,10 +140,8 @@ impl PartialEq for RowSchema {
     }
 }
 
-/// Everything an expression evaluation needs besides the row itself.
+/// Everything a program evaluation needs besides the row itself.
 pub struct EvalContext<'a> {
-    /// Schema of the row being evaluated.
-    pub schema: &'a RowSchema,
     /// Session variables (`@name`).
     pub variables: &'a HashMap<String, Value>,
     /// Scalar function registry.
@@ -155,182 +156,16 @@ pub fn aggregate_key(expr: &Expr) -> String {
     format!("{expr:?}")
 }
 
-/// Evaluate an expression against a row.
-pub fn eval(expr: &Expr, row: &[Value], ctx: &EvalContext<'_>) -> Result<Value, SqlError> {
-    match expr {
-        Expr::Literal(v) => Ok(v.clone()),
-        Expr::Column { qualifier, name } => {
-            let idx = ctx.schema.resolve(qualifier.as_deref(), name)?;
-            row.get(idx)
-                .cloned()
-                .ok_or_else(|| SqlError::Execution(format!("row too short for column {name}")))
-        }
-        Expr::Variable(name) => ctx
-            .variables
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| SqlError::Execution(format!("variable @{name} is not defined"))),
-        Expr::Star => Err(SqlError::Execution(
-            "'*' is only valid inside count(*)".into(),
-        )),
-        Expr::Unary { op, expr } => {
-            let v = eval(expr, row, ctx)?;
-            apply_unary(*op, v)
-        }
-        Expr::Binary { left, op, right } => eval_binary(left, *op, right, row, ctx),
-        Expr::Function { name, args } => eval_function(name, args, row, ctx),
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval(expr, row, ctx)?;
-            let lo = eval(low, row, ctx)?;
-            let hi = eval(high, row, ctx)?;
-            Ok(between_value(&v, &lo, &hi, *negated))
-        }
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval(expr, row, ctx)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let mut found = false;
-            for item in list {
-                let iv = eval(item, row, ctx)?;
-                if v.sql_eq(&iv) {
-                    found = true;
-                    break;
-                }
-            }
-            Ok(Value::Bool(found != *negated))
-        }
-        Expr::IsNull { expr, negated } => {
-            let v = eval(expr, row, ctx)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval(expr, row, ctx)?;
-            let p = eval(pattern, row, ctx)?;
-            if v.is_null() || p.is_null() {
-                return Ok(Value::Null);
-            }
-            let matched = like_match(&v.to_string(), &p.to_string());
-            Ok(Value::Bool(matched != *negated))
-        }
-        Expr::Case {
-            branches,
-            else_value,
-        } => {
-            for (cond, value) in branches {
-                if eval(cond, row, ctx)?.is_truthy() {
-                    return eval(value, row, ctx);
-                }
-            }
-            match else_value {
-                Some(e) => eval(e, row, ctx),
-                None => Ok(Value::Null),
-            }
-        }
-        Expr::Cast { expr, ty } => {
-            let v = eval(expr, row, ctx)?;
-            v.coerce(*ty)
-                .ok_or_else(|| SqlError::Execution(format!("cannot cast {v} to {ty}")))
-        }
-    }
-}
-
-fn eval_function(
-    name: &str,
-    args: &[Expr],
-    row: &[Value],
-    ctx: &EvalContext<'_>,
-) -> Result<Value, SqlError> {
-    if is_aggregate_name(name) {
-        // During grouped projection the executor provides pre-computed
-        // aggregate values; anywhere else an aggregate is a planning error.
-        let key = aggregate_key(&Expr::Function {
-            name: name.to_string(),
-            args: args.to_vec(),
-        });
-        if let Some(aggs) = ctx.aggregates {
-            if let Some(v) = aggs.get(&key) {
-                return Ok(v.clone());
-            }
-        }
-        return Err(SqlError::Plan(format!(
-            "aggregate {name}() is not valid in this context"
-        )));
-    }
-    let mut values = Vec::with_capacity(args.len());
-    for a in args {
-        values.push(eval(a, row, ctx)?);
-    }
-    if let Some(result) = eval_builtin(name, &values) {
-        return result;
-    }
-    if let Some(udf) = ctx.functions.scalar(name) {
-        return udf(&values);
-    }
-    Err(SqlError::UnknownFunction(name.to_string()))
-}
-
-fn eval_binary(
-    left: &Expr,
-    op: BinaryOp,
-    right: &Expr,
-    row: &[Value],
-    ctx: &EvalContext<'_>,
-) -> Result<Value, SqlError> {
-    // AND/OR need three-valued logic with short-circuiting.
-    if op == BinaryOp::And {
-        let l = eval(left, row, ctx)?;
-        if !l.is_null() && !l.is_truthy() {
-            return Ok(Value::Bool(false));
-        }
-        let r = eval(right, row, ctx)?;
-        if !r.is_null() && !r.is_truthy() {
-            return Ok(Value::Bool(false));
-        }
-        if l.is_null() || r.is_null() {
-            return Ok(Value::Null);
-        }
-        return Ok(Value::Bool(true));
-    }
-    if op == BinaryOp::Or {
-        let l = eval(left, row, ctx)?;
-        if !l.is_null() && l.is_truthy() {
-            return Ok(Value::Bool(true));
-        }
-        let r = eval(right, row, ctx)?;
-        if !r.is_null() && r.is_truthy() {
-            return Ok(Value::Bool(true));
-        }
-        if l.is_null() || r.is_null() {
-            return Ok(Value::Null);
-        }
-        return Ok(Value::Bool(false));
-    }
-    let l = eval(left, row, ctx)?;
-    let r = eval(right, row, ctx)?;
-    apply_binary(&l, op, &r)
-}
-
-/// Apply a unary operator with the interpreter's NULL/type semantics.  The
-/// single source of truth for both the interpreter and compiled programs.
+/// Apply a unary operator: NULL propagates, and negating the smallest
+/// integer is an overflow error.
 pub(crate) fn apply_unary(op: UnaryOp, v: Value) -> Result<Value, SqlError> {
     match op {
         UnaryOp::Neg => match v {
             Value::Null => Ok(Value::Null),
-            Value::Int(i) => Ok(Value::Int(-i)),
+            Value::Int(i) => i
+                .checked_neg()
+                .map(Value::Int)
+                .ok_or_else(|| overflow(format!("-({i})"))),
             Value::Float(f) => Ok(Value::Float(-f)),
             other => Err(SqlError::Execution(format!("cannot negate {other}"))),
         },
@@ -395,6 +230,8 @@ fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, SqlError> {
             return Ok(Value::str(format!("{a}{b}")));
         }
     }
+    // `int / int` stays a float: a deviation from T-SQL that
+    // docs/QUERIES.md ("Expression semantics") records.
     let both_int = matches!((l, r), (Value::Int(_), Value::Int(_)));
     let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
         return Err(SqlError::Execution(format!(
@@ -404,18 +241,21 @@ fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, SqlError> {
     if both_int && op != BinaryOp::Div {
         let (a, b) = (l.as_i64().unwrap(), r.as_i64().unwrap());
         let out = match op {
-            BinaryOp::Add => a.wrapping_add(b),
-            BinaryOp::Sub => a.wrapping_sub(b),
-            BinaryOp::Mul => a.wrapping_mul(b),
+            BinaryOp::Add => a.checked_add(b),
+            BinaryOp::Sub => a.checked_sub(b),
+            BinaryOp::Mul => a.checked_mul(b),
             BinaryOp::Mod => {
                 if b == 0 {
                     return Err(SqlError::Execution("integer modulo by zero".into()));
                 }
-                a % b
+                // Truncating, as T-SQL's: the sign follows the dividend.
+                a.checked_rem(b)
             }
             _ => unreachable!(),
         };
-        return Ok(Value::Int(out));
+        return out
+            .map(Value::Int)
+            .ok_or_else(|| overflow(format!("{a} {op} {b}")));
     }
     let out = match op {
         BinaryOp::Add => a + b,
@@ -438,42 +278,48 @@ fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, SqlError> {
     Ok(Value::Float(out))
 }
 
-/// SQL `LIKE` pattern matching: `%` matches any run of characters, `_`
-/// matches exactly one.  Matching is case-insensitive (SQL Server default
-/// collation).
-///
-/// One-shot convenience over [`crate::exec::compile::LikeMatcher`], which
-/// parses the pattern into `%`-separated segments once and matches in
-/// O(text x pattern) — pathological patterns like `a%a%a%...%b` cannot
-/// trigger the exponential retry a naive recursive matcher suffers.  Hot
-/// paths (compiled predicates) build the matcher once per query instead.
-pub fn like_match(text: &str, pattern: &str) -> bool {
-    crate::exec::compile::LikeMatcher::new(pattern).matches(text)
+/// T-SQL's error 8115: an integer result that does not fit 64 bits.
+pub(crate) fn overflow(expr: String) -> SqlError {
+    SqlError::Execution(format!("arithmetic overflow: {expr} does not fit a bigint"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::compile::{compile, LikeMatcher};
     use crate::parser::parse_select;
 
-    fn ctx<'a>(
-        schema: &'a RowSchema,
-        vars: &'a HashMap<String, Value>,
-        funcs: &'a FunctionRegistry,
-    ) -> EvalContext<'a> {
-        EvalContext {
-            schema,
+    /// Compile `expr` against `schema` and run the program over `row`.
+    fn run(
+        expr: &Expr,
+        schema: &RowSchema,
+        row: &[Value],
+        vars: &HashMap<String, Value>,
+    ) -> Result<Value, SqlError> {
+        let functions = FunctionRegistry::new();
+        let ctx = EvalContext {
             variables: vars,
-            functions: funcs,
+            functions: &functions,
             aggregates: None,
+        };
+        compile(expr, schema, &functions)?.eval(row, &ctx)
+    }
+
+    /// The first select-list expression of `sql`.
+    fn projection(sql: &str) -> Expr {
+        match parse_select(sql).unwrap().projections.remove(0) {
+            crate::ast::SelectItem::Expr { expr, .. } => expr,
+            other => panic!("not an expression: {other:?}"),
         }
+    }
+
+    fn eval_select(sql: &str, schema: &RowSchema, row: &[Value]) -> Result<Value, SqlError> {
+        run(&projection(sql), schema, row, &HashMap::new())
     }
 
     fn eval_where(sql_where: &str, schema: &RowSchema, row: &[Value]) -> Value {
         let stmt = parse_select(&format!("select * from t where {sql_where}")).unwrap();
-        let vars = HashMap::new();
-        let funcs = FunctionRegistry::new();
-        eval(&stmt.selection.unwrap(), row, &ctx(schema, &vars, &funcs)).unwrap()
+        run(&stmt.selection.unwrap(), schema, row, &HashMap::new()).unwrap()
     }
 
     #[test]
@@ -511,15 +357,10 @@ mod tests {
     fn integer_arithmetic_stays_integer() {
         let schema = RowSchema::for_table(None, &["a", "b"]);
         let row = vec![Value::Int(7), Value::Int(3)];
-        let stmt = parse_select("select a * b + 1 from t").unwrap();
-        let vars = HashMap::new();
-        let funcs = FunctionRegistry::new();
-        let c = ctx(&schema, &vars, &funcs);
-        if let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] {
-            assert_eq!(eval(expr, &row, &c).unwrap(), Value::Int(22));
-        } else {
-            panic!()
-        }
+        assert_eq!(
+            eval_select("select a * b + 1 from t", &schema, &row).unwrap(),
+            Value::Int(22)
+        );
         assert_eq!(eval_where("a % b = 1", &schema, &row), Value::Bool(true));
     }
 
@@ -574,24 +415,22 @@ mod tests {
             eval_where("type not in (3, 6)", &schema, &row),
             Value::Bool(false)
         );
-        let stmt = parse_select("select case when type = 3 then 'galaxy' else 'other' end from t")
-            .unwrap();
-        let vars = HashMap::new();
-        let funcs = FunctionRegistry::new();
-        let c = ctx(&schema, &vars, &funcs);
-        if let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] {
-            assert_eq!(eval(expr, &row, &c).unwrap(), Value::str("galaxy"));
-        }
+        let sql = "select case when type = 3 then 'galaxy' else 'other' end from t";
+        assert_eq!(
+            eval_select(sql, &schema, &row).unwrap(),
+            Value::str("galaxy")
+        );
     }
 
     #[test]
     fn like_matching() {
-        assert!(like_match("NGC1234", "ngc%"));
-        assert!(like_match("skyserver", "%server"));
-        assert!(like_match("abc", "a_c"));
-        assert!(!like_match("abc", "a_d"));
-        assert!(like_match("anything", "%"));
-        assert!(!like_match("", "_"));
+        let like = |text: &str, pattern: &str| LikeMatcher::new(pattern).matches(text);
+        assert!(like("NGC1234", "ngc%"));
+        assert!(like("skyserver", "%server"));
+        assert!(like("abc", "a_c"));
+        assert!(!like("abc", "a_d"));
+        assert!(like("anything", "%"));
+        assert!(!like("", "_"));
         let schema = RowSchema::for_table(None, &["name"]);
         let row = vec![Value::str("M64")];
         assert_eq!(
@@ -606,70 +445,70 @@ mod tests {
         let row = vec![Value::Float(3.0), Value::Float(4.0)];
         let mut vars = HashMap::new();
         vars.insert("limit".to_string(), Value::Float(4.5));
-        let funcs = FunctionRegistry::new();
-        let c = EvalContext {
-            schema: &schema,
-            variables: &vars,
-            functions: &funcs,
-            aggregates: None,
-        };
-        let stmt =
-            parse_select("select sqrt(rowv*rowv + colv*colv) from t where sqrt(rowv) < @limit")
-                .unwrap();
-        if let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] {
-            assert_eq!(eval(expr, &row, &c).unwrap(), Value::Float(5.0));
-        }
+        let sql = "select sqrt(rowv*rowv + colv*colv) from t where sqrt(rowv) < @limit";
+        let stmt = parse_select(sql).unwrap();
         assert_eq!(
-            eval(&stmt.selection.unwrap(), &row, &c).unwrap(),
+            run(&projection(sql), &schema, &row, &vars).unwrap(),
+            Value::Float(5.0)
+        );
+        assert_eq!(
+            run(&stmt.selection.unwrap(), &schema, &row, &vars).unwrap(),
             Value::Bool(true)
         );
         // Unknown variable errors.
         let bad = parse_select("select * from t where rowv < @missing").unwrap();
-        assert!(eval(&bad.selection.unwrap(), &row, &c).is_err());
+        assert!(run(&bad.selection.unwrap(), &schema, &row, &vars).is_err());
     }
 
     #[test]
     fn unknown_function_is_reported() {
         let schema = RowSchema::for_table(None, &["x"]);
         let row = vec![Value::Int(1)];
-        let vars = HashMap::new();
-        let funcs = FunctionRegistry::new();
-        let c = ctx(&schema, &vars, &funcs);
-        let stmt = parse_select("select dbo.fNoSuchThing(x) from t").unwrap();
-        if let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] {
-            assert!(matches!(
-                eval(expr, &row, &c),
-                Err(SqlError::UnknownFunction(_))
-            ));
-        }
+        assert!(matches!(
+            eval_select("select dbo.fNoSuchThing(x) from t", &schema, &row),
+            Err(SqlError::UnknownFunction(_))
+        ));
     }
 
     #[test]
     fn string_concatenation() {
         let schema = RowSchema::for_table(None, &["objid"]);
         let row = vec![Value::Int(42)];
-        let vars = HashMap::new();
-        let funcs = FunctionRegistry::new();
-        let c = ctx(&schema, &vars, &funcs);
-        let stmt = parse_select("select 'http://skyserver/expid=' + str(objid) from t").unwrap();
-        if let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] {
-            assert_eq!(
-                eval(expr, &row, &c).unwrap(),
-                Value::str("http://skyserver/expid=42")
-            );
-        }
+        let sql = "select 'http://skyserver/expid=' + str(objid) from t";
+        assert_eq!(
+            eval_select(sql, &schema, &row).unwrap(),
+            Value::str("http://skyserver/expid=42")
+        );
     }
 
     #[test]
     fn division_by_zero_is_an_error() {
         let schema = RowSchema::for_table(None, &["a"]);
         let row = vec![Value::Int(1)];
-        let vars = HashMap::new();
-        let funcs = FunctionRegistry::new();
-        let c = ctx(&schema, &vars, &funcs);
-        let stmt = parse_select("select a / 0 from t").unwrap();
-        if let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] {
-            assert!(eval(expr, &row, &c).is_err());
+        assert!(eval_select("select a / 0 from t", &schema, &row).is_err());
+    }
+
+    #[test]
+    fn integer_overflow_is_an_error() {
+        let schema = RowSchema::for_table(None, &["big", "small"]);
+        let row = vec![Value::Int(i64::MAX), Value::Int(i64::MIN)];
+        for sql in [
+            "select big + 1 from t",
+            "select small - 1 from t",
+            "select big * 2 from t",
+            "select small % -1 from t",
+            "select -small from t",
+        ] {
+            let got = eval_select(sql, &schema, &row);
+            assert!(
+                matches!(&got, Err(SqlError::Execution(m)) if m.contains("arithmetic overflow")),
+                "{sql}: {got:?}"
+            );
         }
+        assert_eq!(
+            eval_select("select -7 % 2 from t", &schema, &row).unwrap(),
+            Value::Int(-1),
+            "modulo truncates toward zero"
+        );
     }
 }

@@ -140,7 +140,10 @@ pub fn eval_builtin_normalized(name: &str, args: &[Value]) -> Option<Result<Valu
     let result = match name {
         "sqrt" => unary_math(name, args, f64::sqrt),
         "abs" => match args {
-            [Value::Int(i)] => Ok(Value::Int(i.abs())),
+            [Value::Int(i)] => i
+                .checked_abs()
+                .map(Value::Int)
+                .ok_or_else(|| crate::expr::overflow(format!("abs({i})"))),
             _ => unary_math(name, args, f64::abs),
         },
         "floor" => unary_math(name, args, f64::floor),

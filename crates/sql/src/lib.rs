@@ -61,7 +61,7 @@ pub use engine::{EngineStats, PlanSummary, SqlEngine};
 pub use error::SqlError;
 pub use exec::compile::{CompiledExpr, CompiledPrograms, LikeMatcher};
 pub use executor::{Executor, QueryLimits};
-pub use expr::{eval, EvalContext, RowSchema};
+pub use expr::{EvalContext, RowSchema};
 pub use functions::{FunctionRegistry, ScalarFn, TableFn, TableFunction};
 pub use monitor::{QueryMonitor, MONITOR_BATCH};
 pub use parser::{parse_script, parse_select, parse_statement};

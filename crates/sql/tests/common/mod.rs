@@ -1,23 +1,46 @@
 //! A brute-force reference evaluator for SELECT — the oracle the
-//! engine-level equivalence suites compare [`SqlEngine`] rows against.
+//! engine-level equivalence suites compare [`SqlEngine`] rows against, and
+//! `compiled_equivalence.rs` compares compiled expression programs against.
 //!
-//! It shares the parser, `Value` and the AST interpreter ([`eval`]) with the
-//! engine and nothing else: no planner, no indices, no compiled programs, no
-//! columnar path.  FROM is a nested-loop product over rows read through the
-//! `Table` row API (view bodies recurse); ON / WHERE / GROUP BY + aggregates
-//! / HAVING / ORDER BY / DISTINCT / TOP then run over materialized rows.
+//! It evaluates expressions itself, by the rules `docs/QUERIES.md`
+//! ("Expression semantics") states, and shares three things with the
+//! engine:
+//!
+//! * the parser and its AST;
+//! * `Value` with its methods: ordering and equality across types
+//!   (`total_cmp`, `sql_eq`), truthiness, `CAST` (`coerce`), numeric views
+//!   and the display form `+` and `LIKE` read;
+//! * the built-in scalar library, `functions::eval_builtin`.
+//!
+//! Nothing else: no planner, no indices, no compiled programs, no columnar
+//! path, none of the engine's operators.  FROM is a nested-loop product over
+//! rows read through the `Table` row API (view bodies recurse); ON / WHERE /
+//! GROUP BY + aggregates / HAVING / ORDER BY / DISTINCT / TOP then run over
+//! materialized rows.
 
-use skyserver_sql::ast::{Expr, FromItem, JoinKind, SelectItem, SelectStatement, TableSource};
-use skyserver_sql::exec::compile::collect_aggregates;
-use skyserver_sql::expr::aggregate_key;
-use skyserver_sql::{
-    eval, parse_select, EvalContext, FunctionRegistry, QueryLimits, RowSchema, SqlEngine, SqlError,
+use skyserver_sql::ast::{
+    BinaryOp, Expr, FromItem, JoinKind, SelectItem, SelectStatement, TableSource, UnaryOp,
 };
+use skyserver_sql::functions::eval_builtin;
+use skyserver_sql::{parse_select, QueryLimits, SqlEngine, SqlError};
 use skyserver_storage::{Database, Value};
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 type Row = Vec<Value>;
-type Aggregates = HashMap<String, Value>;
+
+/// The `(qualifier, name)` of each column of a row, in row order.
+pub type Columns = Vec<(Option<String>, String)>;
+
+/// What an expression reads besides the row.
+pub struct Scope<'a> {
+    /// The row's columns.
+    pub columns: &'a [(Option<String>, String)],
+    /// Session variables by lowercase name.
+    pub variables: &'a HashMap<String, Value>,
+    /// While projecting a group: each aggregate call with its value.
+    pub aggregates: &'a [(Expr, Value)],
+}
 
 /// Run `sql` through the engine and through the reference and compare:
 /// equal sequences under ORDER BY, equal multisets otherwise, and with an
@@ -69,34 +92,302 @@ fn render(rows: &[Row]) -> Vec<String> {
         .collect()
 }
 
-/// The reference evaluates with built-in functions and no variables.
-type Env = (FunctionRegistry, HashMap<String, Value>);
+fn execution(message: impl Into<String>) -> SqlError {
+    SqlError::Execution(message.into())
+}
 
-fn ctx<'a>(env: &'a Env, schema: &'a RowSchema, aggs: Option<&'a Aggregates>) -> EvalContext<'a> {
-    EvalContext {
-        schema,
-        functions: &env.0,
-        variables: &env.1,
-        aggregates: aggs,
+/// SQL truth: `None` is unknown.
+fn truth(v: &Value) -> Option<bool> {
+    (!v.is_null()).then(|| v.is_truthy())
+}
+
+/// Evaluate `expr` over `row`.  Operands run left to right; `AND`, `OR`,
+/// `IN` and `CASE` stop at the first operand that decides them, so an error
+/// in a later one is never raised.
+pub fn eval(expr: &Expr, row: &[Value], scope: &Scope<'_>) -> Result<Value, SqlError> {
+    let ev = |e: &Expr| eval(e, row, scope);
+    Ok(match expr {
+        Expr::Literal(v) => v.clone(),
+        Expr::Column { qualifier, name } => {
+            row[resolve(scope.columns, qualifier.as_deref(), name)?].clone()
+        }
+        Expr::Variable(name) => {
+            let value = scope.variables.get(&name.to_ascii_lowercase());
+            value
+                .cloned()
+                .ok_or_else(|| execution(format!("@{name} is not defined")))?
+        }
+        Expr::Star => return Err(execution("'*' outside count(*)")),
+        Expr::Unary { op, expr } => match (op, ev(expr)?) {
+            (_, Value::Null) => Value::Null,
+            (UnaryOp::Not, v) => Value::Bool(!v.is_truthy()),
+            (UnaryOp::Neg, Value::Int(i)) => Value::Int(
+                i.checked_neg()
+                    .ok_or_else(|| execution("arithmetic overflow"))?,
+            ),
+            (UnaryOp::Neg, Value::Float(f)) => Value::Float(-f),
+            (UnaryOp::Neg, v) => return Err(execution(format!("cannot negate {v}"))),
+        },
+        Expr::Binary { left, op, right } if matches!(op, BinaryOp::And | BinaryOp::Or) => {
+            // The value that decides the connective on its own.
+            let decisive = *op == BinaryOp::Or;
+            let l = truth(&ev(left)?);
+            if l == Some(decisive) {
+                return Ok(Value::Bool(decisive));
+            }
+            match (l, truth(&ev(right)?)) {
+                (_, Some(r)) if r == decisive => Value::Bool(decisive),
+                (Some(_), Some(_)) => Value::Bool(!decisive),
+                _ => Value::Null,
+            }
+        }
+        Expr::Binary { left, op, right } => binary(&ev(left)?, *op, &ev(right)?)?,
+        Expr::Function { name, .. } if is_aggregate(name) => {
+            let found = scope.aggregates.iter().find(|(call, _)| call == expr);
+            let found = found.ok_or_else(|| SqlError::Plan(format!("{name}() out of place")))?;
+            found.1.clone()
+        }
+        Expr::Function { name, args } => {
+            let args = args.iter().map(ev).collect::<Result<Vec<_>, _>>()?;
+            let result = eval_builtin(name, &args);
+            result.unwrap_or_else(|| Err(SqlError::UnknownFunction(name.clone())))?
+        }
+        Expr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => {
+            let (v, low, high) = (ev(expr)?, ev(low)?, ev(high)?);
+            if v.is_null() || low.is_null() || high.is_null() {
+                // Unknown even where T-SQL's `v >= low AND v <= high`
+                // would already be false (docs/QUERIES.md).
+                return Ok(Value::Null);
+            }
+            let within = v.total_cmp(&low).is_ge() && v.total_cmp(&high).is_le();
+            Value::Bool(within != *negated)
+        }
+        Expr::InList {
+            expr,
+            list,
+            negated,
+        } => {
+            let v = ev(expr)?;
+            if v.is_null() {
+                return Ok(Value::Null);
+            }
+            // A NULL item is simply unequal: T-SQL's unknown is not kept
+            // (docs/QUERIES.md).
+            let mut found = false;
+            for item in list {
+                if v.sql_eq(&ev(item)?) {
+                    found = true;
+                    break;
+                }
+            }
+            Value::Bool(found != *negated)
+        }
+        Expr::IsNull { expr, negated } => Value::Bool(ev(expr)?.is_null() != *negated),
+        Expr::Like {
+            expr,
+            pattern,
+            negated,
+        } => match (ev(expr)?, ev(pattern)?) {
+            (Value::Null, _) | (_, Value::Null) => Value::Null,
+            (v, p) => Value::Bool(like(&v.to_string(), &p.to_string()) != *negated),
+        },
+        Expr::Case {
+            branches,
+            else_value,
+        } => {
+            for (condition, value) in branches {
+                if ev(condition)?.is_truthy() {
+                    return ev(value);
+                }
+            }
+            match else_value {
+                Some(e) => ev(e)?,
+                None => Value::Null,
+            }
+        }
+        Expr::Cast { expr, ty } => {
+            let v = ev(expr)?;
+            v.coerce(*ty)
+                .ok_or_else(|| execution(format!("cannot cast {v} to {ty}")))?
+        }
+    })
+}
+
+/// Position of a column reference: a qualified name must match its
+/// qualifier, an unqualified one must be unambiguous; both ignore case.
+fn resolve(
+    columns: &[(Option<String>, String)],
+    qualifier: Option<&str>,
+    name: &str,
+) -> Result<usize, SqlError> {
+    let same = |a: &str, b: &str| a.eq_ignore_ascii_case(b);
+    let mut hits = columns.iter().enumerate().filter(|(_, (q, n))| {
+        same(n, name) && qualifier.is_none_or(|want| q.as_deref().is_some_and(|q| same(q, want)))
+    });
+    match (hits.next(), hits.next()) {
+        (Some((i, _)), None) => Ok(i),
+        (None, _) => Err(SqlError::Plan(format!("unknown column {name}"))),
+        _ => Err(SqlError::Plan(format!("ambiguous column {name}"))),
+    }
+}
+
+/// A non-logical binary operator over evaluated operands.
+fn binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, SqlError> {
+    if l.is_null() || r.is_null() {
+        return Ok(Value::Null);
+    }
+    let order = l.total_cmp(r);
+    Ok(Value::Bool(match op {
+        BinaryOp::Eq => order.is_eq(),
+        BinaryOp::NotEq => order.is_ne(),
+        BinaryOp::Lt => order.is_lt(),
+        BinaryOp::LtEq => order.is_le(),
+        BinaryOp::Gt => order.is_gt(),
+        BinaryOp::GtEq => order.is_ge(),
+        BinaryOp::BitAnd | BinaryOp::BitOr => {
+            let (Some(a), Some(b)) = (l.as_i64(), r.as_i64()) else {
+                return Err(execution(format!("{l} {op} {r}: not integers")));
+            };
+            return Ok(Value::Int(if op == BinaryOp::BitAnd {
+                a & b
+            } else {
+                a | b
+            }));
+        }
+        _ => return arithmetic(l, op, r),
+    }))
+}
+
+/// `+ - * / %` over two non-NULL operands.
+fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, SqlError> {
+    match (l, r) {
+        // `+` with a string on either side joins the display forms.
+        (Value::Str(_), _) | (_, Value::Str(_)) if op == BinaryOp::Add => {
+            Ok(Value::str(format!("{l}{r}")))
+        }
+        // `/` always divides as floats, so `7 / 2` is 3.5 where T-SQL
+        // says 3: a deviation docs/QUERIES.md ("Expression semantics")
+        // records.
+        (Value::Int(a), Value::Int(b)) if op != BinaryOp::Div => {
+            let out = match op {
+                BinaryOp::Add => a.checked_add(*b),
+                BinaryOp::Sub => a.checked_sub(*b),
+                BinaryOp::Mul => a.checked_mul(*b),
+                _ if *b == 0 => return Err(execution("modulo by zero")),
+                // Truncating: the remainder takes the dividend's sign.
+                _ => a.checked_rem(*b),
+            };
+            // T-SQL's error 8115 where the result leaves 64 bits.
+            out.map(Value::Int)
+                .ok_or_else(|| execution("arithmetic overflow"))
+        }
+        _ => {
+            let (Some(a), Some(b)) = (l.as_f64(), r.as_f64()) else {
+                return Err(execution(format!("{l} {op} {r}: not numbers")));
+            };
+            Ok(Value::Float(match op {
+                BinaryOp::Add => a + b,
+                BinaryOp::Sub => a - b,
+                BinaryOp::Mul => a * b,
+                _ if b == 0.0 => return Err(execution("division by zero")),
+                BinaryOp::Div => a / b,
+                _ => a % b,
+            }))
+        }
+    }
+}
+
+/// `LIKE`, ignoring ASCII case: `%` matches any run, `_` one character.
+/// On a mismatch the last `%` takes one more character and matching
+/// resumes after it.
+fn like(text: &str, pattern: &str) -> bool {
+    let (t, p) = (
+        text.to_ascii_lowercase().into_bytes(),
+        pattern.to_ascii_lowercase().into_bytes(),
+    );
+    let (mut i, mut j, mut star) = (0, 0, None);
+    while i < t.len() {
+        match p.get(j) {
+            Some(b'%') => {
+                star = Some((j, i));
+                j += 1;
+            }
+            Some(&c) if c == b'_' || c == t[i] => {
+                i += 1;
+                j += 1;
+            }
+            _ => match star {
+                Some((s, from)) => {
+                    star = Some((s, from + 1));
+                    (i, j) = (from + 1, s + 1);
+                }
+                None => return false,
+            },
+        }
+    }
+    p[j..].iter().all(|&c| c == b'%')
+}
+
+const AGGREGATES: [&str; 7] = ["count", "min", "max", "sum", "avg", "var", "stdev"];
+
+fn is_aggregate(name: &str) -> bool {
+    AGGREGATES.contains(&name.to_ascii_lowercase().as_str())
+}
+
+/// Every distinct aggregate call in `expr`.
+fn aggregate_calls(expr: &Expr, out: &mut Vec<Expr>) {
+    let children: Vec<&Expr> = match expr {
+        Expr::Function { name, .. } if is_aggregate(name) => {
+            if !out.contains(expr) {
+                out.push(expr.clone());
+            }
+            return;
+        }
+        Expr::Function { args, .. } => args.iter().collect(),
+        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+            vec![expr]
+        }
+        Expr::Binary { left, right, .. } => vec![left, right],
+        Expr::Like { expr, pattern, .. } => vec![expr, pattern],
+        Expr::Between {
+            expr, low, high, ..
+        } => vec![expr, low, high],
+        Expr::InList { expr, list, .. } => std::iter::once(&**expr).chain(list).collect(),
+        Expr::Case {
+            branches,
+            else_value,
+        } => {
+            let pairs = branches.iter().flat_map(|(c, v)| [c, v]);
+            pairs.chain(else_value.as_deref()).collect()
+        }
+        Expr::Literal(_) | Expr::Column { .. } | Expr::Variable(_) | Expr::Star => Vec::new(),
+    };
+    for child in children {
+        aggregate_calls(child, out);
     }
 }
 
 fn eval_all<'e>(
     exprs: impl Iterator<Item = &'e Expr>,
     row: &[Value],
-    ctx: &EvalContext<'_>,
+    scope: &Scope<'_>,
 ) -> Result<Row, SqlError> {
-    exprs.map(|e| eval(e, row, ctx)).collect()
+    exprs.map(|e| eval(e, row, scope)).collect()
 }
 
 /// Does `row` pass the (optional) predicate?
-fn passes(pred: Option<&Expr>, row: &[Value], ctx: &EvalContext<'_>) -> Result<bool, SqlError> {
-    pred.map_or(Ok(true), |p| Ok(eval(p, row, ctx)?.is_truthy()))
+fn passes(pred: Option<&Expr>, row: &[Value], scope: &Scope<'_>) -> Result<bool, SqlError> {
+    pred.map_or(Ok(true), |p| Ok(eval(p, row, scope)?.is_truthy()))
 }
 
-/// Rows and schema of one FROM item: a table through the row API, or a
+/// Rows and columns of one FROM item: a table through the row API, or a
 /// view body (a SELECT with its own TOP applied).
-fn source(db: &Database, item: &FromItem) -> Result<(Vec<Row>, RowSchema), SqlError> {
+fn source(db: &Database, item: &FromItem) -> Result<(Vec<Row>, Columns), SqlError> {
     let TableSource::Named(name) = &item.source else {
         return Err(SqlError::Plan("reference: tables and views only".into()));
     };
@@ -113,21 +404,26 @@ fn source(db: &Database, item: &FromItem) -> Result<(Vec<Row>, RowSchema), SqlEr
         rows.truncate(body.top.map_or(usize::MAX, |t| t as usize));
         (rows, names)
     };
-    let names: Vec<&str> = names.iter().map(String::as_str).collect();
     let alias = item.alias.as_deref().unwrap_or(name);
-    Ok((rows, RowSchema::for_table(Some(alias), &names)))
+    let columns = names.into_iter().map(|n| (Some(alias.to_string()), n));
+    Ok((rows, columns.collect()))
 }
 
 /// One SELECT up to, not including, TOP: `(output rows, output names)`.
 fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String>), SqlError> {
-    let env: Env = (FunctionRegistry::new(), HashMap::new());
+    // The reference runs with no session variables.
+    let variables = HashMap::new();
     // FROM: fold the items left to right into one product.
-    let mut schema = RowSchema::default();
+    let mut columns: Columns = Vec::new();
     let mut rows: Vec<Row> = vec![Vec::new()];
     for item in &stmt.from {
-        let (right, right_schema) = source(db, item)?;
-        let joined = schema.join(&right_schema);
-        let ctx = ctx(&env, &joined, None);
+        let (right, right_columns) = source(db, item)?;
+        let joined: Columns = columns.iter().cloned().chain(right_columns).collect();
+        let on = Scope {
+            columns: &joined,
+            variables: &variables,
+            aggregates: &[],
+        };
         let mut out = Vec::new();
         for left in &rows {
             let mut matched = false;
@@ -135,7 +431,7 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
             for r in &right {
                 pair.truncate(left.len());
                 pair.extend(r.iter().cloned());
-                if passes(item.on.as_ref(), &pair, &ctx)? {
+                if passes(item.on.as_ref(), &pair, &on)? {
                     matched = true;
                     out.push(pair.clone());
                 }
@@ -147,9 +443,13 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
             }
         }
         rows = out;
-        schema = joined;
+        columns = joined;
     }
-    let plain = ctx(&env, &schema, None);
+    let plain = Scope {
+        columns: &columns,
+        variables: &variables,
+        aggregates: &[],
+    };
     let mut kept = Vec::new();
     for row in rows {
         if passes(stmt.selection.as_ref(), &row, &plain)? {
@@ -167,12 +467,17 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
                     _ => None,
                 };
                 let before = items.len();
-                for (q, name) in schema.columns() {
+                for (q, name) in &columns {
                     let ours = |a: &String| q.as_ref().is_some_and(|q| q.eq_ignore_ascii_case(a));
                     if of.is_none_or(ours) {
-                        let (qualifier, output) = (q.map(str::to_string), name.to_string());
-                        let name = name.to_string();
-                        items.push((Expr::Column { qualifier, name }, output));
+                        let (qualifier, name) = (q.clone(), name.clone());
+                        items.push((
+                            Expr::Column {
+                                qualifier,
+                                name: name.clone(),
+                            },
+                            name,
+                        ));
                     }
                 }
                 if let (Some(alias), true) = (of, items.len() == before) {
@@ -193,7 +498,7 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
     let exprs = || items.iter().map(|(e, _)| e);
     let mut agg_calls = Vec::new();
     for e in exprs().chain(&stmt.having) {
-        collect_aggregates(e, &mut agg_calls);
+        aggregate_calls(e, &mut agg_calls);
     }
     // (input row, output row) pairs — one per row, or one per group.
     let mut pairs: Vec<(Row, Row)> = Vec::new();
@@ -215,15 +520,18 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
             groups.push((Vec::new(), Vec::new()));
         }
         for (_, members) in groups {
-            let mut values = Aggregates::new();
+            let mut values = Vec::new();
             for call in &agg_calls {
-                values.insert(aggregate_key(call), aggregate(call, &members, &plain)?);
+                values.push((call.clone(), aggregate(call, &members, &plain)?));
             }
             let first = members.into_iter().next();
-            let first = first.unwrap_or_else(|| vec![Value::Null; schema.len()]);
-            let ctx = ctx(&env, &schema, Some(&values));
-            if passes(stmt.having.as_ref(), &first, &ctx)? {
-                let out = eval_all(exprs(), &first, &ctx)?;
+            let first = first.unwrap_or_else(|| vec![Value::Null; columns.len()]);
+            let grouped = Scope {
+                aggregates: &values,
+                ..plain
+            };
+            if passes(stmt.having.as_ref(), &first, &grouped)? {
+                let out = eval_all(exprs(), &first, &grouped)?;
                 pairs.push((first, out));
             }
         }
@@ -253,8 +561,7 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
                 true => x.total_cmp(y),
                 false => y.total_cmp(x),
             });
-            ords.find(|o| o.is_ne())
-                .unwrap_or(std::cmp::Ordering::Equal)
+            ords.find(|o| o.is_ne()).unwrap_or(Ordering::Equal)
         });
         pairs = keyed;
     }
@@ -268,7 +575,7 @@ fn select(db: &Database, stmt: &SelectStatement) -> Result<(Vec<Row>, Vec<String
 }
 
 /// One aggregate call over the rows of one group.
-fn aggregate(call: &Expr, rows: &[Row], ctx: &EvalContext<'_>) -> Result<Value, SqlError> {
+fn aggregate(call: &Expr, rows: &[Row], scope: &Scope<'_>) -> Result<Value, SqlError> {
     let Expr::Function { name, args } = call else {
         return Err(SqlError::Plan("not an aggregate call".into()));
     };
@@ -280,7 +587,7 @@ fn aggregate(call: &Expr, rows: &[Row], ctx: &EvalContext<'_>) -> Result<Value, 
     };
     let mut values = Vec::new();
     for row in rows {
-        values.push(eval(arg, row, ctx)?);
+        values.push(eval(arg, row, scope)?);
     }
     values.retain(|v| !v.is_null());
     // (sum, n, sample variance) in row order, the order the engine sums in.
