@@ -129,7 +129,7 @@ pub fn twenty_queries() -> Vec<QuerySpec> {
              from SpecObj S
              join SpecLine L on L.specObjID = S.specObjID
              where S.z between 0.5 and 4.0 and S.specClass = 3 and L.sigma > 6",
-            PlanClass::JoinScan,
+            PlanClass::IndexSeek,
             vec![Invariant::MayBeEmpty, Invariant::ColumnInRange("z", 0.5, 4.0)],
             "Line width > 2000 km/s becomes a sigma cut on the synthetic lines; the z window uses the ix_SpecObj_z index.",
         ),
@@ -195,7 +195,7 @@ pub fn twenty_queries() -> Vec<QuerySpec> {
              join PhotoObj S on N.neighborObjID = S.objID
              where N.distance < 0.05 and P.type = 6 and S.type = 6
                and P.objID < S.objID and abs(P.psfMag_r - S.psfMag_r) > 0.01",
-            PlanClass::JoinScan,
+            PlanClass::IndexSeek,
             vec![Invariant::MayBeEmpty],
             "Repeat measurements are the overlap duplicates, found through the Neighbors materialised view.",
         ),
@@ -261,7 +261,7 @@ pub fn twenty_queries() -> Vec<QuerySpec> {
              join PhotoObj B on N.neighborObjID = B.objID
              where N.distance < 0.2 and A.type = 6 and B.type = 6
                and (A.modelMag_u - A.modelMag_g) < 0.6",
-            PlanClass::JoinScan,
+            PlanClass::IndexSeek,
             vec![Invariant::MayBeEmpty],
             "Binaries are Neighbors pairs of stars; the white-dwarf colour is a blue u-g cut.",
         ),
@@ -301,7 +301,7 @@ pub fn twenty_queries() -> Vec<QuerySpec> {
              where N.neighborType = 3
              group by G.objID
              order by nNearby desc",
-            PlanClass::JoinScan,
+            PlanClass::IndexSeek,
             vec![Invariant::MayBeEmpty],
             "The brightest-cluster-galaxy count; the photometric-redshift cut is dropped (no photo-z column).",
         ),

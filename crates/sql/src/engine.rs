@@ -1551,6 +1551,59 @@ mod tests {
         assert_overflow("select abs(-9223372036854775807 - 1)");
     }
 
+    /// How T-SQL's three-valued logic reads `probe`: 1 true, 0 false, -1
+    /// unknown (neither `probe` nor `NOT probe` takes the branch).
+    fn case_answer(probe: &str) -> Value {
+        let sql = format!("select case when {probe} then 1 when not ({probe}) then 0 else -1 end");
+        engine().query(&sql).unwrap().rows[0][0].clone()
+    }
+
+    /// Rows of the test table a `WHERE predicate` keeps.
+    fn where_count(predicate: &str) -> Value {
+        let sql = format!("select count(*) from photoObj where {predicate}");
+        engine().query(&sql).unwrap().rows[0][0].clone()
+    }
+
+    #[test]
+    fn not_in_with_a_null_member_and_no_match_is_unknown() {
+        assert_eq!(case_answer("1 not in (2, null)"), Value::Int(-1));
+        assert_eq!(case_answer("1 not in (1, null)"), Value::Int(0));
+        // 100 stars have type 6: none is kept, as SQL Server keeps none.
+        assert_eq!(where_count("type not in (3, null)"), Value::Int(0));
+        assert_eq!(where_count("rowv not in (0.0, null)"), Value::Int(0));
+    }
+
+    #[test]
+    fn in_with_a_null_member_is_true_on_a_match_and_unknown_otherwise() {
+        assert_eq!(case_answer("1 in (2, null)"), Value::Int(-1));
+        assert_eq!(case_answer("1 in (null, 1)"), Value::Int(1));
+        assert_eq!(where_count("type in (6, null)"), Value::Int(100));
+    }
+
+    #[test]
+    fn not_between_a_null_bound_is_true_when_the_other_bound_decides() {
+        assert_eq!(case_answer("10 not between null and 5"), Value::Int(1));
+        assert_eq!(case_answer("3 not between null and 5"), Value::Int(-1));
+        assert_eq!(case_answer("3 not between 5 and null"), Value::Int(1));
+        assert_eq!(
+            where_count("objID not between null and 49"),
+            Value::Int(150)
+        );
+        assert_eq!(
+            where_count("modelMag_r not between null and 15.5"),
+            Value::Int(182)
+        );
+    }
+
+    #[test]
+    fn between_a_null_bound_is_false_when_the_other_bound_decides() {
+        assert_eq!(case_answer("10 between null and 5"), Value::Int(0));
+        assert_eq!(case_answer("3 between null and 5"), Value::Int(-1));
+        assert_eq!(case_answer("3 between null and null"), Value::Int(-1));
+        assert_eq!(where_count("objID between 150 and null"), Value::Int(0));
+        assert_eq!(where_count("objID between null and 49"), Value::Int(0));
+    }
+
     #[test]
     fn limit_hint_stops_the_scan_early() {
         let mut e = engine();

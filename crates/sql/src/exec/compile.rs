@@ -489,19 +489,24 @@ impl CompiledExpr {
                 list,
                 negated,
             } => {
+                // T-SQL: a match decides; otherwise a NULL member leaves
+                // the answer unknown (`1 NOT IN (2, NULL)` is NULL).
                 let v = expr.operand(row, ctx)?;
                 if v.is_null() {
                     return Ok(Value::Null);
                 }
-                let mut found = false;
+                let mut saw_null = false;
                 for item in list {
                     let iv = item.operand(row, ctx)?;
                     if v.sql_eq(&iv) {
-                        found = true;
-                        break;
+                        return Ok(Value::Bool(!*negated));
                     }
+                    saw_null |= iv.is_null();
                 }
-                Ok(Value::Bool(found != *negated))
+                Ok(match saw_null {
+                    true => Value::Null,
+                    false => Value::Bool(*negated),
+                })
             }
             CompiledExpr::IsNull { expr, negated } => {
                 let v = expr.operand(row, ctx)?;

@@ -19,10 +19,27 @@
 //! storage ordinal to the run column holding it, when the index covers it
 //! (resolved at plan time, `CompiledPrograms::source_runs`): kernels read
 //! covered columns from the run exactly as they read a segment's, while a
-//! conjunct over an uncovered column takes the scalar arm and reads its
-//! cells from the heap by row id, and a survivor gathers only its uncovered
-//! cells from the heap.  §9.1.3's "tag table", scanned in place of the base
-//! table.
+//! numeric program or the scalar arm reads an uncovered column's cells from
+//! the heap by row id, and a survivor gathers only its uncovered cells from
+//! the heap.  §9.1.3's "tag table", scanned in place of the base table.
+//!
+//! # Numeric programs
+//!
+//! The paper's data-mining filters are colour and shape cuts: arithmetic
+//! on magnitudes (`modelMag_u - modelMag_g < 0.55`, Q15's
+//! `rowv*rowv + colv*colv between 50 and 1000`).  A comparison or
+//! `BETWEEN` whose operands are all numeric — `Int`/`Float` columns and
+//! constants, `+ - * / %`, `& |` between `Int`s, unary minus, `abs`,
+//! `sqrt`, `square`, `power` — becomes a `Conjunct::Numeric`: each
+//! operand is a small program computed over the whole selection into typed
+//! `i64`/`f64` lanes with a NULL mask, and the test then runs lane by lane.
+//! Types are fixed when the program is built (`Int op Int` stays `Int`,
+//! with overflow an error; `/` and anything touching a `Float` is `f64`),
+//! so no lane holds a `Value`.  A lane the scalar operator would reject (an
+//! overflow, a zero divisor) that is not NULL fails the chunk with the
+//! scalar operator's own error.  `Bool`/`Str` operands, `CASE`, variables,
+//! UDFs and every other shape keep the scalar arm, which builds a sparse
+//! `Value` row per selected offset and runs the compiled program on it.
 //!
 //! # Semantics
 //!
@@ -50,10 +67,11 @@
 //! near-unique (more entries than selected rows) the predicate runs per
 //! selected row instead, so the trick never costs more than it saves.
 
-use crate::ast::BinaryOp;
+use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::SqlError;
 use crate::exec::compile::{CompiledExpr, LikeMatcher};
-use crate::expr::EvalContext;
+use crate::expr::{apply_binary, apply_unary, between_holds, EvalContext};
+use crate::functions::eval_builtin_normalized;
 use skyserver_storage::{Column, ColumnData, DataType, RowId, Run, Segment, Table, Value};
 use std::cmp::Ordering;
 
@@ -169,11 +187,13 @@ enum Conjunct<'a> {
         high: &'a Value,
         negated: bool,
     },
-    /// `col [NOT] IN (consts)` — NULL list members can never match and are
-    /// dropped at build time.
+    /// `col [NOT] IN (consts)`: the non-NULL members, and whether the list
+    /// held a NULL (a row that matches none of them is then NULL, not
+    /// false).
     InList {
         col: usize,
         list: Vec<&'a Value>,
+        has_null: bool,
         negated: bool,
     },
     /// `col IS [NOT] NULL` — answered from the validity bitmap alone.
@@ -184,15 +204,10 @@ enum Conjunct<'a> {
         matcher: &'a LikeMatcher,
         negated: bool,
     },
-    /// `(col & mask) <op> const` / `(col | mask)` — the SkyServer flag
-    /// idiom, specialised for Int columns.
-    FlagsCmp {
-        col: usize,
-        mask: i64,
-        or: bool,
-        op: BinaryOp,
-        konst: &'a Value,
-    },
+    /// A comparison or `BETWEEN` whose operands are all numeric programs:
+    /// `[left, right]` or `[value, low, high]`, each computed into typed
+    /// lanes over the selection before the test runs.
+    Numeric { sides: Vec<Num<'a>>, test: NumTest },
     /// A comparison against a NULL constant: NULL for every row.
     AlwaysNull,
     /// Anything else: run the compiled program per row over a sparse
@@ -224,6 +239,11 @@ impl Tri {
     }
 
     #[inline]
+    fn of_option(b: Option<bool>) -> Tri {
+        b.map_or(Tri::Null, Tri::of_bool)
+    }
+
+    #[inline]
     fn of_value(v: &Value) -> Tri {
         if v.is_null() {
             Tri::Null
@@ -252,6 +272,8 @@ pub(crate) struct BatchScratch {
     /// Emptied rows the sink handed back, refilled before new ones are
     /// allocated.
     spare: Vec<Vec<Value>>,
+    /// Lane buffers of the numeric programs, reused across chunks.
+    lanes: Vec<Lanes>,
 }
 
 impl BatchScratch {
@@ -442,12 +464,12 @@ impl<'a> BatchProgram<'a> {
         match place(self.runs, c) {
             Cell::Chunk(c) => {
                 let column = chunk.column(c);
-                retain(scratch, |off, _| {
+                retain(scratch, |_, off| {
                     Tri::of_bool(column.cmp_value(off as usize, bound) != after)
                 });
             }
             // A dead row stays: the gather drops it.
-            Cell::Heap(c) => retain(scratch, |off, _| {
+            Cell::Heap(c) => retain(scratch, |_, off| {
                 Tri::of_bool(
                     chunk
                         .heap(off)
@@ -527,7 +549,7 @@ impl<'a> BatchProgram<'a> {
             }
             Conjunct::IsNull { col, negated } => {
                 let validity = chunk.column(*col).validity();
-                retain(scratch, |off, _| {
+                retain(scratch, |_, off| {
                     // v.is_null() != negated, never NULL itself.
                     Tri::of_bool(validity[off as usize] == *negated)
                 });
@@ -544,7 +566,7 @@ impl<'a> BatchProgram<'a> {
                 let column = chunk.column(*col);
                 let validity = column.validity();
                 match column.data() {
-                    ColumnData::Int(ints) => retain(scratch, |off, _| {
+                    ColumnData::Int(ints) => retain(scratch, |_, off| {
                         let off = off as usize;
                         if !validity[off] {
                             return Tri::Null;
@@ -554,7 +576,7 @@ impl<'a> BatchProgram<'a> {
                             && ord_int(v, high) != Ordering::Greater;
                         Tri::of_bool(within != *negated)
                     }),
-                    ColumnData::Float(floats) => retain(scratch, |off, _| {
+                    ColumnData::Float(floats) => retain(scratch, |_, off| {
                         let off = off as usize;
                         if !validity[off] {
                             return Tri::Null;
@@ -576,40 +598,45 @@ impl<'a> BatchProgram<'a> {
                     }),
                 }
             }
-            Conjunct::InList { col, list, negated } => {
+            Conjunct::InList {
+                col,
+                list,
+                has_null,
+                negated,
+            } => {
+                let answer = |found: bool| match (found, *has_null) {
+                    (false, true) => Tri::Null,
+                    _ => Tri::of_bool(found != *negated),
+                };
                 let column = chunk.column(*col);
                 let validity = column.validity();
                 match column.data() {
-                    ColumnData::Int(ints) => retain(scratch, |off, _| {
+                    ColumnData::Int(ints) => retain(scratch, |_, off| {
                         let off = off as usize;
                         if !validity[off] {
                             return Tri::Null;
                         }
                         let v = ints[off];
-                        let found = list.iter().any(|k| ord_int(v, k) == Ordering::Equal);
-                        Tri::of_bool(found != *negated)
+                        answer(list.iter().any(|k| ord_int(v, k) == Ordering::Equal))
                     }),
-                    ColumnData::Float(floats) => retain(scratch, |off, _| {
+                    ColumnData::Float(floats) => retain(scratch, |_, off| {
                         let off = off as usize;
                         if !validity[off] {
                             return Tri::Null;
                         }
                         let v = floats[off];
-                        let found = list.iter().any(|k| ord_float(v, k) == Ordering::Equal);
-                        Tri::of_bool(found != *negated)
+                        answer(list.iter().any(|k| ord_float(v, k) == Ordering::Equal))
                     }),
                     ColumnData::Str { dict, codes } => {
                         str_kernel(scratch, validity, dict, codes, |s| {
-                            let found = list.iter().any(|k| ord_str(s, k) == Ordering::Equal);
-                            Tri::of_bool(found != *negated)
+                            answer(list.iter().any(|k| ord_str(s, k) == Ordering::Equal))
                         });
                     }
                     _ => retain_generic(scratch, column, |v| {
                         if v.is_null() {
                             return Tri::Null;
                         }
-                        let found = list.iter().any(|k| v.sql_eq(k));
-                        Tri::of_bool(found != *negated)
+                        answer(list.iter().any(|k| v.sql_eq(k)))
                     }),
                 }
             }
@@ -634,45 +661,59 @@ impl<'a> BatchProgram<'a> {
                     }),
                 }
             }
-            Conjunct::FlagsCmp {
-                col,
-                mask,
-                or,
-                op,
-                konst,
-            } => {
-                let column = chunk.column(*col);
-                let validity = column.validity();
-                match column.data() {
-                    ColumnData::Int(ints) => retain(scratch, |off, _| {
-                        let off = off as usize;
-                        if !validity[off] {
-                            return Tri::Null;
-                        }
-                        let masked = if *or {
-                            ints[off] | mask
-                        } else {
-                            ints[off] & mask
-                        };
-                        Tri::of_bool(cmp_holds(*op, ord_int(masked, konst), |a| {
-                            sql_eq_int(a, konst)
-                        }))
+            Conjunct::Numeric { sides, test } => {
+                // Lane buffers are reused chunk after chunk; an error ends
+                // the scan, so losing them on that path costs nothing.
+                let mut pool = std::mem::take(&mut scratch.lanes);
+                let mut lanes: [Lanes; 3] = Default::default();
+                for (l, side) in lanes.iter_mut().zip(sides) {
+                    *l = side.eval(chunk, &scratch.sel, &mut pool)?;
+                }
+                // Mixed operands compare as floats, as `Value::total_cmp`.
+                let ints = sides.iter().all(|s| s.ty == NumType::Int);
+                for (l, side) in lanes.iter_mut().zip(sides).filter(|_| !ints) {
+                    l.floats(side.ty);
+                }
+                let ord = |x: &Lanes, y: &Lanes, i: usize| match ints {
+                    true => x.int[x.at(i)].cmp(&y.int[y.at(i)]),
+                    false => x.float[x.at(i)].total_cmp(&y.float[y.at(i)]),
+                };
+                let null = |x: &Lanes, i: usize| x.is_null(i);
+                let [a, b, c] = &lanes;
+                // Lanes without a NULL against a non-NULL constant: hoist
+                // the constant (the flag tests of the Galaxy/Star views).
+                let hoist = (a.step, a.null_step, b.step, b.null_step) == (1, 0, 0, 0)
+                    && !a.null[0]
+                    && !b.null[0]
+                    && !scratch.sel.is_empty();
+                match *test {
+                    NumTest::Cmp(op) if hoist && ints => {
+                        let (x, k) = (&a.int[..], b.int[0]);
+                        retain(scratch, |i, _| Tri::of_bool(cmp_holds(op, x[i].cmp(&k))))
+                    }
+                    NumTest::Cmp(op) if hoist => {
+                        let (x, k) = (&a.float[..], b.float[0]);
+                        retain(scratch, |i, _| {
+                            Tri::of_bool(cmp_holds(op, x[i].total_cmp(&k)))
+                        })
+                    }
+                    NumTest::Cmp(op) => retain(scratch, |i, _| match null(a, i) || null(b, i) {
+                        true => Tri::Null,
+                        false => Tri::of_bool(cmp_holds(op, ord(a, b, i))),
                     }),
-                    // Build guards on DataType::Int, but a segment could be
-                    // empty of data before the first insert; fall back.
-                    _ => retain_generic(scratch, column, |v| {
-                        if v.is_null() {
-                            return Tri::Null;
-                        }
-                        let Some(l) = v.as_i64() else {
-                            return Tri::False; // unreachable for Int columns
+                    NumTest::Between { negated } => retain(scratch, |i, _| {
+                        let half = |bound: &Lanes, past| {
+                            (!null(bound, i)).then(|| ord(a, bound, i) != past)
                         };
-                        let masked = if *or { l | mask } else { l & mask };
-                        Tri::of_bool(cmp_holds(*op, ord_int(masked, konst), |a| {
-                            sql_eq_int(a, konst)
-                        }))
+                        let (ge, le) = (half(b, Ordering::Less), half(c, Ordering::Greater));
+                        match null(a, i) {
+                            true => Tri::Null,
+                            false => Tri::of_option(between_holds(ge, le, negated)),
+                        }
                     }),
                 }
+                pool.extend(lanes.iter_mut().take(sides.len()).map(std::mem::take));
+                scratch.lanes = pool;
             }
             Conjunct::Scalar { expr, cols } => {
                 let ncols = self.column_types.len();
@@ -686,7 +727,7 @@ impl<'a> BatchProgram<'a> {
                 let mut row = std::mem::take(&mut scratch.row);
                 row.clear();
                 row.resize(ncols, Value::Null);
-                retain(scratch, |off, _| {
+                retain(scratch, |_, off| {
                     if err.is_some() {
                         return Tri::True; // error already pending; keep row sets, bail after
                     }
@@ -716,61 +757,49 @@ impl<'a> BatchProgram<'a> {
 fn cmp_kernel(column: &Column, scratch: &mut BatchScratch, op: BinaryOp, konst: &Value) {
     let validity = column.validity();
     match column.data() {
-        ColumnData::Int(ints) => retain(scratch, |off, _| {
+        ColumnData::Int(ints) => retain(scratch, |_, off| {
             let off = off as usize;
             if !validity[off] {
                 return Tri::Null;
             }
             let v = ints[off];
-            Tri::of_bool(cmp_holds(op, ord_int(v, konst), |a| sql_eq_int(a, konst)))
+            Tri::of_bool(cmp_holds(op, ord_int(v, konst)))
         }),
-        ColumnData::Float(floats) => retain(scratch, |off, _| {
+        ColumnData::Float(floats) => retain(scratch, |_, off| {
             let off = off as usize;
             if !validity[off] {
                 return Tri::Null;
             }
             let v = floats[off];
-            Tri::of_bool(cmp_holds(op, ord_float(v, konst), |a| {
-                sql_eq_float(a, konst)
-            }))
+            Tri::of_bool(cmp_holds(op, ord_float(v, konst)))
         }),
         ColumnData::Str { dict, codes } => {
             str_kernel(scratch, validity, dict, codes, |s| {
-                Tri::of_bool(cmp_holds(op, ord_str(s, konst), |a| sql_eq_str(a, konst)))
+                Tri::of_bool(cmp_holds(op, ord_str(s, konst)))
             });
         }
         _ => retain_generic(scratch, column, |v| {
             if v.is_null() {
                 return Tri::Null;
             }
-            let holds = match op {
-                BinaryOp::Eq => v.sql_eq(konst),
-                BinaryOp::NotEq => !v.sql_eq(konst),
-                BinaryOp::Lt => v.total_cmp(konst) == Ordering::Less,
-                BinaryOp::LtEq => v.total_cmp(konst) != Ordering::Greater,
-                BinaryOp::Gt => v.total_cmp(konst) == Ordering::Greater,
-                BinaryOp::GtEq => v.total_cmp(konst) != Ordering::Less,
-                // skylint: allow(no-panic) compile_predicate only builds CmpConst from comparison ops
-                _ => unreachable!("only comparisons build CmpConst"),
-            };
-            Tri::of_bool(holds)
+            Tri::of_bool(cmp_holds(op, v.total_cmp(konst)))
         }),
     }
 }
 
 /// Run `f` over the selection, keeping True rows, keeping-and-flagging Null
-/// rows, dropping False rows.  `f` gets `(offset, already_flagged)`.
+/// rows, dropping False rows.  `f` gets `(position in the selection,
+/// offset)`.
 #[inline]
-fn retain(scratch: &mut BatchScratch, mut f: impl FnMut(u32, bool) -> Tri) {
+fn retain(scratch: &mut BatchScratch, mut f: impl FnMut(usize, u32) -> Tri) {
     let mut kept = 0usize;
     for i in 0..scratch.sel.len() {
         let off = scratch.sel[i];
-        let flagged = scratch.nulls[i];
-        match f(off, flagged) {
+        match f(i, off) {
             Tri::False => {}
             tri => {
                 scratch.sel[kept] = off;
-                scratch.nulls[kept] = flagged || tri == Tri::Null;
+                scratch.nulls[kept] = scratch.nulls[i] || tri == Tri::Null;
                 kept += 1;
             }
         }
@@ -784,7 +813,7 @@ fn retain(scratch: &mut BatchScratch, mut f: impl FnMut(u32, bool) -> Tri) {
 /// materialization.
 #[inline]
 fn retain_generic(scratch: &mut BatchScratch, column: &Column, mut f: impl FnMut(&Value) -> Tri) {
-    retain(scratch, |off, _| {
+    retain(scratch, |_, off| {
         let v = column.value(off as usize);
         f(&v)
     })
@@ -818,7 +847,7 @@ fn str_kernel(
     if dict.len() <= scratch.sel.len() {
         prime_dict(&mut scratch.dict, dict, &pred);
         let answers = std::mem::take(&mut scratch.dict);
-        retain(scratch, |off, _| {
+        retain(scratch, |_, off| {
             let off = off as usize;
             if !validity[off] {
                 Tri::Null
@@ -828,7 +857,7 @@ fn str_kernel(
         });
         scratch.dict = answers;
     } else {
-        retain(scratch, |off, _| {
+        retain(scratch, |_, off| {
             let off = off as usize;
             if !validity[off] {
                 Tri::Null
@@ -839,14 +868,14 @@ fn str_kernel(
     }
 }
 
-/// Does `op` hold given the [`Value::total_cmp`] ordering?  `Eq`/`NotEq`
-/// route through `eq` because SQL equality and total ordering agree only on
-/// non-NULL values (which is all a kernel ever passes).
+/// Does `op` hold given the [`Value::total_cmp`] ordering of two non-NULL
+/// values?  (SQL equality and the total order agree on those — the only
+/// values a kernel compares.)
 #[inline]
-fn cmp_holds(op: BinaryOp, ord: Ordering, eq: impl Fn(Ordering) -> bool) -> bool {
+fn cmp_holds(op: BinaryOp, ord: Ordering) -> bool {
     match op {
-        BinaryOp::Eq => eq(ord),
-        BinaryOp::NotEq => !eq(ord),
+        BinaryOp::Eq => ord == Ordering::Equal,
+        BinaryOp::NotEq => ord != Ordering::Equal,
         BinaryOp::Lt => ord == Ordering::Less,
         BinaryOp::LtEq => ord != Ordering::Greater,
         BinaryOp::Gt => ord == Ordering::Greater,
@@ -854,26 +883,6 @@ fn cmp_holds(op: BinaryOp, ord: Ordering, eq: impl Fn(Ordering) -> bool) -> bool
         // skylint: allow(no-panic) callers dispatch on comparison ops before calling cmp_holds
         _ => unreachable!("only comparisons reach cmp_holds"),
     }
-}
-
-#[inline]
-fn sql_eq_int(ord: Ordering, konst: &Value) -> bool {
-    // sql_eq == (total_cmp == Equal) for non-NULL operands; konst is
-    // non-NULL by construction.
-    debug_assert!(!konst.is_null());
-    ord == Ordering::Equal
-}
-
-#[inline]
-fn sql_eq_float(ord: Ordering, konst: &Value) -> bool {
-    debug_assert!(!konst.is_null());
-    ord == Ordering::Equal
-}
-
-#[inline]
-fn sql_eq_str(ord: Ordering, konst: &Value) -> bool {
-    debug_assert!(!konst.is_null());
-    ord == Ordering::Equal
 }
 
 /// `Value::total_cmp(Int(v), konst)` without constructing a `Value`.
@@ -919,13 +928,24 @@ fn build_conjunct<'a>(
     runs: Option<&[Option<usize>]>,
 ) -> Conjunct<'a> {
     // A kernel reads a chunk column; a column an index run does not hold
-    // is read from the heap row by row, by the scalar arm.
+    // is read from the heap row by row, by a numeric program or the scalar
+    // arm.
     let chunk_column = |i: &usize| match place(runs, *i) {
         Cell::Chunk(c) if *i < column_types.len() => Some(c),
         _ => None,
     };
     let col_ok = |i: &usize| chunk_column(i).is_some();
     let col = |i: &usize| chunk_column(i).unwrap_or(*i);
+    let numeric = |sides: &[&'a CompiledExpr], test: NumTest| {
+        let sides = sides
+            .iter()
+            .map(|e| Num::build(e, column_types, runs))
+            .collect::<Option<Vec<Num<'a>>>>();
+        match sides {
+            Some(sides) => Conjunct::Numeric { sides, test },
+            None => scalar_conjunct(expr, column_types.len(), runs),
+        }
+    };
     match expr {
         CompiledExpr::Binary { op, left, right } if op.is_comparison() => {
             // Normalise `const op col` to `col mirror(op) const`.
@@ -934,11 +954,7 @@ fn build_conjunct<'a>(
                 (CompiledExpr::Const(k), CompiledExpr::Col(i)) if col_ok(i) => {
                     (col(i), op.mirror(), k)
                 }
-                (inner, CompiledExpr::Const(k)) => {
-                    return build_flags(inner, *op, k, column_types, runs)
-                        .unwrap_or_else(|| scalar_conjunct(expr, column_types.len(), runs));
-                }
-                _ => return scalar_conjunct(expr, column_types.len(), runs),
+                _ => return numeric(&[left, right], NumTest::Cmp(*op)),
             };
             if konst.is_null() {
                 Conjunct::AlwaysNull
@@ -953,20 +969,16 @@ fn build_conjunct<'a>(
             negated,
         } => match (&**inner, &**low, &**high) {
             (CompiledExpr::Col(i), CompiledExpr::Const(lo), CompiledExpr::Const(hi))
-                if col_ok(i) =>
+                if col_ok(i) && !lo.is_null() && !hi.is_null() =>
             {
-                if lo.is_null() || hi.is_null() {
-                    Conjunct::AlwaysNull
-                } else {
-                    Conjunct::Between {
-                        col: col(i),
-                        low: lo,
-                        high: hi,
-                        negated: *negated,
-                    }
+                Conjunct::Between {
+                    col: col(i),
+                    low: lo,
+                    high: hi,
+                    negated: *negated,
                 }
             }
-            _ => scalar_conjunct(expr, column_types.len(), runs),
+            _ => numeric(&[inner, low, high], NumTest::Between { negated: *negated }),
         },
         CompiledExpr::InList {
             expr: inner,
@@ -986,7 +998,7 @@ fn build_conjunct<'a>(
                 }
                 Conjunct::InList {
                     col: col(i),
-                    // NULL members never satisfy sql_eq; drop them.
+                    has_null: consts.iter().any(|v| v.is_null()),
                     list: consts.into_iter().filter(|v| !v.is_null()).collect(),
                     negated: *negated,
                 }
@@ -1019,56 +1031,350 @@ fn build_conjunct<'a>(
     }
 }
 
-/// Recognise the flag idiom `(col & mask)` / `(col | mask)` as the left
-/// side of a comparison — Int columns only, where `as_i64` is exact.
-fn build_flags<'a>(
-    inner: &'a CompiledExpr,
-    op: BinaryOp,
-    konst: &'a Value,
-    column_types: &[DataType],
-    runs: Option<&[Option<usize>]>,
-) -> Option<Conjunct<'a>> {
-    let CompiledExpr::Binary {
-        op: bit_op,
-        left,
-        right,
-    } = inner
-    else {
-        return None;
-    };
-    let or = match bit_op {
-        BinaryOp::BitAnd => false,
-        BinaryOp::BitOr => true,
-        _ => return None,
-    };
-    let (col, mask_v) = match (&**left, &**right) {
-        (CompiledExpr::Col(i), CompiledExpr::Const(k)) => (*i, k),
-        (CompiledExpr::Const(k), CompiledExpr::Col(i)) => (*i, k),
-        _ => return None,
-    };
-    if column_types.get(col) != Some(&DataType::Int) {
-        return None;
+// ---------------------------------------------------------------------------
+// Numeric programs
+// ---------------------------------------------------------------------------
+
+/// The test a [`Conjunct::Numeric`] applies to its sides' lanes.
+#[derive(Clone, Copy)]
+enum NumTest {
+    /// `left <op> right`.
+    Cmp(BinaryOp),
+    /// `value [NOT] BETWEEN low AND high`, three-valued.
+    Between { negated: bool },
+}
+
+/// A numeric value's type, fixed when its program is built: a column's
+/// declared type, `Int` for `Int op Int` under `+ - * % & |`, `Float` for
+/// `/` and for anything that touches a `Float`.
+#[derive(Clone, Copy, PartialEq)]
+enum NumType {
+    Int,
+    Float,
+}
+
+/// An operator of a numeric program: `+ - * / % & |`, unary minus, or the
+/// built-in `abs`, `sqrt`, `square` or `power` (normalized name).
+#[derive(Clone, Copy)]
+enum NumOp {
+    Binary(BinaryOp),
+    Neg,
+    Builtin(&'static str),
+}
+
+/// One operand of a [`Conjunct::Numeric`]: arithmetic over `Int`/`Float`
+/// cells and constants, computed a whole selection at a time.
+struct Num<'a> {
+    ty: NumType,
+    node: NumNode<'a>,
+}
+
+enum NumNode<'a> {
+    /// A column cell, of the program's type.
+    Col(Cell),
+    /// An `Int`, `Float` or NULL constant.
+    Const(&'a Value),
+    /// An operator over one or two operand programs.
+    Apply(NumOp, Vec<Num<'a>>),
+}
+
+/// A numeric program's values over the selection, position by position:
+/// in `int` or `float` by the program's type, `null` where the value is
+/// NULL (the number there is meaningless and never checked).  A value the
+/// same at every position — a constant's — is held once: position `i` is
+/// element `i * step`, and `step` is 0.  The NULL mask steps the same way
+/// on its own: a column chunk that holds no NULL has `null == [false]`
+/// and `null_step` 0.
+#[derive(Default)]
+struct Lanes {
+    int: Vec<i64>,
+    float: Vec<f64>,
+    null: Vec<bool>,
+    step: usize,
+    null_step: usize,
+}
+
+impl Lanes {
+    /// Make `float` hold the lanes, converting `Int` ones as
+    /// `Value::as_f64` does.
+    fn floats(&mut self, ty: NumType) {
+        if ty == NumType::Int {
+            self.float.clear();
+            self.float.extend(self.int.iter().map(|&i| i as f64));
+        }
     }
-    let Cell::Chunk(col) = place(runs, col) else {
-        return None;
+
+    /// The element holding position `i`.
+    #[inline]
+    fn at(&self, i: usize) -> usize {
+        i * self.step
+    }
+
+    #[inline]
+    fn is_null(&self, i: usize) -> bool {
+        self.null[i * self.null_step]
+    }
+
+    fn value(&self, ty: NumType, i: usize) -> Value {
+        let (null, i) = (self.is_null(i), self.at(i));
+        match (null, ty) {
+            (true, _) => Value::Null,
+            (false, NumType::Int) => Value::Int(self.int[i]),
+            (false, NumType::Float) => Value::Float(self.float[i]),
+        }
+    }
+}
+
+/// Apply `f` to the elements of `x` and `y` (each with its step) behind
+/// positions `0..len` into `out`; `f` also says whether the scalar
+/// operator rejects them (overflow, a zero divisor).  Returns the first
+/// such position that is not NULL in `null` (with its step).
+fn zip_lanes<T: Copy>(
+    out: &mut Vec<T>,
+    (x, sx): (&[T], usize),
+    (y, sy): (&[T], usize),
+    (null, ns): (&[bool], usize),
+    len: usize,
+    f: impl Fn(T, T) -> (T, bool),
+) -> Option<usize> {
+    let mut rejected = false;
+    let mut at = |i: usize, x: T, y: T| {
+        let (v, r) = f(x, y);
+        rejected |= r & !null[i * ns];
+        v
     };
-    if mask_v.is_null() {
-        // A NULL mask makes the whole comparison NULL for every row.
-        return Some(Conjunct::AlwaysNull);
+    // Lanes against a constant, and lanes against lanes, index directly.
+    match (sx, sy) {
+        (1, 0) => out.extend(x[..len].iter().enumerate().map(|(i, &x)| at(i, x, y[0]))),
+        (1, 1) => out.extend(
+            x[..len]
+                .iter()
+                .zip(&y[..len])
+                .enumerate()
+                .map(|(i, (&x, &y))| at(i, x, y)),
+        ),
+        _ => out.extend((0..len).map(|i| at(i, x[i * sx], y[i * sy]))),
     }
-    // A non-integer mask is an error for every non-NULL row, even under a
-    // NULL comparand: leave it to the scalar arm.
-    let mask = mask_v.as_i64()?;
-    if konst.is_null() {
-        return Some(Conjunct::AlwaysNull);
+    // Rare (the statement fails): find the position again.
+    let rejects = |i: &usize| !null[i * ns] && f(x[i * sx], y[i * sy]).1;
+    rejected.then(|| (0..len).find(rejects)).flatten()
+}
+
+impl<'a> Num<'a> {
+    /// The program of `expr`, or `None` when it reads anything but `Int`/
+    /// `Float` columns and constants (`pi()` arrives folded into one),
+    /// `+ - * / %`, `& |` between `Int`s, unary minus, `abs`, `sqrt`,
+    /// `square` and `power`.
+    fn build(
+        expr: &'a CompiledExpr,
+        types: &[DataType],
+        runs: Option<&[Option<usize>]>,
+    ) -> Option<Num<'a>> {
+        use NumType::{Float, Int};
+        let num = |e: &'a CompiledExpr| Num::build(e, types, runs);
+        let (ty, node) = match expr {
+            CompiledExpr::Col(i) => match types.get(*i)? {
+                DataType::Int => (Int, NumNode::Col(place(runs, *i))),
+                DataType::Float => (Float, NumNode::Col(place(runs, *i))),
+                _ => return None,
+            },
+            CompiledExpr::Const(v @ (Value::Int(_) | Value::Null)) => (Int, NumNode::Const(v)),
+            CompiledExpr::Const(v @ Value::Float(_)) => (Float, NumNode::Const(v)),
+            CompiledExpr::Unary {
+                op: UnaryOp::Neg,
+                expr,
+            } => {
+                let arg = num(expr)?;
+                (arg.ty, NumNode::Apply(NumOp::Neg, vec![arg]))
+            }
+            CompiledExpr::Binary { op, left, right } => {
+                let (l, r) = (num(left)?, num(right)?);
+                let ints = l.ty == Int && r.ty == Int;
+                let ty = match op {
+                    BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Mod if ints => Int,
+                    BinaryOp::Add | BinaryOp::Sub | BinaryOp::Mul | BinaryOp::Mod => Float,
+                    BinaryOp::Div => Float,
+                    BinaryOp::BitAnd | BinaryOp::BitOr if ints => Int,
+                    _ => return None,
+                };
+                (ty, NumNode::Apply(NumOp::Binary(*op), vec![l, r]))
+            }
+            CompiledExpr::Call {
+                name,
+                builtin: true,
+                args,
+            } => {
+                let args = args.iter().map(num).collect::<Option<Vec<Num>>>()?;
+                let (name, ty) = match (name.as_str(), &args[..]) {
+                    ("abs", [x]) => ("abs", x.ty),
+                    ("sqrt", [_]) => ("sqrt", Float),
+                    ("square", [_]) => ("square", Float),
+                    ("power", [_, _]) => ("power", Float),
+                    _ => return None,
+                };
+                (ty, NumNode::Apply(NumOp::Builtin(name), args))
+            }
+            _ => return None,
+        };
+        Some(Num { ty, node })
     }
-    Some(Conjunct::FlagsCmp {
-        col,
-        mask,
-        or,
-        op,
-        konst,
-    })
+
+    /// Compute the program over the offsets `sel` of `chunk`, into lanes
+    /// taken from `pool`.  Fails iff row-at-a-time evaluation fails on one
+    /// of the offsets.
+    fn eval(
+        &self,
+        chunk: Chunk<'_>,
+        sel: &[u32],
+        pool: &mut Vec<Lanes>,
+    ) -> Result<Lanes, SqlError> {
+        let mut out = pool.pop().unwrap_or_default();
+        out.int.clear();
+        out.float.clear();
+        out.null.clear();
+        let mismatch = || SqlError::Execution("a numeric column changed type".into());
+        match &self.node {
+            NumNode::Const(v) => {
+                (out.step, out.null_step) = (0, 0);
+                out.null.push(v.is_null());
+                match v {
+                    Value::Float(k) => out.float.push(*k),
+                    k => out.int.push(k.as_i64().unwrap_or(0)),
+                }
+            }
+            NumNode::Col(Cell::Chunk(c)) => {
+                let column = chunk.column(*c);
+                let valid = column.validity();
+                (out.step, out.null_step) = (1, usize::from(column.null_count() > 0));
+                match out.null_step {
+                    0 => out.null.push(false),
+                    _ => out.null.extend(sel.iter().map(|&off| !valid[off as usize])),
+                }
+                match column.data() {
+                    ColumnData::Int(v) => out.int.extend(sel.iter().map(|&off| v[off as usize])),
+                    ColumnData::Float(v) => {
+                        out.float.extend(sel.iter().map(|&off| v[off as usize]))
+                    }
+                    _ => return Err(mismatch()),
+                }
+            }
+            NumNode::Col(Cell::Heap(c)) => {
+                (out.step, out.null_step) = (1, 1);
+                for &off in sel {
+                    // A row deleted under the run reads NULL, as in the
+                    // scalar arm; the gather drops it.
+                    let slot = chunk
+                        .heap(off)
+                        .map(|(seg, at)| (seg.column(*c), at))
+                        .filter(|(column, at)| column.validity()[*at]);
+                    out.null.push(slot.is_none());
+                    match (slot.map(|(column, at)| (column.data(), at)), self.ty) {
+                        (Some((ColumnData::Int(v), at)), NumType::Int) => out.int.push(v[at]),
+                        (Some((ColumnData::Float(v), at)), NumType::Float) => out.float.push(v[at]),
+                        (None, NumType::Int) => out.int.push(0),
+                        (None, NumType::Float) => out.float.push(0.0),
+                        _ => return Err(mismatch()),
+                    }
+                }
+            }
+            NumNode::Apply(op, args) => {
+                let mut lanes: [Lanes; 2] = Default::default();
+                for (l, arg) in lanes.iter_mut().zip(args) {
+                    *l = arg.eval(chunk, sel, pool)?;
+                }
+                let lanes = &mut lanes[..args.len()];
+                // Constants in, one element out (none for no position).
+                out.step = lanes.iter().map(|l| l.step).max().unwrap_or(0);
+                out.null_step = lanes.iter().map(|l| l.null_step).max().unwrap_or(0);
+                let len = sel.len().min(if out.step == 0 { 1 } else { usize::MAX });
+                self.apply(*op, args, lanes, len, &mut out)?;
+                pool.extend(lanes.iter_mut().map(std::mem::take));
+            }
+        }
+        Ok(out)
+    }
+
+    /// `out = op(lanes)` over `len` elements: NULL wherever an operand is
+    /// NULL, otherwise the operator's value — or, on the first lane the
+    /// scalar operator rejects, that operator's error.
+    fn apply(
+        &self,
+        op: NumOp,
+        args: &[Num<'_>],
+        lanes: &mut [Lanes],
+        len: usize,
+        out: &mut Lanes,
+    ) -> Result<(), SqlError> {
+        use BinaryOp::{Add, BitAnd, BitOr, Div, Mod, Mul, Sub};
+        // A unary operator reads its one operand as both `x` and `y`.
+        let b = lanes.len() - 1;
+        let (sx, sy) = (lanes[0].step, lanes[b].step);
+        let (xn, yn) = (&lanes[0], &lanes[b]);
+        let nulls = if out.null_step == 0 { 1 } else { len };
+        out.null
+            .extend((0..nulls).map(|i| xn.is_null(i) | yn.is_null(i)));
+        // One `zip_lanes` instance per operator, so each inlines its `f`.
+        let bad = match self.ty {
+            NumType::Int => {
+                let (x, y) = ((&lanes[0].int[..], sx), (&lanes[b].int[..], sy));
+                let (out, null) = (&mut out.int, (&out.null[..], out.null_step));
+                match op {
+                    NumOp::Binary(Add) => zip_lanes(out, x, y, null, len, i64::overflowing_add),
+                    NumOp::Binary(Sub) => zip_lanes(out, x, y, null, len, i64::overflowing_sub),
+                    NumOp::Binary(Mul) => zip_lanes(out, x, y, null, len, i64::overflowing_mul),
+                    NumOp::Binary(Mod) => zip_lanes(out, x, y, null, len, |x, y| {
+                        x.checked_rem(y).map_or((0, true), |r| (r, false))
+                    }),
+                    NumOp::Binary(BitAnd) => zip_lanes(out, x, y, null, len, |x, y| (x & y, false)),
+                    NumOp::Binary(BitOr) => zip_lanes(out, x, y, null, len, |x, y| (x | y, false)),
+                    NumOp::Neg => zip_lanes(out, x, y, null, len, |x, _| x.overflowing_neg()),
+                    // `abs`, the one Int-typed built-in.
+                    _ => zip_lanes(out, x, y, null, len, |x, _| x.overflowing_abs()),
+                }
+            }
+            NumType::Float => {
+                for (l, arg) in lanes.iter_mut().zip(args) {
+                    l.floats(arg.ty);
+                }
+                let (x, y) = ((&lanes[0].float[..], sx), (&lanes[b].float[..], sy));
+                let (out, null) = (&mut out.float, (&out.null[..], out.null_step));
+                match op {
+                    NumOp::Binary(Add) => zip_lanes(out, x, y, null, len, |x, y| (x + y, false)),
+                    NumOp::Binary(Sub) => zip_lanes(out, x, y, null, len, |x, y| (x - y, false)),
+                    NumOp::Binary(Mul) => zip_lanes(out, x, y, null, len, |x, y| (x * y, false)),
+                    NumOp::Binary(Div) => zip_lanes(out, x, y, null, len, |x, y| (x / y, y == 0.0)),
+                    NumOp::Binary(Mod) => zip_lanes(out, x, y, null, len, |x, y| (x % y, y == 0.0)),
+                    NumOp::Neg => zip_lanes(out, x, y, null, len, |x, _| (-x, false)),
+                    NumOp::Builtin("power") => {
+                        zip_lanes(out, x, y, null, len, |x, y| (x.powf(y), false))
+                    }
+                    NumOp::Builtin("abs") => {
+                        zip_lanes(out, x, y, null, len, |x, _| (x.abs(), false))
+                    }
+                    NumOp::Builtin("sqrt") => {
+                        zip_lanes(out, x, y, null, len, |x, _| (x.sqrt(), false))
+                    }
+                    // `square`, the last Float-typed operator.
+                    _ => zip_lanes(out, x, y, null, len, |x, _| (x * x, false)),
+                }
+            }
+        };
+        let Some(i) = bad else { return Ok(()) };
+        // Row-at-a-time evaluation of that lane, for the error it raises.
+        let mut v: Vec<Value> = args
+            .iter()
+            .zip(&*lanes)
+            .map(|(a, l)| l.value(a.ty, i))
+            .collect();
+        let scalar = match op {
+            NumOp::Binary(op) => apply_binary(&v[0], op, &v[b]),
+            NumOp::Neg => apply_unary(UnaryOp::Neg, v.swap_remove(0)),
+            NumOp::Builtin(name) => eval_builtin_normalized(name, &v).unwrap_or(Ok(Value::Null)),
+        };
+        Err(scalar
+            .err()
+            .unwrap_or_else(|| SqlError::Execution("numeric kernel rejected a valid lane".into())))
+    }
 }
 
 #[cfg(test)]
@@ -1087,18 +1393,32 @@ mod tests {
     const NAMES: [&str; 6] = ["id", "a", "f", "s", "flags", "b"];
     const TYPES: [DataType; 6] = [Int, Int, Float, Str, Int, Bool];
 
-    /// One random conjunct: every kernel shape over every column type, plus
-    /// shapes that take the scalar arm (arithmetic with a mod-by-zero error
-    /// path, column-column comparison, disjunction, negation).
+    /// One random conjunct: every kernel shape over every column type,
+    /// numeric programs over the `Int`/`Float` columns (zeros, negatives,
+    /// `-0.0`, NULLs and the `i64` extremes reach them), and shapes that
+    /// take the scalar arm (disjunction, negation, non-numeric operands).
     fn atom(rng: &mut ChaCha8Rng) -> String {
         let mut pick = |of: &[&str]| of[rng.gen_range(0..of.len())].to_string();
         let (c, c2) = (pick(&NAMES), pick(&NAMES));
+        // Mostly numeric columns; `s` and `b` keep the scalar arm covered.
+        let numeric = ["a", "f", "a", "f", "id", "flags", "s", "b"];
+        let (n, n2) = (pick(&numeric), pick(&numeric));
         let consts = ["null", "0", "3", "12", "-2.5", "7.0", "'a'", "'ab'", "''"];
         let (k, k2) = (pick(&consts), pick(&consts));
+        let numeric_consts = [
+            "0",
+            "-3",
+            "2.5",
+            "-0.0",
+            "null",
+            "9223372036854775807",
+            "(-9223372036854775807 - 1)",
+        ];
+        let (nk, nk2) = (pick(&numeric_consts), pick(&numeric_consts));
         let op = pick(&["=", "<>", "<", "<=", ">", ">="]);
         let not = pick(&["", "", "not "]);
         let (like, bit) = (pick(&["a%", "%b", "_", "%", "%1%"]), pick(&["&", "|"]));
-        match rng.gen_range(0..11usize) {
+        match rng.gen_range(0..22usize) {
             0 => format!("{c} {op} {k}"),
             1 => format!("{k} {op} {c}"),
             2 => format!("{c} {not}between {k} and {k2}"),
@@ -1108,13 +1428,25 @@ mod tests {
             6 => format!("({c} {bit} {k}) {op} {k2}"),
             7 => format!("{c} % {k} {op} {k2}"),
             8 => format!("{c} {op} {c2}"),
-            9 => format!("({} or {})", atom(rng), atom(rng)),
+            9 => format!("{n} + {n2} {op} {nk}"),
+            10 => format!("{n} * {nk} - {n2} {op} {nk2}"),
+            11 => format!("{n} / {n2} {op} {nk}"),
+            12 => format!("power({n}, 2) {op} {nk}"),
+            13 => format!("sqrt({n}) {op} {nk}"),
+            14 => format!("abs({n} - {n2}) {op} {nk}"),
+            15 => format!("-{n} {op} {n2}"),
+            16 => format!("{n} {not}between {n2} and {nk}"),
+            17 => format!("({n} {bit} {nk}) {op} {n2} % {nk2}"),
+            18 => format!("{n} % {n2} {op} {nk}"),
+            19 => format!("{n} / {nk} {op} {n2}"),
+            20 => format!("({} or {})", atom(rng), atom(rng)),
             _ => format!("not ({})", atom(rng)),
         }
     }
 
     /// A random table of `n_rows` rows over [`NAMES`]: every column but
-    /// `id` NULL one time in six, one row in nine deleted.
+    /// `id` NULL one time in six, `a` sometimes an `i64` extreme, `f`
+    /// sometimes a signed zero, one row in nine deleted.
     fn random_table(rng: &mut ChaCha8Rng, n_rows: usize) -> Table {
         let columns = NAMES
             .iter()
@@ -1122,10 +1454,20 @@ mod tests {
             .map(|(n, ty)| ColumnDef::new(*n, ty).nullable());
         let mut table = Table::new("t", TableSchema::new(columns.collect()));
         for i in 0..n_rows {
+            let a = match rng.gen_range(0..40usize) {
+                0 => i64::MAX,
+                1 => i64::MIN,
+                _ => rng.gen_range(-5i64..50),
+            };
+            let f = match rng.gen_range(0..12usize) {
+                0 => -0.0,
+                1 => 0.0,
+                _ => rng.gen_range(-10.0f64..10.0),
+            };
             let mut row = vec![
                 Value::Int(i as i64),
-                Value::Int(rng.gen_range(-5i64..50)),
-                Value::Float(rng.gen_range(-10.0f64..10.0)),
+                Value::Int(a),
+                Value::Float(f),
                 Value::str(["", "a", "ab", "b1", "N_"][rng.gen_range(0..5usize)]),
                 Value::Int(rng.gen_range(0i64..16)),
                 Value::Bool(rng.gen_range(0..2usize) == 0),
@@ -1235,6 +1577,163 @@ mod tests {
         }
     }
 
+    /// Arithmetic conjuncts over `Int`/`Float` cells build numeric
+    /// programs — on a run too, where uncovered columns are heap leaves —
+    /// while non-numeric operands keep the scalar arm.
+    #[test]
+    fn arithmetic_conjuncts_build_numeric_programs() {
+        let functions = FunctionRegistry::new();
+        let schema = RowSchema::for_table(None, &NAMES);
+        let conjunct = |sql: &str, runs: Option<&[Option<usize>]>| {
+            let stmt = parse_select(&format!("select * from t where {sql}")).unwrap();
+            let filter = compile(&stmt.selection.unwrap(), &schema, &functions).unwrap();
+            let program = BatchProgram::build(Some(&filter), &[], None, TYPES.to_vec(), runs);
+            matches!(program.conjuncts[..], [Conjunct::Numeric { .. }])
+        };
+        // The run holds a and f; id and flags are read from the heap.
+        let runs = [None, Some(0), Some(1), None, None, None];
+        for sql in [
+            "a + f > 1",
+            "(flags & 4) = 0",
+            "power(a, 2) + sqrt(f) between 0 and id",
+            "-abs(a % 3) <> square(f) / 2",
+            "f < a * pi()",
+            "id not between null and 5",
+            "a < flags",
+        ] {
+            assert!(conjunct(sql, None), "{sql} on segments");
+            assert!(conjunct(sql, Some(&runs)), "{sql} on runs");
+        }
+        for sql in [
+            "a + 1 = 'x'",
+            "b = a",
+            "(f & 1) = 0",
+            "a + @v > 0",
+            "floor(f) > 0",
+        ] {
+            assert!(!conjunct(sql, None), "{sql} must stay scalar");
+        }
+    }
+
+    /// Hold `scan` to row-at-a-time evaluation on every chunk of `table`'s
+    /// heap segments.
+    fn agree_on_segments(table: &Table, scan: &Scan) {
+        let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
+        let ctx = EvalContext {
+            variables: &variables,
+            functions: &functions,
+            aggregates: None,
+        };
+        let program = BatchProgram::build(
+            scan.filter.as_ref(),
+            &scan.layout,
+            scan.project.as_deref(),
+            TYPES.to_vec(),
+            None,
+        );
+        for (s, seg) in table.segments().iter().enumerate() {
+            let chunk = Chunk::Segment(seg, s * BATCH_ROWS);
+            for base in (0..seg.slot_count()).step_by(BATCH_ROWS) {
+                let end = (base + BATCH_ROWS).min(seg.slot_count());
+                let candidates: Vec<Vec<Value>> = (base..end)
+                    .filter(|&off| seg.is_live(off))
+                    .map(|off| (0..TYPES.len()).map(|c| seg.value(off, c)).collect())
+                    .collect();
+                check_chunk(&program, scan, chunk, (base, end), &candidates, &ctx);
+            }
+        }
+    }
+
+    /// The same over the run slices of an index covering a, f and s (in
+    /// the order s, a, f): kernels read the covered columns from the run,
+    /// numeric programs and the scalar arm read id, flags and b from the
+    /// heap by row id.  The range cuts runs mid-way, and each slice is
+    /// also run in two pieces split at a random entry.
+    fn agree_on_runs(table: &Table, scan: &Scan, rng: &mut ChaCha8Rng) {
+        let index = BTreeIndex::build(IndexDef::new("ix", "t", &["s", "a"]).include(&["f"]), table)
+            .unwrap();
+        let mut runs = vec![None; NAMES.len()];
+        index
+            .covered_ordinals()
+            .enumerate()
+            .for_each(|(r, c)| runs[c] = Some(r));
+        let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
+        let ctx = EvalContext {
+            variables: &variables,
+            functions: &functions,
+            aggregates: None,
+        };
+        let program = BatchProgram::build(
+            scan.filter.as_ref(),
+            &scan.layout,
+            scan.project.as_deref(),
+            TYPES.to_vec(),
+            Some(&runs),
+        );
+        let keys = ["", "a", "ab", "b1", "N_"];
+        let bound = |rng: &mut ChaCha8Rng| match rng.gen_range(0..7usize) {
+            0 => vec![],
+            1 => vec![Value::Null],
+            k => vec![Value::str(keys[k - 2])],
+        };
+        let (lo, hi) = (bound(rng), bound(rng));
+        for (run, range) in index.range(&lo, &hi).slices() {
+            let chunk = Chunk::Run(run, table);
+            let split = rng.gen_range(range.start..range.end + 1);
+            for (base, end) in [
+                (range.start, range.end),
+                (range.start, split),
+                (split, range.end),
+            ] {
+                let candidates: Vec<Vec<Value>> = run.row_ids()[base..end]
+                    .iter()
+                    .map(|&id| {
+                        (0..TYPES.len())
+                            .map(|c| table.get_cell(id, c).unwrap())
+                            .collect()
+                    })
+                    .collect();
+                check_chunk(&program, scan, chunk, (base, end), &candidates, &ctx);
+            }
+        }
+    }
+
+    /// Zero divisors, NULL operands, signed zeros and the `i64` extremes at
+    /// fixed points of a fixed table: the numeric programs fail, and read
+    /// NULL, exactly where row-at-a-time evaluation does.
+    #[test]
+    fn arithmetic_edges_agree_with_row_at_a_time_eval() {
+        let mut rng = ChaCha8Rng::seed_from_u64(7);
+        let table = random_table(&mut rng, 2100);
+        let functions = FunctionRegistry::new();
+        let schema = RowSchema::for_table(None, &NAMES);
+        for sql in [
+            "f / a > 0",
+            "id / flags < 100",
+            "a % flags = 1",
+            "f % a <> 0",
+            "a + 1 > 0",
+            "f * 0 = 0",
+            "-f < 0",
+            "a * 2 < 5",
+            "abs(a) >= 0",
+            "a - 1 < 0",
+            "sqrt(f) < 2 and power(a, 2) >= 0",
+            "flags + a not between null and 20",
+        ] {
+            let stmt = parse_select(&format!("select * from t where {sql}")).unwrap();
+            let filter = compile(&stmt.selection.unwrap(), &schema, &functions).unwrap();
+            let scan = Scan {
+                sql: sql.to_string(),
+                filter: Some(filter),
+                layout: vec![0, 1, 2],
+                project: None,
+            };
+            agree_on_segments(&table, &scan);
+            agree_on_runs(&table, &scan, &mut rng);
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -1245,59 +1744,17 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             // Sizes around the batch and segment boundaries.
             let table = random_table(&mut rng, [1, 700, 1023, 1024, 1025, 2048, 4096, 4200][size]);
-            let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
-            let scan = random_scan(&mut rng, &functions);
-            let ctx = EvalContext { variables: &variables, functions: &functions, aggregates: None };
-            let program = BatchProgram::build(scan.filter.as_ref(), &scan.layout, scan.project.as_deref(), TYPES.to_vec(), None);
-            for (s, seg) in table.segments().iter().enumerate() {
-                let chunk = Chunk::Segment(seg, s * BATCH_ROWS);
-                for base in (0..seg.slot_count()).step_by(BATCH_ROWS) {
-                    let end = (base + BATCH_ROWS).min(seg.slot_count());
-                    let candidates: Vec<Vec<Value>> = (base..end)
-                        .filter(|&off| seg.is_live(off))
-                        .map(|off| (0..TYPES.len()).map(|c| seg.value(off, c)).collect())
-                        .collect();
-                    check_chunk(&program, &scan, chunk, (base, end), &candidates, &ctx);
-                }
-            }
+            let scan = random_scan(&mut rng, &FunctionRegistry::new());
+            agree_on_segments(&table, &scan);
         }
 
-        /// The same over index run slices: kernels read the covered
-        /// columns from the run, conjuncts over uncovered ones and the
-        /// uncovered cells of survivors come from the heap by row id.
-        /// Ranges cut runs mid-way, and each slice is also run in two
-        /// pieces split at a random entry.
+        /// The same over index run slices.
         #[test]
         fn batch_program_over_run_slices_agrees_with_row_at_a_time_eval(seed in any::<u64>(), size in 0usize..5) {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let table = random_table(&mut rng, [1, 700, 1025, 2048, 4200][size]);
-            // Covers a, f, s (storage 1, 2, 3) in the order s, a, f; id,
-            // flags and b stay in the heap.
-            let index = BTreeIndex::build(IndexDef::new("ix", "t", &["s", "a"]).include(&["f"]), &table).unwrap();
-            let mut runs = vec![None; NAMES.len()];
-            index.covered_ordinals().enumerate().for_each(|(r, c)| runs[c] = Some(r));
-            let (functions, variables) = (FunctionRegistry::new(), std::collections::HashMap::new());
-            let scan = random_scan(&mut rng, &functions);
-            let ctx = EvalContext { variables: &variables, functions: &functions, aggregates: None };
-            let program = BatchProgram::build(scan.filter.as_ref(), &scan.layout, scan.project.as_deref(), TYPES.to_vec(), Some(&runs));
-            let keys = ["", "a", "ab", "b1", "N_"];
-            let bound = |rng: &mut ChaCha8Rng| match rng.gen_range(0..7usize) {
-                0 => vec![],
-                1 => vec![Value::Null],
-                k => vec![Value::str(keys[k - 2])],
-            };
-            let (lo, hi) = (bound(&mut rng), bound(&mut rng));
-            for (run, range) in index.range(&lo, &hi).slices() {
-                let chunk = Chunk::Run(run, &table);
-                let split = rng.gen_range(range.start..range.end + 1);
-                for (base, end) in [(range.start, range.end), (range.start, split), (split, range.end)] {
-                    let candidates: Vec<Vec<Value>> = run.row_ids()[base..end]
-                        .iter()
-                        .map(|&id| (0..TYPES.len()).map(|c| table.get_cell(id, c).unwrap()).collect())
-                        .collect();
-                    check_chunk(&program, &scan, chunk, (base, end), &candidates, &ctx);
-                }
-            }
+            let scan = random_scan(&mut rng, &FunctionRegistry::new());
+            agree_on_runs(&table, &scan, &mut rng);
         }
     }
 }

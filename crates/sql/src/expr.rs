@@ -209,15 +209,29 @@ pub(crate) fn apply_binary(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, 
     }
 }
 
-/// `BETWEEN` over already-evaluated operands: NULL anywhere is unknown,
-/// otherwise an inclusive [`Value::total_cmp`] range check.
+/// `BETWEEN` over already-evaluated operands, as T-SQL reads it:
+/// `v >= lo AND v <= hi` in three-valued logic, so a NULL bound leaves the
+/// answer unknown only when the other bound does not already decide it
+/// (`10 NOT BETWEEN NULL AND 5` is true).
 pub(crate) fn between_value(v: &Value, lo: &Value, hi: &Value, negated: bool) -> Value {
-    if v.is_null() || lo.is_null() || hi.is_null() {
+    if v.is_null() {
         return Value::Null;
     }
-    let within = v.total_cmp(lo) != std::cmp::Ordering::Less
-        && v.total_cmp(hi) != std::cmp::Ordering::Greater;
-    Value::Bool(within != negated)
+    let ge = (!lo.is_null()).then(|| v.total_cmp(lo) != std::cmp::Ordering::Less);
+    let le = (!hi.is_null()).then(|| v.total_cmp(hi) != std::cmp::Ordering::Greater);
+    between_holds(ge, le, negated).map_or(Value::Null, Value::Bool)
+}
+
+/// `[NOT] BETWEEN` from its two halves, `v >= lo` and `v <= hi` (`None`:
+/// unknown, a NULL bound): their three-valued `AND`, negated for
+/// `NOT BETWEEN`.
+pub(crate) fn between_holds(ge: Option<bool>, le: Option<bool>, negated: bool) -> Option<bool> {
+    let within = match (ge, le) {
+        (Some(false), _) | (_, Some(false)) => Some(false),
+        (Some(true), Some(true)) => Some(true),
+        _ => None,
+    };
+    within.map(|w| w != negated)
 }
 
 fn arithmetic(l: &Value, op: BinaryOp, r: &Value) -> Result<Value, SqlError> {

@@ -42,9 +42,10 @@ const MAX_RELATIONS: usize = 6;
 /// than a zone-pruned heap scan and demoted.
 const SEEK_DEMOTION_FRACTION: f64 = 0.35;
 
-/// Tables smaller than this are never re-costed (either path is trivially
-/// cheap, and stable plans beat micro-costing).
-const MIN_DEMOTION_ROWS: f64 = 512.0;
+/// Tables smaller than this are never re-costed, here or by
+/// `join_strategy` (either path is trivially cheap, and stable plans beat
+/// micro-costing).
+pub(crate) const MIN_COSTED_ROWS: f64 = 512.0;
 
 /// Multiplier applied to candidate orders that would form a cross product.
 const CROSS_PRODUCT_PENALTY: f64 = 1e6;
@@ -193,7 +194,7 @@ fn demote_expensive_seeks(plan: &mut LogicalPlan, ctx: &PlanContext<'_>) -> bool
             .table(&table)
             .map(|t| t.row_count() as f64)
             .unwrap_or(0.0);
-        if base < MIN_DEMOTION_ROWS {
+        if base < MIN_COSTED_ROWS {
             continue;
         }
         let est = stats::estimate_logical_source(ctx.db, &plan.sources[i]);

@@ -30,7 +30,7 @@
 
 use crate::exec::compile::{CompiledExpr, SortKey};
 use crate::expr::RowSchema;
-use crate::plan::{AccessPath, SelectPlan, SourceKind, SourcePlan, ZoneConstraint};
+use crate::plan::{AccessPath, JoinStrategy, SelectPlan, SourceKind, SourcePlan, ZoneConstraint};
 use crate::planner::annotate;
 use skyserver_storage::{DataType, Database, TableSchema, Value};
 use std::cmp::Ordering;
@@ -206,6 +206,7 @@ impl Verifier<'_> {
     fn verify(&mut self, plan: &SelectPlan, prefix: &str) {
         self.check_release(plan, prefix);
         self.check_join_count(plan, prefix);
+        self.check_lookup_paths(plan, prefix);
         self.check_input_schema(plan, prefix);
         self.check_sources(plan, prefix);
         self.check_estimates(plan, prefix);
@@ -256,6 +257,42 @@ impl Verifier<'_> {
                 )
             },
         );
+    }
+
+    /// An index-lookup step reads its inner table through the probed index
+    /// and nothing else, so the inner's path must be an equality seek of
+    /// that index on the lookup column: EXPLAIN prints what runs.
+    fn check_lookup_paths(&mut self, plan: &SelectPlan, prefix: &str) {
+        for (i, (step, inner)) in plan
+            .joins
+            .iter()
+            .zip(plan.sources.iter().skip(1))
+            .enumerate()
+        {
+            let JoinStrategy::IndexLookup {
+                index,
+                inner_column,
+                ..
+            } = &step.strategy
+            else {
+                continue;
+            };
+            let seeks_it = matches!(
+                &inner.kind,
+                SourceKind::Table {
+                    path: AccessPath::IndexSeek { index: path_index, bounds },
+                    ..
+                } if path_index.eq_ignore_ascii_case(index)
+                    && bounds.column.eq_ignore_ascii_case(inner_column)
+                    && bounds.equals.is_some()
+            );
+            self.check(
+                seeks_it,
+                ViolationKind::PlanShapeInconsistent,
+                &format!("{prefix}sources[{}]", i + 1),
+                || format!("joins[{i}] probes {index} on {inner_column}, its inner path is not that seek"),
+            );
+        }
     }
 
     /// Check (b): left width + right width accumulates to `input_schema`.
@@ -518,7 +555,6 @@ impl Verifier<'_> {
     /// the executor's runtime row layouts exactly as program compilation did
     /// and bound every compiled ordinal against them.
     fn check_programs(&mut self, plan: &SelectPlan, prefix: &str) {
-        use crate::plan::JoinStrategy;
         let programs = &plan.programs;
         let site = |s: &str| format!("{prefix}programs.{s}");
 

@@ -158,14 +158,19 @@ pub fn eval(expr: &Expr, row: &[Value], scope: &Scope<'_>) -> Result<Value, SqlE
             high,
             negated,
         } => {
+            // T-SQL's reading: `v >= low AND v <= high`, three-valued, so
+            // one bound can decide it while the other is NULL.
             let (v, low, high) = (ev(expr)?, ev(low)?, ev(high)?);
-            if v.is_null() || low.is_null() || high.is_null() {
-                // Unknown even where T-SQL's `v >= low AND v <= high`
-                // would already be false (docs/QUERIES.md).
-                return Ok(Value::Null);
-            }
-            let within = v.total_cmp(&low).is_ge() && v.total_cmp(&high).is_le();
-            Value::Bool(within != *negated)
+            let half = |bound: &Value, ok: fn(std::cmp::Ordering) -> bool| {
+                (!v.is_null() && !bound.is_null()).then(|| ok(v.total_cmp(bound)))
+            };
+            let (ge, le) = (half(&low, |o| o.is_ge()), half(&high, |o| o.is_le()));
+            let within = match (ge, le) {
+                (Some(false), _) | (_, Some(false)) => Some(false),
+                (Some(true), Some(true)) => Some(true),
+                _ => None,
+            };
+            within.map_or(Value::Null, |w| Value::Bool(w != *negated))
         }
         Expr::InList {
             expr,
@@ -176,16 +181,21 @@ pub fn eval(expr: &Expr, row: &[Value], scope: &Scope<'_>) -> Result<Value, SqlE
             if v.is_null() {
                 return Ok(Value::Null);
             }
-            // A NULL item is simply unequal: T-SQL's unknown is not kept
-            // (docs/QUERIES.md).
-            let mut found = false;
+            // `v = a OR v = b OR ...`: a match decides, and without one a
+            // NULL item leaves the answer unknown.
+            let mut unknown = false;
             for item in list {
-                if v.sql_eq(&ev(item)?) {
-                    found = true;
-                    break;
+                let item = ev(item)?;
+                if v.sql_eq(&item) {
+                    return Ok(Value::Bool(!*negated));
                 }
+                unknown |= item.is_null();
             }
-            Value::Bool(found != *negated)
+            if unknown {
+                Value::Null
+            } else {
+                Value::Bool(*negated)
+            }
         }
         Expr::IsNull { expr, negated } => Value::Bool(ev(expr)?.is_null() != *negated),
         Expr::Like {

@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use skyserver_sql::exec::compile::CompiledExpr;
-use skyserver_sql::plan::ZoneConstraint;
+use skyserver_sql::plan::{AccessPath, IndexBounds, SourceKind, ZoneConstraint};
 use skyserver_sql::{
     parse_select, verify_plan, FunctionRegistry, Planner, SelectPlan, SqlEngine, ViolationKind,
 };
@@ -245,6 +245,46 @@ fn limit_hint_without_its_rule_is_rejected() {
         found.contains(&ViolationKind::PlanShapeInconsistent),
         "expected plan_shape_inconsistent, got {found:?}"
     );
+}
+
+#[test]
+fn a_lookup_inner_path_other_than_the_probed_seek_is_rejected() {
+    // The inner side of an index lookup is read through the probed index
+    // by row id, whatever path the plan prints for it.
+    let (plan, mut db) = planned("select a.id, b.v from t as a join t as b on a.id = b.id");
+    let SourceKind::Table { path, .. } = &plan.sources[1].kind else {
+        panic!("the inner side is a table");
+    };
+    assert!(
+        matches!(path, AccessPath::IndexSeek { index, bounds } if index == "ix_id" && bounds.column == "id"),
+        "test premise: the inner path is the probed seek, got {path:?}"
+    );
+    assert!(kinds(&plan, &db).is_empty());
+    db.create_index(IndexDef::new("ix_v", "t", &["v"])).unwrap();
+    let bounds = IndexBounds {
+        column: "v".into(),
+        ..IndexBounds::default()
+    };
+    for wrong in [
+        AccessPath::CoveringIndexScan {
+            index: "ix_id".into(),
+        },
+        AccessPath::HeapScan,
+        AccessPath::IndexSeek {
+            index: "ix_v".into(),
+            bounds,
+        },
+    ] {
+        let mut mutated = plan.clone();
+        if let SourceKind::Table { path, .. } = &mut mutated.sources[1].kind {
+            *path = wrong.clone();
+        }
+        assert_eq!(
+            kinds(&mutated, &db),
+            vec![ViolationKind::PlanShapeInconsistent],
+            "{wrong:?}"
+        );
+    }
 }
 
 #[test]

@@ -18,7 +18,7 @@ pub const CEILINGS: &[(&str, usize)] = &[
     ("queries", 753),
     ("schema", 919),
     ("skygen", 1768),
-    ("sql", 12478),
+    ("sql", 12951),
     ("storage", 4130),
     ("web", 4996),
     ("xtask", 1053),
