@@ -18,7 +18,9 @@ use crate::expr::EvalContext;
 use crate::plan::SelectPlan;
 use skyserver_storage::Value;
 use std::cmp::{Ordering, Reverse};
+use std::collections::hash_map::RandomState;
 use std::collections::{BinaryHeap, HashMap};
+use std::hash::BuildHasher;
 
 /// Fixed per-row overhead charged against the memory budget on top of the
 /// cell payloads: the `Vec` header plus allocator slack.
@@ -150,6 +152,42 @@ impl Accumulator {
                 })
             }
         }
+    }
+}
+
+/// DISTINCT as rows arrive, over the rows a stage keeps in arrival order:
+/// each kept row's hash leads to its position, so a duplicate is found by
+/// hashing and comparing — under `Value`'s `Eq`, which equates `Int(2)`
+/// and `Float(2.0)` — and no row is cloned or kept twice.
+#[derive(Default)]
+pub(crate) struct Distinct {
+    hasher: RandomState,
+    /// Hash → the last kept row with that hash.
+    heads: HashMap<u64, usize>,
+    /// Per kept row, the kept row before it with the same hash.
+    chain: Vec<Option<usize>>,
+}
+
+impl Distinct {
+    /// The position of the kept row equal to `row` (`kept` reads the kept
+    /// rows by position); `None` when `row` is new, which records it as the
+    /// next row kept.
+    fn seen<'r>(
+        &mut self,
+        row: &[Value],
+        kept: impl Fn(usize) -> Option<&'r [Value]>,
+    ) -> Option<usize> {
+        let hash = self.hasher.hash_one(row);
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(i) = at {
+            if kept(i) == Some(row) {
+                return Some(i);
+            }
+            at = self.chain.get(i).copied().flatten();
+        }
+        let next = self.chain.len();
+        self.chain.push(self.heads.insert(hash, next));
+        None
     }
 }
 
@@ -331,7 +369,8 @@ impl SortEntry {
 /// The projected rows the statement keeps.
 enum Kept {
     /// Everything (no ORDER BY — arrival order — or no TOP, or DISTINCT
-    /// deduping before TOP applies).
+    /// deduping before TOP applies): under DISTINCT one entry per distinct
+    /// row, the one a stable sort puts first.
     All(Vec<SortEntry>),
     /// ORDER BY bounded by TOP / the row budget: a max-heap of the best
     /// `bound` entries, its root the first to go.
@@ -352,6 +391,8 @@ pub(crate) struct Output<'p> {
     /// A key that could raise must see every row, so any other key shape
     /// leaves this unset.
     first_column: Option<(usize, bool)>,
+    /// Under DISTINCT, the kept rows seen so far.
+    distinct: Option<Distinct>,
 }
 
 impl<'p> Output<'p> {
@@ -386,6 +427,7 @@ impl<'p> Output<'p> {
             seq: 0,
             keys: Vec::new(),
             first_column,
+            distinct: plan.distinct.then(Distinct::default),
         }
     }
 
@@ -444,12 +486,24 @@ impl<'p> Output<'p> {
                 row
             }
         };
-        let entry = SortEntry {
-            keys,
-            seq: self.seq,
-            row,
-        };
+        let seq = self.seq;
         self.seq += 1;
+        if let (Some(distinct), Kept::All(entries)) = (&mut self.distinct, &mut self.kept) {
+            if let Some(i) = distinct.seen(&row, |i| entries.get(i).map(|e| e.row.as_slice())) {
+                // Keep the duplicate that sorts first, as sorting every row
+                // and then keeping first occurrences would: an arrival
+                // sorts after its equals, so it wins only on smaller keys.
+                if let Some(entry) = entries.get_mut(i).filter(|e| keys < e.keys) {
+                    ex.release_mem(entry.charge());
+                    std::mem::swap(&mut entry.keys, &mut keys);
+                    entry.seq = seq;
+                    ex.charge_mem(entry.charge())?;
+                }
+                self.keys = keys;
+                return Ok(());
+            }
+        }
+        let entry = SortEntry { keys, seq, row };
         ex.charge_mem(entry.charge())?;
         match &mut self.kept {
             Kept::Top(heap, _) => heap.push(entry),
@@ -482,6 +536,9 @@ pub(crate) enum Stage<'p> {
         rows: Vec<Vec<Value>>,
         /// Bytes charged for `rows`, credited back when they are dropped.
         charged: u64,
+        /// Under DISTINCT (the fast path's projected rows): the rows kept
+        /// so far, so that a duplicate is dropped as it arrives.
+        distinct: Option<Distinct>,
     },
     Groups(Aggregator<'p>),
     Output(Output<'p>),
@@ -492,6 +549,16 @@ impl Stage<'_> {
         Stage::Rows {
             rows: Vec::new(),
             charged: 0,
+            distinct: None,
+        }
+    }
+
+    /// A row buffer that keeps the first of equal rows only.
+    pub(crate) fn distinct_rows() -> Self {
+        Stage::Rows {
+            rows: Vec::new(),
+            charged: 0,
+            distinct: Some(Distinct::default()),
         }
     }
 }
@@ -536,7 +603,17 @@ impl<'p> Sink<'p> {
             }
         }
         match &mut self.stage {
-            Stage::Rows { rows, charged } => {
+            Stage::Rows {
+                rows,
+                charged,
+                distinct,
+            } => {
+                if let Some(distinct) = distinct {
+                    let kept = |i: usize| rows.get(i).map(Vec::as_slice);
+                    if distinct.seen(row, kept).is_some() {
+                        return Ok(());
+                    }
+                }
                 let charge = row_charge(row);
                 ex.charge_mem(charge)?;
                 *charged += charge;
@@ -579,7 +656,15 @@ impl<'p> Sink<'p> {
         chunk: &mut Vec<Vec<Value>>,
         spare: &mut Vec<Vec<Value>>,
     ) -> Result<(), SqlError> {
-        if let (None, Stage::Rows { rows, charged }) = (self.residual, &mut self.stage) {
+        if let (
+            None,
+            Stage::Rows {
+                rows,
+                charged,
+                distinct: None,
+            },
+        ) = (self.residual, &mut self.stage)
+        {
             // Chunk granularity keeps the atomics off the per-row path.
             let charge = rows_charge(chunk);
             ex.charge_mem(charge)?;
@@ -598,13 +683,17 @@ impl<'p> Sink<'p> {
     }
 
     /// The sink one parallel-scan worker feeds: a partial aggregator when
-    /// this one aggregates, a plain buffer otherwise.
+    /// this one aggregates, a buffer that drops its own duplicates under
+    /// DISTINCT, a plain buffer otherwise.
     pub(crate) fn partial(&self) -> Sink<'p> {
         match &self.stage {
             Stage::Groups(aggregator) => Sink::new(
                 self.residual,
                 Stage::Groups(Aggregator::new(aggregator.programs)),
             ),
+            Stage::Rows {
+                distinct: Some(_), ..
+            } => Sink::new(None, Stage::distinct_rows()),
             _ => Sink::rows(),
         }
     }
@@ -617,7 +706,12 @@ impl<'p> Sink<'p> {
                 mine.merge(theirs);
                 Ok(())
             }
-            (_, Stage::Rows { mut rows, charged }) => {
+            (
+                _,
+                Stage::Rows {
+                    mut rows, charged, ..
+                },
+            ) => {
                 ex.release_mem(charged);
                 self.absorb(ex, &mut rows, &mut Vec::new())
             }

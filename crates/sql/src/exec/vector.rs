@@ -410,6 +410,16 @@ impl<'a> BatchProgram<'a> {
         scratch.sel.len() as u64
     }
 
+    /// Load a sparse selection of a run's entries — ascending `offsets`,
+    /// what an index-lookup join matched — as [`Self::begin_chunk`] loads
+    /// a contiguous slice.
+    pub fn begin_selection(&self, offsets: &[u32], scratch: &mut BatchScratch) {
+        scratch.sel.clear();
+        scratch.sel.extend_from_slice(offsets);
+        scratch.nulls.clear();
+        scratch.nulls.resize(offsets.len(), false);
+    }
+
     /// Run every filter conjunct over the current selection, leaving only
     /// accepted offsets in `scratch.sel`.
     pub fn filter_chunk(

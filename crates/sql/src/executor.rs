@@ -26,8 +26,12 @@
 //! run (§9.1.3's "tag table", read in place of the base table), the pushed
 //! predicate runs over its columns in storage-ordinal space before any cell
 //! is copied, and a survivor takes its covered cells from the run and
-//! gathers only the others from the heap by row id.  Index-lookup probes
-//! gather the layout by row id ([`skyserver_storage::Table::gather_into`]).
+//! gathers only the others from the heap by row id.  An index-lookup join
+//! runs the same chunk loop over what it matched: it takes its outer rows
+//! [`BATCH_ROWS`] at a time, sorts their keys, finds every entry under them
+//! with one forward walk of the index
+//! ([`skyserver_storage::BTreeIndex::seek_sorted`]) and filters each run's
+//! matched entries as one sparse selection, then emits in outer-row order.
 //! A join output is the concatenation of its sides' layouts.  `select
 //! count(*)` therefore moves zero-width rows and a three-way join over the
 //! 54-column catalog moves the handful of cells it names.  The planner
@@ -55,7 +59,7 @@ use crate::ast::{Expr, JoinKind};
 use crate::error::SqlError;
 use crate::exec::compile::{eval_constant, CompiledExpr, CompiledPrograms};
 use crate::exec::sink::{
-    cells_bytes, eval_into, row_charge, rows_charge, tighter, Aggregator, Output, Sink, Stage,
+    eval_into, row_charge, rows_charge, tighter, Aggregator, Output, Sink, Stage,
 };
 use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, BATCH_ROWS};
 use crate::expr::EvalContext;
@@ -64,7 +68,7 @@ use crate::monitor::{QueryMonitor, MONITOR_BATCH};
 use crate::plan::{AccessPath, JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
 use crate::result::ResultSet;
 use skyserver_storage::{
-    BTreeIndex, DataType, Database, IndexEntry, RowId, ScanStats, Table, Value, SEGMENT_ROWS,
+    BTreeIndex, DataType, Database, RowId, Run, ScanStats, Table, Value, SEGMENT_ROWS,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -119,9 +123,9 @@ enum Emit<'a> {
 /// Programs a scan applies to one source.
 #[derive(Clone, Copy)]
 struct ScanPrograms<'a> {
-    /// The pushed predicate: in storage ordinals for the scan kernels
-    /// (heap segments and index runs), in row ordinals on every other path
-    /// (see [`SourcePlan::filters_on_chunks`]).
+    /// The pushed predicate: in storage ordinals on a base table, whose
+    /// heap segments or index runs the scan kernels filter; in row
+    /// ordinals on a table function or derived table.
     filter: Option<&'a CompiledExpr>,
     /// On an index seek or covering scan, the run column of each storage
     /// column the index covers (`CompiledPrograms::source_runs`).
@@ -174,6 +178,27 @@ fn index_of<'d>(db: &'d Database, table: &str, index: &str) -> Result<&'d BTreeI
         .ok_or_else(|| SqlError::Plan(format!("index {index} disappeared")))
 }
 
+/// The run map of a source read through `idx`
+/// (`CompiledPrograms::source_runs`), checked: resolved at plan time, it
+/// must still name the columns this index's runs hold.
+fn run_map<'r>(
+    idx: &BTreeIndex,
+    runs: Option<&'r [Option<usize>]>,
+    index: &str,
+) -> Result<&'r [Option<usize>], SqlError> {
+    let runs = runs.ok_or_else(|| missing_program("run-column map"))?;
+    let stale = runs
+        .iter()
+        .enumerate()
+        .any(|(c, r)| r.is_some_and(|r| idx.covered_ordinals().nth(r) != Some(c)));
+    if stale {
+        return Err(SqlError::Plan(format!(
+            "run-column map does not match index {index}"
+        )));
+    }
+    Ok(runs)
+}
+
 /// Index traffic is charged per entry at the index's own average entry
 /// size; the gathered heap cells are charged to `bytes_scanned` at their
 /// actual widths.
@@ -182,45 +207,6 @@ fn entry_bytes(idx: &BTreeIndex) -> u64 {
         1
     } else {
         (idx.bytes() / idx.len() as u64).max(1)
-    }
-}
-
-/// How an index-lookup probe turns an index entry into the inner source's
-/// layout row: late materialization by row id, only the layout's cells
-/// leave the heap.  (Index seeks and covering scans read whole run slices
-/// through the batch kernels instead.)
-struct IndexRows<'x> {
-    t: &'x Table,
-    layout: &'x [usize],
-    idx: &'x BTreeIndex,
-    entry_bytes: u64,
-    filter: Option<&'x CompiledExpr>,
-}
-
-impl IndexRows<'_> {
-    /// Fill `row` for `entry` and run the pushed filter on it; false when
-    /// the row is dead or rejected.
-    fn row(
-        &self,
-        entry: IndexEntry<'_>,
-        row: &mut Vec<Value>,
-        ctx: &EvalContext<'_>,
-        stats: &mut ScanStats,
-    ) -> Result<bool, SqlError> {
-        row.clear();
-        if !self.t.gather_into(entry.row_id(), self.layout, row) {
-            return Ok(false);
-        }
-        stats.bytes_scanned += cells_bytes(row);
-        stats.rows_from_index += 1;
-        stats.bytes_from_index += self.entry_bytes;
-        match self.filter {
-            Some(filter) => {
-                stats.predicates_evaluated += 1;
-                Ok(filter.eval(row, ctx)?.is_truthy())
-            }
-            None => Ok(true),
-        }
     }
 }
 
@@ -530,10 +516,14 @@ impl<'a> Executor<'a> {
             && matches!(plan.sources[0].kind, SourceKind::Table { .. });
         let (emit, row_cap, stage) = if direct {
             let cap = self.limits.max_rows.filter(|_| !plan.distinct);
+            let stage = match plan.distinct {
+                true => Stage::distinct_rows(),
+                false => Stage::rows(),
+            };
             (
                 Emit::Project(&programs.projections),
                 cap.map(|m| m as u64 + 1),
-                Stage::rows(),
+                stage,
             )
         } else if aggregating {
             (Emit::Row, None, Stage::Groups(Aggregator::new(programs)))
@@ -642,27 +632,15 @@ impl<'a> Executor<'a> {
         Ok(())
     }
 
-    /// The shared tail of every SELECT: DISTINCT, TOP, the row-budget
-    /// truncation, and the result assembly.
+    /// The shared tail of every SELECT: TOP (after DISTINCT, which the
+    /// sink applied as rows arrived), the row-budget truncation, and the
+    /// result assembly.
     fn finish(
         &self,
         plan: &SelectPlan,
         mut final_rows: Vec<Vec<Value>>,
         mut stats: ScanStats,
     ) -> ExecutedSelect {
-        if plan.distinct {
-            // Hash-based dedupe preserving first-occurrence order.  Rows
-            // move into the map (duplicates are simply dropped) and move
-            // back out sorted by insertion rank — no clones at all.
-            let mut seen: HashMap<Vec<Value>, usize> = HashMap::with_capacity(final_rows.len());
-            for row in final_rows {
-                let rank = seen.len();
-                seen.entry(row).or_insert(rank);
-            }
-            let mut ordered: Vec<(Vec<Value>, usize)> = seen.into_iter().collect();
-            ordered.sort_unstable_by_key(|(_, rank)| *rank);
-            final_rows = ordered.into_iter().map(|(row, _)| row).collect();
-        }
         if let Some(top) = plan.top {
             final_rows.truncate(top as usize);
         }
@@ -777,27 +755,20 @@ impl<'a> Executor<'a> {
             }
             AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index } => {
                 let idx = index_of(self.db, table, index)?;
-                let runs = scan.runs.ok_or_else(|| missing_program("run-column map"))?;
-                // The map was resolved at plan time; it must still name
-                // the columns this index's runs hold.
-                let stale = runs
-                    .iter()
-                    .enumerate()
-                    .any(|(c, r)| r.is_some_and(|r| idx.covered_ordinals().nth(r) != Some(c)));
-                if stale {
-                    return Err(SqlError::Plan(format!(
-                        "run-column map does not match index {index}"
-                    )));
-                }
-                let entries = match path {
+                let scan = ScanPrograms {
+                    runs: Some(run_map(idx, scan.runs, index)?),
+                    ..scan
+                };
+                let (lo, hi) = match path {
                     AccessPath::IndexSeek { bounds, .. } => {
                         let bound =
                             |e: Option<&Expr>| e.map(|e| eval_constant(e, &ctx)).transpose();
+                        stats.index_seeks += 1;
                         // Bounds are prefixes of the key, so an equality on
                         // the leading column of a composite index is the
                         // range from that value to itself.  A strict bound
                         // seeks inclusively: the pushed filter drops its end.
-                        let (lo, hi) = match &bounds.equals {
+                        match &bounds.equals {
                             Some(eq) => {
                                 let key = bound(Some(eq))?;
                                 (key.clone(), key)
@@ -806,12 +777,12 @@ impl<'a> Executor<'a> {
                                 bound(bounds.lower.as_ref().map(|(e, _)| e))?,
                                 bound(bounds.upper.as_ref().map(|(e, _)| e))?,
                             ),
-                        };
-                        stats.index_seeks += 1;
-                        idx.range(lo.as_slice(), hi.as_slice())
+                        }
                     }
-                    _ => idx.range(&[], &[]),
+                    _ => (None, None),
                 };
+                // skylint: allow(per-key-seek) the source's own bounds, sought once per scan
+                let entries = idx.range(lo.as_slice(), hi.as_slice());
                 let entry_bytes = entry_bytes(idx);
                 let mut chunks = self.chunk_scan(t, layout, scan, limit_hint);
                 for (run, range) in entries.slices() {
@@ -1036,51 +1007,30 @@ impl<'a> Executor<'a> {
         sink: &mut Sink<'_>,
         stats: &mut ScanStats,
     ) -> Result<(), SqlError> {
-        let ctx = self.ctx();
         let inner_width = inner.runtime_width();
+        if let JoinStrategy::IndexLookup {
+            index,
+            inner_column,
+            ..
+        } = &step.strategy
+        {
+            let lookup = self.lookup(inner, index, inner_column, join)?;
+            let widths = (outer_width, inner_width);
+            return self.lookup_join(outer_rows, widths, lookup, step.kind, join, sink, stats);
+        }
+        let ctx = self.ctx();
         // Hash and nested-loop joins read the inner source once, up front.
         let mut inner_sink = Sink::rows();
-        if !matches!(step.strategy, JoinStrategy::IndexLookup { .. }) {
-            let inner_scan = ScanPrograms {
-                filter: join.inner_filter,
-                runs: join.inner_runs,
-                emit: Emit::Row,
-                row_cap: None,
-            };
-            self.execute_source(inner, inner_scan, &mut inner_sink, stats)?;
-        }
+        let inner_scan = ScanPrograms {
+            filter: join.inner_filter,
+            runs: join.inner_runs,
+            emit: Emit::Row,
+            row_cap: None,
+        };
+        self.execute_source(inner, inner_scan, &mut inner_sink, stats)?;
         let inner_rows = inner_sink.buffered();
         let mut build_bytes = 0u64;
         let probe = match &step.strategy {
-            JoinStrategy::IndexLookup {
-                index,
-                inner_column,
-                ..
-            } => {
-                let SourceKind::Table { table, .. } = &inner.kind else {
-                    return Err(SqlError::Plan(
-                        "index-lookup join requires a base table inner side".into(),
-                    ));
-                };
-                let t = self.db.table(table)?;
-                let idx = index_of(self.db, table, index)?;
-                if !idx.def().key_columns[0].eq_ignore_ascii_case(inner_column) {
-                    return Err(SqlError::Plan(format!(
-                        "index {index} does not lead with {inner_column}"
-                    )));
-                }
-                let key = join
-                    .outer_key
-                    .ok_or_else(|| missing_program("index-lookup outer key"))?;
-                let rows = IndexRows {
-                    t,
-                    layout: self.layout_of(inner, t)?,
-                    idx,
-                    entry_bytes: entry_bytes(idx),
-                    filter: join.inner_filter,
-                };
-                Probe::Index { rows, key }
-            }
             JoinStrategy::Hash { .. } => {
                 let (probe_keys, build_keys) = join
                     .hash_keys
@@ -1107,13 +1057,11 @@ impl<'a> Executor<'a> {
                     probe_keys,
                 }
             }
-            JoinStrategy::NestedLoop => Probe::All,
+            _ => Probe::All,
         };
-        // Reused across outer rows: the combined row, the hash probe key
-        // (lookups borrow it as a slice) and the gathered inner cells.
+        // Reused across outer rows: the combined row and the hash probe key.
         let mut scratch: Vec<Value> = Vec::with_capacity(outer_width + inner_width);
         let mut probe_key: Vec<Value> = Vec::new();
-        let mut inner_row: Vec<Value> = Vec::with_capacity(inner_width);
         let mut pending = 0u64;
         for outer_row in outer_rows {
             self.check_time()?;
@@ -1122,33 +1070,7 @@ impl<'a> Executor<'a> {
             // cancellation or pacing.
             self.tick(&mut pending)?;
             scratch.clear();
-            let mut matched = false;
-            // Residual-check the combined row in `scratch` and push it.
-            let mut emit = |scratch: &mut Vec<Value>, stats: &mut ScanStats| {
-                if let Some(residual) = join.residual {
-                    stats.predicates_evaluated += 1;
-                    if !residual.eval(scratch, &ctx)?.is_truthy() {
-                        return Ok::<bool, SqlError>(false);
-                    }
-                }
-                sink.push(self, scratch).map(|()| true)
-            };
-            match &probe {
-                Probe::Index { rows, key } => {
-                    let key = [key.eval(outer_row, &ctx)?];
-                    stats.index_seeks += 1;
-                    // Prefix seek: composite indexes (run, camcol, field)
-                    // still serve equality probes on their leading column.
-                    for entry in rows.idx.range(&key, &key) {
-                        self.tick(&mut pending)?;
-                        if !rows.row(entry, &mut inner_row, &ctx, stats)? {
-                            continue;
-                        }
-                        outer_prefix(&mut scratch, outer_row);
-                        scratch.append(&mut inner_row);
-                        matched |= emit(&mut scratch, stats)?;
-                    }
-                }
+            let candidates: &mut dyn Iterator<Item = usize> = match &probe {
                 Probe::Hash {
                     buckets,
                     probe_keys,
@@ -1159,32 +1081,22 @@ impl<'a> Executor<'a> {
                         true => None,
                         false => buckets.get(probe_key.as_slice()),
                     };
-                    for &i in bucket.into_iter().flatten() {
-                        self.tick(&mut pending)?;
-                        stats.join_probes += 1;
-                        outer_prefix(&mut scratch, outer_row);
-                        scratch.extend(inner_rows.get(i).into_iter().flatten().cloned());
-                        matched |= emit(&mut scratch, stats)?;
-                    }
+                    &mut bucket.into_iter().flatten().copied()
                 }
                 // The cross product dominates this strategy (the spatial
                 // rewrite feeds it quadratically many candidate pairs).
-                Probe::All => {
-                    for inner in inner_rows {
-                        self.tick(&mut pending)?;
-                        stats.join_probes += 1;
-                        outer_prefix(&mut scratch, outer_row);
-                        scratch.extend(inner.iter().cloned());
-                        matched |= emit(&mut scratch, stats)?;
-                    }
-                }
+                Probe::All => &mut (0..inner_rows.len()),
+            };
+            let mut matched = false;
+            for i in candidates {
+                self.tick(&mut pending)?;
+                stats.join_probes += 1;
+                outer_prefix(&mut scratch, outer_row);
+                scratch.extend(inner_rows.get(i).into_iter().flatten().cloned());
+                matched |= self.emit_joined(join.residual, &mut scratch, sink, stats)?;
             }
             if !matched && step.kind == JoinKind::Left {
-                // NULL-extend the unmatched outer row (no residual: it
-                // already failed for every candidate).
-                outer_prefix(&mut scratch, outer_row);
-                scratch.extend(std::iter::repeat_n(Value::Null, inner_width));
-                sink.push(self, &mut scratch)?;
+                self.null_extend(&mut scratch, outer_row, inner_width, sink)?;
             }
         }
         // The inner buffer and the hash table over it end with the join.
@@ -1192,15 +1104,140 @@ impl<'a> Executor<'a> {
         inner_sink.release(self);
         self.flush_progress(&mut pending)
     }
+
+    /// Residual-check the combined row in `scratch` and push it into
+    /// `sink`; true when it passed.
+    fn emit_joined(
+        &self,
+        residual: Option<&CompiledExpr>,
+        scratch: &mut Vec<Value>,
+        sink: &mut Sink<'_>,
+        stats: &mut ScanStats,
+    ) -> Result<bool, SqlError> {
+        if let Some(residual) = residual {
+            stats.predicates_evaluated += 1;
+            if !residual.eval(scratch, &self.ctx())?.is_truthy() {
+                return Ok(false);
+            }
+        }
+        sink.push(self, scratch).map(|()| true)
+    }
+
+    /// NULL-extend an outer row no inner row matched (no residual: it
+    /// already failed for every candidate).
+    fn null_extend(
+        &self,
+        scratch: &mut Vec<Value>,
+        outer_row: &[Value],
+        inner_width: usize,
+        sink: &mut Sink<'_>,
+    ) -> Result<(), SqlError> {
+        outer_prefix(scratch, outer_row);
+        scratch.extend(std::iter::repeat_n(Value::Null, inner_width));
+        sink.push(self, scratch)
+    }
+
+    /// The inner side of an index-lookup step: the probed index, checked
+    /// against the plan, and the inner source's chunk loop over its runs.
+    fn lookup<'x>(
+        &self,
+        inner: &'x SourcePlan,
+        index: &str,
+        inner_column: &str,
+        join: JoinPrograms<'x>,
+    ) -> Result<Lookup<'x>, SqlError>
+    where
+        'a: 'x,
+    {
+        let SourceKind::Table { table, .. } = &inner.kind else {
+            return Err(SqlError::Plan(
+                "index-lookup join requires a base table inner side".into(),
+            ));
+        };
+        let t = self.db.table(table)?;
+        let idx = index_of(self.db, table, index)?;
+        if !idx
+            .def()
+            .leading_column()
+            .eq_ignore_ascii_case(inner_column)
+        {
+            return Err(SqlError::Plan(format!(
+                "index {index} does not lead with {inner_column}"
+            )));
+        }
+        let scan = ScanPrograms {
+            filter: join.inner_filter,
+            runs: Some(run_map(idx, join.inner_runs, index)?),
+            emit: Emit::Row,
+            row_cap: None,
+        };
+        Ok(Lookup {
+            t,
+            idx,
+            key: join
+                .outer_key
+                .ok_or_else(|| missing_program("index-lookup outer key"))?,
+            scan: self.chunk_scan(t, self.layout_of(inner, t)?, scan, None),
+            entry_bytes: entry_bytes(idx),
+            filtered: join.inner_filter.is_some(),
+            keyed: Vec::new(),
+            keys: Vec::new(),
+            uses: Vec::new(),
+            key_of: Vec::new(),
+            spans: Vec::new(),
+            matched: Vec::new(),
+            survivors: 0,
+            sel: Vec::new(),
+            sel_keys: Vec::new(),
+            weight: 0,
+        })
+    }
+
+    /// An index-lookup join, [`BATCH_ROWS`] outer rows at a time: probe
+    /// the chunk's keys in one walk ([`Lookup::probe`]), then emit each
+    /// outer row with its surviving entries in outer-row order, index
+    /// (key, `RowId`) order within one outer row — the order one seek per
+    /// outer row gives.
+    #[allow(clippy::too_many_arguments)]
+    fn lookup_join(
+        &self,
+        outer_rows: &[Vec<Value>],
+        (outer_width, inner_width): (usize, usize),
+        mut lookup: Lookup<'_>,
+        kind: JoinKind,
+        join: JoinPrograms<'_>,
+        sink: &mut Sink<'_>,
+        stats: &mut ScanStats,
+    ) -> Result<(), SqlError> {
+        let mut scratch: Vec<Value> = Vec::with_capacity(outer_width + inner_width);
+        let mut pending = 0u64;
+        for outer in outer_rows.chunks(BATCH_ROWS) {
+            let held = lookup.probe(self, outer, stats, &mut pending)?;
+            for (outer_row, &k) in outer.iter().zip(&lookup.key_of) {
+                scratch.clear();
+                let mut matched = false;
+                let span = lookup.spans.get(k as usize).cloned().unwrap_or(0..0);
+                for r in span {
+                    let inner_row = lookup.matched.get(r * inner_width..(r + 1) * inner_width);
+                    outer_prefix(&mut scratch, outer_row);
+                    scratch.extend(inner_row.into_iter().flatten().cloned());
+                    matched |= self.emit_joined(join.residual, &mut scratch, sink, stats)?;
+                }
+                if !matched && kind == JoinKind::Left {
+                    self.null_extend(&mut scratch, outer_row, inner_width, sink)?;
+                }
+            }
+            self.release_mem(held);
+            lookup.matched.clear();
+            lookup.survivors = 0;
+        }
+        self.flush_progress(&mut pending)
+    }
 }
 
-/// How a join step finds the inner rows matching one outer row.
+/// How a hash or nested-loop join finds the inner rows matching one outer
+/// row.
 enum Probe<'x> {
-    /// Probe an index on the inner table, gathering matches by row id.
-    Index {
-        rows: IndexRows<'x>,
-        key: &'x CompiledExpr,
-    },
     /// Look the outer key up in a hash table over the buffered inner rows
     /// (values are positions in that buffer).
     Hash {
@@ -1210,3 +1247,169 @@ enum Probe<'x> {
     /// Nested loop: every buffered inner row is a candidate.
     All,
 }
+
+/// An outer row whose key is NULL: it matches nothing.
+const NO_KEY: u32 = u32::MAX;
+
+/// The inner side of an index-lookup join and the buffers each chunk of
+/// outer rows reuses (allocated by the first chunk, sized by the largest).
+struct Lookup<'x> {
+    t: &'x Table,
+    idx: &'x BTreeIndex,
+    /// The outer key, over the accumulated outer row.
+    key: &'x CompiledExpr,
+    /// The inner source's batch program over the index's runs: what an
+    /// index seek of the inner table runs.
+    scan: ChunkScan<'x>,
+    entry_bytes: u64,
+    /// Does the inner source carry a pushed filter?
+    filtered: bool,
+    /// The chunk's non-NULL keys with their outer rows' positions, sorted.
+    keyed: Vec<(Value, u32)>,
+    /// The chunk's distinct keys, ascending, and per key: its outer rows,
+    /// and its surviving entries (positions in `matched`).
+    keys: Vec<Value>,
+    uses: Vec<u32>,
+    spans: Vec<std::ops::Range<usize>>,
+    /// Per outer row of the chunk: its key's position in `keys`, or
+    /// [`NO_KEY`].
+    key_of: Vec<u32>,
+    /// The surviving inner rows (layout rows), in index order, one after
+    /// the other in one buffer; `survivors` counts them.
+    matched: Vec<Value>,
+    survivors: usize,
+    /// The selection being gathered in one run: entry offsets, ascending,
+    /// and the key each belongs to; `weight` is the (outer row, entry)
+    /// pairs it stands for.
+    sel: Vec<u32>,
+    sel_keys: Vec<u32>,
+    weight: u64,
+}
+
+impl Lookup<'_> {
+    /// Probe one chunk of outer rows: evaluate each row's key once, sort
+    /// the keys under [`Value::total_cmp`], find the entries under every
+    /// distinct key with one forward walk of the index
+    /// ([`BTreeIndex::seek_sorted`] — equal keys share it; a NULL key
+    /// matches nothing, as `NULL = NULL` is not true), and filter them one
+    /// run at a time ([`Lookup::filter_run`]).  Counters keep one seek per
+    /// outer row and one index row per (outer row, entry) pair, progress
+    /// ticks per outer row and per entry.  Returns the bytes charged for
+    /// the chunk's buffers, which the caller releases when it is done.
+    fn probe(
+        &mut self,
+        ex: &Executor<'_>,
+        outer: &[Vec<Value>],
+        stats: &mut ScanStats,
+        pending: &mut u64,
+    ) -> Result<u64, SqlError> {
+        let ctx = ex.ctx();
+        self.keyed.clear();
+        for (pos, row) in outer.iter().enumerate() {
+            ex.tick(pending)?;
+            let key = self.key.eval(row, &ctx)?;
+            if !key.is_null() {
+                self.keyed.push((key, pos as u32));
+            }
+        }
+        stats.index_seeks += outer.len() as u64;
+        let held = (outer.len() * KEY_SLOT_BYTES) as u64;
+        ex.charge_mem(held)?;
+        // The outer rows of one key stay in order.
+        self.keyed
+            .sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        self.keys.clear();
+        self.uses.clear();
+        self.key_of.clear();
+        self.key_of.resize(outer.len(), NO_KEY);
+        for (key, pos) in self.keyed.drain(..) {
+            if self
+                .keys
+                .last()
+                .is_none_or(|last| last.total_cmp(&key).is_ne())
+            {
+                self.keys.push(key);
+                self.uses.push(0);
+            }
+            self.key_of[pos as usize] = (self.keys.len() - 1) as u32;
+            if let Some(uses) = self.uses.last_mut() {
+                *uses += 1;
+            }
+        }
+        self.spans.clear();
+        self.spans.resize(self.keys.len(), 0..0);
+        let mut run_of_sel: Option<&Run> = None;
+        let keys = std::mem::take(&mut self.keys);
+        for (k, run, range) in self.idx.seek_sorted(&keys) {
+            if let Some(prev) = run_of_sel.filter(|prev| !std::ptr::eq(*prev, run)) {
+                self.filter_run(ex, prev, stats, pending)?;
+            }
+            run_of_sel = Some(run);
+            self.weight += range.len() as u64 * u64::from(self.uses[k]);
+            self.sel.extend(range.start as u32..range.end as u32);
+            self.sel_keys
+                .extend(std::iter::repeat_n(k as u32, range.len()));
+        }
+        if let Some(run) = run_of_sel {
+            self.filter_run(ex, run, stats, pending)?;
+        }
+        self.keys = keys;
+        let matched = row_charge(&self.matched);
+        ex.charge_mem(matched)?;
+        Ok(held + matched)
+    }
+
+    /// Run the gathered selection of `run` through the inner source's
+    /// batch program — the pushed filter as kernels, covered cells from the
+    /// run, the rest from the heap by row id — and file each survivor under
+    /// its key.
+    fn filter_run(
+        &mut self,
+        ex: &Executor<'_>,
+        run: &Run,
+        stats: &mut ScanStats,
+        pending: &mut u64,
+    ) -> Result<(), SqlError> {
+        let ctx = ex.ctx();
+        let chunk = Chunk::Run(run, self.t);
+        let scan = &mut self.scan;
+        scan.program.begin_selection(&self.sel, &mut scan.scratch);
+        scan.program.filter_chunk(chunk, &mut scan.scratch, &ctx)?;
+        let heap_bytes = scan
+            .program
+            .emit_chunk(chunk, &mut scan.scratch, &ctx, &mut scan.rows)?;
+        // Survivors are a subsequence of the selection: walk both.  Their
+        // cells move into `matched`, their emptied rows back to the pool.
+        let mut at = 0;
+        for (row, &off) in scan.rows.iter_mut().zip(scan.scratch.selected()) {
+            while self.sel.get(at).is_some_and(|&o| o != off) {
+                at += 1;
+            }
+            let k = self.sel_keys.get(at).map_or(0, |&k| k as usize);
+            if let Some(span) = self.spans.get_mut(k) {
+                if span.start == span.end {
+                    *span = self.survivors..self.survivors;
+                }
+                span.end += 1;
+            }
+            self.survivors += 1;
+            self.matched.append(row);
+        }
+        scan.scratch.spare_rows().append(&mut scan.rows);
+        stats.rows_from_index += self.weight;
+        stats.bytes_from_index += self.weight * self.entry_bytes;
+        if self.filtered {
+            stats.predicates_evaluated += self.weight;
+        }
+        stats.bytes_scanned += heap_bytes;
+        ex.tick_rows(pending, self.weight)?;
+        self.weight = 0;
+        self.sel.clear();
+        self.sel_keys.clear();
+        Ok(())
+    }
+}
+
+/// Memory charged per outer row of a lookup chunk: its key slot and its
+/// key position.
+const KEY_SLOT_BYTES: usize = std::mem::size_of::<(Value, u32)>() + std::mem::size_of::<u32>();

@@ -161,18 +161,6 @@ impl SourcePlan {
             _ => self.schema.len(),
         }
     }
-
-    /// Does the pushed predicate run in the scan kernels, addressing
-    /// columns by **storage** ordinal?  True for a table the executor scans
-    /// itself, chunk by chunk — heap segments, or the runs of the index it
-    /// seeks or scans; the inner side of an index-lookup join (`joined_by`)
-    /// is probed entry by entry through the index its seek path names, so
-    /// its predicate — like that of every table function and derived table
-    /// — runs on the materialized row, in **row** ordinals.
-    pub fn filters_on_chunks(&self, joined_by: Option<&JoinStrategy>) -> bool {
-        matches!(&self.kind, SourceKind::Table { .. })
-            && !matches!(joined_by, Some(JoinStrategy::IndexLookup { .. }))
-    }
 }
 
 /// The kinds of plan sources.

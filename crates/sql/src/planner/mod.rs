@@ -273,31 +273,13 @@ pub fn source_layout(source: &SourcePlan, db: &Database) -> Result<RowSchema, Sq
     Ok(RowSchema::shared(Some(&source.alias), names, Some(columns)))
 }
 
-/// The schema a source's pushed predicate runs in: the table's full storage
-/// schema when the scan kernels evaluate it over segment or run columns
-/// ([`SourcePlan::filters_on_chunks`]), the row layout otherwise.  Program
-/// compilation reaches the former through the layout ([`pushed_program`]);
-/// the verifier checks the result against this.
-pub(crate) fn predicate_schema(
-    source: &SourcePlan,
-    joined_by: Option<&JoinStrategy>,
-    db: &Database,
-) -> Result<RowSchema, SqlError> {
-    match &source.kind {
-        SourceKind::Table { table, .. } if source.filters_on_chunks(joined_by) => {
-            let names = db.table(table)?.schema().names();
-            Ok(RowSchema::shared(Some(&source.alias), names, None))
-        }
-        _ => source_layout(source, db),
-    }
-}
-
-/// Compile `source`'s pushed predicate into the space it runs in (see
-/// [`predicate_schema`]): against the row `layout`, then — when the scan
-/// kernels run it — moved through the scan columns onto storage ordinals.
+/// Compile `source`'s pushed predicate into the space it runs in: against
+/// the row `layout`, then — on a base table, whose predicate the scan
+/// kernels run over heap segments or index runs — moved through the scan
+/// columns onto storage ordinals.  A table function's or derived table's
+/// predicate runs on the materialized row.
 fn pushed_program(
     source: &SourcePlan,
-    joined_by: Option<&JoinStrategy>,
     layout: &RowSchema,
     functions: &FunctionRegistry,
 ) -> Result<Option<CompiledExpr>, SqlError> {
@@ -305,17 +287,18 @@ fn pushed_program(
         return Ok(None);
     };
     let mut program = compile(predicate, layout, functions)?;
-    if let (true, Some(columns)) = (source.filters_on_chunks(joined_by), &source.scan_columns) {
+    if let (SourceKind::Table { .. }, Some(columns)) = (&source.kind, &source.scan_columns) {
         program.map_columns(&|i| columns[i]);
     }
     Ok(Some(program))
 }
 
 /// The run ordinal space of a source the executor reads through an index
-/// (seek or covering scan, not an index-lookup probe): for each storage
-/// ordinal of the table, the run column holding it, when the index covers
-/// it.  Read off the index's own covered-column positions, so it costs no
-/// name matching; `None` for every other source.
+/// — the one it seeks or scans, or, on an index-lookup join's inner side
+/// (`joined_by`), the probed one: for each storage ordinal of the table,
+/// the run column holding it, when the index covers it.  Read off the
+/// index's own covered-column positions, so it costs no name matching;
+/// `None` for every other source.
 pub(crate) fn run_columns(
     source: &SourcePlan,
     joined_by: Option<&JoinStrategy>,
@@ -324,13 +307,11 @@ pub(crate) fn run_columns(
     let SourceKind::Table { table, path } = &source.kind else {
         return Ok(None);
     };
-    let (AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index }) = path
-    else {
-        return Ok(None);
+    let index = match (joined_by, path) {
+        (Some(JoinStrategy::IndexLookup { index, .. }), _) => index,
+        (_, AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index }) => index,
+        _ => return Ok(None),
     };
-    if !source.filters_on_chunks(joined_by) {
-        return Ok(None);
-    }
     let idx = db
         .index(table, index)
         .ok_or_else(|| SqlError::Plan(format!("unknown index {index} on {table}")))?;
@@ -370,7 +351,7 @@ pub(crate) fn build_programs(
         combined = source_layout(first, db)?;
         programs
             .source_predicates
-            .push(pushed_program(first, None, &combined, funcs)?);
+            .push(pushed_program(first, &combined, funcs)?);
         programs.source_runs.push(run_columns(first, None, db)?);
     }
     for (i, step) in plan.joins.iter().enumerate() {
@@ -399,12 +380,9 @@ pub(crate) fn build_programs(
         programs
             .join_residuals
             .push(compile_opt(step.residual.as_ref(), &combined)?);
-        programs.source_predicates.push(pushed_program(
-            inner,
-            Some(&step.strategy),
-            &inner_schema,
-            funcs,
-        )?);
+        programs
+            .source_predicates
+            .push(pushed_program(inner, &inner_schema, funcs)?);
         programs
             .source_runs
             .push(run_columns(inner, Some(&step.strategy), db)?);

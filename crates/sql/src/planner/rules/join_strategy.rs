@@ -27,11 +27,12 @@ use std::collections::HashSet;
 
 /// What the two ways of reading an equi-join's inner table cost, in
 /// microseconds, measured on the executor's paths over the Personal catalog
-/// (2-core x86-64 host).  An index-lookup probe's B-tree search:
-const PROBE_US: f64 = 0.7;
-/// Each index entry a probe visits, gathered from the heap by row id and
-/// filtered row at a time ...
-const ENTRY_US: f64 = 0.1;
+/// (2-core x86-64 host).  An index-lookup probe — one outer row's share of
+/// a chunk's key evaluation, sort and sorted walk of the index:
+const PROBE_US: f64 = 0.4;
+/// Each index entry a probe matches, filtered in its run's sparse
+/// selection and re-sequenced to outer order ...
+const ENTRY_US: f64 = 0.07;
 /// ... plus each cell that entry gathers.
 const CELL_US: f64 = 0.06;
 /// A hash join's batch-kernel scan of the inner table, per row.
@@ -162,9 +163,9 @@ fn gathered_cells(plan: &LogicalPlan, inner: &LogicalSource) -> usize {
 }
 
 /// Does probing an index on `column` once per outer row cost less than
-/// scanning the inner table into a hash table?  A probe searches the B-tree
-/// and visits rows ÷ NDV entries, each gathered and filtered row at a
-/// time; the hash join scans every row through the batch kernels and
+/// scanning the inner table into a hash table?  A probe finds its key in
+/// a batched walk of the index and matches rows ÷ NDV entries, each
+/// filtered by the kernels and gathered; the hash join scans every row through the batch kernels and
 /// hashes the rows its pushed predicate keeps.  `rows` are the estimated
 /// outer and inner (after its pushed predicate) rows.
 fn lookup_beats_hash(

@@ -631,11 +631,8 @@ impl Verifier<'_> {
             let at = site(&format!("source_runs[{i}]"));
             let joined_by = i.checked_sub(1).and_then(|j| plan.joins.get(j));
             let compiled = programs.source_runs.get(i).and_then(Option::as_ref);
-            let want = match crate::planner::run_columns(
-                source,
-                joined_by.map(|j| &j.strategy),
-                self.db,
-            ) {
+            let strategy = joined_by.map(|j| &j.strategy);
+            let want = match crate::planner::run_columns(source, strategy, self.db) {
                 Ok(want) => want,
                 Err(e) => {
                     self.violation(ViolationKind::PlanShapeInconsistent, at, e.to_string());
@@ -674,13 +671,16 @@ impl Verifier<'_> {
         let mut layouts: Vec<RowSchema> = Vec::with_capacity(plan.sources.len());
         let mut pred_schemas: Vec<RowSchema> = Vec::with_capacity(plan.sources.len());
         for (i, source) in plan.sources.iter().enumerate() {
-            let joined_by = i.checked_sub(1).and_then(|j| plan.joins.get(j));
+            // A base table's pushed predicate runs in the scan kernels over
+            // storage ordinals; any other source's on its materialized row.
             let schemas = crate::planner::source_layout(source, self.db).and_then(|layout| {
-                let pred = crate::planner::predicate_schema(
-                    source,
-                    joined_by.map(|j| &j.strategy),
-                    self.db,
-                )?;
+                let pred = match &source.kind {
+                    SourceKind::Table { table, .. } => {
+                        let names = self.db.table(table)?.schema().names();
+                        RowSchema::shared(Some(&source.alias), names, None)
+                    }
+                    _ => layout.clone(),
+                };
                 Ok((layout, pred))
             });
             let Ok((layout, pred)) = schemas else {

@@ -51,14 +51,14 @@ pub fn check(engine: &mut SqlEngine, sql: &str) -> Result<(), String> {
     let stmt = parse_select(sql).map_err(|e| format!("{e}: {sql}"))?;
     let top = stmt.top.map_or(usize::MAX, |t| t as usize);
     let got = engine.execute(sql, QueryLimits::UNLIMITED);
-    let (got, all) = match (got, select(engine.db(), &stmt)) {
+    let (got, all) = match (got, reference(engine.db(), &stmt)) {
         (Err(_), Err(_)) => return Ok(()),
         (Ok(got), Err(_)) if stmt.order_by.is_empty() && got.result.rows.len() == top => {
             return Ok(())
         }
         (Ok(_), Err(e)) => return Err(format!("only the reference fails ({e}): {sql}")),
         (Err(e), Ok(_)) => return Err(format!("only the engine fails ({e}): {sql}")),
-        (Ok(got), Ok((rows, _names))) => (got.result.rows, rows),
+        (Ok(got), Ok(rows)) => (got.result.rows, rows),
     };
     let (mut got, mut all) = (render(&got), render(&all));
     let limit = top.min(all.len());
@@ -78,6 +78,13 @@ pub fn check(engine: &mut SqlEngine, sql: &str) -> Result<(), String> {
     Err(format!(
         "{sql}\n engine: {got:?}\n reference, any {limit} of: {all:?}"
     ))
+}
+
+/// The reference's output rows for `stmt`, before TOP, in the order its
+/// nested-loop product over each table's row order gives them (sorted
+/// only under ORDER BY).
+pub fn reference(db: &Database, stmt: &SelectStatement) -> Result<Vec<Row>, SqlError> {
+    select(db, stmt).map(|(rows, _names)| rows)
 }
 
 /// Rows as comparable strings.  Floats keep 13 significant digits: a float

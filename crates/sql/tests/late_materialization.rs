@@ -5,7 +5,9 @@
 
 mod common;
 
-use skyserver_sql::{FunctionRegistry, QueryLimits, QueryMonitor, SqlEngine, SqlError};
+use skyserver_sql::{
+    parse_select, FunctionRegistry, QueryLimits, QueryMonitor, SqlEngine, SqlError,
+};
 use skyserver_storage::{ColumnDef, DataType, Database, IndexDef, TableSchema, Value};
 
 /// `obj` (pk + a covering index on `grp` including `v`), `pair` (no index;
@@ -87,6 +89,33 @@ fn agree(engine: &mut SqlEngine, statements: &[&str]) {
 
 fn explain(engine: &SqlEngine, sql: &str) -> String {
     engine.explain(sql).unwrap_or_else(|e| panic!("{sql}: {e}"))
+}
+
+#[test]
+fn distinct_drops_duplicates_as_they_arrive_and_keeps_what_sorting_first_would() {
+    let mut e = engine();
+    // Under ORDER BY a key that is not an output column, each distinct row
+    // is the one a stable sort puts first.
+    agree(
+        &mut e,
+        &[
+            "select distinct w from obj order by x desc",
+            "select distinct grp from obj order by v, id",
+            "select distinct top 3 w, grp from obj order by x",
+            "select distinct o.w, p.a % 3 from pair p join obj o on p.b = o.id order by p.d desc",
+        ],
+    );
+    // Without ORDER BY, first occurrences in arrival order: the scan's row
+    // order, which is the reference's.
+    for sql in [
+        "select distinct w from obj",
+        "select distinct grp, s from obj",
+        "select distinct s from obj where id > 20",
+    ] {
+        let got = e.query(sql).unwrap().rows;
+        let want = common::reference(e.db(), &parse_select(sql).unwrap()).unwrap();
+        assert_eq!(got, want, "{sql}");
+    }
 }
 
 #[test]

@@ -262,6 +262,93 @@ impl<'a> IndexCursor<'a> {
     }
 }
 
+/// The first index in `lo..hi` that `before` does not hold for (`hi` when it
+/// holds for all), where `before` holds for a leading part of the range:
+/// probe 1, 2, 4, ... places on from `lo`, then bisect the last step, so a
+/// boundary `d` places away costs O(log d) probes.
+fn gallop(mut lo: usize, mut hi: usize, before: impl Fn(usize) -> bool) -> usize {
+    let mut step = 1;
+    while lo + step - 1 < hi {
+        let probe = lo + step - 1;
+        if !before(probe) {
+            hi = probe;
+            break;
+        }
+        lo = probe + 1;
+        step *= 2;
+    }
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        if before(mid) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
+/// The entries under each key of a sorted key list, found by one forward
+/// walk of the runs ([`BTreeIndex::seek_sorted`]).  Yields `(k, run,
+/// range)`: a non-empty slice of `run` whose entries' leading key cell
+/// equals key `k` (its position in the list), in index order.
+#[derive(Debug, Clone)]
+pub struct SortedSeek<'a, 'k> {
+    runs: &'a [Arc<Run>],
+    keys: &'k [Value],
+    /// The key being handed out, the part of its entries not yet handed
+    /// out (`end` is also where the search for the next key starts), and
+    /// the next key.
+    key: usize,
+    next: usize,
+    at: Position,
+    end: Position,
+}
+
+impl<'a> SortedSeek<'a, '_> {
+    /// The first entry at or after `from` that `before` does not hold for
+    /// (`(runs, 0)` past the last): gallop over the runs by their last
+    /// entries, then within the run the boundary lies in.
+    fn seek(&self, (r, off): Position, before: impl Fn(&Run, usize) -> bool) -> Position {
+        let runs = self.runs;
+        let j = gallop(r, runs.len(), |j| {
+            before(&runs[j], runs[j].len().saturating_sub(1))
+        });
+        match runs.get(j) {
+            None => (runs.len(), 0),
+            Some(run) => {
+                let from = if j == r { off } else { 0 };
+                (j, gallop(from, run.len(), |o| before(run, o)))
+            }
+        }
+    }
+}
+
+impl<'a> Iterator for SortedSeek<'a, '_> {
+    type Item = (usize, &'a Run, std::ops::Range<usize>);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        loop {
+            if self.at < self.end {
+                let (r, from) = self.at;
+                let run = &*self.runs[r];
+                let last = r == self.end.0;
+                let to = if last { self.end.1 } else { run.len() };
+                self.at = if last { self.end } else { (r + 1, 0) };
+                if from < to {
+                    return Some((self.key, run, from..to));
+                }
+                continue;
+            }
+            let key = std::slice::from_ref(self.keys.get(self.next)?);
+            self.key = self.next;
+            self.next += 1;
+            self.at = self.seek(self.end, |run, off| run.cmp_prefix(off, key).is_lt());
+            self.end = self.seek(self.at, |run, off| run.cmp_prefix(off, key).is_le());
+        }
+    }
+}
+
 /// A secondary index over one table (see the module docs for the layout).
 /// The name is historical: it answers what a B-tree would.
 #[derive(Debug, Clone)]
@@ -504,6 +591,23 @@ impl BTreeIndex {
         }
     }
 
+    /// The entries whose leading key cell equals each of `keys` — which
+    /// must ascend under [`Value::total_cmp`], no two equal — as run slices
+    /// tagged with the key's position in `keys` ([`SortedSeek`]).  One
+    /// forward walk: each key's search gallops on from where the previous
+    /// key's entries ended, so a batch of nearby keys costs a few
+    /// comparisons each instead of a search from the root.
+    pub fn seek_sorted<'k>(&self, keys: &'k [Value]) -> SortedSeek<'_, 'k> {
+        SortedSeek {
+            runs: &self.runs,
+            keys,
+            key: 0,
+            next: 0,
+            at: (0, 0),
+            end: (0, 0),
+        }
+    }
+
     /// The entries under exactly `key` (or, given fewer values than the
     /// index has key columns, under that key prefix).
     pub fn seek_exact(&self, key: &IndexKey) -> IndexCursor<'_> {
@@ -664,6 +768,50 @@ mod tests {
         assert_eq!(under("galaxy"), 3);
         assert_eq!(under("star"), 2);
         assert_eq!(under("quasar"), 0);
+    }
+
+    #[test]
+    fn a_sorted_seek_finds_what_one_range_per_key_finds() {
+        // 8,000 rows over 40 keys (with NULLs and a key spanning several
+        // runs): every sorted key list sees, key by key, the entries the
+        // per-key range returns, across run boundaries.
+        let schema = TableSchema::new(vec![
+            ColumnDef::new("k", DataType::Int).nullable(),
+            ColumnDef::new("v", DataType::Float),
+        ]);
+        let mut t = Table::new("t", schema);
+        for i in 0..8000i64 {
+            let k = match i % 7 {
+                0 => Value::Null,
+                1 | 2 => Value::Int(17),
+                _ => Value::Int((i * 31) % 40),
+            };
+            t.insert(vec![k, Value::Float(i as f64)], 0).unwrap();
+        }
+        let idx = BTreeIndex::build(IndexDef::new("ix_k", "t", &["k"]), &t).unwrap();
+        assert!(idx.range(&[Value::Int(17)], &[Value::Int(17)]).count() > 2 * RUN_ENTRIES);
+        for keys in [
+            vec![17],
+            vec![-1, 0, 17, 39, 40],
+            (0..40).collect(),
+            vec![3, 16, 17, 18],
+            vec![39],
+        ] {
+            let keys: Vec<Value> = keys.into_iter().map(Value::Int).collect();
+            let mut got: Vec<Vec<RowId>> = vec![Vec::new(); keys.len()];
+            for (k, run, range) in idx.seek_sorted(&keys) {
+                assert!(!range.is_empty());
+                got[k].extend(&run.row_ids()[range]);
+            }
+            for (k, key) in keys.iter().enumerate() {
+                let key = std::slice::from_ref(key);
+                let want: Vec<RowId> = idx.range(key, key).map(|e| e.row_id()).collect();
+                assert_eq!(got[k], want, "key {key:?} of {keys:?}");
+            }
+        }
+        // A Float key finds the Int entries it equals.
+        let mut floats = idx.seek_sorted(&[Value::Float(17.0)]);
+        assert!(floats.next().is_some_and(|(k, _, _)| k == 0));
     }
 
     #[test]

@@ -39,7 +39,9 @@ pub mod value;
 pub use database::{Database, ForeignKey, TableSummary, ViewDef};
 pub use error::StorageError;
 pub use failpoints::FailAction;
-pub use index::{BTreeIndex, IndexCursor, IndexDef, IndexEntry, IndexKey, Run, RUN_ENTRIES};
+pub use index::{
+    BTreeIndex, IndexCursor, IndexDef, IndexEntry, IndexKey, Run, SortedSeek, RUN_ENTRIES,
+};
 pub use iosim::{CpuCost, DiskConfig, HardwareProfile, IoSimulator, SimTiming};
 pub use release::{DiffStatus, ReleaseCatalog, ReleaseDiff, ReleaseInfo, TableDiff};
 pub use schema::{ColumnDef, ColumnNames, SchemaError, TableSchema};

@@ -10,6 +10,7 @@
 //! | `no-slice-index` | web request paths | `x[i]` indexing that can panic on malformed input |
 //! | `lock-unwrap` | whole workspace | `.lock()/.read()/.write()` + `.unwrap()` — poisons cascade across requests |
 //! | `value-clone-in-kernel` | vectorized kernels | `.clone()` inside the batch kernels (per-value clones defeat the point) |
+//! | `per-key-seek` | sql executor | `.range(` / `.seek_exact(`: a B-tree search per key, where an index-lookup join walks a sorted chunk of keys once (`BTreeIndex::seek_sorted`) |
 //! | `full-row-gather` | sql executor + engine DML + schema table functions | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
@@ -61,6 +62,8 @@ struct Scope {
     kernel: bool,
     /// `full-row-gather`.
     row_gather: bool,
+    /// `per-key-seek`.
+    per_key_seek: bool,
 }
 
 fn scope_for(rel: &Path) -> Scope {
@@ -91,6 +94,7 @@ fn scope_for(rel: &Path) -> Scope {
         row_gather: executor
             || p == "crates/sql/src/engine.rs"
             || p == "crates/schema/src/functions.rs",
+        per_key_seek: executor,
     }
 }
 
@@ -251,6 +255,17 @@ fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str
                     ),
                 ));
             }
+        }
+        if scope.per_key_seek && (method_call("range", i) || method_call("seek_exact", i)) {
+            out.push((
+                t.line,
+                "per-key-seek",
+                format!(
+                    ".{}() searches the index from its root for one key; probe a \
+                     sorted chunk of keys with seek_sorted instead",
+                    text(i + 1).unwrap_or_default()
+                ),
+            ));
         }
         if scope.hot_path {
             // Skip the `.unwrap()` that belongs to a lock-unwrap match at

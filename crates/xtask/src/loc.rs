@@ -18,10 +18,10 @@ pub const CEILINGS: &[(&str, usize)] = &[
     ("queries", 753),
     ("schema", 919),
     ("skygen", 1768),
-    ("sql", 12951),
-    ("storage", 4130),
+    ("sql", 13225),
+    ("storage", 4236),
     ("web", 4996),
-    ("xtask", 1053),
+    ("xtask", 1072),
 ];
 
 /// One crate's count against its ceiling.

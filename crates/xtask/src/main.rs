@@ -167,6 +167,26 @@ mod tests {
     }
 
     #[test]
+    fn per_key_seeks_are_flagged_in_the_executor_only() {
+        let src = "fn f(idx: &BTreeIndex, keys: &[Value]) {\n\
+                   let a = idx.range(&lo, &hi);\n\
+                   let b = idx.seek_exact(&key);\n\
+                   let c = idx.seek_sorted(keys);\n\
+                   let d = (0..4).len();\n}\n";
+        let lines = |path: &str| -> Vec<usize> {
+            crate::lints::scan_file_tokens(std::path::Path::new(path), lex(src).tokens)
+                .into_iter()
+                .filter(|(_, lint, _)| *lint == "per-key-seek")
+                .map(|(line, _, _)| line)
+                .collect()
+        };
+        assert_eq!(lines("crates/sql/src/executor.rs"), vec![2, 3]);
+        assert_eq!(lines("crates/sql/src/exec/vector.rs"), vec![2, 3]);
+        assert!(lines("crates/storage/src/index.rs").is_empty());
+        assert!(lines("crates/sql/src/engine.rs").is_empty());
+    }
+
+    #[test]
     fn panics_are_flagged_on_the_hot_paths_only() {
         let src = "fn f(x: Option<u8>) {\n\
                    x.unwrap();\n\
