@@ -44,18 +44,18 @@ pub fn compute_neighbors(
     }
     let positions: Vec<Pos> = {
         let table = db.table("PhotoObj")?;
-        let schema = table.schema();
-        let i_id = schema.column_index("objID").expect("objID column");
-        let i_ra = schema.column_index("ra").expect("ra column");
-        let i_dec = schema.column_index("dec").expect("dec column");
-        let i_type = schema.column_index("type").expect("type column");
-        table
-            .iter()
-            .map(|(_, row)| Pos {
-                obj_id: row[i_id].as_i64().unwrap_or(0),
-                ra: row[i_ra].as_f64().unwrap_or(0.0),
-                dec: row[i_dec].as_f64().unwrap_or(0.0),
-                obj_type: row[i_type].as_i64().unwrap_or(0),
+        let ordinal = |c| table.schema().column_index(c).expect(c);
+        let columns = ["objID", "ra", "dec", "type"].map(ordinal);
+        let mut cells = Vec::with_capacity(columns.len());
+        (table.row_ids())
+            .filter_map(|id| {
+                cells.clear();
+                table.gather_into(id, &columns, &mut cells).then(|| Pos {
+                    obj_id: cells[0].as_i64().unwrap_or(0),
+                    ra: cells[1].as_f64().unwrap_or(0.0),
+                    dec: cells[2].as_f64().unwrap_or(0.0),
+                    obj_type: cells[3].as_i64().unwrap_or(0),
+                })
             })
             .collect()
     };

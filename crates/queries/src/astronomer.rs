@@ -65,7 +65,7 @@ pub fn astronomer_queries() -> Vec<QuerySpec> {
                 FOOTPRINT_DEC - 0.2,
                 FOOTPRINT_DEC + 0.2
             ),
-            PlanClass::FunctionOnly,
+            PlanClass::IndexSeek,
             vec![Invariant::NonEmpty],
         ),
         a(
@@ -113,7 +113,7 @@ pub fn astronomer_queries() -> Vec<QuerySpec> {
             &format!(
                 "select objID, distance from fGetNearestObjEq({FOOTPRINT_RA}, {FOOTPRINT_DEC}, 30)"
             ),
-            PlanClass::FunctionOnly,
+            PlanClass::IndexSeek,
             vec![Invariant::AtMostRows(1)],
         ),
         a(

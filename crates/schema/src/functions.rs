@@ -6,15 +6,18 @@
 //! Table-valued spatial functions: `spHTM_CoverCircleEq` (the raw HTM range
 //! cover), `fGetNearbyObjEq` (all objects within a radius, with distances),
 //! `fGetNearestObjEq` (the closest object), and `fGetObjFromRectEq`
-//! (all objects in an ra/dec rectangle).  They use the B-tree on
-//! `PhotoObj.htmID` exactly the way the paper describes: the cover produces
-//! id ranges, the ranges are scanned in the index, and candidates get an
-//! exact distance check.
+//! (all objects in an ra/dec rectangle).  The last three are *seek forms*
+//! ([`SeekForm`]): they use the B-tree on `PhotoObj.htmID` exactly the way
+//! the paper describes (§9.1.4).  The cover turns the region into `htmID`
+//! ranges, the planner walks those ranges in the index once, and each
+//! candidate gets the exact distance (or rectangle) test, its distance
+//! computed once.
 
-use skyserver_htm::{angular_distance_arcmin, cover, Convex};
+use skyserver_htm::{angular_distance_arcmin, cover, Convex, Vec3};
 use skyserver_skygen::{photo_flag_value, photo_type_value, spec_class_value};
-use skyserver_sql::{FunctionRegistry, ResultSet, SqlError};
-use skyserver_storage::{Database, Value};
+use skyserver_sql::{FunctionRegistry, ResultSet, SeekCover, SeekForm, SqlError};
+use skyserver_storage::Value;
+use std::sync::Arc;
 
 /// Base URL of the object explorer (the paper's `fGetUrlExpId` returns the
 /// drill-down URL of an object).
@@ -92,157 +95,83 @@ pub fn register_functions(registry: &mut FunctionRegistry) {
         },
     );
 
-    let nearby_columns = ["objID", "run", "camcol", "field", "type", "distance"];
-    registry.register_table("fGetNearbyObjEq", &nearby_columns, |db, args| {
-        let ra = arg_f64(args, 0, "fGetNearbyObjEq")?;
-        let dec = arg_f64(args, 1, "fGetNearbyObjEq")?;
-        let radius_arcmin = arg_f64(args, 2, "fGetNearbyObjEq")?;
-        nearby_objects(db, ra, dec, radius_arcmin)
-    });
-    registry.register_table("fGetNearestObjEq", &nearby_columns, |db, args| {
-        let ra = arg_f64(args, 0, "fGetNearestObjEq")?;
-        let dec = arg_f64(args, 1, "fGetNearestObjEq")?;
-        let radius_arcmin = arg_f64(args, 2, "fGetNearestObjEq")?;
-        let mut rs = nearby_objects(db, ra, dec, radius_arcmin)?;
-        rs.rows.sort_by(|a, b| a[5].total_cmp(&b[5]));
-        rs.rows.truncate(1);
-        Ok(rs)
-    });
-    registry.register_table(
-        "fGetObjFromRectEq",
-        &["objID", "ra", "dec", "type"],
-        |db, args| {
-            let ra_min = arg_f64(args, 0, "fGetObjFromRectEq")?;
-            let ra_max = arg_f64(args, 1, "fGetObjFromRectEq")?;
-            let dec_min = arg_f64(args, 2, "fGetObjFromRectEq")?;
-            let dec_max = arg_f64(args, 3, "fGetObjFromRectEq")?;
+    let nearby = ["objID", "run", "camcol", "field", "type", "distance"];
+    registry.register_seek("fGetNearbyObjEq", &nearby, cone("fGetNearbyObjEq", None));
+    registry.register_seek(
+        "fGetNearestObjEq",
+        &nearby,
+        cone("fGetNearestObjEq", Some(1)),
+    );
+    let rect = SeekForm {
+        measure: None,
+        ordered: false,
+        ..photo_seek(Arc::new(|args| {
+            let name = "fGetObjFromRectEq";
+            let arg = |i| arg_f64(args, i, name);
+            let (ra_min, ra_max, dec_min, dec_max) = (arg(0)?, arg(1)?, arg(2)?, arg(3)?);
             if ra_min >= ra_max || dec_min >= dec_max {
-                return Err(SqlError::Execution(
-                    "fGetObjFromRectEq: empty rectangle".into(),
-                ));
+                return Err(SqlError::Execution(format!("{name}: empty rectangle")));
             }
             let region = Convex::rect(ra_min, ra_max, dec_min, dec_max);
-            let candidates = spatial_candidates(db, &region)?;
-            let mut rs = ResultSet::empty(vec![
-                "objID".into(),
-                "ra".into(),
-                "dec".into(),
-                "type".into(),
-            ]);
-            for c in candidates {
-                if region.contains_radec(c.ra, c.dec) {
-                    rs.rows.push(vec![
-                        Value::Int(c.obj_id),
-                        Value::Float(c.ra),
-                        Value::Float(c.dec),
-                        Value::Int(c.obj_type),
-                    ]);
-                }
-            }
-            Ok(rs)
-        },
-    );
-}
-
-/// A PhotoObj candidate pulled through the HTM index.
-struct Candidate {
-    obj_id: i64,
-    run: i64,
-    camcol: i64,
-    field: i64,
-    obj_type: i64,
-    ra: f64,
-    dec: f64,
-}
-
-/// Objects within `radius_arcmin` of `(ra, dec)`, with exact distances.
-fn nearby_objects(
-    db: &Database,
-    ra: f64,
-    dec: f64,
-    radius_arcmin: f64,
-) -> Result<ResultSet, SqlError> {
-    if radius_arcmin <= 0.0 {
-        return Err(SqlError::Execution(
-            "fGetNearbyObjEq: radius must be positive arcminutes".into(),
-        ));
-    }
-    let region = Convex::circle_arcmin(ra, dec, radius_arcmin);
-    let candidates = spatial_candidates(db, &region)?;
-    let mut rs = ResultSet::empty(vec![
-        "objID".into(),
-        "run".into(),
-        "camcol".into(),
-        "field".into(),
-        "type".into(),
-        "distance".into(),
-    ]);
-    for c in candidates {
-        let distance = angular_distance_arcmin(ra, dec, c.ra, c.dec);
-        if distance <= radius_arcmin {
-            rs.rows.push(vec![
-                Value::Int(c.obj_id),
-                Value::Int(c.run),
-                Value::Int(c.camcol),
-                Value::Int(c.field),
-                Value::Int(c.obj_type),
-                Value::Float(distance),
-            ]);
-        }
-    }
-    rs.rows.sort_by(|a, b| a[5].total_cmp(&b[5]));
-    Ok(rs)
-}
-
-/// Pull candidate objects for a region through the `htmID` index (or a full
-/// scan when the index is missing, e.g. before the load finishes).  Either
-/// way only the seven columns a [`Candidate`] holds leave the heap.
-fn spatial_candidates(db: &Database, region: &Convex) -> Result<Vec<Candidate>, SqlError> {
-    let table = db.table("PhotoObj")?;
-    let schema = table.schema();
-    let columns = ["objID", "run", "camcol", "field", "type", "ra", "dec"]
-        .iter()
-        .map(|name| {
-            schema
-                .column_index(name)
-                .ok_or_else(|| SqlError::Plan(format!("PhotoObj lacks column {name}")))
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    let mut out = Vec::new();
-    let mut cells = Vec::with_capacity(columns.len());
-    let mut gather = |row_id| {
-        cells.clear();
-        if table.gather_into(row_id, &columns, &mut cells) {
-            let int = |c: usize| cells[c].as_i64().unwrap_or(0);
-            out.push(Candidate {
-                obj_id: int(0),
-                run: int(1),
-                camcol: int(2),
-                field: int(3),
-                obj_type: int(4),
-                ra: cells[5].as_f64().unwrap_or(0.0),
-                dec: cells[6].as_f64().unwrap_or(0.0),
-            });
-        }
+            Ok(SeekCover {
+                ranges: htm_ranges(&region),
+                test: Arc::new(move |c| region.contains_radec(c[0], c[1]).then_some(0.0)),
+            })
+        }))
     };
-    let htm_index = db
-        .indexes_for("PhotoObj")
-        .iter()
-        .find(|ix| ix.def().leading_column().eq_ignore_ascii_case("htmID"));
-    match htm_index {
-        Some(index) => {
-            for r in cover(region).ranges() {
-                // Range bounds are inclusive; the cover's hi is exclusive,
-                // so subtract one trixel.
-                let (lo, hi) = (Value::Int(r.lo as i64), Value::Int((r.hi - 1) as i64));
-                index
-                    .range(&[lo], &[hi])
-                    .for_each(|entry| gather(entry.row_id()));
-            }
-        }
-        None => table.row_ids().for_each(gather),
+    registry.register_seek("fGetObjFromRectEq", &["objID", "ra", "dec", "type"], rect);
+}
+
+/// A search of `PhotoObj` through its `htmID` index, testing `ra`/`dec`,
+/// ordered by `distance`.
+fn photo_seek(cover: skyserver_sql::CoverFn) -> SeekForm {
+    SeekForm {
+        table: "PhotoObj".into(),
+        index: "ix_PhotoObj_htmID".into(),
+        key: "htmID".into(),
+        tested: vec!["ra".into(), "dec".into()],
+        cover,
+        measure: Some("distance".into()),
+        ordered: true,
+        limit: None,
     }
-    Ok(out)
+}
+
+/// The objects within `radius` arcminutes of `(ra, dec)`, nearest first,
+/// at most `limit` of them.  The distance is [`angular_distance_arcmin`]'s,
+/// bit for bit, with the centre's unit vector computed once per call.
+fn cone(name: &'static str, limit: Option<u64>) -> SeekForm {
+    SeekForm {
+        limit,
+        ..photo_seek(Arc::new(move |args| {
+            let ra = arg_f64(args, 0, name)?;
+            let dec = arg_f64(args, 1, name)?;
+            let radius = arg_f64(args, 2, name)?;
+            if radius <= 0.0 {
+                return Err(SqlError::Execution(
+                    "fGetNearbyObjEq: radius must be positive arcminutes".into(),
+                ));
+            }
+            let centre = Vec3::from_radec(ra, dec);
+            Ok(SeekCover {
+                ranges: htm_ranges(&Convex::circle_arcmin(ra, dec, radius)),
+                test: Arc::new(move |c| {
+                    let distance = centre.arc_angle_arcmin(Vec3::from_radec(c[0], c[1]));
+                    (distance <= radius).then_some(distance)
+                }),
+            })
+        }))
+    }
+}
+
+/// A region's HTM cover as inclusive `htmID` ranges (the cover's ranges
+/// end one trixel past their last id).
+fn htm_ranges(region: &Convex) -> Vec<(Value, Value)> {
+    let ranges = cover(region);
+    let bounds = |r: &skyserver_htm::HtmRange| (r.lo as i64, (r.hi - 1) as i64);
+    (ranges.ranges().iter().map(bounds))
+        .map(|(lo, hi)| (Value::Int(lo), Value::Int(hi)))
+        .collect()
 }
 
 #[cfg(test)]
@@ -251,8 +180,16 @@ mod tests {
     use crate::indexes::create_indexes;
     use crate::tables::create_tables;
     use skyserver_htm::{lookup_id, SDSS_DEPTH};
+    use skyserver_sql::SqlEngine;
+    use skyserver_storage::Database;
 
     fn db_with_objects() -> Database {
+        let mut db = objects_without_indexes();
+        create_indexes(&mut db).unwrap();
+        db
+    }
+
+    fn objects_without_indexes() -> Database {
         let mut db = Database::new("skyserver_test");
         create_tables(&mut db).unwrap();
         // Insert a handful of objects around (185, -0.5).
@@ -294,7 +231,6 @@ mod tests {
             }
             db.insert("PhotoObj", row).unwrap();
         }
-        create_indexes(&mut db).unwrap();
         db
     }
 
@@ -326,82 +262,75 @@ mod tests {
         assert!((d.as_f64().unwrap() - 60.0).abs() < 1e-6);
     }
 
+    fn engine() -> SqlEngine {
+        SqlEngine::new(db_with_objects(), registry())
+    }
+
     #[test]
     fn nearby_objects_respects_the_radius_and_sorts_by_distance() {
-        let db = db_with_objects();
-        let r = registry();
-        let f = &r.table("fGetNearbyObjEq").unwrap().func;
-        let rs = f(
-            &db,
-            &[Value::Float(185.0), Value::Float(-0.5), Value::Float(1.0)],
-        )
-        .unwrap();
+        let engine = engine();
+        let rs = engine
+            .query("select objID, distance from fGetNearbyObjEq(185.0, -0.5, 1.0)")
+            .unwrap();
         // Objects 1 (0'), 2 (~0.3') and 3 (0.6') are within 1 arcminute.
         assert_eq!(rs.len(), 3);
         let d = rs.column_values("distance");
         assert!(d[0].as_f64().unwrap() < d[1].as_f64().unwrap());
         assert!(d[2].as_f64().unwrap() <= 1.0);
+        // Each distance is the UDF's, bit for bit.
+        let want = angular_distance_arcmin(185.0, -0.5, 185.0, -0.51);
+        assert_eq!(rs.cell(2, "distance"), Some(&Value::Float(want)));
         // Wider radius picks up the 12-arcminute neighbour too.
-        let rs = f(
-            &db,
-            &[Value::Float(185.0), Value::Float(-0.5), Value::Float(15.0)],
-        )
-        .unwrap();
+        let rs = engine
+            .query("select * from fGetNearbyObjEq(185.0, -0.5, 15.0)")
+            .unwrap();
         assert_eq!(rs.len(), 4);
+        assert_eq!(rs.cell(3, "run"), Some(&Value::Int(1)));
+    }
+
+    #[test]
+    fn without_the_index_the_search_scans_the_heap() {
+        let sql = "select objID, distance from fGetNearbyObjEq(185.0, -0.5, 1.0)";
+        let heap = SqlEngine::new(objects_without_indexes(), registry());
+        assert!(heap
+            .explain(sql)
+            .unwrap()
+            .contains("TableScan(PhotoObj: fGetNearbyObjEq("));
+        let seek = engine();
+        assert!(seek
+            .explain(sql)
+            .unwrap()
+            .contains("RangeSeek(PhotoObj.ix_PhotoObj_htmID"));
+        assert_eq!(heap.query(sql).unwrap().rows, seek.query(sql).unwrap().rows);
     }
 
     #[test]
     fn nearest_object_is_the_closest_one() {
-        let db = db_with_objects();
-        let r = registry();
-        let f = &r.table("fGetNearestObjEq").unwrap().func;
-        let rs = f(
-            &db,
-            &[Value::Float(185.004), Value::Float(-0.5), Value::Float(5.0)],
-        )
-        .unwrap();
+        let rs = engine()
+            .query("select objID from fGetNearestObjEq(185.004, -0.5, 5.0)")
+            .unwrap();
         assert_eq!(rs.len(), 1);
         assert_eq!(rs.cell(0, "objID"), Some(&Value::Int(2)));
     }
 
     #[test]
     fn rect_function_filters_by_rectangle() {
-        let db = db_with_objects();
-        let r = registry();
-        let f = &r.table("fGetObjFromRectEq").unwrap().func;
-        let rs = f(
-            &db,
-            &[
-                Value::Float(184.9),
-                Value::Float(185.1),
-                Value::Float(-0.6),
-                Value::Float(-0.4),
-            ],
-        )
-        .unwrap();
+        let engine = engine();
+        let rs = engine
+            .query("select objID, ra from fGetObjFromRectEq(184.9, 185.1, -0.6, -0.4)")
+            .unwrap();
         assert_eq!(rs.len(), 3);
-        assert!(f(
-            &db,
-            &[
-                Value::Float(2.0),
-                Value::Float(1.0),
-                Value::Float(0.0),
-                Value::Float(1.0)
-            ]
-        )
-        .is_err());
+        let err = engine
+            .query("select objID from fGetObjFromRectEq(2.0, 1.0, 0.0, 1.0)")
+            .unwrap_err();
+        assert!(err.to_string().contains("empty rectangle"), "{err}");
     }
 
     #[test]
     fn htm_cover_function_returns_ranges() {
-        let db = db_with_objects();
-        let r = registry();
-        let f = &r.table("spHTM_CoverCircleEq").unwrap().func;
-        let rs = f(
-            &db,
-            &[Value::Float(185.0), Value::Float(-0.5), Value::Float(1.0)],
-        )
-        .unwrap();
+        let rs = engine()
+            .query("select htmIDstart, htmIDend from spHTM_CoverCircleEq(185.0, -0.5, 1.0)")
+            .unwrap();
         assert!(!rs.is_empty());
         for row in &rs.rows {
             assert!(row[0].as_i64().unwrap() < row[1].as_i64().unwrap());
@@ -410,18 +339,12 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_rejected() {
-        let db = db_with_objects();
-        let r = registry();
-        let f = &r.table("fGetNearbyObjEq").unwrap().func;
-        assert!(f(
-            &db,
-            &[Value::str("x"), Value::Float(0.0), Value::Float(1.0)]
-        )
-        .is_err());
-        assert!(f(
-            &db,
-            &[Value::Float(185.0), Value::Float(-0.5), Value::Float(-1.0)]
-        )
-        .is_err());
+        let engine = engine();
+        for sql in [
+            "select objID from fGetNearbyObjEq('x', 0.0, 1.0)",
+            "select objID from fGetNearbyObjEq(185.0, -0.5, -1.0)",
+        ] {
+            assert!(engine.query(sql).is_err(), "{sql}");
+        }
     }
 }

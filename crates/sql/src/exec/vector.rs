@@ -71,12 +71,25 @@ use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::SqlError;
 use crate::exec::compile::{CompiledExpr, LikeMatcher};
 use crate::expr::{apply_binary, apply_unary, between_holds, EvalContext};
-use crate::functions::eval_builtin_normalized;
+use crate::functions::{eval_builtin_normalized, FineTest};
 use skyserver_storage::{Column, ColumnData, DataType, RowId, Run, Segment, Table, Value};
 use std::cmp::Ordering;
 
 /// Rows per processed batch: one storage segment, one index run.
 pub const BATCH_ROWS: usize = 1024;
+
+/// The layout ordinal of a seek source's measure: the cell its fine test
+/// computes per entry, read from no column.
+pub(crate) const MEASURE: usize = usize::MAX;
+
+/// Cell `off` of a numeric column as the `f64` a fine test reads (a NULL
+/// or non-numeric cell reads 0).
+pub(crate) fn cell_f64(column: &Column, off: usize) -> f64 {
+    match (column.data(), column.validity().get(off)) {
+        (ColumnData::Float(v), Some(true)) => v.get(off).copied().unwrap_or(0.0),
+        _ => column.value(off).as_f64().unwrap_or(0.0),
+    }
+}
 
 /// Where one cell of a chunk's row is read.
 #[derive(Clone, Copy)]
@@ -167,6 +180,8 @@ fn scalar_conjunct<'a>(
 enum Gather<'a> {
     /// Direct fetch of one cell — no scratch row needed.
     Cell(Cell),
+    /// The measure the fine test computed for the entry.
+    Measure,
     /// General program over the scratch layout row.
     Eval(&'a CompiledExpr),
 }
@@ -274,6 +289,9 @@ pub(crate) struct BatchScratch {
     spare: Vec<Vec<Value>>,
     /// Lane buffers of the numeric programs, reused across chunks.
     lanes: Vec<Lanes>,
+    /// The fine test's measure per chunk offset (by offset, so the
+    /// selection compacts without touching it).
+    measures: Vec<f64>,
 }
 
 impl BatchScratch {
@@ -287,6 +305,11 @@ impl BatchScratch {
     /// (`Sink::absorb`).
     pub fn spare_rows(&mut self) -> &mut Vec<Vec<Value>> {
         &mut self.spare
+    }
+
+    /// The measure the fine test computed for accepted offset `off`.
+    pub fn measure(&self, off: u32) -> f64 {
+        self.measures.get(off as usize).copied().unwrap_or(0.0)
     }
 
     /// Keep the first `n` accepted rows.  When that cuts the selection,
@@ -314,6 +337,10 @@ pub(crate) struct BatchProgram<'a> {
     /// projections — the only cells the gather stage loads into the
     /// scratch row — with where each is read.
     eval_cols: Vec<(usize, Cell)>,
+    /// The row ordinal of the measure, when an Eval projection reads it.
+    eval_measure: Option<usize>,
+    /// A seek source's fine test: where its inputs are read, and the test.
+    fine: Option<(Vec<Cell>, &'a FineTest)>,
     /// Does the gather read a heap cell (an uncovered column of a run)?
     gathers_heap: bool,
     column_types: Vec<DataType>,
@@ -326,15 +353,23 @@ impl<'a> BatchProgram<'a> {
     /// map when the chunks are index run slices, `None` for heap segments.
     /// Never fails: shapes without a kernel become scalar-fallback
     /// conjuncts with identical semantics.  Every `layout` entry must be a
-    /// valid storage ordinal (the executor checks before building).
+    /// valid storage ordinal or [`MEASURE`] (the executor checks before
+    /// building).  `fine` is a seek source's fine test and the storage
+    /// ordinals it reads: it runs before the filter, keeps the live entries
+    /// it accepts, and gives each the measure [`MEASURE`] cells read.
     pub fn build(
         filter: Option<&'a CompiledExpr>,
         layout: &'a [usize],
         project: Option<&'a [CompiledExpr]>,
         column_types: Vec<DataType>,
         runs: Option<&'a [Option<usize>]>,
+        fine: Option<(&[usize], &'a FineTest)>,
     ) -> BatchProgram<'a> {
         let place = |c: usize| place(runs, c);
+        let cell = |c: usize| match c {
+            MEASURE => Gather::Measure,
+            c => Gather::Cell(place(c)),
+        };
         let mut conjuncts = Vec::new();
         if let Some(f) = filter {
             let items: Vec<&CompiledExpr> = match f {
@@ -346,11 +381,11 @@ impl<'a> BatchProgram<'a> {
             }
         }
         let gather: Vec<Gather<'a>> = match project {
-            None => layout.iter().map(|&c| Gather::Cell(place(c))).collect(),
+            None => layout.iter().map(|&c| cell(c)).collect(),
             Some(programs) => programs
                 .iter()
                 .map(|p| match p {
-                    CompiledExpr::Col(i) if *i < layout.len() => Gather::Cell(place(layout[*i])),
+                    CompiledExpr::Col(i) if *i < layout.len() => cell(layout[*i]),
                     other => Gather::Eval(other),
                 })
                 .collect(),
@@ -363,9 +398,18 @@ impl<'a> BatchProgram<'a> {
         }
         read.sort_unstable();
         read.dedup();
+        let eval_measure = read
+            .iter()
+            .copied()
+            .find(|&i| layout.get(i) == Some(&MEASURE));
         let eval_cols: Vec<(usize, Cell)> = read
             .into_iter()
-            .filter_map(|i| layout.get(i).map(|&c| (i, place(c))))
+            .filter_map(|i| {
+                layout
+                    .get(i)
+                    .filter(|&&c| c != MEASURE)
+                    .map(|&c| (i, place(c)))
+            })
             .collect();
         let heap_cell = |cell: &Cell| matches!(cell, Cell::Heap(_));
         let gathers_heap = eval_cols.iter().any(|(_, cell)| heap_cell(cell))
@@ -378,6 +422,8 @@ impl<'a> BatchProgram<'a> {
             layout,
             runs,
             eval_cols,
+            eval_measure,
+            fine: fine.map(|(tested, test)| (tested.iter().map(|&c| place(c)).collect(), test)),
             gathers_heap,
             column_types,
         }
@@ -420,14 +466,17 @@ impl<'a> BatchProgram<'a> {
         scratch.nulls.resize(offsets.len(), false);
     }
 
-    /// Run every filter conjunct over the current selection, leaving only
-    /// accepted offsets in `scratch.sel`.
+    /// Run the fine test and every filter conjunct over the current
+    /// selection, leaving only accepted offsets in `scratch.sel`.
     pub fn filter_chunk(
         &self,
         chunk: Chunk<'_>,
         scratch: &mut BatchScratch,
         ctx: &EvalContext<'_>,
     ) -> Result<(), SqlError> {
+        if let Some((tested, test)) = &self.fine {
+            fine_test(chunk, scratch, tested, test);
+        }
         if self.conjuncts.is_empty() {
             return Ok(());
         }
@@ -463,7 +512,9 @@ impl<'a> BatchProgram<'a> {
         bound: &Value,
         ascending: bool,
     ) {
-        let Some(&c) = self.layout.get(key) else {
+        // The measure's order is the source's own, applied before its rows
+        // leave it: nothing to reject here.
+        let Some(&c) = self.layout.get(key).filter(|&&c| c != MEASURE) else {
             return;
         };
         let after = if ascending {
@@ -500,48 +551,78 @@ impl<'a> BatchProgram<'a> {
         ctx: &EvalContext<'_>,
         out: &mut Vec<Vec<Value>>,
     ) -> Result<u64, SqlError> {
+        self.prepare_rows(scratch);
+        let mut heap_bytes = 0u64;
+        let mut kept = 0usize;
+        for i in 0..scratch.sel.len() {
+            let off = scratch.sel[i];
+            let measure = scratch.measure(off);
+            if let Some(bytes) = self.emit_row(chunk, off, measure, scratch, ctx, out)? {
+                heap_bytes += bytes;
+                scratch.sel[kept] = off;
+                kept += 1;
+            }
+        }
+        scratch.sel.truncate(kept);
+        scratch.nulls.truncate(kept);
+        Ok(heap_bytes)
+    }
+
+    /// Ready `scratch` for [`Self::emit_row`] calls.
+    pub fn prepare_rows(&self, scratch: &mut BatchScratch) {
         if !self.eval_cols.is_empty() {
             // Layout-wide (projections address row ordinals) but only the
             // cells the Eval projections read are loaded per row.
             scratch.row.clear();
             scratch.row.resize(self.layout.len(), Value::Null);
         }
+    }
+
+    /// Materialize entry `off` of `chunk` into `out`, its measure cells
+    /// reading `measure`.  Returns the payload bytes of the heap cells it
+    /// read, or `None`, adding nothing, when the entry's heap row is gone.
+    #[inline]
+    pub fn emit_row(
+        &self,
+        chunk: Chunk<'_>,
+        off: u32,
+        measure: f64,
+        scratch: &mut BatchScratch,
+        ctx: &EvalContext<'_>,
+        out: &mut Vec<Vec<Value>>,
+    ) -> Result<Option<u64>, SqlError> {
+        let heap = match self.gathers_heap {
+            false => None,
+            true => match chunk.heap(off) {
+                Some(slot) => Some(slot),
+                None => return Ok(None),
+            },
+        };
         let mut heap_bytes = 0u64;
-        let mut kept = 0usize;
-        for i in 0..scratch.sel.len() {
-            let off = scratch.sel[i];
-            let heap = match self.gathers_heap {
-                false => None,
-                true => match chunk.heap(off) {
-                    Some(slot) => Some(slot),
-                    None => continue,
-                },
-            };
-            let mut read = |cell: Cell| {
-                let v = chunk.read(cell, off, heap);
-                if let Cell::Heap(_) = cell {
-                    heap_bytes += v.byte_size() as u64;
-                }
-                v
-            };
-            for &(r, cell) in &self.eval_cols {
-                scratch.row[r] = read(cell);
+        let mut read = |cell: Cell| {
+            let v = chunk.read(cell, off, heap);
+            if let Cell::Heap(_) = cell {
+                heap_bytes += v.byte_size() as u64;
             }
-            let mut row = scratch.spare.pop().unwrap_or_default();
-            row.reserve(self.gather.len());
-            for g in &self.gather {
-                row.push(match *g {
-                    Gather::Cell(cell) => read(cell),
-                    Gather::Eval(p) => p.eval(&scratch.row, ctx)?,
-                });
-            }
-            out.push(row);
-            scratch.sel[kept] = off;
-            kept += 1;
+            v
+        };
+        for &(r, cell) in &self.eval_cols {
+            scratch.row[r] = read(cell);
         }
-        scratch.sel.truncate(kept);
-        scratch.nulls.truncate(kept);
-        Ok(heap_bytes)
+        if let Some(r) = self.eval_measure {
+            scratch.row[r] = Value::Float(measure);
+        }
+        let mut row = scratch.spare.pop().unwrap_or_default();
+        row.reserve(self.gather.len());
+        for g in &self.gather {
+            row.push(match *g {
+                Gather::Cell(cell) => read(cell),
+                Gather::Measure => Value::Float(measure),
+                Gather::Eval(p) => p.eval(&scratch.row, ctx)?,
+            });
+        }
+        out.push(row);
+        Ok(Some(heap_bytes))
     }
 
     /// Apply one conjunct over the selection, retaining True and Null rows
@@ -795,6 +876,39 @@ fn cmp_kernel(column: &Column, scratch: &mut BatchScratch, op: BinaryOp, konst: 
             Tri::of_bool(cmp_holds(op, v.total_cmp(konst)))
         }),
     }
+}
+
+/// The fine test of a seek source over the selection (§9.1.4's second
+/// step): keep each entry whose row is live and that `test` accepts on the
+/// `tested` cells, and record the measure it yields under its offset.
+fn fine_test(chunk: Chunk<'_>, scratch: &mut BatchScratch, tested: &[Cell], test: &FineTest) {
+    let mut cells = vec![0.0; tested.len()];
+    let end = scratch.sel.last().map_or(0, |&off| off as usize + 1);
+    if scratch.measures.len() < end {
+        scratch.measures.resize(end, 0.0);
+    }
+    let measures = &mut scratch.measures;
+    let mut kept = 0usize;
+    for i in 0..scratch.sel.len() {
+        let off = scratch.sel[i];
+        // An index entry whose heap row is gone is no answer.
+        let Some(heap) = chunk.heap(off) else {
+            continue;
+        };
+        for (cell, place) in cells.iter_mut().zip(tested) {
+            *cell = match *place {
+                Cell::Chunk(c) => cell_f64(chunk.column(c), off as usize),
+                Cell::Heap(c) => cell_f64(heap.0.column(c), heap.1),
+            };
+        }
+        if let Some(measure) = test(&cells) {
+            measures[off as usize] = measure;
+            scratch.sel[kept] = off;
+            kept += 1;
+        }
+    }
+    scratch.sel.truncate(kept);
+    scratch.nulls.truncate(kept);
 }
 
 /// Run `f` over the selection, keeping True rows, keeping-and-flagging Null
@@ -1597,7 +1711,7 @@ mod tests {
         let conjunct = |sql: &str, runs: Option<&[Option<usize>]>| {
             let stmt = parse_select(&format!("select * from t where {sql}")).unwrap();
             let filter = compile(&stmt.selection.unwrap(), &schema, &functions).unwrap();
-            let program = BatchProgram::build(Some(&filter), &[], None, TYPES.to_vec(), runs);
+            let program = BatchProgram::build(Some(&filter), &[], None, TYPES.to_vec(), runs, None);
             matches!(program.conjuncts[..], [Conjunct::Numeric { .. }])
         };
         // The run holds a and f; id and flags are read from the heap.
@@ -1640,6 +1754,7 @@ mod tests {
             scan.project.as_deref(),
             TYPES.to_vec(),
             None,
+            None,
         );
         for (s, seg) in table.segments().iter().enumerate() {
             let chunk = Chunk::Segment(seg, s * BATCH_ROWS);
@@ -1679,6 +1794,7 @@ mod tests {
             scan.project.as_deref(),
             TYPES.to_vec(),
             Some(&runs),
+            None,
         );
         let keys = ["", "a", "ab", "b1", "N_"];
         let bound = |rng: &mut ChaCha8Rng| match rng.gen_range(0..7usize) {

@@ -61,17 +61,20 @@ use crate::exec::compile::{eval_constant, CompiledExpr, CompiledPrograms};
 use crate::exec::sink::{
     eval_into, row_charge, rows_charge, tighter, Aggregator, Output, Sink, Stage,
 };
-use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, BATCH_ROWS};
+use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, BATCH_ROWS, MEASURE};
 use crate::expr::EvalContext;
-use crate::functions::FunctionRegistry;
+use crate::functions::{FineTest, FunctionRegistry, TableBody};
 use crate::monitor::{QueryMonitor, MONITOR_BATCH};
-use crate::plan::{AccessPath, JoinStep, JoinStrategy, SelectPlan, SourceKind, SourcePlan};
+use crate::plan::{
+    AccessPath, JoinStep, JoinStrategy, SeekSource, SelectPlan, SourceKind, SourcePlan,
+};
 use crate::result::ResultSet;
 use skyserver_storage::{
     BTreeIndex, DataType, Database, RowId, Run, ScanStats, Table, Value, SEGMENT_ROWS,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Row-count / time / memory budgets (the public SkyServer limits queries
@@ -199,6 +202,32 @@ fn run_map<'r>(
     Ok(runs)
 }
 
+/// The runtime row layout of a seek source in storage ordinals — its scan
+/// columns (positions in the function's outputs) moved onto the table,
+/// [`MEASURE`] for the measure — checked, with the fine test's inputs,
+/// against the table's width.
+fn seek_layout(source: &SourcePlan, seek: &SeekSource, t: &Table) -> Result<Vec<usize>, SqlError> {
+    let positions =
+        (source.scan_columns.as_deref()).ok_or_else(|| missing_program("scan-column layout"))?;
+    let width = t.schema().columns().len();
+    let out_of_range = |what: String| {
+        SqlError::Plan(format!(
+            "{what} out of range for {} ({width} columns)",
+            t.name()
+        ))
+    };
+    if let Some(c) = seek.tested.iter().find(|&&c| c >= width) {
+        return Err(out_of_range(format!("tested column {c}")));
+    }
+    (positions.iter())
+        .map(|&p| match seek.outputs.get(p) {
+            Some(Some(c)) if *c < width => Ok(*c),
+            Some(None) => Ok(MEASURE),
+            _ => Err(out_of_range(format!("output column {p}"))),
+        })
+        .collect()
+}
+
 /// Index traffic is charged per entry at the index's own average entry
 /// size; the gathered heap cells are charged to `bytes_scanned` at their
 /// actual widths.
@@ -217,14 +246,43 @@ fn entry_bytes(idx: &BTreeIndex) -> u64 {
 struct ChunkScan<'a> {
     program: BatchProgram<'a>,
     emit: Emit<'a>,
+    /// Storage ordinals the rows read (heap byte accounting).
+    layout: &'a [usize],
+    /// Does the scan run a pushed filter?
+    filtered: bool,
     limit: Option<u64>,
     scratch: BatchScratch,
     rows: Vec<Vec<Value>>,
     produced: u64,
     pending: u64,
+    /// An ordered seek's accepted entries, held until the scan ends.
+    held: Option<Held<'a>>,
 }
 
-impl ChunkScan<'_> {
+/// The entries an ordered seek source has accepted, held until the scan
+/// ends: per entry a sort key — its measure's place in
+/// [`f64::total_cmp`]'s order, then its arrival (index order) — and where
+/// its row is gathered from, with its measure.
+#[derive(Default)]
+struct Held<'a> {
+    keys: Vec<u128>,
+    entries: Vec<(Chunk<'a>, u32, f64)>,
+}
+
+/// Memory charged per held entry: its key and its place.
+const HELD_ENTRY_BYTES: u64 =
+    (std::mem::size_of::<u128>() + std::mem::size_of::<(Chunk<'_>, u32, f64)>()) as u64;
+
+/// `m`'s place in [`f64::total_cmp`]'s order, as an unsigned integer.
+fn total_order(m: f64) -> u64 {
+    let bits = m.to_bits();
+    match bits >> 63 {
+        1 => !bits,
+        _ => bits | 1 << 63,
+    }
+}
+
+impl<'a> ChunkScan<'a> {
     /// Has the scan produced all the rows its limit allows?
     fn done(&self) -> bool {
         self.limit.is_some_and(|l| self.produced >= l)
@@ -239,7 +297,7 @@ impl ChunkScan<'_> {
     fn step(
         &mut self,
         ex: &Executor<'_>,
-        chunk: Chunk<'_>,
+        chunk: Chunk<'a>,
         (base, end): (usize, usize),
         sink: &mut Sink<'_>,
     ) -> Result<(u64, u64), SqlError> {
@@ -248,6 +306,18 @@ impl ChunkScan<'_> {
             .program
             .begin_chunk(chunk, base, end, &mut self.scratch);
         self.program.filter_chunk(chunk, &mut self.scratch, &ctx)?;
+        if let Some(held) = &mut self.held {
+            for &off in self.scratch.selected() {
+                let measure = self.scratch.measure(off);
+                let arrival = held.entries.len() as u128;
+                held.keys
+                    .push(u128::from(total_order(measure)) << 32 | arrival);
+                held.entries.push((chunk, off, measure));
+            }
+            ex.charge_mem(self.scratch.selected().len() as u64 * HELD_ENTRY_BYTES)?;
+            ex.tick_rows(&mut self.pending, visited)?;
+            return Ok((visited, 0));
+        }
         if let Some((key, worst, ascending)) = sink.top_bound() {
             self.program
                 .reject_after(chunk, &mut self.scratch, key, &worst, ascending);
@@ -272,6 +342,38 @@ impl ChunkScan<'_> {
         sink.absorb(ex, &mut self.rows, self.scratch.spare_rows())?;
         ex.tick_rows(&mut self.pending, visited)?;
         Ok((visited, heap_bytes))
+    }
+
+    /// Gather an ordered seek's held entries into rows for `sink`, in the
+    /// order of their keys — the measure, ties in index order: a stable
+    /// argsort — and only the first `limit` of them.  Returns the payload
+    /// bytes of the heap cells gathered.
+    fn release_held(
+        &mut self,
+        ex: &Executor<'_>,
+        sink: &mut Sink<'_>,
+        limit: Option<u64>,
+    ) -> Result<u64, SqlError> {
+        let Some(mut held) = self.held.take() else {
+            return Ok(0);
+        };
+        held.keys.sort_unstable();
+        let keep = limit.map_or(held.keys.len(), |l| held.keys.len().min(l as usize));
+        let ctx = ex.ctx();
+        let mut heap_bytes = 0;
+        self.program.prepare_rows(&mut self.scratch);
+        for &key in &held.keys[..keep] {
+            let Some(&(chunk, off, measure)) = held.entries.get(key as u32 as usize) else {
+                continue;
+            };
+            let (scratch, rows) = (&mut self.scratch, &mut self.rows);
+            let bytes = (self.program).emit_row(chunk, off, measure, scratch, &ctx, rows)?;
+            heap_bytes += bytes.unwrap_or(0);
+        }
+        self.produced += self.rows.len() as u64;
+        ex.release_mem(held.keys.len() as u64 * HELD_ENTRY_BYTES);
+        sink.absorb(ex, &mut self.rows, self.scratch.spare_rows())?;
+        Ok(heap_bytes)
     }
 }
 
@@ -513,7 +615,10 @@ impl<'a> Executor<'a> {
             && !aggregating
             && plan.order_by.is_empty()
             && plan.sources.len() == 1
-            && matches!(plan.sources[0].kind, SourceKind::Table { .. });
+            && matches!(
+                plan.sources[0].kind,
+                SourceKind::Table { .. } | SourceKind::Seek(_)
+            );
         let (emit, row_cap, stage) = if direct {
             let cap = self.limits.max_rows.filter(|_| !plan.distinct);
             let stage = match plan.distinct {
@@ -677,17 +782,23 @@ impl<'a> Executor<'a> {
             SourceKind::Table { table, path } => {
                 self.scan_table(table, path, source, scan, sink, stats)
             }
+            SourceKind::Seek(seek) => self.scan_seek(source, seek, scan, sink, stats),
             SourceKind::TableFunction { name, args } => {
                 let tf = self
                     .functions
                     .table(name)
                     .ok_or_else(|| SqlError::UnknownFunction(name.clone()))?;
+                let TableBody::Closure(func) = &tf.body else {
+                    return Err(SqlError::Plan(format!(
+                        "{name} is answered as a seek, not run to completion"
+                    )));
+                };
                 let ctx = self.ctx();
                 let arg_values: Vec<Value> = args
                     .iter()
                     .map(|a| eval_constant(a, &ctx))
                     .collect::<Result<_, _>>()?;
-                let result = (tf.func)(self.db, &arg_values)?;
+                let result = func(self.db, &arg_values)?;
                 // The function's result set must fit the budget as it
                 // arrives (and shows in the peak); from here on its rows
                 // belong to the pipeline, which charges the ones it keeps.
@@ -745,10 +856,9 @@ impl<'a> Executor<'a> {
         let ctx = self.ctx();
         match path {
             AccessPath::HeapScan => {
+                let mut chunks = self.chunk_scan(t, layout, scan, limit_hint, None);
                 let segments = t.segments().len();
-                self.scan_heap_segments(
-                    t, 0, segments, source, layout, scan, limit_hint, sink, stats,
-                )
+                self.scan_heap_segments(t, (0, segments), source, &mut chunks, sink, stats)
             }
             AccessPath::ParallelHeapScan { workers } => {
                 self.parallel_heap_scan(t, source, layout, scan, *workers, limit_hint, sink, stats)
@@ -784,24 +894,101 @@ impl<'a> Executor<'a> {
                 // skylint: allow(per-key-seek) the source's own bounds, sought once per scan
                 let entries = idx.range(lo.as_slice(), hi.as_slice());
                 let entry_bytes = entry_bytes(idx);
-                let mut chunks = self.chunk_scan(t, layout, scan, limit_hint);
-                for (run, range) in entries.slices() {
-                    let chunk = Chunk::Run(run, t);
-                    let (visited, heap_bytes) =
-                        chunks.step(self, chunk, (range.start, range.end), sink)?;
-                    stats.rows_from_index += visited;
-                    stats.bytes_from_index += visited * entry_bytes;
-                    if scan.filter.is_some() {
-                        stats.predicates_evaluated += visited;
-                    }
-                    stats.bytes_scanned += heap_bytes;
-                    if chunks.done() {
-                        break;
-                    }
-                }
+                let mut chunks = self.chunk_scan(t, layout, scan, limit_hint, None);
+                let slices = entries.slices();
+                self.scan_run_slices(t, slices, entry_bytes, &mut chunks, sink, stats)?;
                 self.flush_progress(&mut chunks.pending)
             }
         }
+    }
+
+    /// Run index run slices through a scan's chunk loop, until its limit.
+    fn scan_run_slices<'s, 'r: 's>(
+        &self,
+        t: &'r Table,
+        slices: impl Iterator<Item = (&'r Run, std::ops::Range<usize>)>,
+        entry_bytes: u64,
+        chunks: &mut ChunkScan<'s>,
+        sink: &mut Sink<'_>,
+        stats: &mut ScanStats,
+    ) -> Result<(), SqlError> {
+        for (run, range) in slices {
+            let chunk = Chunk::Run(run, t);
+            let (visited, heap_bytes) = chunks.step(self, chunk, (range.start, range.end), sink)?;
+            stats.rows_from_index += visited;
+            stats.bytes_from_index += visited * entry_bytes;
+            if chunks.filtered {
+                stats.predicates_evaluated += visited;
+            }
+            stats.bytes_scanned += heap_bytes;
+            if chunks.done() {
+                break;
+            }
+        }
+        Ok(())
+    }
+
+    /// A seek source (§9.1.4): its cover's ranges walked once over the
+    /// index runs ([`BTreeIndex::seek_ranges`]) — or, without the index,
+    /// the heap's segments — through the chunk loop, whose fine test keeps
+    /// the live entries it accepts with their measures.  An ordered form's
+    /// rows leave in measure order, ties in index order, and its limit and
+    /// the scan's apply after that order.
+    fn scan_seek(
+        &self,
+        source: &SourcePlan,
+        seek: &SeekSource,
+        scan: ScanPrograms<'_>,
+        sink: &mut Sink<'_>,
+        stats: &mut ScanStats,
+    ) -> Result<(), SqlError> {
+        if scan.filter.is_some() {
+            return Err(SqlError::Plan(
+                "a seek source carries no pushed predicate".into(),
+            ));
+        }
+        let t = self.db.table(&seek.table)?;
+        let layout = seek_layout(source, seek, t)?;
+        let cover = match &seek.cover {
+            Some(cover) => Arc::clone(cover),
+            None => {
+                let ctx = self.ctx();
+                let args: Vec<Value> = (seek.args.iter())
+                    .map(|a| eval_constant(a, &ctx))
+                    .collect::<Result<_, _>>()?;
+                Arc::new((seek.form.cover)(&args)?)
+            }
+        };
+        if let Some(fault) = cover.range_fault() {
+            let function = &seek.function;
+            return Err(SqlError::Plan(format!("{function}: cover {fault}")));
+        }
+        let limit = tighter(tighter(seek.form.limit, source.limit_hint), scan.row_cap);
+        let ordered = seek.form.ordered;
+        let index = (seek.index.as_deref())
+            .map(|index| index_of(self.db, &seek.table, index).map(|idx| (index, idx)))
+            .transpose()?;
+        let runs = match index {
+            Some((name, idx)) => Some(run_map(idx, scan.runs, name)?),
+            None => None,
+        };
+        let fine = Some((seek.tested.as_slice(), &cover.test));
+        let scan = ScanPrograms { runs, ..scan };
+        let mut chunks = self.chunk_scan(t, &layout, scan, limit.filter(|_| !ordered), fine);
+        chunks.held = ordered.then(Held::default);
+        match index {
+            Some((_, idx)) => {
+                stats.index_seeks += cover.ranges.len() as u64;
+                let slices = (idx.seek_ranges(&cover.ranges)).map(|(_, run, range)| (run, range));
+                self.scan_run_slices(t, slices, entry_bytes(idx), &mut chunks, sink, stats)?;
+            }
+            None => {
+                let segments = (0, t.segments().len());
+                self.scan_heap_segments(t, segments, source, &mut chunks, sink, stats)?;
+            }
+        }
+        stats.bytes_scanned += chunks.release_held(self, sink, limit)?;
+        self.flush_progress(&mut chunks.pending)
     }
 
     /// The chunk loop of one scan of `t` (see [`ChunkScan`]): over heap
@@ -812,20 +999,25 @@ impl<'a> Executor<'a> {
         layout: &'s [usize],
         scan: ScanPrograms<'s>,
         limit: Option<u64>,
+        fine: Option<(&[usize], &'s FineTest)>,
     ) -> ChunkScan<'s> {
         let column_types: Vec<DataType> = t.schema().columns().iter().map(|c| c.ty).collect();
         let project = match scan.emit {
             Emit::Project(programs) => Some(programs),
             Emit::Row | Emit::RowAndId => None,
         };
+        let (filter, runs) = (scan.filter, scan.runs);
         ChunkScan {
-            program: BatchProgram::build(scan.filter, layout, project, column_types, scan.runs),
+            program: BatchProgram::build(filter, layout, project, column_types, runs, fine),
             emit: scan.emit,
+            layout,
+            filtered: filter.is_some(),
             limit,
             scratch: BatchScratch::default(),
             rows: Vec::new(),
             produced: 0,
             pending: 0,
+            held: None,
         }
     }
 
@@ -886,9 +1078,9 @@ impl<'a> Executor<'a> {
                         // by) the same shared monitor.  Each may stop at the
                         // limit: the merged result still has at least
                         // `limit` rows whenever the table does.
-                        self.scan_heap_segments(
-                            t, seg_lo, seg_hi, source, layout, scan, limit_hint, part, counters,
-                        )
+                        let mut chunks = self.chunk_scan(t, layout, scan, limit_hint, None);
+                        let segments = (seg_lo, seg_hi);
+                        self.scan_heap_segments(t, segments, source, &mut chunks, part, counters)
                     })
                 })
                 .collect();
@@ -920,21 +1112,17 @@ impl<'a> Executor<'a> {
     ///    [`BATCH_ROWS`] slots, each run through the [`BatchProgram`]
     ///    kernels and drained into the sink.  Progress, limit hints and byte
     ///    accounting are checked at chunk boundaries.
-    #[allow(clippy::too_many_arguments)]
-    fn scan_heap_segments(
+    fn scan_heap_segments<'s, 't: 's>(
         &self,
-        t: &Table,
-        seg_lo: usize,
-        seg_hi: usize,
+        t: &'t Table,
+        (seg_lo, seg_hi): (usize, usize),
         source: &SourcePlan,
-        layout: &[usize],
-        scan: ScanPrograms<'_>,
-        limit_hint: Option<u64>,
+        chunks: &mut ChunkScan<'s>,
         sink: &mut Sink<'_>,
         stats: &mut ScanStats,
     ) -> Result<(), SqlError> {
         let ncols = t.schema().columns().len();
-        let mut chunks = self.chunk_scan(t, layout, scan, limit_hint);
+        let layout = chunks.layout.iter().filter(|&&c| c != MEASURE);
         let segments = t.segments();
         let seg_hi = seg_hi.min(segments.len());
         let seg_lo = seg_lo.min(seg_hi);
@@ -957,7 +1145,7 @@ impl<'a> Executor<'a> {
             // full-row rate feeds the row-store simulation.
             let live = seg.live_rows() as u64;
             let full_bytes: u64 = (0..ncols).map(|c| seg.column(c).bytes()).sum();
-            let col_bytes: u64 = layout.iter().map(|&c| seg.column(c).bytes()).sum();
+            let col_bytes: u64 = layout.clone().map(|&c| seg.column(c).bytes()).sum();
             let per_row = |total: u64| {
                 if total > 0 {
                     (total / live.max(1)).max(1)
@@ -974,7 +1162,7 @@ impl<'a> Executor<'a> {
                 let (visited, _) = chunks.step(self, chunk, (base, end), sink)?;
                 stats.rows_scanned += visited;
                 stats.batches_processed += 1;
-                if scan.filter.is_some() {
+                if chunks.filtered {
                     stats.predicates_evaluated += visited;
                 }
                 stats.bytes_scanned += visited.saturating_mul(bytes_per_row);
@@ -1177,7 +1365,7 @@ impl<'a> Executor<'a> {
             key: join
                 .outer_key
                 .ok_or_else(|| missing_program("index-lookup outer key"))?,
-            scan: self.chunk_scan(t, self.layout_of(inner, t)?, scan, None),
+            scan: self.chunk_scan(t, self.layout_of(inner, t)?, scan, None, None),
             entry_bytes: entry_bytes(idx),
             filtered: join.inner_filter.is_some(),
             keyed: Vec::new(),

@@ -18,10 +18,118 @@ use std::sync::Arc;
 /// A scalar user-defined function: values in, value out.
 pub type ScalarFn = Arc<dyn Fn(&[Value]) -> Result<Value, SqlError> + Send + Sync>;
 
-/// A table-valued user-defined function: it receives the database (so
-/// spatial functions can probe the PhotoObj table) plus its arguments and
-/// returns a result set.
+/// A table-valued user-defined function run to completion: it receives
+/// the database plus its arguments and returns a result set
+/// (`spHTM_CoverCircleEq`).
 pub type TableFn = Arc<dyn Fn(&Database, &[Value]) -> Result<ResultSet, SqlError> + Send + Sync>;
+
+/// The fine test of a [`SeekForm`]: given one entry's tested cells (in
+/// [`SeekForm::tested`] order), the measure the entry is kept with — a
+/// cone's exact distance — or `None` to reject it.
+pub type FineTest = Arc<dyn Fn(&[f64]) -> Option<f64> + Send + Sync>;
+
+/// One call's two filters (§9.1.4): the coarse one, a set of key ranges
+/// of the form's index, and the fine one, the exact per-entry test.
+pub struct SeekCover {
+    /// Inclusive `(lo, hi)` bounds on the index's leading key, ascending
+    /// under [`Value::total_cmp`] and disjoint.
+    pub ranges: Vec<(Value, Value)>,
+    /// The exact test the entries under the ranges must pass.
+    pub test: FineTest,
+}
+
+impl SeekCover {
+    /// Why the ranges cannot be walked in one forward pass (`None` when
+    /// they can): a range whose bounds are reversed, ranges out of order,
+    /// or a range that starts before the previous one ends.
+    pub fn range_fault(&self) -> Option<String> {
+        for (i, (lo, hi)) in self.ranges.iter().enumerate() {
+            if lo.total_cmp(hi).is_gt() {
+                return Some(format!("range {i} ends before it starts"));
+            }
+        }
+        for (i, w) in self.ranges.windows(2).enumerate() {
+            let (prev, next) = (&w[0], &w[1]);
+            if next.0.total_cmp(&prev.0).is_lt() {
+                return Some(format!("unsorted: range {} starts before range {i}", i + 1));
+            }
+            if next.0.total_cmp(&prev.1).is_le() {
+                return Some(format!("overlap: range {} starts inside range {i}", i + 1));
+            }
+        }
+        None
+    }
+}
+
+impl PartialEq for SeekCover {
+    /// Covers compare by their ranges: the test is a function of the same
+    /// arguments.
+    fn eq(&self, other: &SeekCover) -> bool {
+        self.ranges == other.ranges
+    }
+}
+
+impl std::fmt::Debug for SeekCover {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SeekCover")
+            .field("ranges", &self.ranges)
+            .finish_non_exhaustive()
+    }
+}
+
+/// Computes a [`SeekCover`] from a call's arguments, or the call's error
+/// (a non-positive radius, an empty rectangle).
+pub type CoverFn = Arc<dyn Fn(&[Value]) -> Result<SeekCover, SqlError> + Send + Sync>;
+
+/// A table-valued function the planner answers as a range-set seek over
+/// one index of one table (the paper's spatial search, §9.1.4): the cover
+/// turns the arguments into key ranges, the index runs under them are
+/// walked once, and each entry's fine test yields its measure or rejects
+/// it.  Every output column of the function is a column of the table or
+/// the measure.  The form knows the geometry; the SQL engine only walks
+/// ranges and calls the test.
+pub struct SeekForm {
+    /// The table searched.
+    pub table: String,
+    /// The index walked: it must lead on [`Self::key`].  Without it the
+    /// table is scanned with the same fine test.
+    pub index: String,
+    /// The key column the cover's ranges bound.
+    pub key: String,
+    /// The table columns the fine test reads, in the order it reads them.
+    pub tested: Vec<String>,
+    /// The coarse and fine filters of one call.
+    pub cover: CoverFn,
+    /// The output column holding the fine test's measure, if any.
+    pub measure: Option<String>,
+    /// Rows leave ordered by the measure; ties keep index order.
+    pub ordered: bool,
+    /// Most rows one call returns (the nearest-object function's 1).
+    pub limit: Option<u64>,
+}
+
+impl PartialEq for SeekForm {
+    /// Forms compare by identity: the same registration.
+    fn eq(&self, other: &SeekForm) -> bool {
+        Arc::ptr_eq(&self.cover, &other.cover)
+    }
+}
+
+impl std::fmt::Debug for SeekForm {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (table, index) = (&self.table, &self.index);
+        write!(f, "SeekForm({table}.{index})")
+    }
+}
+
+/// How a table-valued function is answered.
+#[derive(Clone)]
+pub enum TableBody {
+    /// Run to completion by the executor.
+    Closure(TableFn),
+    /// Bound by the planner as a range-set seek of its table.
+    Seek(Arc<SeekForm>),
+}
 
 /// A registered table-valued function: its output column names plus the
 /// implementation.  The planner needs the column names to bind references
@@ -31,7 +139,7 @@ pub struct TableFunction {
     /// Output column names, in order.
     pub columns: Vec<String>,
     /// The implementation.
-    pub func: TableFn,
+    pub body: TableBody,
 }
 
 /// Registry of user-defined scalar and table-valued functions.
@@ -83,7 +191,20 @@ impl FunctionRegistry {
             normalize_name(name),
             TableFunction {
                 columns: columns.iter().map(|s| s.to_string()).collect(),
-                func: Arc::new(f),
+                body: TableBody::Closure(Arc::new(f)),
+            },
+        );
+    }
+
+    /// Register a table-valued function the planner answers as a
+    /// range-set seek ([`SeekForm`]).  Each output column must be a column
+    /// of the form's table or its measure.
+    pub fn register_seek(&mut self, name: &str, columns: &[&str], form: SeekForm) {
+        self.tables.insert(
+            normalize_name(name),
+            TableFunction {
+                columns: columns.iter().map(|s| s.to_string()).collect(),
+                body: TableBody::Seek(Arc::new(form)),
             },
         );
     }

@@ -62,7 +62,10 @@ pub use error::SqlError;
 pub use exec::compile::{CompiledExpr, CompiledPrograms, LikeMatcher};
 pub use executor::{Executor, QueryLimits};
 pub use expr::{EvalContext, RowSchema};
-pub use functions::{FunctionRegistry, ScalarFn, TableFn, TableFunction};
+pub use functions::{
+    CoverFn, FineTest, FunctionRegistry, ScalarFn, SeekCover, SeekForm, TableBody, TableFn,
+    TableFunction,
+};
 pub use monitor::{QueryMonitor, MONITOR_BATCH};
 pub use parser::{parse_script, parse_select, parse_statement};
 pub use plan::{AccessPath, PlanClass, SelectPlan};

@@ -10,6 +10,7 @@
 use crate::ast::{Expr, JoinKind, OrderByItem, SelectItem};
 use crate::exec::compile::CompiledPrograms;
 use crate::expr::RowSchema;
+use crate::functions::{SeekCover, SeekForm};
 use skyserver_storage::Value;
 use std::sync::Arc;
 
@@ -157,7 +158,7 @@ impl SourcePlan {
     /// Cells in one runtime row of this source.
     pub fn runtime_width(&self) -> usize {
         match (&self.kind, &self.scan_columns) {
-            (SourceKind::Table { .. }, Some(cols)) => cols.len(),
+            (SourceKind::Table { .. } | SourceKind::Seek(_), Some(cols)) => cols.len(),
             _ => self.schema.len(),
         }
     }
@@ -174,7 +175,11 @@ pub enum SourceKind {
         /// How the table is read.
         path: AccessPath,
     },
-    /// Table-valued function call (e.g. `fGetNearbyObjEq`).
+    /// A seek-form table function (`fGetNearbyObjEq`), answered from its
+    /// table's index runs.
+    Seek(SeekSource),
+    /// Table-valued function call run to completion
+    /// (`spHTM_CoverCircleEq`).
     TableFunction {
         /// Function name.
         name: String,
@@ -187,6 +192,37 @@ pub enum SourceKind {
         /// the catalog's facts).
         plan: Arc<SelectPlan>,
     },
+}
+
+/// A seek-form table function bound as a source over its table: the
+/// coarse filter of §9.1.4 (a set of key ranges walked once over the
+/// index runs) and its fine filter (an exact test per entry), see
+/// [`SeekForm`].  Its rows are the function's output columns; the measure
+/// column is computed once per entry, the others are read from the run
+/// when the index covers them and from the heap otherwise.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SeekSource {
+    /// The table searched.
+    pub table: String,
+    /// The function called, as written.
+    pub function: String,
+    /// Call arguments (constant expressions).
+    pub args: Vec<Expr>,
+    /// The registered form.
+    pub form: Arc<SeekForm>,
+    /// The index walked, leading on the form's key; `None` scans the heap
+    /// with the same fine test.
+    pub index: Option<String>,
+    /// The cover of constant arguments, computed when the statement was
+    /// planned; `None` computes it when the source opens.
+    pub cover: Option<Arc<SeekCover>>,
+    /// Per output column of the function, in order: the storage ordinal
+    /// of its table column, or `None` for the measure.
+    pub outputs: Vec<Option<usize>>,
+    /// Storage ordinals of the cells the fine test reads.
+    pub tested: Vec<usize>,
+    /// Rows the search is estimated to return.
+    pub estimate: f64,
 }
 
 /// How a source joins with everything planned before it.
@@ -290,6 +326,10 @@ impl SelectPlan {
                 SourceKind::Derived { plan } => match plan.plan_class() {
                     PlanClass::Scan | PlanClass::JoinScan => has_scan = true,
                     _ => has_seek = true,
+                },
+                SourceKind::Seek(seek) => match seek.index {
+                    Some(_) => has_seek = true,
+                    None => has_scan = true,
                 },
                 SourceKind::TableFunction { .. } => {}
             }
@@ -523,6 +563,33 @@ fn render_source(out: &mut String, indent: usize, source: &SourcePlan) {
                     source.alias,
                     render_est(source.est_rows)
                 ),
+            );
+        }
+        SourceKind::Seek(seek) => {
+            let args: Vec<String> = seek.args.iter().map(render_expr).collect();
+            let mut what = vec![format!("{}({})", seek.function, args.join(", "))];
+            if seek.index.is_some() {
+                what.push(match &seek.cover {
+                    Some(cover) => format!("{} ranges", cover.ranges.len()),
+                    None => "ranges at open".to_string(),
+                });
+            }
+            if let (Some(measure), true) = (&seek.form.measure, seek.form.ordered) {
+                what.push(format!("by {measure}"));
+            }
+            let what = what.join(", ");
+            let access = match &seek.index {
+                Some(index) => format!("RangeSeek({}.{index}: {what})", seek.table),
+                None => format!("TableScan({}: {what})", seek.table),
+            };
+            let limit = crate::exec::sink::tighter(seek.form.limit, source.limit_hint)
+                .map(|n| format!(" limit {n}"))
+                .unwrap_or_default();
+            let est = render_est(source.est_rows);
+            push_line(
+                out,
+                indent,
+                &format!("{access} AS {}{limit}{est}", source.alias),
             );
         }
         SourceKind::TableFunction { name, args } => {

@@ -5,6 +5,9 @@
 //! compiled: the scan-column sets are the runtime row layouts the programs
 //! resolve their ordinals against (`super::source_layout`).
 //!
+//! A seek source gets its scan columns only: the positions, in the
+//! function's output columns, of the ones the statement reads.
+//!
 //! Two annotations are produced per base-table source:
 //!
 //! * **Zone constraints** ([`ZoneConstraint`]): value intervals the pushed
@@ -53,6 +56,22 @@ pub fn annotate(plan: &mut SelectPlan, db: &Database) {
     collect_plan_columns(plan, &mut refs);
 
     for source in &mut plan.sources {
+        if let SourceKind::Seek(_) = &source.kind {
+            // A seek source's row is the function's output columns the
+            // statement reads: positions in its schema.
+            let columns = (source.schema.columns().enumerate())
+                .filter(|(_, (_, name))| {
+                    refs.iter().any(|(q, n)| {
+                        n.eq_ignore_ascii_case(name)
+                            && q.as_ref()
+                                .is_none_or(|q| q.eq_ignore_ascii_case(&source.alias))
+                    })
+                })
+                .map(|(position, _)| position)
+                .collect();
+            source.scan_columns = Some(columns);
+            continue;
+        }
         let SourceKind::Table { table, path } = &source.kind else {
             continue;
         };
@@ -103,10 +122,13 @@ fn collect_plan_columns(plan: &SelectPlan, out: &mut Vec<(Option<String>, String
         if let Some(p) = &source.pushed_predicate {
             p.collect_columns(out);
         }
-        if let SourceKind::TableFunction { args, .. } = &source.kind {
-            for a in args {
-                a.collect_columns(out);
-            }
+        let args = match &source.kind {
+            SourceKind::TableFunction { args, .. } => args.as_slice(),
+            SourceKind::Seek(seek) => seek.args.as_slice(),
+            _ => &[],
+        };
+        for a in args {
+            a.collect_columns(out);
         }
     }
     for step in &plan.joins {

@@ -10,12 +10,14 @@
 
 use crate::ast::{Expr, FromItem, JoinKind, SelectItem, SelectStatement, TableSource};
 use crate::error::SqlError;
-use crate::expr::RowSchema;
-use crate::functions::FunctionRegistry;
-use crate::plan::{AccessPath, JoinStep, SelectPlan, SourceKind};
+use crate::exec::compile::eval_constant;
+use crate::expr::{EvalContext, RowSchema};
+use crate::functions::{FunctionRegistry, SeekForm, TableBody};
+use crate::plan::{AccessPath, JoinStep, SeekSource, SelectPlan, SourceKind};
 use crate::planner::catalog::{self, ViewFacts};
+use crate::planner::stats;
 use skyserver_storage::Database;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 /// Everything the rules need to look at besides the plan itself.
@@ -302,9 +304,14 @@ fn bind_source(
                 .ok_or_else(|| SqlError::UnknownFunction(name.clone()))?;
             let cols: Vec<&str> = tf.columns.iter().map(String::as_str).collect();
             let schema = RowSchema::for_table(Some(&alias), &cols);
-            let kind = SourceKind::TableFunction {
-                name: name.clone(),
-                args: args.clone(),
+            let kind = match &tf.body {
+                TableBody::Seek(form) => {
+                    SourceKind::Seek(bind_seek(name, args, form, &tf.columns, ctx)?)
+                }
+                TableBody::Closure(_) => SourceKind::TableFunction {
+                    name: name.clone(),
+                    args: args.clone(),
+                },
             };
             (alias, kind, schema, SourceOrigin::Function)
         }
@@ -327,6 +334,70 @@ fn bind_source(
         pushed: Vec::new(),
         limit_hint: None,
     })
+}
+
+/// Bind a seek-form function call to its table: resolve its output and
+/// tested columns, take the form's index when it exists and leads on the
+/// form's key, and — when the arguments are constant — compute the cover
+/// and the estimate now.  A cover that cannot be computed yet (arguments
+/// naming variables) or that the form rejects is computed when the source
+/// opens, which raises the form's error there, as a call always has.
+fn bind_seek(
+    function: &str,
+    args: &[Expr],
+    form: &Arc<SeekForm>,
+    columns: &[String],
+    ctx: &PlanContext<'_>,
+) -> Result<SeekSource, SqlError> {
+    let schema = ctx.db.table(&form.table)?.schema();
+    let ordinal = |c: &str| {
+        schema
+            .column_index(c)
+            .ok_or_else(|| SqlError::Plan(format!("{function}: {} lacks column {c}", form.table)))
+    };
+    let outputs = columns
+        .iter()
+        .map(|c| match &form.measure {
+            Some(m) if m.eq_ignore_ascii_case(c) => Ok(None),
+            _ => ordinal(c).map(Some),
+        })
+        .collect::<Result<_, _>>()?;
+    let tested = form
+        .tested
+        .iter()
+        .map(|c| ordinal(c))
+        .collect::<Result<_, _>>()?;
+    let index = ctx
+        .db
+        .index(&form.table, &form.index)
+        .filter(|idx| idx.def().leading_column().eq_ignore_ascii_case(&form.key))
+        .map(|idx| idx.def().name.clone());
+    let variables = HashMap::new();
+    let constants = EvalContext {
+        variables: &variables,
+        functions: ctx.functions,
+        aggregates: None,
+    };
+    let cover = args
+        .iter()
+        .map(|a| eval_constant(a, &constants))
+        .collect::<Result<Vec<_>, _>>()
+        .and_then(|values| (form.cover)(&values))
+        .ok()
+        .map(Arc::new);
+    let mut seek = SeekSource {
+        table: form.table.clone(),
+        function: function.to_string(),
+        args: args.to_vec(),
+        form: Arc::clone(form),
+        index,
+        cover,
+        outputs,
+        tested,
+        estimate: 0.0,
+    };
+    seek.estimate = stats::seek_rows(ctx.db, &seek);
+    Ok(seek)
 }
 
 /// A planned sub-select bound as a derived table: its output names under

@@ -258,12 +258,28 @@ fn finalize(logical: LogicalPlan, ctx: &PlanContext<'_>) -> Result<SelectPlan, S
 /// schemas, and the executor gathers the same `scan_columns`, so the two
 /// sides cannot drift apart; the verifier re-derives both from here.
 pub fn source_layout(source: &SourcePlan, db: &Database) -> Result<RowSchema, SqlError> {
-    let SourceKind::Table { table, .. } = &source.kind else {
-        return Ok(source.schema.clone());
+    let columns = || {
+        source.scan_columns.as_deref().ok_or_else(|| {
+            SqlError::Plan(format!("source {} carries no scan columns", source.alias))
+        })
     };
-    let columns = source.scan_columns.as_deref().ok_or_else(|| {
-        SqlError::Plan(format!("source {} carries no scan columns", source.alias))
-    })?;
+    let table = match &source.kind {
+        SourceKind::Table { table, .. } => table,
+        // A seek source materializes the output columns it is read for.
+        SourceKind::Seek(_) => {
+            let names: Vec<&str> = source.schema.columns().map(|(_, n)| n).collect();
+            let picked = columns()?
+                .iter()
+                .map(|&c| names.get(c).copied())
+                .collect::<Option<Vec<_>>>()
+                .ok_or_else(|| {
+                    SqlError::Plan(format!("scan column out of range for {}", source.alias))
+                })?;
+            return Ok(RowSchema::for_table(Some(&source.alias), &picked));
+        }
+        _ => return Ok(source.schema.clone()),
+    };
+    let columns = columns()?;
     let names = db.table(table)?.schema().names();
     if columns.iter().any(|&c| c >= names.len()) {
         return Err(SqlError::Plan(format!(
@@ -294,22 +310,31 @@ fn pushed_program(
 }
 
 /// The run ordinal space of a source the executor reads through an index
-/// — the one it seeks or scans, or, on an index-lookup join's inner side
-/// (`joined_by`), the probed one: for each storage ordinal of the table,
-/// the run column holding it, when the index covers it.  Read off the
-/// index's own covered-column positions, so it costs no name matching;
-/// `None` for every other source.
+/// — the one it seeks, scans or walks the ranges of, or, on an
+/// index-lookup join's inner side (`joined_by`), the probed one: for each
+/// storage ordinal of the table, the run column holding it, when the index
+/// covers it.  Read off the index's own covered-column positions, so it
+/// costs no name matching; `None` for every other source.
 pub(crate) fn run_columns(
     source: &SourcePlan,
     joined_by: Option<&JoinStrategy>,
     db: &Database,
 ) -> Result<Option<Vec<Option<usize>>>, SqlError> {
-    let SourceKind::Table { table, path } = &source.kind else {
-        return Ok(None);
-    };
-    let index = match (joined_by, path) {
-        (Some(JoinStrategy::IndexLookup { index, .. }), _) => index,
-        (_, AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index }) => index,
+    let (table, index) = match (&source.kind, joined_by) {
+        (SourceKind::Table { table, .. }, Some(JoinStrategy::IndexLookup { index, .. })) => {
+            (table, index)
+        }
+        (
+            SourceKind::Table {
+                table,
+                path: AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index },
+            },
+            _,
+        ) => (table, index),
+        (SourceKind::Seek(seek), _) => match &seek.index {
+            Some(index) => (&seek.table, index),
+            None => return Ok(None),
+        },
         _ => return Ok(None),
     };
     let idx = db

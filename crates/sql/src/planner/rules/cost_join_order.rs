@@ -74,11 +74,12 @@ fn reorder_sources(plan: &mut LogicalPlan, ctx: &PlanContext<'_>) -> bool {
     if !plan.only_inner || !plan.joins.is_empty() || !(2..=MAX_RELATIONS).contains(&n) {
         return false;
     }
-    if plan
-        .sources
-        .iter()
-        .any(|s| matches!(s.kind, SourceKind::TableFunction { .. }))
-    {
+    if plan.sources.iter().any(|s| {
+        matches!(
+            s.kind,
+            SourceKind::Seek(_) | SourceKind::TableFunction { .. }
+        )
+    }) {
         return false;
     }
 

@@ -32,10 +32,14 @@ impl RewriteRule for LimitPushdown {
         if !single_source || reorders_or_reduces || residual_left {
             return Ok(false);
         }
-        // Only base-table scans honour the hint in the executor; granting it
-        // to table functions or derived tables would make EXPLAIN advertise
-        // an early-stop that never happens.
-        if !matches!(plan.sources[0].kind, crate::plan::SourceKind::Table { .. }) {
+        // Only base-table scans and seek sources honour the hint in the
+        // executor; granting it to table functions or derived tables would
+        // make EXPLAIN advertise an early-stop that never happens.
+        use crate::plan::SourceKind;
+        if !matches!(
+            plan.sources[0].kind,
+            SourceKind::Table { .. } | SourceKind::Seek(_)
+        ) {
             return Ok(false);
         }
         plan.sources[0].limit_hint = Some(top);

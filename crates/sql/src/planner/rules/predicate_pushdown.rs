@@ -2,10 +2,12 @@
 //! of the global filter and into that source's scan, where the storage layer
 //! evaluates them row-by-row during the sequential read or index probe.
 //! Runs after [`super::view_merge`] so merged view qualifiers get pushed
-//! like any user predicate.
+//! like any user predicate.  A seek source takes none: its rows are built
+//! from the index runs, so its conjuncts filter them in the residual.
 
 use super::RewriteRule;
 use crate::error::SqlError;
+use crate::plan::SourceKind;
 use crate::planner::binder::{LogicalPlan, PlanContext};
 
 /// The `predicate_pushdown` rule: moves single-table conjuncts into the
@@ -33,11 +35,9 @@ impl RewriteRule for PredicatePushdown {
             if nullable.contains(&alias.to_ascii_lowercase()) {
                 continue;
             }
-            if let Some(idx) = plan
-                .sources
-                .iter()
-                .position(|s| s.alias.eq_ignore_ascii_case(alias))
-            {
+            if let Some(idx) = plan.sources.iter().position(|s| {
+                s.alias.eq_ignore_ascii_case(alias) && !matches!(s.kind, SourceKind::Seek(_))
+            }) {
                 placements.push((idx, conjunct.expr.clone()));
                 conjunct.consumed = true;
                 fired = true;

@@ -35,7 +35,7 @@ impl RewriteRule for SpatialJoinRewrite {
 /// tables, then selective index access, finish with (parallel) heap scans.
 pub fn source_priority(kind: &SourceKind) -> u8 {
     match kind {
-        SourceKind::TableFunction { .. } => 0,
+        SourceKind::Seek(_) | SourceKind::TableFunction { .. } => 0,
         SourceKind::Derived { .. } => 1,
         SourceKind::Table { path, .. } => match path {
             AccessPath::IndexSeek { bounds, .. } if bounds.equals.is_some() => 2,

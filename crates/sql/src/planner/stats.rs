@@ -17,7 +17,8 @@
 //! fixed default selectivities rather than failing.
 
 use crate::ast::{BinaryOp, Expr, UnaryOp};
-use crate::plan::{JoinStrategy, SelectPlan, SourceKind, SourcePlan};
+use crate::exec::vector::cell_f64;
+use crate::plan::{JoinStrategy, SeekSource, SelectPlan, SourceKind, SourcePlan};
 use crate::planner::binder::LogicalSource;
 use skyserver_storage::{ColumnStats, Database, Value};
 use std::collections::HashMap;
@@ -33,9 +34,11 @@ const LIKE_CONTAINS_SELECTIVITY: f64 = 0.25;
 /// Selectivity of an opaque boolean function call (cone/HTM spatial
 /// predicates and friends).
 const FUNCTION_SELECTIVITY: f64 = 0.1;
-/// Assumed output of a table-valued function (no statistics exist; the
-/// spatial TVFs return small neighbourhoods by construction).
+/// Assumed output of a table-valued function run to completion (no
+/// statistics exist; `spHTM_CoverCircleEq` returns a handful of ranges).
 pub(crate) const TVF_DEFAULT_ROWS: f64 = 64.0;
+/// Most index entries a seek estimate runs the fine test on.
+const SEEK_SAMPLE: usize = 128;
 /// Assumed output of a derived table whose inner plan carries no estimate.
 const DERIVED_DEFAULT_ROWS: f64 = 256.0;
 
@@ -282,6 +285,7 @@ pub(crate) fn estimate_logical_source(db: &Database, source: &LogicalSource) -> 
             let pushed: Vec<&Expr> = source.pushed.iter().collect();
             table_estimate(db, table, &pushed)
         }
+        SourceKind::Seek(seek) => seek.estimate,
         SourceKind::TableFunction { .. } => TVF_DEFAULT_ROWS,
         SourceKind::Derived { plan } => plan
             .est_rows
@@ -297,12 +301,62 @@ fn estimate_physical_source(db: &Database, source: &SourcePlan) -> f64 {
             let pushed: Vec<&Expr> = source.pushed_predicate.iter().collect();
             table_estimate(db, table, &pushed)
         }
+        SourceKind::Seek(seek) => seek.estimate,
         SourceKind::TableFunction { .. } => TVF_DEFAULT_ROWS,
         SourceKind::Derived { plan } => plan
             .est_rows
             .map(|n| n as f64)
             .unwrap_or(DERIVED_DEFAULT_ROWS),
     }
+}
+
+/// Rows a seek source returns, estimated from its ranges: the index
+/// entries under them, found in one walk, times the share of an evenly
+/// spaced sample of those entries (at most [`SEEK_SAMPLE`]) that passes the
+/// fine test, capped by the form's limit.  Before its cover is known (the
+/// arguments name variables) or without its index, the table's rows at
+/// the opaque-function selectivity.
+pub(crate) fn seek_rows(db: &Database, seek: &SeekSource) -> f64 {
+    let cap = |n: f64| seek.form.limit.map_or(n, |l| n.min(l as f64));
+    let found = seek
+        .cover
+        .as_ref()
+        .zip(seek.index.as_ref())
+        .and_then(|(cover, index)| {
+            Some((
+                cover,
+                db.table(&seek.table).ok()?,
+                db.index(&seek.table, index)?,
+            ))
+        });
+    let Some((cover, table, idx)) = found else {
+        return cap(live_rows(db, &seek.table) * FUNCTION_SELECTIVITY);
+    };
+    let slices: Vec<_> = idx.seek_ranges(&cover.ranges).collect();
+    let candidates: usize = slices.iter().map(|(_, _, r)| r.len()).sum();
+    let stride = candidates.div_ceil(SEEK_SAMPLE).max(1);
+    let in_run: Vec<Option<usize>> = (seek.tested.iter())
+        .map(|&c| idx.covered_ordinals().position(|o| o == c))
+        .collect();
+    let mut cells = vec![0.0; in_run.len()];
+    let (mut seen, mut sampled, mut passed) = (0usize, 0usize, 0usize);
+    for (_, run, range) in slices {
+        let first = range.start + (stride - seen % stride) % stride;
+        for off in (first..range.end).step_by(stride) {
+            for ((cell, &c), at) in cells.iter_mut().zip(&seek.tested).zip(&in_run) {
+                *cell = match at {
+                    Some(r) => cell_f64(run.column(*r), off),
+                    None => (run.row_ids().get(off))
+                        .and_then(|&id| table.live_slot(id))
+                        .map_or(0.0, |(seg, at)| cell_f64(seg.column(c), at)),
+                };
+            }
+            sampled += 1;
+            passed += usize::from((cover.test)(&cells).is_some());
+        }
+        seen += range.len();
+    }
+    cap(candidates as f64 * passed as f64 / sampled.max(1) as f64)
 }
 
 // ---------------------------------------------------------------------------

@@ -30,7 +30,9 @@
 
 use crate::exec::compile::{CompiledExpr, SortKey};
 use crate::expr::RowSchema;
-use crate::plan::{AccessPath, JoinStrategy, SelectPlan, SourceKind, SourcePlan, ZoneConstraint};
+use crate::plan::{
+    AccessPath, JoinStrategy, SeekSource, SelectPlan, SourceKind, SourcePlan, ZoneConstraint,
+};
 use crate::planner::annotate;
 use skyserver_storage::{DataType, Database, TableSchema, Value};
 use std::cmp::Ordering;
@@ -66,6 +68,10 @@ pub enum ViolationKind {
     /// release catalog — executing it would read a snapshot that does not
     /// exist.
     UnknownRelease,
+    /// A seek source's one forward walk would miss entries: its ranges
+    /// are unsorted or overlap, or its index does not lead on the key the
+    /// ranges bound.
+    RangeSetUnsound,
 }
 
 impl ViolationKind {
@@ -80,6 +86,7 @@ impl ViolationKind {
             ViolationKind::PlanShapeInconsistent => "plan_shape_inconsistent",
             ViolationKind::EstimateUnsound => "estimate_unsound",
             ViolationKind::UnknownRelease => "unknown_release",
+            ViolationKind::RangeSetUnsound => "range_set_unsound",
         }
     }
 }
@@ -375,6 +382,7 @@ impl Verifier<'_> {
                         }
                     }
                 }
+                SourceKind::Seek(seek) => self.check_seek(source, seek, &site),
                 _ => {
                     self.check(
                         source.zone_constraints.is_empty(),
@@ -407,6 +415,60 @@ impl Verifier<'_> {
         }
     }
 
+    /// A seek source: its ranges can be walked in one forward pass over an
+    /// index that leads on the form's key, its columns exist, and nothing
+    /// was pushed into it (its rows are built from the runs, not filtered
+    /// in the scan kernels).
+    fn check_seek(&mut self, source: &SourcePlan, seek: &SeekSource, site: &str) {
+        if let Some(fault) = seek.cover.as_ref().and_then(|c| c.range_fault()) {
+            self.violation(
+                ViolationKind::RangeSetUnsound,
+                site.to_string(),
+                format!("{}: {fault}", seek.function),
+            );
+        }
+        if let Some(index) = &seek.index {
+            let key = &seek.form.key;
+            let leads = self
+                .db
+                .index(&seek.table, index)
+                .map(|i| i.def().leading_column());
+            self.check(
+                leads.is_some_and(|c| c.eq_ignore_ascii_case(key)),
+                ViolationKind::RangeSetUnsound,
+                site,
+                || format!("index {index} does not lead on the ranges' key {key}"),
+            );
+        }
+        let width = self
+            .db
+            .table(&seek.table)
+            .map_or(0, |t| t.schema().columns().len());
+        let ordinals = seek.outputs.iter().flatten().chain(&seek.tested);
+        if let Some(c) = ordinals.copied().find(|&c| c >= width) {
+            self.violation(
+                ViolationKind::OrdinalOutOfRange,
+                site.to_string(),
+                format!("storage ordinal {c} out of range for {}", seek.table),
+            );
+        }
+        let outputs = source.schema.len();
+        for (c, position) in source.scan_columns.iter().flatten().enumerate() {
+            self.check(
+                *position < outputs,
+                ViolationKind::OrdinalOutOfRange,
+                &format!("{site}.scan_columns[{c}]"),
+                || format!("output column {position} of {outputs}"),
+            );
+        }
+        self.check(
+            source.pushed_predicate.is_none() && source.zone_constraints.is_empty(),
+            ViolationKind::PlanShapeInconsistent,
+            site,
+            || "a predicate pushed into a seek source".to_string(),
+        );
+    }
+
     /// Cardinality annotations: when the statistics pass stamped the plan
     /// (`plan.est_rows` present) it must have stamped *every* node, and a
     /// base-table estimate can never exceed the table's live row count (the
@@ -428,7 +490,12 @@ impl Verifier<'_> {
                 );
                 continue;
             };
-            if let SourceKind::Table { table, .. } = &source.kind {
+            let table = match &source.kind {
+                SourceKind::Table { table, .. } => Some(table),
+                SourceKind::Seek(seek) => Some(&seek.table),
+                _ => None,
+            };
+            if let Some(table) = table {
                 if let Ok(t) = self.db.table(table) {
                     let rows = t.row_count() as u64;
                     self.check(

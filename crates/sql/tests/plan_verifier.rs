@@ -6,9 +6,11 @@ use proptest::prelude::*;
 use skyserver_sql::exec::compile::CompiledExpr;
 use skyserver_sql::plan::{AccessPath, IndexBounds, SourceKind, ZoneConstraint};
 use skyserver_sql::{
-    parse_select, verify_plan, FunctionRegistry, Planner, SelectPlan, SqlEngine, ViolationKind,
+    parse_select, verify_plan, FunctionRegistry, Planner, SeekCover, SeekForm, SelectPlan,
+    SqlEngine, ViolationKind,
 };
 use skyserver_storage::{ColumnDef, DataType, Database, IndexDef, TableSchema, Value};
+use std::sync::Arc;
 
 /// A small catalog: `t(id int indexed, v float, name str)` with enough rows
 /// that heap scans annotate zone constraints and scan columns.
@@ -285,6 +287,89 @@ fn a_lookup_inner_path_other_than_the_probed_seek_is_rejected() {
             "{wrong:?}"
         );
     }
+}
+
+/// `fBand(lo, hi)`: the rows of `t` with `lo <= id <= hi`, as a seek form
+/// over `ix_id`, ordered by `v`.
+fn band_functions() -> FunctionRegistry {
+    let mut functions = FunctionRegistry::new();
+    let form = SeekForm {
+        table: "t".into(),
+        index: "ix_id".into(),
+        key: "id".into(),
+        tested: vec!["v".into()],
+        cover: Arc::new(|args| {
+            Ok(SeekCover {
+                ranges: vec![(args[0].clone(), args[1].clone())],
+                test: Arc::new(|cells| Some(cells[0])),
+            })
+        }),
+        measure: Some("gap".into()),
+        ordered: true,
+        limit: None,
+    };
+    functions.register_seek("fBand", &["id", "name", "gap"], form);
+    functions
+}
+
+/// A planned range-set seek, with its mutation applied to the cover's
+/// ranges, verified against a catalog that also has `ix_v`.
+fn seek_violations(mutate: impl Fn(&mut skyserver_sql::plan::SeekSource)) -> Vec<ViolationKind> {
+    let mut db = test_db(64);
+    db.create_index(IndexDef::new("ix_v", "t", &["v"])).unwrap();
+    let functions = band_functions();
+    let stmt = parse_select("select id, gap from fBand(3, 40)").unwrap();
+    let mut plan = Planner::new(&db, &functions).plan_select(&stmt).unwrap();
+    let SourceKind::Seek(seek) = &mut plan.sources[0].kind else {
+        panic!("fBand binds as a seek source");
+    };
+    mutate(seek);
+    kinds(&plan, &db)
+}
+
+fn with_ranges(seek: &mut skyserver_sql::plan::SeekSource, ranges: &[(i64, i64)]) {
+    let cover = seek
+        .cover
+        .as_deref()
+        .expect("constant arguments cover at plan time");
+    seek.cover = Some(Arc::new(SeekCover {
+        ranges: ranges
+            .iter()
+            .map(|&(lo, hi)| (Value::Int(lo), Value::Int(hi)))
+            .collect(),
+        test: cover.test.clone(),
+    }));
+}
+
+#[test]
+fn a_planned_range_set_seek_verifies_clean_and_runs() {
+    assert!(seek_violations(|_| {}).is_empty());
+    assert!(seek_violations(|seek| with_ranges(seek, &[(3, 9), (12, 12), (20, 40)])).is_empty());
+    let engine = SqlEngine::new(test_db(64), band_functions());
+    let rs = engine.query("select id, gap from fBand(3, 40)").unwrap();
+    assert_eq!(rs.len(), 38);
+    assert_eq!(rs.rows[0], vec![Value::Int(3), Value::Float(1.0)]);
+}
+
+#[test]
+fn unsorted_seek_ranges_are_rejected() {
+    let found = seek_violations(|seek| with_ranges(seek, &[(20, 40), (3, 9)]));
+    assert_eq!(found, vec![ViolationKind::RangeSetUnsound]);
+}
+
+#[test]
+fn overlapping_seek_ranges_are_rejected() {
+    let found = seek_violations(|seek| with_ranges(seek, &[(3, 20), (20, 40)]));
+    assert_eq!(found, vec![ViolationKind::RangeSetUnsound]);
+}
+
+#[test]
+fn a_seek_over_an_index_not_leading_on_its_key_is_rejected() {
+    let found = seek_violations(|seek| seek.index = Some("ix_v".into()));
+    assert!(
+        found.contains(&ViolationKind::RangeSetUnsound),
+        "expected range_set_unsound, got {found:?}"
+    );
 }
 
 #[test]

@@ -288,14 +288,33 @@ fn gallop(mut lo: usize, mut hi: usize, before: impl Fn(usize) -> bool) -> usize
     lo
 }
 
-/// The entries under each key of a sorted key list, found by one forward
-/// walk of the runs ([`BTreeIndex::seek_sorted`]).  Yields `(k, run,
-/// range)`: a non-empty slice of `run` whose entries' leading key cell
-/// equals key `k` (its position in the list), in index order.
+/// What a [`SortedSeek`] walks: single keys, or inclusive key ranges.
+/// Either way ascending under [`Value::total_cmp`] and disjoint.
+#[derive(Debug, Clone, Copy)]
+enum Bounds<'k> {
+    Keys(&'k [Value]),
+    Ranges(&'k [(Value, Value)]),
+}
+
+impl<'k> Bounds<'k> {
+    /// The inclusive bounds of the `i`-th key or range.
+    fn get(self, i: usize) -> Option<(&'k Value, &'k Value)> {
+        match self {
+            Bounds::Keys(keys) => keys.get(i).map(|k| (k, k)),
+            Bounds::Ranges(ranges) => ranges.get(i).map(|(lo, hi)| (lo, hi)),
+        }
+    }
+}
+
+/// The entries under each key (or key range) of a sorted list, found by
+/// one forward walk of the runs ([`BTreeIndex::seek_sorted`],
+/// [`BTreeIndex::seek_ranges`]).  Yields `(k, run, range)`: a non-empty
+/// slice of `run` whose entries' leading key cell equals key `k` (lies in
+/// range `k`), `k` being its position in the list, in index order.
 #[derive(Debug, Clone)]
 pub struct SortedSeek<'a, 'k> {
     runs: &'a [Arc<Run>],
-    keys: &'k [Value],
+    bounds: Bounds<'k>,
     /// The key being handed out, the part of its entries not yet handed
     /// out (`end` is also where the search for the next key starts), and
     /// the next key.
@@ -305,7 +324,18 @@ pub struct SortedSeek<'a, 'k> {
     end: Position,
 }
 
-impl<'a> SortedSeek<'a, '_> {
+impl<'a, 'k> SortedSeek<'a, 'k> {
+    fn new(runs: &'a [Arc<Run>], bounds: Bounds<'k>) -> Self {
+        SortedSeek {
+            runs,
+            bounds,
+            key: 0,
+            next: 0,
+            at: (0, 0),
+            end: (0, 0),
+        }
+    }
+
     /// The first entry at or after `from` that `before` does not hold for
     /// (`(runs, 0)` past the last): gallop over the runs by their last
     /// entries, then within the run the boundary lies in.
@@ -340,11 +370,12 @@ impl<'a> Iterator for SortedSeek<'a, '_> {
                 }
                 continue;
             }
-            let key = std::slice::from_ref(self.keys.get(self.next)?);
+            let (lo, hi) = self.bounds.get(self.next)?;
+            let (lo, hi) = (std::slice::from_ref(lo), std::slice::from_ref(hi));
             self.key = self.next;
             self.next += 1;
-            self.at = self.seek(self.end, |run, off| run.cmp_prefix(off, key).is_lt());
-            self.end = self.seek(self.at, |run, off| run.cmp_prefix(off, key).is_le());
+            self.at = self.seek(self.end, |run, off| run.cmp_prefix(off, lo).is_lt());
+            self.end = self.seek(self.at, |run, off| run.cmp_prefix(off, hi).is_le());
         }
     }
 }
@@ -598,14 +629,17 @@ impl BTreeIndex {
     /// key's entries ended, so a batch of nearby keys costs a few
     /// comparisons each instead of a search from the root.
     pub fn seek_sorted<'k>(&self, keys: &'k [Value]) -> SortedSeek<'_, 'k> {
-        SortedSeek {
-            runs: &self.runs,
-            keys,
-            key: 0,
-            next: 0,
-            at: (0, 0),
-            end: (0, 0),
-        }
+        SortedSeek::new(&self.runs, Bounds::Keys(keys))
+    }
+
+    /// The entries whose leading key cell lies in each of `ranges` —
+    /// inclusive `(lo, hi)` bounds, ascending under [`Value::total_cmp`]
+    /// and disjoint — as run slices tagged with the range's position in
+    /// `ranges`.  The same one forward walk as [`Self::seek_sorted`]: an
+    /// HTM cover's ranges cost a few comparisons each, not a search from
+    /// the root per range.
+    pub fn seek_ranges<'k>(&self, ranges: &'k [(Value, Value)]) -> SortedSeek<'_, 'k> {
+        SortedSeek::new(&self.runs, Bounds::Ranges(ranges))
     }
 
     /// The entries under exactly `key` (or, given fewer values than the
@@ -812,6 +846,43 @@ mod tests {
         // A Float key finds the Int entries it equals.
         let mut floats = idx.seek_sorted(&[Value::Float(17.0)]);
         assert!(floats.next().is_some_and(|(k, _, _)| k == 0));
+    }
+
+    #[test]
+    fn a_range_set_seek_finds_what_one_range_per_range_finds() {
+        // 8,000 rows over 400 keys, so runs hold ~50 keys each: range sets
+        // that start, end and span across run boundaries, empty ranges,
+        // and ranges past both ends all agree with one `range` each.
+        let schema = TableSchema::new(vec![ColumnDef::new("k", DataType::Int)]);
+        let mut t = Table::new("t", schema);
+        for i in 0..8000i64 {
+            t.insert(vec![Value::Int((i * 7919) % 400)], 0).unwrap();
+        }
+        let idx = BTreeIndex::build(IndexDef::new("ix_k", "t", &["k"]), &t).unwrap();
+        assert!(idx.runs().len() > 4);
+        for ranges in [
+            vec![(0, 399)],
+            vec![(-5, -1), (3, 3), (40, 140), (141, 141), (390, 500)],
+            vec![(10, 60), (61, 200), (250, 251)],
+            vec![(45, 55), (300, 310)],
+            vec![(399, 399)],
+            vec![(500, 600)],
+        ] {
+            let ranges: Vec<(Value, Value)> = ranges
+                .into_iter()
+                .map(|(lo, hi)| (Value::Int(lo), Value::Int(hi)))
+                .collect();
+            let mut got: Vec<Vec<RowId>> = vec![Vec::new(); ranges.len()];
+            for (k, run, range) in idx.seek_ranges(&ranges) {
+                assert!(!range.is_empty());
+                got[k].extend(&run.row_ids()[range]);
+            }
+            for (k, (lo, hi)) in ranges.iter().enumerate() {
+                let (lo, hi) = (std::slice::from_ref(lo), std::slice::from_ref(hi));
+                let want: Vec<RowId> = idx.range(lo, hi).map(|e| e.row_id()).collect();
+                assert_eq!(got[k], want, "range {k} of {ranges:?}");
+            }
+        }
     }
 
     #[test]

@@ -10,8 +10,8 @@
 //! | `no-slice-index` | web request paths | `x[i]` indexing that can panic on malformed input |
 //! | `lock-unwrap` | whole workspace | `.lock()/.read()/.write()` + `.unwrap()` — poisons cascade across requests |
 //! | `value-clone-in-kernel` | vectorized kernels | `.clone()` inside the batch kernels (per-value clones defeat the point) |
-//! | `per-key-seek` | sql executor | `.range(` / `.seek_exact(`: a B-tree search per key, where an index-lookup join walks a sorted chunk of keys once (`BTreeIndex::seek_sorted`) |
-//! | `full-row-gather` | sql executor + engine DML + schema table functions | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
+//! | `per-key-seek` | sql executor + schema crate | `.range(` / `.seek_exact(`: a B-tree search per key or per cover range, where an index-lookup join walks a sorted chunk of keys once (`BTreeIndex::seek_sorted`) and a spatial search its cover's ranges once (`BTreeIndex::seek_ranges`) |
+//! | `full-row-gather` | sql executor + engine DML + schema table functions + Neighbors precomputation | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
 //! | `ci-drift` | .github/workflows/ci.yml | `-p <package>` / `--bin <name>` that the workspace no longer has |
@@ -88,13 +88,16 @@ fn scope_for(rel: &Path) -> Scope {
         hot_path: web || executor || failpoints || releases || stats || index,
         slice_index: web,
         kernel: p == "crates/sql/src/exec/vector.rs",
-        // The engine file holds the DML paths and the schema's table
-        // functions the cone searches: the other places rows are fetched
-        // for a statement.
+        // The engine file holds the DML paths, the schema file the table
+        // functions: the other places rows are fetched for a statement.
+        // The Neighbors precomputation reads four columns of every object.
         row_gather: executor
             || p == "crates/sql/src/engine.rs"
-            || p == "crates/schema/src/functions.rs",
-        per_key_seek: executor,
+            || p == "crates/schema/src/functions.rs"
+            || p == "crates/loader/src/neighbors.rs",
+        // The spatial functions live in the schema crate: a cover's ranges
+        // are walked once, never sought one at a time.
+        per_key_seek: executor || p.starts_with("crates/schema/src/"),
     }
 }
 
@@ -230,7 +233,7 @@ fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str
             ));
             continue;
         }
-        if !scope.hot_path && !scope.kernel && !scope.row_gather {
+        if !scope.hot_path && !scope.kernel && !scope.row_gather && !scope.per_key_seek {
             continue;
         }
         let method_call = |name: &str, j: usize| {
@@ -261,8 +264,9 @@ fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str
                 t.line,
                 "per-key-seek",
                 format!(
-                    ".{}() searches the index from its root for one key; probe a \
-                     sorted chunk of keys with seek_sorted instead",
+                    ".{}() searches the index from its root for one key; walk a \
+                     sorted chunk of keys with seek_sorted, or sorted ranges with \
+                     seek_ranges, instead",
                     text(i + 1).unwrap_or_default()
                 ),
             ));

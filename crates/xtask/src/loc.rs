@@ -16,12 +16,12 @@ pub const CEILINGS: &[(&str, usize)] = &[
     ("htm", 911),
     ("loader", 845),
     ("queries", 753),
-    ("schema", 919),
+    ("schema", 848),
     ("skygen", 1768),
-    ("sql", 13225),
-    ("storage", 4236),
+    ("sql", 13964),
+    ("storage", 4270),
     ("web", 4996),
-    ("xtask", 1072),
+    ("xtask", 1081),
 ];
 
 /// One crate's count against its ceiling.

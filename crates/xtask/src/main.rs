@@ -187,6 +187,40 @@ mod tests {
     }
 
     #[test]
+    fn per_cover_range_seeks_are_flagged_in_the_schema_crate() {
+        let src = "fn f(idx: &BTreeIndex, ranges: &[(Value, Value)]) {\n\
+                   for (lo, hi) in ranges { idx.range(&[lo], &[hi]); }\n\
+                   let b = idx.seek_exact(&key);\n\
+                   let c = idx.seek_ranges(ranges);\n}\n";
+        let lines = |path: &str| -> Vec<usize> {
+            crate::lints::scan_file_tokens(std::path::Path::new(path), lex(src).tokens)
+                .into_iter()
+                .filter(|(_, lint, _)| *lint == "per-key-seek")
+                .map(|(line, _, _)| line)
+                .collect()
+        };
+        assert_eq!(lines("crates/schema/src/functions.rs"), vec![2, 3]);
+        assert_eq!(lines("crates/schema/src/lib.rs"), vec![2, 3]);
+        assert!(lines("crates/loader/src/neighbors.rs").is_empty());
+    }
+
+    #[test]
+    fn the_neighbors_precomputation_reads_columns_not_rows() {
+        let src = "fn f(table: &Table) {\n\
+                   for (_, row) in table.iter() {}\n\
+                   table.gather_into(id, &columns, &mut cells);\n}\n";
+        let found = crate::lints::scan_file_tokens(
+            std::path::Path::new("crates/loader/src/neighbors.rs"),
+            lex(src).tokens,
+        );
+        let lines: Vec<usize> = (found.into_iter())
+            .filter(|(_, lint, _)| *lint == "full-row-gather")
+            .map(|(line, _, _)| line)
+            .collect();
+        assert_eq!(lines, vec![2]);
+    }
+
+    #[test]
     fn panics_are_flagged_on_the_hot_paths_only() {
         let src = "fn f(x: Option<u8>) {\n\
                    x.unwrap();\n\

@@ -9,12 +9,16 @@ fn query1_is_an_index_lookup_join_and_q15_is_a_scan() {
     let mut sky = SkyServerBuilder::new().tiny().build().unwrap();
     let queries = twenty_queries();
 
-    // Q1 (Figure 10): nested-loop join of the table-valued spatial function
-    // with the photoObj primary key.
+    // Q1 (Figure 10): nested-loop join of the spatial search — the HTM
+    // cover's htmID ranges walked in the index, each candidate's distance
+    // tested — with the photoObj primary key.
     let q1 = queries.iter().find(|q| q.id == "Q1").unwrap();
     let plan = sky.explain(&q1.sql).unwrap();
     assert!(
-        plan.contains("TableFunction(fGetNearbyObjEq"),
+        plan.contains(
+            "RangeSeek(PhotoObj.ix_PhotoObj_htmID: fGetNearbyObjEq(181, -0.8, 3), 4 ranges, \
+             by distance) AS GN"
+        ),
         "plan:\n{plan}"
     );
     assert!(plan.contains("index lookup"), "plan:\n{plan}");
