@@ -5,7 +5,7 @@ use crate::SkyServerError;
 use skyserver_loader::{load_survey, LoadReport};
 use skyserver_schema::{create_engine, describe_schema, SchemaDescription};
 use skyserver_skygen::{Survey, SurveyConfig, SurveyCounts};
-use skyserver_sql::{PlanClass, QueryLimits, ResultSet, SqlEngine, StatementOutcome};
+use skyserver_sql::{QueryLimits, ResultSet, SqlEngine, StatementOutcome};
 use skyserver_storage::TableSummary;
 
 /// Builder for a [`SkyServer`].
@@ -119,49 +119,42 @@ impl SkyServer {
     /// can execute concurrently.  Write statements are rejected with a
     /// read-only error — the public interface never mutates the catalog.
     pub fn execute_public(&self, sql: &str) -> Result<StatementOutcome, SkyServerError> {
-        Ok(self.engine.execute_read(sql, QueryLimits::PUBLIC)?)
+        Ok(self
+            .engine
+            .execute_read(sql, QueryLimits::PUBLIC, None, None)?)
     }
 
     /// [`Self::execute_public`] with a [`skyserver_sql::QueryMonitor`]
-    /// attached — the web tier's entry point.  The monitor carries the
-    /// request deadline into the executor's per-batch checkpoint and
-    /// observes the memory gauge, so interactive queries degrade into
-    /// structured errors instead of runaway scans.
-    pub fn execute_public_with(
-        &self,
-        sql: &str,
-        monitor: &skyserver_sql::QueryMonitor,
-    ) -> Result<StatementOutcome, SkyServerError> {
-        self.execute_public_on(sql, monitor, None)
-    }
-
-    /// [`Self::execute_public_with`] pinned to a published data release —
-    /// the engine face of the web tier's `?release=` parameter.  `None`
-    /// reads the live head; `Some("dr1")` reads that release's snapshot.
-    /// An unknown release fails with [`skyserver_sql::SqlError::UnknownRelease`].
+    /// attached and pinned to a published data release — the web tier's
+    /// entry point.  The monitor carries the request deadline into the
+    /// executor's per-batch checkpoint and observes the memory gauge, so
+    /// interactive queries degrade into structured errors instead of
+    /// runaway scans.  `None` reads the live head; `Some("dr1")` reads that
+    /// release's snapshot.  An unknown release fails with
+    /// [`skyserver_sql::SqlError::UnknownRelease`].
     pub fn execute_public_on(
         &self,
         sql: &str,
         monitor: &skyserver_sql::QueryMonitor,
         release: Option<&str>,
     ) -> Result<StatementOutcome, SkyServerError> {
-        let mut outcomes =
-            self.engine
-                .execute_read_script_on(sql, QueryLimits::PUBLIC, Some(monitor), release)?;
-        outcomes.pop().ok_or_else(|| {
-            SkyServerError::Sql(skyserver_sql::SqlError::Parse("empty script".into()))
-        })
+        Ok(self
+            .engine
+            .execute_read(sql, QueryLimits::PUBLIC, Some(monitor), release)?)
     }
 
     /// Convenience: run a read-only query without limits and return just
     /// the rows.  Takes `&self` (shared read path).
     pub fn query(&self, sql: &str) -> Result<ResultSet, SkyServerError> {
-        Ok(self.engine.query(sql)?)
+        self.query_on(sql, None)
     }
 
     /// [`Self::query`] pinned to a published data release (`None` = head).
     pub fn query_on(&self, sql: &str, release: Option<&str>) -> Result<ResultSet, SkyServerError> {
-        Ok(self.engine.query_on(sql, release)?)
+        Ok(self
+            .engine
+            .execute_read(sql, QueryLimits::UNLIMITED, None, release)?
+            .result)
     }
 
     /// Run a read-only script with a [`skyserver_sql::QueryMonitor`]
@@ -175,25 +168,7 @@ impl SkyServer {
         limits: QueryLimits,
         monitor: &skyserver_sql::QueryMonitor,
     ) -> Result<StatementOutcome, SkyServerError> {
-        self.execute_batch_on(sql, limits, monitor, None)
-    }
-
-    /// [`Self::execute_batch`] pinned to a published data release.  A batch
-    /// job launched with a pin keeps reading that release's snapshot for its
-    /// whole run, even if new releases are published while it scans.
-    pub fn execute_batch_on(
-        &self,
-        sql: &str,
-        limits: QueryLimits,
-        monitor: &skyserver_sql::QueryMonitor,
-        release: Option<&str>,
-    ) -> Result<StatementOutcome, SkyServerError> {
-        let mut outcomes =
-            self.engine
-                .execute_read_script_on(sql, limits, Some(monitor), release)?;
-        outcomes.pop().ok_or_else(|| {
-            SkyServerError::Sql(skyserver_sql::SqlError::Parse("empty script".into()))
-        })
+        Ok(self.engine.execute_read(sql, limits, Some(monitor), None)?)
     }
 
     /// Publish the current head catalog as release `name`.  Copy-on-write:
@@ -242,13 +217,9 @@ impl SkyServer {
         Ok(self.engine.explain(sql)?)
     }
 
-    /// The plan class (index / scan / join-scan) of a SELECT -- the buckets
-    /// Figure 13 groups queries into.
-    pub fn plan_class(&self, sql: &str) -> Result<PlanClass, SkyServerError> {
-        Ok(self.engine.plan_class(sql)?)
-    }
-
-    /// The plan class plus the optimizer rules that fired for a SELECT.
+    /// What the optimizer decided for a SELECT: the plan class Figure 13
+    /// groups queries into (index / scan / join-scan), the rules that
+    /// fired, the estimate and the projection's cost class.
     pub fn plan_summary(&self, sql: &str) -> Result<skyserver_sql::PlanSummary, SkyServerError> {
         Ok(self.engine.plan_summary(sql)?)
     }
@@ -316,6 +287,7 @@ impl SkyServer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use skyserver_sql::PlanClass;
 
     fn server() -> SkyServer {
         SkyServerBuilder::new().tiny().build().unwrap()
@@ -395,13 +367,14 @@ mod tests {
         for w in d.windows(2) {
             assert!(w[0] <= w[1]);
         }
-        let class = s
-            .plan_class("select count(*) from PhotoObj where rowv > 100")
-            .unwrap();
-        assert_eq!(class, PlanClass::Scan);
-        let class = s
-            .plan_class("select * from PhotoObj where objID = 1000001")
-            .unwrap();
-        assert_eq!(class, PlanClass::IndexSeek);
+        let class = |sql: &str| s.plan_summary(sql).unwrap().class;
+        assert_eq!(
+            class("select count(*) from PhotoObj where rowv > 100"),
+            PlanClass::Scan
+        );
+        assert_eq!(
+            class("select * from PhotoObj where objID = 1000001"),
+            PlanClass::IndexSeek
+        );
     }
 }

@@ -103,8 +103,6 @@ pub fn load_survey(engine: &mut SqlEngine, survey: &Survey) -> Result<LoadReport
     // Final publish point: every table (including the derived Neighbors and
     // pyramid tables) gets fresh optimizer statistics.
     db.analyze_all();
-    // Let the engine report paper-scale timing projections.
-    engine.set_paper_scale_factor(Some(survey.paper_scale_factor()));
     Ok(LoadReport {
         events,
         neighbors,

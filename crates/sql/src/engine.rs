@@ -3,16 +3,16 @@
 //!
 //! `SqlEngine` owns a [`Database`] and a [`FunctionRegistry`] and executes
 //! SQL scripts against them, maintaining session variables (`DECLARE`/`SET`)
-//! and temp tables (`SELECT ... INTO ##results`).  Every statement returns a
-//! [`StatementOutcome`] carrying the result set, the raw scan counters, the
-//! measured wall-clock time and the [`skyserver_storage::IoSimulator`]
-//! projection of the same access pattern onto the paper's hardware -- the
-//! numbers Figures 10-13 report.
+//! and temp tables (`SELECT ... INTO ##results`).  A script returns the
+//! [`StatementOutcome`] of its last statement: the result set, the raw scan
+//! counters and the measured wall-clock time.  What the counters would cost
+//! on the paper's hardware is not the engine's business: the Figure 13
+//! harness projects them, and [`SqlEngine::plan_summary`] reports the plan
+//! property that projection needs ([`PlanSummary::predicate_heavy`]).
 //!
-//! The query API is split in two.  The full path
-//! ([`SqlEngine::execute`]/[`SqlEngine::execute_script`]) takes `&mut self`
-//! and supports DDL, DML, `SELECT ... INTO` and persistent session
-//! variables.  The **shared read path**
+//! The query API is split in two.  The full path ([`SqlEngine::execute`])
+//! takes `&mut self` and supports DDL, DML, `SELECT ... INTO` and
+//! persistent session variables.  The **shared read path**
 //! ([`SqlEngine::execute_read`]/[`SqlEngine::query`]) takes `&self`: any
 //! number of threads can run `DECLARE`/`SET`/`SELECT` scripts concurrently
 //! against one engine.  Read scripts see a snapshot of the session
@@ -35,12 +35,12 @@ use crate::plan::{PlanClass, SelectPlan};
 use crate::planner::Planner;
 use crate::result::{ResultSet, StatementOutcome};
 use skyserver_storage::{
-    ColumnDef, Database, ExecutionStats, IndexDef, IoSimulator, ReleaseCatalog, ReleaseDiff,
-    ReleaseInfo, RowId, ScanStats, TableSchema, Timestamp, Value,
+    ColumnDef, Database, ExecutionStats, IndexDef, ReleaseCatalog, ReleaseDiff, ReleaseInfo, RowId,
+    ScanStats, TableSchema, Timestamp, Value,
 };
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::time::Instant;
 
 /// The SQL engine: database + functions + session state.
@@ -51,9 +51,6 @@ pub struct SqlEngine {
     /// segments and indexes with the head and with other releases.
     releases: ReleaseCatalog,
     functions: FunctionRegistry,
-    /// Multiplier applied when projecting measured scans to the paper's data
-    /// volume (e.g. 14 M photoObj rows / rows generated).
-    paper_scale_factor: Option<f64>,
     /// Session variables.  Interior-mutable so the shared read path can
     /// snapshot them through `&self`; the `&mut` path goes through
     /// `get_mut` and never contends.
@@ -101,6 +98,10 @@ pub struct PlanSummary {
     /// Estimated result rows from the statistics model (`None` for
     /// statements the planner does not estimate, e.g. DML).
     pub est_rows: Option<u64>,
+    /// Whether the plan evaluates arithmetic or function predicates (the
+    /// paper's 19 clocks-per-byte class) rather than plain comparisons (10
+    /// clocks per byte): the cost class of the Figure 13 projection.
+    pub predicate_heavy: bool,
 }
 
 impl SqlEngine {
@@ -110,7 +111,6 @@ impl SqlEngine {
             db,
             releases: ReleaseCatalog::new(),
             functions,
-            paper_scale_factor: None,
             variables: RwLock::new(HashMap::new()),
             parallel_scan_threshold: crate::planner::PARALLEL_SCAN_THRESHOLD,
             cost_based_ordering: true,
@@ -186,11 +186,10 @@ impl SqlEngine {
             db: self.db.clone(),
             releases: self.releases.clone(),
             functions: self.functions.clone(),
-            paper_scale_factor: self.paper_scale_factor,
             variables: RwLock::new(
                 self.variables
                     .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .unwrap_or_else(PoisonError::into_inner)
                     .clone(),
             ),
             parallel_scan_threshold: self.parallel_scan_threshold,
@@ -234,17 +233,11 @@ impl SqlEngine {
         &self.functions
     }
 
-    /// Configure the data-volume scale factor used for paper-scale timing
-    /// projections.
-    pub fn set_paper_scale_factor(&mut self, factor: Option<f64>) {
-        self.paper_scale_factor = factor;
-    }
-
     /// Current value of a session variable.
     pub fn variable(&self, name: &str) -> Option<Value> {
         self.variables
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+            .unwrap_or_else(PoisonError::into_inner)
             .get(&name.to_ascii_lowercase())
             .cloned()
     }
@@ -258,20 +251,6 @@ impl SqlEngine {
         }
     }
 
-    /// Execute a script and return the outcome of every statement.
-    pub fn execute_script(
-        &mut self,
-        sql: &str,
-        limits: QueryLimits,
-    ) -> Result<Vec<StatementOutcome>, SqlError> {
-        let statements = parse_script(sql)?;
-        let mut outcomes = Vec::with_capacity(statements.len());
-        for stmt in statements {
-            outcomes.push(self.execute_statement(&stmt, limits)?);
-        }
-        Ok(outcomes)
-    }
-
     /// Execute a script and return the outcome of its **last** statement
     /// (the usual shape of the paper's DECLARE/SET/SELECT scripts).
     pub fn execute(
@@ -279,71 +258,44 @@ impl SqlEngine {
         sql: &str,
         limits: QueryLimits,
     ) -> Result<StatementOutcome, SqlError> {
-        let mut outcomes = self.execute_script(sql, limits)?;
-        outcomes
-            .pop()
-            .ok_or_else(|| SqlError::Parse("empty script".into()))
+        let mut last = None;
+        for stmt in parse_script(sql)? {
+            last = Some(self.execute_statement(&stmt, limits)?);
+        }
+        last.ok_or_else(|| SqlError::Parse("empty SQL script".into()))
     }
 
     /// Execute a **read-only** script (`DECLARE`/`SET`/`SELECT`, no `INTO`)
-    /// through `&self`, returning every statement's outcome.  Session
+    /// through `&self` and return its last statement's outcome.  Session
     /// variables are snapshotted at entry and `DECLARE`/`SET` effects stay
     /// local to this call, so any number of threads can run read scripts
     /// concurrently on one engine.  Write statements return
     /// [`SqlError::ReadOnly`].
-    pub fn execute_read_script(
-        &self,
-        sql: &str,
-        limits: QueryLimits,
-    ) -> Result<Vec<StatementOutcome>, SqlError> {
-        self.execute_read_script_with(sql, limits, None)
-    }
-
-    /// [`SqlEngine::execute_read_script`] with an optional [`QueryMonitor`]
-    /// attached: the executing SELECTs report rows-processed progress to it
-    /// and stop with [`SqlError::Cancelled`] when it is cancelled — the
-    /// hook the batch-query job tier is built on.
-    pub fn execute_read_script_with(
-        &self,
-        sql: &str,
-        limits: QueryLimits,
-        monitor: Option<&QueryMonitor>,
-    ) -> Result<Vec<StatementOutcome>, SqlError> {
-        self.execute_read_script_on(sql, limits, monitor, None)
-    }
-
-    /// [`SqlEngine::execute_read_script_with`] pinned to a published
-    /// release: every SELECT reads `release`'s snapshot instead of the live
-    /// head (the engine face of the web tier's `?release=` parameter).  A
-    /// statement-level `AS OF` must agree with the pin.  `None` reads the
-    /// head, same as the unpinned path.
-    pub fn execute_read_script_on(
+    ///
+    /// `monitor`, when given, observes rows-processed progress and can
+    /// cancel or pace the running SELECTs ([`SqlError::Cancelled`]) — the
+    /// hook the web tier's deadlines and the batch-job tier are built on.
+    /// `release` pins every SELECT to a published snapshot instead of the
+    /// live head (the engine face of the web tier's `?release=`); a
+    /// statement-level `AS OF` must agree with the pin.
+    pub fn execute_read(
         &self,
         sql: &str,
         limits: QueryLimits,
         monitor: Option<&QueryMonitor>,
         release: Option<&str>,
-    ) -> Result<Vec<StatementOutcome>, SqlError> {
+    ) -> Result<StatementOutcome, SqlError> {
         // Reject an unknown release before doing any work, even for
         // scripts that never reach a SELECT.
         self.db_for(release)?;
         let statements = parse_script(sql)?;
-        let mut vars = self
-            .variables
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        let mut outcomes = Vec::with_capacity(statements.len());
+        let mut vars = self.variables_snapshot();
+        let mut last = None;
         for stmt in &statements {
             let started = Instant::now();
-            let outcome = match stmt {
-                Statement::Declare { name, .. } => {
-                    vars.insert(name.to_ascii_lowercase(), Value::Null);
-                    StatementOutcome::default()
-                }
-                Statement::SetVariable { name, expr } => {
-                    let value = eval_variable(expr, &vars, &self.functions)?;
-                    vars.insert(name.to_ascii_lowercase(), value);
+            last = Some(match stmt {
+                Statement::Declare { .. } | Statement::SetVariable { .. } => {
+                    assign_variable(stmt, &mut vars, &self.functions)?;
                     StatementOutcome::default()
                 }
                 Statement::Select(select) => {
@@ -364,119 +316,98 @@ impl SqlEngine {
                 // so the shared read path can serve it.
                 Statement::ExplainVerify(select) => self.explain_verify(select)?,
                 other => return Err(SqlError::ReadOnly(statement_kind(other).to_string())),
-            };
-            outcomes.push(outcome);
+            });
         }
-        Ok(outcomes)
-    }
-
-    /// Execute a read-only script and return its **last** statement's
-    /// outcome (the `&self` counterpart of [`SqlEngine::execute`]).
-    pub fn execute_read(
-        &self,
-        sql: &str,
-        limits: QueryLimits,
-    ) -> Result<StatementOutcome, SqlError> {
-        self.execute_read_with(sql, limits, None)
-    }
-
-    /// [`SqlEngine::execute_read`] with an optional [`QueryMonitor`]: the
-    /// monitor observes progress and can cancel or pace the running query.
-    pub fn execute_read_with(
-        &self,
-        sql: &str,
-        limits: QueryLimits,
-        monitor: Option<&QueryMonitor>,
-    ) -> Result<StatementOutcome, SqlError> {
-        let mut outcomes = self.execute_read_script_with(sql, limits, monitor)?;
-        outcomes
-            .pop()
-            .ok_or_else(|| SqlError::Parse("empty script".into()))
+        last.ok_or_else(|| SqlError::Parse("empty SQL script".into()))
     }
 
     /// Convenience: run a read-only query with no limits and return just
     /// the rows.  Takes `&self`: safe to call from many threads at once.
     pub fn query(&self, sql: &str) -> Result<ResultSet, SqlError> {
-        Ok(self.execute_read(sql, QueryLimits::UNLIMITED)?.result)
+        Ok(self
+            .execute_read(sql, QueryLimits::UNLIMITED, None, None)?
+            .result)
     }
 
-    /// [`SqlEngine::query`] pinned to a published release snapshot.
-    pub fn query_on(&self, sql: &str, release: Option<&str>) -> Result<ResultSet, SqlError> {
-        let mut outcomes =
-            self.execute_read_script_on(sql, QueryLimits::UNLIMITED, None, release)?;
-        outcomes
-            .pop()
-            .map(|o| o.result)
-            .ok_or_else(|| SqlError::Parse("empty script".into()))
-    }
-
-    /// Render the plan of the (single) SELECT statement in `sql`.  Any
-    /// `DECLARE`/`SET` in the script is evaluated into a local overlay so
-    /// planning cannot disturb (or be disturbed by) concurrent sessions.
+    /// Render the plan of the first SELECT statement in `sql`.
     pub fn explain(&self, sql: &str) -> Result<String, SqlError> {
-        let statements = parse_script(sql)?;
-        self.eval_script_variables(&statements)?;
-        for stmt in &statements {
-            if let Statement::Select(s) = stmt {
-                let release = s.as_of.as_deref();
-                let plan = self
-                    .planner_on(self.db_for(release)?, release)
-                    .plan_select(s)?;
-                return Ok(plan.render_explain());
-            }
-        }
-        Err(SqlError::Plan("no SELECT statement to explain".into()))
+        Ok(self.plan_first_select(sql, false)?.0.render_explain())
     }
 
-    /// Plan a select and return its [`PlanClass`] (used by the Figure 13
-    /// harness to bucket queries).
-    pub fn plan_class(&self, sql: &str) -> Result<PlanClass, SqlError> {
-        self.plan_summary(sql).map(|s| s.class)
-    }
-
-    /// Plan a select and return its class together with the optimizer rules
-    /// that fired.
+    /// Plan the first SELECT in `sql` and summarize what the optimizer
+    /// decided: its class, the rules that fired, its estimate and its cost
+    /// class.
     pub fn plan_summary(&self, sql: &str) -> Result<PlanSummary, SqlError> {
-        let statements = parse_script(sql)?;
-        self.eval_script_variables(&statements)?;
-        for stmt in &statements {
-            if let Statement::Select(s) = stmt {
-                let release = s.as_of.as_deref();
-                let plan = self
-                    .planner_on(self.db_for(release)?, release)
-                    .plan_select(s)?;
-                return Ok(PlanSummary {
-                    class: plan.plan_class(),
-                    rules_fired: plan.rules_fired,
-                    est_rows: plan.est_rows,
-                });
-            }
-        }
-        Err(SqlError::Plan("no SELECT statement in script".into()))
+        let (plan, _) = self.plan_first_select(sql, false)?;
+        Ok(PlanSummary {
+            class: plan.plan_class(),
+            predicate_heavy: plan_is_predicate_heavy(&plan),
+            rules_fired: plan.rules_fired,
+            est_rows: plan.est_rows,
+        })
     }
 
-    /// Evaluate the `DECLARE`/`SET` prefix of a script into a throwaway
-    /// overlay (planning only needs the side effect of surfacing evaluation
-    /// errors; variables are resolved at execution time).
-    fn eval_script_variables(&self, statements: &[Statement]) -> Result<(), SqlError> {
-        let mut vars = self
-            .variables
+    /// Plan the first SELECT in `sql` and return the static verifier's
+    /// structured report — the programmatic face of `EXPLAIN VERIFY`.
+    pub fn verify(&self, sql: &str) -> Result<crate::verify::VerifyReport, SqlError> {
+        let (plan, db) = self.plan_first_select(sql, true)?;
+        Ok(self.verify_report(&plan, db))
+    }
+
+    /// The session variables as of now, as a private copy.
+    fn variables_snapshot(&self) -> HashMap<String, Value> {
+        self.variables
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        for stmt in statements {
-            match stmt {
-                Statement::Declare { name, .. } => {
-                    vars.insert(name.to_ascii_lowercase(), Value::Null);
-                }
-                Statement::SetVariable { name, expr } => {
-                    let value = eval_variable(expr, &vars, &self.functions)?;
-                    vars.insert(name.to_ascii_lowercase(), value);
-                }
-                _ => {}
-            }
+            .unwrap_or_else(PoisonError::into_inner)
+            .clone()
+    }
+
+    /// Parse `sql`, evaluate its `DECLARE`/`SET` statements into a
+    /// throwaway overlay (planning only needs their evaluation errors;
+    /// variables are resolved at execution time, so concurrent sessions
+    /// cannot disturb each other) and plan its first SELECT (or
+    /// `EXPLAIN VERIFY`'s SELECT).  Returns the plan and the database it
+    /// was planned against.
+    fn plan_first_select(
+        &self,
+        sql: &str,
+        verifier_off: bool,
+    ) -> Result<(SelectPlan, &Database), SqlError> {
+        let statements = parse_script(sql)?;
+        let mut vars = self.variables_snapshot();
+        for stmt in &statements {
+            assign_variable(stmt, &mut vars, &self.functions)?;
         }
-        Ok(())
+        let select = statements
+            .iter()
+            .find_map(|stmt| match stmt {
+                Statement::Select(s) | Statement::ExplainVerify(s) => Some(s),
+                _ => None,
+            })
+            .ok_or_else(|| SqlError::Plan("no SELECT statement in script".into()))?;
+        self.plan_pinned(select, verifier_off)
+    }
+
+    /// Plan `select` against the release its `AS OF` names (the head when
+    /// it names none).  `verifier_off` lets the caller report a broken plan
+    /// instead of failing on it.
+    fn plan_pinned(
+        &self,
+        select: &SelectStatement,
+        verifier_off: bool,
+    ) -> Result<(SelectPlan, &Database), SqlError> {
+        let release = select.as_of.as_deref();
+        let db = self.db_for(release)?;
+        let mut planner = self.planner_on(db, release);
+        if verifier_off {
+            planner = planner.with_verification(false);
+        }
+        Ok((planner.plan_select(select)?, db))
+    }
+
+    /// The static verifier's report on a plan over `db`.
+    fn verify_report(&self, plan: &SelectPlan, db: &Database) -> crate::verify::VerifyReport {
+        crate::verify::verify_plan_with_releases(plan, db, Some(&self.releases.names()))
     }
 
     // ----------------------------------------------------------------------
@@ -490,17 +421,12 @@ impl SqlEngine {
     ) -> Result<StatementOutcome, SqlError> {
         let started = Instant::now();
         match stmt {
-            Statement::Declare { name, .. } => {
-                self.variables
+            Statement::Declare { .. } | Statement::SetVariable { .. } => {
+                let vars = self
+                    .variables
                     .get_mut()
-                    .unwrap()
-                    .insert(name.to_ascii_lowercase(), Value::Null);
-                Ok(StatementOutcome::default())
-            }
-            Statement::SetVariable { name, expr } => {
-                let vars = self.variables.get_mut().unwrap();
-                let value = eval_variable(expr, vars, &self.functions)?;
-                vars.insert(name.to_ascii_lowercase(), value);
+                    .unwrap_or_else(PoisonError::into_inner);
+                assign_variable(stmt, vars, &self.functions)?;
                 Ok(StatementOutcome::default())
             }
             Statement::Select(select) => {
@@ -508,7 +434,7 @@ impl SqlEngine {
                     let vars = self
                         .variables
                         .read()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
+                        .unwrap_or_else(PoisonError::into_inner);
                     self.run_select(select, limits, started, &vars, None, None)?
                 };
                 if let Some(target) = into {
@@ -527,11 +453,11 @@ impl SqlEngine {
             }
             Statement::Update(update) => {
                 let (rows_affected, scan) = self.execute_update(update)?;
-                Ok(self.dml_outcome(rows_affected, scan, started))
+                Ok(Self::dml_outcome(rows_affected, scan, started))
             }
             Statement::Delete(delete) => {
                 let (rows_affected, scan) = self.execute_delete(delete)?;
-                Ok(self.dml_outcome(rows_affected, scan, started))
+                Ok(Self::dml_outcome(rows_affected, scan, started))
             }
             Statement::CreateTable(ct) => {
                 let mut cols = Vec::with_capacity(ct.columns.len());
@@ -581,20 +507,9 @@ impl SqlEngine {
     /// Plan a SELECT and run the static verifier over it, rendering the
     /// report as a one-column result set (the `EXPLAIN VERIFY` output):
     /// the summary line first, then one row per violation.
-    fn explain_verify(
-        &self,
-        select: &crate::ast::SelectStatement,
-    ) -> Result<StatementOutcome, SqlError> {
-        // Verification is disabled on this planner pass so that a broken
-        // plan is *reported* rather than aborting the statement.
-        let release = select.as_of.as_deref();
-        let db = self.db_for(release)?;
-        let plan = self
-            .planner_on(db, release)
-            .with_verification(false)
-            .plan_select(select)?;
-        let names = self.releases.names();
-        let report = crate::verify::verify_plan_with_releases(&plan, db, Some(&names));
+    fn explain_verify(&self, select: &SelectStatement) -> Result<StatementOutcome, SqlError> {
+        let (plan, db) = self.plan_pinned(select, true)?;
+        let report = self.verify_report(&plan, db);
         let mut result = ResultSet::empty(vec!["plan_verify".to_string()]);
         if report.is_clean() {
             result.rows.push(vec![Value::str(report.summary())]);
@@ -607,30 +522,6 @@ impl SqlEngine {
             result,
             ..Default::default()
         })
-    }
-
-    /// Plan the (single) SELECT in `sql` and return the static verifier's
-    /// structured report — the programmatic face of `EXPLAIN VERIFY`.
-    pub fn verify(&self, sql: &str) -> Result<crate::verify::VerifyReport, SqlError> {
-        let statements = parse_script(sql)?;
-        self.eval_script_variables(&statements)?;
-        for stmt in &statements {
-            if let Statement::Select(s) | Statement::ExplainVerify(s) = stmt {
-                let release = s.as_of.as_deref();
-                let db = self.db_for(release)?;
-                let plan = self
-                    .planner_on(db, release)
-                    .with_verification(false)
-                    .plan_select(s)?;
-                let names = self.releases.names();
-                return Ok(crate::verify::verify_plan_with_releases(
-                    &plan,
-                    db,
-                    Some(&names),
-                ));
-            }
-        }
-        Err(SqlError::Plan("no SELECT statement to verify".into()))
     }
 
     /// Plan and execute one SELECT through `&self`.  Returns the outcome
@@ -660,14 +551,10 @@ impl SqlEngine {
         let plan = self.planner_on(db, release).plan_select(select)?;
         let executor = Executor::new(db, &self.functions, variables, limits).with_monitor(monitor);
         let executed = executor.execute_select(&plan)?;
-        let wall = started.elapsed();
-        let stats = ExecutionStats::from_scan(
-            executed.stats,
-            wall,
-            &IoSimulator::skyserver_production(),
-            plan_is_predicate_heavy(&plan),
-            self.paper_scale_factor,
-        );
+        let stats = ExecutionStats {
+            stats: executed.stats,
+            wall_seconds: started.elapsed().as_secs_f64(),
+        };
         self.counters.selects.fetch_add(1, Ordering::Relaxed);
         self.counters
             .rows_returned
@@ -732,7 +619,7 @@ impl SqlEngine {
         let variables = self
             .variables
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         let value_rows: Vec<Vec<Value>> = match &insert.source {
             InsertSource::Values(rows) => {
                 let ctx = EvalContext {
@@ -813,21 +700,13 @@ impl SqlEngine {
 
     /// The outcome of an UPDATE/DELETE: rows affected plus the victim
     /// search's access counters.
-    fn dml_outcome(
-        &self,
-        rows_affected: usize,
-        scan: ScanStats,
-        started: Instant,
-    ) -> StatementOutcome {
+    fn dml_outcome(rows_affected: usize, scan: ScanStats, started: Instant) -> StatementOutcome {
         StatementOutcome {
             rows_affected,
-            stats: ExecutionStats::from_scan(
-                scan,
-                started.elapsed(),
-                &IoSimulator::skyserver_production(),
-                false,
-                self.paper_scale_factor,
-            ),
+            stats: ExecutionStats {
+                stats: scan,
+                wall_seconds: started.elapsed().as_secs_f64(),
+            },
             ..Default::default()
         }
     }
@@ -854,7 +733,7 @@ impl SqlEngine {
         let variables = self
             .variables
             .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
+            .unwrap_or_else(PoisonError::into_inner);
         let (victims, scan) =
             self.dml_victims(&update.table, update.selection.as_ref(), &variables)?;
         let ctx = EvalContext {
@@ -897,7 +776,7 @@ impl SqlEngine {
             let variables = self
                 .variables
                 .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+                .unwrap_or_else(PoisonError::into_inner);
             self.dml_victims(&delete.table, delete.selection.as_ref(), &variables)?
         };
         let count = victims.len();
@@ -908,18 +787,27 @@ impl SqlEngine {
     }
 }
 
-/// Evaluate a `SET @var = <expr>` right-hand side against a variable map.
-fn eval_variable(
-    expr: &Expr,
-    variables: &HashMap<String, Value>,
+/// Apply `stmt` to `vars` if it is a `DECLARE` (the variable starts NULL)
+/// or a `SET`; any other statement leaves them alone.
+fn assign_variable(
+    stmt: &Statement,
+    vars: &mut HashMap<String, Value>,
     functions: &FunctionRegistry,
-) -> Result<Value, SqlError> {
-    let ctx = EvalContext {
-        variables,
-        functions,
-        aggregates: None,
+) -> Result<(), SqlError> {
+    let (name, value) = match stmt {
+        Statement::Declare { name, .. } => (name, Value::Null),
+        Statement::SetVariable { name, expr } => {
+            let ctx = EvalContext {
+                variables: vars,
+                functions,
+                aggregates: None,
+            };
+            (name, eval_constant(expr, &ctx)?)
+        }
+        _ => return Ok(()),
     };
-    eval_constant(expr, &ctx)
+    vars.insert(name.to_ascii_lowercase(), value);
+    Ok(())
 }
 
 /// Human-readable statement kind for read-only-violation errors.
@@ -942,6 +830,7 @@ fn statement_kind(stmt: &Statement) -> &'static str {
 
 /// Does the plan contain arithmetic-heavy predicates (the paper's 19
 /// clocks/byte class) rather than simple comparisons (10 clocks/byte)?
+/// Reported as [`PlanSummary::predicate_heavy`].
 fn plan_is_predicate_heavy(plan: &SelectPlan) -> bool {
     fn expr_heavy(e: &Expr) -> bool {
         match e {
@@ -1372,8 +1261,9 @@ mod tests {
         assert!(plan.contains("index lookup pk_photoObj"));
         assert!(plan.contains("Sort(distance)"));
         let class = e
-            .plan_class("select count(*) from photoObj where ra + dec > 0")
-            .unwrap();
+            .plan_summary("select count(*) from photoObj where ra + dec > 0")
+            .unwrap()
+            .class;
         assert_eq!(class, PlanClass::Scan);
     }
 
@@ -1618,9 +1508,8 @@ mod tests {
     }
 
     #[test]
-    fn stats_report_rows_and_simulation() {
+    fn stats_report_rows_and_wall_time() {
         let mut e = engine();
-        e.set_paper_scale_factor(Some(70_000.0));
         let o = e
             .execute(
                 "select count(*) from photoObj where (rowv*rowv + colv*colv) > 1",
@@ -1630,8 +1519,6 @@ mod tests {
         assert_eq!(o.stats.stats.rows_scanned, 200);
         assert!(o.stats.stats.bytes_scanned > 0);
         assert!(o.stats.wall_seconds >= 0.0);
-        let paper = o.stats.simulated_at_paper_scale.unwrap();
-        assert!(paper.elapsed_seconds > o.stats.simulated.elapsed_seconds);
     }
 
     #[test]
@@ -1658,6 +1545,8 @@ mod tests {
                  set @saturated = dbo.fPhotoFlags('saturated'); \
                  select count(*) from photoObj where (flags & @saturated) = 0",
                 QueryLimits::UNLIMITED,
+                None,
+                None,
             )
             .unwrap();
         assert_eq!(outcome.result.scalar(), Some(&Value::Int(180)));
@@ -1682,12 +1571,19 @@ mod tests {
             .execute_read(
                 "select count(*) from photoObj where modelMag_r < @limit",
                 QueryLimits::UNLIMITED,
+                None,
+                None,
             )
             .unwrap();
         assert!(r.result.scalar().unwrap().as_i64().unwrap() > 0);
         // Shadowing the variable inside a read script does not leak back.
-        e.execute_read("set @limit = 99.0; select 1", QueryLimits::UNLIMITED)
-            .unwrap();
+        e.execute_read(
+            "set @limit = 99.0; select 1",
+            QueryLimits::UNLIMITED,
+            None,
+            None,
+        )
+        .unwrap();
         assert_eq!(e.variable("limit"), Some(Value::Float(16.0)));
     }
 
@@ -1702,7 +1598,7 @@ mod tests {
             "drop table photoObj",
             "select objID into ##tmp from photoObj",
         ] {
-            match e.execute_read(sql, QueryLimits::UNLIMITED) {
+            match e.execute_read(sql, QueryLimits::UNLIMITED, None, None) {
                 Err(SqlError::ReadOnly(_)) => {}
                 other => panic!("{sql} should be rejected as read-only, got {other:?}"),
             }
@@ -1746,10 +1642,11 @@ mod tests {
         // A completed scan reports every processed row.
         let m = QueryMonitor::new();
         let r = e
-            .execute_read_with(
+            .execute_read(
                 "select count(*) from photoObj where modelMag_r > 0",
                 QueryLimits::UNLIMITED,
                 Some(&m),
+                None,
             )
             .unwrap();
         assert_eq!(r.result.scalar(), Some(&Value::Int(200)));
@@ -1762,10 +1659,11 @@ mod tests {
         // Nested loop over 200x200 = 40k probes crosses many batch
         // boundaries; cancellation must surface as SqlError::Cancelled.
         let err = e
-            .execute_read_with(
+            .execute_read(
                 "select count(*) from photoObj a join photoObj b on a.objID < b.objID",
                 QueryLimits::UNLIMITED,
                 Some(&m),
+                None,
             )
             .unwrap_err();
         assert_eq!(err, SqlError::Cancelled);
@@ -1782,12 +1680,13 @@ mod tests {
             let e = std::sync::Arc::clone(&e);
             let m = std::sync::Arc::clone(&m);
             std::thread::spawn(move || {
-                e.execute_read_with(
+                e.execute_read(
                     // ~40k nested-loop probes: slow enough to observe, fast
                     // enough for CI if cancellation were broken.
                     "select count(*) from photoObj a join photoObj b on a.objID < b.objID",
                     QueryLimits::UNLIMITED,
                     Some(&m),
+                    None,
                 )
             })
         };
@@ -1812,10 +1711,11 @@ mod tests {
         let m = QueryMonitor::new();
         m.cancel();
         let err = e
-            .execute_read_with(
+            .execute_read(
                 "select count(*) from photoObj a join photoObj b on a.objID = b.htmID",
                 QueryLimits::UNLIMITED,
                 Some(&m),
+                None,
             )
             .unwrap_err();
         assert_eq!(err, SqlError::Cancelled);
@@ -1827,10 +1727,11 @@ mod tests {
         e.set_parallel_scan_threshold(1);
         let m = QueryMonitor::new();
         let r = e
-            .execute_read_with(
+            .execute_read(
                 "select count(*) from photoObj where (rowv*rowv + colv*colv) > 1",
                 QueryLimits::UNLIMITED,
                 Some(&m),
+                None,
             )
             .unwrap();
         assert_eq!(r.result.scalar(), Some(&Value::Int(4)));
@@ -1838,10 +1739,11 @@ mod tests {
         let m = QueryMonitor::new();
         m.cancel();
         let err = e
-            .execute_read_with(
+            .execute_read(
                 "select count(*) from photoObj where (rowv*rowv + colv*colv) > 1",
                 QueryLimits::UNLIMITED,
                 Some(&m),
+                None,
             )
             .unwrap_err();
         assert_eq!(err, SqlError::Cancelled);
@@ -1935,6 +1837,10 @@ mod tests {
     #[test]
     fn as_of_matches_ambient_release_pin() {
         let mut e = engine();
+        let query_on = |e: &SqlEngine, sql: &str, release| {
+            e.execute_read(sql, QueryLimits::UNLIMITED, None, release)
+                .map(|o| o.result)
+        };
         e.publish_release("dr1").unwrap();
         e.execute_unlimited(
             "insert into photoObj (objID, htmID, ra, dec, type, flags, modelMag_r, rowv, colv) \
@@ -1943,18 +1849,14 @@ mod tests {
         .unwrap();
         let sql = "select count(*) from photoObj";
         let via_as_of = e.query(&format!("{sql} as of dr1")).unwrap();
-        let via_param = e.query_on(sql, Some("dr1")).unwrap();
+        let via_param = query_on(&e, sql, Some("dr1")).unwrap();
         assert_eq!(via_as_of.rows, via_param.rows);
         // An explicit AS OF that agrees with the ambient pin is fine ...
-        let both = e
-            .query_on(&format!("{sql} as of dr1"), Some("dr1"))
-            .unwrap();
+        let both = query_on(&e, &format!("{sql} as of dr1"), Some("dr1")).unwrap();
         assert_eq!(both.rows, via_param.rows);
         // ... but a conflicting one is a planning error.
         e.publish_release("dr2").unwrap();
-        let err = e
-            .query_on(&format!("{sql} as of dr2"), Some("dr1"))
-            .unwrap_err();
+        let err = query_on(&e, &format!("{sql} as of dr2"), Some("dr1")).unwrap_err();
         assert!(matches!(err, SqlError::Plan(_)), "got {err:?}");
     }
 
@@ -1966,7 +1868,9 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, SqlError::UnknownRelease("dr9".into()));
         assert_eq!(err.code(), "unknown_release");
-        let err = e.query_on("select 1", Some("nope")).unwrap_err();
+        let err = e
+            .execute_read("select 1", QueryLimits::UNLIMITED, None, Some("nope"))
+            .unwrap_err();
         assert_eq!(err, SqlError::UnknownRelease("nope".into()));
     }
 
@@ -1975,7 +1879,7 @@ mod tests {
         let mut e = engine();
         e.publish_release("dr1").unwrap();
         let err = e
-            .execute_read("publish release dr2", QueryLimits::UNLIMITED)
+            .execute_read("publish release dr2", QueryLimits::UNLIMITED, None, None)
             .unwrap_err();
         assert!(matches!(err, SqlError::ReadOnly(_)), "got {err:?}");
         // Duplicate publishes are refused: releases are immutable.

@@ -34,7 +34,7 @@ pub const MONITOR_BATCH: u64 = 256;
 /// A shared cancellation/progress/pacing handle for one running query.
 ///
 /// Create one per query, hand a reference to the executor (via
-/// [`crate::SqlEngine::execute_read_with`]) and keep a clone of the
+/// [`crate::SqlEngine::execute_read`]) and keep a clone of the
 /// surrounding `Arc` to observe or cancel from other threads.
 ///
 /// Beyond cancel/progress/pace, the monitor carries the two resource

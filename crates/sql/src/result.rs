@@ -105,7 +105,7 @@ pub struct StatementOutcome {
     /// Number of rows affected by DML (inserted/updated/deleted) or written
     /// to an INTO target.
     pub rows_affected: usize,
-    /// Execution statistics (rows/bytes touched, wall time, simulated time).
+    /// What was measured: the access counters and the wall time.
     pub stats: ExecutionStats,
 }
 

@@ -355,7 +355,7 @@ fn the_public_budget_is_charged_for_what_a_statement_keeps() {
     let engine = wide_catalog();
     let public = |sql: &str| {
         let monitor = QueryMonitor::new();
-        let outcome = engine.execute_read_with(sql, QueryLimits::PUBLIC, Some(&monitor));
+        let outcome = engine.execute_read(sql, QueryLimits::PUBLIC, Some(&monitor), None);
         (outcome, monitor.peak_bytes())
     };
     // Counting rows keeps one counter, not 52k 54-cell rows.

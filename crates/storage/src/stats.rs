@@ -2,12 +2,9 @@
 //!
 //! The SkyServerQA tool shows per-query execution statistics ("vital for
 //! large result-sets", §4) and the paper reports CPU and elapsed time for
-//! every query.  The storage layer accumulates raw counters here; the SQL
-//! executor turns them into reported timings using the [`crate::iosim`]
-//! hardware model plus measured wall-clock time.
-
-use crate::iosim::{CpuCost, IoSimulator, SimTiming};
-use std::time::Duration;
+//! every query.  The storage layer accumulates raw counters here and the
+//! SQL engine adds the measured wall-clock time; the Figure 13 harness
+//! projects the counters onto the paper's hardware with [`crate::iosim`].
 
 /// Counters accumulated while executing one statement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -68,73 +65,20 @@ impl ScanStats {
     }
 }
 
-/// Full execution report for one statement.
+/// What was measured while executing one statement.  The paper-hardware
+/// projection of the same counters is [`crate::IoSimulator::project`],
+/// computed by whoever reports it.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ExecutionStats {
     /// Raw access-path counters.
     pub stats: ScanStats,
     /// Measured wall-clock time of the in-process execution.
     pub wall_seconds: f64,
-    /// Simulated timing on the paper's hardware at the *current* data scale.
-    pub simulated: SimTiming,
-    /// Simulated timing scaled up to the paper's data volume (14 M photo
-    /// objects), if a scale factor was provided.
-    pub simulated_at_paper_scale: Option<SimTiming>,
-}
-
-impl ExecutionStats {
-    /// Build a report from counters + wall time using an I/O simulator.
-    ///
-    /// `predicate_heavy` selects the 19-cpb cost model instead of 10 cpb.
-    /// `scale_factor` (>1) projects the same access pattern to the paper's
-    /// data volume.
-    pub fn from_scan(
-        stats: ScanStats,
-        wall: Duration,
-        sim: &IoSimulator,
-        predicate_heavy: bool,
-        scale_factor: Option<f64>,
-    ) -> Self {
-        let cost = if predicate_heavy {
-            CpuCost::filtered_scan()
-        } else {
-            CpuCost::simple_scan()
-        };
-        let simulated = simulate(stats, sim, cost, 1.0);
-        let simulated_at_paper_scale = scale_factor.map(|f| simulate(stats, sim, cost, f.max(1.0)));
-        ExecutionStats {
-            stats,
-            wall_seconds: wall.as_secs_f64(),
-            simulated,
-            simulated_at_paper_scale,
-        }
-    }
-}
-
-fn simulate(stats: ScanStats, sim: &IoSimulator, cost: CpuCost, scale: f64) -> SimTiming {
-    // The projection models the paper's row-store hardware, where a heap
-    // scan reads whole rows: prefer the full-row-equivalent counter when
-    // the columnar engine touched fewer bytes than a row store would.
-    let seq_bytes = (stats.bytes_scanned.max(stats.logical_bytes_scanned) as f64 * scale) as u64;
-    let idx_bytes = (stats.bytes_from_index as f64 * scale) as u64;
-    let seeks = ((stats.index_seeks as f64) * scale.sqrt()).round() as u64;
-    let seq = sim.simulate_scan(seq_bytes, cost);
-    // Index access: covered columns stream ~10x denser, treat as a scan of
-    // the index bytes plus per-seek costs.
-    let idx_scan = sim.simulate_scan(idx_bytes, cost);
-    let lookups = sim.simulate_index_lookups(seeks, 8192, true);
-    SimTiming {
-        cpu_seconds: seq.cpu_seconds + idx_scan.cpu_seconds + lookups.cpu_seconds,
-        elapsed_seconds: seq.elapsed_seconds + idx_scan.elapsed_seconds + lookups.elapsed_seconds,
-        io_bound: seq.io_bound,
-        effective_mbps: seq.effective_mbps,
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::iosim::IoSimulator;
 
     #[test]
     fn merge_adds_counters() {
@@ -155,41 +99,5 @@ mod tests {
         assert_eq!(a.index_seeks, 2);
         assert_eq!(a.total_bytes(), 1500);
         assert_eq!(a.total_rows(), 15);
-    }
-
-    #[test]
-    fn execution_stats_projects_to_paper_scale() {
-        let stats = ScanStats {
-            rows_scanned: 100_000,
-            bytes_scanned: 200_000_000, // 200 MB
-            ..Default::default()
-        };
-        let sim = IoSimulator::skyserver_production();
-        let report = ExecutionStats::from_scan(
-            stats,
-            Duration::from_millis(50),
-            &sim,
-            false,
-            Some(140.0), // 100k rows -> 14M rows
-        );
-        assert!(report.wall_seconds > 0.0);
-        let small = report.simulated.elapsed_seconds;
-        let big = report.simulated_at_paper_scale.unwrap().elapsed_seconds;
-        assert!(
-            big > small * 50.0,
-            "paper-scale projection should be ~140x slower"
-        );
-    }
-
-    #[test]
-    fn predicate_heavy_costs_more_cpu() {
-        let stats = ScanStats {
-            bytes_scanned: 1_000_000_000,
-            ..Default::default()
-        };
-        let sim = IoSimulator::skyserver_production();
-        let cheap = ExecutionStats::from_scan(stats, Duration::ZERO, &sim, false, None);
-        let heavy = ExecutionStats::from_scan(stats, Duration::ZERO, &sim, true, None);
-        assert!(heavy.simulated.cpu_seconds > cheap.simulated.cpu_seconds);
     }
 }

@@ -118,24 +118,15 @@ pub fn lex(src: &str) -> Lexed {
                     i = skip_char_literal(&chars, i);
                 }
             }
-            c if c.is_alphabetic() || c == '_' => {
+            c if c.is_alphabetic() || c == '_' || c.is_ascii_digit() => {
                 let start = i;
                 while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
                     i += 1;
                 }
-                out.tokens.push(Tok {
-                    text: chars[start..i].iter().collect(),
-                    line,
-                });
-            }
-            c if c.is_ascii_digit() => {
-                let start = i;
-                while i < chars.len() && (chars[i].is_alphanumeric() || chars[i] == '_') {
-                    i += 1;
-                }
-                // A fractional part: `.` followed by a digit (leaves `..`
-                // ranges and `.method()` calls alone).
-                if chars.get(i) == Some(&'.')
+                // A number's fractional part: `.` followed by a digit
+                // (leaves `..` ranges and `.method()` calls alone).
+                if c.is_ascii_digit()
+                    && chars.get(i) == Some(&'.')
                     && chars.get(i + 1).is_some_and(|d| d.is_ascii_digit())
                 {
                     i += 1;
@@ -193,17 +184,17 @@ fn skip_string(chars: &[char], mut i: usize, line: &mut usize) -> usize {
     i
 }
 
-fn skip_raw_string(chars: &[char], mut i: usize, line: &mut usize) -> usize {
-    if chars.get(i) == Some(&'b') {
-        i += 1;
-    }
-    i += 1; // 'r'
-    let mut hashes = 0;
-    while chars.get(i) == Some(&'#') {
-        hashes += 1;
-        i += 1;
-    }
-    i += 1; // opening quote
+fn skip_raw_string(chars: &[char], start: usize, line: &mut usize) -> usize {
+    let Some(quote) = raw_string_start(chars, start) else {
+        return start + 1;
+    };
+    // As many `#`s close the string as stand between `r` and the quote.
+    let hashes = chars[..quote]
+        .iter()
+        .rev()
+        .take_while(|&&c| c == '#')
+        .count();
+    let mut i = quote + 1;
     while i < chars.len() {
         if chars[i] == '\n' {
             *line += 1;

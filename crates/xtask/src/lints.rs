@@ -12,6 +12,7 @@
 //! | `value-clone-in-kernel` | vectorized kernels | `.clone()` inside the batch kernels (per-value clones defeat the point) |
 //! | `per-key-seek` | sql executor + schema crate | `.range(` / `.seek_exact(`: a B-tree search per key or per cover range, where an index-lookup join walks a sorted chunk of keys once (`BTreeIndex::seek_sorted`) and a spatial search its cover's ranges once (`BTreeIndex::seek_ranges`) |
 //! | `full-row-gather` | sql executor + engine DML + schema table functions + Neighbors precomputation | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
+//! | `paper-model` | sql crate + loader crate | naming `IoSimulator` / `CpuCost` / `SimTiming`: the 2002-hardware projection is computed from recorded `ScanStats` by the harness that prints the figures, never per statement |
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
 //! | `ci-drift` | .github/workflows/ci.yml | `-p <package>` / `--bin <name>` that the workspace no longer has |
@@ -64,6 +65,8 @@ struct Scope {
     row_gather: bool,
     /// `per-key-seek`.
     per_key_seek: bool,
+    /// `paper-model`.
+    paper_model: bool,
 }
 
 fn scope_for(rel: &Path) -> Scope {
@@ -98,6 +101,9 @@ fn scope_for(rel: &Path) -> Scope {
         // The spatial functions live in the schema crate: a cover's ranges
         // are walked once, never sought one at a time.
         per_key_seek: executor || p.starts_with("crates/schema/src/"),
+        // The engine and the loader only measure; the paper-hardware model
+        // belongs to the harness that prints its figures.
+        paper_model: p.starts_with("crates/sql/src/") || p.starts_with("crates/loader/src/"),
     }
 }
 
@@ -232,6 +238,11 @@ fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str
                 ),
             ));
             continue;
+        }
+        let model = ["IoSimulator", "CpuCost", "SimTiming"].contains(&t.text.as_str());
+        if scope.paper_model && model {
+            let message = "the paper-hardware model belongs to the harness that prints its figures";
+            out.push((t.line, "paper-model", message.into()));
         }
         if !scope.hot_path && !scope.kernel && !scope.row_gather && !scope.per_key_seek {
             continue;

@@ -12,14 +12,14 @@ use std::path::Path;
 /// go down; a change that raises one says why in CHANGES.md.
 pub const CEILINGS: &[(&str, usize)] = &[
     ("bench", 410),
-    ("core", 550),
+    ("core", 521),
     ("htm", 911),
-    ("loader", 845),
-    ("queries", 753),
+    ("loader", 843),
+    ("queries", 747),
     ("schema", 848),
     ("skygen", 1768),
-    ("sql", 13964),
-    ("storage", 4270),
+    ("sql", 13851),
+    ("storage", 4247),
     ("web", 4996),
     ("xtask", 1081),
 ];

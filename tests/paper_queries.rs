@@ -22,7 +22,10 @@ fn query1_is_an_index_lookup_join_and_q15_is_a_scan() {
         "plan:\n{plan}"
     );
     assert!(plan.contains("index lookup"), "plan:\n{plan}");
-    assert_eq!(sky.plan_class(&q1.sql).unwrap(), PlanClass::IndexSeek);
+    assert_eq!(
+        sky.plan_summary(&q1.sql).unwrap().class,
+        PlanClass::IndexSeek
+    );
     let outcome = sky.execute(&q1.sql).unwrap();
     // Small result, sorted by distance -- the 19-galaxies-in-0.19s shape.
     assert!(outcome.result.len() < 200);
@@ -34,7 +37,7 @@ fn query1_is_an_index_lookup_join_and_q15_is_a_scan() {
     // Q15A (Figure 11): a table scan over PhotoObj evaluating the velocity
     // predicate, rare candidates.
     let q15 = queries.iter().find(|q| q.id == "Q15A").unwrap();
-    assert_eq!(sky.plan_class(&q15.sql).unwrap(), PlanClass::Scan);
+    assert_eq!(sky.plan_summary(&q15.sql).unwrap().class, PlanClass::Scan);
     let outcome = sky.execute(&q15.sql).unwrap();
     let total = sky
         .query("select count(*) from PhotoObj")
