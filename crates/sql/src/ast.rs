@@ -228,6 +228,8 @@ pub struct CreateViewStatement {
     pub name: String,
     /// The view body.
     pub query: SelectStatement,
+    /// The view body's text, as written: what the catalog stores.
+    pub source: String,
 }
 
 /// Scalar expression.

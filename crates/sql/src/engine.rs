@@ -487,9 +487,7 @@ impl SqlEngine {
                 Ok(StatementOutcome::default())
             }
             Statement::CreateView(cv) => {
-                // Re-render the view body by storing the original text form.
-                let sql = render_select_source(&cv.query);
-                self.db.create_view(&cv.name, sql, "")?;
+                self.db.create_view(&cv.name, cv.source.clone(), "")?;
                 Ok(StatementOutcome::default())
             }
             Statement::DropTable { name } => {
@@ -866,58 +864,10 @@ fn plan_is_predicate_heavy(plan: &SelectPlan) -> bool {
             .any(expr_heavy)
 }
 
-/// Render a SELECT statement back to SQL text (used to store view bodies
-/// created through `CREATE VIEW`).
-fn render_select_source(select: &crate::ast::SelectStatement) -> String {
-    use crate::plan::render_expr;
-    let mut sql = String::from("select ");
-    let projections: Vec<String> = select
-        .projections
-        .iter()
-        .map(|p| match p {
-            crate::ast::SelectItem::Wildcard => "*".to_string(),
-            crate::ast::SelectItem::QualifiedWildcard(q) => format!("{q}.*"),
-            crate::ast::SelectItem::Expr { expr, alias } => match alias {
-                Some(a) => format!("{} as {a}", render_expr(expr)),
-                None => render_expr(expr),
-            },
-        })
-        .collect();
-    sql.push_str(&projections.join(", "));
-    if !select.from.is_empty() {
-        sql.push_str(" from ");
-        let sources: Vec<String> = select
-            .from
-            .iter()
-            .map(|f| {
-                let base = match &f.source {
-                    crate::ast::TableSource::Named(n) => n.clone(),
-                    crate::ast::TableSource::Function { name, args } => format!(
-                        "{name}({})",
-                        args.iter().map(render_expr).collect::<Vec<_>>().join(", ")
-                    ),
-                    crate::ast::TableSource::Derived(d) => {
-                        format!("({})", render_select_source(d))
-                    }
-                };
-                match &f.alias {
-                    Some(a) => format!("{base} as {a}"),
-                    None => base,
-                }
-            })
-            .collect();
-        sql.push_str(&sources.join(", "));
-    }
-    if let Some(w) = &select.selection {
-        sql.push_str(" where ");
-        sql.push_str(&render_expr(w));
-    }
-    sql
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::parser::parse_select;
     use skyserver_storage::DataType;
 
     impl SqlEngine {
@@ -1245,6 +1195,47 @@ mod tests {
         let r = e.query("select count(*) from BrightGalaxy").unwrap();
         let n = r.scalar().unwrap().as_i64().unwrap();
         assert!(n > 0 && n < 100);
+    }
+
+    /// The catalog keeps a view's body as written: DISTINCT, a JOIN's
+    /// kind and ON, GROUP BY, TOP and ORDER BY all reach the view's readers.
+    #[test]
+    fn create_view_stores_the_query_it_was_given() {
+        let mut e = engine();
+        for sql in [
+            "create table t (a int, b int)",
+            "create table u (a int)",
+            "insert into t (a, b) values (1, 1), (1, 2), (2, 3), (2, 4), (3, 5), (3, 6)",
+            "insert into u (a) values (1), (2), (3)",
+        ] {
+            e.execute_unlimited(sql).unwrap();
+        }
+        let sorted = |e: &SqlEngine, sql: &str| {
+            let mut rows = e.query(sql).unwrap().rows;
+            rows.sort();
+            rows
+        };
+        for (name, body, n) in [
+            ("v_distinct", "select distinct a from t", 3),
+            ("v_join", "select t.a, t.b from t join u on t.a = u.a", 6),
+            ("v_group", "select a, count(*) as n from t group by a", 3),
+            ("v_top", "select top 2 a, b from t order by b desc", 2),
+        ] {
+            e.execute_unlimited(&format!("create view {name} as {body};"))
+                .unwrap();
+            let stored = e.db().views().find(|v| v.name == name).unwrap();
+            assert_eq!(
+                parse_select(&stored.sql).unwrap(),
+                parse_select(body).unwrap()
+            );
+            let direct = sorted(&e, body);
+            assert_eq!(direct.len(), n, "{body}");
+            assert_eq!(
+                sorted(&e, &format!("select * from {name}")),
+                direct,
+                "{body}"
+            );
+        }
     }
 
     #[test]

@@ -2,12 +2,16 @@
 //!
 //! The executor's scans and joins *push* rows; what receives them is a
 //! [`Sink`] — the statement's residual filter in front of one of three
-//! stages: a plain row buffer (a join input or build side, the fast path's
+//! stages: a [`RowBlock`] (a join input or build side, the fast path's
 //! projected output, a parallel worker's share), the streaming hash
 //! [`Aggregator`], or the [`Output`] stage (projection, ORDER BY, TOP).
-//! A stage that keeps a row takes it out of the producer's scratch buffer;
-//! one that only reads it leaves it alone.  Everything kept is charged to
-//! the executor's memory budget, and credited back when it is dropped.
+//! A row arrives as a `&[Value]` slice of the producer's buffer: a stage
+//! that keeps it copies its cells into its own storage, one that only reads
+//! it leaves it alone, so no producer gives its buffer away.  A scan hands
+//! over a whole chunk of rows at once ([`Sink::absorb`]), which a plain
+//! block takes by moving the cells.  Everything kept is charged to the
+//! executor's memory budget, and credited back when it is dropped: a block
+//! by its cells ([`cells_charge`]), with no per-row overhead.
 
 use crate::error::SqlError;
 use crate::exec::compile::{
@@ -30,20 +34,125 @@ const ROW_MEM_OVERHEAD: u64 = 32;
 /// exists regardless of payload size.
 const VALUE_MEM_OVERHEAD: u64 = 16;
 
-/// Approximate heap footprint of one materialized row.
+/// Approximate heap footprint of one row kept as its own `Vec`.
 pub(crate) fn row_charge(row: &[Value]) -> u64 {
-    ROW_MEM_OVERHEAD + cells_bytes(row) + VALUE_MEM_OVERHEAD * row.len() as u64
+    ROW_MEM_OVERHEAD + cells_charge(row)
 }
 
-/// [`row_charge`] over a slice of rows.
-pub(crate) fn rows_charge(rows: &[Vec<Value>]) -> u64 {
-    rows.iter().map(|r| row_charge(r)).sum()
+/// Approximate footprint of cells kept in a shared buffer: their payloads
+/// plus each `Value`'s own slot.
+pub(crate) fn cells_charge(cells: &[Value]) -> u64 {
+    cells_bytes(cells) + VALUE_MEM_OVERHEAD * cells.len() as u64
 }
 
 /// Payload bytes of a run of cells — what a row-id gather of exactly those
 /// cells read from the heap.
 pub(crate) fn cells_bytes(cells: &[Value]) -> u64 {
     cells.iter().map(|v| v.byte_size() as u64).sum()
+}
+
+/// Rows of one width, one after the other in one buffer: `len` rows of
+/// `width` cells, `width × len` cells in all.  A row is a `&[Value]` slice
+/// of it.  Every row the engine buffers between operators lives in a
+/// block — a scan's chunk of output rows, join outer inputs, hash and
+/// nested-loop build sides, index-lookup survivors, parallel workers'
+/// shares — so a buffered row costs its cells and no allocation of its own.
+#[derive(Debug, Default)]
+pub(crate) struct RowBlock {
+    width: usize,
+    len: usize,
+    cells: Vec<Value>,
+}
+
+/// The block a sink that buffers nothing reports.
+static EMPTY: RowBlock = RowBlock {
+    width: 0,
+    len: 0,
+    cells: Vec::new(),
+};
+
+impl RowBlock {
+    /// An empty block of `width`-cell rows.
+    pub(crate) fn new(width: usize) -> RowBlock {
+        RowBlock {
+            width,
+            ..RowBlock::default()
+        }
+    }
+
+    /// Rows held.
+    #[inline]
+    pub(crate) fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Row `i` (empty past the last row).
+    #[inline]
+    pub(crate) fn row(&self, i: usize) -> &[Value] {
+        let at = i * self.width;
+        self.cells.get(at..at + self.width).unwrap_or_default()
+    }
+
+    /// The rows, in order.
+    #[inline]
+    pub(crate) fn rows(&self) -> impl Iterator<Item = &[Value]> {
+        (0..self.len).map(|i| self.row(i))
+    }
+
+    /// Append a copy of `row`, which has `width` cells.
+    #[inline]
+    pub(crate) fn push(&mut self, row: &[Value]) {
+        debug_assert_eq!(row.len(), self.width);
+        self.cells.extend_from_slice(row);
+        self.len += 1;
+    }
+
+    /// Append the row whose `width` cells `fill` pushes onto the buffer;
+    /// when it fails, nothing is appended.
+    #[inline]
+    pub(crate) fn push_with(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<Value>) -> Result<(), SqlError>,
+    ) -> Result<(), SqlError> {
+        let start = self.cells.len();
+        if let Err(e) = fill(&mut self.cells) {
+            self.cells.truncate(start);
+            return Err(e);
+        }
+        debug_assert_eq!(self.cells.len() - start, self.width);
+        self.len += 1;
+        Ok(())
+    }
+
+    /// Move every row of `other`, a block of the same width, to the end of
+    /// this one, leaving `other` empty with its buffer.
+    pub(crate) fn append(&mut self, other: &mut RowBlock) {
+        debug_assert_eq!(self.width, other.width);
+        self.cells.append(&mut other.cells);
+        self.len += std::mem::take(&mut other.len);
+    }
+
+    /// Drop every row, keeping the buffer.
+    #[inline]
+    pub(crate) fn clear(&mut self) {
+        self.cells.clear();
+        self.len = 0;
+    }
+
+    /// What the block's rows are charged against the memory budget.
+    pub(crate) fn charge(&self) -> u64 {
+        cells_charge(&self.cells)
+    }
+
+    /// The rows as a result set holds them, each cell moved out once.
+    // skylint: allow(row-vec) the ResultSet boundary: a result's rows are one Vec each
+    pub(crate) fn into_rows(self) -> Vec<Vec<Value>> {
+        let mut cells = self.cells.into_iter();
+        let width = self.width;
+        (0..self.len)
+            .map(|_| cells.by_ref().take(width).collect())
+            .collect()
+    }
 }
 
 /// The smaller of two optional row limits (`None` = unlimited).
@@ -237,7 +346,7 @@ impl<'p> Aggregator<'p> {
         self.groups.len() - 1
     }
 
-    fn push(&mut self, ex: &Executor<'_>, row: &mut Vec<Value>) -> Result<(), SqlError> {
+    fn push(&mut self, ex: &Executor<'_>, row: &[Value]) -> Result<(), SqlError> {
         let ctx = ex.ctx();
         let programs = self.programs;
         self.key.clear();
@@ -268,7 +377,8 @@ impl<'p> Aggregator<'p> {
             }
         }
         if known.is_none() {
-            group.first = std::mem::take(row);
+            // skylint: allow(full-row-gather) a group keeps its first row: the narrow layout row, once per group
+            group.first = row.to_vec();
         }
         Ok(())
     }
@@ -513,6 +623,7 @@ impl<'p> Output<'p> {
     }
 
     /// The kept rows, in output order.
+    // skylint: allow(row-vec) the ResultSet boundary: each kept output row is already its own Vec
     pub(crate) fn finish(self) -> Vec<Vec<Value>> {
         let sorted = match self.kept {
             Kept::All(mut entries) => {
@@ -529,11 +640,11 @@ impl<'p> Output<'p> {
 
 /// What consumes the rows a sink receives.
 pub(crate) enum Stage<'p> {
-    /// Keep them as they are: the outer side of the next join, the build
-    /// side of a hash or nested-loop join, the projected output of the fast
-    /// path, a parallel worker's share.
+    /// Keep them as they are, in a block: the outer side of the next join,
+    /// the build side of a hash or nested-loop join, the projected output
+    /// of the fast path, a parallel worker's share.
     Rows {
-        rows: Vec<Vec<Value>>,
+        rows: RowBlock,
         /// Bytes charged for `rows`, credited back when they are dropped.
         charged: u64,
         /// Under DISTINCT (the fast path's projected rows): the rows kept
@@ -545,20 +656,13 @@ pub(crate) enum Stage<'p> {
 }
 
 impl Stage<'_> {
-    pub(crate) fn rows() -> Self {
+    /// A block of `width`-cell rows; under `distinct`, one that keeps the
+    /// first of equal rows only.
+    pub(crate) fn rows(width: usize, distinct: bool) -> Self {
         Stage::Rows {
-            rows: Vec::new(),
+            rows: RowBlock::new(width),
             charged: 0,
-            distinct: None,
-        }
-    }
-
-    /// A row buffer that keeps the first of equal rows only.
-    pub(crate) fn distinct_rows() -> Self {
-        Stage::Rows {
-            rows: Vec::new(),
-            charged: 0,
-            distinct: Some(Distinct::default()),
+            distinct: distinct.then(Distinct::default),
         }
     }
 }
@@ -583,16 +687,14 @@ impl<'p> Sink<'p> {
         }
     }
 
-    /// A sink that just keeps its rows.
-    pub(crate) fn rows() -> Sink<'p> {
-        Sink::new(None, Stage::rows())
+    /// A sink that just keeps its `width`-cell rows.
+    pub(crate) fn rows(width: usize) -> Sink<'p> {
+        Sink::new(None, Stage::rows(width, false))
     }
 
-    /// Take one row.  `row` is the producer's scratch buffer: a stage that
-    /// keeps the row takes it (leaving the buffer empty), one that only
-    /// reads it leaves it alone, so a producer feeding the aggregator
-    /// allocates nothing per row.
-    pub(crate) fn push(&mut self, ex: &Executor<'_>, row: &mut Vec<Value>) -> Result<(), SqlError> {
+    /// Take one row, a slice of the producer's buffer: a stage that keeps
+    /// it copies its cells.
+    pub(crate) fn push(&mut self, ex: &Executor<'_>, row: &[Value]) -> Result<(), SqlError> {
         if let Some(filter) = self.residual {
             // Quiet: these rows were already counted by the scans and joins
             // that produced them; only check cancel/time/pace.
@@ -609,15 +711,14 @@ impl<'p> Sink<'p> {
                 distinct,
             } => {
                 if let Some(distinct) = distinct {
-                    let kept = |i: usize| rows.get(i).map(Vec::as_slice);
-                    if distinct.seen(row, kept).is_some() {
+                    if distinct.seen(row, |i| Some(rows.row(i))).is_some() {
                         return Ok(());
                     }
                 }
-                let charge = row_charge(row);
+                let charge = cells_charge(row);
                 ex.charge_mem(charge)?;
                 *charged += charge;
-                rows.push(std::mem::take(row));
+                rows.push(row);
                 Ok(())
             }
             Stage::Groups(aggregator) => aggregator.push(ex, row),
@@ -646,15 +747,13 @@ impl<'p> Sink<'p> {
         }
     }
 
-    /// Take a scan chunk's rows, leaving `chunk` empty.  A row no stage
-    /// kept goes, cleared, to `spare` for the scan to fill again: an
-    /// aggregate or a Top-N over a scan allocates per group or kept row,
-    /// not per row scanned.
+    /// Take a scan chunk's rows, leaving `chunk` empty with its buffer for
+    /// the scan to fill again.  A plain block takes the cells as they are,
+    /// charged as one; any other stage reads the rows one by one.
     pub(crate) fn absorb(
         &mut self,
         ex: &Executor<'_>,
-        chunk: &mut Vec<Vec<Value>>,
-        spare: &mut Vec<Vec<Value>>,
+        chunk: &mut RowBlock,
     ) -> Result<(), SqlError> {
         if let (
             None,
@@ -666,35 +765,30 @@ impl<'p> Sink<'p> {
         ) = (self.residual, &mut self.stage)
         {
             // Chunk granularity keeps the atomics off the per-row path.
-            let charge = rows_charge(chunk);
+            let charge = chunk.charge();
             ex.charge_mem(charge)?;
             *charged += charge;
             rows.append(chunk);
             return Ok(());
         }
-        for mut row in chunk.drain(..) {
-            self.push(ex, &mut row)?;
-            if row.capacity() > 0 {
-                row.clear();
-                spare.push(row);
-            }
+        for row in chunk.rows() {
+            self.push(ex, row)?;
         }
+        chunk.clear();
         Ok(())
     }
 
-    /// The sink one parallel-scan worker feeds: a partial aggregator when
-    /// this one aggregates, a buffer that drops its own duplicates under
-    /// DISTINCT, a plain buffer otherwise.
-    pub(crate) fn partial(&self) -> Sink<'p> {
+    /// The sink one parallel-scan worker feeds with its `width`-cell rows: a
+    /// partial aggregator when this one aggregates, a block that drops its
+    /// own duplicates under DISTINCT, a plain block otherwise.
+    pub(crate) fn partial(&self, width: usize) -> Sink<'p> {
         match &self.stage {
             Stage::Groups(aggregator) => Sink::new(
                 self.residual,
                 Stage::Groups(Aggregator::new(aggregator.programs)),
             ),
-            Stage::Rows {
-                distinct: Some(_), ..
-            } => Sink::new(None, Stage::distinct_rows()),
-            _ => Sink::rows(),
+            Stage::Rows { distinct, .. } => Sink::new(None, Stage::rows(width, distinct.is_some())),
+            Stage::Output(_) => Sink::rows(width),
         }
     }
 
@@ -713,7 +807,7 @@ impl<'p> Sink<'p> {
                 },
             ) => {
                 ex.release_mem(charged);
-                self.absorb(ex, &mut rows, &mut Vec::new())
+                self.absorb(ex, &mut rows)
             }
             _ => Err(SqlError::Execution(
                 "parallel scan partition produced a mismatched sink".into(),
@@ -721,11 +815,11 @@ impl<'p> Sink<'p> {
         }
     }
 
-    /// The buffered rows of a [`Stage::Rows`] sink (empty otherwise).
-    pub(crate) fn buffered(&self) -> &[Vec<Value>] {
+    /// The block of a [`Stage::Rows`] sink (an empty one otherwise).
+    pub(crate) fn buffered(&self) -> &RowBlock {
         match &self.stage {
             Stage::Rows { rows, .. } => rows,
-            _ => &[],
+            _ => &EMPTY,
         }
     }
 

@@ -70,6 +70,7 @@
 use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::SqlError;
 use crate::exec::compile::{CompiledExpr, LikeMatcher};
+use crate::exec::sink::RowBlock;
 use crate::expr::{apply_binary, apply_unary, between_holds, EvalContext};
 use crate::functions::{eval_builtin_normalized, FineTest};
 use skyserver_storage::{Column, ColumnData, DataType, RowId, Run, Segment, Table, Value};
@@ -176,12 +177,39 @@ fn scalar_conjunct<'a>(
     Conjunct::Scalar { expr, cols }
 }
 
+/// What a scan emits per accepted row.
+#[derive(Clone, Copy)]
+pub(crate) enum Emit<'a> {
+    /// The source's layout row (its scan columns).
+    Row,
+    /// The layout row plus one trailing cell holding the row's [`RowId`] —
+    /// the DML victim search.  No program addresses the extra cell.
+    RowAndId,
+    /// The statement's projection, evaluated inside the scan: the
+    /// single-table fast path, where a rejected row is never copied and a
+    /// surviving one is copied once, into its output shape.
+    Project(&'a [CompiledExpr]),
+}
+
+impl Emit<'_> {
+    /// Cells per emitted row over a layout of `layout` cells.
+    pub(crate) fn width(self, layout: usize) -> usize {
+        match self {
+            Emit::Row => layout,
+            Emit::RowAndId => layout + 1,
+            Emit::Project(programs) => programs.len(),
+        }
+    }
+}
+
 /// How one output column of the gather stage is produced.
 enum Gather<'a> {
     /// Direct fetch of one cell — no scratch row needed.
     Cell(Cell),
     /// The measure the fine test computed for the entry.
     Measure,
+    /// The entry's [`RowId`].
+    RowId,
     /// General program over the scratch layout row.
     Eval(&'a CompiledExpr),
 }
@@ -270,7 +298,11 @@ impl Tri {
     }
 }
 
-/// Reusable per-scan buffers (one per worker thread).
+/// Reusable per-scan buffers (one per worker thread): the selection and
+/// what the kernels need to narrow it.  The accepted rows themselves are
+/// gathered straight into a [`RowBlock`] the caller owns
+/// ([`BatchProgram::emit_chunk`]), so no row is built here and none comes
+/// back.
 #[derive(Default)]
 pub(crate) struct BatchScratch {
     /// Selected offsets within the current chunk.
@@ -284,9 +316,6 @@ pub(crate) struct BatchScratch {
     /// Per-dictionary-entry predicate answers, reused across chunks of the
     /// same segment.
     dict: Vec<Tri>,
-    /// Emptied rows the sink handed back, refilled before new ones are
-    /// allocated.
-    spare: Vec<Vec<Value>>,
     /// Lane buffers of the numeric programs, reused across chunks.
     lanes: Vec<Lanes>,
     /// The fine test's measure per chunk offset (by offset, so the
@@ -299,12 +328,6 @@ impl BatchScratch {
     /// parallel to the rows [`BatchProgram::emit_chunk`] appends.
     pub fn selected(&self) -> &[u32] {
         &self.sel
-    }
-
-    /// Where the sink returns the emitted rows it did not keep
-    /// (`Sink::absorb`).
-    pub fn spare_rows(&mut self) -> &mut Vec<Vec<Value>> {
-        &mut self.spare
     }
 
     /// The measure the fine test computed for accepted offset `off`.
@@ -347,9 +370,9 @@ pub(crate) struct BatchProgram<'a> {
 }
 
 impl<'a> BatchProgram<'a> {
-    /// Specialise `filter` (storage ordinals) and `project` (row ordinals
-    /// over `layout`) against a table with the given column types; with no
-    /// projection the scan emits the layout row itself.  `runs` is the run
+    /// Specialise `filter` (storage ordinals) and what the scan `emit`s (a
+    /// projection in row ordinals over `layout`, or the layout row itself)
+    /// against a table with the given column types.  `runs` is the run
     /// map when the chunks are index run slices, `None` for heap segments.
     /// Never fails: shapes without a kernel become scalar-fallback
     /// conjuncts with identical semantics.  Every `layout` entry must be a
@@ -360,7 +383,7 @@ impl<'a> BatchProgram<'a> {
     pub fn build(
         filter: Option<&'a CompiledExpr>,
         layout: &'a [usize],
-        project: Option<&'a [CompiledExpr]>,
+        emit: Emit<'a>,
         column_types: Vec<DataType>,
         runs: Option<&'a [Option<usize>]>,
         fine: Option<(&[usize], &'a FineTest)>,
@@ -380,9 +403,9 @@ impl<'a> BatchProgram<'a> {
                 conjuncts.push(build_conjunct(item, &column_types, runs));
             }
         }
-        let gather: Vec<Gather<'a>> = match project {
-            None => layout.iter().map(|&c| cell(c)).collect(),
-            Some(programs) => programs
+        let mut gather: Vec<Gather<'a>> = match emit {
+            Emit::Row | Emit::RowAndId => layout.iter().map(|&c| cell(c)).collect(),
+            Emit::Project(programs) => programs
                 .iter()
                 .map(|p| match p {
                     CompiledExpr::Col(i) if *i < layout.len() => cell(layout[*i]),
@@ -390,6 +413,9 @@ impl<'a> BatchProgram<'a> {
                 })
                 .collect(),
         };
+        if let Emit::RowAndId = emit {
+            gather.push(Gather::RowId);
+        }
         let mut read = Vec::new();
         for g in &gather {
             if let Gather::Eval(p) = g {
@@ -540,7 +566,7 @@ impl<'a> BatchProgram<'a> {
         }
     }
 
-    /// Materialize the accepted rows of the current selection into `out`,
+    /// Append the accepted rows of the current selection to `out`,
     /// dropping from the selection a run entry whose heap row is gone.
     /// Returns the payload bytes of the heap cells read for uncovered
     /// columns (always 0 on a segment).
@@ -549,7 +575,7 @@ impl<'a> BatchProgram<'a> {
         chunk: Chunk<'_>,
         scratch: &mut BatchScratch,
         ctx: &EvalContext<'_>,
-        out: &mut Vec<Vec<Value>>,
+        out: &mut RowBlock,
     ) -> Result<u64, SqlError> {
         self.prepare_rows(scratch);
         let mut heap_bytes = 0u64;
@@ -578,9 +604,9 @@ impl<'a> BatchProgram<'a> {
         }
     }
 
-    /// Materialize entry `off` of `chunk` into `out`, its measure cells
-    /// reading `measure`.  Returns the payload bytes of the heap cells it
-    /// read, or `None`, adding nothing, when the entry's heap row is gone.
+    /// Append entry `off` of `chunk` to `out`, its measure cells reading
+    /// `measure`.  Returns the payload bytes of the heap cells it read, or
+    /// `None`, adding nothing, when the entry's heap row is gone.
     #[inline]
     pub fn emit_row(
         &self,
@@ -589,7 +615,7 @@ impl<'a> BatchProgram<'a> {
         measure: f64,
         scratch: &mut BatchScratch,
         ctx: &EvalContext<'_>,
-        out: &mut Vec<Vec<Value>>,
+        out: &mut RowBlock,
     ) -> Result<Option<u64>, SqlError> {
         let heap = match self.gathers_heap {
             false => None,
@@ -612,16 +638,17 @@ impl<'a> BatchProgram<'a> {
         if let Some(r) = self.eval_measure {
             scratch.row[r] = Value::Float(measure);
         }
-        let mut row = scratch.spare.pop().unwrap_or_default();
-        row.reserve(self.gather.len());
-        for g in &self.gather {
-            row.push(match *g {
-                Gather::Cell(cell) => read(cell),
-                Gather::Measure => Value::Float(measure),
-                Gather::Eval(p) => p.eval(&scratch.row, ctx)?,
-            });
-        }
-        out.push(row);
+        out.push_with(|cells| {
+            for g in &self.gather {
+                cells.push(match *g {
+                    Gather::Cell(cell) => read(cell),
+                    Gather::Measure => Value::Float(measure),
+                    Gather::RowId => Value::Int(chunk.row_id(off) as i64),
+                    Gather::Eval(p) => p.eval(&scratch.row, ctx)?,
+                });
+            }
+            Ok(())
+        })?;
         Ok(Some(heap_bytes))
     }
 
@@ -1621,6 +1648,12 @@ mod tests {
         project: Option<Vec<CompiledExpr>>,
     }
 
+    impl Scan {
+        fn emit(&self) -> Emit<'_> {
+            self.project.as_deref().map_or(Emit::Row, Emit::Project)
+        }
+    }
+
     fn random_scan(rng: &mut ChaCha8Rng, functions: &FunctionRegistry) -> Scan {
         let program_of = |expr: &str, schema: &RowSchema| {
             let stmt = parse_select(&format!("select * from t where {expr}")).unwrap();
@@ -1670,11 +1703,11 @@ mod tests {
         let mut scratch = BatchScratch::default();
         let live = program.begin_chunk(chunk, base, end, &mut scratch);
         assert_eq!(live as usize, candidates.len());
-        let mut batch = Vec::new();
+        let mut batch = RowBlock::new(scan.emit().width(scan.layout.len()));
         let batch = program
             .filter_chunk(chunk, &mut scratch, ctx)
             .and_then(|()| program.emit_chunk(chunk, &mut scratch, ctx, &mut batch))
-            .map(|_| batch);
+            .map(|_| batch.into_rows());
         let one_by_one = (|| {
             let mut rows = Vec::new();
             for row in candidates {
@@ -1711,7 +1744,8 @@ mod tests {
         let conjunct = |sql: &str, runs: Option<&[Option<usize>]>| {
             let stmt = parse_select(&format!("select * from t where {sql}")).unwrap();
             let filter = compile(&stmt.selection.unwrap(), &schema, &functions).unwrap();
-            let program = BatchProgram::build(Some(&filter), &[], None, TYPES.to_vec(), runs, None);
+            let program =
+                BatchProgram::build(Some(&filter), &[], Emit::Row, TYPES.to_vec(), runs, None);
             matches!(program.conjuncts[..], [Conjunct::Numeric { .. }])
         };
         // The run holds a and f; id and flags are read from the heap.
@@ -1751,7 +1785,7 @@ mod tests {
         let program = BatchProgram::build(
             scan.filter.as_ref(),
             &scan.layout,
-            scan.project.as_deref(),
+            scan.emit(),
             TYPES.to_vec(),
             None,
             None,
@@ -1791,7 +1825,7 @@ mod tests {
         let program = BatchProgram::build(
             scan.filter.as_ref(),
             &scan.layout,
-            scan.project.as_deref(),
+            scan.emit(),
             TYPES.to_vec(),
             Some(&runs),
             None,

@@ -8,7 +8,8 @@
 //! ORDER BY buffer (a bounded heap when TOP or the row budget bounds it) or
 //! the plain projection.  Only what a later step reads again is buffered:
 //! the outer side of the next join and the build side of a hash or
-//! nested-loop join.  Scans the optimizer's
+//! nested-loop join, each a `RowBlock` — `width × len` cells in one
+//! buffer, a row being a `&[Value]` slice of it.  Scans the optimizer's
 //! parallel-scan rule marked [`AccessPath::ParallelHeapScan`] fan out over
 //! scoped worker threads, mirroring the paper's parallel sequential scans
 //! (aggregating plans keep a partial aggregator per worker and merge them);
@@ -32,6 +33,11 @@
 //! with one forward walk of the index
 //! ([`skyserver_storage::BTreeIndex::seek_sorted`]) and filters each run's
 //! matched entries as one sparse selection, then emits in outer-row order.
+//! The program gathers a chunk's survivors straight into a block; a join
+//! keeps the outer row's cells as the prefix of one scratch row, appends
+//! each candidate's and truncates back, and a sink copies the cells of a
+//! row it keeps.  Only [`ResultSet::rows`] holds one `Vec` per row: the
+//! statement's tail moves a block's cells into it once.
 //! A join output is the concatenation of its sides' layouts.  `select
 //! count(*)` therefore moves zero-width rows and a three-way join over the
 //! 54-column catalog moves the handful of cells it names.  The planner
@@ -53,15 +59,16 @@
 //! The memory budget is charged for what is *retained* — buffered join
 //! inputs, hash tables, group states, sort entries, output rows — and
 //! credited back when a buffer is dropped, so [`QueryMonitor::peak_bytes`]
-//! is the statement's real high-water mark.
+//! is the statement's real high-water mark.  A block is charged by its
+//! cells, with no per-row overhead, and credited back as one.
 
 use crate::ast::{Expr, JoinKind};
 use crate::error::SqlError;
 use crate::exec::compile::{eval_constant, CompiledExpr, CompiledPrograms};
 use crate::exec::sink::{
-    eval_into, row_charge, rows_charge, tighter, Aggregator, Output, Sink, Stage,
+    eval_into, row_charge, tighter, Aggregator, Output, RowBlock, Sink, Stage,
 };
-use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, BATCH_ROWS, MEASURE};
+use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, Emit, BATCH_ROWS, MEASURE};
 use crate::expr::EvalContext;
 use crate::functions::{FineTest, FunctionRegistry, TableBody};
 use crate::monitor::{QueryMonitor, MONITOR_BATCH};
@@ -107,20 +114,6 @@ impl QueryLimits {
         max_seconds: Some(30.0),
         max_bytes: Some(64 * 1024 * 1024),
     };
-}
-
-/// What a base-table scan hands its sink per surviving row.
-#[derive(Clone, Copy)]
-enum Emit<'a> {
-    /// The source's layout row (its scan columns).
-    Row,
-    /// The layout row plus one trailing cell holding the row's [`RowId`] —
-    /// the DML victim search.  No program addresses the extra cell.
-    RowAndId,
-    /// The statement's projection, evaluated inside the scan: the
-    /// single-table fast path, where a rejected row is never copied and a
-    /// surviving one is copied once, into its output shape.
-    Project(&'a [CompiledExpr]),
 }
 
 /// Programs a scan applies to one source.
@@ -245,14 +238,14 @@ fn entry_bytes(idx: &BTreeIndex) -> u64 {
 /// their accounting differs.
 struct ChunkScan<'a> {
     program: BatchProgram<'a>,
-    emit: Emit<'a>,
     /// Storage ordinals the rows read (heap byte accounting).
     layout: &'a [usize],
     /// Does the scan run a pushed filter?
     filtered: bool,
     limit: Option<u64>,
     scratch: BatchScratch,
-    rows: Vec<Vec<Value>>,
+    /// The chunk's emitted rows, on their way to the sink.
+    rows: RowBlock,
     produced: u64,
     pending: u64,
     /// An ordered seek's accepted entries, held until the scan ends.
@@ -315,7 +308,7 @@ impl<'a> ChunkScan<'a> {
                 held.entries.push((chunk, off, measure));
             }
             ex.charge_mem(self.scratch.selected().len() as u64 * HELD_ENTRY_BYTES)?;
-            ex.tick_rows(&mut self.pending, visited)?;
+            ex.tick(&mut self.pending, visited)?;
             return Ok((visited, 0));
         }
         if let Some((key, worst, ascending)) = sink.top_bound() {
@@ -333,14 +326,9 @@ impl<'a> ChunkScan<'a> {
         let heap_bytes = self
             .program
             .emit_chunk(chunk, &mut self.scratch, &ctx, &mut self.rows)?;
-        if let Emit::RowAndId = self.emit {
-            for (row, &off) in self.rows.iter_mut().zip(self.scratch.selected()) {
-                row.push(Value::Int(chunk.row_id(off) as i64));
-            }
-        }
         self.produced += self.rows.len() as u64;
-        sink.absorb(ex, &mut self.rows, self.scratch.spare_rows())?;
-        ex.tick_rows(&mut self.pending, visited)?;
+        sink.absorb(ex, &mut self.rows)?;
+        ex.tick(&mut self.pending, visited)?;
         Ok((visited, heap_bytes))
     }
 
@@ -372,21 +360,8 @@ impl<'a> ChunkScan<'a> {
         }
         self.produced += self.rows.len() as u64;
         ex.release_mem(held.keys.len() as u64 * HELD_ENTRY_BYTES);
-        sink.absorb(ex, &mut self.rows, self.scratch.spare_rows())?;
+        sink.absorb(ex, &mut self.rows)?;
         Ok(heap_bytes)
-    }
-}
-
-/// Start the next combined row of a join in `scratch`: keep the outer
-/// prefix when it is still there, re-clone it when the sink took the buffer
-/// (or this is the outer row's first match).  Callers clear `scratch` when
-/// they move to a new outer row.
-fn outer_prefix(scratch: &mut Vec<Value>, outer_row: &[Value]) {
-    if scratch.len() < outer_row.len() {
-        scratch.clear();
-        scratch.extend(outer_row.iter().cloned());
-    } else {
-        scratch.truncate(outer_row.len());
     }
 }
 
@@ -495,23 +470,12 @@ impl<'a> Executor<'a> {
         self
     }
 
-    /// Count one processed row/probe into the local batch counter; every
-    /// [`MONITOR_BATCH`] rows the batch is flushed to the monitor, which
-    /// may cancel or pace the query.
+    /// Count `n` processed rows or probes into the local batch counter;
+    /// every [`MONITOR_BATCH`] rows the batch is flushed to the monitor,
+    /// which may cancel or pace the query.  Chunked scans count a chunk at
+    /// a time, joins one outer row or probe at a time.
     #[inline]
-    fn tick(&self, pending: &mut u64) -> Result<(), SqlError> {
-        *pending += 1;
-        if *pending >= MONITOR_BATCH {
-            self.flush_progress(pending)?;
-        }
-        Ok(())
-    }
-
-    /// [`Self::tick`] for a whole batch of rows at once: chunked scans
-    /// report progress (and observe cancellation/pacing) at chunk
-    /// granularity instead of per row.
-    #[inline]
-    fn tick_rows(&self, pending: &mut u64, n: u64) -> Result<(), SqlError> {
+    fn tick(&self, pending: &mut u64, n: u64) -> Result<(), SqlError> {
         *pending += n;
         if *pending >= MONITOR_BATCH {
             self.flush_progress(pending)?;
@@ -621,14 +585,10 @@ impl<'a> Executor<'a> {
             );
         let (emit, row_cap, stage) = if direct {
             let cap = self.limits.max_rows.filter(|_| !plan.distinct);
-            let stage = match plan.distinct {
-                true => Stage::distinct_rows(),
-                false => Stage::rows(),
-            };
             (
                 Emit::Project(&programs.projections),
                 cap.map(|m| m as u64 + 1),
-                stage,
+                Stage::rows(programs.projections.len(), plan.distinct),
             )
         } else if aggregating {
             (Emit::Row, None, Stage::Groups(Aggregator::new(programs)))
@@ -650,7 +610,7 @@ impl<'a> Executor<'a> {
         self.check_time()?;
         stats.predicates_evaluated += sink.residual_evals;
         let rows = match sink.stage {
-            Stage::Rows { rows, .. } => rows,
+            Stage::Rows { rows, .. } => rows.into_rows(),
             Stage::Output(output) => output.finish(),
             Stage::Groups(aggregator) => {
                 let width = plan.sources.iter().map(SourcePlan::runtime_width).sum();
@@ -674,7 +634,8 @@ impl<'a> Executor<'a> {
             ));
         }
         let mut stats = ScanStats::default();
-        let mut sink = Sink::new(plan.programs.residual.as_ref(), Stage::rows());
+        let width = Emit::RowAndId.width(plan.sources[0].runtime_width());
+        let mut sink = Sink::new(plan.programs.residual.as_ref(), Stage::rows(width, false));
         let scan = ScanPrograms {
             filter: source_program(&plan.programs, 0),
             runs: source_runs(&plan.programs, 0),
@@ -685,7 +646,7 @@ impl<'a> Executor<'a> {
         stats.predicates_evaluated += sink.residual_evals;
         let mut ids: Vec<RowId> = sink
             .buffered()
-            .iter()
+            .rows()
             .filter_map(|row| row.last().and_then(Value::as_i64))
             .map(|id| id as RowId)
             .collect();
@@ -705,34 +666,26 @@ impl<'a> Executor<'a> {
     ) -> Result<(), SqlError> {
         let Some(driver) = plan.sources.first() else {
             // A FROM-less select evaluates over one empty row.
-            return sink.push(self, &mut Vec::new());
+            return sink.push(self, &[]);
         };
         let last = plan.joins.len();
-        let mut outer = Sink::rows();
+        let mut outer_width = driver.runtime_width();
+        let mut outer = Sink::rows(outer_width);
         let target = if last == 0 { &mut *sink } else { &mut outer };
         self.execute_source(driver, scan, target, stats)?;
-        let mut outer_width = driver.runtime_width();
         for (i, (step, inner)) in plan.joins.iter().zip(&plan.sources[1..]).enumerate() {
             self.check_time()?;
-            let mut joined = Sink::rows();
+            outer_width += inner.runtime_width();
+            let mut joined = Sink::rows(outer_width);
             let target = if i + 1 == last {
                 &mut *sink
             } else {
                 &mut joined
             };
             let join = join_programs(&plan.programs, i);
-            self.execute_join(
-                outer.buffered(),
-                outer_width,
-                inner,
-                step,
-                join,
-                target,
-                stats,
-            )?;
+            self.execute_join(outer.buffered(), inner, step, join, target, stats)?;
             outer.release(self);
             outer = joined;
-            outer_width += inner.runtime_width();
         }
         Ok(())
     }
@@ -743,6 +696,7 @@ impl<'a> Executor<'a> {
     fn finish(
         &self,
         plan: &SelectPlan,
+        // skylint: allow(row-vec) the ResultSet boundary: the result's rows, one Vec each
         mut final_rows: Vec<Vec<Value>>,
         mut stats: ScanStats,
     ) -> ExecutedSelect {
@@ -802,7 +756,7 @@ impl<'a> Executor<'a> {
                 // The function's result set must fit the budget as it
                 // arrives (and shows in the peak); from here on its rows
                 // belong to the pipeline, which charges the ones it keeps.
-                let held = rows_charge(&result.rows);
+                let held = result.rows.iter().map(|row| row_charge(row)).sum();
                 self.charge_mem(held)?;
                 self.release_mem(held);
                 stats.rows_returned += self.push_filtered(result.rows, scan.filter, sink)?;
@@ -821,20 +775,21 @@ impl<'a> Executor<'a> {
     /// pass the predicate pushed onto it; returns how many did.
     fn push_filtered(
         &self,
+        // skylint: allow(row-vec) the ResultSet boundary: a table function's or derived table's rows enter the pipeline here
         rows: Vec<Vec<Value>>,
         filter: Option<&CompiledExpr>,
         sink: &mut Sink<'_>,
     ) -> Result<u64, SqlError> {
         let ctx = self.ctx();
         let mut passed = 0;
-        for mut row in rows {
+        for row in &rows {
             if let Some(filter) = filter {
-                if !filter.eval(&row, &ctx)?.is_truthy() {
+                if !filter.eval(row, &ctx)?.is_truthy() {
                     continue;
                 }
             }
             passed += 1;
-            sink.push(self, &mut row)?;
+            sink.push(self, row)?;
         }
         Ok(passed)
     }
@@ -1002,19 +957,14 @@ impl<'a> Executor<'a> {
         fine: Option<(&[usize], &'s FineTest)>,
     ) -> ChunkScan<'s> {
         let column_types: Vec<DataType> = t.schema().columns().iter().map(|c| c.ty).collect();
-        let project = match scan.emit {
-            Emit::Project(programs) => Some(programs),
-            Emit::Row | Emit::RowAndId => None,
-        };
-        let (filter, runs) = (scan.filter, scan.runs);
+        let (filter, runs, emit) = (scan.filter, scan.runs, scan.emit);
         ChunkScan {
-            program: BatchProgram::build(filter, layout, project, column_types, runs, fine),
-            emit: scan.emit,
+            program: BatchProgram::build(filter, layout, emit, column_types, runs, fine),
             layout,
             filtered: filter.is_some(),
             limit,
             scratch: BatchScratch::default(),
-            rows: Vec::new(),
+            rows: RowBlock::new(emit.width(layout.len())),
             produced: 0,
             pending: 0,
             held: None,
@@ -1062,9 +1012,10 @@ impl<'a> Executor<'a> {
         // range of segments and prunes/scans them independently, feeding
         // its own partial sink.
         let partitions = t.partition_row_ids(workers);
+        let width = scan.emit.width(layout.len());
         let mut parts: Vec<_> = partitions
             .iter()
-            .map(|_| (sink.partial(), ScanStats::default()))
+            .map(|_| (sink.partial(width), ScanStats::default()))
             .collect();
         let results: Vec<Result<(), SqlError>> = std::thread::scope(|scope| {
             let handles: Vec<_> = partitions
@@ -1179,16 +1130,14 @@ impl<'a> Executor<'a> {
     // Joins
     // ----------------------------------------------------------------------
 
-    /// Join `outer_rows` (each `outer_width` cells — the accumulated layout)
-    /// with `inner`, pushing every combined row into `sink`.  Combined rows
-    /// are assembled in one scratch buffer: the outer prefix is cloned once
-    /// per matching outer row (again only when the sink kept the previous
-    /// row) and a row the residual rejects costs no allocation.
-    #[allow(clippy::too_many_arguments)]
+    /// Join the `outer` rows (the accumulated layout) with `inner`, pushing
+    /// every combined row into `sink`.  Combined rows are assembled in one
+    /// scratch buffer that keeps the outer row's cells as its prefix: each
+    /// candidate truncates it back to them and appends its own, so a row
+    /// the residual rejects costs no copy of the outer cells.
     fn execute_join(
         &self,
-        outer_rows: &[Vec<Value>],
-        outer_width: usize,
+        outer: &RowBlock,
         inner: &SourcePlan,
         step: &JoinStep,
         join: JoinPrograms<'_>,
@@ -1203,12 +1152,11 @@ impl<'a> Executor<'a> {
         } = &step.strategy
         {
             let lookup = self.lookup(inner, index, inner_column, join)?;
-            let widths = (outer_width, inner_width);
-            return self.lookup_join(outer_rows, widths, lookup, step.kind, join, sink, stats);
+            return self.lookup_join(outer, inner_width, lookup, step.kind, join, sink, stats);
         }
         let ctx = self.ctx();
         // Hash and nested-loop joins read the inner source once, up front.
-        let mut inner_sink = Sink::rows();
+        let mut inner_sink = Sink::rows(inner_width);
         let inner_scan = ScanPrograms {
             filter: join.inner_filter,
             runs: join.inner_runs,
@@ -1228,7 +1176,7 @@ impl<'a> Executor<'a> {
                 // their total-order bits.
                 let mut buckets: HashMap<Vec<Value>, Vec<usize>> =
                     HashMap::with_capacity(inner_rows.len());
-                for (i, row) in inner_rows.iter().enumerate() {
+                for (i, row) in inner_rows.rows().enumerate() {
                     let mut key = Vec::with_capacity(build_keys.len());
                     eval_into(build_keys, row, &ctx, &mut key)?;
                     if key.iter().any(Value::is_null) {
@@ -1248,16 +1196,15 @@ impl<'a> Executor<'a> {
             _ => Probe::All,
         };
         // Reused across outer rows: the combined row and the hash probe key.
-        let mut scratch: Vec<Value> = Vec::with_capacity(outer_width + inner_width);
+        let mut scratch: Vec<Value> = Vec::new();
         let mut probe_key: Vec<Value> = Vec::new();
         let mut pending = 0u64;
-        for outer_row in outer_rows {
+        for outer_row in outer.rows() {
             self.check_time()?;
             // One tick per outer row, matches or not — otherwise a join
             // full of misses (or an empty inner side) would never observe
             // cancellation or pacing.
-            self.tick(&mut pending)?;
-            scratch.clear();
+            self.tick(&mut pending, 1)?;
             let candidates: &mut dyn Iterator<Item = usize> = match &probe {
                 Probe::Hash {
                     buckets,
@@ -1269,59 +1216,65 @@ impl<'a> Executor<'a> {
                         true => None,
                         false => buckets.get(probe_key.as_slice()),
                     };
+                    if bucket.is_none() && step.kind != JoinKind::Left {
+                        continue;
+                    }
                     &mut bucket.into_iter().flatten().copied()
                 }
                 // The cross product dominates this strategy (the spatial
                 // rewrite feeds it quadratically many candidate pairs).
                 Probe::All => &mut (0..inner_rows.len()),
             };
+            scratch.clear();
+            scratch.extend_from_slice(outer_row);
             let mut matched = false;
             for i in candidates {
-                self.tick(&mut pending)?;
+                self.tick(&mut pending, 1)?;
                 stats.join_probes += 1;
-                outer_prefix(&mut scratch, outer_row);
-                scratch.extend(inner_rows.get(i).into_iter().flatten().cloned());
-                matched |= self.emit_joined(join.residual, &mut scratch, sink, stats)?;
+                scratch.truncate(outer_row.len());
+                scratch.extend_from_slice(inner_rows.row(i));
+                matched |= self.emit_joined(join.residual, &scratch, sink, stats)?;
             }
             if !matched && step.kind == JoinKind::Left {
-                self.null_extend(&mut scratch, outer_row, inner_width, sink)?;
+                self.null_extend(&mut scratch, outer_row.len(), inner_width, sink)?;
             }
         }
-        // The inner buffer and the hash table over it end with the join.
+        // The inner block and the hash table over it end with the join.
         self.release_mem(build_bytes);
         inner_sink.release(self);
         self.flush_progress(&mut pending)
     }
 
-    /// Residual-check the combined row in `scratch` and push it into
-    /// `sink`; true when it passed.
+    /// Residual-check the combined row `joined` and push it into `sink`;
+    /// true when it passed.
     fn emit_joined(
         &self,
         residual: Option<&CompiledExpr>,
-        scratch: &mut Vec<Value>,
+        joined: &[Value],
         sink: &mut Sink<'_>,
         stats: &mut ScanStats,
     ) -> Result<bool, SqlError> {
         if let Some(residual) = residual {
             stats.predicates_evaluated += 1;
-            if !residual.eval(scratch, &self.ctx())?.is_truthy() {
+            if !residual.eval(joined, &self.ctx())?.is_truthy() {
                 return Ok(false);
             }
         }
-        sink.push(self, scratch).map(|()| true)
+        sink.push(self, joined).map(|()| true)
     }
 
-    /// NULL-extend an outer row no inner row matched (no residual: it
-    /// already failed for every candidate).
+    /// NULL-extend an outer row no inner row matched — the first
+    /// `outer_width` cells of `scratch` (no residual: it already failed for
+    /// every candidate).
     fn null_extend(
         &self,
         scratch: &mut Vec<Value>,
-        outer_row: &[Value],
+        outer_width: usize,
         inner_width: usize,
         sink: &mut Sink<'_>,
     ) -> Result<(), SqlError> {
-        outer_prefix(scratch, outer_row);
-        scratch.extend(std::iter::repeat_n(Value::Null, inner_width));
+        scratch.truncate(outer_width);
+        scratch.resize(outer_width + inner_width, Value::Null);
         sink.push(self, scratch)
     }
 
@@ -1359,22 +1312,21 @@ impl<'a> Executor<'a> {
             emit: Emit::Row,
             row_cap: None,
         };
+        let layout = self.layout_of(inner, t)?;
         Ok(Lookup {
             t,
             idx,
             key: join
                 .outer_key
                 .ok_or_else(|| missing_program("index-lookup outer key"))?,
-            scan: self.chunk_scan(t, self.layout_of(inner, t)?, scan, None, None),
+            scan: self.chunk_scan(t, layout, scan, None, None),
             entry_bytes: entry_bytes(idx),
-            filtered: join.inner_filter.is_some(),
             keyed: Vec::new(),
             keys: Vec::new(),
             uses: Vec::new(),
             key_of: Vec::new(),
             spans: Vec::new(),
-            matched: Vec::new(),
-            survivors: 0,
+            matched: RowBlock::new(layout.len()),
             sel: Vec::new(),
             sel_keys: Vec::new(),
             weight: 0,
@@ -1389,35 +1341,39 @@ impl<'a> Executor<'a> {
     #[allow(clippy::too_many_arguments)]
     fn lookup_join(
         &self,
-        outer_rows: &[Vec<Value>],
-        (outer_width, inner_width): (usize, usize),
+        outer: &RowBlock,
+        inner_width: usize,
         mut lookup: Lookup<'_>,
         kind: JoinKind,
         join: JoinPrograms<'_>,
         sink: &mut Sink<'_>,
         stats: &mut ScanStats,
     ) -> Result<(), SqlError> {
-        let mut scratch: Vec<Value> = Vec::with_capacity(outer_width + inner_width);
+        let mut scratch: Vec<Value> = Vec::new();
         let mut pending = 0u64;
-        for outer in outer_rows.chunks(BATCH_ROWS) {
-            let held = lookup.probe(self, outer, stats, &mut pending)?;
-            for (outer_row, &k) in outer.iter().zip(&lookup.key_of) {
-                scratch.clear();
-                let mut matched = false;
+        for start in (0..outer.len()).step_by(BATCH_ROWS) {
+            let chunk = start..outer.len().min(start + BATCH_ROWS);
+            let held = lookup.probe(self, outer, chunk.clone(), stats, &mut pending)?;
+            for (i, &k) in chunk.zip(&lookup.key_of) {
                 let span = lookup.spans.get(k as usize).cloned().unwrap_or(0..0);
+                if span.is_empty() && kind != JoinKind::Left {
+                    continue;
+                }
+                let outer_row = outer.row(i);
+                scratch.clear();
+                scratch.extend_from_slice(outer_row);
+                let mut matched = false;
                 for r in span {
-                    let inner_row = lookup.matched.get(r * inner_width..(r + 1) * inner_width);
-                    outer_prefix(&mut scratch, outer_row);
-                    scratch.extend(inner_row.into_iter().flatten().cloned());
-                    matched |= self.emit_joined(join.residual, &mut scratch, sink, stats)?;
+                    scratch.truncate(outer_row.len());
+                    scratch.extend_from_slice(lookup.matched.row(r));
+                    matched |= self.emit_joined(join.residual, &scratch, sink, stats)?;
                 }
                 if !matched && kind == JoinKind::Left {
-                    self.null_extend(&mut scratch, outer_row, inner_width, sink)?;
+                    self.null_extend(&mut scratch, outer_row.len(), inner_width, sink)?;
                 }
             }
             self.release_mem(held);
             lookup.matched.clear();
-            lookup.survivors = 0;
         }
         self.flush_progress(&mut pending)
     }
@@ -1450,22 +1406,18 @@ struct Lookup<'x> {
     /// index seek of the inner table runs.
     scan: ChunkScan<'x>,
     entry_bytes: u64,
-    /// Does the inner source carry a pushed filter?
-    filtered: bool,
     /// The chunk's non-NULL keys with their outer rows' positions, sorted.
     keyed: Vec<(Value, u32)>,
     /// The chunk's distinct keys, ascending, and per key: its outer rows,
-    /// and its surviving entries (positions in `matched`).
+    /// and its surviving entries (rows of `matched`).
     keys: Vec<Value>,
     uses: Vec<u32>,
     spans: Vec<std::ops::Range<usize>>,
     /// Per outer row of the chunk: its key's position in `keys`, or
     /// [`NO_KEY`].
     key_of: Vec<u32>,
-    /// The surviving inner rows (layout rows), in index order, one after
-    /// the other in one buffer; `survivors` counts them.
-    matched: Vec<Value>,
-    survivors: usize,
+    /// The surviving inner rows (layout rows), in index order.
+    matched: RowBlock,
     /// The selection being gathered in one run: entry offsets, ascending,
     /// and the key each belongs to; `weight` is the (outer row, entry)
     /// pairs it stands for.
@@ -1487,21 +1439,23 @@ impl Lookup<'_> {
     fn probe(
         &mut self,
         ex: &Executor<'_>,
-        outer: &[Vec<Value>],
+        outer: &RowBlock,
+        chunk: std::ops::Range<usize>,
         stats: &mut ScanStats,
         pending: &mut u64,
     ) -> Result<u64, SqlError> {
         let ctx = ex.ctx();
+        let rows = chunk.len();
         self.keyed.clear();
-        for (pos, row) in outer.iter().enumerate() {
-            ex.tick(pending)?;
-            let key = self.key.eval(row, &ctx)?;
+        for (pos, i) in chunk.enumerate() {
+            ex.tick(pending, 1)?;
+            let key = self.key.eval(outer.row(i), &ctx)?;
             if !key.is_null() {
                 self.keyed.push((key, pos as u32));
             }
         }
-        stats.index_seeks += outer.len() as u64;
-        let held = (outer.len() * KEY_SLOT_BYTES) as u64;
+        stats.index_seeks += rows as u64;
+        let held = (rows * KEY_SLOT_BYTES) as u64;
         ex.charge_mem(held)?;
         // The outer rows of one key stay in order.
         self.keyed
@@ -1509,7 +1463,7 @@ impl Lookup<'_> {
         self.keys.clear();
         self.uses.clear();
         self.key_of.clear();
-        self.key_of.resize(outer.len(), NO_KEY);
+        self.key_of.resize(rows, NO_KEY);
         for (key, pos) in self.keyed.drain(..) {
             if self
                 .keys
@@ -1542,15 +1496,15 @@ impl Lookup<'_> {
             self.filter_run(ex, run, stats, pending)?;
         }
         self.keys = keys;
-        let matched = row_charge(&self.matched);
+        let matched = self.matched.charge();
         ex.charge_mem(matched)?;
         Ok(held + matched)
     }
 
     /// Run the gathered selection of `run` through the inner source's
     /// batch program — the pushed filter as kernels, covered cells from the
-    /// run, the rest from the heap by row id — and file each survivor under
-    /// its key.
+    /// run, the rest from the heap by row id — gather the survivors onto
+    /// `matched` and file each under its key.
     fn filter_run(
         &mut self,
         ex: &Executor<'_>,
@@ -1561,36 +1515,33 @@ impl Lookup<'_> {
         let ctx = ex.ctx();
         let chunk = Chunk::Run(run, self.t);
         let scan = &mut self.scan;
+        let first = self.matched.len();
         scan.program.begin_selection(&self.sel, &mut scan.scratch);
         scan.program.filter_chunk(chunk, &mut scan.scratch, &ctx)?;
-        let heap_bytes = scan
-            .program
-            .emit_chunk(chunk, &mut scan.scratch, &ctx, &mut scan.rows)?;
-        // Survivors are a subsequence of the selection: walk both.  Their
-        // cells move into `matched`, their emptied rows back to the pool.
+        let heap_bytes =
+            scan.program
+                .emit_chunk(chunk, &mut scan.scratch, &ctx, &mut self.matched)?;
+        // Survivors are a subsequence of the selection: walk both.
         let mut at = 0;
-        for (row, &off) in scan.rows.iter_mut().zip(scan.scratch.selected()) {
+        for (r, &off) in (first..).zip(scan.scratch.selected()) {
             while self.sel.get(at).is_some_and(|&o| o != off) {
                 at += 1;
             }
             let k = self.sel_keys.get(at).map_or(0, |&k| k as usize);
             if let Some(span) = self.spans.get_mut(k) {
                 if span.start == span.end {
-                    *span = self.survivors..self.survivors;
+                    *span = r..r;
                 }
                 span.end += 1;
             }
-            self.survivors += 1;
-            self.matched.append(row);
         }
-        scan.scratch.spare_rows().append(&mut scan.rows);
         stats.rows_from_index += self.weight;
         stats.bytes_from_index += self.weight * self.entry_bytes;
-        if self.filtered {
+        if self.scan.filtered {
             stats.predicates_evaluated += self.weight;
         }
         stats.bytes_scanned += heap_bytes;
-        ex.tick_rows(pending, self.weight)?;
+        ex.tick(pending, self.weight)?;
         self.weight = 0;
         self.sel.clear();
         self.sel_keys.clear();

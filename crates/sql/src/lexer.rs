@@ -110,13 +110,18 @@ impl fmt::Display for LexError {
 
 impl std::error::Error for LexError {}
 
-/// Tokenise a SQL script.  The returned vector always ends with
-/// [`Token::Eof`].
-pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
+/// Tokenise a SQL script, with the byte offset where each token ends.  The
+/// returned tokens always end with [`Token::Eof`].
+pub fn tokenize(input: &str) -> Result<(Vec<Token>, Vec<usize>), LexError> {
     let bytes = input.as_bytes();
     let mut tokens = Vec::new();
+    let mut ends = Vec::new();
     let mut i = 0;
     while i < bytes.len() {
+        // Each step lexes at most one token and leaves `i` at its end.
+        if ends.len() < tokens.len() {
+            ends.push(i);
+        }
         let c = bytes[i] as char;
         match c {
             c if c.is_whitespace() => i += 1,
@@ -326,8 +331,12 @@ pub fn tokenize(input: &str) -> Result<Vec<Token>, LexError> {
             }
         }
     }
+    if ends.len() < tokens.len() {
+        ends.push(i);
+    }
     tokens.push(Token::Eof);
-    Ok(tokens)
+    ends.push(input.len());
+    Ok((tokens, ends))
 }
 
 fn is_ident_char(b: u8) -> bool {
@@ -340,7 +349,9 @@ mod tests {
 
     #[test]
     fn tokenizes_simple_select() {
-        let toks = tokenize("select objID, ra from photoObj where ra > 180.5").unwrap();
+        let toks = tokenize("select objID, ra from photoObj where ra > 180.5")
+            .unwrap()
+            .0;
         assert_eq!(toks[0], Token::Ident("select".into()));
         assert_eq!(toks[1], Token::Ident("objID".into()));
         assert_eq!(toks[2], Token::Comma);
@@ -350,14 +361,16 @@ mod tests {
 
     #[test]
     fn tokenizes_variables_and_temp_tables() {
-        let toks = tokenize("set @saturated = 1 select * into ##results from x").unwrap();
+        let toks = tokenize("set @saturated = 1 select * into ##results from x")
+            .unwrap()
+            .0;
         assert!(toks.contains(&Token::Variable("saturated".into())));
         assert!(toks.contains(&Token::TempTable("results".into())));
     }
 
     #[test]
     fn tokenizes_strings_with_escapes() {
-        let toks = tokenize("select 'it''s', 'plain'").unwrap();
+        let toks = tokenize("select 'it''s', 'plain'").unwrap().0;
         assert_eq!(toks[1], Token::StringLit("it's".into()));
         assert_eq!(toks[3], Token::StringLit("plain".into()));
         assert!(tokenize("select 'unterminated").is_err());
@@ -366,7 +379,7 @@ mod tests {
     #[test]
     fn strips_comments() {
         let sql = "select 1 -- trailing comment\n , 2 /* block\ncomment */ , 3";
-        let toks = tokenize(sql).unwrap();
+        let toks = tokenize(sql).unwrap().0;
         let numbers: Vec<&Token> = toks
             .iter()
             .filter(|t| matches!(t, Token::Number(_)))
@@ -377,7 +390,7 @@ mod tests {
 
     #[test]
     fn comparison_operators() {
-        let toks = tokenize("a <= b >= c <> d != e < f > g = h").unwrap();
+        let toks = tokenize("a <= b >= c <> d != e < f > g = h").unwrap().0;
         assert!(toks.contains(&Token::LtEq));
         assert!(toks.contains(&Token::GtEq));
         assert_eq!(toks.iter().filter(|t| **t == Token::NotEq).count(), 2);
@@ -388,7 +401,7 @@ mod tests {
 
     #[test]
     fn bitwise_and_arithmetic() {
-        let toks = tokenize("(flags & 64) | 2 + 3*4/5 % 6 - 7").unwrap();
+        let toks = tokenize("(flags & 64) | 2 + 3*4/5 % 6 - 7").unwrap().0;
         assert!(toks.contains(&Token::Ampersand));
         assert!(toks.contains(&Token::Pipe));
         assert!(toks.contains(&Token::Percent));
@@ -396,14 +409,14 @@ mod tests {
 
     #[test]
     fn scientific_notation_numbers() {
-        let toks = tokenize("select 1e6, 2.5E-3, 42").unwrap();
+        let toks = tokenize("select 1e6, 2.5E-3, 42").unwrap().0;
         assert_eq!(toks[1], Token::Number("1e6".into()));
         assert_eq!(toks[3], Token::Number("2.5E-3".into()));
     }
 
     #[test]
     fn dotted_names() {
-        let toks = tokenize("dbo.fPhotoFlags('saturated')").unwrap();
+        let toks = tokenize("dbo.fPhotoFlags('saturated')").unwrap().0;
         assert_eq!(toks[0], Token::Ident("dbo".into()));
         assert_eq!(toks[1], Token::Dot);
         assert_eq!(toks[2], Token::Ident("fPhotoFlags".into()));
@@ -411,7 +424,7 @@ mod tests {
 
     #[test]
     fn bracket_quoted_identifiers() {
-        let toks = tokenize("select [order] from [my table]").unwrap();
+        let toks = tokenize("select [order] from [my table]").unwrap().0;
         assert_eq!(toks[1], Token::Ident("order".into()));
         assert_eq!(toks[3], Token::Ident("my table".into()));
         assert!(tokenize("[unclosed").is_err());
@@ -436,7 +449,7 @@ mod tests {
             where (G.flags & @saturated) = 0
             order by distance
         "#;
-        let toks = tokenize(sql).unwrap();
+        let toks = tokenize(sql).unwrap().0;
         assert!(toks.len() > 40);
         assert!(toks.contains(&Token::Variable("saturated".into())));
         assert!(toks.contains(&Token::TempTable("results".into())));

@@ -141,12 +141,6 @@ impl QueryMonitor {
         self.created.elapsed().as_micros().min(u64::MAX as u128) as u64
     }
 
-    /// Remove the deadline (queries then run on [`crate::QueryLimits`]'
-    /// `max_seconds` alone, if set).
-    pub fn clear_deadline(&self) {
-        self.deadline_at_micros.store(0, Ordering::Relaxed);
-    }
-
     /// Has a deadline been set and already passed?
     pub fn deadline_expired(&self) -> bool {
         self.deadline_micros()
@@ -240,7 +234,8 @@ mod tests {
         m.set_deadline(Duration::ZERO);
         assert!(m.deadline_expired());
         assert_eq!(m.deadline_remaining(), Some(Duration::ZERO));
-        m.clear_deadline();
+        // A new deadline replaces the one that passed.
+        m.set_deadline(Duration::from_secs(3600));
         assert!(!m.deadline_expired());
     }
 

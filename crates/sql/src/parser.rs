@@ -14,8 +14,13 @@ use skyserver_storage::{DataType, Value};
 /// Parse a SQL script (one or more statements separated by optional
 /// semicolons).
 pub fn parse_script(sql: &str) -> Result<Vec<Statement>, SqlError> {
-    let tokens = tokenize(sql).map_err(|e| SqlError::Parse(e.to_string()))?;
-    let mut parser = Parser { tokens, pos: 0 };
+    let (tokens, ends) = tokenize(sql).map_err(|e| SqlError::Parse(e.to_string()))?;
+    let mut parser = Parser {
+        tokens,
+        ends,
+        sql,
+        pos: 0,
+    };
     let mut statements = Vec::new();
     loop {
         while parser.eat(&Token::Semicolon) {}
@@ -50,12 +55,15 @@ pub fn parse_select(sql: &str) -> Result<SelectStatement, SqlError> {
     }
 }
 
-struct Parser {
+struct Parser<'s> {
     tokens: Vec<Token>,
+    /// The byte offset in `sql` where each token ends.
+    ends: Vec<usize>,
+    sql: &'s str,
     pos: usize,
 }
 
-impl Parser {
+impl Parser<'_> {
     fn peek(&self) -> &Token {
         self.tokens.get(self.pos).unwrap_or(&Token::Eof)
     }
@@ -587,8 +595,20 @@ impl Parser {
         } else if self.eat_keyword("view") {
             let name = self.expect_ident()?;
             self.expect_keyword("as")?;
+            let start = self.ends.get(self.pos - 1).copied().unwrap_or(0);
             let query = self.parse_select_statement()?;
-            Ok(Statement::CreateView(CreateViewStatement { name, query }))
+            let end = self.ends.get(self.pos - 1).copied().unwrap_or(start);
+            let source = self
+                .sql
+                .get(start..end)
+                .unwrap_or_default()
+                .trim()
+                .to_string();
+            Ok(Statement::CreateView(CreateViewStatement {
+                name,
+                query,
+                source,
+            }))
         } else {
             Err(SqlError::Parse(format!(
                 "CREATE must be followed by TABLE, INDEX or VIEW, found {}",

@@ -377,6 +377,64 @@ fn the_public_budget_is_charged_for_what_a_statement_keeps() {
     assert!(peak > 64 << 20);
 }
 
+/// Three 40-row tables `a`, `b`, `c` of `(id, k)`, every `k` 0: whichever
+/// two the plan joins first, their 1,600-row, 4-cell intermediate result
+/// is buffered as the outer input of the second join.
+fn three_way() -> SqlEngine {
+    let mut db = Database::new("three_way");
+    for name in ["a", "b", "c"] {
+        let columns = vec![
+            ColumnDef::new("id", DataType::Int),
+            ColumnDef::new("k", DataType::Int),
+        ];
+        db.create_table(name, TableSchema::new(columns)).unwrap();
+        for i in 0..40i64 {
+            db.insert(name, vec![Value::Int(i), Value::Int(0)]).unwrap();
+        }
+    }
+    SqlEngine::new(db, FunctionRegistry::new())
+}
+
+#[test]
+fn the_budget_is_charged_for_a_buffered_intermediate_join_input() {
+    let engine = three_way();
+    // The residual reads all three sources, so it runs above the last join
+    // and lets one row through.
+    let sql = "select a.id, b.id, c.id from a join b on a.k = b.k join c on b.k = c.k \
+               where a.id + b.id + c.id = 0";
+    let run = |max_bytes: Option<u64>| {
+        let monitor = QueryMonitor::new();
+        let limits = QueryLimits {
+            max_bytes,
+            ..QueryLimits::UNLIMITED
+        };
+        let outcome = engine.execute_read(sql, limits, Some(&monitor), None);
+        assert_eq!(monitor.bytes_in_use(), 0, "{max_bytes:?}");
+        (outcome, monitor.peak_bytes())
+    };
+    // Each buffered Int cell is charged its 8 payload bytes and its 16-byte
+    // slot; the intermediate holds 1,600 rows of (id, k) from two tables.
+    let intermediate = 1_600 * 4 * (8 + 16);
+    let (outcome, peak) = run(None);
+    let rows = outcome.unwrap().result.rows;
+    assert_eq!(rows, vec![vec![Value::Int(0); 3]]);
+    // The intermediate is nearly all the statement keeps at its peak: the
+    // rest is two 40-row inputs and a hash table.
+    assert!(
+        peak >= intermediate && peak < intermediate + intermediate / 10,
+        "{peak}"
+    );
+    // Just below it, the statement fails while buffering, before the last
+    // join has produced any row; at the measured peak it runs.
+    let (outcome, _) = run(Some(intermediate - 1));
+    assert!(
+        matches!(outcome, Err(SqlError::ResourceExhausted(_))),
+        "{outcome:?}"
+    );
+    let (outcome, _) = run(Some(peak));
+    assert_eq!(outcome.unwrap().result.rows, rows);
+}
+
 #[test]
 fn dml_finds_its_victims_through_the_planned_access_path() {
     let mut e = engine();

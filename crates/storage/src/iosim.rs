@@ -65,14 +65,6 @@ impl HardwareProfile {
             controllers_per_bus: 2,
         }
     }
-
-    /// The web front-end (Compaq DL380): same CPUs, single mirrored disk.
-    pub fn skyserver_dl380() -> Self {
-        HardwareProfile {
-            cpus: 2,
-            ..HardwareProfile::skyserver_ml530()
-        }
-    }
 }
 
 /// CPU cost model for record processing, in clocks per byte (cpb).
@@ -103,13 +95,6 @@ impl CpuCost {
     pub fn raw_copy() -> Self {
         CpuCost {
             clocks_per_byte: 1.2,
-        }
-    }
-
-    /// Index lookup path: dominated by per-row logic rather than bytes.
-    pub fn index_lookup() -> Self {
-        CpuCost {
-            clocks_per_byte: 25.0,
         }
     }
 

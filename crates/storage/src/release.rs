@@ -181,11 +181,6 @@ impl ReleaseCatalog {
         self.find(name).map(|r| &r.db)
     }
 
-    /// The most recently published release, as `(name, snapshot)`.
-    pub fn latest(&self) -> Option<(&str, &Arc<Database>)> {
-        self.releases.last().map(|r| (r.name.as_str(), &r.db))
-    }
-
     /// Release names in publish order.
     pub fn names(&self) -> Vec<String> {
         self.releases.iter().map(|r| r.name.clone()).collect()
@@ -339,7 +334,6 @@ mod tests {
         assert!(cat.contains("DR1"));
         assert!(cat.get("Dr1").is_some());
         assert_eq!(cat.names(), vec!["dr1"]);
-        assert_eq!(cat.latest().map(|(n, _)| n), Some("dr1"));
         assert!(matches!(
             cat.publish("DR1", Arc::new(db_with_rows(1))),
             Err(StorageError::DuplicateName(_))

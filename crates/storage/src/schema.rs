@@ -237,32 +237,6 @@ impl TableSchema {
         }
         Ok(out)
     }
-
-    /// Render `CREATE TABLE`-style DDL for documentation purposes.
-    pub fn to_ddl(&self, table_name: &str) -> String {
-        let mut s = format!("CREATE TABLE {table_name} (\n");
-        for (i, c) in self.columns.iter().enumerate() {
-            s.push_str(&format!(
-                "    {} {}{}{}",
-                c.name,
-                c.ty.sql_name(),
-                if c.nullable { "" } else { " NOT NULL" },
-                if i + 1 < self.columns.len() || !self.primary_key.is_empty() {
-                    ",\n"
-                } else {
-                    "\n"
-                }
-            ));
-        }
-        if !self.primary_key.is_empty() {
-            s.push_str(&format!(
-                "    PRIMARY KEY ({})\n",
-                self.primary_key_names().join(", ")
-            ));
-        }
-        s.push(')');
-        s
-    }
 }
 
 /// Errors raised by schema validation.
@@ -425,14 +399,5 @@ mod tests {
             ])
             .unwrap_err();
         assert!(matches!(err, SchemaError::TypeMismatch { .. }));
-    }
-
-    #[test]
-    fn ddl_rendering_mentions_all_columns() {
-        let ddl = schema().to_ddl("photoObj");
-        assert!(ddl.contains("CREATE TABLE photoObj"));
-        assert!(ddl.contains("objID bigint NOT NULL"));
-        assert!(ddl.contains("name varchar,"));
-        assert!(ddl.contains("PRIMARY KEY (objID)"));
     }
 }

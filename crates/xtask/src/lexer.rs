@@ -172,7 +172,11 @@ fn skip_string(chars: &[char], mut i: usize, line: &mut usize) -> usize {
     i += 1; // opening quote
     while i < chars.len() {
         match chars[i] {
-            '\\' => i += 2,
+            // A backslash-newline continuation still ends a line.
+            '\\' => {
+                *line += usize::from(chars.get(i + 1) == Some(&'\n'));
+                i += 2;
+            }
             '"' => return i + 1,
             '\n' => {
                 *line += 1;

@@ -104,6 +104,14 @@ mod tests {
     }
 
     #[test]
+    fn a_backslash_newline_in_a_string_counts_its_line() {
+        let src = "let s = \"one \\\n two\";\nx.unwrap();\n";
+        let lexed = lex(src);
+        let unwrap = lexed.tokens.iter().find(|t| t.text == "unwrap");
+        assert_eq!(unwrap.map(|t| t.line), Some(3));
+    }
+
+    #[test]
     fn cfg_test_blocks_are_stripped() {
         let src = r#"
             fn live() { work(); }
@@ -222,6 +230,25 @@ mod tests {
         assert!(lines("crates/queries/src/runner.rs").is_empty());
         assert!(lines("crates/storage/src/stats.rs").is_empty());
         assert!(lines("crates/bench/src/bin/reproduce.rs").is_empty());
+    }
+
+    #[test]
+    fn per_row_vectors_are_flagged_in_the_executor_only() {
+        let src = "fn f(rows: Vec<Vec<Value>>) -> Vec<Value> {\n\
+                   let block: Vec<Vec<Value> > = Vec::new();\n\
+                   let ids: Vec<Vec<u32>> = Vec::new();\n\
+                   rows.concat()\n}\n";
+        let lines = |path: &str| -> Vec<usize> {
+            crate::lints::scan_file_tokens(std::path::Path::new(path), lex(src).tokens)
+                .into_iter()
+                .filter(|(_, lint, _)| *lint == "row-vec")
+                .map(|(line, _, _)| line)
+                .collect()
+        };
+        assert_eq!(lines("crates/sql/src/executor.rs"), vec![1, 2]);
+        assert_eq!(lines("crates/sql/src/exec/sink.rs"), vec![1, 2]);
+        assert!(lines("crates/sql/src/result.rs").is_empty());
+        assert!(lines("crates/sql/src/engine.rs").is_empty());
     }
 
     #[test]
