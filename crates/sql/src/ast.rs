@@ -416,90 +416,61 @@ impl Expr {
         Expr::Literal(Value::Int(v))
     }
 
-    /// Collect every column reference in the expression (qualifier, name).
-    pub fn collect_columns(&self, out: &mut Vec<(Option<String>, String)>) {
+    /// Call `f` on each operand of the expression, left to right.
+    pub fn for_each_child(&self, mut f: impl FnMut(&Expr)) {
         match self {
-            Expr::Column { qualifier, name } => out.push((qualifier.clone(), name.clone())),
-            Expr::Unary { expr, .. } => expr.collect_columns(out),
-            Expr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
+            Expr::Literal(_) | Expr::Column { .. } | Expr::Variable(_) | Expr::Star => {}
+            Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } | Expr::Cast { expr, .. } => {
+                f(expr)
             }
-            Expr::Function { args, .. } => {
-                for a in args {
-                    a.collect_columns(out);
-                }
+            Expr::Binary { left, right, .. }
+            | Expr::Like {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
             }
+            Expr::Function { args, .. } => args.iter().for_each(f),
             Expr::Between {
                 expr, low, high, ..
-            } => {
-                expr.collect_columns(out);
-                low.collect_columns(out);
-                high.collect_columns(out);
-            }
+            } => [expr, low, high].into_iter().for_each(|e| f(e)),
             Expr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
-                for e in list {
-                    e.collect_columns(out);
-                }
-            }
-            Expr::IsNull { expr, .. } => expr.collect_columns(out),
-            Expr::Like { expr, pattern, .. } => {
-                expr.collect_columns(out);
-                pattern.collect_columns(out);
+                f(expr);
+                list.iter().for_each(f);
             }
             Expr::Case {
                 branches,
                 else_value,
             } => {
                 for (c, v) in branches {
-                    c.collect_columns(out);
-                    v.collect_columns(out);
+                    f(c);
+                    f(v);
                 }
-                if let Some(e) = else_value {
-                    e.collect_columns(out);
-                }
+                else_value.iter().for_each(|e| f(e));
             }
-            Expr::Cast { expr, .. } => expr.collect_columns(out),
-            Expr::Literal(_) | Expr::Variable(_) | Expr::Star => {}
         }
+    }
+
+    /// Collect every column reference in the expression (qualifier, name).
+    pub fn collect_columns(&self, out: &mut Vec<(Option<String>, String)>) {
+        if let Expr::Column { qualifier, name } = self {
+            out.push((qualifier.clone(), name.clone()));
+        }
+        self.for_each_child(|e| e.collect_columns(out));
+    }
+
+    /// Is this an aggregate function call?
+    pub fn is_aggregate_call(&self) -> bool {
+        matches!(self, Expr::Function { name, .. } if is_aggregate_name(name))
     }
 
     /// Does this expression contain an aggregate function call?
     pub fn contains_aggregate(&self) -> bool {
-        match self {
-            Expr::Function { name, args } => {
-                is_aggregate_name(name) || args.iter().any(Expr::contains_aggregate)
-            }
-            Expr::Unary { expr, .. } => expr.contains_aggregate(),
-            Expr::Binary { left, right, .. } => {
-                left.contains_aggregate() || right.contains_aggregate()
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr.contains_aggregate() || low.contains_aggregate() || high.contains_aggregate(),
-            Expr::InList { expr, list, .. } => {
-                expr.contains_aggregate() || list.iter().any(Expr::contains_aggregate)
-            }
-            Expr::IsNull { expr, .. } => expr.contains_aggregate(),
-            Expr::Like { expr, pattern, .. } => {
-                expr.contains_aggregate() || pattern.contains_aggregate()
-            }
-            Expr::Case {
-                branches,
-                else_value,
-            } => {
-                branches
-                    .iter()
-                    .any(|(c, v)| c.contains_aggregate() || v.contains_aggregate())
-                    || else_value
-                        .as_ref()
-                        .map(|e| e.contains_aggregate())
-                        .unwrap_or(false)
-            }
-            Expr::Cast { expr, .. } => expr.contains_aggregate(),
-            _ => false,
-        }
+        let mut found = self.is_aggregate_call();
+        self.for_each_child(|e| found = found || e.contains_aggregate());
+        found
     }
 
     /// Split an expression into its top-level AND-ed conjuncts.

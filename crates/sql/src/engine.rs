@@ -831,26 +831,15 @@ fn statement_kind(stmt: &Statement) -> &'static str {
 /// Reported as [`PlanSummary::predicate_heavy`].
 fn plan_is_predicate_heavy(plan: &SelectPlan) -> bool {
     fn expr_heavy(e: &Expr) -> bool {
-        match e {
-            Expr::Binary { left, op, right } => {
-                matches!(
-                    op,
-                    crate::ast::BinaryOp::Add
-                        | crate::ast::BinaryOp::Sub
-                        | crate::ast::BinaryOp::Mul
-                        | crate::ast::BinaryOp::Div
-                ) || expr_heavy(left)
-                    || expr_heavy(right)
-            }
-            Expr::Function { name, args } => {
-                !crate::ast::is_aggregate_name(name) || args.iter().any(expr_heavy)
-            }
-            Expr::Between {
-                expr, low, high, ..
-            } => expr_heavy(expr) || expr_heavy(low) || expr_heavy(high),
-            Expr::Unary { expr, .. } => expr_heavy(expr),
-            _ => false,
-        }
+        use crate::ast::BinaryOp::{Add, Div, Mul, Sub};
+        let mut heavy = match e {
+            Expr::Binary { op, .. } => matches!(op, Add | Sub | Mul | Div),
+            Expr::Function { name, .. } => !crate::ast::is_aggregate_name(name),
+            Expr::Between { .. } | Expr::Unary { .. } => false,
+            _ => return false,
+        };
+        e.for_each_child(|c| heavy = heavy || expr_heavy(c));
+        heavy
     }
     plan.sources
         .iter()

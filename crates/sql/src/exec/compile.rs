@@ -26,9 +26,7 @@
 
 use crate::ast::{is_aggregate_name, BinaryOp, Expr, UnaryOp};
 use crate::error::SqlError;
-use crate::expr::{
-    aggregate_key, apply_binary, apply_unary, between_value, EvalContext, RowSchema,
-};
+use crate::expr::{apply_binary, apply_unary, between_value, EvalContext, RowSchema};
 use crate::functions::{eval_builtin_normalized, is_builtin, normalize_name, FunctionRegistry};
 use skyserver_storage::{DataType, Value};
 use std::collections::HashMap;
@@ -194,11 +192,11 @@ pub enum CompiledExpr {
         /// The name as written (for the undefined-variable error).
         name: String,
     },
-    /// A pre-computed aggregate value, looked up by its canonical key during
-    /// grouped projection.
+    /// A group's value of one aggregate call, read while projecting grouped
+    /// results.
     Agg {
-        /// The [`aggregate_key`] of the original call expression.
-        key: String,
+        /// The call's position in [`CompiledPrograms::aggregates`].
+        slot: usize,
         /// The function name as written (for error messages).
         name: String,
     },
@@ -294,56 +292,65 @@ pub enum CompiledExpr {
 }
 
 impl CompiledExpr {
-    /// Append every column ordinal this program reads to `out` (duplicates
-    /// allowed — callers sort and dedup).  The batch executor uses this to
-    /// materialize only the columns a scalar-fallback program actually
-    /// touches instead of the whole row.
-    pub fn collect_columns(&self, out: &mut Vec<usize>) {
+    /// Call `f` on each operand program, left to right.
+    pub fn for_each_child(&self, mut f: impl FnMut(&CompiledExpr)) {
         match self {
-            CompiledExpr::Const(_) | CompiledExpr::Var { .. } | CompiledExpr::Agg { .. } => {}
-            CompiledExpr::Col(i) => out.push(*i),
+            CompiledExpr::Const(_)
+            | CompiledExpr::Col(_)
+            | CompiledExpr::Var { .. }
+            | CompiledExpr::Agg { .. } => {}
             CompiledExpr::Unary { expr, .. }
             | CompiledExpr::IsNull { expr, .. }
             | CompiledExpr::LikePre { expr, .. }
-            | CompiledExpr::Cast { expr, .. } => expr.collect_columns(out),
-            CompiledExpr::And(items) | CompiledExpr::Or(items) => {
-                items.iter().for_each(|e| e.collect_columns(out));
-            }
-            CompiledExpr::Binary { left, right, .. } => {
-                left.collect_columns(out);
-                right.collect_columns(out);
+            | CompiledExpr::Cast { expr, .. } => f(expr),
+            CompiledExpr::And(items)
+            | CompiledExpr::Or(items)
+            | CompiledExpr::Call { args: items, .. } => items.iter().for_each(f),
+            CompiledExpr::Binary { left, right, .. }
+            | CompiledExpr::LikeDyn {
+                expr: left,
+                pattern: right,
+                ..
+            } => {
+                f(left);
+                f(right);
             }
             CompiledExpr::Between {
                 expr, low, high, ..
-            } => {
-                expr.collect_columns(out);
-                low.collect_columns(out);
-                high.collect_columns(out);
-            }
+            } => [expr, low, high].into_iter().for_each(|e| f(e)),
             CompiledExpr::InList { expr, list, .. } => {
-                expr.collect_columns(out);
-                list.iter().for_each(|e| e.collect_columns(out));
-            }
-            CompiledExpr::LikeDyn { expr, pattern, .. } => {
-                expr.collect_columns(out);
-                pattern.collect_columns(out);
+                f(expr);
+                list.iter().for_each(f);
             }
             CompiledExpr::Case {
                 branches,
                 else_value,
             } => {
                 for (condition, value) in branches {
-                    condition.collect_columns(out);
-                    value.collect_columns(out);
+                    f(condition);
+                    f(value);
                 }
-                if let Some(e) = else_value {
-                    e.collect_columns(out);
-                }
-            }
-            CompiledExpr::Call { args, .. } => {
-                args.iter().for_each(|e| e.collect_columns(out));
+                else_value.iter().for_each(|e| f(e));
             }
         }
+    }
+
+    /// Call `f` on every node of the program, each before its operands.
+    pub fn visit(&self, f: &mut impl FnMut(&CompiledExpr)) {
+        f(self);
+        self.for_each_child(|e| e.visit(f));
+    }
+
+    /// Append every column ordinal this program reads to `out` (duplicates
+    /// allowed — callers sort and dedup).  The batch executor uses this to
+    /// materialize only the columns a scalar-fallback program actually
+    /// touches instead of the whole row.
+    pub fn collect_columns(&self, out: &mut Vec<usize>) {
+        self.visit(&mut |e| {
+            if let CompiledExpr::Col(i) = e {
+                out.push(*i);
+            }
+        });
     }
 
     /// Send every column ordinal through `f`: a pushed predicate compiled
@@ -425,16 +432,13 @@ impl CompiledExpr {
                 .get(lookup)
                 .cloned()
                 .ok_or_else(|| SqlError::Execution(format!("variable @{name} is not defined"))),
-            CompiledExpr::Agg { key, name } => {
-                if let Some(aggs) = ctx.aggregates {
-                    if let Some(v) = aggs.get(key) {
-                        return Ok(v.clone());
-                    }
-                }
-                Err(SqlError::Plan(format!(
-                    "aggregate {name}() is not valid in this context"
-                )))
-            }
+            CompiledExpr::Agg { slot, name } => ctx
+                .aggregates
+                .and_then(|values| values.get(*slot))
+                .cloned()
+                .ok_or_else(|| {
+                    SqlError::Plan(format!("aggregate {name}() is not valid in this context"))
+                }),
             CompiledExpr::Unary { op, expr } => apply_unary(*op, expr.eval(row, ctx)?),
             CompiledExpr::And(items) => {
                 let mut saw_null = false;
@@ -599,157 +603,176 @@ pub fn compile(
     schema: &RowSchema,
     functions: &FunctionRegistry,
 ) -> Result<CompiledExpr, SqlError> {
-    let node = match expr {
-        Expr::Literal(v) => CompiledExpr::Const(v.clone()),
-        Expr::Column { qualifier, name } => {
-            CompiledExpr::Col(schema.resolve(qualifier.as_deref(), name)?)
-        }
-        Expr::Variable(name) => CompiledExpr::Var {
-            lookup: name.to_ascii_lowercase(),
-            name: name.clone(),
-        },
-        Expr::Star => {
-            return Err(SqlError::Execution(
-                "'*' is only valid inside count(*)".into(),
-            ))
-        }
-        Expr::Unary { op, expr } => CompiledExpr::Unary {
-            op: *op,
-            expr: Box::new(compile(expr, schema, functions)?),
-        },
-        Expr::Binary { left, op, right } => match op {
-            BinaryOp::And | BinaryOp::Or => {
-                let mut items = Vec::new();
-                flatten_logical(left, *op, schema, functions, &mut items)?;
-                flatten_logical(right, *op, schema, functions, &mut items)?;
-                simplify_logical(*op, items)
-            }
-            _ => CompiledExpr::Binary {
-                op: *op,
-                left: Box::new(compile(left, schema, functions)?),
-                right: Box::new(compile(right, schema, functions)?),
-            },
-        },
-        Expr::Function { name, args } => {
-            if is_aggregate_name(name) {
-                CompiledExpr::Agg {
-                    key: aggregate_key(expr),
-                    name: name.clone(),
-                }
-            } else {
-                let normalized = normalize_name(name);
-                let builtin = is_builtin(&normalized);
-                if !builtin && functions.scalar_normalized(&normalized).is_none() {
-                    return Err(SqlError::UnknownFunction(name.clone()));
-                }
-                let compiled_args = args
-                    .iter()
-                    .map(|a| compile(a, schema, functions))
-                    .collect::<Result<Vec<_>, _>>()?;
-                CompiledExpr::Call {
-                    name: normalized,
-                    builtin,
-                    args: compiled_args,
-                }
-            }
-        }
-        Expr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => CompiledExpr::Between {
-            expr: Box::new(compile(expr, schema, functions)?),
-            low: Box::new(compile(low, schema, functions)?),
-            high: Box::new(compile(high, schema, functions)?),
-            negated: *negated,
-        },
-        Expr::InList {
-            expr,
-            list,
-            negated,
-        } => CompiledExpr::InList {
-            expr: Box::new(compile(expr, schema, functions)?),
-            list: list
-                .iter()
-                .map(|e| compile(e, schema, functions))
-                .collect::<Result<Vec<_>, _>>()?,
-            negated: *negated,
-        },
-        Expr::IsNull { expr, negated } => CompiledExpr::IsNull {
-            expr: Box::new(compile(expr, schema, functions)?),
-            negated: *negated,
-        },
-        Expr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let compiled_expr = Box::new(compile(expr, schema, functions)?);
-            let compiled_pattern = compile(pattern, schema, functions)?;
-            match compiled_pattern.as_const() {
-                // A constant non-NULL pattern parses once.
-                Some(p) if !p.is_null() => CompiledExpr::LikePre {
-                    expr: compiled_expr,
-                    matcher: LikeMatcher::new(&p.to_string()),
-                    negated: *negated,
-                },
-                _ => CompiledExpr::LikeDyn {
-                    expr: compiled_expr,
-                    pattern: Box::new(compiled_pattern),
-                    negated: *negated,
-                },
-            }
-        }
-        Expr::Case {
-            branches,
-            else_value,
-        } => CompiledExpr::Case {
-            branches: branches
-                .iter()
-                .map(|(c, v)| {
-                    Ok((
-                        compile(c, schema, functions)?,
-                        compile(v, schema, functions)?,
-                    ))
-                })
-                .collect::<Result<Vec<_>, SqlError>>()?,
-            else_value: match else_value {
-                Some(e) => Some(Box::new(compile(e, schema, functions)?)),
-                None => None,
-            },
-        },
-        Expr::Cast { expr, ty } => CompiledExpr::Cast {
-            expr: Box::new(compile(expr, schema, functions)?),
-            ty: *ty,
-        },
-    };
-    Ok(fold_constants(node, functions))
+    let aggregates = &[];
+    Compiler {
+        schema,
+        functions,
+        aggregates,
+    }
+    .compile(expr)
 }
 
-/// Recursively flatten an `AND`/`OR` chain of the same operator into one
-/// conjunct/disjunct list (preserving left-to-right evaluation order).
-fn flatten_logical(
-    expr: &Expr,
-    op: BinaryOp,
-    schema: &RowSchema,
-    functions: &FunctionRegistry,
-    out: &mut Vec<CompiledExpr>,
-) -> Result<(), SqlError> {
-    if let Expr::Binary {
-        left,
-        op: inner,
-        right,
-    } = expr
-    {
-        if *inner == op {
-            flatten_logical(left, op, schema, functions, out)?;
-            flatten_logical(right, op, schema, functions, out)?;
-            return Ok(());
-        }
+/// What compiling a program reads besides the expression: the row's schema,
+/// the scalar functions and, for a program that runs over a group's
+/// representative, the aggregate calls ([`collect_aggregates`]) whose values
+/// it reads by position.  A call not listed gets an out-of-range slot, which
+/// fails when evaluated.
+pub(crate) struct Compiler<'c> {
+    pub(crate) schema: &'c RowSchema,
+    pub(crate) functions: &'c FunctionRegistry,
+    pub(crate) aggregates: &'c [Expr],
+}
+
+impl Compiler<'_> {
+    /// Compile `expr` (see [`compile`]).
+    pub(crate) fn compile(&self, expr: &Expr) -> Result<CompiledExpr, SqlError> {
+        let node = match expr {
+            Expr::Literal(v) => CompiledExpr::Const(v.clone()),
+            Expr::Column { qualifier, name } => {
+                CompiledExpr::Col(self.schema.resolve(qualifier.as_deref(), name)?)
+            }
+            Expr::Variable(name) => CompiledExpr::Var {
+                lookup: name.to_ascii_lowercase(),
+                name: name.clone(),
+            },
+            Expr::Star => {
+                return Err(SqlError::Execution(
+                    "'*' is only valid inside count(*)".into(),
+                ))
+            }
+            Expr::Unary { op, expr } => CompiledExpr::Unary {
+                op: *op,
+                expr: Box::new(self.compile(expr)?),
+            },
+            Expr::Binary { left, op, right } => match op {
+                BinaryOp::And | BinaryOp::Or => {
+                    let mut items = Vec::new();
+                    self.flatten_logical(left, *op, &mut items)?;
+                    self.flatten_logical(right, *op, &mut items)?;
+                    simplify_logical(*op, items)
+                }
+                _ => CompiledExpr::Binary {
+                    op: *op,
+                    left: Box::new(self.compile(left)?),
+                    right: Box::new(self.compile(right)?),
+                },
+            },
+            Expr::Function { name, args } => {
+                if is_aggregate_name(name) {
+                    let listed = self.aggregates.iter().position(|a| a == expr);
+                    CompiledExpr::Agg {
+                        slot: listed.unwrap_or(self.aggregates.len()),
+                        name: name.clone(),
+                    }
+                } else {
+                    let normalized = normalize_name(name);
+                    let builtin = is_builtin(&normalized);
+                    if !builtin && self.functions.scalar_normalized(&normalized).is_none() {
+                        return Err(SqlError::UnknownFunction(name.clone()));
+                    }
+                    let compiled_args = args
+                        .iter()
+                        .map(|a| self.compile(a))
+                        .collect::<Result<Vec<_>, _>>()?;
+                    CompiledExpr::Call {
+                        name: normalized,
+                        builtin,
+                        args: compiled_args,
+                    }
+                }
+            }
+            Expr::Between {
+                expr,
+                low,
+                high,
+                negated,
+            } => CompiledExpr::Between {
+                expr: Box::new(self.compile(expr)?),
+                low: Box::new(self.compile(low)?),
+                high: Box::new(self.compile(high)?),
+                negated: *negated,
+            },
+            Expr::InList {
+                expr,
+                list,
+                negated,
+            } => CompiledExpr::InList {
+                expr: Box::new(self.compile(expr)?),
+                list: list
+                    .iter()
+                    .map(|e| self.compile(e))
+                    .collect::<Result<Vec<_>, _>>()?,
+                negated: *negated,
+            },
+            Expr::IsNull { expr, negated } => CompiledExpr::IsNull {
+                expr: Box::new(self.compile(expr)?),
+                negated: *negated,
+            },
+            Expr::Like {
+                expr,
+                pattern,
+                negated,
+            } => {
+                let compiled_expr = Box::new(self.compile(expr)?);
+                let compiled_pattern = self.compile(pattern)?;
+                match compiled_pattern.as_const() {
+                    // A constant non-NULL pattern parses once.
+                    Some(p) if !p.is_null() => CompiledExpr::LikePre {
+                        expr: compiled_expr,
+                        matcher: LikeMatcher::new(&p.to_string()),
+                        negated: *negated,
+                    },
+                    _ => CompiledExpr::LikeDyn {
+                        expr: compiled_expr,
+                        pattern: Box::new(compiled_pattern),
+                        negated: *negated,
+                    },
+                }
+            }
+            Expr::Case {
+                branches,
+                else_value,
+            } => CompiledExpr::Case {
+                branches: branches
+                    .iter()
+                    .map(|(c, v)| Ok((self.compile(c)?, self.compile(v)?)))
+                    .collect::<Result<Vec<_>, SqlError>>()?,
+                else_value: match else_value {
+                    Some(e) => Some(Box::new(self.compile(e)?)),
+                    None => None,
+                },
+            },
+            Expr::Cast { expr, ty } => CompiledExpr::Cast {
+                expr: Box::new(self.compile(expr)?),
+                ty: *ty,
+            },
+        };
+        Ok(fold_constants(node, self.functions))
     }
-    out.push(compile(expr, schema, functions)?);
-    Ok(())
+
+    /// Recursively flatten an `AND`/`OR` chain of the same operator into one
+    /// conjunct/disjunct list (preserving left-to-right evaluation order).
+    fn flatten_logical(
+        &self,
+        expr: &Expr,
+        op: BinaryOp,
+        out: &mut Vec<CompiledExpr>,
+    ) -> Result<(), SqlError> {
+        if let Expr::Binary {
+            left,
+            op: inner,
+            right,
+        } = expr
+        {
+            if *inner == op {
+                self.flatten_logical(left, op, out)?;
+                self.flatten_logical(right, op, out)?;
+                return Ok(());
+            }
+        }
+        out.push(self.compile(expr)?);
+        Ok(())
+    }
 }
 
 /// Drop neutral constants from a logical chain and collapse degenerate
@@ -818,41 +841,16 @@ fn fold_constants(node: CompiledExpr, functions: &FunctionRegistry) -> CompiledE
 }
 
 fn is_foldable(node: &CompiledExpr) -> bool {
-    let all_const = |items: &[CompiledExpr]| items.iter().all(|i| i.as_const().is_some());
+    let mut operands_const = true;
+    node.for_each_child(|e| operands_const &= e.as_const().is_some());
     match node {
         CompiledExpr::Const(_)
         | CompiledExpr::Col(_)
         | CompiledExpr::Var { .. }
         | CompiledExpr::Agg { .. } => false,
-        CompiledExpr::Unary { expr, .. } => expr.as_const().is_some(),
-        CompiledExpr::And(items) | CompiledExpr::Or(items) => all_const(items),
-        CompiledExpr::Binary { left, right, .. } => {
-            left.as_const().is_some() && right.as_const().is_some()
-        }
-        CompiledExpr::Between {
-            expr, low, high, ..
-        } => expr.as_const().is_some() && low.as_const().is_some() && high.as_const().is_some(),
-        CompiledExpr::InList { expr, list, .. } => expr.as_const().is_some() && all_const(list),
-        CompiledExpr::IsNull { expr, .. } => expr.as_const().is_some(),
-        CompiledExpr::LikePre { expr, .. } => expr.as_const().is_some(),
-        CompiledExpr::LikeDyn { expr, pattern, .. } => {
-            expr.as_const().is_some() && pattern.as_const().is_some()
-        }
-        CompiledExpr::Case {
-            branches,
-            else_value,
-        } => {
-            branches
-                .iter()
-                .all(|(c, v)| c.as_const().is_some() && v.as_const().is_some())
-                && else_value
-                    .as_ref()
-                    .map(|e| e.as_const().is_some())
-                    .unwrap_or(true)
-        }
-        CompiledExpr::Cast { expr, .. } => expr.as_const().is_some(),
         // Built-ins are pure; UDFs make no such promise and never fold.
-        CompiledExpr::Call { builtin, args, .. } => *builtin && all_const(args),
+        CompiledExpr::Call { builtin, .. } => *builtin && operands_const,
+        _ => operands_const,
     }
 }
 
@@ -905,11 +903,9 @@ impl AggregateKind {
     }
 }
 
-/// One aggregate call, pre-keyed and with its argument compiled.
+/// One aggregate call with its argument compiled.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledAggregate {
-    /// Canonical lookup key ([`aggregate_key`] of the original call).
-    pub key: String,
     /// The function name as written (error messages).
     pub name: String,
     /// Which aggregate it is (dispatch).
@@ -949,7 +945,7 @@ pub struct CompiledPrograms {
     pub projections: Vec<CompiledExpr>,
     /// GROUP BY key programs.
     pub group_by: Vec<CompiledExpr>,
-    /// HAVING predicate (aggregates pre-keyed).
+    /// HAVING predicate (aggregate calls appear as [`CompiledExpr::Agg`]).
     pub having: Option<CompiledExpr>,
     /// The aggregate calls collected from projections and HAVING, in
     /// [`collect_aggregates`] order.
@@ -961,55 +957,10 @@ pub struct CompiledPrograms {
 /// Collect every distinct aggregate call expression in `expr`, in evaluation
 /// order.
 pub fn collect_aggregates(expr: &Expr, out: &mut Vec<Expr>) {
-    match expr {
-        Expr::Function { name, args } => {
-            if is_aggregate_name(name) {
-                if !out.contains(expr) {
-                    out.push(expr.clone());
-                }
-            } else {
-                for a in args {
-                    collect_aggregates(a, out);
-                }
-            }
-        }
-        Expr::Unary { expr, .. } => collect_aggregates(expr, out),
-        Expr::Binary { left, right, .. } => {
-            collect_aggregates(left, out);
-            collect_aggregates(right, out);
-        }
-        Expr::Between {
-            expr, low, high, ..
-        } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(low, out);
-            collect_aggregates(high, out);
-        }
-        Expr::InList { expr, list, .. } => {
-            collect_aggregates(expr, out);
-            for e in list {
-                collect_aggregates(e, out);
-            }
-        }
-        Expr::IsNull { expr, .. } => collect_aggregates(expr, out),
-        Expr::Like { expr, pattern, .. } => {
-            collect_aggregates(expr, out);
-            collect_aggregates(pattern, out);
-        }
-        Expr::Case {
-            branches,
-            else_value,
-        } => {
-            for (c, v) in branches {
-                collect_aggregates(c, out);
-                collect_aggregates(v, out);
-            }
-            if let Some(e) = else_value {
-                collect_aggregates(e, out);
-            }
-        }
-        Expr::Cast { expr, .. } => collect_aggregates(expr, out),
-        _ => {}
+    if !expr.is_aggregate_call() {
+        expr.for_each_child(|e| collect_aggregates(e, out));
+    } else if !out.contains(expr) {
+        out.push(expr.clone());
     }
 }
 
@@ -1047,6 +998,42 @@ mod tests {
                 right: Box::new(CompiledExpr::Col(0)),
             }
         );
+    }
+
+    #[test]
+    fn aggregate_calls_read_their_slot_and_fail_out_of_range() {
+        let stmt = parse_select("select max(a) + count(*) from t").unwrap();
+        let crate::ast::SelectItem::Expr { expr, .. } = &stmt.projections[0] else {
+            panic!("not an expression");
+        };
+        let mut calls = Vec::new();
+        collect_aggregates(expr, &mut calls);
+        assert_eq!(calls.len(), 2);
+        let schema = RowSchema::for_table(None, &["a"]);
+        let funcs = FunctionRegistry::new();
+        let grouped = Compiler {
+            schema: &schema,
+            functions: &funcs,
+            aggregates: &calls,
+        };
+        let ce = grouped.compile(expr).unwrap();
+        let vars = HashMap::new();
+        let ctx = |aggregates| EvalContext {
+            variables: &vars,
+            functions: &funcs,
+            aggregates,
+        };
+        let values = [Value::Int(7), Value::Int(3)];
+        assert_eq!(ce.eval(&[], &ctx(Some(&values))).unwrap(), Value::Int(10));
+        // A slot past the group's values, or no group at all, is today's
+        // error for an aggregate outside a grouped projection.
+        for aggregates in [Some(&values[..1]), None] {
+            let err = ce.eval(&[], &ctx(aggregates)).unwrap_err();
+            assert!(
+                err.to_string().contains("is not valid in this context"),
+                "{err}"
+            );
+        }
     }
 
     #[test]

@@ -1,17 +1,17 @@
-//! Sinks: where the rows of a FROM step go.
+//! Sinks: where the rows of a FROM step go, and the one keyed index.
 //!
-//! The executor's scans and joins *push* rows; what receives them is a
-//! [`Sink`] — the statement's residual filter in front of one of three
-//! stages: a [`RowBlock`] (a join input or build side, the fast path's
-//! projected output, a parallel worker's share), the streaming hash
-//! [`Aggregator`], or the [`Output`] stage (projection, ORDER BY, TOP).
-//! A row arrives as a `&[Value]` slice of the producer's buffer: a stage
-//! that keeps it copies its cells into its own storage, one that only reads
-//! it leaves it alone, so no producer gives its buffer away.  A scan hands
-//! over a whole chunk of rows at once ([`Sink::absorb`]), which a plain
-//! block takes by moving the cells.  Everything kept is charged to the
-//! executor's memory budget, and credited back when it is dropped: a block
-//! by its cells ([`cells_charge`]), with no per-row overhead.
+//! The executor's scans and joins *push* rows into a [`Sink`]: the
+//! statement's residual filter in front of a [`RowBlock`] (a join input or
+//! build side, the fast path's output, a parallel worker's share), the
+//! streaming hash [`Aggregator`], or the [`Output`] stage (projection, ORDER
+//! BY, TOP).  A row arrives as a `&[Value]` slice of the producer's buffer:
+//! a stage that keeps it copies its cells, so no producer gives its buffer
+//! away; a plain block takes a scan's whole chunk by moving its cells
+//! ([`Sink::absorb`]).  "Which earlier row has this key?" has one answer,
+//! [`KeyIndex`]: DISTINCT asks it over the rows a stage keeps, GROUP BY over
+//! its groups' key block, and a hash join's build over its distinct keys.
+//! Everything kept is charged to the memory budget and credited back when
+//! dropped: a block by its cells ([`cells_charge`]), with no per-row overhead.
 
 use crate::error::SqlError;
 use crate::exec::compile::{
@@ -24,7 +24,7 @@ use skyserver_storage::Value;
 use std::cmp::{Ordering, Reverse};
 use std::collections::hash_map::RandomState;
 use std::collections::{BinaryHeap, HashMap};
-use std::hash::BuildHasher;
+use std::hash::{BuildHasher, BuildHasherDefault, Hasher};
 
 /// Fixed per-row overhead charged against the memory budget on top of the
 /// cell payloads: the `Vec` header plus allocator slack.
@@ -78,6 +78,11 @@ impl RowBlock {
             width,
             ..RowBlock::default()
         }
+    }
+
+    /// Cells per row.
+    pub(crate) fn width(&self) -> usize {
+        self.width
     }
 
     /// Rows held.
@@ -264,86 +269,114 @@ impl Accumulator {
     }
 }
 
-/// DISTINCT as rows arrive, over the rows a stage keeps in arrival order:
-/// each kept row's hash leads to its position, so a duplicate is found by
-/// hashing and comparing — under `Value`'s `Eq`, which equates `Int(2)`
-/// and `Float(2.0)` — and no row is cloned or kept twice.
+/// One keyed index: which earlier key equals this one.  Keys get dense
+/// slots 0, 1, 2, … in the order they are first seen; a key's hash leads to
+/// the last slot with that hash and each slot to the one before it, so a
+/// key is found by hashing once and comparing along that chain.  The index
+/// holds no key cells: its caller keeps each slot's key where it already
+/// lives — the rows a DISTINCT stage keeps, a group's key row, a hash
+/// build's distinct keys — and answers `same(slot)`, whether that slot's key
+/// equals the one asked about.  Keys hash and compare as `Value` does, so
+/// `Int(2)` and `Float(2.0)` are one key and NULL equals NULL; a caller whose
+/// NULL keys never match skips them.
 #[derive(Default)]
-pub(crate) struct Distinct {
+pub(crate) struct KeyIndex {
     hasher: RandomState,
-    /// Hash → the last kept row with that hash.
-    heads: HashMap<u64, usize>,
-    /// Per kept row, the kept row before it with the same hash.
+    /// Hash → the last slot with that hash.
+    heads: HashMap<u64, usize, BuildHasherDefault<Prehashed>>,
+    /// Per slot, the slot before it with the same hash.
     chain: Vec<Option<usize>>,
 }
 
-impl Distinct {
-    /// The position of the kept row equal to `row` (`kept` reads the kept
-    /// rows by position); `None` when `row` is new, which records it as the
-    /// next row kept.
-    fn seen<'r>(
-        &mut self,
-        row: &[Value],
-        kept: impl Fn(usize) -> Option<&'r [Value]>,
-    ) -> Option<usize> {
-        let hash = self.hasher.hash_one(row);
-        let mut at = self.heads.get(&hash).copied();
-        while let Some(i) = at {
-            if kept(i) == Some(row) {
-                return Some(i);
-            }
-            at = self.chain.get(i).copied().flatten();
-        }
-        let next = self.chain.len();
-        self.chain.push(self.heads.insert(hash, next));
-        None
+/// The hasher of [`KeyIndex`]'s heads, whose keys are hashes already: it
+/// passes a `u64` through instead of hashing it again.  They are keyed
+/// `RandomState` hashes, so keys crafted to collide are no more a risk
+/// than in a default map.
+#[derive(Default)]
+struct Prehashed(u64);
+
+impl Hasher for Prehashed {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = (bytes.iter()).fold(self.0, |h, &b| h.rotate_left(8) ^ u64::from(b));
+    }
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
     }
 }
 
-/// One group of the aggregator: its first input row (the representative
-/// that non-aggregate projections and HAVING read) and one accumulator per
-/// aggregate call.
-#[derive(Default)]
-struct Group {
-    first: Vec<Value>,
-    accumulators: Vec<Accumulator>,
+impl KeyIndex {
+    fn walk(&self, hash: u64, same: impl Fn(usize) -> bool) -> Option<usize> {
+        let mut at = self.heads.get(&hash).copied();
+        while let Some(slot) = at {
+            if same(slot) {
+                return Some(slot);
+            }
+            at = self.chain.get(slot).copied().flatten();
+        }
+        None
+    }
+
+    /// The slot whose key equals `key`, if one has been seen.
+    #[inline]
+    pub(crate) fn find(&self, key: &[Value], same: impl Fn(usize) -> bool) -> Option<usize> {
+        self.walk(self.hasher.hash_one(key), same)
+    }
+
+    /// `Ok` with the slot of the key equal to `key`, or, when `key` is new,
+    /// `Err` with the slot it now takes: the next one, whose key the caller
+    /// keeps.
+    #[inline]
+    pub(crate) fn insert(
+        &mut self,
+        key: &[Value],
+        same: impl Fn(usize) -> bool,
+    ) -> Result<usize, usize> {
+        let hash = self.hasher.hash_one(key);
+        if let Some(slot) = self.walk(hash, same) {
+            return Ok(slot);
+        }
+        let next = self.chain.len();
+        self.chain.push(self.heads.insert(hash, next));
+        Err(next)
+    }
 }
 
 /// Streaming hash aggregation: rows update their group's accumulators as
-/// they arrive and are not kept (the group's first row excepted).
+/// they arrive and are not kept.  Group `slot` of the keyed index has its
+/// key in row `slot` of `keys`, its representative — its first input row,
+/// which non-aggregate projections and HAVING read — in row `slot` of
+/// `firsts`, and one accumulator per aggregate call in `accumulators`.
 pub(crate) struct Aggregator<'p> {
     programs: &'p CompiledPrograms,
-    /// Group key → position in `groups`.
-    index: HashMap<Vec<Value>, usize>,
-    groups: Vec<Group>,
+    groups: KeyIndex,
+    keys: RowBlock,
+    firsts: RowBlock,
+    /// Per group, one accumulator per entry of `programs.aggregates`.
+    accumulators: Vec<Accumulator>,
     /// Scratch for the current row's group key.
     key: Vec<Value>,
 }
 
 impl<'p> Aggregator<'p> {
-    pub(crate) fn new(programs: &'p CompiledPrograms) -> Aggregator<'p> {
+    /// An aggregator over input rows of `width` cells.
+    pub(crate) fn new(programs: &'p CompiledPrograms, width: usize) -> Aggregator<'p> {
         Aggregator {
             programs,
-            index: HashMap::new(),
-            groups: Vec::new(),
+            groups: KeyIndex::default(),
+            keys: RowBlock::new(programs.group_by.len()),
+            firsts: RowBlock::new(width),
+            accumulators: Vec::new(),
             key: Vec::new(),
         }
     }
 
-    /// A group no row has reached yet.
-    fn empty_group(&self) -> Group {
-        let accumulators = self.programs.aggregates.iter();
-        Group {
-            first: Vec::new(),
-            accumulators: accumulators.map(|_| Accumulator::default()).collect(),
-        }
-    }
-
-    /// Add `group` under `key` and return its position.
-    fn open(&mut self, key: Vec<Value>, group: Group) -> usize {
-        self.groups.push(group);
-        self.index.insert(key, self.groups.len() - 1);
-        self.groups.len() - 1
+    /// Group `slot`'s accumulators.
+    fn group(&mut self, slot: usize) -> &mut [Accumulator] {
+        let n = self.programs.aggregates.len();
+        &mut self.accumulators[slot * n..(slot + 1) * n]
     }
 
     fn push(&mut self, ex: &Executor<'_>, row: &[Value]) -> Result<(), SqlError> {
@@ -351,17 +384,20 @@ impl<'p> Aggregator<'p> {
         let programs = self.programs;
         self.key.clear();
         eval_into(&programs.group_by, row, &ctx, &mut self.key)?;
-        let known = self.index.get(self.key.as_slice()).copied();
-        let slot = match known {
-            Some(slot) => slot,
-            None => {
+        let (keys, key) = (&self.keys, self.key.as_slice());
+        let slot = match self.groups.insert(key, |s| keys.row(s) == key) {
+            Ok(slot) => slot,
+            Err(slot) => {
                 let accumulators = std::mem::size_of::<Accumulator>() * programs.aggregates.len();
-                ex.charge_mem(row_charge(&self.key) + row_charge(row) + accumulators as u64)?;
-                self.open(self.key.clone(), self.empty_group())
+                ex.charge_mem(cells_charge(key) + cells_charge(row) + accumulators as u64)?;
+                self.keys.push(key);
+                self.firsts.push(row);
+                let fresh = programs.aggregates.iter().map(|_| Accumulator::default());
+                self.accumulators.extend(fresh);
+                slot
             }
         };
-        let group = &mut self.groups[slot];
-        for (acc, agg) in group.accumulators.iter_mut().zip(&programs.aggregates) {
+        for (acc, agg) in self.group(slot).iter_mut().zip(&programs.aggregates) {
             match &agg.arg {
                 // count(*): every row counts.
                 None => acc.update(agg, Value::Null)?,
@@ -376,28 +412,28 @@ impl<'p> Aggregator<'p> {
                 }
             }
         }
-        if known.is_none() {
-            // skylint: allow(full-row-gather) a group keeps its first row: the narrow layout row, once per group
-            group.first = row.to_vec();
-        }
         Ok(())
     }
 
-    /// Fold in the groups a later partition of the same scan accumulated.
-    fn merge(&mut self, mut later: Aggregator<'p>) {
-        for (key, from) in later.index {
-            let group = std::mem::take(&mut later.groups[from]);
-            match self.index.get(&key) {
-                Some(&slot) => {
-                    let mine = self.groups[slot].accumulators.iter_mut();
-                    for ((acc, more), agg) in
-                        mine.zip(group.accumulators).zip(&self.programs.aggregates)
-                    {
+    /// Fold in the groups a later partition of the same scan accumulated,
+    /// in the order that partition first saw them.
+    fn merge(&mut self, later: Aggregator<'p>) {
+        let programs = self.programs;
+        let mut theirs = later.accumulators.into_iter();
+        for (key, first) in later.keys.rows().zip(later.firsts.rows()) {
+            let keys = &self.keys;
+            match self.groups.insert(key, |s| keys.row(s) == key) {
+                Ok(slot) => {
+                    let mine = self.group(slot).iter_mut();
+                    for ((acc, more), agg) in mine.zip(theirs.by_ref()).zip(&programs.aggregates) {
                         acc.merge(agg.kind, more);
                     }
                 }
-                None => {
-                    self.open(key, group);
+                Err(_) => {
+                    self.keys.push(key);
+                    self.firsts.push(first);
+                    let n = programs.aggregates.len();
+                    self.accumulators.extend(theirs.by_ref().take(n));
                 }
             }
         }
@@ -405,45 +441,40 @@ impl<'p> Aggregator<'p> {
 
     /// Emit one output row per group — ascending key order, HAVING applied —
     /// into `out`.  A grand aggregate over zero rows still has its one
-    /// group, with an all-NULL representative of `width` cells.
+    /// group, with an all-NULL representative.
     pub(crate) fn finish(
         mut self,
         ex: &Executor<'_>,
-        width: usize,
         out: &mut Output<'p>,
     ) -> Result<(), SqlError> {
         let programs = self.programs;
-        if self.groups.is_empty() && programs.group_by.is_empty() {
-            self.open(Vec::new(), self.empty_group());
+        if self.keys.len() == 0 && programs.group_by.is_empty() {
+            self.keys.push(&[]);
+            self.firsts.push(&vec![Value::Null; self.firsts.width()]);
+            let fresh = programs.aggregates.iter().map(|_| Accumulator::default());
+            self.accumulators.extend(fresh);
         }
-        let mut order: Vec<(Vec<Value>, usize)> = self.index.into_iter().collect();
-        order.sort_unstable();
-        let mut agg_values: HashMap<String, Value> = HashMap::new();
-        for (_key, slot) in order {
-            let group = std::mem::take(&mut self.groups[slot]);
-            for (acc, agg) in group.accumulators.into_iter().zip(&programs.aggregates) {
-                let value = acc.result(agg.kind);
-                match agg_values.get_mut(&agg.key) {
-                    Some(slot) => *slot = value,
-                    None => {
-                        agg_values.insert(agg.key.clone(), value);
-                    }
-                }
+        let mut order: Vec<usize> = (0..self.keys.len()).collect();
+        order.sort_by(|&a, &b| self.keys.row(a).cmp(self.keys.row(b)));
+        let mut values = Vec::with_capacity(programs.aggregates.len());
+        for slot in order {
+            values.clear();
+            for (acc, agg) in self.group(slot).iter_mut().zip(&programs.aggregates) {
+                values.push(std::mem::take(acc).result(agg.kind));
             }
-            let mut representative = group.first;
-            representative.resize(width, Value::Null);
+            let representative = self.firsts.row(slot);
             let agg_ctx = EvalContext {
-                aggregates: Some(&agg_values),
+                aggregates: Some(&values),
                 ..ex.ctx()
             };
             if let Some(h) = &programs.having {
-                if !h.eval(&representative, &agg_ctx)?.is_truthy() {
+                if !h.eval(representative, &agg_ctx)?.is_truthy() {
                     continue;
                 }
             }
             let mut proj = Vec::with_capacity(programs.projections.len());
-            eval_into(&programs.projections, &representative, &agg_ctx, &mut proj)?;
-            out.offer(ex, &representative, Some(proj))?;
+            eval_into(&programs.projections, representative, &agg_ctx, &mut proj)?;
+            out.offer(ex, representative, Some(proj))?;
         }
         Ok(())
     }
@@ -501,8 +532,8 @@ pub(crate) struct Output<'p> {
     /// A key that could raise must see every row, so any other key shape
     /// leaves this unset.
     first_column: Option<(usize, bool)>,
-    /// Under DISTINCT, the kept rows seen so far.
-    distinct: Option<Distinct>,
+    /// Under DISTINCT, the kept entries by slot.
+    distinct: Option<KeyIndex>,
 }
 
 impl<'p> Output<'p> {
@@ -537,7 +568,7 @@ impl<'p> Output<'p> {
             seq: 0,
             keys: Vec::new(),
             first_column,
-            distinct: plan.distinct.then(Distinct::default),
+            distinct: plan.distinct.then(KeyIndex::default),
         }
     }
 
@@ -599,7 +630,7 @@ impl<'p> Output<'p> {
         let seq = self.seq;
         self.seq += 1;
         if let (Some(distinct), Kept::All(entries)) = (&mut self.distinct, &mut self.kept) {
-            if let Some(i) = distinct.seen(&row, |i| entries.get(i).map(|e| e.row.as_slice())) {
+            if let Ok(i) = distinct.insert(&row, |i| entries.get(i).is_some_and(|e| e.row == row)) {
                 // Keep the duplicate that sorts first, as sorting every row
                 // and then keeping first occurrences would: an arrival
                 // sorts after its equals, so it wins only on smaller keys.
@@ -647,9 +678,9 @@ pub(crate) enum Stage<'p> {
         rows: RowBlock,
         /// Bytes charged for `rows`, credited back when they are dropped.
         charged: u64,
-        /// Under DISTINCT (the fast path's projected rows): the rows kept
-        /// so far, so that a duplicate is dropped as it arrives.
-        distinct: Option<Distinct>,
+        /// Under DISTINCT (the fast path's projected rows): the kept rows
+        /// by slot, so that a duplicate is dropped as it arrives.
+        distinct: Option<KeyIndex>,
     },
     Groups(Aggregator<'p>),
     Output(Output<'p>),
@@ -662,7 +693,7 @@ impl Stage<'_> {
         Stage::Rows {
             rows: RowBlock::new(width),
             charged: 0,
-            distinct: distinct.then(Distinct::default),
+            distinct: distinct.then(KeyIndex::default),
         }
     }
 }
@@ -711,7 +742,7 @@ impl<'p> Sink<'p> {
                 distinct,
             } => {
                 if let Some(distinct) = distinct {
-                    if distinct.seen(row, |i| Some(rows.row(i))).is_some() {
+                    if distinct.insert(row, |i| rows.row(i) == row).is_ok() {
                         return Ok(());
                     }
                 }
@@ -785,7 +816,7 @@ impl<'p> Sink<'p> {
         match &self.stage {
             Stage::Groups(aggregator) => Sink::new(
                 self.residual,
-                Stage::Groups(Aggregator::new(aggregator.programs)),
+                Stage::Groups(Aggregator::new(aggregator.programs, width)),
             ),
             Stage::Rows { distinct, .. } => Sink::new(None, Stage::rows(width, distinct.is_some())),
             Stage::Output(_) => Sink::rows(width),

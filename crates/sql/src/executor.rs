@@ -9,7 +9,10 @@
 //! the plain projection.  Only what a later step reads again is buffered:
 //! the outer side of the next join and the build side of a hash or
 //! nested-loop join, each a `RowBlock` — `width × len` cells in one
-//! buffer, a row being a `&[Value]` slice of it.  Scans the optimizer's
+//! buffer, a row being a `&[Value]` slice of it.  A hash join keys its
+//! build side's distinct keys under the sink module's `KeyIndex`, the one
+//! index DISTINCT and GROUP BY use too, and walks each key's build rows as
+//! one ascending span.  Scans the optimizer's
 //! parallel-scan rule marked [`AccessPath::ParallelHeapScan`] fan out over
 //! scoped worker threads, mirroring the paper's parallel sequential scans
 //! (aggregating plans keep a partial aggregator per worker and merge them);
@@ -66,7 +69,7 @@ use crate::ast::{Expr, JoinKind};
 use crate::error::SqlError;
 use crate::exec::compile::{eval_constant, CompiledExpr, CompiledPrograms};
 use crate::exec::sink::{
-    eval_into, row_charge, tighter, Aggregator, Output, RowBlock, Sink, Stage,
+    eval_into, row_charge, tighter, Aggregator, KeyIndex, Output, RowBlock, Sink, Stage,
 };
 use crate::exec::vector::{BatchProgram, BatchScratch, Chunk, Emit, BATCH_ROWS, MEASURE};
 use crate::expr::EvalContext;
@@ -591,7 +594,12 @@ impl<'a> Executor<'a> {
                 Stage::rows(programs.projections.len(), plan.distinct),
             )
         } else if aggregating {
-            (Emit::Row, None, Stage::Groups(Aggregator::new(programs)))
+            let width = plan.sources.iter().map(SourcePlan::runtime_width).sum();
+            (
+                Emit::Row,
+                None,
+                Stage::Groups(Aggregator::new(programs, width)),
+            )
         } else {
             (
                 Emit::Row,
@@ -613,9 +621,8 @@ impl<'a> Executor<'a> {
             Stage::Rows { rows, .. } => rows.into_rows(),
             Stage::Output(output) => output.finish(),
             Stage::Groups(aggregator) => {
-                let width = plan.sources.iter().map(SourcePlan::runtime_width).sum();
                 let mut output = Output::new(plan, &self.limits);
-                aggregator.finish(self, width, &mut output)?;
+                aggregator.finish(self, &mut output)?;
                 output.finish()
             }
         };
@@ -1165,36 +1172,19 @@ impl<'a> Executor<'a> {
         };
         self.execute_source(inner, inner_scan, &mut inner_sink, stats)?;
         let inner_rows = inner_sink.buffered();
-        let mut build_bytes = 0u64;
-        let probe = match &step.strategy {
-            JoinStrategy::Hash { .. } => {
-                let (probe_keys, build_keys) = join
-                    .hash_keys
-                    .ok_or_else(|| missing_program("hash-join keys"))?;
-                // Hashed build side: equal keys hash equally across numeric
-                // types (see the `Hash` impl on `Value`), floats key on
-                // their total-order bits.
-                let mut buckets: HashMap<Vec<Value>, Vec<usize>> =
-                    HashMap::with_capacity(inner_rows.len());
-                for (i, row) in inner_rows.rows().enumerate() {
-                    let mut key = Vec::with_capacity(build_keys.len());
-                    eval_into(build_keys, row, &ctx, &mut key)?;
-                    if key.iter().any(Value::is_null) {
-                        continue;
-                    }
-                    // The build table's keys are new memory (the rows were
-                    // charged when the inner scan buffered them).
-                    self.charge_mem(row_charge(&key))?;
-                    build_bytes += row_charge(&key);
-                    buckets.entry(key).or_default().push(i);
-                }
-                Probe::Hash {
-                    buckets,
-                    probe_keys,
-                }
+        // A hash join's build table over the inner rows, with the outer key
+        // programs that probe it; none for a nested loop.
+        let hash = match (&step.strategy, join.hash_keys) {
+            (JoinStrategy::Hash { .. }, Some((probe_keys, build_keys))) => {
+                Some((HashBuild::new(inner_rows, build_keys, &ctx)?, probe_keys))
             }
-            _ => Probe::All,
+            (JoinStrategy::Hash { .. }, None) => return Err(missing_program("hash-join keys")),
+            _ => None,
         };
+        // The build table is new memory (the rows were charged when the
+        // inner scan buffered them).
+        let build_bytes = hash.as_ref().map_or(0, |(build, _)| build.charge());
+        self.charge_mem(build_bytes)?;
         // Reused across outer rows: the combined row and the hash probe key.
         let mut scratch: Vec<Value> = Vec::new();
         let mut probe_key: Vec<Value> = Vec::new();
@@ -1205,25 +1195,19 @@ impl<'a> Executor<'a> {
             // full of misses (or an empty inner side) would never observe
             // cancellation or pacing.
             self.tick(&mut pending, 1)?;
-            let candidates: &mut dyn Iterator<Item = usize> = match &probe {
-                Probe::Hash {
-                    buckets,
-                    probe_keys,
-                } => {
+            let candidates: &mut dyn Iterator<Item = usize> = match &hash {
+                Some((build, probe_keys)) => {
                     probe_key.clear();
                     eval_into(probe_keys, outer_row, &ctx, &mut probe_key)?;
-                    let bucket = match probe_key.iter().any(Value::is_null) {
-                        true => None,
-                        false => buckets.get(probe_key.as_slice()),
-                    };
-                    if bucket.is_none() && step.kind != JoinKind::Left {
+                    let matches = build.matches(&probe_key);
+                    if matches.is_empty() && step.kind != JoinKind::Left {
                         continue;
                     }
-                    &mut bucket.into_iter().flatten().copied()
+                    &mut matches.iter().copied()
                 }
                 // The cross product dominates this strategy (the spatial
                 // rewrite feeds it quadratically many candidate pairs).
-                Probe::All => &mut (0..inner_rows.len()),
+                None => &mut (0..inner_rows.len()),
             };
             scratch.clear();
             scratch.extend_from_slice(outer_row);
@@ -1379,17 +1363,75 @@ impl<'a> Executor<'a> {
     }
 }
 
-/// How a hash or nested-loop join finds the inner rows matching one outer
-/// row.
-enum Probe<'x> {
-    /// Look the outer key up in a hash table over the buffered inner rows
-    /// (values are positions in that buffer).
-    Hash {
-        buckets: HashMap<Vec<Value>, Vec<usize>>,
-        probe_keys: &'x [CompiledExpr],
-    },
-    /// Nested loop: every buffered inner row is a candidate.
-    All,
+/// A hash join's build table over the buffered inner rows.  Only the
+/// distinct keys are kept, one row of `keys` per slot of the keyed index,
+/// and the build rows of slot `s` are the positions
+/// `rows[starts[s]..starts[s + 1]]`, ascending: a probe costs one key
+/// comparison and then a walk of one span.  A NULL key never matches, so a
+/// build row with one is left out.
+struct HashBuild {
+    index: KeyIndex,
+    keys: RowBlock,
+    starts: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl HashBuild {
+    fn new(
+        inner: &RowBlock,
+        build_keys: &[CompiledExpr],
+        ctx: &EvalContext<'_>,
+    ) -> Result<HashBuild, SqlError> {
+        let mut index = KeyIndex::default();
+        let mut keys = RowBlock::new(build_keys.len());
+        let mut key = Vec::with_capacity(build_keys.len());
+        // Each build row's slot, then a counting sort of the rows by slot.
+        let mut slots = Vec::with_capacity(inner.len());
+        for row in inner.rows() {
+            key.clear();
+            eval_into(build_keys, row, ctx, &mut key)?;
+            if key.iter().any(Value::is_null) {
+                slots.push(None);
+                continue;
+            }
+            let known = index.insert(&key, |s| keys.row(s) == key.as_slice());
+            slots.push(Some(known.unwrap_or_else(|new| {
+                keys.push(&key);
+                new
+            })));
+        }
+        // Filling back to front leaves each slot's span ascending and
+        // `starts[s]`, the end of slot `s`'s span, at its start.
+        let mut starts = vec![0; keys.len() + 1];
+        slots.iter().flatten().for_each(|&s| starts[s] += 1);
+        (1..starts.len()).for_each(|s| starts[s] += starts[s - 1]);
+        let mut rows = vec![0; starts[keys.len()]];
+        for (i, slot) in slots.iter().enumerate().rev() {
+            if let &Some(s) = slot {
+                starts[s] -= 1;
+                rows[starts[s]] = i;
+            }
+        }
+        Ok(HashBuild {
+            index,
+            keys,
+            starts,
+            rows,
+        })
+    }
+
+    /// The build rows whose key equals `key`, ascending (none for a key
+    /// with a NULL: no kept key holds one).
+    fn matches(&self, key: &[Value]) -> &[usize] {
+        let slot = self.index.find(key, |s| self.keys.row(s) == key);
+        slot.map_or(&[], |s| &self.rows[self.starts[s]..self.starts[s + 1]])
+    }
+
+    /// What the table is charged: its key cells and its two position lists.
+    fn charge(&self) -> u64 {
+        let positions = self.starts.len() + self.rows.len();
+        self.keys.charge() + (std::mem::size_of::<usize>() * positions) as u64
+    }
 }
 
 /// An outer row whose key is NULL: it matches nothing.

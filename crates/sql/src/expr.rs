@@ -10,7 +10,7 @@
 //! flag tests, `BETWEEN`).  `docs/QUERIES.md` ("Expression semantics")
 //! states the rules and where they deviate from T-SQL.
 
-use crate::ast::{BinaryOp, Expr, UnaryOp};
+use crate::ast::{BinaryOp, UnaryOp};
 use crate::error::SqlError;
 use crate::functions::FunctionRegistry;
 use skyserver_storage::{ColumnNames, Value};
@@ -146,14 +146,10 @@ pub struct EvalContext<'a> {
     pub variables: &'a HashMap<String, Value>,
     /// Scalar function registry.
     pub functions: &'a FunctionRegistry,
-    /// Pre-computed aggregate values keyed by [`aggregate_key`] (present only
-    /// while projecting grouped results).
-    pub aggregates: Option<&'a HashMap<String, Value>>,
-}
-
-/// Canonical key used to look up a pre-computed aggregate value.
-pub fn aggregate_key(expr: &Expr) -> String {
-    format!("{expr:?}")
+    /// A group's aggregate values, by their position in
+    /// `CompiledPrograms::aggregates` (present only while projecting
+    /// grouped results).
+    pub aggregates: Option<&'a [Value]>,
 }
 
 /// Apply a unary operator: NULL propagates, and negating the smallest
@@ -300,6 +296,7 @@ pub(crate) fn overflow(expr: String) -> SqlError {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ast::Expr;
     use crate::exec::compile::{compile, LikeMatcher};
     use crate::parser::parse_select;
 

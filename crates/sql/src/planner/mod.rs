@@ -30,7 +30,7 @@ use crate::ast::{Expr, JoinKind, SelectItem, SelectStatement};
 use crate::error::SqlError;
 use crate::exec::compile::{
     collect_aggregates, compile, AggregateKind, CompiledAggregate, CompiledExpr, CompiledPrograms,
-    SortKey,
+    Compiler, SortKey,
 };
 use crate::expr::RowSchema;
 use crate::functions::FunctionRegistry;
@@ -413,20 +413,25 @@ pub(crate) fn build_programs(
             .push(run_columns(inner, Some(&step.strategy), db)?);
     }
     programs.residual = compile_opt(plan.residual.as_ref(), &combined)?;
+    // Projections and HAVING read each aggregate call by its position in
+    // this list (empty unless the statement aggregates).
+    let mut agg_exprs: Vec<Expr> = Vec::new();
+    for expr in plan.projections.iter().map(|(e, _)| e).chain(&plan.having) {
+        collect_aggregates(expr, &mut agg_exprs);
+    }
+    let grouped = Compiler {
+        schema: &combined,
+        functions: funcs,
+        aggregates: &agg_exprs,
+    };
     for (expr, _) in &plan.projections {
-        programs.projections.push(compile(expr, &combined, funcs)?);
+        programs.projections.push(grouped.compile(expr)?);
     }
     programs.group_by = compile_all(&plan.group_by, &combined)?;
-    programs.having = compile_opt(plan.having.as_ref(), &combined)?;
+    let having = plan.having.as_ref().map(|h| grouped.compile(h));
+    programs.having = having.transpose()?;
 
     if plan.has_aggregates || !plan.group_by.is_empty() {
-        let mut agg_exprs: Vec<Expr> = Vec::new();
-        for (expr, _) in &plan.projections {
-            collect_aggregates(expr, &mut agg_exprs);
-        }
-        if let Some(h) = &plan.having {
-            collect_aggregates(h, &mut agg_exprs);
-        }
         for agg in &agg_exprs {
             let Expr::Function { name, args } = agg else {
                 continue;
@@ -444,7 +449,6 @@ pub(crate) fn build_programs(
                 Some(compile(arg, &combined, funcs)?)
             };
             programs.aggregates.push(CompiledAggregate {
-                key: crate::expr::aggregate_key(agg),
                 name: name.clone(),
                 kind,
                 count_star,

@@ -867,6 +867,21 @@ impl Verifier<'_> {
         if let Some(h) = &programs.having {
             self.check_expr_combined(h, full, &ctx, &site("having"));
         }
+        let grouped = programs.projections.iter().enumerate();
+        let grouped = grouped.map(|(i, p)| (format!("projections[{i}]"), p));
+        for (at, p) in grouped.chain(programs.having.iter().map(|h| ("having".into(), h))) {
+            let slots = programs.aggregates.len();
+            p.visit(&mut |node| {
+                if let CompiledExpr::Agg { slot, name } = node {
+                    self.check(
+                        *slot < slots,
+                        ViolationKind::OrdinalOutOfRange,
+                        &site(&at),
+                        || format!("{name}() reads aggregate {slot} of {slots}"),
+                    );
+                }
+            });
+        }
         for (i, agg) in programs.aggregates.iter().enumerate() {
             self.report.checks_run += 1;
             if agg.count_star != agg.arg.is_none() {

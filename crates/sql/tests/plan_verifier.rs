@@ -235,6 +235,23 @@ fn program_arity_mismatch_is_rejected() {
 }
 
 #[test]
+fn an_aggregate_slot_past_the_aggregate_list_is_rejected() {
+    let sql = "select name, count(*) as n from t group by name having max(v) > 0.0";
+    let (mut plan, db) = planned(sql);
+    assert!(kinds(&plan, &db).is_empty());
+    assert_eq!(plan.programs.aggregates.len(), 2);
+    let past = CompiledExpr::Agg {
+        slot: 2,
+        name: "count".into(),
+    };
+    plan.programs.projections[1] = past.clone();
+    assert_eq!(kinds(&plan, &db), vec![ViolationKind::OrdinalOutOfRange]);
+    let (mut plan, db) = planned(sql);
+    plan.programs.having = Some(past);
+    assert_eq!(kinds(&plan, &db), vec![ViolationKind::OrdinalOutOfRange]);
+}
+
+#[test]
 fn limit_hint_without_its_rule_is_rejected() {
     let (mut plan, db) = planned("select id from t where v < 10.0");
     assert!(

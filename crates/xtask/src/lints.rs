@@ -12,7 +12,7 @@
 //! | `value-clone-in-kernel` | vectorized kernels | `.clone()` inside the batch kernels (per-value clones defeat the point) |
 //! | `per-key-seek` | sql executor + schema crate | `.range(` / `.seek_exact(`: a B-tree search per key or per cover range, where an index-lookup join walks a sorted chunk of keys once (`BTreeIndex::seek_sorted`) and a spatial search its cover's ranges once (`BTreeIndex::seek_ranges`) |
 //! | `full-row-gather` | sql executor + engine DML + schema table functions + Neighbors precomputation | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
-//! | `row-vec` | sql executor | `Vec<Vec<Value>>`: one allocation per buffered row, where a `RowBlock` keeps `width × len` cells in one buffer; the `ResultSet` boundary carries escapes |
+//! | `row-vec` | sql executor | `Vec<Vec<Value>>`: one allocation per buffered row, where a `RowBlock` keeps `width × len` cells in one buffer (the `ResultSet` boundary carries escapes); `HashMap<Vec<Value>` / `HashSet<Vec<Value>`: one allocation per hash key, where the `KeyIndex` keys slots whose cells live in a `RowBlock` |
 //! | `paper-model` | sql crate + loader crate | naming `IoSimulator` / `CpuCost` / `SimTiming`: the 2002-hardware projection is computed from recorded `ScanStats` by the harness that prints the figures, never per statement |
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
@@ -250,9 +250,11 @@ fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str
             let message = "the paper-hardware model belongs to the harness that prints its figures";
             out.push((t.line, "paper-model", message.into()));
         }
-        let row_vec = ["Vec", "<", "Vec", "<", "Value", ">", ">"];
-        if scope.row_vec && (0..row_vec.len()).all(|k| text(i + k) == Some(row_vec[k])) {
-            let message = "Vec<Vec<Value>> allocates per row; buffer rows in a RowBlock";
+        let hash_key = matches!(t.text.as_str(), "HashMap" | "HashSet");
+        let row_vec = t.text == "Vec" && text(i + 6) == Some(">");
+        let vec_value = (1..6).all(|k| text(i + k) == Some(["<", "Vec", "<", "Value", ">"][k - 1]));
+        if scope.row_vec && vec_value && (row_vec || hash_key) {
+            let message = "one Vec per row or per hash key; keep the cells in a RowBlock";
             out.push((t.line, "row-vec", message.into()));
         }
         if !scope.hot_path && !scope.kernel && !scope.row_gather && !scope.per_key_seek {

@@ -18,10 +18,10 @@ pub const CEILINGS: &[(&str, usize)] = &[
     ("queries", 747),
     ("schema", 848),
     ("skygen", 1768),
-    ("sql", 13844),
+    ("sql", 13843),
     ("storage", 4201),
     ("web", 4995),
-    ("xtask", 1072),
+    ("xtask", 1074),
 ];
 
 /// One crate's count against its ceiling.

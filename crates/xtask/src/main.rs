@@ -252,6 +252,25 @@ mod tests {
     }
 
     #[test]
+    fn vec_value_hash_keys_are_flagged_in_the_executor_only() {
+        let src = "fn f() {\n\
+                   let groups: HashMap<Vec<Value>, usize> = HashMap::new();\n\
+                   let seen: HashSet<Vec<Value>> = HashSet::new();\n\
+                   let heads: HashMap<u64, Vec<Value>> = HashMap::new();\n\
+                   let ids: HashSet<Vec<u32>> = HashSet::new();\n}\n";
+        let lines = |path: &str| -> Vec<usize> {
+            crate::lints::scan_file_tokens(std::path::Path::new(path), lex(src).tokens)
+                .into_iter()
+                .filter(|(_, lint, _)| *lint == "row-vec")
+                .map(|(line, _, _)| line)
+                .collect()
+        };
+        assert_eq!(lines("crates/sql/src/executor.rs"), vec![2, 3]);
+        assert_eq!(lines("crates/sql/src/exec/sink.rs"), vec![2, 3]);
+        assert!(lines("crates/sql/src/engine.rs").is_empty());
+    }
+
+    #[test]
     fn the_neighbors_precomputation_reads_columns_not_rows() {
         let src = "fn f(table: &Table) {\n\
                    for (_, row) in table.iter() {}\n\
