@@ -14,11 +14,13 @@
 //! every experiment runs; an unknown name or scale exits 2 before anything
 //! is built.
 
-use skyserver::storage::{CpuCost, DiskConfig, HardwareProfile, IoSimulator};
 use skyserver::SkyServer;
-use skyserver_bench::{build_server, human_bytes, human_rows, Scale};
-use skyserver_queries::{render_figure13, run_all, run_query, twenty_queries};
-use skyserver_web::{analyze_traffic, simulate_traffic, TrafficConfig};
+use skyserver_bench::iosim::{CpuCost, DiskConfig, HardwareProfile, IoSimulator, SimTiming};
+use skyserver_bench::traffic::{analyze_traffic, simulate_traffic, TrafficConfig};
+use skyserver_bench::{
+    build_server, human_bytes, human_rows, paper_scale_factor, paper_timing, render_figure13, Scale,
+};
+use skyserver_queries::{run_all, run_query, twenty_queries, QueryReport};
 
 /// Every experiment, in the order `all` runs them.
 const EXPERIMENTS: [&str; 9] = [
@@ -137,7 +139,7 @@ fn table1(server: &SkyServer) {
         ("elRedShift", "51k", "3MB"),
     ];
     let summaries = server.table_summaries();
-    let scale = server.paper_scale_factor();
+    let scale = paper_scale_factor(server);
     println!(
         "{:<15} {:>10} {:>10}   {:>10} {:>10}   {:>12} {:>12}",
         "table", "paper_rows", "paper_size", "rows", "data_bytes", "rows@14m", "bytes@14m"
@@ -202,10 +204,14 @@ fn fig5() {
     }
 }
 
-fn run_named(server: &mut SkyServer, id: &str) -> skyserver_queries::QueryReport {
+/// Run one of the twenty queries, with its timing projected to the
+/// paper's scale.
+fn run_named(server: &mut SkyServer, id: &str) -> (QueryReport, SimTiming) {
     let queries = twenty_queries();
     let q = queries.iter().find(|q| q.id == id).expect("known query id");
-    run_query(server, q).expect("query runs")
+    let report = run_query(server, q).expect("query runs");
+    let paper = paper_timing(&report, paper_scale_factor(server));
+    (report, paper)
 }
 
 fn fig10(server: &mut SkyServer) {
@@ -214,10 +220,10 @@ fn fig10(server: &mut SkyServer) {
     let queries = twenty_queries();
     let q1 = queries.iter().find(|q| q.id == "Q1").unwrap();
     let plan = server.explain(&q1.sql).expect("plan renders");
-    let report = run_named(server, "Q1");
+    let (report, paper) = run_named(server, "Q1");
     println!(
         "here : {} rows, {:.4}s wall (measured), {:.2}s CPU / {:.2}s elapsed projected to paper scale; plan class {}",
-        report.rows, report.wall_seconds, report.paper_cpu_seconds, report.paper_elapsed_seconds, report.plan_class
+        report.rows, report.wall_seconds, paper.cpu_seconds, paper.elapsed_seconds, report.plan_class
     );
     println!("plan:\n{plan}");
 }
@@ -225,25 +231,25 @@ fn fig10(server: &mut SkyServer) {
 fn fig11(server: &mut SkyServer) {
     header("Figure 11 / Query 15: slow-moving asteroids (parallel table scan)");
     println!("paper: 1,303 candidates from 14M objects; 72s CPU, 162s elapsed; plan = parallel table scan");
-    let report = run_named(server, "Q15A");
+    let (report, paper) = run_named(server, "Q15A");
     let expected_at_paper_scale = 1303.0;
-    let scaled = report.rows as f64 * server.paper_scale_factor();
+    let scaled = report.rows as f64 * paper_scale_factor(server);
     println!(
         "here : {} rows ({:.0} when scaled to 14M objects vs paper {expected_at_paper_scale}); {:.4}s wall; {:.1}s CPU / {:.1}s elapsed at paper scale; plan class {}",
-        report.rows, scaled, report.wall_seconds, report.paper_cpu_seconds, report.paper_elapsed_seconds, report.plan_class
+        report.rows, scaled, report.wall_seconds, paper.cpu_seconds, paper.elapsed_seconds, report.plan_class
     );
 }
 
 fn fig12(server: &mut SkyServer) {
     header("Figure 12 / modified Query 15: fast movers via the covering index");
     println!("paper: 4 pairs found; 55s elapsed / 51s CPU with the covering index (vs ~10 minutes without)");
-    let report = run_named(server, "Q15B");
+    let (report, paper) = run_named(server, "Q15B");
     println!(
         "here : {} pairs; {:.4}s wall; {:.1}s CPU / {:.1}s elapsed at paper scale; plan class {}",
         report.rows,
         report.wall_seconds,
-        report.paper_cpu_seconds,
-        report.paper_elapsed_seconds,
+        paper.cpu_seconds,
+        paper.elapsed_seconds,
         report.plan_class
     );
 }
@@ -252,7 +258,7 @@ fn fig13(server: &mut SkyServer) {
     header("Figure 13: execution times of the 20 data-mining queries");
     println!("paper: most queries run in seconds; single scans ~3 minutes; join/spatial queries are the slowest; the system is disk limited");
     let reports = run_all(server, &twenty_queries()).expect("queries run");
-    println!("{}", render_figure13(&reports));
+    println!("{}", render_figure13(&reports, paper_scale_factor(server)));
 }
 
 fn fig15() {

@@ -16,16 +16,17 @@
 //! We cannot buy that machine, so this module reproduces the *model*: given
 //! a disk/controller configuration and a per-record CPU cost it predicts the
 //! sequential scan bandwidth and converts a scan's bytes/rows into simulated
-//! elapsed and CPU seconds.  The `reproduce fig15` harness sweeps disk
-//! configurations through this model, and the Figure 13 harness projects
-//! each query's recorded [`ScanStats`] with [`IoSimulator::project`] to
-//! report paper-scale seconds next to measured wall-clock times.  The SQL
-//! engine itself never consults the model.
+//! elapsed and CPU seconds.  `reproduce fig15` sweeps disk configurations
+//! through this model, and the Figure 13 projection
+//! ([`crate::paper_timing`]) projects each query's recorded [`ScanStats`]
+//! with [`IoSimulator::project`] to report paper-scale seconds next to
+//! measured wall-clock times.  Only this crate names the model: the engine
+//! measures, and never consults it.
 
-use crate::stats::ScanStats;
+use skyserver::storage::ScanStats;
 
 /// Hardware constants measured in the paper (all bandwidths in MB/s).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HardwareProfile {
     /// Sequential bandwidth of a single disk.
     pub disk_mbps: f64,
@@ -41,14 +42,6 @@ pub struct HardwareProfile {
     pub cpus: u32,
     /// Maximum number of disks one controller is attached to.
     pub disks_per_controller: u32,
-    /// Maximum number of controllers one PCI bus can feed before saturating.
-    pub controllers_per_bus: u32,
-}
-
-impl Default for HardwareProfile {
-    fn default() -> Self {
-        HardwareProfile::skyserver_ml530()
-    }
 }
 
 impl HardwareProfile {
@@ -62,7 +55,6 @@ impl HardwareProfile {
             cpu_mhz: 1000.0,
             cpus: 2,
             disks_per_controller: 3,
-            controllers_per_bus: 2,
         }
     }
 }
@@ -70,7 +62,7 @@ impl HardwareProfile {
 /// CPU cost model for record processing, in clocks per byte (cpb).
 /// The paper reports ~10 cpb for a trivial predicate and ~19 cpb for the
 /// `(r-g) > 1` filter (~1 300 and ~2 300 clocks per 128-byte record).
-#[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CpuCost {
     /// Clocks of CPU work per byte scanned.
     pub clocks_per_byte: f64,
@@ -97,15 +89,10 @@ impl CpuCost {
             clocks_per_byte: 1.2,
         }
     }
-
-    /// Arbitrary cost.
-    pub fn new(clocks_per_byte: f64) -> Self {
-        CpuCost { clocks_per_byte }
-    }
 }
 
 /// A disk subsystem configuration (how many spindles/controllers/buses).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DiskConfig {
     /// Number of spindles.
     pub disks: u32,
@@ -160,7 +147,7 @@ pub struct IoSimulator {
 }
 
 /// Simulated timing of a scan or lookup.
-#[derive(Debug, Clone, Copy, PartialEq, Default, serde::Serialize, serde::Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimTiming {
     /// CPU seconds consumed (summed over cores).
     pub cpu_seconds: f64,
@@ -242,18 +229,11 @@ impl IoSimulator {
         }
     }
 
-    /// Simulate `lookups` random index lookups touching `bytes_per_lookup`
-    /// each.  Random 8 KB-page reads cost a seek (~5 ms cold); warm lookups
-    /// run from cache.
-    pub fn simulate_index_lookups(
-        &self,
-        lookups: u64,
-        bytes_per_lookup: u64,
-        warm: bool,
-    ) -> SimTiming {
-        let seek_seconds = if warm { 0.0 } else { 0.005 };
-        let per_lookup_io =
-            seek_seconds + (bytes_per_lookup as f64 / 1e6) / self.profile.disk_mbps.max(1.0);
+    /// Simulate `lookups` warm random index lookups touching
+    /// `bytes_per_lookup` each: the pages come from cache, so no lookup
+    /// pays a seek.
+    pub fn simulate_index_lookups(&self, lookups: u64, bytes_per_lookup: u64) -> SimTiming {
+        let per_lookup_io = (bytes_per_lookup as f64 / 1e6) / self.profile.disk_mbps.max(1.0);
         // Random IOs spread over the spindles.
         let io_seconds = per_lookup_io * lookups as f64 / f64::from(self.config.disks.max(1));
         let cpu_seconds = lookups as f64 * 20_000.0 / (self.profile.cpu_mhz * 1e6);
@@ -283,7 +263,7 @@ impl IoSimulator {
         // Index access: covered columns stream ~10x denser, treat as a scan
         // of the index bytes plus per-seek costs.
         let idx_scan = self.simulate_scan(idx_bytes, cost);
-        let lookups = self.simulate_index_lookups(seeks, 8192, true);
+        let lookups = self.simulate_index_lookups(seeks, 8192);
         SimTiming {
             cpu_seconds: seq.cpu_seconds + idx_scan.cpu_seconds + lookups.cpu_seconds,
             elapsed_seconds: seq.elapsed_seconds
@@ -384,18 +364,6 @@ mod tests {
         let cold = s.simulate_scan(2_000_000_000, CpuCost::simple_scan());
         let warm = s.simulate_warm_scan(2_000_000_000, CpuCost::simple_scan());
         assert!(warm.elapsed_seconds < cold.elapsed_seconds);
-    }
-
-    #[test]
-    fn index_lookups_warm_vs_cold() {
-        let s = IoSimulator::skyserver_production();
-        let cold = s.simulate_index_lookups(1000, 8192, false);
-        let warm = s.simulate_index_lookups(1000, 8192, true);
-        assert!(cold.elapsed_seconds > warm.elapsed_seconds);
-        assert!(
-            cold.elapsed_seconds < 10.0,
-            "1000 cold lookups spread over 4 disks"
-        );
     }
 
     #[test]

@@ -53,7 +53,6 @@ impl SkyServerBuilder {
             config: self.config,
             counts: survey.counts(),
             primary_fraction: survey.primary_fraction(),
-            paper_scale_factor: survey.paper_scale_factor(),
             load_report,
         })
     }
@@ -65,7 +64,6 @@ pub struct SkyServer {
     config: SurveyConfig,
     counts: SurveyCounts,
     primary_fraction: f64,
-    paper_scale_factor: f64,
     load_report: LoadReport,
 }
 
@@ -83,11 +81,6 @@ impl SkyServer {
     /// Fraction of photo objects flagged primary.
     pub fn primary_fraction(&self) -> f64 {
         self.primary_fraction
-    }
-
-    /// Multiplier from this database to the paper's 14 M-object release.
-    pub fn paper_scale_factor(&self) -> f64 {
-        self.paper_scale_factor
     }
 
     /// The load pipeline's report.
@@ -207,7 +200,6 @@ impl SkyServer {
             config: self.config.clone(),
             counts: self.counts.clone(),
             primary_fraction: self.primary_fraction,
-            paper_scale_factor: self.paper_scale_factor,
             load_report: self.load_report.clone(),
         }
     }
@@ -302,7 +294,6 @@ mod tests {
             s.counts().photo_obj
         );
         assert!(s.load_report().is_clean());
-        assert!(s.paper_scale_factor() > 1000.0);
     }
 
     #[test]

@@ -60,7 +60,7 @@ pub use skyserver_skygen::{Survey, SurveyConfig};
 pub use skyserver_sql::{
     PlanClass, QueryLimits, QueryMonitor, ResultSet, SqlError, StatementOutcome,
 };
-pub use skyserver_storage::{DiskConfig, HardwareProfile, IoSimulator, Value};
+pub use skyserver_storage::Value;
 
 /// Errors from the high-level SkyServer API.
 #[derive(Debug, Clone, PartialEq)]

@@ -3,7 +3,8 @@
 //! The evaluation workload of the SkyServer paper: the 20 data-mining
 //! queries of Szalay/Gray (§3, §11, Figure 13), the 15 simpler
 //! astronomer queries, result invariants for each, and the timing harness
-//! that regenerates the Figure 13 table.
+//! that measures them (the reproduction crate projects its reports onto
+//! the paper's hardware for the Figure 13 table).
 
 #![forbid(unsafe_code)]
 
@@ -13,7 +14,7 @@ pub mod spec;
 pub mod twenty;
 
 pub use astronomer::astronomer_queries;
-pub use runner::{render_figure13, run_all, run_query, QueryReport};
+pub use runner::{run_all, run_query, QueryReport};
 pub use spec::{Invariant, QueryFamily, QuerySpec};
 pub use twenty::{twenty_queries, FOOTPRINT_DEC, FOOTPRINT_RA};
 
@@ -46,32 +47,6 @@ mod tests {
             problems.is_empty(),
             "query problems:\n{}",
             problems.join("\n")
-        );
-    }
-
-    #[test]
-    fn figure13_table_contains_every_query_and_orders_by_time() {
-        let mut server = SkyServerBuilder::new().tiny().build().unwrap();
-        let reports = run_all(&mut server, &twenty_queries()).unwrap();
-        let table = render_figure13(&reports);
-        for q in twenty_queries() {
-            assert!(table.contains(q.id), "figure 13 table is missing {}", q.id);
-        }
-        // The headline comparison of the paper: the spatial index-lookup
-        // query (Q1, 0.19 s elapsed) is orders of magnitude faster than the
-        // full PhotoObj scan (Q15, 162 s elapsed) at the 14 M-object scale.
-        let q1 = reports.iter().find(|r| r.id == "Q1").unwrap();
-        let q15 = reports.iter().find(|r| r.id == "Q15A").unwrap();
-        assert!(
-            q15.paper_elapsed_seconds > q1.paper_elapsed_seconds * 10.0,
-            "the full scan (Q15A: {:.2}s) should be far slower than the index lookup (Q1: {:.2}s)",
-            q15.paper_elapsed_seconds,
-            q1.paper_elapsed_seconds
-        );
-        assert!(
-            q15.paper_elapsed_seconds > 30.0,
-            "a 31 GB PhotoObj scan should project to minutes, got {:.2}s",
-            q15.paper_elapsed_seconds
         );
     }
 }

@@ -110,12 +110,6 @@ impl SurveyConfig {
         }
     }
 
-    /// Scale factor from this configuration to the paper's 14 M-object Early
-    /// Data Release (used to project measured timings onto Figure 13).
-    pub fn paper_scale_factor(&self) -> f64 {
-        14_000_000.0 / self.target_objects.max(1) as f64
-    }
-
     /// Rough number of total photo rows (primaries + duplicates + children)
     /// this configuration will generate.
     pub fn expected_photo_rows(&self) -> usize {
@@ -169,14 +163,6 @@ mod tests {
     #[test]
     fn default_is_personal() {
         assert_eq!(SurveyConfig::default(), SurveyConfig::personal_skyserver());
-    }
-
-    #[test]
-    fn scale_factor_reflects_object_count() {
-        let c = SurveyConfig::personal_skyserver();
-        assert!((c.paper_scale_factor() - 280.0).abs() < 1.0);
-        let t = SurveyConfig::tiny();
-        assert!(t.paper_scale_factor() > c.paper_scale_factor());
     }
 
     #[test]

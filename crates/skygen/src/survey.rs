@@ -85,11 +85,6 @@ impl Survey {
         self.photo.objects.iter().filter(|o| o.is_primary()).count() as f64
             / self.photo.objects.len() as f64
     }
-
-    /// Multiplier from this survey's photoObj row count to the paper's 14 M.
-    pub fn paper_scale_factor(&self) -> f64 {
-        14_000_000.0 / self.photo.objects.len().max(1) as f64
-    }
 }
 
 #[cfg(test)]

@@ -5,10 +5,10 @@
 //! SQL scripts against them, maintaining session variables (`DECLARE`/`SET`)
 //! and temp tables (`SELECT ... INTO ##results`).  A script returns the
 //! [`StatementOutcome`] of its last statement: the result set, the raw scan
-//! counters and the measured wall-clock time.  What the counters would cost
-//! on the paper's hardware is not the engine's business: the Figure 13
-//! harness projects them, and [`SqlEngine::plan_summary`] reports the plan
-//! property that projection needs ([`PlanSummary::predicate_heavy`]).
+//! counters and the measured wall-clock time.  The reproduction crate
+//! projects the counters onto the paper's hardware; the one plan property
+//! it needs ([`PlanSummary::predicate_heavy`]) is classified here, because
+//! only the planner sees the pushed-down, view-merged predicates.
 //!
 //! The query API is split in two.  The full path ([`SqlEngine::execute`])
 //! takes `&mut self` and supports DDL, DML, `SELECT ... INTO` and
@@ -973,6 +973,34 @@ mod tests {
             .query("select type, count(*) as n from photoObj group by type having count(*) > 150")
             .unwrap();
         assert!(r.is_empty());
+    }
+
+    #[test]
+    fn order_by_an_aggregate_call_sorts_like_its_alias() {
+        let e = engine();
+        let rows = |sql: &str| e.query(sql).unwrap().rows;
+        // 20 rows have flags = 64 and 180 have flags = 0.
+        let by_call =
+            rows("select flags, count(*) from photoObj group by flags order by count(*) desc");
+        let by_alias =
+            rows("select flags, count(*) as n from photoObj group by flags order by n desc");
+        assert_eq!(by_call, by_alias);
+        assert_eq!(by_call[0], vec![Value::Int(0), Value::Int(180)]);
+        let top = rows("select top 1 flags from photoObj group by flags order by count(*)");
+        assert_eq!(top, vec![vec![Value::Int(64)]]);
+        // An aggregate that is not projected sorts the groups too.
+        for dir in ["asc", "desc"] {
+            let by_call = rows(&format!(
+                "select type from photoObj group by type order by avg(modelMag_r) {dir}"
+            ));
+            let by_alias = rows(&format!(
+                "select type, avg(modelMag_r) as m from photoObj group by type order by m {dir}"
+            ));
+            let firsts: Vec<Vec<Value>> = by_alias.iter().map(|r| r[..1].to_vec()).collect();
+            assert_eq!(by_call, firsts, "{dir}");
+        }
+        let grand = rows("select count(*) from photoObj order by count(*)");
+        assert_eq!(grand, vec![vec![Value::Int(200)]]);
     }
 
     #[test]

@@ -474,7 +474,7 @@ impl<'p> Aggregator<'p> {
             }
             let mut proj = Vec::with_capacity(programs.projections.len());
             eval_into(&programs.projections, representative, &agg_ctx, &mut proj)?;
-            out.offer(ex, representative, Some(proj))?;
+            out.offer(ex, &agg_ctx, representative, Some(proj))?;
         }
         Ok(())
     }
@@ -573,26 +573,27 @@ impl<'p> Output<'p> {
     }
 
     /// Offer one row: `input` is the combined FROM row (or a group's
-    /// representative), `projected` its output row when the caller already
-    /// has it (aggregation) — otherwise it is evaluated here, and only for
-    /// a row that is kept.
+    /// representative, with the group's aggregate values in `ctx`),
+    /// `projected` its output row when the caller already has it
+    /// (aggregation) — otherwise it is evaluated here, and only for a row
+    /// that is kept.
     fn offer(
         &mut self,
         ex: &Executor<'_>,
+        ctx: &EvalContext<'_>,
         input: &[Value],
         projected: Option<Vec<Value>>,
     ) -> Result<(), SqlError> {
         let plan = self.plan;
         let programs = &plan.programs;
-        let ctx = ex.ctx();
         let mut keys = std::mem::take(&mut self.keys);
         keys.clear();
         for (key, item) in programs.order_by.iter().zip(&plan.order_by) {
             let v = match (key, &projected) {
-                (SortKey::Input(program), _) => Some(program.eval(input, &ctx)?),
+                (SortKey::Input(program), _) => Some(program.eval(input, ctx)?),
                 (SortKey::Output(idx), Some(row)) => row.get(*idx).cloned(),
                 (SortKey::Output(idx), None) => match programs.projections.get(*idx) {
-                    Some(program) => Some(program.eval(input, &ctx)?),
+                    Some(program) => Some(program.eval(input, ctx)?),
                     None => None,
                 },
             }
@@ -623,7 +624,7 @@ impl<'p> Output<'p> {
             Some(row) => row,
             None => {
                 let mut row = Vec::with_capacity(programs.projections.len());
-                eval_into(&programs.projections, input, &ctx, &mut row)?;
+                eval_into(&programs.projections, input, ctx, &mut row)?;
                 row
             }
         };
@@ -753,7 +754,7 @@ impl<'p> Sink<'p> {
                 Ok(())
             }
             Stage::Groups(aggregator) => aggregator.push(ex, row),
-            Stage::Output(output) => output.offer(ex, row, None),
+            Stage::Output(output) => output.offer(ex, &ex.ctx(), row, None),
         }
     }
 

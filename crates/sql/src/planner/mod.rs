@@ -413,10 +413,17 @@ pub(crate) fn build_programs(
             .push(run_columns(inner, Some(&step.strategy), db)?);
     }
     programs.residual = compile_opt(plan.residual.as_ref(), &combined)?;
-    // Projections and HAVING read each aggregate call by its position in
-    // this list (empty unless the statement aggregates).
+    // Projections, HAVING and ORDER BY read each aggregate call by its
+    // position in this list (empty unless the statement aggregates).
+    let aggregating = plan.has_aggregates || !plan.group_by.is_empty();
+    let sorts = plan
+        .order_by
+        .iter()
+        .filter(|_| aggregating)
+        .map(|item| &item.expr);
+    let calls = plan.projections.iter().map(|(e, _)| e).chain(&plan.having);
     let mut agg_exprs: Vec<Expr> = Vec::new();
-    for expr in plan.projections.iter().map(|(e, _)| e).chain(&plan.having) {
+    for expr in calls.chain(sorts) {
         collect_aggregates(expr, &mut agg_exprs);
     }
     let grouped = Compiler {
@@ -431,7 +438,7 @@ pub(crate) fn build_programs(
     let having = plan.having.as_ref().map(|h| grouped.compile(h));
     programs.having = having.transpose()?;
 
-    if plan.has_aggregates || !plan.group_by.is_empty() {
+    if aggregating {
         for agg in &agg_exprs {
             let Expr::Function { name, args } = agg else {
                 continue;
@@ -471,7 +478,7 @@ pub(crate) fn build_programs(
         };
         programs.order_by.push(match output {
             Some(idx) => SortKey::Output(idx),
-            None => SortKey::Input(compile(&item.expr, &combined, funcs)?),
+            None => SortKey::Input(grouped.compile(&item.expr)?),
         });
     }
 

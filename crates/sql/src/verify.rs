@@ -869,7 +869,16 @@ impl Verifier<'_> {
         }
         let grouped = programs.projections.iter().enumerate();
         let grouped = grouped.map(|(i, p)| (format!("projections[{i}]"), p));
-        for (at, p) in grouped.chain(programs.having.iter().map(|h| ("having".into(), h))) {
+        let having = programs.having.iter().map(|h| ("having".into(), h));
+        // A statement that does not aggregate has no group values: an
+        // aggregate call in its sort key fails when it is evaluated.
+        let sorts = programs.order_by.iter().enumerate();
+        let sorts = sorts.filter(|_| !programs.aggregates.is_empty());
+        let sorts = sorts.filter_map(|(i, key)| match key {
+            SortKey::Input(e) => Some((format!("order_by[{i}]"), e)),
+            SortKey::Output(_) => None,
+        });
+        for (at, p) in grouped.chain(having).chain(sorts) {
             let slots = programs.aggregates.len();
             p.visit(&mut |node| {
                 if let CompiledExpr::Agg { slot, name } = node {

@@ -14,9 +14,9 @@
 //!   managed replacement for the old "tag tables" (§9.1.3),
 //! * a [`Database`] catalog with views, foreign keys and size accounting
 //!   (Table 1),
-//! * an analytic [`iosim`] hardware model of the paper's Compaq ML530 disk
-//!   subsystem used to project measured scans onto the paper's Figure 13 and
-//!   Figure 15 axes.
+//! * the per-statement access counters ([`ScanStats`]) that the
+//!   reproduction crate projects onto the paper's 2002 hardware for
+//!   Figure 13.
 //!
 //! The SQL layer (`skyserver-sql`) builds the parser, planner and executor
 //! on top of these primitives.
@@ -28,7 +28,6 @@ pub mod database;
 pub mod error;
 pub mod failpoints;
 pub mod index;
-pub mod iosim;
 pub mod release;
 pub mod schema;
 pub mod stats;
@@ -42,7 +41,6 @@ pub use failpoints::FailAction;
 pub use index::{
     BTreeIndex, IndexCursor, IndexDef, IndexEntry, IndexKey, Run, SortedSeek, RUN_ENTRIES,
 };
-pub use iosim::{CpuCost, DiskConfig, HardwareProfile, IoSimulator, SimTiming};
 pub use release::{DiffStatus, ReleaseCatalog, ReleaseDiff, ReleaseInfo, TableDiff};
 pub use schema::{ColumnDef, ColumnNames, SchemaError, TableSchema};
 pub use stats::{ExecutionStats, ScanStats};

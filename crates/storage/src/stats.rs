@@ -3,8 +3,9 @@
 //! The SkyServerQA tool shows per-query execution statistics ("vital for
 //! large result-sets", §4) and the paper reports CPU and elapsed time for
 //! every query.  The storage layer accumulates raw counters here and the
-//! SQL engine adds the measured wall-clock time; the Figure 13 harness
-//! projects the counters onto the paper's hardware with [`crate::iosim`].
+//! SQL engine adds the measured wall-clock time; the reproduction crate's
+//! Figure 13 projection turns the counters into seconds on the paper's
+//! hardware.
 
 /// Counters accumulated while executing one statement.
 #[derive(Debug, Clone, Copy, Default, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -66,8 +67,8 @@ impl ScanStats {
 }
 
 /// What was measured while executing one statement.  The paper-hardware
-/// projection of the same counters is [`crate::IoSimulator::project`],
-/// computed by whoever reports it.
+/// projection of the same counters is computed by the reproduction crate,
+/// never here.
 #[derive(Debug, Clone, Default, PartialEq, serde::Serialize, serde::Deserialize)]
 pub struct ExecutionStats {
     /// Raw access-path counters.

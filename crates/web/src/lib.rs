@@ -25,8 +25,9 @@
 //!   interactive query path — an in-flight cap shedding excess load with
 //!   `503` + `Retry-After`, and the per-request deadline every admitted
 //!   query carries into the executor,
-//! * the site-traffic simulator and analyser ([`traffic`]) that regenerate
-//!   Figure 5 and the §7 operations statistics.
+//! * the request log ([`traffic`]) that attributes each request to a site
+//!   section the way §7 does; the Figure 5 simulator and analyser that
+//!   read it live in the reproduction crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +51,4 @@ pub use http::{
 };
 pub use jobs::{JobQueue, JobQueueConfig, JobState, JobStatus};
 pub use site::{SkyServerSite, LANGUAGES};
-pub use traffic::{
-    analyze_traffic, render_figure5, simulate_traffic, DailyTraffic, LogRecord, Section,
-    TrafficConfig, TrafficReport,
-};
+pub use traffic::{LogRecord, Section};

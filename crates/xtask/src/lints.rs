@@ -13,7 +13,7 @@
 //! | `per-key-seek` | sql executor + schema crate | `.range(` / `.seek_exact(`: a B-tree search per key or per cover range, where an index-lookup join walks a sorted chunk of keys once (`BTreeIndex::seek_sorted`) and a spatial search its cover's ranges once (`BTreeIndex::seek_ranges`) |
 //! | `full-row-gather` | sql executor + engine DML + schema table functions + Neighbors precomputation | `t.get(..)` / `table.iter()` / `row.to_vec()`: materializing whole table rows where the statement's scan columns would do |
 //! | `row-vec` | sql executor | `Vec<Vec<Value>>`: one allocation per buffered row, where a `RowBlock` keeps `width × len` cells in one buffer (the `ResultSet` boundary carries escapes); `HashMap<Vec<Value>` / `HashSet<Vec<Value>`: one allocation per hash key, where the `KeyIndex` keys slots whose cells live in a `RowBlock` |
-//! | `paper-model` | sql crate + loader crate | naming `IoSimulator` / `CpuCost` / `SimTiming`: the 2002-hardware projection is computed from recorded `ScanStats` by the harness that prints the figures, never per statement |
+//! | `paper-model` | every workspace crate except bench | naming the paper's evaluation models (`IoSimulator`, `CpuCost`, `SimTiming`, `HardwareProfile`, `DiskConfig`, `TrafficConfig`, `simulate_traffic`, `analyze_traffic`, `paper_scale_factor`): the system only measures, and the reproduction crate that prints the figures owns the 2002-hardware model, the §7 traffic simulator and the paper-scale projection |
 //! | `forbid-unsafe` | every workspace crate | missing `#![forbid(unsafe_code)]` |
 //! | `doc-links` | *.md in root + docs/ | relative links to files that do not exist |
 //! | `ci-drift` | .github/workflows/ci.yml | `-p <package>` / `--bin <name>` that the workspace no longer has |
@@ -52,6 +52,10 @@ impl fmt::Display for Finding {
         )
     }
 }
+
+/// What `paper-model` flags: the names of the paper's evaluation models.
+const PAPER_MODELS: &str = "IoSimulator CpuCost SimTiming HardwareProfile DiskConfig \
+                            TrafficConfig simulate_traffic analyze_traffic paper_scale_factor";
 
 /// Which rule families apply to a source file.
 struct Scope {
@@ -104,9 +108,9 @@ fn scope_for(rel: &Path) -> Scope {
         // The spatial functions live in the schema crate: a cover's ranges
         // are walked once, never sought one at a time.
         per_key_seek: executor || p.starts_with("crates/schema/src/"),
-        // The engine and the loader only measure; the paper-hardware model
-        // belongs to the harness that prints its figures.
-        paper_model: p.starts_with("crates/sql/src/") || p.starts_with("crates/loader/src/"),
+        // The system only measures; the paper's evaluation models belong to
+        // the reproduction crate that prints its figures.
+        paper_model: !p.starts_with("crates/bench/"),
         // Rows between operators live in blocks; only a result set's rows
         // are one `Vec` each.
         row_vec: executor,
@@ -245,9 +249,8 @@ fn scan_tokens(tokens: &[Tok], scope: &Scope, out: &mut Vec<(usize, &'static str
             ));
             continue;
         }
-        let model = ["IoSimulator", "CpuCost", "SimTiming"].contains(&t.text.as_str());
-        if scope.paper_model && model {
-            let message = "the paper-hardware model belongs to the harness that prints its figures";
+        if scope.paper_model && PAPER_MODELS.split(' ').any(|name| name == t.text) {
+            let message = "the paper's evaluation models belong to the reproduction crate";
             out.push((t.line, "paper-model", message.into()));
         }
         let hash_key = matches!(t.text.as_str(), "HashMap" | "HashSet");

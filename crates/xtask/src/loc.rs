@@ -11,17 +11,17 @@ use std::path::Path;
 /// The committed ceilings, by crate directory under `crates/`.  They only
 /// go down; a change that raises one says why in CHANGES.md.
 pub const CEILINGS: &[(&str, usize)] = &[
-    ("bench", 410),
-    ("core", 521),
+    ("bench", 1065),
+    ("core", 513),
     ("htm", 911),
     ("loader", 843),
-    ("queries", 747),
+    ("queries", 706),
     ("schema", 848),
-    ("skygen", 1768),
-    ("sql", 13843),
-    ("storage", 4201),
-    ("web", 4995),
-    ("xtask", 1074),
+    ("skygen", 1757),
+    ("sql", 13860),
+    ("storage", 3897),
+    ("web", 4671),
+    ("xtask", 1077),
 ];
 
 /// One crate's count against its ceiling.

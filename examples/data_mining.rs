@@ -4,7 +4,8 @@
 //! Run with: `cargo run --release --example data_mining`
 
 use skyserver::SkyServerBuilder;
-use skyserver_queries::{all_queries, render_figure13, run_all};
+use skyserver_bench::{paper_scale_factor, paper_timing, render_figure13};
+use skyserver_queries::{all_queries, run_all};
 
 fn main() {
     println!("Building the synthetic SkyServer (this generates and loads the catalog)...");
@@ -12,10 +13,10 @@ fn main() {
         .tiny()
         .build()
         .expect("build SkyServer");
+    let scale = paper_scale_factor(&sky);
     println!(
-        "{} photo objects loaded; projecting timings to the paper's 14M-object scale (x{:.0}).\n",
+        "{} photo objects loaded; projecting timings to the paper's 14M-object scale (x{scale:.0}).\n",
         sky.counts().photo_obj,
-        sky.paper_scale_factor()
     );
 
     // Show the plan of the paper's Query 1 (Figure 10).
@@ -30,7 +31,7 @@ fn main() {
     // Run everything and print the Figure 13 table.
     println!("Running all {} queries...", queries.len());
     let reports = run_all(&mut sky, &queries).expect("queries run");
-    println!("\n{}", render_figure13(&reports));
+    println!("\n{}", render_figure13(&reports, scale));
 
     // Summarise by plan class, the way the paper's discussion does.
     for class in ["index", "scan", "join-scan", "function"] {
@@ -43,7 +44,7 @@ fn main() {
         }
         let mean_elapsed: f64 = of_class
             .iter()
-            .map(|r| r.paper_elapsed_seconds)
+            .map(|r| paper_timing(r, scale).elapsed_seconds)
             .sum::<f64>()
             / of_class.len() as f64;
         println!(

@@ -9,7 +9,8 @@
 //!   curl 'http://127.0.0.1:8642/en/tools/navi?ra=181&dec=-0.8&zoom=2'
 
 use skyserver::SkyServerBuilder;
-use skyserver_web::{analyze_traffic, http_get, SkyServerSite, TrafficConfig};
+use skyserver_bench::traffic::{analyze_traffic, TrafficConfig};
+use skyserver_web::{http_get, SkyServerSite};
 
 fn main() {
     println!("Building the Personal SkyServer (1%-scale survey)...");
