@@ -351,6 +351,8 @@ impl BatchScratch {
 /// table's segments, or over the runs of one of its indexes.
 pub(crate) struct BatchProgram<'a> {
     conjuncts: Vec<Conjunct<'a>>,
+    /// No conjunct can fail, so segment zones may refute the filter.
+    total: bool,
     gather: Vec<Gather<'a>>,
     /// Row ordinal → storage ordinal.
     layout: &'a [usize],
@@ -394,12 +396,15 @@ impl<'a> BatchProgram<'a> {
             c => Gather::Cell(place(c)),
         };
         let mut conjuncts = Vec::new();
+        // Zones are a heap segment's: a run-slice program never prunes.
+        let mut total = runs.is_none();
         if let Some(f) = filter {
             let items: Vec<&CompiledExpr> = match f {
                 CompiledExpr::And(items) => items.iter().collect(),
                 other => vec![other],
             };
             for item in items {
+                total &= is_total(item, &column_types);
                 conjuncts.push(build_conjunct(item, &column_types, runs));
             }
         }
@@ -444,6 +449,7 @@ impl<'a> BatchProgram<'a> {
                 .any(|g| matches!(g, Gather::Cell(cell) if heap_cell(cell)));
         BatchProgram {
             conjuncts,
+            total,
             gather,
             layout,
             runs,
@@ -453,6 +459,14 @@ impl<'a> BatchProgram<'a> {
             gathers_heap,
             column_types,
         }
+    }
+
+    /// Can heap segment `seg` hold a row the filter accepts?  Judged from
+    /// its column zones alone: `false` lets the scan skip it unread.  Only
+    /// a total filter is judged, because skipping rows must not hide an
+    /// error evaluating them would raise.
+    pub fn segment_may_match(&self, seg: &Segment) -> bool {
+        !self.total || self.conjuncts.iter().all(|c| zone_admits(c, seg))
     }
 
     /// Load the candidate offsets of `base..end` into the selection vector:
@@ -1068,6 +1082,87 @@ fn ord_str(v: &str, konst: &Value) -> Ordering {
         Value::Str(k) => v.cmp(&**k),
         Value::Bytes(_) => Ordering::Less,
         Value::Null | Value::Bool(_) | Value::Int(_) | Value::Float(_) => Ordering::Greater,
+    }
+}
+
+/// Can a row of `seg` pass `conjunct`, judged from the column's zone?  A
+/// `=`/`<`/`<=`/`>`/`>=` constant, `BETWEEN` or `IN` list (by its hull)
+/// refutes a segment whose zone lies outside it under [`Value::total_cmp`],
+/// the order the kernels compare by: each row there, and each NULL, fails
+/// it.  A column with no zone (all NULL) satisfies no bound.  Every other
+/// shape admits.
+fn zone_admits(conjunct: &Conjunct<'_>, seg: &Segment) -> bool {
+    use BinaryOp::{Eq, Gt, GtEq, Lt, LtEq};
+    let (col, low, high) = match *conjunct {
+        Conjunct::CmpConst { col, op, konst } => match op {
+            Eq => (col, Some((konst, GtEq)), Some((konst, LtEq))),
+            Lt | LtEq => (col, None, Some((konst, op))),
+            Gt | GtEq => (col, Some((konst, op)), None),
+            _ => return true,
+        },
+        Conjunct::Between {
+            col,
+            low,
+            high,
+            negated: false,
+        } => (col, Some((low, GtEq)), Some((high, LtEq))),
+        Conjunct::InList {
+            col,
+            ref list,
+            has_null: false,
+            negated: false,
+        } => {
+            let lo = list.iter().min_by(|a, b| a.total_cmp(b));
+            let Some((&lo, &hi)) = lo.zip(list.iter().max_by(|a, b| a.total_cmp(b))) else {
+                return true;
+            };
+            (col, Some((lo, GtEq)), Some((hi, LtEq)))
+        }
+        _ => return true,
+    };
+    let column = seg.column(col);
+    let (Some(min), Some(max)) = (column.zone_min(), column.zone_max()) else {
+        return false;
+    };
+    // The zone's best candidate for each bound: its max for a lower one,
+    // its min for an upper one.
+    low.is_none_or(|(k, op)| cmp_holds(op, max.total_cmp(k)))
+        && high.is_none_or(|(k, op)| cmp_holds(op, min.total_cmp(k)))
+}
+
+/// Can evaluating conjunct `e` never fail?  Columns, constants and a
+/// numeric or bool column `&`/`|` a constant are total operands; a
+/// comparison of them, `BETWEEN` and `IN` with constant bounds, `IS NULL`
+/// and `LIKE` with a constant pattern over one, and a constant, are total
+/// conjuncts.  Arithmetic, casts, calls and variables may fail.
+fn is_total(e: &CompiledExpr, column_types: &[DataType]) -> bool {
+    use CompiledExpr::{Between, Binary, Col, Const, InList, IsNull, LikePre};
+    let konst = |e: &CompiledExpr| matches!(e, Const(_));
+    let numeric =
+        |ty: Option<DataType>| matches!(ty, Some(DataType::Int | DataType::Float | DataType::Bool));
+    let operand = |e: &CompiledExpr| match e {
+        Col(i) => *i < column_types.len(),
+        Const(_) => true,
+        Binary {
+            op: BinaryOp::BitAnd | BinaryOp::BitOr,
+            left,
+            right,
+        } => match (&**left, &**right) {
+            (Col(i), Const(v)) | (Const(v), Col(i)) => {
+                numeric(column_types.get(*i).copied()) && (v.is_null() || numeric(v.data_type()))
+            }
+            _ => false,
+        },
+        _ => false,
+    };
+    match e {
+        Binary { op, left, right } if op.is_comparison() => operand(left) && operand(right),
+        Between {
+            expr, low, high, ..
+        } => operand(expr) && konst(low) && konst(high),
+        InList { expr, list, .. } => operand(expr) && list.iter().all(konst),
+        IsNull { expr, .. } | LikePre { expr, .. } => operand(expr),
+        _ => konst(e),
     }
 }
 

@@ -30,7 +30,10 @@
 //! run (§9.1.3's "tag table", read in place of the base table), the pushed
 //! predicate runs over its columns in storage-ordinal space before any cell
 //! is copied, and a survivor takes its covered cells from the run and
-//! gathers only the others from the heap by row id.  An index-lookup join
+//! gathers only the others from the heap by row id.  Before a heap segment
+//! is read, the same program's kernels judge from its column zones whether
+//! it can hold a row the filter accepts, and a segment they refute is
+//! skipped unread.  An index-lookup join
 //! runs the same chunk loop over what it matched: it takes its outer rows
 //! [`BATCH_ROWS`] at a time, sorts their keys, finds every entry under them
 //! with one forward walk of the index
@@ -820,10 +823,10 @@ impl<'a> Executor<'a> {
             AccessPath::HeapScan => {
                 let mut chunks = self.chunk_scan(t, layout, scan, limit_hint, None);
                 let segments = t.segments().len();
-                self.scan_heap_segments(t, (0, segments), source, &mut chunks, sink, stats)
+                self.scan_heap_segments(t, (0, segments), &mut chunks, sink, stats)
             }
             AccessPath::ParallelHeapScan { workers } => {
-                self.parallel_heap_scan(t, source, layout, scan, *workers, limit_hint, sink, stats)
+                self.parallel_heap_scan(t, layout, scan, *workers, limit_hint, sink, stats)
             }
             AccessPath::IndexSeek { index, .. } | AccessPath::CoveringIndexScan { index } => {
                 let idx = index_of(self.db, table, index)?;
@@ -946,7 +949,7 @@ impl<'a> Executor<'a> {
             }
             None => {
                 let segments = (0, t.segments().len());
-                self.scan_heap_segments(t, segments, source, &mut chunks, sink, stats)?;
+                self.scan_heap_segments(t, segments, &mut chunks, sink, stats)?;
             }
         }
         stats.bytes_scanned += chunks.release_held(self, sink, limit)?;
@@ -1000,7 +1003,6 @@ impl<'a> Executor<'a> {
     fn parallel_heap_scan(
         &self,
         t: &Table,
-        source: &SourcePlan,
         layout: &[usize],
         scan: ScanPrograms<'_>,
         workers: usize,
@@ -1038,7 +1040,7 @@ impl<'a> Executor<'a> {
                         // `limit` rows whenever the table does.
                         let mut chunks = self.chunk_scan(t, layout, scan, limit_hint, None);
                         let segments = (seg_lo, seg_hi);
-                        self.scan_heap_segments(t, segments, source, &mut chunks, part, counters)
+                        self.scan_heap_segments(t, segments, &mut chunks, part, counters)
                     })
                 })
                 .collect();
@@ -1063,9 +1065,10 @@ impl<'a> Executor<'a> {
     /// This is the engine's one heap-scan loop, shared by the serial and
     /// parallel access paths.  Work proceeds segment by segment:
     ///
-    /// 1. **Zone pruning** — if any [`crate::plan::ZoneConstraint`] proves
-    ///    the segment's min/max cannot satisfy the pushed predicate, the
-    ///    whole segment is skipped without touching its rows.
+    /// 1. **Zone pruning** — if the [`BatchProgram`]'s own conjuncts prove
+    ///    from the segment's column min/max that no row can pass the pushed
+    ///    filter ([`BatchProgram::segment_may_match`]), the whole segment is
+    ///    skipped without touching its rows.
     /// 2. **Chunking** — surviving segments are processed in chunks of
     ///    [`BATCH_ROWS`] slots, each run through the [`BatchProgram`]
     ///    kernels and drained into the sink.  Progress, limit hints and byte
@@ -1074,7 +1077,6 @@ impl<'a> Executor<'a> {
         &self,
         t: &'t Table,
         (seg_lo, seg_hi): (usize, usize),
-        source: &SourcePlan,
         chunks: &mut ChunkScan<'s>,
         sink: &mut Sink<'_>,
         stats: &mut ScanStats,
@@ -1089,12 +1091,7 @@ impl<'a> Executor<'a> {
             // storage error, never a lost worker.
             skyserver_storage::failpoints::check("storage.segment_read")
                 .map_err(|m| SqlError::Storage(skyserver_storage::StorageError::ReadFailed(m)))?;
-            if !source.zone_constraints.is_empty()
-                && source.zone_constraints.iter().any(|zc| {
-                    let col = seg.column(zc.ordinal);
-                    !zc.zone_overlaps(col.zone_min(), col.zone_max())
-                })
-            {
+            if !chunks.program.segment_may_match(seg) {
                 stats.segments_pruned += 1;
                 continue;
             }

@@ -11,7 +11,6 @@ use crate::ast::{Expr, JoinKind, OrderByItem, SelectItem};
 use crate::exec::compile::CompiledPrograms;
 use crate::expr::RowSchema;
 use crate::functions::{SeekCover, SeekForm};
-use skyserver_storage::Value;
 use std::sync::Arc;
 
 /// How a base table is accessed.
@@ -63,67 +62,6 @@ impl IndexBounds {
     }
 }
 
-/// A value interval a pushed predicate implies for one base-table column.
-///
-/// Heap scans compare these against per-segment zone maps (min/max kept by
-/// the columnar storage layer) and skip whole segments whose zones are
-/// disjoint from the interval.  Constraints are only extracted when *every*
-/// conjunct of the pushed predicate is total (cannot raise an execution
-/// error), which makes pruning sound regardless of NULLs: a row whose
-/// constrained column falls outside the interval makes that conjunct FALSE
-/// or NULL, and the whole AND rejects the row.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ZoneConstraint {
-    /// Ordinal of the column in the base table's storage layout.
-    pub ordinal: usize,
-    /// Column name, for EXPLAIN rendering.
-    pub column: String,
-    /// Lower bound (value, inclusive?).  `None` = unbounded below.
-    pub low: Option<(Value, bool)>,
-    /// Upper bound (value, inclusive?).  `None` = unbounded above.
-    pub high: Option<(Value, bool)>,
-}
-
-impl ZoneConstraint {
-    /// True when a segment whose column spans `[zone_min, zone_max]` may
-    /// contain a satisfying row.  An all-NULL column reports no zone and
-    /// can never satisfy a bound.
-    pub fn zone_overlaps(&self, zone_min: Option<&Value>, zone_max: Option<&Value>) -> bool {
-        let (zmin, zmax) = match (zone_min, zone_max) {
-            (Some(a), Some(b)) => (a, b),
-            _ => return false,
-        };
-        if let Some((lo, inclusive)) = &self.low {
-            let c = zmax.total_cmp(lo);
-            if c == std::cmp::Ordering::Less || (!inclusive && c == std::cmp::Ordering::Equal) {
-                return false;
-            }
-        }
-        if let Some((hi, inclusive)) = &self.high {
-            let c = zmin.total_cmp(hi);
-            if c == std::cmp::Ordering::Greater || (!inclusive && c == std::cmp::Ordering::Equal) {
-                return false;
-            }
-        }
-        true
-    }
-
-    /// Compact rendering for EXPLAIN, e.g. `ra in [185, 185.1]`.
-    pub fn render(&self) -> String {
-        let lo = self
-            .low
-            .as_ref()
-            .map(|(v, inc)| format!("{}{v}", if *inc { "[" } else { "(" }))
-            .unwrap_or_else(|| "[-inf".into());
-        let hi = self
-            .high
-            .as_ref()
-            .map(|(v, inc)| format!("{v}{}", if *inc { "]" } else { ")" }))
-            .unwrap_or_else(|| "+inf]".into());
-        format!("{} in {lo}, {hi}", self.column)
-    }
-}
-
 /// One source in the FROM pipeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SourcePlan {
@@ -138,9 +76,6 @@ pub struct SourcePlan {
     /// Row budget granted by the limit-pushdown rule: the scan may stop
     /// after producing this many (post-predicate) rows.
     pub limit_hint: Option<u64>,
-    /// Column intervals implied by `pushed_predicate`, used by heap scans
-    /// to skip segments via zone maps.
-    pub zone_constraints: Vec<ZoneConstraint>,
     /// Storage ordinals of the columns the statement references on this
     /// source (scan, predicate, joins, projections...), ascending.  For a
     /// base table this list **is** the runtime row layout on every access
@@ -542,24 +477,11 @@ fn render_source(out: &mut String, indent: usize, source: &SourcePlan) {
                 .limit_hint
                 .map(|n| format!(" limit {n}"))
                 .unwrap_or_default();
-            let zones = if source.zone_constraints.is_empty() {
-                String::new()
-            } else {
-                format!(
-                    " zones({})",
-                    source
-                        .zone_constraints
-                        .iter()
-                        .map(ZoneConstraint::render)
-                        .collect::<Vec<_>>()
-                        .join("; ")
-                )
-            };
             push_line(
                 out,
                 indent,
                 &format!(
-                    "{access} AS {}{pred}{limit}{zones}{}",
+                    "{access} AS {}{pred}{limit}{}",
                     source.alias,
                     render_est(source.est_rows)
                 ),
@@ -712,7 +634,6 @@ mod tests {
             pushed_predicate: None,
             schema: RowSchema::for_table(Some(alias), &["objID", "ra"]),
             limit_hint: None,
-            zone_constraints: Vec::new(),
             scan_columns: None,
             est_rows: None,
         }
@@ -798,7 +719,6 @@ mod tests {
                     pushed_predicate: None,
                     schema: RowSchema::for_table(Some("GN"), &["objID", "distance"]),
                     limit_hint: None,
-                    zone_constraints: Vec::new(),
                     scan_columns: None,
                     est_rows: None,
                 },

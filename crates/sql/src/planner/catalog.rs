@@ -96,7 +96,6 @@ fn naive_view_plan(merged: &MergedView, ctx: &PlanContext<'_>) -> Result<SelectP
             pushed_predicate: Expr::from_conjuncts(merged.predicates.clone()),
             schema: schema.clone(),
             limit_hint: None,
-            zone_constraints: Vec::new(),
             // `select *`: the row layout is the whole table.
             scan_columns: Some((0..names.len()).collect()),
             est_rows: None,

@@ -219,7 +219,6 @@ fn finalize(logical: LogicalPlan, ctx: &PlanContext<'_>) -> Result<SelectPlan, S
             pushed_predicate: Expr::from_conjuncts(s.pushed),
             schema: s.schema,
             limit_hint: s.limit_hint,
-            zone_constraints: Vec::new(),
             scan_columns: None,
             est_rows: None,
         })

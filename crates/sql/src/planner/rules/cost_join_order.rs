@@ -15,7 +15,8 @@
 //! 2. **Access-path costing** — an `IndexSeek` whose estimated matching
 //!    fraction exceeds `SEEK_DEMOTION_FRACTION` (35 %) is demoted back to a heap
 //!    scan: beyond that point the per-row B-tree fetch costs more than the
-//!    zone-pruned vectorized scan.  Equality seeks on unique indexes are
+//!    vectorized scan, whose filter kernels skip segments their zones
+//!    refute.  Equality seeks on unique indexes are
 //!    never demoted.
 //!
 //! Plans containing table-valued functions keep the order the spatial rule
@@ -39,7 +40,7 @@ use std::collections::HashSet;
 const MAX_RELATIONS: usize = 6;
 
 /// Estimated matching fraction above which an index seek is costed worse
-/// than a zone-pruned heap scan and demoted.
+/// than a heap scan (whose kernels prune segments by zone) and demoted.
 const SEEK_DEMOTION_FRACTION: f64 = 0.35;
 
 /// Tables smaller than this are never re-costed, here or by
@@ -170,7 +171,7 @@ fn reorder_sources(plan: &mut LogicalPlan, ctx: &PlanContext<'_>) -> bool {
 
 /// Demote index seeks whose estimated matching fraction makes them worse
 /// than a heap scan.  The pushed predicate stays on the source, so the scan
-/// still filters (and regains zone-map pruning from the annotation pass).
+/// still filters, and its kernels skip the segments their zones refute.
 fn demote_expensive_seeks(plan: &mut LogicalPlan, ctx: &PlanContext<'_>) -> bool {
     let mut changed = false;
     for i in 0..plan.sources.len() {

@@ -12,10 +12,6 @@
 //!   the table's storage schema for a predicate the scan kernels evaluate.
 //! * **Schema arithmetic** — the combined `input_schema` equals the join of
 //!   the planned source schemas, accumulated step by step.
-//! * **Zone-constraint soundness** — declared [`ZoneConstraint`]s name real
-//!   columns of compatible types, require a fully *total* pushed predicate,
-//!   and are never stricter than what re-derivation from that predicate
-//!   yields (a stricter interval could skip segments holding matching rows).
 //! * **Scan-column coverage** — the columns compiled programs actually read
 //!   from a base-table source are a subset of the annotated per-alias
 //!   scan-column list that is the source's row layout and what byte
@@ -30,12 +26,8 @@
 
 use crate::exec::compile::{CompiledExpr, SortKey};
 use crate::expr::RowSchema;
-use crate::plan::{
-    AccessPath, JoinStrategy, SeekSource, SelectPlan, SourceKind, SourcePlan, ZoneConstraint,
-};
-use crate::planner::annotate;
-use skyserver_storage::{DataType, Database, TableSchema, Value};
-use std::cmp::Ordering;
+use crate::plan::{AccessPath, JoinStrategy, SeekSource, SelectPlan, SourceKind, SourcePlan};
+use skyserver_storage::{Database, TableSchema};
 use std::fmt;
 
 /// The structural invariant a [`Violation`] breaks.
@@ -51,10 +43,6 @@ pub enum ViolationKind {
     /// it parallels, or a program slot is filled where the plan has no such
     /// expression (or empty where it has one).
     ProgramArityMismatch,
-    /// A declared zone constraint could prune a segment that contains
-    /// satisfying rows (bad ordinal/type, non-total predicate, or an
-    /// interval stricter than the pushed predicate implies).
-    ZoneConstraintUnsound,
     /// A compiled program reads a base-table column missing from the
     /// annotated scan-column union byte accounting charges.
     ScanColumnNotCovered,
@@ -81,7 +69,6 @@ impl ViolationKind {
             ViolationKind::OrdinalOutOfRange => "ordinal_out_of_range",
             ViolationKind::SchemaWidthMismatch => "schema_width_mismatch",
             ViolationKind::ProgramArityMismatch => "program_arity_mismatch",
-            ViolationKind::ZoneConstraintUnsound => "zone_constraint_unsound",
             ViolationKind::ScanColumnNotCovered => "scan_column_not_covered",
             ViolationKind::PlanShapeInconsistent => "plan_shape_inconsistent",
             ViolationKind::EstimateUnsound => "estimate_unsound",
@@ -102,7 +89,7 @@ impl fmt::Display for ViolationKind {
 pub struct Violation {
     /// Which invariant is broken.
     pub kind: ViolationKind,
-    /// Where in the plan (e.g. `sources[1].zone_constraints[0]`).
+    /// Where in the plan (e.g. `sources[1].scan_columns[0]`).
     pub site: String,
     /// Human-readable description of the mismatch.
     pub detail: String,
@@ -336,8 +323,8 @@ impl Verifier<'_> {
         );
     }
 
-    /// Checks (c) and the per-source half of (e): zone constraints, scan
-    /// columns, limit hints, access-path/rule agreement.
+    /// The per-source half of check (d): scan columns, limit hints,
+    /// access-path/rule agreement.
     fn check_sources(&mut self, plan: &SelectPlan, prefix: &str) {
         for (i, source) in plan.sources.iter().enumerate() {
             let site = format!("{prefix}sources[{i}]");
@@ -363,33 +350,23 @@ impl Verifier<'_> {
                         );
                         continue;
                     };
-                    let schema = t.schema().clone();
-                    self.check_zone_constraints(source, &schema, &site);
-                    if let Some(cols) = &source.scan_columns {
-                        for (c, ordinal) in cols.iter().enumerate() {
-                            self.check(
-                                *ordinal < schema.columns().len(),
-                                ViolationKind::OrdinalOutOfRange,
-                                &format!("{site}.scan_columns[{c}]"),
-                                || {
-                                    format!(
-                                        "storage ordinal {ordinal} out of range for \
-                                         {table} ({} columns)",
-                                        schema.columns().len()
-                                    )
-                                },
-                            );
-                        }
+                    let width = t.schema().columns().len();
+                    for (c, ordinal) in source.scan_columns.iter().flatten().enumerate() {
+                        self.check(
+                            *ordinal < width,
+                            ViolationKind::OrdinalOutOfRange,
+                            &format!("{site}.scan_columns[{c}]"),
+                            || {
+                                format!(
+                                    "storage ordinal {ordinal} out of range for \
+                                     {table} ({width} columns)"
+                                )
+                            },
+                        );
                     }
                 }
                 SourceKind::Seek(seek) => self.check_seek(source, seek, &site),
                 _ => {
-                    self.check(
-                        source.zone_constraints.is_empty(),
-                        ViolationKind::PlanShapeInconsistent,
-                        &site,
-                        || "zone constraints on a non-base-table source".to_string(),
-                    );
                     self.check(
                         source.scan_columns.is_none(),
                         ViolationKind::PlanShapeInconsistent,
@@ -462,7 +439,7 @@ impl Verifier<'_> {
             );
         }
         self.check(
-            source.pushed_predicate.is_none() && source.zone_constraints.is_empty(),
+            source.pushed_predicate.is_none(),
             ViolationKind::PlanShapeInconsistent,
             site,
             || "a predicate pushed into a seek source".to_string(),
@@ -522,103 +499,7 @@ impl Verifier<'_> {
         }
     }
 
-    /// Check (c): every declared zone constraint must be satisfiable-set
-    /// preserving — bad ordinals, type mismatches, non-total predicates or
-    /// intervals stricter than re-derivation yields are all unsound.
-    fn check_zone_constraints(&mut self, source: &SourcePlan, schema: &TableSchema, site: &str) {
-        if source.zone_constraints.is_empty() {
-            return;
-        }
-        let zsite = format!("{site}.zone_constraints");
-        let Some(pred) = &source.pushed_predicate else {
-            self.violation(
-                ViolationKind::ZoneConstraintUnsound,
-                zsite,
-                "zone constraints declared without a pushed predicate".to_string(),
-            );
-            return;
-        };
-        self.check(
-            pred.conjuncts()
-                .iter()
-                .all(|c| annotate::is_total(c, &source.alias, schema)),
-            ViolationKind::ZoneConstraintUnsound,
-            &zsite,
-            || {
-                "zone constraints declared but a pushed conjunct is not total \
-                 (pruning could suppress an execution error)"
-                    .to_string()
-            },
-        );
-        let derived = annotate::zone_constraints(pred, &source.alias, schema);
-        for (z, constraint) in source.zone_constraints.iter().enumerate() {
-            let csite = format!("{site}.zone_constraints[{z}]");
-            self.report.checks_run += 1;
-            if constraint.ordinal >= schema.columns().len() {
-                self.violation(
-                    ViolationKind::OrdinalOutOfRange,
-                    csite,
-                    format!(
-                        "constraint ordinal {} out of range ({} columns)",
-                        constraint.ordinal,
-                        schema.columns().len()
-                    ),
-                );
-                continue;
-            }
-            let col = &schema.columns()[constraint.ordinal];
-            self.check(
-                col.name == constraint.column,
-                ViolationKind::ZoneConstraintUnsound,
-                &csite,
-                || {
-                    format!(
-                        "constraint names column {} but ordinal {} is {}",
-                        constraint.column, constraint.ordinal, col.name
-                    )
-                },
-            );
-            for (value, _) in constraint.low.iter().chain(constraint.high.iter()) {
-                self.check(
-                    bound_type_compatible(value, col.ty),
-                    ViolationKind::ZoneConstraintUnsound,
-                    &csite,
-                    || {
-                        format!(
-                            "bound {value} is type-incompatible with {} column {}",
-                            col.ty, col.name
-                        )
-                    },
-                );
-            }
-            match derived.iter().find(|d| d.ordinal == constraint.ordinal) {
-                None => self.violation(
-                    ViolationKind::ZoneConstraintUnsound,
-                    csite,
-                    format!(
-                        "pushed predicate implies no interval for column {}",
-                        constraint.column
-                    ),
-                ),
-                Some(d) => {
-                    self.check(
-                        !bound_stricter(&constraint.low, &d.low, Ordering::Greater),
-                        ViolationKind::ZoneConstraintUnsound,
-                        &csite,
-                        || stricter_detail(constraint, d, "lower"),
-                    );
-                    self.check(
-                        !bound_stricter(&constraint.high, &d.high, Ordering::Less),
-                        ViolationKind::ZoneConstraintUnsound,
-                        &csite,
-                        || stricter_detail(constraint, d, "upper"),
-                    );
-                }
-            }
-        }
-    }
-
-    /// Checks (a), (d) and the program half of the arity checks: reconstruct
+    /// Checks (a), (c) and the program half of the arity checks: reconstruct
     /// the executor's runtime row layouts exactly as program compilation did
     /// and bound every compiled ordinal against them.
     fn check_programs(&mut self, plan: &SelectPlan, prefix: &str) {
@@ -995,7 +876,7 @@ impl Verifier<'_> {
         }
     }
 
-    /// Check (d): the base-table column a program reads must be inside the
+    /// Check (c): the base-table column a program reads must be inside the
     /// annotated scan-column list — the cells the executor materializes and
     /// byte accounting charges.
     fn check_coverage(&mut self, source: usize, name: &str, ctx: &ProgramContext, site: &str) {
@@ -1028,45 +909,4 @@ struct ProgramContext {
     /// Where each source's cells start in the joined row.
     offsets: Vec<usize>,
     scan_unions: Vec<Option<(TableSchema, Vec<usize>)>>,
-}
-
-/// Can a zone-map comparison against `value` be meaningful for a column of
-/// type `ty`?  Numeric kinds (int/float/bool) compare with each other under
-/// [`Value::total_cmp`]; strings and blobs only with themselves.
-fn bound_type_compatible(value: &Value, ty: DataType) -> bool {
-    let numeric = |t: DataType| matches!(t, DataType::Int | DataType::Float | DataType::Bool);
-    match value.data_type() {
-        None => false, // NULL bounds never prune soundly
-        Some(vt) if numeric(vt) => numeric(ty),
-        Some(vt) => vt == ty,
-    }
-}
-
-/// Is `declared` strictly tighter than `derived` on this side?  `prefer` is
-/// the ordering that makes a bound tighter (`Greater` for lower bounds,
-/// `Less` for upper bounds).  A declared bound where derivation found none
-/// is tighter by definition.
-fn bound_stricter(
-    declared: &Option<(Value, bool)>,
-    derived: &Option<(Value, bool)>,
-    prefer: Ordering,
-) -> bool {
-    match (declared, derived) {
-        (None, _) => false,
-        (Some(_), None) => true,
-        (Some((dv, dinc)), Some((rv, rinc))) => match dv.total_cmp(rv) {
-            o if o == prefer => true,
-            Ordering::Equal => *rinc && !*dinc,
-            _ => false,
-        },
-    }
-}
-
-fn stricter_detail(declared: &ZoneConstraint, derived: &ZoneConstraint, side: &str) -> String {
-    format!(
-        "declared interval {} is stricter than the pushed predicate implies \
-         ({}) on the {side} bound — pruning could skip satisfying rows",
-        declared.render(),
-        derived.render()
-    )
 }

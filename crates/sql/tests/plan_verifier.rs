@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 use skyserver_sql::exec::compile::CompiledExpr;
-use skyserver_sql::plan::{AccessPath, IndexBounds, SourceKind, ZoneConstraint};
+use skyserver_sql::plan::{AccessPath, IndexBounds, SourceKind};
 use skyserver_sql::{
     parse_select, verify_plan, FunctionRegistry, Planner, SeekCover, SeekForm, SelectPlan,
     SqlEngine, ViolationKind,
@@ -12,8 +12,8 @@ use skyserver_sql::{
 use skyserver_storage::{ColumnDef, DataType, Database, IndexDef, TableSchema, Value};
 use std::sync::Arc;
 
-/// A small catalog: `t(id int indexed, v float, name str)` with enough rows
-/// that heap scans annotate zone constraints and scan columns.
+/// A small catalog: `t(id int indexed, v float, name str)` with `rows`
+/// rows.
 fn test_db(rows: usize) -> Database {
     let mut db = Database::new("verify");
     db.create_table(
@@ -180,46 +180,6 @@ fn overgrown_input_schema_is_rejected() {
     assert!(
         found.contains(&ViolationKind::SchemaWidthMismatch),
         "expected schema_width_mismatch, got {found:?}"
-    );
-}
-
-#[test]
-fn unsound_zone_constraint_is_rejected() {
-    // `v < 10.0` derives an upper bound for v; declaring a *lower* bound the
-    // predicate never implied could prune segments holding matching rows.
-    let (mut plan, db) = planned("select count(*) from t where v < 10.0");
-    assert!(
-        plan.sources[0].pushed_predicate.is_some(),
-        "test premise: the predicate is pushed to the scan"
-    );
-    plan.sources[0].zone_constraints.push(ZoneConstraint {
-        ordinal: 1,
-        column: "v".to_string(),
-        low: Some((Value::Float(5.0), true)),
-        high: None,
-    });
-    let found = kinds(&plan, &db);
-    assert!(
-        found.contains(&ViolationKind::ZoneConstraintUnsound),
-        "expected zone_constraint_unsound, got {found:?}"
-    );
-}
-
-#[test]
-fn tightened_zone_bound_is_rejected() {
-    let (mut plan, db) = planned("select count(*) from t where v < 10.0");
-    let constraint = plan.sources[0]
-        .zone_constraints
-        .iter_mut()
-        .find(|z| z.column == "v")
-        .expect("test premise: the scan annotates a zone constraint for v");
-    // The predicate implies v < 10.0; claiming v < 2.0 would prune segments
-    // whose rows satisfy the real predicate.
-    constraint.high = Some((Value::Float(2.0), false));
-    let found = kinds(&plan, &db);
-    assert!(
-        found.contains(&ViolationKind::ZoneConstraintUnsound),
-        "expected zone_constraint_unsound, got {found:?}"
     );
 }
 

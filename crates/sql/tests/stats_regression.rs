@@ -195,22 +195,40 @@ fn engine_rows_agree_with_the_reference_evaluator() {
     }
 }
 
-/// A 10,000-row table spans ten 1,024-row segments; `objID` is inserted in
-/// order, so each segment's zone map covers a disjoint range and a range
-/// predicate lets the scan skip whole segments without touching a row.
-#[test]
-fn zone_map_pruning_skips_cold_segments() {
+/// A 10,000-row table spans ten 1,024-row segments.  `objID` and `name`
+/// are inserted in order, so each segment's zone maps cover a disjoint
+/// range and a range predicate lets the scan skip whole segments without
+/// touching a row; `opt` is NULL from row 5,120 on, so segments 5-9 have no
+/// zone for it at all.
+fn sweep_engine() -> SqlEngine {
     let mut db = Database::new("zones");
     let schema = TableSchema::new(vec![
         ColumnDef::new("objID", DataType::Int),
         ColumnDef::new("val", DataType::Float),
+        ColumnDef::new("name", DataType::Str),
+        ColumnDef::new("opt", DataType::Int).nullable(),
     ]);
     db.create_table("sweep", schema).unwrap();
     for i in 0..10_000i64 {
-        db.insert("sweep", vec![Value::Int(i), Value::Float((i % 100) as f64)])
-            .unwrap();
+        let opt = if i < 5_120 {
+            Value::Int(i)
+        } else {
+            Value::Null
+        };
+        let row = vec![
+            Value::Int(i),
+            Value::Float((i % 100) as f64),
+            Value::str(format!("n{i:05}")),
+            opt,
+        ];
+        db.insert("sweep", row).unwrap();
     }
-    let mut engine = SqlEngine::new(db, FunctionRegistry::new());
+    SqlEngine::new(db, FunctionRegistry::new())
+}
+
+#[test]
+fn zone_map_pruning_skips_cold_segments() {
+    let mut engine = sweep_engine();
     // Only segment 0 (objID 0..=1023) can contain matches; segments 1-9
     // are pruned by their zone maps, so the scan visits 1,024 rows in one
     // batch and charges bytes for the objID column alone.
@@ -230,6 +248,91 @@ fn zone_map_pruning_skips_cold_segments() {
         "scanned=0 bytes=0 idx_rows=0 idx_bytes=0 seeks=0 probes=0 \
          preds=0 returned=1 pruned=10 batches=0"
     );
+}
+
+/// `count(*)` of `sweep` under `where`, and the segments its scan pruned.
+fn count_and_pruned(engine: &mut SqlEngine, filter: &str) -> (i64, u64) {
+    let sql = format!("select count(*) from sweep where {filter}");
+    let outcome = engine.execute(&sql, QueryLimits::UNLIMITED).unwrap();
+    let count = outcome.result.rows[0][0].as_i64().unwrap();
+    (count, outcome.stats.stats.segments_pruned)
+}
+
+/// Which segments the filter's kernels refute, one shape at a time: bound
+/// shapes prune by their interval, the others neither prune nor stop a
+/// bound beside them from pruning, and a conjunct that may fail stops all
+/// pruning.
+#[test]
+fn kernel_bounds_prune_segments_outside_their_interval() {
+    let mut engine = sweep_engine();
+    let cases: &[(&str, i64, u64)] = &[
+        // Two bounds on one column prune like their intersection.
+        ("objID >= 2000 and objID < 3000", 1000, 8),
+        // An inclusive bound keeps the segment its value opens.
+        ("objID <= 1024", 1025, 8),
+        ("objID >= 1023", 8977, 0),
+        ("objID = 5000", 1, 9),
+        ("objID between 1024 and 2047", 1024, 9),
+        // An IN list prunes by its hull, [10, 5000] here.
+        ("objID in (10, 5000, 20)", 3, 5),
+        ("name < 'n01024'", 1024, 9),
+        // A constant the compiler folds is a bound like a literal.
+        ("objID < 1000 + 0", 1000, 9),
+        // A segment whose column is all NULL holds no row inside a bound.
+        ("opt >= 0", 5120, 5),
+        ("opt < 0", 0, 10),
+        // Neither prune nor block.
+        ("objID <> 5", 9999, 0),
+        ("objID not between 0 and 8999", 1000, 0),
+        ("objID not in (1, 2)", 9998, 0),
+        ("name like 'n0%'", 10000, 0),
+        ("opt is null", 4880, 0),
+        (
+            "objID < 1000 and objID <> 5 and objID not between 20 and 29 \
+             and objID not in (1, 2) and name like 'n%' and opt is not null",
+            987,
+            9,
+        ),
+        // A comparison that cannot fail does not block.
+        ("name = name and objID < 1000", 1000, 9),
+        // Arithmetic may fail, so a bound beside it prunes nothing.
+        ("objID % 7 = 0 and objID < 1000", 143, 0),
+    ];
+    let mut failures = Vec::new();
+    for &(filter, count, pruned) in cases {
+        let actual = count_and_pruned(&mut engine, filter);
+        if actual != (count, pruned) {
+            failures.push(format!(
+                "{filter}: expected count={count} pruned={pruned}, got {actual:?}"
+            ));
+        }
+    }
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
+}
+
+/// Pruning never skips the rows whose evaluation would fail: the modulo
+/// conjunct is not total, so no segment is pruned and the error surfaces.
+#[test]
+fn a_failing_conjunct_is_not_pruned_away() {
+    let mut engine = sweep_engine();
+    let err = engine
+        .execute(
+            "select count(*) from sweep where objID % (objID - objID) = 0 and objID > 50000",
+            QueryLimits::UNLIMITED,
+        )
+        .unwrap_err();
+    assert!(err.to_string().contains("modulo by zero"), "{err}");
+}
+
+/// A bound of another type than its column plans and runs in every build
+/// profile, ordered by type rank (bool < number < string < bytes) as the
+/// kernels compare: an Int never equals a string and is below every one.
+#[test]
+fn type_mismatched_bounds_plan_and_count_by_type_rank() {
+    let mut engine = sweep_engine();
+    assert_eq!(count_and_pruned(&mut engine, "objID = 'x'"), (0, 10));
+    assert_eq!(count_and_pruned(&mut engine, "name = 5"), (0, 10));
+    assert_eq!(count_and_pruned(&mut engine, "objID < 'x'"), (10000, 0));
 }
 
 #[test]

@@ -62,8 +62,10 @@ fn build_engine(rng: &mut ChaCha8Rng, n_rows: usize) -> SqlEngine {
 /// comparisons, BETWEEN, IN, IS NULL, LIKE, flag masks) plus shapes that
 /// force the scalar fallback (arithmetic, column-column comparison,
 /// disjunction) and an occasional mod-by-zero to exercise error paths.
+/// Bounds on `id` whose constant the compiler folds prune segments like
+/// literal ones.
 fn atom(rng: &mut ChaCha8Rng) -> String {
-    match rng.gen_range(0..12usize) {
+    match rng.gen_range(0..14usize) {
         0 => format!("a > {}", rng.gen_range(-5i64..50)),
         1 => format!("a = {}", rng.gen_range(-5i64..50)),
         2 => format!("f <= {:.1}", rng.gen_range(-10.0f64..10.0)),
@@ -91,6 +93,12 @@ fn atom(rng: &mut ChaCha8Rng) -> String {
         8 => format!("a + f > {}", rng.gen_range(-5i64..40)),
         9 => format!("a % {} = 1", rng.gen_range(0i64..5)),
         10 => format!("not (a < {})", rng.gen_range(-5i64..50)),
+        11 => format!("id < {} + 0", rng.gen_range(0i64..15_000)),
+        12 => {
+            let lo = rng.gen_range(0i64..15_000);
+            let hi = lo + rng.gen_range(0i64..6_000);
+            format!("id between {lo} * 1 and {hi}")
+        }
         _ => "f > a".to_string(),
     }
 }

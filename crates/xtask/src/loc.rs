@@ -18,7 +18,7 @@ pub const CEILINGS: &[(&str, usize)] = &[
     ("queries", 706),
     ("schema", 848),
     ("skygen", 1757),
-    ("sql", 13860),
+    ("sql", 13472),
     ("storage", 3897),
     ("web", 4671),
     ("xtask", 1077),

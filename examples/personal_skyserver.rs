@@ -53,10 +53,18 @@ fn main() {
         days: 1,
         ..TrafficConfig::default()
     };
-    let report = analyze_traffic(&site.request_log(), &config);
+    let log = site.request_log();
+    let report = analyze_traffic(&log, &config);
+    let mut sections = Vec::new();
+    for record in &log {
+        if !sections.contains(&record.section) {
+            sections.push(record.section);
+        }
+    }
     println!(
         "\nRequest log so far: {} hits across {} sections today.",
-        report.total_hits, 5
+        report.total_hits,
+        sections.len()
     );
 
     // Keep serving if the operator asked for it.
